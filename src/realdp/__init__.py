@@ -3,110 +3,4 @@ bundles: Picard-lattice arithmetic, divisor classification, conic-bundle
 discriminants and Chow identities, and desk-scale hyperbolicity certificates
 via Sturm counts and PL linking numbers."""
 
-from .lattice import (
-    ClassVector,
-    IntLattice,
-    LatticeMap,
-    adjunction_genus,
-    enumerate_classes,
-    fixed_sublattice,
-    geiser_bertini,
-    riemann_roch_dim,
-)
-from .catalog import (
-    SURFACE_NAMES,
-    BlowupSpec,
-    SurfaceModel,
-    blow_up,
-    builtin,
-    minus_one_curves,
-    real_to_complex,
-)
-from .search import (
-    ConditionReport,
-    TableRow,
-    brute_force_search,
-    check_conditions,
-    render_divisor,
-    search,
-    self_intersection_candidates,
-    table1,
-    very_ample,
-)
-from .conic import (
-    BinaryForm,
-    ChowClass,
-    ConicMatrix,
-    analyze,
-    candidate_divisor,
-    chow_degree,
-    chow_e,
-    chow_h,
-    chow_mul,
-    chow_one,
-    construct_section,
-    discriminant,
-    necbundle_conditions,
-    surface_class_identities,
-)
-from .realroots import sturm_count
-from .topology import (
-    GreatSubsphere,
-    HypersurfaceSpec,
-    PLCycle,
-    SplitMix64,
-    all_real_restriction,
-    hyperbolicity_check,
-    hyperbolicity_from_linking,
-    linking_number,
-)
-
-__all__ = [
-    "BinaryForm",
-    "BlowupSpec",
-    "ChowClass",
-    "ClassVector",
-    "ConditionReport",
-    "ConicMatrix",
-    "GreatSubsphere",
-    "HypersurfaceSpec",
-    "IntLattice",
-    "LatticeMap",
-    "PLCycle",
-    "SURFACE_NAMES",
-    "SplitMix64",
-    "SurfaceModel",
-    "TableRow",
-    "adjunction_genus",
-    "all_real_restriction",
-    "analyze",
-    "blow_up",
-    "brute_force_search",
-    "builtin",
-    "candidate_divisor",
-    "check_conditions",
-    "chow_degree",
-    "chow_e",
-    "chow_h",
-    "chow_mul",
-    "chow_one",
-    "construct_section",
-    "discriminant",
-    "enumerate_classes",
-    "fixed_sublattice",
-    "geiser_bertini",
-    "hyperbolicity_check",
-    "hyperbolicity_from_linking",
-    "linking_number",
-    "minus_one_curves",
-    "necbundle_conditions",
-    "real_to_complex",
-    "render_divisor",
-    "riemann_roch_dim",
-    "search",
-    "self_intersection_candidates",
-    "sturm_count",
-    "surface_class_identities",
-    "table1",
-    "very_ample",
-]
+from . import catalog, conic, intlinalg, lattice, realroots, search, topology

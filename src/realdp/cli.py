@@ -34,15 +34,12 @@ def canonical_json(payload) -> str:
 
 
 def _fraction(value) -> Fraction:
-    if isinstance(value, str):
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ValueError(f"expected an integer or 'p/q' string, got {value!r}")
+    try:
         return Fraction(value)
-    if isinstance(value, int):
-        return Fraction(value)
-    raise ValueError(f"expected an integer or 'p/q' string, got {value!r}")
-
-
-def _fraction_str(value: Fraction) -> str:
-    return str(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def _load_json(path):
@@ -123,29 +120,22 @@ def _cmd_table1(args):
     return 0, payload, format_table_text(rows)
 
 
+def _divisor_payload(model, d, report):
+    """The JSON fields `enumerate` and `check` share for one class."""
+    return {
+        "divisor": {"basis": list(model.real_lattice.basis_labels), "coeffs": list(d.coeffs)},
+        "rendered": render_divisor(model, d),
+        "conditions": report.conditions_dict(),
+        "ell": report.ell,
+        "genus": report.genus,
+        "very_ample": None if report.very_ample is None else ("yes" if report.very_ample else "no"),
+    }
+
+
 def _cmd_enumerate(args):
     model = builtin(args.surface)
-    payload = []
-    lines = []
-    for d in search(model):
-        report = check_conditions(model, d)
-        payload.append(
-            {
-                "divisor": {
-                    "basis": list(model.real_lattice.basis_labels),
-                    "coeffs": list(d.coeffs),
-                },
-                "rendered": render_divisor(model, d),
-                "conditions": report.conditions_dict(),
-                "ell": report.ell,
-                "genus": report.genus,
-                "very_ample": "yes" if report.very_ample else "no",
-            }
-        )
-        lines.append(
-            f"{render_divisor(model, d)}  l={report.ell}  g={report.genus}  "
-            f"very_ample={'yes' if report.very_ample else 'no'}"
-        )
+    payload = [_divisor_payload(model, d, check_conditions(model, d)) for d in search(model)]
+    lines = [f"{p['rendered']}  l={p['ell']}  g={p['genus']}  very_ample={p['very_ample']}" for p in payload]
     text = "\n".join(lines) if lines else f"no divisors satisfy the conditions on {args.surface}"
     return 0, payload, text
 
@@ -162,15 +152,7 @@ def _cmd_check(args):
     payload = {
         "status": "pass" if report.passed else "fail",
         "surface": args.surface,
-        "divisor": {
-            "basis": list(model.real_lattice.basis_labels),
-            "coeffs": list(d.coeffs),
-        },
-        "rendered": render_divisor(model, d),
-        "conditions": report.conditions_dict(),
-        "ell": report.ell,
-        "genus": report.genus,
-        "very_ample": None if report.very_ample is None else ("yes" if report.very_ample else "no"),
+        **_divisor_payload(model, d, report),
     }
     failed = [name for name, ok in report.conditions_dict().items() if not ok]
     text = (
@@ -254,7 +236,7 @@ def _cmd_hyp(args):
         "status": "refuted" if verdict.refuted else "supported",
         "trials": verdict.trials,
         "trial": verdict.trial,
-        "witness": None if verdict.witness is None else [_fraction_str(x) for x in verdict.witness],
+        "witness": None if verdict.witness is None else [str(x) for x in verdict.witness],
         "boundary_contacts": verdict.boundary_contacts,
     }
     if verdict.refuted:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .lattice import IntLattice, adjunction_genus, riemann_roch_dim
 from . import realroots
@@ -52,28 +51,20 @@ class BinaryForm:
     def __add__(self, other):
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degrees")
-        return BinaryForm(self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _form(self.degree, realroots.add(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return BinaryForm(self.degree, tuple(-a for a in self.coeffs))
+        return BinaryForm(self.degree, realroots.neg(self.coeffs))
 
     def __mul__(self, other):
-        out = [0] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return BinaryForm(self.degree + other.degree, tuple(out))
+        return _form(self.degree + other.degree, realroots.mul(self.coeffs, other.coeffs))
 
     def effective_degree(self) -> int:
         """Largest i with a nonzero u^i coefficient (-1 for the zero form)."""
-        for i in range(self.degree, -1, -1):
-            if self.coeffs[i]:
-                return i
-        return -1
+        return realroots.degree(realroots.normalize(self.coeffs))
 
     def infinity_multiplicity(self) -> int:
         """Multiplicity of the root at [1:0], i.e. the v-adic valuation gap."""
@@ -82,8 +73,13 @@ class BinaryForm:
         return self.degree - self.effective_degree()
 
 
+def _form(degree: int, poly) -> BinaryForm:
+    """The form of the given degree whose dehomogenisation is poly."""
+    return BinaryForm(degree, tuple(poly) + (0,) * (degree + 1 - len(poly)))
+
+
 def zero_form(degree: int) -> BinaryForm:
-    return BinaryForm(degree, (0,) * (degree + 1))
+    return _form(degree, ())
 
 
 def form_from_roots(degree: int, roots) -> BinaryForm:
@@ -345,8 +341,12 @@ def discriminant(matrix: ConicMatrix) -> BinaryForm:
     )
 
 
-def _form_squarefree_on_p1(form: BinaryForm) -> bool:
-    return realroots.is_squarefree(form.coeffs) and form.infinity_multiplicity() <= 1
+def _roots_on_p1(form: BinaryForm):
+    """(real roots on P^1 counted with multiplicity, squarefree on P^1) for a
+    nonzero form; a root at infinity is the point [1:0]."""
+    roots = realroots.root_profile(form.coeffs)
+    inf_mult = form.infinity_multiplicity()
+    return roots.real + inf_mult, roots.squarefree and inf_mult <= 1
 
 
 def _forms_coprime_on_p1(f: BinaryForm, g: BinaryForm) -> bool:
@@ -382,9 +382,7 @@ def analyze(matrix: ConicMatrix) -> FiberAnalysis:
         return FiberAnalysis(disc.degree, None, False, None, False,
                              False if matrix.is_diagonal() else None)
     total = disc.degree
-    inf_mult = disc.infinity_multiplicity()
-    squarefree = _form_squarefree_on_p1(disc)
-    real = realroots.sturm_count(disc.coeffs, with_multiplicity=True) + inf_mult
+    real, squarefree = _roots_on_p1(disc)
     if squarefree and real % 2:
         raise RuntimeError("odd real root count for a squarefree real form")
     s = real // 2 if squarefree and real % 2 == 0 else None
@@ -393,7 +391,7 @@ def analyze(matrix: ConicMatrix) -> FiberAnalysis:
         diag = [matrix.entries[i][i] for i in range(3)]
         smooth_exact = (
             all(not f.is_zero() for f in diag)
-            and all(_form_squarefree_on_p1(f) for f in diag)
+            and all(_roots_on_p1(f)[1] for f in diag)
             and all(
                 _forms_coprime_on_p1(diag[i], diag[j])
                 for i in range(3)
@@ -437,13 +435,6 @@ def construct_section(a1: int, a2: int, a3: int, root_lists) -> ConicMatrix:
 # Pretty factorisation for output
 
 
-def _content(coeffs):
-    g = 0
-    for c in coeffs:
-        g = gcd(g, abs(c))
-    return g or 1
-
-
 def _rational_roots(coeffs):
     """Rational roots (as Fractions) of an integer polynomial, constant and
     leading coefficient nonzero, by the rational root test."""
@@ -472,45 +463,36 @@ def factor_low_degree(form: BinaryForm):
 
     Returns (content, [(factor_form, multiplicity), ...]) or None when the
     cofactor left after removing u, v and rational linear factors still has
-    degree above two.
+    degree above two.  Every factor is primitive with integer coefficients
+    (Gauss's lemma), and the u- and v-powers come first.
     """
     if form.is_zero():
         return None
-    content = _content(form.coeffs)
-    coeffs = [c // content for c in form.coeffs]
-    if coeffs[form.effective_degree()] < 0:
-        content, coeffs = -content, [-c for c in coeffs]
+    content, poly = realroots.primitive_part(form.coeffs)
+    low = next(i for i, c in enumerate(poly) if c)
     factors = []
-    inf_mult = form.degree - max(i for i, c in enumerate(coeffs) if c)
-    if inf_mult:
-        factors.append((BinaryForm(1, (0, 1)), inf_mult))  # v
-    low = next(i for i, c in enumerate(coeffs) if c)
     if low:
-        factors.append((BinaryForm(1, (1, 0)), low))  # u
-    poly = [Fraction(c) for c in coeffs[low: form.effective_degree() + 1]]
-    for root in _rational_roots([int(x) for x in poly]):
+        factors.append((BinaryForm(1, (0, 1)), low))  # u
+    inf_mult = form.degree - realroots.degree(poly)
+    if inf_mult:
+        factors.append((BinaryForm(1, (1, 0)), inf_mult))  # v
+    poly = poly[low:]
+    for root in _rational_roots(poly):
         lin = (-root.numerator, root.denominator)
         mult = 0
         while True:
-            quot, rem = realroots.divmod_poly(poly, [Fraction(lin[0]), Fraction(lin[1])])
+            quot, rem = realroots.divmod_poly(poly, lin)
             if rem:
                 break
-            poly = list(quot)
+            poly = quot
             mult += 1
-        if mult:
-            factors.append((BinaryForm(1, lin), mult))
-    rest_deg = len(poly) - 1
+        factors.append((BinaryForm(1, lin), mult))
+    rest_deg = realroots.degree(poly)
     if rest_deg > 2:
         return None
-    if rest_deg > 0 or poly[0] != 1:
-        ints = [int(x) for x in poly]
-        if any(Fraction(x) != p for x, p in zip(ints, poly)):
-            return None
-        if rest_deg == 0:
-            content *= ints[0]
-        else:
-            # homogenise the cofactor back to the missing degree
-            factors.append((BinaryForm(rest_deg, tuple(ints)), 1))
+    if rest_deg > 0:
+        # homogenise the cofactor back to the missing degree
+        factors.append((BinaryForm(rest_deg, poly), 1))
     return content, factors
 
 

@@ -2,8 +2,8 @@
 
 Everything here works with plain Python integers (arbitrary precision) or
 `fractions.Fraction`; no floating point is ever used.  Matrices are lists of
-lists in row-major order.  These routines back the lattice layer: Hermite and
-Smith normal forms for kernels and primitivity checks, exact signatures of
+lists in row-major order.  These routines back the lattice layer: Hermite
+normal forms for kernels and primitivity checks, exact signatures of
 symmetric forms, and a Fincke-Pohst style bounded enumeration whose search
 radius is certified by a rational LDL^T factorisation.
 """
@@ -113,80 +113,6 @@ def kernel_basis(m):
     _, zero_rows = _hnf_sweep(aug, nrows)
     kernel = [r[nrows:] for r in zero_rows]
     return hnf(kernel)
-
-
-def smith_normal_form(m):
-    """Elementary divisors d1 | d2 | ... (nonnegative) of an integer matrix.
-
-    Row and column clearing use plain elimination whenever the pivot divides
-    the target (this never disturbs the cleared parts) and a unimodular gcd
-    combination otherwise (this strictly shrinks |pivot|), so the alternation
-    terminates.
-    """
-    a = [list(r) for r in m]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    divisors = []
-    t = 0
-    while t < min(nrows, ncols):
-        piv = next(
-            ((i, j) for i in range(t, nrows) for j in range(t, ncols) if a[i][j]),
-            None,
-        )
-        if piv is None:
-            break
-        i, j = piv
-        a[t], a[i] = a[i], a[t]
-        for row in a:
-            row[t], row[j] = row[j], row[t]
-        while True:
-            for i in range(t + 1, nrows):
-                if a[i][t]:
-                    if a[i][t] % a[t][t] == 0:
-                        q = a[i][t] // a[t][t]
-                        a[i] = [p - q * r for p, r in zip(a[i], a[t])]
-                    else:
-                        g, x, y = xgcd(a[t][t], a[i][t])
-                        u, v = a[t][t] // g, a[i][t] // g
-                        a[t], a[i] = (
-                            [x * p + y * q for p, q in zip(a[t], a[i])],
-                            [u * q - v * p for p, q in zip(a[t], a[i])],
-                        )
-            if any(a[t][j] for j in range(t + 1, ncols)):
-                for j in range(t + 1, ncols):
-                    if a[t][j]:
-                        if a[t][j] % a[t][t] == 0:
-                            q = a[t][j] // a[t][t]
-                            for row in a:
-                                row[j] -= q * row[t]
-                        else:
-                            g, x, y = xgcd(a[t][t], a[t][j])
-                            u, v = a[t][t] // g, a[t][j] // g
-                            for row in a:
-                                row[t], row[j] = (
-                                    x * row[t] + y * row[j],
-                                    u * row[j] - v * row[t],
-                                )
-                continue  # column ops may have disturbed the pivot column
-            if not any(a[i][t] for i in range(t + 1, nrows)):
-                break
-        # Enforce divisibility: the pivot must divide every remaining entry.
-        offender = next(
-            (
-                (i, j)
-                for i in range(t + 1, nrows)
-                for j in range(t + 1, ncols)
-                if a[i][j] % a[t][t]
-            ),
-            None,
-        )
-        if offender is not None:
-            i, _ = offender
-            a[t] = [p + q for p, q in zip(a[t], a[i])]
-            continue
-        divisors.append(abs(a[t][t]))
-        t += 1
-    return divisors
 
 
 def signature(gram):

@@ -1,18 +1,22 @@
-"""Exact real-root counting for univariate polynomials over Q.
+"""Univariate polynomials over Q and exact real-root counting.
 
-Polynomials are sequences of int/Fraction coefficients, low degree first;
-trailing zeros are stripped on normalisation.  Distinct real roots are
-counted with a Sturm chain evaluated at -infinity and +infinity; counting
-with multiplicity goes through an exact squarefree decomposition.
+The one module with univariate polynomial arithmetic.  Polynomials are tuples
+of int/Fraction coefficients, low degree first, trailing zeros stripped.  Ints
+stay ints: a division gives a Fraction unless it is exact.  Every real-root
+question goes through `root_profile`: one squarefree decomposition and one
+Sturm chain per squarefree part give the real-root count with multiplicity,
+the distinct count and the squarefree flag together.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from typing import NamedTuple
 
 
 def normalize(coeffs):
-    p = [Fraction(c) for c in coeffs]
+    p = list(coeffs)
     while p and p[-1] == 0:
         p.pop()
     return tuple(p)
@@ -23,30 +27,40 @@ def degree(p) -> int:
     return len(p) - 1
 
 
+def _quotient(a, b):
+    """Exact a / b: an int when both are ints and b divides a."""
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
+
+
 def evaluate(p, x):
-    acc = Fraction(0)
+    acc = 0
     for c in reversed(p):
         acc = acc * x + c
     return acc
 
 
 def add(p, q):
-    n = max(len(p), len(q))
-    return normalize([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
+    if len(p) < len(q):
+        p, q = q, p
+    return normalize([a + q[i] if i < len(q) else a for i, a in enumerate(p)])
+
+
+def neg(p):
+    return tuple(-c for c in p)
 
 
 def mul(p, q):
     if not p or not q:
         return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
     return normalize(out)
-
-
-def scale(p, c):
-    return normalize([a * c for a in p])
 
 
 def derivative(p):
@@ -54,23 +68,22 @@ def derivative(p):
 
 
 def divmod_poly(p, q):
+    q = normalize(q)
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 1)
+    rem = list(normalize(p))
     dq = len(q) - 1
-    lc = q[-1]
-    while len(rem) - 1 >= dq and any(rem):
+    quot = [0] * max(len(rem) - dq, 1)
+    while len(rem) - 1 >= dq:
+        shift = len(rem) - 1 - dq
+        factor = _quotient(rem[-1], q[-1])
+        quot[shift] = factor
+        for i in range(dq):
+            rem[shift + i] -= factor * q[i]
+        rem.pop()
         while rem and rem[-1] == 0:
             rem.pop()
-        if len(rem) - 1 < dq:
-            break
-        shift = len(rem) - 1 - dq
-        factor = rem[-1] / lc
-        quot[shift] += factor
-        for i in range(len(q)):
-            rem[shift + i] -= factor * q[i]
-    return normalize(quot), normalize(rem)
+    return normalize(quot), tuple(rem)
 
 
 def gcd_poly(p, q):
@@ -78,9 +91,42 @@ def gcd_poly(p, q):
     a, b = normalize(p), normalize(q)
     while b:
         a, b = b, divmod_poly(a, b)[1]
-    if a:
-        a = scale(a, 1 / a[-1])
-    return a
+    return tuple(_quotient(c, a[-1]) for c in a)
+
+
+def primitive_part(p):
+    """(c, q) with p = c q for a nonzero integer polynomial p, where q has
+    coprime coefficients and a positive leading coefficient."""
+    p = normalize(p)
+    c = gcd(*p)
+    if p[-1] < 0:
+        c = -c
+    return c, tuple(a // c for a in p)
+
+
+def squarefree_decomposition(p):
+    """[(g_i, i)] with p = c * prod g_i^i, the g_i squarefree and coprime.
+
+    One gcd with the derivative settles a squarefree p; each further
+    multiplicity level costs one more gcd (Musser's algorithm)."""
+    p = normalize(p)
+    if degree(p) < 1:
+        return []
+    out = []
+    t = gcd_poly(p, derivative(p))
+    v = divmod_poly(p, t)[0]
+    i = 1
+    while degree(t) > 0:
+        w = gcd_poly(t, v)
+        part = divmod_poly(v, w)[0]
+        if degree(part) > 0:
+            out.append((part, i))
+        v = w
+        t = divmod_poly(t, w)[0]
+        i += 1
+    if degree(v) > 0:
+        out.append((v, i))
+    return out
 
 
 def sturm_sequence(p):
@@ -92,81 +138,48 @@ def sturm_sequence(p):
             rem = divmod_poly(chain[-2], chain[-1])[1]
             if not rem:
                 break
-            chain.append(scale(rem, -1))
+            chain.append(neg(rem))
     return chain
 
 
-def _variations(signs):
-    signs = [s for s in signs if s]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+def _sign_changes(signs):
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _sign_at_inf(p, positive: bool) -> int:
-    if not p:
-        return 0
-    lc = 1 if p[-1] > 0 else -1
-    if positive or degree(p) % 2 == 0:
-        return lc
-    return -lc
+def _distinct_real_roots(g) -> int:
+    """Real roots of a squarefree g by Sturm's theorem: sign changes of its
+    Sturm chain at -infinity minus those at +infinity."""
+    chain = sturm_sequence(g)
+    at_plus = [f[-1] > 0 for f in chain]
+    at_minus = [(f[-1] > 0) == (degree(f) % 2 == 0) for f in chain]
+    return _sign_changes(at_minus) - _sign_changes(at_plus)
 
 
-def count_distinct_real_roots(p) -> int:
-    """Number of distinct real roots, by Sturm's theorem on (-inf, +inf)."""
-    p = normalize(p)
-    if not p:
-        raise ValueError("zero polynomial")
-    if degree(p) == 0:
-        return 0
-    square_free = divmod_poly(p, gcd_poly(p, derivative(p)))[0]
-    chain = sturm_sequence(square_free)
-    at_minus = _variations([_sign_at_inf(f, False) for f in chain])
-    at_plus = _variations([_sign_at_inf(f, True) for f in chain])
-    return at_minus - at_plus
+class RootProfile(NamedTuple):
+    real: int  # real roots counted with multiplicity
+    distinct: int  # distinct real roots
+    squarefree: bool  # no repeated root, real or complex
 
 
-def squarefree_decomposition(p):
-    """[(g_i, i)] with p = c * prod g_i^i, the g_i squarefree and coprime."""
-    p = normalize(p)
-    if degree(p) < 1:
-        return []
-    out = []
-    t = gcd_poly(p, derivative(p))
-    v = divmod_poly(p, t)[0]
-    i = 1
-    while degree(v) > 0:
-        w = gcd_poly(t, v)
-        part = divmod_poly(v, w)[0]
-        if degree(part) > 0:
-            out.append((part, i))
-        v = w
-        t = divmod_poly(t, w)[0]
-        i += 1
-    return out
-
-
-def count_real_roots_with_multiplicity(p) -> int:
-    p = normalize(p)
+def root_profile(coeffs) -> RootProfile:
+    """Real-root counts and squarefreeness of a nonzero polynomial."""
+    p = normalize(coeffs)
     if not p:
         raise ValueError("zero polynomial")
-    return sum(i * count_distinct_real_roots(g) for g, i in squarefree_decomposition(p))
-
-
-def is_squarefree(p) -> bool:
-    p = normalize(p)
-    if not p:
-        return False
-    return degree(gcd_poly(p, derivative(p))) <= 0
+    real = distinct = 0
+    squarefree = True
+    for g, i in squarefree_decomposition(p):
+        n = _distinct_real_roots(g)
+        real += i * n
+        distinct += n
+        squarefree = squarefree and i == 1
+    return RootProfile(real, distinct, squarefree)
 
 
 def sturm_count(coeffs, with_multiplicity: bool = False) -> int:
     """Real roots of a rational polynomial over the whole line.
 
-    With `with_multiplicity`, a root of multiplicity m counts m times
-    (computed factor-by-factor on the squarefree decomposition).
+    With `with_multiplicity`, a root of multiplicity m counts m times.
     """
-    p = normalize(coeffs)
-    if not p:
-        raise ValueError("zero polynomial")
-    if with_multiplicity:
-        return count_real_roots_with_multiplicity(p)
-    return count_distinct_real_roots(p)
+    roots = root_profile(coeffs)
+    return roots.real if with_multiplicity else roots.distinct

@@ -17,7 +17,6 @@ Riemann-Roch section count, and a very-ampleness flag.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,7 +26,7 @@ from .lattice import ClassVector, adjunction_genus, enumerate_classes, riemann_r
 
 @dataclass(frozen=True)
 class ConditionReport:
-    c1: bool
+    c1 = True  # a class constant: every catalogued model has sphere/plane real part
     c2: bool
     c3: bool
     c4: bool
@@ -38,7 +37,7 @@ class ConditionReport:
 
     @property
     def passed(self) -> bool:
-        return self.c1 and self.c2 and self.c3 and self.c4 and self.c5
+        return self.c2 and self.c3 and self.c4 and self.c5
 
     def conditions_dict(self):
         return {f"c{i}": getattr(self, f"c{i}") for i in range(1, 6)}
@@ -62,7 +61,6 @@ def check_conditions(model: SurfaceModel, d: ClassVector) -> ConditionReport:
     k = model.canonical
     dd = d.dot(d)
     dk = d.dot(k)
-    c1 = True  # every catalogued model has sphere/projective-plane real part
     c2 = dd == model.r + 2 * model.s
     c3 = model.r <= dk + 4 <= model.r + 2 * model.s
     c4 = (dk - model.r) % 4 == 0
@@ -70,10 +68,10 @@ def check_conditions(model: SurfaceModel, d: ClassVector) -> ConditionReport:
     c5 = all(
         sum(c * w for c, w in zip(coeffs, row)) > 0 for row in _line_functionals(model)
     )
-    report = ConditionReport(c1, c2, c3, c4, c5)
+    report = ConditionReport(c2, c3, c4, c5)
     if report.passed:
         report = ConditionReport(
-            c1, c2, c3, c4, c5,
+            c2, c3, c4, c5,
             genus=adjunction_genus(d, k),
             ell=riemann_roch_dim(d, k),
             very_ample=very_ample(model, d),
@@ -115,36 +113,6 @@ def search(model: SurfaceModel):
     lo, hi = model.r - 4, model.r + 2 * model.s - 4
     candidates = enumerate_classes(model.real_lattice, model.canonical, target, lo, hi)
     return [d for d in candidates if check_conditions(model, d).passed]
-
-
-def _box_vectors(model, radius):
-    span = range(-radius, radius + 1)
-    for coeffs in itertools.product(span, repeat=model.real_lattice.rank):
-        yield model.real_lattice.vector(coeffs)
-
-
-def self_intersection_candidates(model: SurfaceModel, radius=12):
-    """Classes in a coefficient box with D.D = r + 2s (condition c2 alone).
-
-    Plain box search; used as an independent oracle for the ellipsoid
-    enumeration and to reproduce the intermediate candidate list of the
-    worked degree-2 conic-bundle example.
-    """
-    target = model.r + 2 * model.s
-    return [v for v in _box_vectors(model, radius) if v.dot(v) == target]
-
-
-def brute_force_search(model: SurfaceModel, radius=12):
-    """Oracle double-check of search(): box enumeration + condition filter.
-
-    The self-intersection test (condition c2) runs first so the line pairings
-    of c5 are only evaluated on the handful of survivors."""
-    target = model.r + 2 * model.s
-    return [
-        v
-        for v in _box_vectors(model, radius)
-        if v.dot(v) == target and check_conditions(model, v).passed
-    ]
 
 
 @dataclass(frozen=True)

@@ -121,9 +121,7 @@ def _restriction_profile(x: HypersurfaceSpec, e, p):
     q = x.restrict_to_line(p, e)
     if realroots.degree(q) < x.degree:
         raise ValueError("restriction degree dropped: line meets the center")
-    real = realroots.sturm_count(q, with_multiplicity=True)
-    distinct = realroots.sturm_count(q)
-    return real, distinct, x.degree
+    return realroots.root_profile(q)
 
 
 def all_real_restriction(x: HypersurfaceSpec, e, p) -> bool:
@@ -132,8 +130,7 @@ def all_real_restriction(x: HypersurfaceSpec, e, p) -> bool:
     Roots count with multiplicity, so tangent lines (boundary contact) still
     pass when every root is real.
     """
-    real, _, deg = _restriction_profile(x, e, p)
-    return real == deg
+    return _restriction_profile(x, e, p).real == x.degree
 
 
 @dataclass(frozen=True)
@@ -169,10 +166,10 @@ def hyperbolicity_check(x: HypersurfaceSpec, e, trials: int, seed: int) -> Hyper
             point = tuple(rng.rational() for _ in range(4))
             if any(point) and not _parallel(list(point), e_frac):
                 break
-        real, distinct, deg = _restriction_profile(x, e, point)
-        if real != deg:
+        roots = _restriction_profile(x, e, point)
+        if roots.real != x.degree:
             return HyperbolicityVerdict(True, point, trial, trials, boundary)
-        if distinct < deg:
+        if roots.distinct < x.degree:
             boundary += 1
     return HyperbolicityVerdict(False, None, None, trials, boundary)
 

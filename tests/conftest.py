@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from realdp import GreatSubsphere, HypersurfaceSpec, PLCycle
+from realdp.topology import GreatSubsphere, HypersurfaceSpec, PLCycle
 from realdp.conic import BinaryForm, diagonal_matrix
 from realdp.intlinalg import mat_inverse, mat_mul
 

@@ -8,24 +8,25 @@ import random
 import time
 from fractions import Fraction
 
-from realdp import (
-    GreatSubsphere,
-    builtin,
+from realdp.catalog import builtin
+from realdp.conic import (
+    analyze,
     candidate_divisor,
-    check_conditions,
-    fixed_sublattice,
-    geiser_bertini,
+    discriminant,
+    necbundle_conditions,
+    surface_class_identities,
+)
+from realdp.intlinalg import hnf
+from realdp.lattice import fixed_sublattice, geiser_bertini
+from realdp.search import check_conditions, search, table1
+from realdp.topology import (
+    GreatSubsphere,
     hyperbolicity_check,
     hyperbolicity_from_linking,
     linking_number,
-    necbundle_conditions,
-    search,
-    self_intersection_candidates,
-    surface_class_identities,
 )
-from realdp.conic import analyze, discriminant
-from realdp.intlinalg import hnf, smith_normal_form
-from realdp.search import table1
+
+from oracles import self_intersection_candidates, smith_normal_form
 
 from conftest import (
     cayley_rotation,

@@ -3,16 +3,18 @@ from math import isqrt
 
 import pytest
 
-from realdp import (
+from realdp.catalog import (
     SURFACE_NAMES,
     BlowupSpec,
     blow_up,
     builtin,
-    fixed_sublattice,
     minus_one_curves,
     real_to_complex,
 )
-from realdp.intlinalg import hnf, smith_normal_form
+from realdp.intlinalg import hnf
+from realdp.lattice import fixed_sublattice
+
+from oracles import smith_normal_form
 
 # (degree, s, r) per surface, in catalogue order
 TOPOLOGY = {

@@ -299,3 +299,19 @@ def test_malformed_documents_exit_2(capsys, tmp_path):
         code, payload = run_json(capsys, argv)
         assert code == 2, argv
         assert payload["status"] == "error"
+
+
+def test_bad_rationals_exit_2(capsys, tmp_path):
+    sphere = write_sphere_file(tmp_path)
+    code, payload = run_json(capsys, ["hyp", sphere, "--point", "1,0,0,1/0"])
+    assert code == 2 and payload["status"] == "error"
+    assert "zero denominator" in payload["message"]
+    for coeff in ("1/0", True):
+        doc = json.loads(open(sphere).read())
+        doc["terms"][0]["coeff"] = coeff
+        path = tmp_path / "bad_coeff.json"
+        path.write_text(json.dumps(doc))
+        code, payload = run_json(capsys, ["hyp", str(path), "--point", "1,0,0,0"])
+        assert code == 2 and payload["status"] == "error", coeff
+    code, out = run(capsys, ["hyp", sphere, "--point", "1,0,0,1/0"])
+    assert code == 2 and out == ""

@@ -2,24 +2,22 @@ import random
 
 import pytest
 
-from realdp import (
+from realdp.conic import (
+    BinaryForm,
+    ConicMatrix,
     analyze,
     candidate_divisor,
     chow_degree,
     chow_e,
     chow_h,
     construct_section,
-    discriminant,
-    necbundle_conditions,
-    surface_class_identities,
-)
-from realdp.conic import (
-    BinaryForm,
-    ConicMatrix,
     diagonal_matrix,
+    discriminant,
     factored_str,
     form_from_roots,
     form_str,
+    necbundle_conditions,
+    surface_class_identities,
     zero_form,
 )
 from conftest import degenerate_fiber_matrix, worked_conic_matrix
@@ -273,3 +271,12 @@ def test_form_str():
     assert form_str(BinaryForm(2, (-1, 0, 1))) == "u^2 - v^2"
     assert form_str(BinaryForm(1, (2, 3))) == "3*u + 2*v"
     assert form_str(zero_form(3)) == "0"
+
+
+def test_factored_str_u_and_v_powers():
+    # 4 u^2 (3u^2 - 5uv - 5v^2): the u-power is the count of leading zeros
+    assert factored_str(BinaryForm(4, (0, 0, -20, -20, 12))) == "4*u^2*(3*u^2 - 5*u*v - 5*v^2)"
+    assert factored_str(BinaryForm(3, (0, 0, 0, 1))) == "u^3"
+    assert factored_str(BinaryForm(3, (1, 0, 0, 0))) == "v^3"
+    assert factored_str(BinaryForm(5, (0, 0, 3, 0, 0, 0))) == "3*u^2*v^3"
+    assert factored_str(BinaryForm(4, (0, -1, 0, 1, 0))) == "u*v*(u - v)*(u + v)"

@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from realdp import (
+from realdp.catalog import builtin
+from realdp.lattice import (
     IntLattice,
     LatticeMap,
     adjunction_genus,
-    builtin,
     enumerate_classes,
     fixed_sublattice,
     geiser_bertini,

@@ -1,0 +1,90 @@
+"""Package shape and the no-floating-point rule of the library."""
+
+import ast
+import inspect
+import pathlib
+import sys
+import types
+from fractions import Fraction
+
+import realdp
+from realdp import realroots
+
+SUBMODULES = ("catalog", "conic", "intlinalg", "lattice", "realroots", "search", "topology")
+SRC = pathlib.Path(realdp.__file__).parent
+
+
+def test_package_attributes_are_submodules():
+    from realdp import search
+
+    assert search is sys.modules["realdp.search"]
+    for name in SUBMODULES:
+        assert isinstance(getattr(realdp, name), types.ModuleType)
+        assert f"realdp.{name}" in sys.modules
+
+
+def test_no_floating_point_in_library():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{path.name}:{node.lineno} literal {node.value!r}")
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+                found.append(f"{path.name}:{node.lineno} float() call")
+    assert found == []
+
+
+# ---------------------------------------------------------------------------
+# No floating point: integer input to realroots gives int or Fraction output
+
+P = (1, 0, 3)  # 3t^2 + 1
+Q = (-2, 1, 2, 3)  # 3t^3 + 2t^2 + t - 2
+R = (0, 0, -1, 3, -3, 1)  # t^2 (t - 1)^3
+
+INTEGER_CALLS = {
+    "normalize": ((1, 2, 0, 0),),
+    "degree": (P,),
+    "evaluate": (Q, 3),
+    "add": (P, Q),
+    "neg": (Q,),
+    "mul": (P, Q),
+    "derivative": (Q,),
+    "divmod_poly": (Q, (1, 2)),
+    "gcd_poly": (realroots.mul(P, (1, 2)), realroots.mul(Q, (1, 2))),
+    "primitive_part": ((4, -6, 2),),
+    "squarefree_decomposition": (realroots.mul(R, (1, 2)),),
+    "sturm_sequence": (Q,),
+    "root_profile": (R,),
+    "sturm_count": (R,),
+}
+
+
+def _leaves(value):
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def test_integer_input_stays_exact():
+    public = {
+        name
+        for name, obj in vars(realroots).items()
+        if not name.startswith("_")
+        and inspect.isfunction(obj)
+        and obj.__module__ == realroots.__name__
+    }
+    assert public == set(INTEGER_CALLS)
+    for name, args in INTEGER_CALLS.items():
+        result = getattr(realroots, name)(*args)
+        kinds = {type(x) for x in _leaves(result)}
+        assert kinds <= {int, bool, Fraction}, (name, kinds)
+
+
+def test_exact_division_keeps_ints():
+    quot, rem = realroots.divmod_poly(realroots.mul((3, 2), (-1, 5)), (-1, 5))
+    assert quot == (3, 2) and rem == ()
+    assert all(type(c) is int for c in quot)
+    quot, rem = realroots.divmod_poly((1, 0, 1), (1, 2))
+    assert quot == (Fraction(-1, 4), Fraction(1, 2)) and rem == (Fraction(5, 4),)

@@ -1,16 +1,18 @@
 import pytest
 
-from realdp import (
-    builtin,
-    brute_force_search,
+from realdp.catalog import builtin
+from realdp.lattice import geiser_bertini
+from realdp.search import (
     check_conditions,
-    geiser_bertini,
+    format_table_text,
     render_divisor,
+    row_to_json,
     search,
-    self_intersection_candidates,
+    table1,
     very_ample,
 )
-from realdp.search import format_table_text, row_to_json, table1
+
+from oracles import brute_force_search, self_intersection_candidates
 
 # Classification fixture: surface -> set of (rendered divisor, ell, genus, flag).
 # Empty set marks surfaces admitting no finite real-fibered morphism to the plane.

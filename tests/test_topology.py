@@ -3,18 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from realdp import (
+from realdp.realroots import squarefree_decomposition, sturm_count
+from realdp.topology import (
     GreatSubsphere,
+    HypersurfaceSpec,
     PLCycle,
     SplitMix64,
     all_real_restriction,
     hyperbolicity_check,
     hyperbolicity_from_linking,
     linking_number,
-    sturm_count,
 )
-from realdp.realroots import squarefree_decomposition
-from realdp.topology import HypersurfaceSpec
 from conftest import (
     cayley_rotation,
     chart_axis,
