@@ -4,8 +4,8 @@ disjoint union of spheres and real projective planes.
 Each model bundles the Picard lattice of the complexification, the
 complex-conjugation involution on it, the real Picard lattice embedded as the
 fixed sublattice, the canonical class on both sides, the finitely many
-(-1)-classes, and the topological bookkeeping (s spheres, r projective
-planes).
+(-1)-classes with their pairings against the real basis, and the topological
+bookkeeping (s spheres, r projective planes).
 
 Conventions.  Complex lattices are either the blow-up lattice Z^{1,n} with
 basis H, E1, ..., En, pairing diag(1, -1, ..., -1) and canonical class
@@ -69,6 +69,7 @@ class SurfaceModel:
     embedding: LatticeMap
     involution: LatticeMap
     minus_one_classes: tuple
+    line_functionals: tuple  # row i: pairings of minus_one_classes[i] with the real basis
 
 
 @dataclass(frozen=True)
@@ -87,37 +88,33 @@ class BlowupSpec:
             raise ValueError("component_assignment must be 'same' or 'different'")
 
 
-def minus_one_curves(l_complex: IntLattice, k: ClassVector):
-    """All classes c with c.c = -1 and c.K = -1, in lexicographic order."""
-    return enumerate_classes(l_complex, k, -1, -1, -1)
-
-
-def real_to_complex(model: SurfaceModel, d: ClassVector) -> ClassVector:
-    """Image of a real divisor class under the embedding into Pic of X_C."""
-    return model.embedding.apply(d)
-
-
-def _real_gram(cx: IntLattice, columns):
-    vecs = [cx.vector(col) for col in columns]
-    return tuple(tuple(u.dot(v) for v in vecs) for u in vecs)
+@lru_cache(maxsize=None)
+def minus_one_curves(l_complex: IntLattice, k: ClassVector) -> tuple:
+    """All classes c with c.c = -1 and c.K = -1, in lexicographic order;
+    enumerated once per (lattice, K) and shared by the models built on it."""
+    return tuple(enumerate_classes(l_complex, k, -1, -1, -1))
 
 
 def _model(name, degree, s, r, cx, k_cx_coeffs, invol_rows, real_labels, real_columns, canonical_coeffs):
     """Assemble a SurfaceModel from complex-lattice data and a real basis.
 
-    `real_columns` are the real basis vectors written in complex coordinates;
-    the real pairing matrix is computed from them, so the embedding is an
-    isometry by construction.
+    `real_columns` are the real basis vectors written in complex coordinates.
+    The real pairing matrix is computed from them, so the embedding is an
+    isometry by construction, and so are the line functionals, which make D.L
+    a dot product in real coordinates.
     """
     k_cx = cx.vector(k_cx_coeffs)
     if k_cx.dot(k_cx) != degree:
         raise ValueError(f"{name}: canonical self-intersection does not match the degree")
-    real = IntLattice(len(real_labels), tuple(real_labels), _real_gram(cx, real_columns))
+    images = [cx.vector(col) for col in real_columns]
+    gram = tuple(tuple(u.dot(v) for v in images) for u in images)
+    real = IntLattice(len(real_labels), tuple(real_labels), gram)
     embedding = LatticeMap(real, cx, tuple(zip(*real_columns)))
     involution = LatticeMap(cx, cx, tuple(tuple(row) for row in invol_rows))
     canonical = real.vector(canonical_coeffs)
     if embedding.apply(canonical) != k_cx:
         raise ValueError(f"{name}: real canonical class does not embed onto K")
+    lines = minus_one_curves(cx, k_cx)
     return SurfaceModel(
         name=name,
         degree=degree,
@@ -129,7 +126,8 @@ def _model(name, degree, s, r, cx, k_cx_coeffs, invol_rows, real_labels, real_co
         complex_canonical=k_cx,
         embedding=embedding,
         involution=involution,
-        minus_one_classes=tuple(minus_one_curves(cx, k_cx)),
+        minus_one_classes=lines,
+        line_functionals=tuple(tuple(u.dot(line) for u in images) for line in lines),
     )
 
 
@@ -278,11 +276,8 @@ def blow_up(spec: BlowupSpec) -> SurfaceModel:
     # Real basis: base columns (K-slot updated to the new canonical), then the
     # real exceptional classes, then the sums over conjugate pairs.
     old_cols = [list(col) + [0] * (a + 2 * b) for col in zip(*base.embedding.matrix)]
-    k_slot = None
-    for i, col in enumerate(old_cols):
-        if col[:n_old] == list(base.complex_canonical.coeffs):
-            k_slot = i
-            break
+    k_old = list(base.complex_canonical.coeffs)
+    k_slot = next((i for i, col in enumerate(old_cols) if col[:n_old] == k_old), None)
     columns = [list(c) for c in old_cols]
     labels = list(base.real_lattice.basis_labels)
     if k_slot is not None:
@@ -318,17 +313,16 @@ def _rebase(model: SurfaceModel, rows, labels, name=None):
 
     `rows` express the new basis vectors in the current real coordinates.
     """
-    t = [list(r) for r in rows]
-    new_cols = [model.embedding.apply(model.real_lattice.vector(row)).coeffs for row in t]
-    t_inv = intlinalg.mat_inverse(intlinalg.transpose(t))
-    canon = [x * 1 for x in intlinalg.mat_vec(t_inv, model.canonical.coeffs)]
+    new_cols = [model.embedding.apply(model.real_lattice.vector(row)).coeffs for row in rows]
+    t_inv = intlinalg.mat_inverse(intlinalg.transpose(rows))
+    canon = intlinalg.mat_vec(t_inv, model.canonical.coeffs)
     if any(c.denominator != 1 for c in canon):
         raise ValueError("rebase matrix is not unimodular")
     return _model(
         name or model.name, model.degree, model.s, model.r,
         model.complex_lattice, model.complex_canonical.coeffs,
         model.involution.matrix,
-        tuple(labels), [list(c) for c in new_cols],
+        tuple(labels), new_cols,
         tuple(int(c) for c in canon),
     )
 

@@ -42,6 +42,12 @@ def _fraction(value) -> Fraction:
         raise ValueError(f"zero denominator in {value!r}") from None
 
 
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _load_json(path):
     try:
         with open(path, encoding="utf-8") as handle:
@@ -54,10 +60,10 @@ def _load_json(path):
 
 def _parse_conic_matrix(doc) -> ConicMatrix:
     try:
-        splitting = tuple(int(a) for a in doc["splitting"])
+        splitting = tuple(_integer(a) for a in doc["splitting"])
         entries = tuple(
             tuple(
-                BinaryForm(int(cell["degree"]), tuple(int(c) for c in cell["coeffs"]))
+                BinaryForm(_integer(cell["degree"]), tuple(_integer(c) for c in cell["coeffs"]))
                 for cell in row
             )
             for row in doc["entries"]
@@ -79,9 +85,9 @@ def _conic_matrix_json(matrix: ConicMatrix):
 
 def _parse_hypersurface(doc) -> HypersurfaceSpec:
     try:
-        degree = int(doc["degree"])
+        degree = _integer(doc["degree"])
         terms = tuple(
-            (tuple(int(e) for e in term["exponents"]), _fraction(term["coeff"]))
+            (tuple(_integer(e) for e in term["exponents"]), _fraction(term["coeff"]))
             for term in doc["terms"]
         )
     except (KeyError, TypeError) as exc:
@@ -92,7 +98,7 @@ def _parse_hypersurface(doc) -> HypersurfaceSpec:
 def _parse_cycle(doc) -> PLCycle:
     try:
         return PLCycle(
-            int(doc["ambient"]),
+            _integer(doc["ambient"]),
             doc["closure"],
             tuple(tuple(_fraction(x) for x in p) for p in doc["points"]),
         )
@@ -186,6 +192,8 @@ def _cmd_conic(args):
         return 0, data, text
     if args.subcommand == "chow":
         data = surface_class_identities(args.a, args.c)
+        if data["s"] < 0:
+            raise ValueError(f"s = 3(a/2) + c = {data['s']} is a negative number of spheres")
         text = f"K_X^2 = {data['KX2']}, s = {data['s']}, O(1)|_X = {data['x']}F - K"
         return 0, data, text
     if args.subcommand == "discriminant":
@@ -216,7 +224,7 @@ def _cmd_conic(args):
     if args.subcommand == "construct":
         doc = _load_json(args.file)
         try:
-            a1, a2, a3 = (int(a) for a in doc["splitting"])
+            a1, a2, a3 = (_integer(a) for a in doc["splitting"])
             roots = doc["roots"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed construction document: {exc}") from exc

@@ -2,10 +2,10 @@
 
 Everything here works with plain Python integers (arbitrary precision) or
 `fractions.Fraction`; no floating point is ever used.  Matrices are lists of
-lists in row-major order.  These routines back the lattice layer: Hermite
-normal forms for kernels and primitivity checks, exact signatures of
-symmetric forms, and a Fincke-Pohst style bounded enumeration whose search
-radius is certified by a rational LDL^T factorisation.
+lists in row-major order.  These routines back the lattice layer: exact
+signatures of symmetric forms, matrix products and inverses, and a
+Fincke-Pohst style bounded enumeration whose search radius is certified by a
+rational LDL^T factorisation.
 """
 
 from __future__ import annotations
@@ -29,90 +29,6 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def xgcd(a, b):
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
-def _hnf_sweep(rows, ncols):
-    """One echelon pass: returns (pivot_rows, zero_rows).
-
-    Row operations are unimodular, so the span of `rows` is preserved.  Rows
-    longer than `ncols` carry transform bookkeeping in their tail; only the
-    first `ncols` entries participate in pivoting.
-    """
-    pivots = []
-    pending = [list(r) for r in rows]
-    for col in range(ncols):
-        carriers = [r for r in pending if r[col] != 0]
-        others = [r for r in pending if r[col] == 0]
-        if not carriers:
-            pending = others
-            continue
-        pivot = carriers.pop()
-        while carriers:
-            r = carriers.pop()
-            a, b = pivot[col], r[col]
-            g, x, y = xgcd(a, b)
-            u, v = a // g, b // g
-            new_pivot = [x * p + y * q for p, q in zip(pivot, r)]
-            cleared = [u * q - v * p for p, q in zip(pivot, r)]
-            pivot = new_pivot
-            others.append(cleared)
-        if pivot[col] < 0:
-            pivot = [-x for x in pivot]
-        pivots.append((col, pivot))
-        pending = others
-    return pivots, pending
-
-
-def hnf(rows):
-    """Row Hermite normal form of the lattice spanned by `rows`.
-
-    Returns the canonical basis: positive pivots, entries above each pivot
-    reduced into [0, pivot), zero rows dropped.  Two generating sets span the
-    same lattice iff their HNFs are equal.
-    """
-    rows = [list(r) for r in rows]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots, _ = _hnf_sweep(rows, ncols)
-    basis = [p for _, p in pivots]
-    cols = [c for c, _ in pivots]
-    for i in reversed(range(len(basis))):
-        col = cols[i]
-        piv = basis[i][col]
-        for j in range(i):
-            q = basis[j][col] // piv
-            if q:
-                basis[j] = [a - q * b for a, b in zip(basis[j], basis[i])]
-    return basis
-
-
-def kernel_basis(m):
-    """HNF basis of the integer kernel {v : m @ v = 0}.
-
-    The kernel of an integer matrix is saturated (the quotient embeds in the
-    image, hence is torsion free), so the returned rows are a primitive basis.
-    """
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    # Left kernel of m^T equals the right kernel of m; track row operations
-    # by augmenting with the identity.
-    aug = [list(row) + ident for row, ident in zip(transpose(m), identity(ncols))]
-    _, zero_rows = _hnf_sweep(aug, nrows)
-    kernel = [r[nrows:] for r in zero_rows]
-    return hnf(kernel)
 
 
 def signature(gram):

@@ -160,24 +160,6 @@ def riemann_roch_dim(d: ClassVector, k: ClassVector) -> int:
     return num // 2 + 1
 
 
-def fixed_sublattice(sigma: LatticeMap):
-    """Primitive basis of the sublattice fixed by an isometric involution.
-
-    Returns ClassVectors forming the HNF basis of ker(sigma - id).  The kernel
-    of an integer matrix is saturated, so the result is automatically a
-    primitive sublattice (torsion-free quotient).
-    """
-    if sigma.source != sigma.target:
-        raise ValueError("fixed sublattice needs an endomorphism")
-    if not sigma.is_involution():
-        raise ValueError("map is not an involution")
-    if not sigma.is_isometry():
-        raise ValueError("map is not an isometry")
-    n = sigma.source.rank
-    m = [[sigma.matrix[i][j] - int(i == j) for j in range(n)] for i in range(n)]
-    return [sigma.source.vector(row) for row in intlinalg.kernel_basis(m)]
-
-
 def enumerate_classes(lattice: IntLattice, k: ClassVector, self_int, k_min, k_max):
     """All classes v with v.v = self_int and k_min <= v.K <= k_max.
 

@@ -18,9 +18,8 @@ Riemann-Roch section count, and a very-ampleness flag.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .catalog import SURFACE_NAMES, SurfaceModel, builtin, real_to_complex
+from .catalog import SURFACE_NAMES, SurfaceModel, builtin
 from .lattice import ClassVector, adjunction_genus, enumerate_classes, riemann_roch_dim
 
 
@@ -43,31 +42,23 @@ class ConditionReport:
         return {f"c{i}": getattr(self, f"c{i}") for i in range(1, 6)}
 
 
-@lru_cache(maxsize=None)
-def _line_functionals(model: SurfaceModel):
-    """Pairing of each (-1)-class with the real basis, as integer rows: the
-    product D.L for a real class D is then a dot product in real coordinates."""
-    basis_images = [
-        model.embedding.apply(model.real_lattice.basis_vector(i))
-        for i in range(model.real_lattice.rank)
-    ]
-    return tuple(tuple(b.dot(line) for b in basis_images) for line in model.minus_one_classes)
+def _positive_on_lines(model: SurfaceModel, d: ClassVector) -> bool:
+    """D.L > 0 for every (-1)-class L, read from the model's line functionals."""
+    if d.lattice != model.real_lattice:
+        raise ValueError("divisor class does not live in the real Picard lattice")
+    coeffs = d.coeffs
+    return all(sum(c * w for c, w in zip(coeffs, row)) > 0 for row in model.line_functionals)
 
 
 def check_conditions(model: SurfaceModel, d: ClassVector) -> ConditionReport:
     """Evaluate c1..c5 for D; genus/ell/very-ample only populate on a pass."""
-    if d.lattice != model.real_lattice:
-        raise ValueError("divisor class does not live in the real Picard lattice")
+    c5 = _positive_on_lines(model, d)  # first: it also checks that D is a real class
     k = model.canonical
     dd = d.dot(d)
     dk = d.dot(k)
     c2 = dd == model.r + 2 * model.s
     c3 = model.r <= dk + 4 <= model.r + 2 * model.s
     c4 = (dk - model.r) % 4 == 0
-    coeffs = d.coeffs
-    c5 = all(
-        sum(c * w for c, w in zip(coeffs, row)) > 0 for row in _line_functionals(model)
-    )
     report = ConditionReport(c2, c3, c4, c5)
     if report.passed:
         report = ConditionReport(
@@ -87,8 +78,7 @@ def very_ample(model: SurfaceModel, d: ClassVector) -> bool:
     in degree 1 we additionally require D.(-K) >= 3 and D not in {-K, -2K}
     (the anticanonical and bianticanonical maps are not embeddings).
     """
-    d_cx = real_to_complex(model, d)
-    if any(d_cx.dot(line) < 1 for line in model.minus_one_classes):
+    if not _positive_on_lines(model, d):
         return False
     k = model.canonical
     minus_k = -k

@@ -110,14 +110,7 @@ def _parallel(u, v) -> bool:
 
 
 def _restriction_profile(x: HypersurfaceSpec, e, p):
-    if not any(Fraction(v) for v in e):
-        raise ValueError("center must be a nonzero point")
-    if x.evaluate(e) == 0:
-        raise ValueError("center on hypersurface")
-    if not any(Fraction(v) for v in p):
-        raise ValueError("sample point must be a nonzero point")
-    if _parallel([Fraction(v) for v in p], [Fraction(v) for v in e]):
-        raise ValueError("sample point coincides with the center")
+    """Root profile of X on the line through p and e (checked by the caller)."""
     q = x.restrict_to_line(p, e)
     if realroots.degree(q) < x.degree:
         raise ValueError("restriction degree dropped: line meets the center")
@@ -130,6 +123,14 @@ def all_real_restriction(x: HypersurfaceSpec, e, p) -> bool:
     Roots count with multiplicity, so tangent lines (boundary contact) still
     pass when every root is real.
     """
+    if not any(Fraction(v) for v in e):
+        raise ValueError("center must be a nonzero point")
+    if x.evaluate(e) == 0:
+        raise ValueError("center on hypersurface")
+    if not any(Fraction(v) for v in p):
+        raise ValueError("sample point must be a nonzero point")
+    if _parallel([Fraction(v) for v in p], [Fraction(v) for v in e]):
+        raise ValueError("sample point coincides with the center")
     return _restriction_profile(x, e, p).real == x.degree
 
 
@@ -158,8 +159,10 @@ def hyperbolicity_check(x: HypersurfaceSpec, e, trials: int, seed: int) -> Hyper
         raise ValueError("need at least one trial")
     if x.evaluate(e) == 0:
         raise ValueError("center on hypersurface")
-    rng = SplitMix64(seed)
     e_frac = [Fraction(v) for v in e]
+    if not any(e_frac):  # only in degree 0; every sample point would be parallel to e
+        raise ValueError("center must be a nonzero point")
+    rng = SplitMix64(seed)
     boundary = 0
     for trial in range(1, trials + 1):
         while True:
@@ -332,8 +335,3 @@ def linking_number(cycle: PLCycle, e: GreatSubsphere, chain: GreatSubsphere | No
         if side > 0:
             total += 1 if alpha < 0 else -1
     return total
-
-
-def hyperbolicity_from_linking(components, e: GreatSubsphere, chain: GreatSubsphere | None, claimed_degree: int) -> bool:
-    """Linking criterion: sum of |lk(component, E)| equals the degree."""
-    return sum(abs(linking_number(c, e, chain)) for c in components) == claimed_degree

@@ -1,15 +1,20 @@
 """Test-only oracles: brute-force counterparts of library routines.
 
-Box enumeration checks the ellipsoid search of `realdp.search`, and the Smith
-normal form checks primitivity and kernel saturation in the lattice tests.
-The library itself never calls these.
+Box enumeration checks the ellipsoid search of `realdp.search`; Hermite
+normal forms, integer kernels and fixed sublattices check that each real
+lattice is the fixed part of its conjugation; the Smith normal form checks
+primitivity and kernel saturation in the lattice tests; the linking criterion
+sums linking numbers over the components of a curve.  The library itself
+never calls these.
 """
 
 import itertools
 
 from realdp.catalog import SurfaceModel
-from realdp.intlinalg import xgcd
+from realdp.intlinalg import identity, transpose
+from realdp.lattice import LatticeMap
 from realdp.search import check_conditions
+from realdp.topology import GreatSubsphere, linking_number
 
 
 def _box_vectors(model, radius):
@@ -114,3 +119,110 @@ def smith_normal_form(m):
         divisors.append(abs(a[t][t]))
         t += 1
     return divisors
+
+
+def xgcd(a, b):
+    """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        a, x0, y0 = -a, -x0, -y0
+    return a, x0, y0
+
+
+def _hnf_sweep(rows, ncols):
+    """One echelon pass: returns (pivot_rows, zero_rows).
+
+    Row operations are unimodular, so the span of `rows` is preserved.  Rows
+    longer than `ncols` carry transform bookkeeping in their tail; only the
+    first `ncols` entries participate in pivoting.
+    """
+    pivots = []
+    pending = [list(r) for r in rows]
+    for col in range(ncols):
+        carriers = [r for r in pending if r[col] != 0]
+        others = [r for r in pending if r[col] == 0]
+        if not carriers:
+            pending = others
+            continue
+        pivot = carriers.pop()
+        while carriers:
+            r = carriers.pop()
+            a, b = pivot[col], r[col]
+            g, x, y = xgcd(a, b)
+            u, v = a // g, b // g
+            new_pivot = [x * p + y * q for p, q in zip(pivot, r)]
+            cleared = [u * q - v * p for p, q in zip(pivot, r)]
+            pivot = new_pivot
+            others.append(cleared)
+        if pivot[col] < 0:
+            pivot = [-x for x in pivot]
+        pivots.append((col, pivot))
+        pending = others
+    return pivots, pending
+
+
+def hnf(rows):
+    """Row Hermite normal form of the lattice spanned by `rows`.
+
+    Returns the canonical basis: positive pivots, entries above each pivot
+    reduced into [0, pivot), zero rows dropped.  Two generating sets span the
+    same lattice iff their HNFs are equal.
+    """
+    rows = [list(r) for r in rows]
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    pivots, _ = _hnf_sweep(rows, ncols)
+    basis = [p for _, p in pivots]
+    cols = [c for c, _ in pivots]
+    for i in reversed(range(len(basis))):
+        col = cols[i]
+        piv = basis[i][col]
+        for j in range(i):
+            q = basis[j][col] // piv
+            if q:
+                basis[j] = [a - q * b for a, b in zip(basis[j], basis[i])]
+    return basis
+
+
+def kernel_basis(m):
+    """HNF basis of the integer kernel {v : m @ v = 0}.
+
+    The kernel of an integer matrix is saturated (the quotient embeds in the
+    image, hence is torsion free), so the returned rows are a primitive basis.
+    """
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    # Left kernel of m^T equals the right kernel of m; track row operations
+    # by augmenting with the identity.
+    aug = [list(row) + ident for row, ident in zip(transpose(m), identity(ncols))]
+    _, zero_rows = _hnf_sweep(aug, nrows)
+    kernel = [r[nrows:] for r in zero_rows]
+    return hnf(kernel)
+
+
+def fixed_sublattice(sigma: LatticeMap):
+    """Primitive basis of the sublattice fixed by an isometric involution.
+
+    Returns ClassVectors forming the HNF basis of ker(sigma - id).  The kernel
+    of an integer matrix is saturated, so the result is automatically a
+    primitive sublattice (torsion-free quotient).
+    """
+    if sigma.source != sigma.target:
+        raise ValueError("fixed sublattice needs an endomorphism")
+    if not sigma.is_involution():
+        raise ValueError("map is not an involution")
+    if not sigma.is_isometry():
+        raise ValueError("map is not an isometry")
+    n = sigma.source.rank
+    m = [[sigma.matrix[i][j] - int(i == j) for j in range(n)] for i in range(n)]
+    return [sigma.source.vector(row) for row in kernel_basis(m)]
+
+
+def hyperbolicity_from_linking(components, e: GreatSubsphere, chain: GreatSubsphere | None, claimed_degree: int) -> bool:
+    """Linking criterion: sum of |lk(component, E)| equals the degree."""
+    return sum(abs(linking_number(c, e, chain)) for c in components) == claimed_degree

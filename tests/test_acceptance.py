@@ -16,17 +16,21 @@ from realdp.conic import (
     necbundle_conditions,
     surface_class_identities,
 )
-from realdp.intlinalg import hnf
-from realdp.lattice import fixed_sublattice, geiser_bertini
+from realdp.lattice import geiser_bertini
 from realdp.search import check_conditions, search, table1
 from realdp.topology import (
     GreatSubsphere,
     hyperbolicity_check,
-    hyperbolicity_from_linking,
     linking_number,
 )
 
-from oracles import self_intersection_candidates, smith_normal_form
+from oracles import (
+    fixed_sublattice,
+    hnf,
+    hyperbolicity_from_linking,
+    self_intersection_candidates,
+    smith_normal_form,
+)
 
 from conftest import (
     cayley_rotation,

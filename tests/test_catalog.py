@@ -9,12 +9,9 @@ from realdp.catalog import (
     blow_up,
     builtin,
     minus_one_curves,
-    real_to_complex,
 )
-from realdp.intlinalg import hnf
-from realdp.lattice import fixed_sublattice
 
-from oracles import smith_normal_form
+from oracles import fixed_sublattice, hnf, smith_normal_form
 
 # (degree, s, r) per surface, in catalogue order
 TOPOLOGY = {
@@ -228,15 +225,15 @@ def test_blow_up_models_satisfy_invariants():
 def test_real_to_complex():
     d2 = builtin("D2")
     f = d2.real_lattice.basis_vector(0)
-    assert real_to_complex(d2, f).coeffs == (1, -1, 0, 0, 0, 0, 0, 0)
-    assert real_to_complex(d2, d2.real_lattice.zero()).is_zero()
+    assert d2.embedding.apply(f).coeffs == (1, -1, 0, 0, 0, 0, 0, 0)
+    assert d2.embedding.apply(d2.real_lattice.zero()).is_zero()
     for name in ("D2", "D4", "G2", "B1", "D4_1_0", "D2_1_0", "G2_1_0", "P2_0_6"):
         model = builtin(name)
-        image = real_to_complex(model, model.canonical)
+        image = model.embedding.apply(model.canonical)
         n = model.complex_lattice.rank - 1
         assert image.coeffs == (-3,) + (1,) * n
     with pytest.raises(ValueError):
-        real_to_complex(d2, builtin("D4").real_lattice.zero())
+        d2.embedding.apply(builtin("D4").real_lattice.zero())
 
 
 def test_minus_one_curves_function():
@@ -244,3 +241,22 @@ def test_minus_one_curves_function():
     lines = minus_one_curves(d4.complex_lattice, d4.complex_canonical)
     assert len(lines) == 16
     assert tuple(lines) == d4.minus_one_classes
+
+
+def test_degree_one_models_share_minus_one_classes():
+    models = [builtin(name) for name in ("P2_0_8", "D4_1_2", "D2_1_0", "G2_1_0", "B1")]
+    shared = models[0].minus_one_classes
+    assert len(shared) == 240
+    assert all(model.minus_one_classes is shared for model in models)
+    lat, k = models[0].complex_lattice, models[0].complex_canonical
+    assert minus_one_curves(lat, k) is shared
+
+
+def test_line_functionals_are_line_pairings():
+    for name in SURFACE_NAMES:
+        model = builtin(name)
+        rank = model.real_lattice.rank
+        images = [model.embedding.apply(model.real_lattice.basis_vector(j)) for j in range(rank)]
+        assert len(model.line_functionals) == len(model.minus_one_classes)
+        for row, line in zip(model.line_functionals, model.minus_one_classes):
+            assert row == tuple(image.dot(line) for image in images)

@@ -315,3 +315,46 @@ def test_bad_rationals_exit_2(capsys, tmp_path):
         assert code == 2 and payload["status"] == "error", coeff
     code, out = run(capsys, ["hyp", sphere, "--point", "1,0,0,1/0"])
     assert code == 2 and out == ""
+
+
+def test_non_integer_fields_exit_2(capsys, tmp_path):
+    matrix = json.loads(open(write_matrix_file(tmp_path, worked_conic_matrix())).read())
+    sphere = json.loads(open(write_sphere_file(tmp_path)).read())
+    cycles = json.loads(open(write_cycles_file(tmp_path, ["1/2"])).read())
+    construct = {"splitting": [1, 1, 1], "roots": [[0, 5], [1, -1], [2, -2]]}
+    center = write_center_file(tmp_path)
+    # (command, document, key path of one integer field, trailing arguments)
+    cases = [
+        (["conic", "discriminant"], matrix, ("splitting", 0), []),
+        (["conic", "discriminant"], matrix, ("entries", 0, 0, "degree"), []),
+        (["conic", "analyze"], matrix, ("entries", 0, 0, "coeffs", 1), []),
+        (["conic", "construct"], construct, ("splitting", 2), []),
+        (["hyp"], sphere, ("degree",), ["--point", "1,0,0,0"]),
+        (["hyp"], sphere, ("terms", 0, "exponents", 1), ["--point", "1,0,0,0"]),
+        (["link"], cycles, ("cycles", 0, "ambient"), [center, "--degree", "2"]),
+    ]
+    path = tmp_path / "bad.json"
+    for command, doc, keys, tail in cases:
+        for value in (1.7, True, "3"):
+            bad = json.loads(json.dumps(doc))
+            field = bad
+            for key in keys[:-1]:
+                field = field[key]
+            field[keys[-1]] = value
+            path.write_text(json.dumps(bad))
+            argv = command + [str(path)] + tail
+            code, payload = run_json(capsys, argv)
+            assert code == 2 and payload["status"] == "error", (argv, keys, value)
+            assert "expected an integer" in payload["message"], (argv, keys, value)
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+def test_conic_chow_negative_sphere_count_exits_2(capsys):
+    code, payload = run_json(capsys, ["conic", "chow", "0", "-5"])
+    assert code == 2 and payload["status"] == "error"
+    assert "-5" in payload["message"]
+    code, payload = run_json(capsys, ["conic", "chow", "-2", "3"])
+    assert code == 0 and payload["s"] == 0

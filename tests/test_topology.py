@@ -11,9 +11,9 @@ from realdp.topology import (
     SplitMix64,
     all_real_restriction,
     hyperbolicity_check,
-    hyperbolicity_from_linking,
     linking_number,
 )
+from oracles import hyperbolicity_from_linking
 from conftest import (
     cayley_rotation,
     chart_axis,
@@ -118,6 +118,21 @@ def test_all_real_restriction_rejects_center_on_surface():
         all_real_restriction(q, (1, 1, 0, 0), (0, 1, 2, 3))
     with pytest.raises(ValueError):
         all_real_restriction(q, (1, 0, 0, 0), (2, 0, 0, 0))  # same projective point
+
+
+def test_all_real_restriction_rejects_zero_points():
+    q = sphere_quadric()
+    with pytest.raises(ValueError, match="center must be a nonzero point"):
+        all_real_restriction(q, (0, 0, 0, 0), (0, 1, 2, 3))
+    with pytest.raises(ValueError, match="sample point must be a nonzero point"):
+        all_real_restriction(q, (1, 0, 0, 0), (0, 0, 0, 0))
+
+
+def test_hyperbolicity_check_rejects_zero_center_in_degree_zero():
+    constant = HypersurfaceSpec(0, (((0, 0, 0, 0), 1),))
+    assert hyperbolicity_check(constant, (1, 0, 0, 0), 3, 0).supported
+    with pytest.raises(ValueError, match="center must be a nonzero point"):
+        hyperbolicity_check(constant, (0, 0, 0, 0), 1, 0)
 
 
 def test_hyperbolicity_interior_center_supported():
