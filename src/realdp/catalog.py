@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import intlinalg
 from .lattice import ClassVector, IntLattice, LatticeMap, enumerate_classes, geiser_bertini
 
 # Catalogue order: descending degree, blow-ups of the plane and the quadric
@@ -173,7 +172,7 @@ def _build_p2():
     return _model(
         "P2", 9, 0, 1,
         cx, (-3,),
-        intlinalg.identity(1),
+        ((1,),),
         ("H",), [(1,)], (-3,),
     )
 
@@ -308,22 +307,21 @@ def blow_up(spec: BlowupSpec) -> SurfaceModel:
     )
 
 
-def _rebase(model: SurfaceModel, rows, labels, name=None):
-    """Present the real lattice of `model` in a new unimodular basis.
+def _rebase(model: SurfaceModel, rows, labels, name):
+    """Present the real lattice of `model` in a new unimodular basis whose
+    first vector is K.
 
-    `rows` express the new basis vectors in the current real coordinates.
+    `rows` express the new basis vectors in the current real coordinates.  K
+    has coordinates (1, 0, ..., 0) in the new basis, and `_model` checks that
+    they embed onto the complex canonical class.
     """
     new_cols = [model.embedding.apply(model.real_lattice.vector(row)).coeffs for row in rows]
-    t_inv = intlinalg.mat_inverse(intlinalg.transpose(rows))
-    canon = intlinalg.mat_vec(t_inv, model.canonical.coeffs)
-    if any(c.denominator != 1 for c in canon):
-        raise ValueError("rebase matrix is not unimodular")
     return _model(
-        name or model.name, model.degree, model.s, model.r,
+        name, model.degree, model.s, model.r,
         model.complex_lattice, model.complex_canonical.coeffs,
         model.involution.matrix,
         tuple(labels), new_cols,
-        tuple(int(c) for c in canon),
+        (1,) + (0,) * (len(rows) - 1),
     )
 
 

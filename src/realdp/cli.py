@@ -25,6 +25,7 @@ from .conic import (
     necbundle_conditions,
     surface_class_identities,
 )
+from .intlinalg import int_tuple
 from .search import check_conditions, format_table_text, render_divisor, row_to_json, search, table1
 from .topology import GreatSubsphere, HypersurfaceSpec, PLCycle, hyperbolicity_check, linking_number
 
@@ -43,9 +44,7 @@ def _fraction(value) -> Fraction:
 
 
 def _integer(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
+    return int_tuple((value,))[0]
 
 
 def _load_json(path):

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .intlinalg import int_tuple
 from .lattice import IntLattice, adjunction_genus, riemann_roch_dim
 from . import realroots
 
@@ -38,7 +39,7 @@ class BinaryForm:
     coeffs: tuple
 
     def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coeffs)
+        coeffs = int_tuple(self.coeffs)
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
         if len(coeffs) != self.degree + 1:
@@ -101,7 +102,7 @@ class ConicMatrix:
     entries: tuple  # 3x3, symmetric, entries[i][j] a BinaryForm of degree a_i + a_j
 
     def __post_init__(self):
-        a = tuple(int(x) for x in self.splitting)
+        a = int_tuple(self.splitting)
         if len(a) != 3 or not (a[0] <= a[1] <= a[2]):
             raise ValueError("splitting must be three integers a1 <= a2 <= a3")
         if a[0] + a[0] < 0:
@@ -128,7 +129,7 @@ class ConicMatrix:
 
 
 def diagonal_matrix(splitting, forms) -> ConicMatrix:
-    a = tuple(int(x) for x in splitting)
+    a = int_tuple(splitting)
     entries = [[zero_form(a[i] + a[j]) for j in range(3)] for i in range(3)]
     for i in range(3):
         entries[i][i] = forms[i]
@@ -213,7 +214,7 @@ class ChowClass:
     coeffs: tuple
 
     def __post_init__(self):
-        coeffs = tuple(int(x) for x in self.coeffs)
+        coeffs = int_tuple(self.coeffs)
         if len(coeffs) != 6:
             raise ValueError("a Chow class has six coefficients")
         object.__setattr__(self, "coeffs", coeffs)
@@ -234,18 +235,11 @@ class ChowClass:
         return ChowClass(self.c, tuple(-a for a in self.coeffs))
 
     def __rmul__(self, k):
-        return ChowClass(self.c, tuple(int(k) * a for a in self.coeffs))
+        k = int_tuple((k,))[0]
+        return ChowClass(self.c, tuple(k * a for a in self.coeffs))
 
     def __mul__(self, other):
         return chow_mul(self, other)
-
-
-def chow_zero(c: int) -> ChowClass:
-    return ChowClass(c, (0,) * 6)
-
-
-def chow_one(c: int) -> ChowClass:
-    return ChowClass(c, (1, 0, 0, 0, 0, 0))
 
 
 def chow_h(c: int) -> ChowClass:

@@ -2,8 +2,8 @@
 
 Everything here works with plain Python integers (arbitrary precision) or
 `fractions.Fraction`; no floating point is ever used.  Matrices are lists of
-lists in row-major order.  These routines back the lattice layer: exact
-signatures of symmetric forms, matrix products and inverses, and a
+lists in row-major order.  These routines back the lattice layer: the strict
+integer check of every coefficient vector, matrix-vector products, and a
 Fincke-Pohst style bounded enumeration whose search radius is certified by a
 rational LDL^T factorisation.
 """
@@ -14,56 +14,22 @@ from fractions import Fraction
 from math import isqrt
 
 
-def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def int_tuple(values) -> tuple:
+    """`values` as a tuple, each a plain int.
 
-
-def transpose(m):
-    return [list(col) for col in zip(*m)]
-
-
-def mat_mul(a, b):
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    Nothing is coerced: a bool, float, Fraction or string raises ValueError
+    instead of being truncated by int().  One check covers the whole tuple,
+    since coefficient vectors are built for every enumerated lattice point.
+    """
+    values = tuple(values)
+    if not all(type(c) is int for c in values):
+        bad = next(c for c in values if type(c) is not int)
+        raise ValueError(f"expected an integer, got {bad!r}")
+    return values
 
 
 def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def signature(gram):
-    """Exact signature (n_plus, n_minus, n_zero) of a symmetric matrix over Q.
-
-    Computed by congruence reduction (symmetric Gaussian elimination); when no
-    nonzero diagonal entry is available, a row/column addition creates one.
-    """
-    g = [[Fraction(x) for x in row] for row in gram]
-    pos = neg = zero = 0
-    while g:
-        n = len(g)
-        piv = next((i for i in range(n) if g[i][i] != 0), None)
-        if piv is None:
-            pair = next(
-                ((i, j) for i in range(n) for j in range(i + 1, n) if g[i][j] != 0),
-                None,
-            )
-            if pair is None:
-                zero += n
-                break
-            i, j = pair
-            for k in range(n):
-                g[i][k] += g[j][k]
-            for k in range(n):
-                g[k][i] += g[k][j]
-            piv = i
-        d = g[piv][piv]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        rest = [k for k in range(n) if k != piv]
-        g = [[g[k][l] - g[k][piv] * g[piv][l] / d for l in rest] for k in rest]
-    return pos, neg, zero
 
 
 def ldl(a):
@@ -110,12 +76,13 @@ def enumerate_quadratic(a, bound):
 
     Fincke-Pohst bounded search on the exact LDL^T factorisation.  The output
     includes the zero vector and both members of each +-v pair; order is
-    unspecified (callers sort).
+    unspecified (callers sort).  The factorisation runs even for a negative
+    bound, so a form that is not positive definite always raises ValueError.
     """
     n = len(a)
+    diag, lower = ldl(a)
     if bound < 0:
         return []
-    diag, lower = ldl(a)
     results = []
     v = [0] * n
 
@@ -135,21 +102,3 @@ def enumerate_quadratic(a, bound):
 
     extend(n - 1, Fraction(bound))
     return results
-
-
-def mat_inverse(a):
-    """Exact inverse of a square rational matrix (Gauss-Jordan over Q)."""
-    n = len(a)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if work[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        work[col], work[piv] = work[piv], work[col]
-        d = work[col][col]
-        work[col] = [x / d for x in work[col]]
-        for i in range(n):
-            if i != col and work[i][col]:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    return [row[n:] for row in work]

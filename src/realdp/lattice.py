@@ -15,7 +15,6 @@ rational LDL^T factorisation (never floating point).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import intlinalg
 
@@ -41,10 +40,7 @@ class IntLattice:
         object.__setattr__(self, "gram", gram)
 
     def vector(self, coeffs) -> "ClassVector":
-        return ClassVector(self, tuple(int(c) for c in coeffs))
-
-    def zero(self) -> "ClassVector":
-        return self.vector((0,) * self.rank)
+        return ClassVector(self, coeffs)
 
     def basis_vector(self, i) -> "ClassVector":
         return self.vector(tuple(int(j == i) for j in range(self.rank)))
@@ -59,15 +55,6 @@ class IntLattice:
             for ui, gi in zip(u.coeffs, g)
         )
 
-    def is_picard_type(self) -> bool:
-        """Whether the form has signature (1, rank - 1)."""
-        return _signature_of(self) == (1, self.rank - 1, 0)
-
-
-@lru_cache(maxsize=None)
-def _signature_of(lattice: IntLattice):
-    return intlinalg.signature(lattice.gram)
-
 
 @dataclass(frozen=True)
 class ClassVector:
@@ -75,7 +62,7 @@ class ClassVector:
     coeffs: tuple
 
     def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coeffs)
+        coeffs = intlinalg.int_tuple(self.coeffs)
         if len(coeffs) != self.lattice.rank:
             raise ValueError("coefficient vector length must equal the lattice rank")
         object.__setattr__(self, "coeffs", coeffs)
@@ -99,7 +86,8 @@ class ClassVector:
         return ClassVector(self.lattice, tuple(-a for a in self.coeffs))
 
     def __rmul__(self, k):
-        return ClassVector(self.lattice, tuple(int(k) * a for a in self.coeffs))
+        k = intlinalg.int_tuple((k,))[0]
+        return ClassVector(self.lattice, tuple(k * a for a in self.coeffs))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -123,20 +111,6 @@ class LatticeMap:
         if v.lattice != self.source:
             raise ValueError("class does not belong to the source lattice")
         return self.target.vector(intlinalg.mat_vec(self.matrix, v.coeffs))
-
-    def is_isometry(self) -> bool:
-        """Pairings are preserved exactly: M^T * gram_target * M = gram_source."""
-        m = [list(r) for r in self.matrix]
-        lhs = intlinalg.mat_mul(
-            intlinalg.mat_mul(intlinalg.transpose(m), [list(r) for r in self.target.gram]), m
-        )
-        return lhs == [list(r) for r in self.source.gram]
-
-    def is_involution(self) -> bool:
-        if self.source != self.target:
-            return False
-        m = [list(r) for r in self.matrix]
-        return intlinalg.mat_mul(m, m) == intlinalg.identity(self.source.rank)
 
 
 def adjunction_genus(d: ClassVector, k: ClassVector) -> int:
@@ -164,37 +138,31 @@ def enumerate_classes(lattice: IntLattice, k: ClassVector, self_int, k_min, k_ma
     """All classes v with v.v = self_int and k_min <= v.K <= k_max.
 
     Requires a lattice of signature (1, rank - 1) and K.K > 0.  Writing
-    v = (v.K / K.K) K + v_perp, the form is negative definite on the
-    orthogonal complement of K (Hodge index), so
+    v = (v.K / K.K) K + v_perp,
 
-        Q(v) := 2 (v.K)^2 - (K.K) (v.v)
+        Q(v) := 2 (v.K)^2 - (K.K) (v.v) = (v.K)^2 - (K.K) (v_perp.v_perp)
 
-    is positive definite and bounded on the search set; its lattice points are
-    enumerated completely.  Output is sorted lexicographically on
-    coefficients.
+    is positive definite exactly when the form is negative definite on the
+    orthogonal complement of K, that is, of signature (1, rank - 1) (Hodge
+    index).  The exact LDL^T factorisation of Q is therefore the signature
+    certificate, and it runs even for an empty window.  Q is bounded on the
+    search set, so its lattice points are enumerated completely.  Output is
+    sorted lexicographically on coefficients.
     """
     if k.lattice != lattice:
         raise ValueError("K does not belong to the lattice")
-    if not lattice.is_picard_type():
-        raise ValueError("lattice does not have signature (1, rank-1)")
     kk = k.dot(k)
     if kk <= 0:
         raise ValueError("K.K must be positive")
-    if k_min > k_max:
-        return []
     g = lattice.gram
     gk = intlinalg.mat_vec(g, k.coeffs)
     n = lattice.rank
     quad = [[2 * gk[i] * gk[j] - kk * g[i][j] for j in range(n)] for i in range(n)]
-    bound = 2 * max(k_min * k_min, k_max * k_max) - kk * self_int
-    if bound < 0:
-        return []
+    bound = 2 * max(k_min * k_min, k_max * k_max) - kk * self_int if k_min <= k_max else -1
     try:
         points = intlinalg.enumerate_quadratic(quad, bound)
     except ValueError as exc:
-        raise RuntimeError(
-            "form on the orthogonal complement of K is not negative definite"
-        ) from exc
+        raise ValueError("lattice does not have signature (1, rank-1)") from exc
     out = []
     for coeffs in points:
         v = lattice.vector(coeffs)

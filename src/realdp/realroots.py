@@ -3,9 +3,9 @@
 The one module with univariate polynomial arithmetic.  Polynomials are tuples
 of int/Fraction coefficients, low degree first, trailing zeros stripped.  Ints
 stay ints: a division gives a Fraction unless it is exact.  Every real-root
-question goes through `root_profile`: one squarefree decomposition and one
-Sturm chain per squarefree part give the real-root count with multiplicity,
-the distinct count and the squarefree flag together.
+question goes through `root_profile`: one Sturm chain per multiplicity level
+gives the real-root count with multiplicity, the distinct count and the
+squarefree flag together.
 """
 
 from __future__ import annotations
@@ -146,15 +146,6 @@ def _sign_changes(signs):
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _distinct_real_roots(g) -> int:
-    """Real roots of a squarefree g by Sturm's theorem: sign changes of its
-    Sturm chain at -infinity minus those at +infinity."""
-    chain = sturm_sequence(g)
-    at_plus = [f[-1] > 0 for f in chain]
-    at_minus = [(f[-1] > 0) == (degree(f) % 2 == 0) for f in chain]
-    return _sign_changes(at_minus) - _sign_changes(at_plus)
-
-
 class RootProfile(NamedTuple):
     real: int  # real roots counted with multiplicity
     distinct: int  # distinct real roots
@@ -162,18 +153,24 @@ class RootProfile(NamedTuple):
 
 
 def root_profile(coeffs) -> RootProfile:
-    """Real-root counts and squarefreeness of a nonzero polynomial."""
-    p = normalize(coeffs)
-    if not p:
+    """Real-root counts and squarefreeness of a nonzero polynomial.
+
+    The Sturm chain of g counts the distinct real roots of g (sign changes at
+    -infinity minus those at +infinity), and its last element is gcd(g, g'),
+    whose roots are those of g with multiplicity one less.  Summing the counts
+    over these levels counts every real root with its multiplicity.
+    """
+    g = normalize(coeffs)
+    if not g:
         raise ValueError("zero polynomial")
-    real = distinct = 0
-    squarefree = True
-    for g, i in squarefree_decomposition(p):
-        n = _distinct_real_roots(g)
-        real += i * n
-        distinct += n
-        squarefree = squarefree and i == 1
-    return RootProfile(real, distinct, squarefree)
+    counts = []
+    while degree(g) > 0:
+        chain = sturm_sequence(g)
+        at_plus = [f[-1] > 0 for f in chain]
+        at_minus = [(f[-1] > 0) == (degree(f) % 2 == 0) for f in chain]
+        counts.append(_sign_changes(at_minus) - _sign_changes(at_plus))
+        g = chain[-1]
+    return RootProfile(sum(counts), counts[0] if counts else 0, len(counts) <= 1)
 
 
 def sturm_count(coeffs, with_multiplicity: bool = False) -> int:

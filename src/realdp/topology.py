@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import realroots
+from .intlinalg import int_tuple
 
 # ---------------------------------------------------------------------------
 # Deterministic rational sampling
@@ -70,7 +71,7 @@ class HypersurfaceSpec:
     def __post_init__(self):
         clean = []
         for exps, coeff in self.terms:
-            exps = tuple(int(e) for e in exps)
+            exps = int_tuple(exps)
             coeff = Fraction(coeff)
             if len(exps) != 4 or any(e < 0 for e in exps):
                 raise ValueError("monomials use four nonnegative exponents")
@@ -141,10 +142,6 @@ class HyperbolicityVerdict:
     trial: int | None
     trials: int
     boundary_contacts: int
-
-    @property
-    def supported(self) -> bool:
-        return not self.refuted
 
 
 def hyperbolicity_check(x: HypersurfaceSpec, e, trials: int, seed: int) -> HyperbolicityVerdict:

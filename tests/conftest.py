@@ -4,7 +4,8 @@ from fractions import Fraction
 
 from realdp.topology import GreatSubsphere, HypersurfaceSpec, PLCycle
 from realdp.conic import BinaryForm, diagonal_matrix
-from realdp.intlinalg import mat_inverse, mat_mul
+
+from oracles import mat_inverse, mat_mul
 
 
 def sphere_quadric():

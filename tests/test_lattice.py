@@ -13,7 +13,7 @@ from realdp.lattice import (
     riemann_roch_dim,
 )
 
-from oracles import fixed_sublattice, hnf
+from oracles import fixed_sublattice, hnf, signature, zero_class
 
 
 def d2_real():
@@ -30,7 +30,7 @@ def test_pair_worked_values():
     assert lat.pair(f, k) == -2
     assert lat.pair(f, f) == 0
     assert lat.pair(k, k) == 2
-    assert lat.pair(lat.zero(), k) == 0
+    assert lat.pair(zero_class(lat), k) == 0
 
 
 def test_pair_rank_three_expansion():
@@ -42,7 +42,7 @@ def test_pair_rank_three_expansion():
 
 def test_pair_lattice_mismatch():
     with pytest.raises(ValueError):
-        d2_real().pair(d2_real().zero(), d2_1_0_real().zero())
+        d2_real().pair(zero_class(d2_real()), zero_class(d2_1_0_real()))
 
 
 def test_pair_bilinear_symmetric():
@@ -60,7 +60,7 @@ def test_adjunction_genus_values():
     b1 = IntLattice(1, ("K",), ((1,),))
     k = b1.basis_vector(0)
     assert adjunction_genus(-3 * k, k) == 4
-    assert adjunction_genus(b1.zero(), k) == 1
+    assert adjunction_genus(zero_class(b1), k) == 1
     lat = d2_real()
     f, kk = lat.basis_vector(0), lat.basis_vector(1)
     assert adjunction_genus(f - kk, kk) == 2
@@ -70,7 +70,7 @@ def test_riemann_roch_values():
     b1 = IntLattice(1, ("K",), ((1,),))
     k = b1.basis_vector(0)
     assert riemann_roch_dim(-3 * k, k) == 7
-    assert riemann_roch_dim(b1.zero(), k) == 1
+    assert riemann_roch_dim(zero_class(b1), k) == 1
     g210 = builtin("G2_1_0").real_lattice
     d = g210.vector((-2, 1))
     assert riemann_roch_dim(d, g210.vector((1, 0))) == 6
@@ -79,9 +79,9 @@ def test_riemann_roch_values():
 def test_odd_intermediate_rejected():
     lat = IntLattice(1, ("H",), ((1,),))
     with pytest.raises(ValueError):
-        adjunction_genus(lat.vector((1,)), lat.zero())
+        adjunction_genus(lat.vector((1,)), zero_class(lat))
     with pytest.raises(ValueError):
-        riemann_roch_dim(lat.vector((1,)), lat.zero())
+        riemann_roch_dim(lat.vector((1,)), zero_class(lat))
 
 
 def test_fixed_sublattice_identity_and_negation():
@@ -127,7 +127,7 @@ def test_enumerate_classes_zero():
     lat = d2_real()
     k = lat.basis_vector(1)
     zero_hits = enumerate_classes(lat, k, 0, 0, 0)
-    assert lat.zero() in zero_hits
+    assert zero_class(lat) in zero_hits
 
 
 def test_enumerate_classes_degree_two_lines():
@@ -178,6 +178,14 @@ def test_enumerate_classes_requires_picard_type():
     negdef = IntLattice(2, ("a", "b"), ((-1, 0), (0, -1)))
     with pytest.raises(ValueError):
         enumerate_classes(negdef, negdef.basis_vector(0), 0, 0, 0)
+    # Signature (2, 1) with K.K = 1 > 0 passes the canonical check, so only
+    # the LDL^T factorisation of Q sees it; a normal window, an empty window
+    # and a negative bound all reach it.
+    lat = IntLattice(3, ("x", "y", "z"), ((1, 0, 0), (0, 1, 0), (0, 0, -1)))
+    assert signature(lat.gram) == (2, 1, 0)
+    for self_int, k_min, k_max in ((-1, -1, -1), (0, 2, 1), (5, 0, 0)):
+        with pytest.raises(ValueError, match=r"signature \(1, rank-1\)"):
+            enumerate_classes(lat, lat.basis_vector(0), self_int, k_min, k_max)
 
 
 def test_enumerate_classes_on_random_lattice_presentations():
@@ -199,7 +207,7 @@ def test_enumerate_classes_on_random_lattice_presentations():
             for i in range(3)
         )
         lat = IntLattice(3, ("x", "y", "z"), gram)
-        assert lat.is_picard_type()
+        assert signature(gram) == (1, 2, 0)
         k = None
         for coeffs in itertools.product(range(-3, 4), repeat=3):
             v = lat.vector(coeffs)
@@ -247,7 +255,7 @@ def test_geiser_bertini_properties():
 def test_geiser_bertini_unsupported_degree():
     d4 = builtin("D4")
     with pytest.raises(ValueError):
-        geiser_bertini(d4.real_lattice.zero(), d4.canonical)
+        geiser_bertini(zero_class(d4.real_lattice), d4.canonical)
 
 
 def test_canonical_parity_on_real_lattices():

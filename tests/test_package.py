@@ -7,6 +7,8 @@ import sys
 import types
 from fractions import Fraction
 
+import pytest
+
 import realdp
 from realdp import realroots
 
@@ -110,3 +112,99 @@ def test_no_cache_keyed_on_a_model():
                 if arg.arg == "model" or "SurfaceModel" in annotation:
                     found.append(f"{path.name}:{node.lineno} {node.name}({arg.arg})")
     assert found == []
+
+
+# ---------------------------------------------------------------------------
+# Strict integers: library constructors refuse what int() would truncate
+
+NOT_INTEGERS = (True, 1.7, Fraction(3, 2), Fraction(2), "3")
+
+
+def _strict_constructors():
+    from realdp import conic
+    from realdp.catalog import builtin
+    from realdp.lattice import ClassVector
+    from realdp.topology import HypersurfaceSpec
+
+    lattice = builtin("D2").real_lattice
+    form = conic.BinaryForm(0, (1,))
+    h = conic.chow_h(0)
+    return {
+        "BinaryForm": lambda x: conic.BinaryForm(2, (x, 0, 1)),
+        "ConicMatrix": lambda x: conic.ConicMatrix((0, 0, x), ((form,) * 3,) * 3),
+        "diagonal_matrix": lambda x: conic.diagonal_matrix((0, 0, x), (form, form, form)),
+        "ChowClass": lambda x: conic.ChowClass(0, (x, 0, 0, 0, 0, 0)),
+        "ChowClass.__rmul__": lambda x: x * h,
+        "IntLattice.vector": lambda x: lattice.vector((x, -1)),
+        "ClassVector": lambda x: ClassVector(lattice, (x, -1)),
+        "ClassVector.__rmul__": lambda x: x * lattice.basis_vector(0),
+        "HypersurfaceSpec": lambda x: HypersurfaceSpec(2, (((x, 1, 0, 0), 1), ((0, 0, 2, 0), 1))),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_strict_constructors()))
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+def test_library_constructors_reject_non_integers(name, value):
+    with pytest.raises(ValueError, match="expected an integer"):
+        _strict_constructors()[name](value)
+
+
+def test_library_constructors_keep_integers():
+    for name, build in _strict_constructors().items():
+        build(0 if name in ("ConicMatrix", "diagonal_matrix") else 1)
+
+
+def test_truncation_examples_are_refused():
+    from realdp import conic
+    from realdp.catalog import builtin
+
+    with pytest.raises(ValueError):
+        conic.BinaryForm(2, (Fraction(3, 2), 0, 1))
+    with pytest.raises(ValueError):
+        builtin("D2").real_lattice.vector((1.7, -1))
+
+
+# ---------------------------------------------------------------------------
+# Dead code: the library holds only code that the library or the CLI calls
+
+UNREFERENCED_BY_DESIGN = {
+    "sturm_count": "wrapped by bench/tracer.py",
+    "squarefree_decomposition": "wrapped by bench/tracer.py",
+    "all_real_restriction": "the public single-line certificate",
+}
+
+
+def _definitions(tree):
+    """Top-level functions and the methods of top-level classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+        elif isinstance(node, ast.ClassDef):
+            yield from (n for n in node.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
+def _references(node):
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
+def test_every_library_function_is_called_in_the_library():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    counts = {}
+    for tree in trees:
+        for name in _references(tree):
+            counts[name] = counts.get(name, 0) + 1
+    unused = []
+    for tree in trees:
+        for node in _definitions(tree):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            own = sum(1 for ref in _references(node) if ref == name)  # recursion
+            if counts.get(name, 0) == own and name not in UNREFERENCED_BY_DESIGN:
+                unused.append(name)
+    assert unused == []
+    assert all(counts.get(name, 0) == 0 for name in UNREFERENCED_BY_DESIGN)

@@ -1,0 +1,54 @@
+"""`realroots.root_profile` (one Sturm chain per multiplicity level) against
+the squarefree-decomposition reference and against polynomials built from
+known factors.  Needs neither sympy nor hypothesis."""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from realdp import realroots
+
+from oracles import root_profile_by_decomposition
+
+# Pairwise coprime quadratics without real roots, low degree first.
+NONREAL_QUADRATICS = ((1, 0, 1), (2, 0, 1), (1, 1, 1), (1, -2, 2), (Fraction(1, 4), 0, 3))
+
+
+def _factored(rng):
+    """(polynomial, multiplicity of each distinct real root, repeated root)"""
+    poly = (Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 5))),)
+    real = {}
+    for _ in range(rng.randint(0, 4)):
+        root = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        power = rng.randint(1, 3)
+        real[root] = real.get(root, 0) + power
+        for _ in range(power):
+            poly = realroots.mul(poly, (-root, 1))
+    repeated = any(m > 1 for m in real.values())
+    for quadratic in rng.sample(NONREAL_QUADRATICS, rng.randint(0, 2)):
+        power = rng.randint(1, 3)
+        repeated = repeated or power > 1
+        for _ in range(power):
+            poly = realroots.mul(poly, quadratic)
+    return poly, real, repeated
+
+
+def test_root_profile_matches_decomposition_reference():
+    rng = random.Random(20211)
+    for _ in range(400):
+        poly, real, repeated = _factored(rng)
+        expected = realroots.RootProfile(sum(real.values()), len(real), not repeated)
+        assert realroots.root_profile(poly) == expected, poly
+        assert root_profile_by_decomposition(poly) == expected, poly
+        scale = math.lcm(*(c.denominator for c in poly))
+        integer = tuple(int(c * scale) for c in poly)  # same roots, int coefficients
+        assert realroots.root_profile(integer) == expected, integer
+
+
+def test_root_profile_of_constants_and_zero():
+    assert realroots.root_profile((5,)) == (0, 0, True)
+    assert realroots.root_profile((Fraction(-1, 3), 0, 0)) == (0, 0, True)
+    with pytest.raises(ValueError):
+        realroots.root_profile((0, 0))

@@ -12,7 +12,7 @@ from realdp.search import (
     very_ample,
 )
 
-from oracles import brute_force_search, self_intersection_candidates
+from oracles import brute_force_search, self_intersection_candidates, zero_class
 
 # Classification fixture: surface -> set of (rendered divisor, ell, genus, flag).
 # Empty set marks surfaces admitting no finite real-fibered morphism to the plane.
@@ -65,13 +65,13 @@ def test_check_conditions_d2_failure_modes():
 def test_check_conditions_zero_divisor():
     for name in ("D2", "P2", "B1"):
         model = builtin(name)
-        report = check_conditions(model, model.real_lattice.zero())
+        report = check_conditions(model, zero_class(model.real_lattice))
         assert not report.c2
 
 
 def test_check_conditions_lattice_mismatch():
     with pytest.raises(ValueError):
-        check_conditions(builtin("D2"), builtin("D4").real_lattice.zero())
+        check_conditions(builtin("D2"), zero_class(builtin("D4").real_lattice))
 
 
 def test_search_d2():
@@ -185,7 +185,7 @@ def test_render_divisor():
     assert render_divisor(d2, d2.real_lattice.vector((1, -1))) == "F-K"
     assert render_divisor(d2, d2.real_lattice.vector((-1, -3))) == "-F-3K"
     assert render_divisor(d2, d2.real_lattice.vector((0, -1))) == "-K"
-    assert render_divisor(d2, d2.real_lattice.zero()) == "0"
+    assert render_divisor(d2, zero_class(d2.real_lattice)) == "0"
     p2 = builtin("P2")
     assert render_divisor(p2, p2.real_lattice.vector((1,))) == "H"
     b1 = builtin("B1")

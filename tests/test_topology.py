@@ -130,14 +130,14 @@ def test_all_real_restriction_rejects_zero_points():
 
 def test_hyperbolicity_check_rejects_zero_center_in_degree_zero():
     constant = HypersurfaceSpec(0, (((0, 0, 0, 0), 1),))
-    assert hyperbolicity_check(constant, (1, 0, 0, 0), 3, 0).supported
+    assert not hyperbolicity_check(constant, (1, 0, 0, 0), 3, 0).refuted
     with pytest.raises(ValueError, match="center must be a nonzero point"):
         hyperbolicity_check(constant, (0, 0, 0, 0), 1, 0)
 
 
 def test_hyperbolicity_interior_center_supported():
     verdict = hyperbolicity_check(sphere_quadric(), (1, 0, 0, 0), 500, 0)
-    assert verdict.supported
+    assert not verdict.refuted
     assert verdict.trials == 500
 
 
