@@ -71,22 +71,6 @@ class SurfaceModel:
     line_functionals: tuple  # row i: pairings of minus_one_classes[i] with the real basis
 
 
-@dataclass(frozen=True)
-class BlowupSpec:
-    base: SurfaceModel
-    real_points: int = 0
-    conj_pairs: int = 0
-    component_assignment: str = "different"  # only consulted when real_points == 2
-
-    def __post_init__(self):
-        if self.real_points not in (0, 1, 2):
-            raise ValueError("real_points must be 0, 1 or 2")
-        if self.conj_pairs < 0:
-            raise ValueError("conj_pairs must be nonnegative")
-        if self.component_assignment not in ("same", "different"):
-            raise ValueError("component_assignment must be 'same' or 'different'")
-
-
 @lru_cache(maxsize=None)
 def minus_one_curves(l_complex: IntLattice, k: ClassVector) -> tuple:
     """All classes c with c.c = -1 and c.K = -1, in lexicographic order;
@@ -223,22 +207,22 @@ def _next_exceptional_index(labels):
     return best + 1
 
 
-def blow_up(spec: BlowupSpec) -> SurfaceModel:
+def blow_up(base: SurfaceModel, real_points: int = 0, conj_pairs: int = 0) -> SurfaceModel:
     """Blow up a model in `real_points` real points and `conj_pairs` pairs.
 
-    Real centers must lie on sphere components (a real point of a projective
-    plane would produce a Klein bottle component, which is rejected); each one
-    turns a sphere into a projective plane.  Conjugate pairs leave the
-    topology unchanged.  The conjugation extends by the identity on real
-    exceptional classes and by the swap on each conjugate pair, and the real
-    lattice is rebuilt as the fixed sublattice of the extended involution.
+    Real centers lie on distinct sphere components (a real point of a
+    projective plane would produce a Klein bottle component, which is
+    rejected); each one turns a sphere into a projective plane.  Conjugate
+    pairs leave the topology unchanged.  The conjugation extends by the
+    identity on real exceptional classes and by the swap on each conjugate
+    pair, and the real lattice is rebuilt as the fixed sublattice of the
+    extended involution.
     """
-    base = spec.base
-    a, b = spec.real_points, spec.conj_pairs
-    if a == 2 and spec.component_assignment == "same":
-        # The first blow-up turns its sphere into a projective plane, so the
-        # second center would sit on a projective plane.
-        raise ValueError("unsupported topology: two real points on one component give a Klein bottle")
+    a, b = real_points, conj_pairs
+    if a not in (0, 1, 2):
+        raise ValueError("real_points must be 0, 1 or 2")
+    if b < 0:
+        raise ValueError("conj_pairs must be nonnegative")
     if a > base.s:
         raise ValueError("unsupported topology: a real blow-up center must lie on a sphere")
     new_degree = base.degree - a - 2 * b
@@ -328,12 +312,12 @@ def _rebase(model: SurfaceModel, rows, labels, name):
 def _build_d2_1_0():
     # Declared presentation <K, Ft, E>: K.K = 1, Ft = F - E is a (-1)-curve,
     # and every pairing of two distinct generators of <-K, Ft, E> equals one.
-    model = blow_up(BlowupSpec(builtin("D2"), real_points=1))
+    model = blow_up(builtin("D2"), real_points=1)
     return _rebase(model, ((0, 1, 0), (1, 0, -1), (0, 0, 1)), ("K", "Ft", "E"), "D2_1_0")
 
 
 def _build_g2_1_0():
-    model = blow_up(BlowupSpec(builtin("G2"), real_points=1))
+    model = blow_up(builtin("G2"), real_points=1)
     return _rebase(model, ((1, 0), (0, 1)), ("K", "E"), "G2_1_0")
 
 
@@ -344,17 +328,17 @@ _BUILDERS = {
     "D2": lambda: _build_minimal_conic(2),
     "G2": lambda: _build_anticanonical_minimal("G2", 2, 4, 0),
     "B1": lambda: _build_anticanonical_minimal("B1", 1, 4, 1),
-    "P2_0_2": lambda: blow_up(BlowupSpec(builtin("P2"), conj_pairs=1)),
-    "P2_0_4": lambda: blow_up(BlowupSpec(builtin("P2"), conj_pairs=2)),
-    "P2_0_6": lambda: blow_up(BlowupSpec(builtin("P2"), conj_pairs=3)),
-    "P2_0_8": lambda: blow_up(BlowupSpec(builtin("P2"), conj_pairs=4)),
-    "Q31_0_2": lambda: blow_up(BlowupSpec(builtin("Q31"), conj_pairs=1)),
-    "Q31_0_4": lambda: blow_up(BlowupSpec(builtin("Q31"), conj_pairs=2)),
-    "Q31_0_6": lambda: blow_up(BlowupSpec(builtin("Q31"), conj_pairs=3)),
-    "D4_1_0": lambda: blow_up(BlowupSpec(builtin("D4"), real_points=1)),
-    "D4_2_0_11": lambda: blow_up(BlowupSpec(builtin("D4"), real_points=2)),
-    "D4_0_2": lambda: blow_up(BlowupSpec(builtin("D4"), conj_pairs=1)),
-    "D4_1_2": lambda: blow_up(BlowupSpec(builtin("D4"), real_points=1, conj_pairs=1)),
+    "P2_0_2": lambda: blow_up(builtin("P2"), conj_pairs=1),
+    "P2_0_4": lambda: blow_up(builtin("P2"), conj_pairs=2),
+    "P2_0_6": lambda: blow_up(builtin("P2"), conj_pairs=3),
+    "P2_0_8": lambda: blow_up(builtin("P2"), conj_pairs=4),
+    "Q31_0_2": lambda: blow_up(builtin("Q31"), conj_pairs=1),
+    "Q31_0_4": lambda: blow_up(builtin("Q31"), conj_pairs=2),
+    "Q31_0_6": lambda: blow_up(builtin("Q31"), conj_pairs=3),
+    "D4_1_0": lambda: blow_up(builtin("D4"), real_points=1),
+    "D4_2_0_11": lambda: blow_up(builtin("D4"), real_points=2),
+    "D4_0_2": lambda: blow_up(builtin("D4"), conj_pairs=1),
+    "D4_1_2": lambda: blow_up(builtin("D4"), real_points=1, conj_pairs=1),
     "D2_1_0": _build_d2_1_0,
     "G2_1_0": _build_g2_1_0,
 }

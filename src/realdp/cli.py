@@ -47,28 +47,31 @@ def _integer(value) -> int:
     return int_tuple((value,))[0]
 
 
-def _load_json(path):
+def _document(path, what, parse):
+    """`parse` applied to the JSON document at `path`; a missing key or a
+    value of the wrong shape anywhere in it makes a malformed `what` document."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            doc = json.load(handle)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        return parse(doc)
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"malformed {what} document: {exc}") from exc
 
 
 def _parse_conic_matrix(doc) -> ConicMatrix:
-    try:
-        splitting = tuple(_integer(a) for a in doc["splitting"])
-        entries = tuple(
-            tuple(
-                BinaryForm(_integer(cell["degree"]), tuple(_integer(c) for c in cell["coeffs"]))
-                for cell in row
-            )
-            for row in doc["entries"]
+    splitting = tuple(_integer(a) for a in doc["splitting"])
+    entries = tuple(
+        tuple(
+            BinaryForm(_integer(cell["degree"]), tuple(_integer(c) for c in cell["coeffs"]))
+            for cell in row
         )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed conic matrix document: {exc}") from exc
+        for row in doc["entries"]
+    )
     return ConicMatrix(splitting, entries)
 
 
@@ -83,36 +86,42 @@ def _conic_matrix_json(matrix: ConicMatrix):
 
 
 def _parse_hypersurface(doc) -> HypersurfaceSpec:
-    try:
-        degree = _integer(doc["degree"])
-        terms = tuple(
-            (tuple(_integer(e) for e in term["exponents"]), _fraction(term["coeff"]))
-            for term in doc["terms"]
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed hypersurface document: {exc}") from exc
+    degree = _integer(doc["degree"])
+    terms = tuple(
+        (tuple(_integer(e) for e in term["exponents"]), _fraction(term["coeff"]))
+        for term in doc["terms"]
+    )
     return HypersurfaceSpec(degree, terms)
 
 
-def _parse_cycle(doc) -> PLCycle:
-    try:
-        return PLCycle(
-            _integer(doc["ambient"]),
-            doc["closure"],
-            tuple(tuple(_fraction(x) for x in p) for p in doc["points"]),
+def _parse_cycles(doc) -> list:
+    return [
+        PLCycle(
+            _integer(cycle["ambient"]),
+            cycle["closure"],
+            tuple(tuple(_fraction(x) for x in p) for p in cycle["points"]),
         )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed cycle document: {exc}") from exc
+        for cycle in doc["cycles"]
+    ]
 
 
 def _parse_subspace(doc, ambient=None) -> GreatSubsphere:
-    try:
-        normals = tuple(tuple(_fraction(x) for x in n) for n in doc["normals"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed subspace document: {exc}") from exc
+    normals = tuple(tuple(_fraction(x) for x in n) for n in doc["normals"])
     if ambient is None:
         ambient = len(normals[0]) - 1
     return GreatSubsphere(ambient, normals)
+
+
+def _parse_center(doc):
+    """The center E and the chain L through it, if the document gives one."""
+    center = _parse_subspace(doc)
+    chain = _parse_subspace(doc["chain"], center.ambient) if "chain" in doc else None
+    return center, chain
+
+
+def _parse_construction(doc) -> ConicMatrix:
+    a1, a2, a3 = (_integer(a) for a in doc["splitting"])
+    return construct_section(a1, a2, a3, [[_fraction(r) for r in roots] for roots in doc["roots"]])
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +205,12 @@ def _cmd_conic(args):
         text = f"K_X^2 = {data['KX2']}, s = {data['s']}, O(1)|_X = {data['x']}F - K"
         return 0, data, text
     if args.subcommand == "discriminant":
-        matrix = _parse_conic_matrix(_load_json(args.file))
-        disc = discriminant(matrix)
-        payload = {
-            "degree": disc.degree,
-            "coeffs": list(disc.coeffs),
-            "rendered": factored_str(disc),
-        }
-        return 0, payload, factored_str(disc)
+        disc = discriminant(_document(args.file, "conic matrix", _parse_conic_matrix))
+        rendered = factored_str(disc)
+        payload = {"degree": disc.degree, "coeffs": list(disc.coeffs), "rendered": rendered}
+        return 0, payload, rendered
     if args.subcommand == "analyze":
-        matrix = _parse_conic_matrix(_load_json(args.file))
-        result = analyze(matrix)
+        result = analyze(_document(args.file, "conic matrix", _parse_conic_matrix))
         payload = {
             "total": result.total_fibers,
             "real": result.real_fibers,
@@ -221,20 +225,12 @@ def _cmd_conic(args):
         )
         return (0 if result.squarefree else 1), payload, text
     if args.subcommand == "construct":
-        doc = _load_json(args.file)
-        try:
-            a1, a2, a3 = (_integer(a) for a in doc["splitting"])
-            roots = doc["roots"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed construction document: {exc}") from exc
-        matrix = construct_section(a1, a2, a3, [[_fraction(r) for r in lst] for lst in roots])
-        payload = _conic_matrix_json(matrix)
+        payload = _conic_matrix_json(_document(args.file, "construction", _parse_construction))
         return 0, payload, canonical_json(payload)
-    raise ValueError(f"unknown conic subcommand {args.subcommand!r}")
 
 
 def _cmd_hyp(args):
-    surface = _parse_hypersurface(_load_json(args.polyfile))
+    surface = _document(args.polyfile, "hypersurface", _parse_hypersurface)
     point = tuple(_fraction(x) for x in args.point.split(","))
     if len(point) != 4:
         raise ValueError("--point needs four comma-separated rationals")
@@ -254,16 +250,8 @@ def _cmd_hyp(args):
 
 
 def _cmd_link(args):
-    cycles_doc = _load_json(args.cycles)
-    try:
-        cycles = [_parse_cycle(doc) for doc in cycles_doc["cycles"]]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed cycles document: {exc}") from exc
-    center_doc = _load_json(args.center)
-    center = _parse_subspace(center_doc)
-    chain = None
-    if isinstance(center_doc, dict) and "chain" in center_doc:
-        chain = _parse_subspace(center_doc["chain"], center.ambient)
+    cycles = _document(args.cycles, "cycles", _parse_cycles)
+    center, chain = _document(args.center, "subspace", _parse_center)
     numbers = [linking_number(c, center, chain) for c in cycles]
     total = sum(abs(n) for n in numbers)
     ok = total == args.degree

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intlinalg import int_tuple
+from .intlinalg import int_tuple, rational_tuple
 from .lattice import IntLattice, adjunction_genus, riemann_roch_dim
 from . import realroots
 
@@ -40,7 +40,7 @@ class BinaryForm:
 
     def __post_init__(self):
         coeffs = int_tuple(self.coeffs)
-        if self.degree < 0:
+        if int_tuple((self.degree,))[0] < 0:
             raise ValueError("degree must be nonnegative")
         if len(coeffs) != self.degree + 1:
             raise ValueError("need degree + 1 coefficients")
@@ -90,8 +90,7 @@ def form_from_roots(degree: int, roots) -> BinaryForm:
     if len(roots) != degree:
         raise ValueError("number of roots must equal the degree")
     form = BinaryForm(0, (1,))
-    for root in roots:
-        rho = Fraction(root)
+    for rho in rational_tuple(roots):
         form = form * BinaryForm(1, (-rho.numerator, rho.denominator))
     return form
 
@@ -214,6 +213,7 @@ class ChowClass:
     coeffs: tuple
 
     def __post_init__(self):
+        int_tuple((self.c,))
         coeffs = int_tuple(self.coeffs)
         if len(coeffs) != 6:
             raise ValueError("a Chow class has six coefficients")
@@ -408,7 +408,7 @@ def construct_section(a1: int, a2: int, a3: int, root_lists) -> ConicMatrix:
         raise ValueError("splitting degrees must be positive")
     if len(root_lists) != 3:
         raise ValueError("need three root lists")
-    lists = [[Fraction(r) for r in roots] for roots in root_lists]
+    lists = [rational_tuple(roots) for roots in root_lists]
     for a, roots in zip(split, lists):
         if len(roots) != 2 * a:
             raise ValueError("root list length must be twice the splitting degree")

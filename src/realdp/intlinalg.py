@@ -3,9 +3,9 @@
 Everything here works with plain Python integers (arbitrary precision) or
 `fractions.Fraction`; no floating point is ever used.  Matrices are lists of
 lists in row-major order.  These routines back the lattice layer: the strict
-integer check of every coefficient vector, matrix-vector products, and a
-Fincke-Pohst style bounded enumeration whose search radius is certified by a
-rational LDL^T factorisation.
+integer and rational checks every library constructor applies to its input,
+matrix-vector products, and a Fincke-Pohst style bounded enumeration whose
+search radius is certified by a rational LDL^T factorisation.
 """
 
 from __future__ import annotations
@@ -26,6 +26,20 @@ def int_tuple(values) -> tuple:
         bad = next(c for c in values if type(c) is not int)
         raise ValueError(f"expected an integer, got {bad!r}")
     return values
+
+
+def rational_tuple(values) -> tuple:
+    """`values` as a tuple of Fractions, each given as an int or a Fraction.
+
+    A bool, float or string raises ValueError: a float is not exact, and
+    "p/q" strings are a CLI format parsed by the CLI alone.  The result holds
+    Fractions even for int input, so callers dividing with `/` stay exact.
+    """
+    values = tuple(values)
+    if not all(type(c) is int or type(c) is Fraction for c in values):
+        bad = next(c for c in values if type(c) is not int and type(c) is not Fraction)
+        raise ValueError(f"expected an integer or Fraction, got {bad!r}")
+    return tuple(Fraction(c) for c in values)
 
 
 def mat_vec(a, v):

@@ -26,10 +26,10 @@ class IntLattice:
     gram: tuple
 
     def __post_init__(self):
-        if self.rank < 1:
+        if intlinalg.int_tuple((self.rank,))[0] < 1:
             raise ValueError("rank must be positive")
         labels = tuple(self.basis_labels)
-        gram = tuple(tuple(row) for row in self.gram)
+        gram = tuple(intlinalg.int_tuple(row) for row in self.gram)
         if len(labels) != self.rank or len(set(labels)) != self.rank:
             raise ValueError("basis labels must be distinct, one per generator")
         if len(gram) != self.rank or any(len(row) != self.rank for row in gram):
@@ -102,7 +102,7 @@ class LatticeMap:
     matrix: tuple
 
     def __post_init__(self):
-        matrix = tuple(tuple(row) for row in self.matrix)
+        matrix = tuple(intlinalg.int_tuple(row) for row in self.matrix)
         if len(matrix) != self.target.rank or any(len(r) != self.source.rank for r in matrix):
             raise ValueError("matrix shape must be target rank x source rank")
         object.__setattr__(self, "matrix", matrix)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import realroots
-from .intlinalg import int_tuple
+from .intlinalg import int_tuple, rational_tuple
 
 # ---------------------------------------------------------------------------
 # Deterministic rational sampling
@@ -69,10 +69,11 @@ class HypersurfaceSpec:
     terms: tuple  # ((e0, e1, e2, e3), Fraction) pairs
 
     def __post_init__(self):
+        int_tuple((self.degree,))
+        terms = tuple(self.terms)
         clean = []
-        for exps, coeff in self.terms:
+        for (exps, _), coeff in zip(terms, rational_tuple(c for _, c in terms)):
             exps = int_tuple(exps)
-            coeff = Fraction(coeff)
             if len(exps) != 4 or any(e < 0 for e in exps):
                 raise ValueError("monomials use four nonnegative exponents")
             if sum(exps) != self.degree:
@@ -81,20 +82,8 @@ class HypersurfaceSpec:
                 clean.append((exps, coeff))
         object.__setattr__(self, "terms", tuple(clean))
 
-    def evaluate(self, point):
-        pt = [Fraction(x) for x in point]
-        total = Fraction(0)
-        for exps, coeff in self.terms:
-            value = coeff
-            for x, e in zip(pt, exps):
-                value *= x**e
-            total += value
-        return total
-
     def restrict_to_line(self, x, e):
         """Coefficients (low to high) of t |-> X(x + t e)."""
-        x = [Fraction(v) for v in x]
-        e = [Fraction(v) for v in e]
         total = ()
         for exps, coeff in self.terms:
             term = (coeff,)
@@ -111,10 +100,14 @@ def _parallel(u, v) -> bool:
 
 
 def _restriction_profile(x: HypersurfaceSpec, e, p):
-    """Root profile of X on the line through p and e (checked by the caller)."""
+    """Root profile of X on the line through p and e (checked by the caller).
+
+    The top coefficient of t |-> X(p + t e) is X(e), so the degree drops
+    exactly when the center lies on X.
+    """
     q = x.restrict_to_line(p, e)
     if realroots.degree(q) < x.degree:
-        raise ValueError("restriction degree dropped: line meets the center")
+        raise ValueError("center on hypersurface")
     return realroots.root_profile(q)
 
 
@@ -124,13 +117,12 @@ def all_real_restriction(x: HypersurfaceSpec, e, p) -> bool:
     Roots count with multiplicity, so tangent lines (boundary contact) still
     pass when every root is real.
     """
-    if not any(Fraction(v) for v in e):
+    e, p = rational_tuple(e), rational_tuple(p)
+    if not any(e):
         raise ValueError("center must be a nonzero point")
-    if x.evaluate(e) == 0:
-        raise ValueError("center on hypersurface")
-    if not any(Fraction(v) for v in p):
+    if not any(p):
         raise ValueError("sample point must be a nonzero point")
-    if _parallel([Fraction(v) for v in p], [Fraction(v) for v in e]):
+    if _parallel(p, e):
         raise ValueError("sample point coincides with the center")
     return _restriction_profile(x, e, p).real == x.degree
 
@@ -154,17 +146,15 @@ def hyperbolicity_check(x: HypersurfaceSpec, e, trials: int, seed: int) -> Hyper
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if x.evaluate(e) == 0:
-        raise ValueError("center on hypersurface")
-    e_frac = [Fraction(v) for v in e]
-    if not any(e_frac):  # only in degree 0; every sample point would be parallel to e
+    e = rational_tuple(e)
+    if not any(e):  # every sample point would be parallel to e
         raise ValueError("center must be a nonzero point")
     rng = SplitMix64(seed)
     boundary = 0
     for trial in range(1, trials + 1):
         while True:
             point = tuple(rng.rational() for _ in range(4))
-            if any(point) and not _parallel(list(point), e_frac):
+            if any(point) and not _parallel(point, e):
                 break
         roots = _restriction_profile(x, e, point)
         if roots.real != x.degree:
@@ -186,9 +176,9 @@ class GreatSubsphere:
     normals: tuple
 
     def __post_init__(self):
-        if self.ambient not in (2, 3):
+        if int_tuple((self.ambient,))[0] not in (2, 3):
             raise ValueError("ambient projective space must be RP^2 or RP^3")
-        normals = tuple(tuple(Fraction(x) for x in n) for n in self.normals)
+        normals = tuple(rational_tuple(n) for n in self.normals)
         if any(len(n) != self.ambient + 1 for n in normals):
             raise ValueError("normals must have ambient + 1 coordinates")
         if _rank(normals) != len(normals):
@@ -233,11 +223,11 @@ class PLCycle:
     points: tuple
 
     def __post_init__(self):
-        if self.ambient not in (2, 3):
+        if int_tuple((self.ambient,))[0] not in (2, 3):
             raise ValueError("ambient projective space must be RP^2 or RP^3")
         if self.closure not in ("sphere", "antipode"):
             raise ValueError("closure must be 'sphere' or 'antipode'")
-        pts = tuple(tuple(Fraction(x) for x in p) for p in self.points)
+        pts = tuple(rational_tuple(p) for p in self.points)
         if len(pts) < 2:
             raise ValueError("a cycle needs at least two points")
         if any(len(p) != self.ambient + 1 for p in pts):

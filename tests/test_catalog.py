@@ -5,7 +5,6 @@ import pytest
 
 from realdp.catalog import (
     SURFACE_NAMES,
-    BlowupSpec,
     blow_up,
     builtin,
     minus_one_curves,
@@ -183,36 +182,34 @@ def test_naive_box_matches_on_degree_four():
 
 def test_blow_up_examples():
     d4 = builtin("D4")
-    one_real = blow_up(BlowupSpec(d4, real_points=1))
+    one_real = blow_up(d4, real_points=1)
     assert (one_real.degree, one_real.s, one_real.r) == (3, 1, 1)
     q31 = builtin("Q31")
-    three_pairs = blow_up(BlowupSpec(q31, conj_pairs=3))
+    three_pairs = blow_up(q31, conj_pairs=3)
     assert (three_pairs.degree, three_pairs.s, three_pairs.r) == (2, 1, 0)
-    two_diff = blow_up(BlowupSpec(d4, real_points=2, component_assignment="different"))
+    two_diff = blow_up(d4, real_points=2)
     assert (two_diff.degree, two_diff.s, two_diff.r) == (2, 0, 2)
     assert two_diff.name == "D4_2_0_11"
 
 
 def test_blow_up_rejects_bad_topology():
     with pytest.raises(ValueError):
-        blow_up(BlowupSpec(builtin("D4"), real_points=2, component_assignment="same"))
+        blow_up(builtin("P2"), real_points=1)  # no sphere to blow up
     with pytest.raises(ValueError):
-        blow_up(BlowupSpec(builtin("P2"), real_points=1))  # no sphere to blow up
-    with pytest.raises(ValueError):
-        blow_up(BlowupSpec(builtin("B1"), real_points=1))  # degree underflow
+        blow_up(builtin("B1"), real_points=1)  # degree underflow
 
 
 def test_blow_up_composition_gives_same_lattice():
-    once = blow_up(BlowupSpec(builtin("D4"), real_points=1))
-    twice = blow_up(BlowupSpec(once, real_points=1))
-    direct = blow_up(BlowupSpec(builtin("D4"), real_points=2, component_assignment="different"))
+    once = blow_up(builtin("D4"), real_points=1)
+    twice = blow_up(once, real_points=1)
+    direct = blow_up(builtin("D4"), real_points=2)
     assert twice.real_lattice.gram == direct.real_lattice.gram
     assert twice.complex_lattice.gram == direct.complex_lattice.gram
     assert (twice.degree, twice.s, twice.r) == (direct.degree, direct.s, direct.r)
 
 
 def test_blow_up_models_satisfy_invariants():
-    model = blow_up(BlowupSpec(builtin("Q31"), real_points=1, conj_pairs=1))
+    model = blow_up(builtin("Q31"), real_points=1, conj_pairs=1)
     assert is_isometry(model.embedding)
     assert is_involution(model.involution) and is_isometry(model.involution)
     image = [model.embedding.apply(model.real_lattice.basis_vector(i)).coeffs

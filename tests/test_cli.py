@@ -286,19 +286,36 @@ def test_malformed_documents_exit_2(capsys, tmp_path):
     )
     center = write_center_file(tmp_path)
     sphere = write_sphere_file(tmp_path)
+    nested = write_cycles_file(tmp_path, ["1/4", "1/2"], name="nested.json")
+    no_normals = tmp_path / "no_normals.json"
+    no_normals.write_text(json.dumps({"normals": []}))
+    list_chain = tmp_path / "list_chain.json"
+    list_chain.write_text(json.dumps({"normals": [["0", "1", "0"], ["0", "0", "1"]], "chain": []}))
+    scalar_roots = tmp_path / "scalar_roots.json"
+    scalar_roots.write_text(json.dumps({"splitting": [1, 1, 1], "roots": 5}))
+    scalar_cycles = tmp_path / "scalar_cycles.json"
+    scalar_cycles.write_text(json.dumps({"cycles": 3}))
     cases = [
         ["conic", "analyze", str(junk)],
         ["conic", "construct", str(junk)],
+        ["conic", "construct", str(scalar_roots)],
         ["hyp", str(junk), "--point", "1,0,0,0"],
         ["hyp", sphere, "--point", "1,0,0"],
         ["hyp", sphere, "--point", "a,b,c,d"],
         ["link", str(wrong_dim), center, "--degree", "2"],
         ["link", str(tmp_path / "missing.json"), center, "--degree", "2"],
+        ["link", nested, str(no_normals), "--degree", "4"],
+        ["link", nested, str(list_chain), "--degree", "4"],
+        ["link", str(scalar_cycles), center, "--degree", "4"],
     ]
     for argv in cases:
         code, payload = run_json(capsys, argv)
         assert code == 2, argv
         assert payload["status"] == "error"
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: "), argv
 
 
 def test_bad_rationals_exit_2(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -39,7 +40,7 @@ def test_binary_form_arithmetic():
 def test_form_from_roots():
     form = form_from_roots(2, [1, -1])
     assert form.coeffs == (-1, 0, 1)  # u^2 - v^2
-    half = form_from_roots(1, ["1/2"])
+    half = form_from_roots(1, [Fraction(1, 2)])
     assert half.coeffs == (-1, 2)  # 2u - v
 
 

@@ -123,22 +123,31 @@ NOT_INTEGERS = (True, 1.7, Fraction(3, 2), Fraction(2), "3")
 def _strict_constructors():
     from realdp import conic
     from realdp.catalog import builtin
-    from realdp.lattice import ClassVector
-    from realdp.topology import HypersurfaceSpec
+    from realdp.lattice import ClassVector, IntLattice, LatticeMap
+    from realdp.topology import GreatSubsphere, HypersurfaceSpec, PLCycle
 
     lattice = builtin("D2").real_lattice
+    line = IntLattice(1, ("H",), ((1,),))
     form = conic.BinaryForm(0, (1,))
     h = conic.chow_h(0)
     return {
+        "IntLattice.rank": lambda x: IntLattice(x, ("H",), ((1,),)),
+        "IntLattice.gram": lambda x: IntLattice(1, ("H",), ((x,),)),
+        "LatticeMap": lambda x: LatticeMap(line, line, ((x,),)),
         "BinaryForm": lambda x: conic.BinaryForm(2, (x, 0, 1)),
+        "BinaryForm.degree": lambda x: conic.BinaryForm(x, (1, 0)),
         "ConicMatrix": lambda x: conic.ConicMatrix((0, 0, x), ((form,) * 3,) * 3),
         "diagonal_matrix": lambda x: conic.diagonal_matrix((0, 0, x), (form, form, form)),
         "ChowClass": lambda x: conic.ChowClass(0, (x, 0, 0, 0, 0, 0)),
+        "ChowClass.c": lambda x: conic.ChowClass(x, (0, 0, 0, 0, 0, 0)),
         "ChowClass.__rmul__": lambda x: x * h,
         "IntLattice.vector": lambda x: lattice.vector((x, -1)),
         "ClassVector": lambda x: ClassVector(lattice, (x, -1)),
         "ClassVector.__rmul__": lambda x: x * lattice.basis_vector(0),
         "HypersurfaceSpec": lambda x: HypersurfaceSpec(2, (((x, 1, 0, 0), 1), ((0, 0, 2, 0), 1))),
+        "HypersurfaceSpec.degree": lambda x: HypersurfaceSpec(x, (((1, 0, 0, 0), 1),)),
+        "GreatSubsphere.ambient": lambda x: GreatSubsphere(x, ((0, 0, 1),)),
+        "PLCycle.ambient": lambda x: PLCycle(x, "sphere", ((1, 0, 1), (1, 1, 0))),
     }
 
 
@@ -150,18 +159,80 @@ def test_library_constructors_reject_non_integers(name, value):
 
 
 def test_library_constructors_keep_integers():
+    valid = {"ConicMatrix": 0, "diagonal_matrix": 0, "GreatSubsphere.ambient": 2, "PLCycle.ambient": 2}
     for name, build in _strict_constructors().items():
-        build(0 if name in ("ConicMatrix", "diagonal_matrix") else 1)
+        build(valid.get(name, 1))
 
 
 def test_truncation_examples_are_refused():
     from realdp import conic
     from realdp.catalog import builtin
+    from realdp.lattice import IntLattice
 
     with pytest.raises(ValueError):
         conic.BinaryForm(2, (Fraction(3, 2), 0, 1))
     with pytest.raises(ValueError):
         builtin("D2").real_lattice.vector((1.7, -1))
+    with pytest.raises(ValueError):
+        IntLattice(1, ("H",), ((1.5,),))  # v.dot(v) would return 1.5
+    with pytest.raises(ValueError):
+        conic.BinaryForm(2.0, (1, 0, 1))  # f * f would raise TypeError
+
+
+# ---------------------------------------------------------------------------
+# Strict rationals: library entry points take int and Fraction only; "p/q"
+# strings are a CLI format
+
+NOT_RATIONALS = (0.1, True, "1/2")
+
+
+def _rational_entry_points():
+    from realdp import conic, topology
+    from realdp.topology import GreatSubsphere, HypersurfaceSpec, PLCycle
+    from conftest import sphere_quadric
+
+    sphere = sphere_quadric()
+    return {
+        "HypersurfaceSpec": lambda x: HypersurfaceSpec(2, (((2, 0, 0, 0), x), ((0, 2, 0, 0), 1))),
+        "PLCycle": lambda x: PLCycle(2, "sphere", ((1, x, 1), (1, -1, 1), (1, 0, -1))),
+        "GreatSubsphere": lambda x: GreatSubsphere(2, ((0, x, 1),)),
+        "hyperbolicity_check": lambda x: topology.hyperbolicity_check(sphere, (1, x, 0, 0), 2, 0),
+        "all_real_restriction.center": lambda x: topology.all_real_restriction(sphere, (1, x, 0, 0), (0, 1, 2, 3)),
+        "all_real_restriction.point": lambda x: topology.all_real_restriction(sphere, (1, 0, 0, 0), (0, x, 2, 3)),
+        "form_from_roots": lambda x: conic.form_from_roots(2, (x, 3)),
+        "construct_section": lambda x: conic.construct_section(1, 1, 1, ((x, 5), (1, -1), (2, -2))),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_rational_entry_points()))
+@pytest.mark.parametrize("value", NOT_RATIONALS, ids=repr)
+def test_library_entry_points_reject_non_rationals(name, value):
+    with pytest.raises(ValueError, match="expected an integer or Fraction"):
+        _rational_entry_points()[name](value)
+
+
+@pytest.mark.parametrize("name", sorted(_rational_entry_points()))
+@pytest.mark.parametrize("value", (Fraction(1, 2), Fraction(-3), 0), ids=repr)
+def test_library_entry_points_accept_int_and_fraction(name, value):
+    _rational_entry_points()[name](value)
+
+
+def test_rationals_are_coerced_in_one_place():
+    """One-argument Fraction(...) converts or parses; only the strict check
+    in intlinalg and the CLI's "p/q" reader may do that."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("intlinalg.py", "cli.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "Fraction"
+                and len(node.args) + len(node.keywords) == 1
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,15 @@ def test_hyperbolicity_check_rejects_zero_center_in_degree_zero():
         hyperbolicity_check(constant, (0, 0, 0, 0), 1, 0)
 
 
+def test_center_on_hypersurface_is_the_degree_drop():
+    q = sphere_quadric()
+    for check in (lambda e: hyperbolicity_check(q, e, 5, 0), lambda e: all_real_restriction(q, e, (0, 1, 2, 3))):
+        with pytest.raises(ValueError, match="center on hypersurface"):
+            check((1, 1, 0, 0))
+        with pytest.raises(ValueError, match="center must be a nonzero point"):
+            check((0, 0, 0, 0))
+
+
 def test_hyperbolicity_interior_center_supported():
     verdict = hyperbolicity_check(sphere_quadric(), (1, 0, 0, 0), 500, 0)
     assert not verdict.refuted
@@ -240,6 +249,28 @@ def test_linking_in_three_space():
     assert abs(linking_number(ring, e, chain)) == 2
     line = PLCycle(3, "antipode", ((0, 0, 1, 1), (0, 0, -1, 1)))
     assert abs(linking_number(line, e, chain)) == 1
+
+
+def test_linking_number_of_integer_input_is_exact():
+    def fractions(vectors):
+        return tuple(tuple(Fraction(x) for x in v) for v in vectors)
+
+    cycles = (
+        ("sphere", ((4, 1, 1), (4, -1, 1), (4, -1, -1), (4, 1, -1))),  # square of radius 1/4
+        ("antipode", ((21, 7, 3), (-2, 10, 5))),  # the pseudoline, scaled to integers
+    )
+    center = ((0, 1, 0), (0, 0, 1))
+    for normal in ((0, 0, 1), (0, 1, 2), (0, 3, 5)):
+        for closure, points in cycles:
+            value = linking_number(
+                PLCycle(2, closure, points), GreatSubsphere(2, center), GreatSubsphere(2, (normal,))
+            )
+            exact = linking_number(
+                PLCycle(2, closure, fractions(points)),
+                GreatSubsphere(2, fractions(center)),
+                GreatSubsphere(2, fractions((normal,))),
+            )
+            assert type(value) is int and value == exact and abs(value) in (1, 2)
 
 
 def test_linking_rejects_degenerate_input():
