@@ -3,7 +3,10 @@
 Every command accepts --format {text,json}; JSON payloads are emitted in a
 canonical form (sorted keys, compact separators) so outputs are byte-stable
 across runs.  Exit codes: 0 success / criterion verified, 1 check failed or
-refuted, 2 invalid input.  Rationals travel as "p/q" strings in JSON.
+refuted, 2 invalid input, 3 internal error.  Invalid input raises ValueError;
+any other exception is a broken invariant of the library, so its traceback
+goes to stderr and the exit code cannot be read as an answer.  Rationals
+travel as "p/q" strings in JSON.
 """
 
 from __future__ import annotations
@@ -352,6 +355,9 @@ def main(argv=None) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # a bug, not bad input: print the traceback for the report
+        sys.excepthook(*sys.exc_info())
+        return 3
     if args.format == "json":
         print(canonical_json(payload))
     else:

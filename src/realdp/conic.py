@@ -26,7 +26,6 @@ coefficient vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .intlinalg import int_tuple, rational_tuple
 from .lattice import IntLattice, adjunction_genus, riemann_roch_dim
@@ -343,13 +342,6 @@ def _roots_on_p1(form: BinaryForm):
     return roots.real + inf_mult, roots.squarefree and inf_mult <= 1
 
 
-def _forms_coprime_on_p1(f: BinaryForm, g: BinaryForm) -> bool:
-    affine = realroots.gcd_poly(f.coeffs, g.coeffs)
-    if realroots.degree(affine) > 0:
-        return False
-    return f.infinity_multiplicity() == 0 or g.infinity_multiplicity() == 0
-
-
 @dataclass(frozen=True)
 class FiberAnalysis:
     total_fibers: int
@@ -380,18 +372,7 @@ def analyze(matrix: ConicMatrix) -> FiberAnalysis:
     if squarefree and real % 2:
         raise RuntimeError("odd real root count for a squarefree real form")
     s = real // 2 if squarefree and real % 2 == 0 else None
-    smooth_exact = None
-    if matrix.is_diagonal():
-        diag = [matrix.entries[i][i] for i in range(3)]
-        smooth_exact = (
-            all(not f.is_zero() for f in diag)
-            and all(_roots_on_p1(f)[1] for f in diag)
-            and all(
-                _forms_coprime_on_p1(diag[i], diag[j])
-                for i in range(3)
-                for j in range(i + 1, 3)
-            )
-        )
+    smooth_exact = squarefree if matrix.is_diagonal() else None
     return FiberAnalysis(total, real, squarefree, s, squarefree, smooth_exact)
 
 
@@ -429,29 +410,6 @@ def construct_section(a1: int, a2: int, a3: int, root_lists) -> ConicMatrix:
 # Pretty factorisation for output
 
 
-def _rational_roots(coeffs):
-    """Rational roots (as Fractions) of an integer polynomial, constant and
-    leading coefficient nonzero, by the rational root test."""
-    a0, am = abs(coeffs[0]), abs(coeffs[-1])
-
-    def divisors(n):
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.extend((d, n // d))
-            d += 1
-        return sorted(set(out))
-
-    roots = []
-    for p in divisors(a0):
-        for q in divisors(am):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in roots and realroots.evaluate(coeffs, cand) == 0:
-                    roots.append(cand)
-    return roots
-
-
 def factor_low_degree(form: BinaryForm):
     """Factor an integer form into pieces of degree <= 2 when possible.
 
@@ -471,7 +429,7 @@ def factor_low_degree(form: BinaryForm):
     if inf_mult:
         factors.append((BinaryForm(1, (1, 0)), inf_mult))  # v
     poly = poly[low:]
-    for root in _rational_roots(poly):
+    for root in realroots.rational_roots(poly):
         lin = (-root.numerator, root.denominator)
         mult = 0
         while True:

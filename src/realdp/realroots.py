@@ -5,13 +5,19 @@ of int/Fraction coefficients, low degree first, trailing zeros stripped.  Ints
 stay ints: a division gives a Fraction unless it is exact.  Every real-root
 question goes through `root_profile`: one Sturm chain per multiplicity level
 gives the real-root count with multiplicity, the distinct count and the
-squarefree flag together.
+squarefree flag together.  `rational_roots` isolates the real roots with the
+same chains on an integer dyadic grid.
+
+Tuples on hot paths are built from lists, not generators: CPython 3.11
+builds a tuple from a generator at size ten and shrinks it, which moves
+tuples from one per-size free list into the others, and after a few
+thousand calls these hold about 2 MB.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple
 
 
@@ -49,7 +55,7 @@ def add(p, q):
 
 
 def neg(p):
-    return tuple(-c for c in p)
+    return tuple([-c for c in p])
 
 
 def mul(p, q):
@@ -101,7 +107,7 @@ def primitive_part(p):
     c = gcd(*p)
     if p[-1] < 0:
         c = -c
-    return c, tuple(a // c for a in p)
+    return c, tuple([a // c for a in p])
 
 
 def squarefree_decomposition(p):
@@ -180,3 +186,78 @@ def sturm_count(coeffs, with_multiplicity: bool = False) -> int:
     """
     roots = root_profile(coeffs)
     return roots.real if with_multiplicity else roots.distinct
+
+
+def _on_grid(p, k):
+    """Integer coefficients of a positive multiple of 2^(k deg p) p(n / 2^k):
+    its sign at an integer n is the sign of p at n / 2^k."""
+    den = lcm(*[c.denominator for c in p])
+    d = degree(p)
+    return [c.numerator * (den // c.denominator) << k * (d - i) for i, c in enumerate(p)]
+
+
+def _variations(chain, n):
+    """Sign changes of the chain at n, zeros skipped."""
+    values = [evaluate(g, n) for g in chain]
+    return _sign_changes([v > 0 for v in values if v])
+
+
+def _isolate(squarefree, lo, hi):
+    """The grid point n with the one root of `squarefree` in (lo, hi] lying
+    in (n - 1, n], by bisection on the sign at the right end."""
+    at_hi = evaluate(squarefree, hi)
+    while hi - lo > 1 and at_hi:
+        mid = (lo + hi) // 2
+        at_mid = evaluate(squarefree, mid)
+        if at_mid and (at_mid > 0) != (at_hi > 0):
+            lo = mid
+        else:
+            hi, at_hi = mid, at_mid
+    return hi
+
+
+def rational_roots(coeffs):
+    """Distinct rational roots of a nonzero integer polynomial, sorted by
+    (|P|, Q) for the root P/Q in lowest terms, the positive root first.
+
+    Every rational root P/Q of the primitive part f has Q dividing its
+    leading coefficient lc, and two such fractions lie at least 1/lc^2
+    apart.  The Sturm chain of the squarefree part isolates the real roots
+    on the grid n / 2^k with 2^-k < 1/(2 lc^2), so a one-step interval holds
+    at most one such fraction: the one nearest its midpoint with denominator
+    at most lc.  It is kept when it lies in the interval and f vanishes
+    there.  Every sign test is an integer evaluation, and the cost is
+    polynomial in the degree and the bit size (Basu, Pollack and Roy,
+    Algorithms in Real Algebraic Geometry, ch. 10).
+    """
+    f = normalize(coeffs)
+    if not f:
+        raise ValueError("zero polynomial")
+    if degree(f) < 1:
+        return []
+    _, f = primitive_part(f)
+    chain = sturm_sequence(f)
+    if degree(chain[-1]) > 0:  # divided by gcd(f, f'): the chain of the squarefree part
+        chain = [divmod_poly(g, chain[-1])[0] for g in chain]
+    lc = f[-1]
+    k = (2 * lc * lc).bit_length()
+    grid = [_on_grid(g, k) for g in chain]
+    top = (2 + max(abs(c) for c in f) // lc).bit_length() + k  # 2^(top - k) > the Cauchy bound
+    stack = [(-1 << top, _variations(grid, -1 << top), 1 << top, _variations(grid, 1 << top))]
+    roots = []
+    while stack:
+        lo, v_lo, hi, v_hi = stack.pop()
+        count = v_lo - v_hi  # distinct roots in (lo, hi]
+        if not count:
+            continue
+        if count > 1 and hi - lo > 1:
+            mid = (lo + hi) // 2
+            v_mid = _variations(grid, mid)
+            stack += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
+            continue
+        if count == 1:
+            lo = _isolate(grid[0], lo, hi) - 1
+        candidate = Fraction(2 * lo + 1, 2 << k).limit_denominator(lc)
+        if lo < candidate * (1 << k) <= lo + 1 and evaluate(f, candidate) == 0:
+            roots.append(candidate)
+    return sorted(roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0))

@@ -94,6 +94,16 @@ class HypersurfaceSpec:
         return total
 
 
+def _point(coords, what):
+    """A point of P^3: four rationals, not all zero."""
+    point = rational_tuple(coords)
+    if len(point) != 4:
+        raise ValueError(f"{what} needs four coordinates, got {len(point)}")
+    if not any(point):
+        raise ValueError(f"{what} must be a nonzero point")
+    return point
+
+
 def _parallel(u, v) -> bool:
     n = len(u)
     return all(u[i] * v[j] == u[j] * v[i] for i in range(n) for j in range(i + 1, n))
@@ -117,11 +127,7 @@ def all_real_restriction(x: HypersurfaceSpec, e, p) -> bool:
     Roots count with multiplicity, so tangent lines (boundary contact) still
     pass when every root is real.
     """
-    e, p = rational_tuple(e), rational_tuple(p)
-    if not any(e):
-        raise ValueError("center must be a nonzero point")
-    if not any(p):
-        raise ValueError("sample point must be a nonzero point")
+    e, p = _point(e, "center"), _point(p, "sample point")
     if _parallel(p, e):
         raise ValueError("sample point coincides with the center")
     return _restriction_profile(x, e, p).real == x.degree
@@ -146,9 +152,7 @@ def hyperbolicity_check(x: HypersurfaceSpec, e, trials: int, seed: int) -> Hyper
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    e = rational_tuple(e)
-    if not any(e):  # every sample point would be parallel to e
-        raise ValueError("center must be a nonzero point")
+    e = _point(e, "center")  # with e = 0 every sample point would be parallel to e
     rng = SplitMix64(seed)
     boundary = 0
     for trial in range(1, trials + 1):

@@ -7,8 +7,10 @@ primitivity and kernel saturation in the lattice tests; the linking criterion
 sums linking numbers over the components of a curve.  Matrix products,
 inverses and signatures check isometries, involutions and the signature
 certificate of the class enumeration; a squarefree decomposition with one
-Sturm count per part checks `realroots.root_profile`.  The library itself
-never calls these.
+Sturm count per part checks `realroots.root_profile`.  The rational root test
+by divisor trial division checks `realroots.rational_roots`, and the
+entry-by-entry smoothness rule for diagonal sections checks `conic.analyze`.
+The library itself never calls these.
 """
 
 import itertools
@@ -16,6 +18,7 @@ from fractions import Fraction
 
 from realdp import realroots
 from realdp.catalog import SurfaceModel
+from realdp.conic import BinaryForm, ConicMatrix
 from realdp.lattice import LatticeMap
 from realdp.search import check_conditions
 from realdp.topology import GreatSubsphere, linking_number
@@ -339,3 +342,53 @@ def root_profile_by_decomposition(coeffs):
         distinct += n
         squarefree = squarefree and i == 1
     return realroots.RootProfile(real, distinct, squarefree)
+
+
+def rational_roots_by_divisors(coeffs):
+    """Rational roots (as Fractions) of an integer polynomial, constant and
+    leading coefficient nonzero, by the rational root test."""
+    a0, am = abs(coeffs[0]), abs(coeffs[-1])
+
+    def divisors(n):
+        out = []
+        d = 1
+        while d * d <= n:
+            if n % d == 0:
+                out.extend((d, n // d))
+            d += 1
+        return sorted(set(out))
+
+    roots = []
+    for p in divisors(a0):
+        for q in divisors(am):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if cand not in roots and realroots.evaluate(coeffs, cand) == 0:
+                    roots.append(cand)
+    return roots
+
+
+def _squarefree_on_p1(form: BinaryForm) -> bool:
+    return realroots.root_profile(form.coeffs).squarefree and form.infinity_multiplicity() <= 1
+
+
+def _forms_coprime_on_p1(f: BinaryForm, g: BinaryForm) -> bool:
+    affine = realroots.gcd_poly(f.coeffs, g.coeffs)
+    if realroots.degree(affine) > 0:
+        return False
+    return f.infinity_multiplicity() == 0 or g.infinity_multiplicity() == 0
+
+
+def diagonal_smooth_by_entries(matrix: ConicMatrix) -> bool:
+    """Smoothness of a diagonal section p1 x1^2 + p2 x2^2 + p3 x3^2 read off
+    its entries: each p_i nonzero and squarefree on P^1, and the p_i pairwise
+    coprime on P^1, the point at infinity included."""
+    diag = [matrix.entries[i][i] for i in range(3)]
+    return (
+        all(not f.is_zero() for f in diag)
+        and all(_squarefree_on_p1(f) for f in diag)
+        and all(
+            _forms_coprime_on_p1(diag[i], diag[j])
+            for i in range(3)
+            for j in range(i + 1, 3)
+        )
+    )

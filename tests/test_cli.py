@@ -375,3 +375,20 @@ def test_conic_chow_negative_sphere_count_exits_2(capsys):
     assert "-5" in payload["message"]
     code, payload = run_json(capsys, ["conic", "chow", "-2", "3"])
     assert code == 0 and payload["s"] == 0
+
+
+def test_internal_error_exits_3_with_traceback(capsys, tmp_path, monkeypatch):
+    """A non-ValueError is a broken invariant, not bad input: it must not
+    read as exit 1 (refuted) or exit 2 (invalid input)."""
+    import realdp.cli
+
+    def broken(matrix):
+        raise RuntimeError("odd real root count for a squarefree real form")
+
+    monkeypatch.setattr(realdp.cli, "analyze", broken)
+    path = write_matrix_file(tmp_path, worked_conic_matrix())
+    for fmt in ("text", "json"):
+        code = main(["conic", "analyze", path, "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("Traceback") and "RuntimeError: odd real root count" in captured.err

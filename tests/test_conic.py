@@ -22,6 +22,7 @@ from realdp.conic import (
     zero_form,
 )
 from conftest import degenerate_fiber_matrix, worked_conic_matrix
+from oracles import diagonal_smooth_by_entries
 
 
 def test_binary_form_arithmetic():
@@ -212,6 +213,36 @@ def test_analyze_nonreal_pairs():
     )
     result = analyze(m)
     assert (result.total_fibers, result.real_fibers, result.s) == (6, 2, 1)
+
+
+def _diagonal_entry(rng, degree):
+    """A form of the given degree from the factors u - r v over a pool of
+    three roots, v (the root at infinity) and u^2 + v^2, so that repeated
+    roots and roots shared between entries are common; now and then zero."""
+    if rng.random() < 0.05:
+        return zero_form(degree)
+    form = BinaryForm(0, (rng.choice((1, -2, 3)),))
+    while form.degree < degree:
+        factor = rng.choice(((-1, 1), (2, 1), (1, 3), (1, 0), (1, 0, 1)))
+        if form.degree + len(factor) - 1 > degree:
+            factor = factor[1:]
+        form = form * BinaryForm(len(factor) - 1, factor)
+    return form
+
+
+def test_diagonal_smoothness_is_squarefreeness():
+    rng = random.Random(4)
+    seen = set()
+    for _ in range(300):
+        split = sorted(rng.randint(0, 2) for _ in range(3))
+        forms = [_diagonal_entry(rng, 2 * a) for a in split]
+        if split[0] == split[1] and rng.random() < 0.3:
+            forms[1] = forms[0]  # a repeated entry
+        m = diagonal_matrix(tuple(split), tuple(forms))
+        smooth = analyze(m).smooth_exact
+        assert smooth == diagonal_smooth_by_entries(m), forms
+        seen.add(smooth)
+    assert seen == {True, False}
 
 
 def test_real_total_parity_property():

@@ -58,6 +58,7 @@ INTEGER_CALLS = {
     "sturm_sequence": (Q,),
     "root_profile": (R,),
     "sturm_count": (R,),
+    "rational_roots": (realroots.mul(R, (1, 2)),),
 }
 
 

@@ -1,0 +1,99 @@
+"""`realroots.rational_roots` (Sturm isolation on a dyadic grid) against the
+divisor trial division it replaced, on polynomials built from known factors,
+and the `conic discriminant` cases whose constant terms that trial division
+could not factor."""
+
+import json
+import random
+import time
+from fractions import Fraction
+
+import pytest
+
+from realdp import realroots
+from realdp.cli import main
+
+from oracles import rational_roots_by_divisors
+
+# Irreducible over Q: two without real roots, two with irrational real roots.
+QUADRATICS = ((1, 0, 1), (2, 1, 3), (-2, 0, 1), (-7, 2, 3))
+
+
+def _by_size(roots):
+    """The order of the divisor loops: (|P|, Q), the positive root first."""
+    return sorted(roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0))
+
+
+def _factored(rng):
+    """(integer polynomial, its rational roots) from linear factors Q x - P
+    with repeated roots, +-P/Q pairs and one |P| over several Q, times
+    irreducible quadratics and a content."""
+    poly = (rng.choice((1, -1, 2, -6)),)
+    numerator = rng.choice((1, 2, 3, 4, 6))
+    roots = {Fraction(rng.choice((-1, 1)) * numerator, q) for q in rng.sample((1, 2, 3, 5), rng.randint(1, 3))}
+    for _ in range(rng.randint(0, 2)):
+        root = Fraction(rng.choice((1, 2, 3, 4, 6)), rng.choice((1, 2, 3, 5)))
+        roots.update((root, -root) if rng.random() < 0.5 else (root,))
+    for root in roots:
+        for _ in range(rng.choice((1, 1, 1, 2, 3)) if len(roots) < 4 else 1):
+            poly = realroots.mul(poly, (-root.numerator, root.denominator))
+    for quadratic in rng.sample(QUADRATICS, rng.randint(0, 2)):
+        poly = realroots.mul(poly, quadratic)
+    return poly, _by_size(roots)
+
+
+def test_rational_roots_match_divisor_trial_division():
+    rng = random.Random(6061)
+    for _ in range(150):
+        poly, roots = _factored(rng)
+        assert realroots.rational_roots(poly) == roots, poly
+        assert rational_roots_by_divisors(realroots.primitive_part(poly)[1]) == roots, poly
+
+
+@pytest.mark.parametrize(
+    "poly, roots",
+    [
+        # roots on bisection points of the grid
+        (realroots.mul(realroots.mul((2, 1), (1, 2)), (-2, 1)), ["-1/2", "2", "-2"]),
+        # sqrt(2) = 1.41421... next to 7/5 and 141/100
+        (realroots.mul(realroots.mul((-2, 0, 1), (-7, 5)), (-141, 100)), ["7/5", "141/100"]),
+        # (x + 1)(2x^2 - 2x - 5): the fraction with denominator <= 2 nearest
+        # the root (1 - sqrt(11))/2 = -1.158... is the root -1
+        ((10, 14, 0, -4), ["-1"]),
+        ((3, 2), ["-3/2"]),
+        ((-4, 6), ["2/3"]),
+        ((0, -1, 1), ["0", "1"]),
+        ((0, 0, 0, 5), ["0"]),
+        ((1, 0, 1), []),
+        ((5,), []),
+        ((-3, 0, 0), []),
+    ],
+)
+def test_rational_roots_edge_cases(poly, roots):
+    assert realroots.rational_roots(poly) == [Fraction(r) for r in roots]
+
+
+def test_rational_roots_of_zero_polynomial_raises():
+    with pytest.raises(ValueError):
+        realroots.rational_roots((0, 0))
+
+
+@pytest.mark.parametrize(
+    "constant, rendered",
+    [
+        (2**43 - 1, "(u - v)*(u + v)*(u - 2*v)*(u + 2*v)*(u^2 + 8796093022207*v^2)"),
+        (2**61 - 1, "(u - v)*(u + v)*(u - 2*v)*(u + 2*v)*(u^2 + 2305843009213693951*v^2)"),
+    ],
+)
+def test_conic_discriminant_with_large_constant_term(capsys, tmp_path, constant, rendered):
+    """diag(u^2 + c v^2, u^2 - v^2, u^2 - 4 v^2): the divisor loops ran to
+    sqrt(c), 0.4 s for the 43-bit c and past 20 s for the 61-bit one."""
+    forms = ([constant, 0, 1], [-1, 0, 1], [-4, 0, 1])
+    entries = [[{"degree": 2, "coeffs": forms[i] if i == j else [0, 0, 0]} for j in range(3)] for i in range(3)]
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"splitting": [1, 1, 1], "entries": entries}))
+    start = time.perf_counter()
+    code = main(["conic", "discriminant", str(path)])
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert capsys.readouterr().out == rendered + "\n"

@@ -128,6 +128,20 @@ def test_all_real_restriction_rejects_zero_points():
         all_real_restriction(q, (1, 0, 0, 0), (0, 0, 0, 0))
 
 
+def test_points_need_four_coordinates():
+    """A short or long vector was zipped against the exponents, so one
+    coordinate was dropped or ignored: (1, 0, 0) answered "supported" and
+    (0, 0, 0, 1, 0) answered "refuted" on the sphere quadric."""
+    q = sphere_quadric()
+    for short_or_long in ((1, 0, 0), (0, 0, 0, 1, 0)):
+        with pytest.raises(ValueError, match="center needs four coordinates"):
+            hyperbolicity_check(q, short_or_long, 5, 0)
+        with pytest.raises(ValueError, match="center needs four coordinates"):
+            all_real_restriction(q, short_or_long, (0, 1, 2, 3))
+        with pytest.raises(ValueError, match="sample point needs four coordinates"):
+            all_real_restriction(q, (1, 0, 0, 0), short_or_long)
+
+
 def test_hyperbolicity_check_rejects_zero_center_in_degree_zero():
     constant = HypersurfaceSpec(0, (((0, 0, 0, 0), 1),))
     assert not hyperbolicity_check(constant, (1, 0, 0, 0), 3, 0).refuted
