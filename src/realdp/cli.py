@@ -123,8 +123,10 @@ def _parse_center(doc):
 
 
 def _parse_construction(doc) -> ConicMatrix:
-    a1, a2, a3 = (_integer(a) for a in doc["splitting"])
-    return construct_section(a1, a2, a3, [[_fraction(r) for r in roots] for roots in doc["roots"]])
+    splitting = [_integer(a) for a in doc["splitting"]]
+    if len(splitting) != 3:
+        raise ValueError(f"splitting must be three integers, got {len(splitting)}")
+    return construct_section(*splitting, [[_fraction(r) for r in roots] for roots in doc["roots"]])
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,15 @@ Everything here works with plain Python integers (arbitrary precision) or
 `fractions.Fraction`; no floating point is ever used.  Matrices are lists of
 lists in row-major order.  These routines back the lattice layer: the strict
 integer and rational checks every library constructor applies to its input,
-matrix-vector products, and a Fincke-Pohst style bounded enumeration whose
+the primitive integer representative of a rational vector, matrix-vector
+products, and a Fincke-Pohst style bounded enumeration whose
 search radius is certified by a rational LDL^T factorisation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 
 def int_tuple(values) -> tuple:
@@ -40,6 +41,20 @@ def rational_tuple(values) -> tuple:
         bad = next(c for c in values if type(c) is not int and type(c) is not Fraction)
         raise ValueError(f"expected an integer or Fraction, got {bad!r}")
     return tuple(Fraction(c) for c in values)
+
+
+def primitive_vector(values) -> tuple:
+    """The positive multiple of a nonzero int/Fraction vector whose entries
+    are coprime integers.
+
+    It represents the ray, and the polynomial up to a positive factor, where
+    only signs matter: Sturm counts, root multiplicities and the sides of a
+    hyperplane.  A zero vector raises ZeroDivisionError; callers check first.
+    """
+    den = lcm(*[c.denominator for c in values])
+    ints = [c.numerator * (den // c.denominator) for c in values]
+    g = gcd(*ints)
+    return tuple([c // g for c in ints])
 
 
 def mat_vec(a, v):

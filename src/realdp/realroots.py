@@ -5,8 +5,10 @@ of int/Fraction coefficients, low degree first, trailing zeros stripped.  Ints
 stay ints: a division gives a Fraction unless it is exact.  Every real-root
 question goes through `root_profile`: one Sturm chain per multiplicity level
 gives the real-root count with multiplicity, the distinct count and the
-squarefree flag together.  `rational_roots` isolates the real roots with the
-same chains on an integer dyadic grid.
+squarefree flag together.  Sturm chains hold primitive integer polynomials,
+each a positive multiple of the classical chain's element, since the counts
+read only signs.  `rational_roots` isolates the real roots with the same
+chains on the lattice n / lc, lc the leading coefficient.
 
 Tuples on hot paths are built from lists, not generators: CPython 3.11
 builds a tuple from a generator at size ten and shrinks it, which moves
@@ -17,8 +19,9 @@ thousand calls these hold about 2 MB.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from typing import NamedTuple
+
+from .intlinalg import primitive_vector
 
 
 def normalize(coeffs):
@@ -104,10 +107,10 @@ def primitive_part(p):
     """(c, q) with p = c q for a nonzero integer polynomial p, where q has
     coprime coefficients and a positive leading coefficient."""
     p = normalize(p)
-    c = gcd(*p)
-    if p[-1] < 0:
-        c = -c
-    return c, tuple([a // c for a in p])
+    q = primitive_vector(p)
+    if q[-1] < 0:
+        q = neg(q)
+    return p[-1] // q[-1], q
 
 
 def squarefree_decomposition(p):
@@ -136,15 +139,24 @@ def squarefree_decomposition(p):
 
 
 def sturm_sequence(p):
-    chain = [normalize(p)]
+    """Sturm chain of a nonzero polynomial as a primitive pseudo-remainder
+    sequence (Collins 1967; Brown and Traub 1971).
+
+    Each step pseudo-divides |lc(b)|^(deg a - deg b + 1) a by b, which keeps
+    the division over Z, and keeps the negated primitive part of the
+    remainder: a positive multiple of the element over Q.
+    """
+    chain = [primitive_vector(normalize(p))]
     d = derivative(chain[0])
     if d:
-        chain.append(d)
+        chain.append(primitive_vector(d))
         while degree(chain[-1]) > 0:
-            rem = divmod_poly(chain[-2], chain[-1])[1]
+            a, b = chain[-2], chain[-1]
+            scale = abs(b[-1]) ** (degree(a) - degree(b) + 1)
+            rem = divmod_poly([scale * c for c in a], b)[1]
             if not rem:
                 break
-            chain.append(neg(rem))
+            chain.append(neg(primitive_vector(rem)))
     return chain
 
 
@@ -188,14 +200,6 @@ def sturm_count(coeffs, with_multiplicity: bool = False) -> int:
     return roots.real if with_multiplicity else roots.distinct
 
 
-def _on_grid(p, k):
-    """Integer coefficients of a positive multiple of 2^(k deg p) p(n / 2^k):
-    its sign at an integer n is the sign of p at n / 2^k."""
-    den = lcm(*[c.denominator for c in p])
-    d = degree(p)
-    return [c.numerator * (den // c.denominator) << k * (d - i) for i, c in enumerate(p)]
-
-
 def _variations(chain, n):
     """Sign changes of the chain at n, zeros skipped."""
     values = [evaluate(g, n) for g in chain]
@@ -220,29 +224,27 @@ def rational_roots(coeffs):
     """Distinct rational roots of a nonzero integer polynomial, sorted by
     (|P|, Q) for the root P/Q in lowest terms, the positive root first.
 
-    Every rational root P/Q of the primitive part f has Q dividing its
-    leading coefficient lc, and two such fractions lie at least 1/lc^2
-    apart.  The Sturm chain of the squarefree part isolates the real roots
-    on the grid n / 2^k with 2^-k < 1/(2 lc^2), so a one-step interval holds
-    at most one such fraction: the one nearest its midpoint with denominator
-    at most lc.  It is kept when it lies in the interval and f vanishes
-    there.  Every sign test is an integer evaluation, and the cost is
-    polynomial in the degree and the bit size (Basu, Pollack and Roy,
-    Algorithms in Real Algebraic Geometry, ch. 10).
+    The chain of the squarefree part g is a chain of primitive integer
+    polynomials, and every rational root P/Q of g has Q dividing lc = |lc(g)|.
+    Read at y = lc x, each chain element is an integer polynomial whose sign
+    at an integer n is its sign at n / lc, and each rational root is an
+    integer n.  So the chain isolates the real roots in unit intervals
+    (n - 1, n], and n / lc is a root exactly when the scaled g vanishes at
+    n.  Every sign test is an integer evaluation, and the cost is polynomial
+    in the degree and the bit size (Basu, Pollack and Roy, Algorithms in Real
+    Algebraic Geometry, ch. 10).
     """
     f = normalize(coeffs)
     if not f:
         raise ValueError("zero polynomial")
     if degree(f) < 1:
         return []
-    _, f = primitive_part(f)
     chain = sturm_sequence(f)
     if degree(chain[-1]) > 0:  # divided by gcd(f, f'): the chain of the squarefree part
         chain = [divmod_poly(g, chain[-1])[0] for g in chain]
-    lc = f[-1]
-    k = (2 * lc * lc).bit_length()
-    grid = [_on_grid(g, k) for g in chain]
-    top = (2 + max(abs(c) for c in f) // lc).bit_length() + k  # 2^(top - k) > the Cauchy bound
+    lc = abs(chain[0][-1])
+    grid = [[c * lc ** (degree(g) - i) for i, c in enumerate(g)] for g in chain]
+    top = (lc + max([abs(c) for c in chain[0]])).bit_length()  # 2^top / lc > the Cauchy bound
     stack = [(-1 << top, _variations(grid, -1 << top), 1 << top, _variations(grid, 1 << top))]
     roots = []
     while stack:
@@ -256,8 +258,7 @@ def rational_roots(coeffs):
             stack += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
             continue
         if count == 1:
-            lo = _isolate(grid[0], lo, hi) - 1
-        candidate = Fraction(2 * lo + 1, 2 << k).limit_denominator(lc)
-        if lo < candidate * (1 << k) <= lo + 1 and evaluate(f, candidate) == 0:
-            roots.append(candidate)
+            hi = _isolate(grid[0], lo, hi)
+        if evaluate(grid[0], hi) == 0:
+            roots.append(Fraction(hi, lc))
     return sorted(roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0))

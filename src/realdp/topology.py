@@ -6,7 +6,9 @@ defining form to the line x + t e is a degree-d polynomial in t (the leading
 coefficient is the value at e, hence nonzero), and hyperbolicity asks for d
 real roots counted with multiplicity.  A seeded sampler tests random rational
 lines: a failed line is an exact refutation, survival of all trials is
-statistical support only.
+statistical support only.  A positive rescaling of a point changes no root's
+reality or multiplicity, so the center and each sampled point enter the
+restriction as primitive integer vectors.
 
 Linking numbers are computed on the double cover S^n -> RP^n, n in {2, 3}.
 The center E (a point of RP^2, a line of RP^3) is cut out by two independent
@@ -17,9 +19,10 @@ complement of the normal of L inside the span of E's normals.  The linking
 number of a PL cycle with E is the signed count of crossings of the full lift
 of the cycle through W: a null-homotopic cycle lifts to two antipodal copies,
 a cycle closed via the antipode lifts to a single loop of twice the stored
-length.  Points of cycles are nonzero rational vectors read as rays; the
+length.  Points of cycles are nonzero rational vectors read as rays and stored
+as primitive integer vectors, one per ray, as are the normal of L and b; the
 geodesic between consecutive rays is their nonnegative span, so crossing
-points stay rational and all signs are exact.  Non-transversal configurations
+points stay integral and all signs are exact.  Non-transversal configurations
 are rejected, never perturbed.
 """
 
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import realroots
-from .intlinalg import int_tuple, rational_tuple
+from .intlinalg import int_tuple, primitive_vector, rational_tuple
 
 # ---------------------------------------------------------------------------
 # Deterministic rational sampling
@@ -86,27 +89,22 @@ class HypersurfaceSpec:
         """Coefficients (low to high) of t |-> X(x + t e)."""
         total = ()
         for exps, coeff in self.terms:
-            term = (coeff,)
+            term = (1,)
             for xi, ei, k in zip(x, e, exps):
                 for _ in range(k):
                     term = realroots.mul(term, (xi, ei))
-            total = realroots.add(total, term)
+            total = realroots.add(total, [coeff * c for c in term])
         return total
 
 
 def _point(coords, what):
-    """A point of P^3: four rationals, not all zero."""
+    """A point of P^3, four rationals not all zero, as a primitive integer vector."""
     point = rational_tuple(coords)
     if len(point) != 4:
         raise ValueError(f"{what} needs four coordinates, got {len(point)}")
     if not any(point):
         raise ValueError(f"{what} must be a nonzero point")
-    return point
-
-
-def _parallel(u, v) -> bool:
-    n = len(u)
-    return all(u[i] * v[j] == u[j] * v[i] for i in range(n) for j in range(i + 1, n))
+    return primitive_vector(point)
 
 
 def _restriction_profile(x: HypersurfaceSpec, e, p):
@@ -128,7 +126,7 @@ def all_real_restriction(x: HypersurfaceSpec, e, p) -> bool:
     pass when every root is real.
     """
     e, p = _point(e, "center"), _point(p, "sample point")
-    if _parallel(p, e):
+    if p in (e, realroots.neg(e)):
         raise ValueError("sample point coincides with the center")
     return _restriction_profile(x, e, p).real == x.degree
 
@@ -153,14 +151,15 @@ def hyperbolicity_check(x: HypersurfaceSpec, e, trials: int, seed: int) -> Hyper
     if trials < 1:
         raise ValueError("need at least one trial")
     e = _point(e, "center")  # with e = 0 every sample point would be parallel to e
+    rays_of_e = (e, realroots.neg(e))
     rng = SplitMix64(seed)
     boundary = 0
     for trial in range(1, trials + 1):
         while True:
             point = tuple(rng.rational() for _ in range(4))
-            if any(point) and not _parallel(point, e):
+            if any(point) and (ray := primitive_vector(point)) not in rays_of_e:
                 break
-        roots = _restriction_profile(x, e, point)
+        roots = _restriction_profile(x, e, ray)
         if roots.real != x.degree:
             return HyperbolicityVerdict(True, point, trial, trials, boundary)
         if roots.distinct < x.degree:
@@ -213,7 +212,7 @@ def _dot(u, v):
 
 @dataclass(frozen=True)
 class PLCycle:
-    """Closed PL curve on S^n, stored as rays (nonzero rational vectors).
+    """Closed PL curve on S^n, stored as rays (primitive integer vectors).
 
     closure = "sphere": the stored points already close up on the sphere (the
     projection to RP^n is null-homotopic, and the full preimage is this loop
@@ -238,25 +237,23 @@ class PLCycle:
             raise ValueError("points must have ambient + 1 coordinates")
         if any(not any(p) for p in pts):
             raise ValueError("points must be nonzero")
+        pts = tuple(primitive_vector(p) for p in pts)
         for i, (p, q) in enumerate(zip(pts, pts[1:])):
-            if _parallel(p, q) and _dot(p, q) < 0:
+            if q == realroots.neg(p):
                 raise ValueError(f"consecutive points {i}, {i + 1} are antipodal")
-        last, first = pts[-1], pts[0]
-        if self.closure == "sphere":
-            if _parallel(last, first) and _dot(last, first) < 0:
-                raise ValueError("closing segment joins antipodal points")
-        else:
-            if _parallel(last, first) and _dot(last, first) > 0:
-                raise ValueError("antipodal closure needs last point distinct from first")
+        if self.closure == "sphere" and pts[-1] == realroots.neg(pts[0]):
+            raise ValueError("closing segment joins antipodal points")
+        if self.closure == "antipode" and pts[-1] == pts[0]:
+            raise ValueError("antipodal closure needs last point distinct from first")
         object.__setattr__(self, "points", pts)
 
     def lift_segments(self):
         """Segments (as ray pairs) of the full preimage in S^n."""
         pts = self.points
         if self.closure == "sphere":
-            loops = [list(pts), [tuple(-x for x in p) for p in pts]]
+            loops = [list(pts), [realroots.neg(p) for p in pts]]
         else:
-            loops = [list(pts) + [tuple(-x for x in p) for p in pts]]
+            loops = [list(pts) + [realroots.neg(p) for p in pts]]
         segments = []
         for loop in loops:
             for i, p in enumerate(loop):
@@ -265,7 +262,8 @@ class PLCycle:
 
 
 def _hemisphere_frame(e: GreatSubsphere, chain: GreatSubsphere | None):
-    """Normal of L and the co-orientation vector b cutting W out of lift(L)."""
+    """Normal of L and the co-orientation vector b cutting W out of lift(L),
+    as primitive integer vectors."""
     if len(e.normals) != 2:
         raise ValueError("the center must be cut out by two independent equations")
     if chain is None:
@@ -282,7 +280,7 @@ def _hemisphere_frame(e: GreatSubsphere, chain: GreatSubsphere | None):
     for candidate in e.normals:
         b = tuple(c - _dot(candidate, n_l) * l / nn for c, l in zip(candidate, n_l))
         if any(b):
-            return n_l, b
+            return primitive_vector(n_l), primitive_vector(b)
     raise ValueError("degenerate normals")  # unreachable: normals independent
 
 
@@ -317,9 +315,9 @@ def linking_number(cycle: PLCycle, e: GreatSubsphere, chain: GreatSubsphere | No
             continue
         if (alpha > 0) == (beta > 0):
             continue
-        crossing = tuple(beta * pi - alpha * qi for pi, qi in zip(p, q))
+        crossing = tuple([beta * pi - alpha * qi for pi, qi in zip(p, q)])
         if beta < 0:
-            crossing = tuple(-x for x in crossing)  # keep the positive combination
+            crossing = realroots.neg(crossing)  # keep the positive combination
         side = _dot(crossing, b)
         if side == 0:
             raise ValueError(f"perturb input: segment {idx} crosses the center's lift")

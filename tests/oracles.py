@@ -7,7 +7,8 @@ primitivity and kernel saturation in the lattice tests; the linking criterion
 sums linking numbers over the components of a curve.  Matrix products,
 inverses and signatures check isometries, involutions and the signature
 certificate of the class enumeration; a squarefree decomposition with one
-Sturm count per part checks `realroots.root_profile`.  The rational root test
+Sturm count per part checks `realroots.root_profile`, and the Sturm chain by
+remainders over Q checks the integer chains of `realroots.sturm_sequence`.  The rational root test
 by divisor trial division checks `realroots.rational_roots`, and the
 entry-by-entry smoothness rule for diagonal sections checks `conic.analyze`.
 The library itself never calls these.
@@ -317,6 +318,19 @@ def is_involution(lmap: LatticeMap) -> bool:
         return False
     m = [list(r) for r in lmap.matrix]
     return mat_mul(m, m) == identity(lmap.source.rank)
+
+
+def sturm_sequence_over_q(p):
+    chain = [realroots.normalize(p)]
+    d = realroots.derivative(chain[0])
+    if d:
+        chain.append(d)
+        while realroots.degree(chain[-1]) > 0:
+            rem = realroots.divmod_poly(chain[-2], chain[-1])[1]
+            if not rem:
+                break
+            chain.append(realroots.neg(rem))
+    return chain
 
 
 def _distinct_real_roots(g) -> int:

@@ -295,6 +295,10 @@ def test_malformed_documents_exit_2(capsys, tmp_path):
     scalar_roots.write_text(json.dumps({"splitting": [1, 1, 1], "roots": 5}))
     scalar_cycles = tmp_path / "scalar_cycles.json"
     scalar_cycles.write_text(json.dumps({"cycles": 3}))
+    short_splitting = tmp_path / "short_splitting.json"
+    short_splitting.write_text(json.dumps({"splitting": [1, 1], "roots": [[1, 2], [3, 4]]}))
+    long_splitting = tmp_path / "long_splitting.json"
+    long_splitting.write_text(json.dumps({"splitting": [1, 1, 1, 1], "roots": [[1, 2], [3, 4], [5, 6], [7, 8]]}))
     cases = [
         ["conic", "analyze", str(junk)],
         ["conic", "construct", str(junk)],
@@ -307,11 +311,15 @@ def test_malformed_documents_exit_2(capsys, tmp_path):
         ["link", nested, str(no_normals), "--degree", "4"],
         ["link", nested, str(list_chain), "--degree", "4"],
         ["link", str(scalar_cycles), center, "--degree", "4"],
+        ["conic", "construct", str(short_splitting)],
+        ["conic", "construct", str(long_splitting)],
     ]
     for argv in cases:
         code, payload = run_json(capsys, argv)
         assert code == 2, argv
         assert payload["status"] == "error"
+        if argv[-1] in (str(short_splitting), str(long_splitting)):
+            assert "splitting" in payload["message"], payload
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "", argv

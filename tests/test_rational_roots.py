@@ -1,4 +1,4 @@
-"""`realroots.rational_roots` (Sturm isolation on a dyadic grid) against the
+"""`realroots.rational_roots` (Sturm isolation on the lattice n / lc) against the
 divisor trial division it replaced, on polynomials built from known factors,
 and the `conic discriminant` cases whose constant terms that trial division
 could not factor."""
@@ -61,6 +61,8 @@ def test_rational_roots_match_divisor_trial_division():
         # the root (1 - sqrt(11))/2 = -1.158... is the root -1
         ((10, 14, 0, -4), ["-1"]),
         ((3, 2), ["-3/2"]),
+        # a denominator of 61 bits, next to a root of denominator 1
+        (realroots.mul(realroots.mul((-5, 2**61 - 1), (1, 1)), (1, 0, 1)), ["-1", "5/2305843009213693951"]),
         ((-4, 6), ["2/3"]),
         ((0, -1, 1), ["0", "1"]),
         ((0, 0, 0, 5), ["0"]),

@@ -1,6 +1,7 @@
 """`realroots.root_profile` (one Sturm chain per multiplicity level) against
 the squarefree-decomposition reference and against polynomials built from
-known factors.  Needs neither sympy nor hypothesis."""
+known factors, and the integer Sturm chains against the chains over Q.  Needs
+neither sympy nor hypothesis."""
 
 import math
 import random
@@ -10,7 +11,7 @@ import pytest
 
 from realdp import realroots
 
-from oracles import root_profile_by_decomposition
+from oracles import root_profile_by_decomposition, sturm_sequence_over_q
 
 # Pairwise coprime quadratics without real roots, low degree first.
 NONREAL_QUADRATICS = ((1, 0, 1), (2, 0, 1), (1, 1, 1), (1, -2, 2), (Fraction(1, 4), 0, 3))
@@ -45,6 +46,28 @@ def test_root_profile_matches_decomposition_reference():
         scale = math.lcm(*(c.denominator for c in poly))
         integer = tuple(int(c * scale) for c in poly)  # same roots, int coefficients
         assert realroots.root_profile(integer) == expected, integer
+
+
+def _positive_multiple(p, q):
+    """Whether p = c q for a positive rational c."""
+    ratio = Fraction(p[-1], q[-1])
+    return len(p) == len(q) and ratio > 0 and all(a == ratio * b for a, b in zip(p, q))
+
+
+def test_sturm_sequence_is_a_positive_multiple_of_the_chain_over_q():
+    """On every multiplicity level that `root_profile` visits."""
+    rng = random.Random(20211)
+    for _ in range(400):
+        poly = _factored(rng)[0]
+        scale = math.lcm(*(c.denominator for c in poly))
+        for coeffs in (poly, tuple(int(c * scale) for c in poly)):
+            while realroots.degree(coeffs) > 0:
+                chain, over_q = realroots.sturm_sequence(coeffs), sturm_sequence_over_q(coeffs)
+                assert len(chain) == len(over_q), coeffs
+                for element, reference in zip(chain, over_q):
+                    assert all(type(c) is int for c in element), coeffs
+                    assert _positive_multiple(element, reference), coeffs
+                coeffs = over_q[-1]
 
 
 def test_root_profile_of_constants_and_zero():

@@ -118,6 +118,8 @@ def test_all_real_restriction_rejects_center_on_surface():
         all_real_restriction(q, (1, 1, 0, 0), (0, 1, 2, 3))
     with pytest.raises(ValueError):
         all_real_restriction(q, (1, 0, 0, 0), (2, 0, 0, 0))  # same projective point
+    with pytest.raises(ValueError, match="coincides with the center"):
+        all_real_restriction(q, (2, 4, 0, 6), (-3, -6, 0, -9))  # -3/2 times the center
 
 
 def test_all_real_restriction_rejects_zero_points():
@@ -217,6 +219,11 @@ def test_linking_invariances():
     refined = refine_cycle(cycle)
     assert linking_number(refined, e, l) == base
     assert linking_number(refine_cycle(refined, weight=3), e, l) == base
+    factors = (Fraction(1, 3), 5, Fraction(7, 2), Fraction(2, 9))
+    scaled = PLCycle(2, "sphere", tuple(tuple(f * x for x in p) for f, p in zip(factors, cycle.points)))
+    assert scaled.points == cycle.points  # one stored vector per ray
+    assert all(type(x) is int for p in scaled.points for x in p)
+    assert linking_number(scaled, e, l) == base
 
 
 def test_linking_rotation_invariance():
@@ -300,6 +307,12 @@ def test_linking_rejects_degenerate_input():
 def test_cycle_validation():
     with pytest.raises(ValueError):
         PLCycle(2, "sphere", ((1, 0, 0), (-1, 0, 0)))  # antipodal consecutive points
+    with pytest.raises(ValueError, match="consecutive points 0, 1 are antipodal"):
+        PLCycle(2, "sphere", ((1, 2, 0), (Fraction(-1, 2), -1, 0)))
+    with pytest.raises(ValueError, match="closing segment joins antipodal points"):
+        PLCycle(2, "sphere", ((2, 0, 4), (0, 1, 0), (Fraction(-1, 3), 0, Fraction(-2, 3))))
+    with pytest.raises(ValueError, match="antipodal closure needs last point distinct"):
+        PLCycle(2, "antipode", ((2, 0, 4), (0, 1, 0), (Fraction(1, 3), 0, Fraction(2, 3))))
     with pytest.raises(ValueError):
         PLCycle(2, "antipode", ((1, 0, 0), (2, 0, 0)))  # closure joins antipodes
     with pytest.raises(ValueError):
