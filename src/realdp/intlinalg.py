@@ -1,12 +1,11 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra; no floating point is ever used.
 
-Everything here works with plain Python integers (arbitrary precision) or
-`fractions.Fraction`; no floating point is ever used.  Matrices are lists of
-lists in row-major order.  These routines back the lattice layer: the strict
-integer and rational checks every library constructor applies to its input,
-the primitive integer representative of a rational vector, matrix-vector
-products, and a Fincke-Pohst style bounded enumeration whose
-search radius is certified by a rational LDL^T factorisation.
+Matrices are lists of lists in row-major order.  These routines back the
+lattice layer: the strict integer and rational checks every library
+constructor applies to its input, the primitive integer representative of a
+rational vector, matrix-vector products, and a Fincke-Pohst enumeration over
+the integers certified by the leading principal minors of a fraction-free
+(Bareiss) elimination.
 """
 
 from __future__ import annotations
@@ -30,17 +29,16 @@ def int_tuple(values) -> tuple:
 
 
 def rational_tuple(values) -> tuple:
-    """`values` as a tuple of Fractions, each given as an int or a Fraction.
+    """`values` as a tuple, each an int or a Fraction, returned as given.
 
     A bool, float or string raises ValueError: a float is not exact, and
-    "p/q" strings are a CLI format parsed by the CLI alone.  The result holds
-    Fractions even for int input, so callers dividing with `/` stay exact.
+    "p/q" strings are a CLI format parsed by the CLI alone.
     """
     values = tuple(values)
     if not all(type(c) is int or type(c) is Fraction for c in values):
         bad = next(c for c in values if type(c) is not int and type(c) is not Fraction)
         raise ValueError(f"expected an integer or Fraction, got {bad!r}")
-    return tuple(Fraction(c) for c in values)
+    return values
 
 
 def primitive_vector(values) -> tuple:
@@ -61,73 +59,69 @@ def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def ldl(a):
-    """LDL^T factorisation of a positive definite symmetric rational matrix.
+def _bareiss(a):
+    """Fraction-free elimination of a symmetric integer matrix (Bareiss 1968).
 
-    Returns (diag, lower) with unit lower triangular `lower` and positive
-    rational pivots `diag`; v^T a v = sum_j diag[j] * (v_j + sum_{i>j}
-    lower[i][j] v_i)^2.  Raises ValueError when `a` is not positive definite;
-    either way the pivots are an exact certificate.
+    Row k is returned as it stands after k steps, each dividing exactly by the
+    previous pivot; the pivot r[k][k] is the leading principal minor D_(k+1).
+    By Sylvester all minors are positive exactly when `a` is positive
+    definite, so they certify the signature; a minor <= 0 raises ValueError.
     """
     n = len(a)
-    work = [[Fraction(x) for x in row] for row in a]
-    lower = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    diag = []
-    for j in range(n):
-        d = work[j][j] - sum(lower[j][k] ** 2 * diag[k] for k in range(j))
-        if d <= 0:
+    rows = [list(int_tuple(row)) for row in a]
+    for k in range(n):
+        pivot, prev = rows[k][k], rows[k - 1][k - 1] if k else 1
+        if pivot <= 0:
             raise ValueError("matrix is not positive definite")
-        diag.append(d)
-        for i in range(j + 1, n):
-            s = work[i][j] - sum(lower[i][k] * lower[j][k] * diag[k] for k in range(j))
-            lower[i][j] = s / d
-    return diag, lower
-
-
-def _coordinate_window(center, radius_sq):
-    """All integers m with (m + center)^2 <= radius_sq, as a closed range.
-
-    `center` and `radius_sq` are Fractions, radius_sq >= 0.  The window is
-    computed with integer square roots only, so it is exact.
-    """
-    q = center.denominator
-    p = center.numerator
-    scaled = radius_sq * q * q
-    root = isqrt(scaled.numerator // scaled.denominator)
-    lo_num, hi_num = -root - p, root - p
-    lo = -((-lo_num) // q)
-    hi = hi_num // q
-    return lo, hi
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                rows[i][j] = (pivot * rows[i][j] - rows[i][k] * rows[k][j]) // prev
+    return rows
 
 
 def enumerate_quadratic(a, bound):
-    """All integer vectors v with v^T a v <= bound, for positive definite a.
+    """All integer vectors v with v^T a v <= bound, for a positive definite
+    integer matrix a.
 
-    Fincke-Pohst bounded search on the exact LDL^T factorisation.  The output
+    Fincke-Pohst search on the Bareiss rows r and minors D_k (D_0 = 1):
+    v^T a v = sum_k (sum_{j>=k} r[k][j] v_j)^2 / (D_k D_(k+1)).  All terms are
+    scaled by one integer lcm, so each window needs only isqrt and floor
+    division, and the open windows sit on an explicit stack.  The output
     includes the zero vector and both members of each +-v pair; order is
-    unspecified (callers sort).  The factorisation runs even for a negative
+    unspecified (callers sort).  The elimination runs even for a negative
     bound, so a form that is not positive definite always raises ValueError.
     """
     n = len(a)
-    diag, lower = ldl(a)
+    rows = _bareiss(a)
     if bound < 0:
         return []
+    minors = [1] + [rows[k][k] for k in range(n)]
+    scale = lcm(*[d * e for d, e in zip(minors, minors[1:])])
+    weights = [scale // (d * e) for d, e in zip(minors, minors[1:])]
     results = []
     v = [0] * n
-
-    def extend(j, remaining):
-        if j < 0:
+    stack = [_window(rows, weights, v, n - 1, scale * bound)]
+    while stack:
+        frame = stack[-1]
+        k, m, hi, budget, c = frame
+        if m > hi:
+            stack.pop()
+            continue
+        frame[1] = m + 1
+        v[k] = m
+        if k:
+            s = rows[k][k] * m + c
+            stack.append(_window(rows, weights, v, k - 1, budget - weights[k] * s * s))
+        else:
             results.append(tuple(v))
-            return
-        center = sum(lower[i][j] * v[i] for i in range(j + 1, n))
-        if not isinstance(center, Fraction):
-            center = Fraction(center)
-        lo, hi = _coordinate_window(center, remaining / diag[j])
-        for m in range(lo, hi + 1):
-            v[j] = m
-            w = m + center
-            extend(j - 1, remaining - diag[j] * w * w)
-        v[j] = 0
-
-    extend(n - 1, Fraction(bound))
     return results
+
+
+def _window(rows, weights, v, k, budget):
+    """Frame [k, lo, hi, budget, c] of coordinate k: [lo, hi] holds the
+    integers m with weights[k] (D_(k+1) m + c)^2 <= budget, where c is
+    sum_{j>k} rows[k][j] v_j; the search advances lo."""
+    c = sum([rows[k][j] * v[j] for j in range(k + 1, len(v))])
+    r = isqrt(budget // weights[k])
+    p = rows[k][k]
+    return [k, -((r + c) // p), (r - c) // p, budget, c]

@@ -8,8 +8,8 @@ Divisor classes are integer coefficient vectors in a declared basis.
 All arithmetic is exact.  The bounded class enumeration decomposes a class v
 as v = lambda*K + v_perp; the form is negative definite on the orthogonal
 complement of K, so classes with prescribed self-intersection and bounded
-pairing against K live in an ellipsoid whose radius is certified by a
-rational LDL^T factorisation (never floating point).
+pairing against K live in an ellipsoid whose radius is certified by integer
+leading principal minors (Bareiss elimination, never floating point).
 """
 
 from __future__ import annotations
@@ -144,8 +144,9 @@ def enumerate_classes(lattice: IntLattice, k: ClassVector, self_int, k_min, k_ma
 
     is positive definite exactly when the form is negative definite on the
     orthogonal complement of K, that is, of signature (1, rank - 1) (Hodge
-    index).  The exact LDL^T factorisation of Q is therefore the signature
-    certificate, and it runs even for an empty window.  Q is bounded on the
+    index).  The leading principal minors of Q (Sylvester), from the Bareiss
+    elimination in `intlinalg`, are therefore the signature certificate, and
+    they are computed even for an empty window.  Q is bounded on the
     search set, so its lattice points are enumerated completely.  Output is
     sorted lexicographically on coefficients.
     """

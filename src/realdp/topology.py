@@ -6,9 +6,9 @@ defining form to the line x + t e is a degree-d polynomial in t (the leading
 coefficient is the value at e, hence nonzero), and hyperbolicity asks for d
 real roots counted with multiplicity.  A seeded sampler tests random rational
 lines: a failed line is an exact refutation, survival of all trials is
-statistical support only.  A positive rescaling of a point changes no root's
-reality or multiplicity, so the center and each sampled point enter the
-restriction as primitive integer vectors.
+statistical support only.  A positive rescaling changes no root's reality or
+multiplicity, so the form's coefficients, the center and each sampled point
+are primitive integer vectors, and restrictions are computed over Z.
 
 Linking numbers are computed on the double cover S^n -> RP^n, n in {2, 3}.
 The center E (a point of RP^2, a line of RP^3) is cut out by two independent
@@ -20,10 +20,10 @@ number of a PL cycle with E is the signed count of crossings of the full lift
 of the cycle through W: a null-homotopic cycle lifts to two antipodal copies,
 a cycle closed via the antipode lifts to a single loop of twice the stored
 length.  Points of cycles are nonzero rational vectors read as rays and stored
-as primitive integer vectors, one per ray, as are the normal of L and b; the
-geodesic between consecutive rays is their nonnegative span, so crossing
-points stay integral and all signs are exact.  Non-transversal configurations
-are rejected, never perturbed.
+as primitive integer vectors, one per ray, as are the normals of E and L and
+b; the geodesic between consecutive rays is their nonnegative span, so
+crossing points stay integral and all signs are exact.  Non-transversal
+configurations are rejected, never perturbed.
 """
 
 from __future__ import annotations
@@ -69,10 +69,11 @@ class HypersurfaceSpec:
     """Homogeneous form in four variables, stored as sparse monomials."""
 
     degree: int
-    terms: tuple  # ((e0, e1, e2, e3), Fraction) pairs
+    terms: tuple  # ((e0, e1, e2, e3), int or Fraction) pairs, stored with coprime ints
 
     def __post_init__(self):
-        int_tuple((self.degree,))
+        if int_tuple((self.degree,))[0] < 0:
+            raise ValueError("degree must be nonnegative")
         terms = tuple(self.terms)
         clean = []
         for (exps, _), coeff in zip(terms, rational_tuple(c for _, c in terms)):
@@ -83,10 +84,12 @@ class HypersurfaceSpec:
                 raise ValueError("all monomials must have the declared total degree")
             if coeff:
                 clean.append((exps, coeff))
+        if clean:  # a positive factor keeps every root: store coprime integers
+            clean = zip([exps for exps, _ in clean], primitive_vector([c for _, c in clean]))
         object.__setattr__(self, "terms", tuple(clean))
 
     def restrict_to_line(self, x, e):
-        """Coefficients (low to high) of t |-> X(x + t e)."""
+        """Coefficients (low to high) of t |-> X(x + t e), X as stored."""
         total = ()
         for exps, coeff in self.terms:
             term = (1,)
@@ -186,10 +189,11 @@ class GreatSubsphere:
             raise ValueError("normals must have ambient + 1 coordinates")
         if _rank(normals) != len(normals):
             raise ValueError("normals must be linearly independent")
-        object.__setattr__(self, "normals", normals)
+        object.__setattr__(self, "normals", tuple(primitive_vector(n) for n in normals))
 
 
 def _rank(vectors):
+    """Rank by fraction-free elimination (no division, so no Fraction)."""
     rows = [list(v) for v in vectors]
     rank = 0
     cols = len(rows[0]) if rows else 0
@@ -198,10 +202,8 @@ def _rank(vectors):
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col] / rows[rank][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        for i in range(rank + 1, len(rows)):
+            rows[i] = [rows[rank][col] * a - rows[i][col] * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
 
@@ -262,8 +264,8 @@ class PLCycle:
 
 
 def _hemisphere_frame(e: GreatSubsphere, chain: GreatSubsphere | None):
-    """Normal of L and the co-orientation vector b cutting W out of lift(L),
-    as primitive integer vectors."""
+    """Normal n of L and co-orientation b = (n.n) c - (c.n) n, c a normal of
+    the center not parallel to n, as primitive integer vectors."""
     if len(e.normals) != 2:
         raise ValueError("the center must be cut out by two independent equations")
     if chain is None:
@@ -278,9 +280,9 @@ def _hemisphere_frame(e: GreatSubsphere, chain: GreatSubsphere | None):
         raise ValueError("the hyperplane must contain the center")
     nn = _dot(n_l, n_l)
     for candidate in e.normals:
-        b = tuple(c - _dot(candidate, n_l) * l / nn for c, l in zip(candidate, n_l))
+        b = [nn * c - _dot(candidate, n_l) * l for c, l in zip(candidate, n_l)]
         if any(b):
-            return primitive_vector(n_l), primitive_vector(b)
+            return n_l, primitive_vector(b)
     raise ValueError("degenerate normals")  # unreachable: normals independent
 
 

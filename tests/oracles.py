@@ -6,16 +6,20 @@ lattice is the fixed part of its conjugation; the Smith normal form checks
 primitivity and kernel saturation in the lattice tests; the linking criterion
 sums linking numbers over the components of a curve.  Matrix products,
 inverses and signatures check isometries, involutions and the signature
-certificate of the class enumeration; a squarefree decomposition with one
-Sturm count per part checks `realroots.root_profile`, and the Sturm chain by
-remainders over Q checks the integer chains of `realroots.sturm_sequence`.  The rational root test
-by divisor trial division checks `realroots.rational_roots`, and the
+certificate of the class enumeration; the Fincke-Pohst search on a rational
+LDL^T factorisation checks the fraction-free one of
+`intlinalg.enumerate_quadratic`, and its pivots check the Bareiss minors; a
+squarefree decomposition with one Sturm count per part checks
+`realroots.root_profile`, and the Sturm chain by remainders over Q checks the
+integer chains of `realroots.sturm_sequence`.  The rational root test by
+divisor trial division checks `realroots.rational_roots`, and the
 entry-by-entry smoothness rule for diagonal sections checks `conic.analyze`.
 The library itself never calls these.
 """
 
 import itertools
 from fractions import Fraction
+from math import isqrt
 
 from realdp import realroots
 from realdp.catalog import SurfaceModel
@@ -300,6 +304,78 @@ def mat_inverse(a):
                 f = work[i][col]
                 work[i] = [x - f * y for x, y in zip(work[i], work[col])]
     return [row[n:] for row in work]
+
+
+def ldl(a):
+    """LDL^T factorisation of a positive definite symmetric rational matrix.
+
+    Returns (diag, lower) with unit lower triangular `lower` and positive
+    rational pivots `diag`; v^T a v = sum_j diag[j] * (v_j + sum_{i>j}
+    lower[i][j] v_i)^2.  Raises ValueError when `a` is not positive definite;
+    either way the pivots are an exact certificate.
+    """
+    n = len(a)
+    work = [[Fraction(x) for x in row] for row in a]
+    lower = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    diag = []
+    for j in range(n):
+        d = work[j][j] - sum(lower[j][k] ** 2 * diag[k] for k in range(j))
+        if d <= 0:
+            raise ValueError("matrix is not positive definite")
+        diag.append(d)
+        for i in range(j + 1, n):
+            s = work[i][j] - sum(lower[i][k] * lower[j][k] * diag[k] for k in range(j))
+            lower[i][j] = s / d
+    return diag, lower
+
+
+def _coordinate_window(center, radius_sq):
+    """All integers m with (m + center)^2 <= radius_sq, as a closed range.
+
+    `center` and `radius_sq` are Fractions, radius_sq >= 0.  The window is
+    computed with integer square roots only, so it is exact.
+    """
+    q = center.denominator
+    p = center.numerator
+    scaled = radius_sq * q * q
+    root = isqrt(scaled.numerator // scaled.denominator)
+    lo_num, hi_num = -root - p, root - p
+    lo = -((-lo_num) // q)
+    hi = hi_num // q
+    return lo, hi
+
+
+def enumerate_quadratic_over_q(a, bound):
+    """All integer vectors v with v^T a v <= bound, for positive definite a.
+
+    Fincke-Pohst bounded search on the exact LDL^T factorisation.  The output
+    includes the zero vector and both members of each +-v pair; order is
+    unspecified (callers sort).  The factorisation runs even for a negative
+    bound, so a form that is not positive definite always raises ValueError.
+    """
+    n = len(a)
+    diag, lower = ldl(a)
+    if bound < 0:
+        return []
+    results = []
+    v = [0] * n
+
+    def extend(j, remaining):
+        if j < 0:
+            results.append(tuple(v))
+            return
+        center = sum(lower[i][j] * v[i] for i in range(j + 1, n))
+        if not isinstance(center, Fraction):
+            center = Fraction(center)
+        lo, hi = _coordinate_window(center, remaining / diag[j])
+        for m in range(lo, hi + 1):
+            v[j] = m
+            w = m + center
+            extend(j - 1, remaining - diag[j] * w * w)
+        v[j] = 0
+
+    extend(n - 1, Fraction(bound))
+    return results
 
 
 def zero_class(lattice):

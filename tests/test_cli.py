@@ -299,6 +299,8 @@ def test_malformed_documents_exit_2(capsys, tmp_path):
     short_splitting.write_text(json.dumps({"splitting": [1, 1], "roots": [[1, 2], [3, 4]]}))
     long_splitting = tmp_path / "long_splitting.json"
     long_splitting.write_text(json.dumps({"splitting": [1, 1, 1, 1], "roots": [[1, 2], [3, 4], [5, 6], [7, 8]]}))
+    negative_degree = tmp_path / "negative_degree.json"
+    negative_degree.write_text(json.dumps({"degree": -1, "terms": []}))
     cases = [
         ["conic", "analyze", str(junk)],
         ["conic", "construct", str(junk)],
@@ -313,6 +315,7 @@ def test_malformed_documents_exit_2(capsys, tmp_path):
         ["link", str(scalar_cycles), center, "--degree", "4"],
         ["conic", "construct", str(short_splitting)],
         ["conic", "construct", str(long_splitting)],
+        ["hyp", str(negative_degree), "--point", "1,0,0,0"],
     ]
     for argv in cases:
         code, payload = run_json(capsys, argv)
@@ -320,6 +323,8 @@ def test_malformed_documents_exit_2(capsys, tmp_path):
         assert payload["status"] == "error"
         if argv[-1] in (str(short_splitting), str(long_splitting)):
             assert "splitting" in payload["message"], payload
+        if str(negative_degree) in argv:
+            assert payload["message"] == "degree must be nonnegative", payload
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "", argv

@@ -1,11 +1,25 @@
+import gc
+import itertools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from realdp.intlinalg import enumerate_quadratic, ldl
+from realdp import intlinalg
+from realdp.intlinalg import _bareiss, enumerate_quadratic
 
-from oracles import hnf, kernel_basis, mat_inverse, mat_mul, signature, smith_normal_form, xgcd
+from oracles import (
+    enumerate_quadratic_over_q,
+    hnf,
+    kernel_basis,
+    ldl,
+    mat_inverse,
+    mat_mul,
+    signature,
+    smith_normal_form,
+    xgcd,
+)
 
 
 def test_xgcd():
@@ -127,6 +141,83 @@ def test_enumerate_quadratic_includes_boundary():
         enumerate_quadratic([[1, 0], [0, -1]], -1)
 
 
+def seeded_positive_definite_forms(seed, count):
+    """B^T B + diag(1..4) for an n x n matrix B, n in 1..6, with entries up
+    to 1, 3 or 9; each form comes with a bound in -1..40."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        amp = rng.choice((1, 3, 9))
+        b = [[rng.randint(-amp, amp) for _ in range(n)] for _ in range(n)]
+        a = mat_mul([list(r) for r in zip(*b)], b)
+        for i in range(n):
+            a[i][i] += rng.randint(1, 4)
+        yield a, rng.randint(-1, 40)
+
+
+def catalogue_forms(monkeypatch):
+    """Q and bound of every `enumerate_classes` call that building the 19
+    models and searching each of them makes."""
+    from realdp.catalog import SURFACE_NAMES, builtin, minus_one_curves
+    from realdp.search import search
+
+    calls = []
+
+    def record(a, bound, enumerate_quadratic=intlinalg.enumerate_quadratic):
+        calls.append((a, bound))
+        return enumerate_quadratic(a, bound)
+
+    models = [builtin(name) for name in SURFACE_NAMES]
+    monkeypatch.setattr(intlinalg, "enumerate_quadratic", record)
+    for model in models:
+        minus_one_curves.__wrapped__(model.complex_lattice, model.complex_canonical)
+        search(model)
+    monkeypatch.undo()
+    return calls
+
+
+def test_enumerate_quadratic_matches_rational_oracle(monkeypatch):
+    forms = list(seeded_positive_definite_forms(29, 300))
+    catalogue = catalogue_forms(monkeypatch)
+    assert len(catalogue) == 2 * 19
+    for a, bound in forms + catalogue:
+        assert sorted(enumerate_quadratic(a, bound)) == sorted(enumerate_quadratic_over_q(a, bound)), (a, bound)
+
+
+def test_bareiss_minors_are_products_of_ldl_pivots():
+    rng = random.Random(37)
+    symmetric = []  # mostly indefinite: both certificates must refuse them
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                a[i][j] = a[j][i] = rng.randint(-3, 5)
+        symmetric.append(a)
+    for a in [a for a, _ in seeded_positive_definite_forms(31, 100)] + symmetric:
+        try:
+            diag, _ = ldl(a)
+        except ValueError:
+            with pytest.raises(ValueError, match="not positive definite"):
+                _bareiss(a)
+            continue
+        rows = _bareiss(a)
+        assert [rows[k][k] for k in range(len(a))] == list(itertools.accumulate(diag, operator.mul))
+
+
+def test_enumerate_quadratic_leaves_no_garbage():
+    """The search holds no reference cycle, so its results are freed as soon
+    as the caller drops them, without waiting for a full collection."""
+    gc.collect()
+    gc.disable()
+    try:
+        for a, bound in seeded_positive_definite_forms(41, 20):
+            enumerate_quadratic(a, bound)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_mat_inverse():
     m = [[1, 2], [3, 5]]
     inv = mat_inverse(m)
@@ -136,7 +227,7 @@ def test_mat_inverse():
 
 
 def test_coordinate_window_is_exact():
-    from realdp.intlinalg import _coordinate_window
+    from oracles import _coordinate_window
 
     rng = random.Random(13)
     for _ in range(300):

@@ -36,6 +36,23 @@ def test_no_floating_point_in_library():
     assert found == []
 
 
+def test_true_division_only_in_quotient():
+    """The exact cores run over Z; `realroots._quotient` is the one place that
+    may divide with `/` (and gives a Fraction only when the division is not
+    exact)."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "realroots.py":
+            quotient = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_quotient")
+            allowed = set(map(id, ast.walk(quotient)))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div) and id(node) not in allowed:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 # ---------------------------------------------------------------------------
 # No floating point: integer input to realroots gives int or Fraction output
 
@@ -219,11 +236,11 @@ def test_library_entry_points_accept_int_and_fraction(name, value):
 
 
 def test_rationals_are_coerced_in_one_place():
-    """One-argument Fraction(...) converts or parses; only the strict check
-    in intlinalg and the CLI's "p/q" reader may do that."""
+    """One-argument Fraction(...) converts or parses; only the CLI's "p/q"
+    reader may do that (the strict check in intlinalg returns its input)."""
     found = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name in ("intlinalg.py", "cli.py"):
+        if path.name == "cli.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if (

@@ -104,6 +104,11 @@ def test_all_real_restriction_examples():
     # a split form: the product of four real linear forms is hyperbolic
     linear_product = HypersurfaceSpec(4, (((1, 1, 1, 1), 1),))
     assert all_real_restriction(linear_product, (1, 2, 3, 4), (5, 1, -7, 2)) is True
+    # a positive rational multiple stores the same coprime integer coefficients
+    scaled = HypersurfaceSpec(2, tuple((e, Fraction(3, 14) * c) for e, c in q.terms))
+    assert scaled.terms == q.terms and all(type(c) is int for _, c in scaled.terms)
+    assert HypersurfaceSpec(2, (((2, 0, 0, 0), Fraction(-4, 6)), ((0, 1, 1, 0), 2))).terms == (
+        ((2, 0, 0, 0), -1), ((0, 1, 1, 0), 3))
 
 
 def test_all_real_restriction_counts_multiplicity():
@@ -247,7 +252,8 @@ def test_linking_independent_of_bounding_hyperplane():
     e = chart_origin()
     cycle = square_cycle(Fraction(1, 4))
     values = set()
-    for normal in ((0, 0, 1), (0, 1, 0), (0, 1, 2), (0, 2, -1), (0, 3, 5)):
+    normals = ((0, 0, 1), (0, 1, 0), (0, 1, 2), (0, 2, -1), (0, 3, 5), (0, Fraction(1, 3), Fraction(-5, 9)))
+    for normal in normals:
         values.add(abs(linking_number(cycle, e, GreatSubsphere(2, (normal,)))))
     assert values == {2}
 
@@ -324,6 +330,13 @@ def test_cycle_validation():
 def test_subspace_validation():
     with pytest.raises(ValueError):
         GreatSubsphere(2, ((0, 1, 0), (0, 2, 0)))  # dependent normals
+    with pytest.raises(ValueError, match="linearly independent"):
+        GreatSubsphere(2, ((0, Fraction(1, 3), Fraction(1, 2)), (0, 2, 3)))
+    with pytest.raises(ValueError, match="linearly independent"):
+        GreatSubsphere(3, ((1, 2, 3, 4), (2, 4, 6, 9), (3, 6, 9, 13)))  # third = first + second
+    GreatSubsphere(3, ((1, 2, 3, 4), (2, 4, 6, 9), (3, 6, 10, 13)))
+    sub = GreatSubsphere(2, ((0, Fraction(2, 3), Fraction(-4, 3)), (Fraction(1, 2), 0, 0)))
+    assert sub.normals == ((0, 1, -2), (1, 0, 0))  # primitive integer vectors, same rays
     e = chart_origin()
     with pytest.raises(ValueError):  # hyperplane missing the center
         linking_number(square_cycle(Fraction(1, 4)), e, GreatSubsphere(2, ((1, 0, 0),)))
