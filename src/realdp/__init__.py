@@ -1,6 +1,6 @@
 """Exact-arithmetic toolkit for real del Pezzo surfaces and minimal conic
 bundles: Picard-lattice arithmetic, divisor classification, conic-bundle
-discriminants and Chow identities, and desk-scale hyperbolicity certificates
-via Sturm counts and PL linking numbers."""
+discriminants and intersection-number identities, and desk-scale
+hyperbolicity certificates via Sturm counts and PL linking numbers."""
 
 from . import catalog, conic, intlinalg, lattice, realroots, search, topology

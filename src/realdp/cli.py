@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -37,8 +38,14 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _fraction(value) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (str, int)):
+    """An int, or a string of an optional sign, digits and an optional
+    "/digits".  Exponents, decimal points, underscores and spaces are
+    refused, so a short string cannot stand for a huge integer."""
+    if not (type(value) is int or type(value) is str and _RATIONAL.fullmatch(value)):
         raise ValueError(f"expected an integer or 'p/q' string, got {value!r}")
     try:
         return Fraction(value)
@@ -181,57 +188,66 @@ def _cmd_check(args):
     return (0 if report.passed else 1), payload, text
 
 
-def _cmd_conic(args):
-    if args.subcommand == "conditions":
-        report = necbundle_conditions(args.s, args.a, args.b)
-        payload = {
-            "s": args.s,
-            "a": args.a,
-            "b": args.b,
-            "conditions": report.conditions_dict(),
-            "status": "pass" if report.passed else "fail",
-        }
-        text = f"D = {args.a}F - {args.b}K with s={args.s}: " + (
-            "all six conditions hold" if report.passed
-            else "fails " + ", ".join(k for k, v in report.conditions_dict().items() if not v)
-        )
-        return (0 if report.passed else 1), payload, text
-    if args.subcommand == "candidate":
-        data = candidate_divisor(args.s)
-        text = (
-            f"D = {data['a']}F - {data['b']}K: genus {data['genus']}, "
-            f"at least {data['ell_lower_bound']} sections"
-        )
-        return 0, data, text
-    if args.subcommand == "chow":
-        data = surface_class_identities(args.a, args.c)
-        if data["s"] < 0:
-            raise ValueError(f"s = 3(a/2) + c = {data['s']} is a negative number of spheres")
-        text = f"K_X^2 = {data['KX2']}, s = {data['s']}, O(1)|_X = {data['x']}F - K"
-        return 0, data, text
-    if args.subcommand == "discriminant":
-        disc = discriminant(_document(args.file, "conic matrix", _parse_conic_matrix))
-        rendered = factored_str(disc)
-        payload = {"degree": disc.degree, "coeffs": list(disc.coeffs), "rendered": rendered}
-        return 0, payload, rendered
-    if args.subcommand == "analyze":
-        result = analyze(_document(args.file, "conic matrix", _parse_conic_matrix))
-        payload = {
-            "total": result.total_fibers,
-            "real": result.real_fibers,
-            "squarefree": result.squarefree,
-            "s": result.s,
-            "smooth_necessary": result.smooth_necessary,
-            "smooth_exact": result.smooth_exact,
-        }
-        text = (
-            f"{result.total_fibers} singular fibers, {result.real_fibers} real, "
-            f"squarefree={result.squarefree}, s={result.s}"
-        )
-        return (0 if result.squarefree else 1), payload, text
-    if args.subcommand == "construct":
-        payload = _conic_matrix_json(_document(args.file, "construction", _parse_construction))
-        return 0, payload, canonical_json(payload)
+def _cmd_conic_conditions(args):
+    report = necbundle_conditions(args.s, args.a, args.b)
+    payload = {
+        "s": args.s,
+        "a": args.a,
+        "b": args.b,
+        "conditions": report.conditions_dict(),
+        "status": "pass" if report.passed else "fail",
+    }
+    text = f"D = {args.a}F - {args.b}K with s={args.s}: " + (
+        "all six conditions hold" if report.passed
+        else "fails " + ", ".join(k for k, v in report.conditions_dict().items() if not v)
+    )
+    return (0 if report.passed else 1), payload, text
+
+
+def _cmd_conic_candidate(args):
+    data = candidate_divisor(args.s)
+    text = (
+        f"D = {data['a']}F - {data['b']}K: genus {data['genus']}, "
+        f"at least {data['ell_lower_bound']} sections"
+    )
+    return 0, data, text
+
+
+def _cmd_conic_chow(args):
+    data = surface_class_identities(args.a, args.c)
+    if data["s"] < 0:
+        raise ValueError(f"s = 3(a/2) + c = {data['s']} is a negative number of spheres")
+    text = f"K_X^2 = {data['KX2']}, s = {data['s']}, O(1)|_X = {data['x']}F - K"
+    return 0, data, text
+
+
+def _cmd_conic_discriminant(args):
+    disc = discriminant(_document(args.file, "conic matrix", _parse_conic_matrix))
+    rendered = factored_str(disc)
+    payload = {"degree": disc.degree, "coeffs": list(disc.coeffs), "rendered": rendered}
+    return 0, payload, rendered
+
+
+def _cmd_conic_analyze(args):
+    result = analyze(_document(args.file, "conic matrix", _parse_conic_matrix))
+    payload = {
+        "total": result.total_fibers,
+        "real": result.real_fibers,
+        "squarefree": result.squarefree,
+        "s": result.s,
+        "smooth_necessary": result.smooth_necessary,
+        "smooth_exact": result.smooth_exact,
+    }
+    text = (
+        f"{result.total_fibers} singular fibers, {result.real_fibers} real, "
+        f"squarefree={result.squarefree}, s={result.s}"
+    )
+    return (0 if result.squarefree else 1), payload, text
+
+
+def _cmd_conic_construct(args):
+    payload = _conic_matrix_json(_document(args.file, "construction", _parse_construction))
+    return 0, payload, canonical_json(payload)
 
 
 def _cmd_hyp(args):
@@ -304,28 +320,28 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("a", type=int)
     q.add_argument("b", type=int)
     add_format(q)
-    q.set_defaults(handler=_cmd_conic)
+    q.set_defaults(handler=_cmd_conic_conditions)
     q = conic_sub.add_parser("candidate", help="the distinguished divisor (s-2)F - K")
     q.add_argument("s", type=int)
     add_format(q)
-    q.set_defaults(handler=_cmd_conic)
+    q.set_defaults(handler=_cmd_conic_candidate)
     q = conic_sub.add_parser("chow", help="Chow-ring identities for the class 2H + aE")
     q.add_argument("a", type=int)
     q.add_argument("c", type=int)
     add_format(q)
-    q.set_defaults(handler=_cmd_conic)
+    q.set_defaults(handler=_cmd_conic_chow)
     q = conic_sub.add_parser("discriminant", help="determinant of a section matrix")
     q.add_argument("file")
     add_format(q)
-    q.set_defaults(handler=_cmd_conic)
+    q.set_defaults(handler=_cmd_conic_discriminant)
     q = conic_sub.add_parser("analyze", help="singular fiber analysis of a section matrix")
     q.add_argument("file")
     add_format(q)
-    q.set_defaults(handler=_cmd_conic)
+    q.set_defaults(handler=_cmd_conic_analyze)
     q = conic_sub.add_parser("construct", help="diagonal section from prescribed roots")
     q.add_argument("file")
     add_format(q)
-    q.set_defaults(handler=_cmd_conic)
+    q.set_defaults(handler=_cmd_conic_construct)
 
     p = sub.add_parser("hyp", help="randomized hyperbolicity check for a hypersurface in P^3")
     p.add_argument("polyfile")

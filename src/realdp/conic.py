@@ -8,9 +8,9 @@ conic-bundle surface inside the projectivised bundle.  This module covers:
     bundle with s sphere components must satisfy to come from a finite
     real-fibered morphism to the plane, and the distinguished solution
     (a, b) = (s - 2, 1);
-  * the Chow ring Z[H, E] / (E^2, H^3 - c E H^2) of the projectivised bundle
-    and the identities it yields for the surface (K_X^2 = 8 - 3a - 2c, the
-    restriction of the tautological class);
+  * intersection numbers of divisor classes on the projectivised bundle
+    (H^3 = c, H^2 E = 1, E^2 = 0) and the identities they yield for the
+    surface (K_X^2 = 8 - 3a - 2c, the restriction of the tautological class);
   * discriminants of conic-bundle sections: the determinant is a binary form
     of degree 2(a1 + a2 + a3) whose roots on P^1 (infinity included) mark the
     singular fibers, 2s of them for a smooth surface with s spheres;
@@ -197,121 +197,43 @@ def candidate_divisor(s: int):
 
 
 # ---------------------------------------------------------------------------
-# Chow ring of the projectivised bundle
-
-_CHOW_BASIS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (2, 1))
-_CHOW_INDEX = {m: i for i, m in enumerate(_CHOW_BASIS)}
+# Intersection numbers on the projectivised bundle
 
 
-@dataclass(frozen=True)
-class ChowClass:
-    """Element of Z[H, E] / (E^2, H^3 - c E H^2) on basis
-    1, H, E, H^2, HE, H^2 E; both relations are applied eagerly."""
+def intersection_number(c: int, x, y, z) -> int:
+    """Degree of x.y.z on the plane bundle P(E) over P^1 with deg E = c.
 
-    c: int
-    coeffs: tuple
-
-    def __post_init__(self):
-        int_tuple((self.c,))
-        coeffs = int_tuple(self.coeffs)
-        if len(coeffs) != 6:
-            raise ValueError("a Chow class has six coefficients")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def _check(self, other):
-        if self.c != other.c:
-            raise ValueError("Chow classes live on bundles with different first Chern class")
-
-    def __add__(self, other):
-        self._check(other)
-        return ChowClass(self.c, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return ChowClass(self.c, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return ChowClass(self.c, tuple(-a for a in self.coeffs))
-
-    def __rmul__(self, k):
-        k = int_tuple((k,))[0]
-        return ChowClass(self.c, tuple(k * a for a in self.coeffs))
-
-    def __mul__(self, other):
-        return chow_mul(self, other)
-
-
-def chow_h(c: int) -> ChowClass:
-    return ChowClass(c, (0, 1, 0, 0, 0, 0))
-
-
-def chow_e(c: int) -> ChowClass:
-    return ChowClass(c, (0, 0, 1, 0, 0, 0))
-
-
-def _reduce_monomial(c, h, e):
-    """Rewrite H^h E^e on the basis; returns (factor, index) or None."""
-    factor = 1
-    while h >= 3:
-        h -= 1
-        e += 1
-        factor *= c
-    if e >= 2:
-        return None
-    key = (h, e)
-    if key not in _CHOW_INDEX:
-        return None  # total degree above the top class
-    return factor, _CHOW_INDEX[key]
-
-
-def chow_mul(x: ChowClass, y: ChowClass) -> ChowClass:
-    x._check(y)
-    out = [0] * 6
-    for i, a in enumerate(x.coeffs):
-        if not a:
-            continue
-        hi, ei = _CHOW_BASIS[i]
-        for j, b in enumerate(y.coeffs):
-            if not b:
-                continue
-            hj, ej = _CHOW_BASIS[j]
-            reduced = _reduce_monomial(x.c, hi + hj, ei + ej)
-            if reduced is None:
-                continue
-            factor, idx = reduced
-            out[idx] += a * b * factor
-    return ChowClass(x.c, tuple(out))
-
-
-def chow_degree(x: ChowClass) -> int:
-    """Coefficient of the point class E H^2."""
-    return x.coeffs[_CHOW_INDEX[(2, 1)]]
+    Each divisor class is its pair of coefficients on H (the tautological
+    class) and E (a fiber).  The degree is the trilinear form fixed by
+    H^3 = c, H^2 E = 1 and E^2 = 0 (Fulton, Intersection Theory, ch. 3).
+    """
+    (xh, xe), (yh, ye), (zh, ze) = x, y, z
+    return c * xh * yh * zh + xh * yh * ze + xh * ye * zh + xe * yh * zh
 
 
 def surface_class_identities(a: int, c: int):
-    """Ring-computed invariants of the surface X of class 2H + aE (a even).
+    """Invariants of the surface X of class 2H + aE (a even), from
+    intersection numbers on the plane bundle.
 
-    Everything is evaluated inside the Chow ring and then asserted against
-    the closed forms: K_X^2 = 8 - 3a - 2c, s = 3(a/2) + c, and the
-    restriction of the tautological class of the normalised bundle (the twist
-    by a/2) to X equals (s - 2) F - K.
+    Each number is asserted against its closed form: K_X^2 = 8 - 3a - 2c,
+    s = 3(a/2) + c, and the restriction of the tautological class of the
+    normalised bundle (the twist by a/2) to X equals (s - 2) F - K.
     """
+    a, c = int_tuple((a, c))
     if a % 2:
         raise ValueError("the surface class must be 2H + aE with a even")
     b = a // 2
-    h, e = chow_h(c), chow_e(c)
-    x_class = 2 * h + a * e
-    kp = (c - 2) * e - 3 * h
-    kx = kp + x_class
-    kx2 = chow_degree(kx * kx * x_class)
+    x_class = (2, a)
+    kx = (-1, c - 2 + a)  # K_P + X with K_P = -3H + (c - 2)E
+    kx2 = intersection_number(c, kx, kx, x_class)
     assert kx2 == 8 - 3 * a - 2 * c
     s = 3 * b + c
-    h_tw = h + b * e  # tautological class of the normalised bundle
-    fiber_deg = chow_degree(h_tw * e * x_class)  # equals (xF + yK).F = -2y
+    h_tw = (1, b)  # tautological class of the normalised bundle
+    fiber_deg = intersection_number(c, h_tw, (0, 1), x_class)  # equals (xF + yK).F = -2y
     assert fiber_deg % 2 == 0
     y = -fiber_deg // 2
     assert y == -1
-    k_deg = chow_degree(h_tw * kx * x_class)  # equals (xF + yK).K = -2x + y(8 - 2s)
+    k_deg = intersection_number(c, h_tw, kx, x_class)  # equals (xF + yK).K = -2x + y(8 - 2s)
     num = y * (8 - 2 * s) - k_deg
     assert num % 2 == 0
     x = num // 2

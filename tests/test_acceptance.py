@@ -157,7 +157,7 @@ def test_criterion_05_chow_identity():
             assert (data["x"], data["y"]) == (data["s"] - 2, -1)
     elapsed = time.monotonic() - start
     assert elapsed < 1
-    report(5, f"ring-computed K_X^2 = 8-3a-2c and (x,y) = (s-2,-1) in {elapsed:.3f}s")
+    report(5, f"intersection-number K_X^2 = 8-3a-2c and (x,y) = (s-2,-1) in {elapsed:.3f}s")
 
 
 def test_criterion_06_discriminant_examples():

@@ -1,7 +1,13 @@
+import itertools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import realdp
 from realdp.cli import canonical_json, main
 from conftest import worked_conic_matrix
 
@@ -276,6 +282,64 @@ def test_help_available_per_subcommand():
         assert exc.value.code == 0
 
 
+def rational_slots(tmp_path):
+    """One argv builder per place the CLI reads a rational: a hypersurface
+    coefficient, a cycle point, a centre normal, a construction root and a
+    --point entry.  Each builder writes its own documents."""
+    sphere = write_sphere_file(tmp_path)
+    center = write_center_file(tmp_path)
+    nested = write_cycles_file(tmp_path, ["1/4", "1/2"], name="nested.json")
+    count = itertools.count()
+
+    def write(doc):
+        path = tmp_path / f"slot{next(count)}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def coefficient(value):
+        doc = json.loads(open(sphere).read())
+        doc["terms"][0]["coeff"] = value
+        return ["hyp", write(doc), "--point", "1,0,0,0", "--trials", "5"]
+
+    def cycle_point(value):
+        doc = json.loads(open(nested).read())
+        doc["cycles"][0]["points"][0][1] = value
+        return ["link", write(doc), center, "--degree", "4"]
+
+    def normal(value):
+        doc = {"normals": [["0", value, "0"], ["0", "0", "1"]]}
+        return ["link", nested, write(doc), "--degree", "4"]
+
+    def root(value):
+        doc = {"splitting": [1, 1, 1], "roots": [[value, 5], [1, -1], [3, -3]]}
+        return ["conic", "construct", write(doc)]
+
+    def point(value):
+        return ["hyp", sphere, "--point", f"1,0,0,{value}", "--trials", "5"]
+
+    return (coefficient, cycle_point, normal, root, point)
+
+
+def test_documented_rationals_are_accepted(capsys, tmp_path):
+    slots = rational_slots(tmp_path)
+    for value in ("-3/4", "+2", "7"):
+        for build in slots:
+            argv = build(value)
+            code, payload = run_json(capsys, argv)
+            assert code in (0, 1), (argv, payload)
+
+
+def test_huge_exponent_rational_exits_2_at_once(tmp_path):
+    sphere = write_sphere_file(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(realdp.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "realdp", "hyp", sphere, "--point", "1e1000000,0,0,1", "--trials", "1"],
+        capture_output=True, text=True, timeout=5, env=env,
+    )
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == "error: expected an integer or 'p/q' string, got '1e1000000'\n"
+
+
 def test_malformed_documents_exit_2(capsys, tmp_path):
     junk = tmp_path / "junk.json"
     junk.write_text('"just a string"')
@@ -317,6 +381,9 @@ def test_malformed_documents_exit_2(capsys, tmp_path):
         ["conic", "construct", str(long_splitting)],
         ["hyp", str(negative_degree), "--point", "1,0,0,0"],
     ]
+    slots = rational_slots(tmp_path)
+    for value in ("1e5", "0.5", "1_000", " 3/4"):  # outside the documented grammar
+        cases += [build(value) for build in slots]
     for argv in cases:
         code, payload = run_json(capsys, argv)
         assert code == 2, argv

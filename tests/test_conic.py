@@ -8,15 +8,13 @@ from realdp.conic import (
     ConicMatrix,
     analyze,
     candidate_divisor,
-    chow_degree,
-    chow_e,
-    chow_h,
     construct_section,
     diagonal_matrix,
     discriminant,
     factored_str,
     form_from_roots,
     form_str,
+    intersection_number,
     necbundle_conditions,
     surface_class_identities,
     zero_form,
@@ -93,14 +91,34 @@ def test_candidate_matches_spheres_only_genus_count():
 
 
 def test_chow_relations():
-    c = 3
-    h, e = chow_h(c), chow_e(c)
-    assert (e * e).coeffs == (0,) * 6
-    assert chow_degree(e * h * h) == 1  # the point class
-    assert h * h * h == c * (e * h * h)
-    assert chow_degree(h * h * h) == c
-    with pytest.raises(ValueError):
-        chow_h(1) * chow_e(2)
+    h, e = (1, 0), (0, 1)
+    for c in range(-5, 6):
+        assert intersection_number(c, h, h, h) == c
+        assert intersection_number(c, h, h, e) == 1  # the point class
+        assert intersection_number(c, h, e, h) == intersection_number(c, e, h, h) == 1
+        for x in (h, e):
+            for triple in ((e, e, x), (e, x, e), (x, e, e)):
+                assert intersection_number(c, *triple) == 0  # E^2 = 0
+
+
+def test_intersection_number_is_symmetric_and_trilinear():
+    """Together with the values on H and E these fix the form."""
+    rng = random.Random(9)
+
+    def cls():
+        return (rng.randint(-9, 9), rng.randint(-9, 9))
+
+    for _ in range(200):
+        c = rng.randint(-9, 9)
+        x, y, z, w = cls(), cls(), cls(), cls()
+        k, m = rng.randint(-5, 5), rng.randint(-5, 5)
+        value = intersection_number(c, x, y, z)
+        for perm in ((x, z, y), (y, x, z), (y, z, x), (z, x, y), (z, y, x)):
+            assert intersection_number(c, *perm) == value
+        combo = (k * x[0] + m * w[0], k * x[1] + m * w[1])
+        assert intersection_number(c, combo, y, z) == (
+            k * value + m * intersection_number(c, w, y, z)
+        )
 
 
 def test_surface_class_identities_examples():
@@ -112,8 +130,8 @@ def test_surface_class_identities_examples():
 
 
 def test_surface_class_identities_sweep():
-    for a in range(-6, 7, 2):
-        for c in range(0, 9):
+    for a in range(-40, 41, 2):
+        for c in range(-40, 41):
             data = surface_class_identities(a, c)
             assert data["KX2"] == 8 - 3 * a - 2 * c
             assert data["s"] == 3 * (a // 2) + c

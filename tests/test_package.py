@@ -147,7 +147,6 @@ def _strict_constructors():
     lattice = builtin("D2").real_lattice
     line = IntLattice(1, ("H",), ((1,),))
     form = conic.BinaryForm(0, (1,))
-    h = conic.chow_h(0)
     return {
         "IntLattice.rank": lambda x: IntLattice(x, ("H",), ((1,),)),
         "IntLattice.gram": lambda x: IntLattice(1, ("H",), ((x,),)),
@@ -156,9 +155,8 @@ def _strict_constructors():
         "BinaryForm.degree": lambda x: conic.BinaryForm(x, (1, 0)),
         "ConicMatrix": lambda x: conic.ConicMatrix((0, 0, x), ((form,) * 3,) * 3),
         "diagonal_matrix": lambda x: conic.diagonal_matrix((0, 0, x), (form, form, form)),
-        "ChowClass": lambda x: conic.ChowClass(0, (x, 0, 0, 0, 0, 0)),
-        "ChowClass.c": lambda x: conic.ChowClass(x, (0, 0, 0, 0, 0, 0)),
-        "ChowClass.__rmul__": lambda x: x * h,
+        "surface_class_identities.a": lambda x: conic.surface_class_identities(x, 1),
+        "surface_class_identities.c": lambda x: conic.surface_class_identities(0, x),
         "IntLattice.vector": lambda x: lattice.vector((x, -1)),
         "ClassVector": lambda x: ClassVector(lattice, (x, -1)),
         "ClassVector.__rmul__": lambda x: x * lattice.basis_vector(0),
@@ -177,7 +175,13 @@ def test_library_constructors_reject_non_integers(name, value):
 
 
 def test_library_constructors_keep_integers():
-    valid = {"ConicMatrix": 0, "diagonal_matrix": 0, "GreatSubsphere.ambient": 2, "PLCycle.ambient": 2}
+    valid = {
+        "ConicMatrix": 0,
+        "diagonal_matrix": 0,
+        "surface_class_identities.a": 2,
+        "GreatSubsphere.ambient": 2,
+        "PLCycle.ambient": 2,
+    }
     for name, build in _strict_constructors().items():
         build(valid.get(name, 1))
 
