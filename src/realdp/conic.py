@@ -207,7 +207,7 @@ def intersection_number(c: int, x, y, z) -> int:
     class) and E (a fiber).  The degree is the trilinear form fixed by
     H^3 = c, H^2 E = 1 and E^2 = 0 (Fulton, Intersection Theory, ch. 3).
     """
-    (xh, xe), (yh, ye), (zh, ze) = x, y, z
+    (c,), (xh, xe), (yh, ye), (zh, ze) = (int_tuple(v) for v in ((c,), x, y, z))
     return c * xh * yh * zh + xh * yh * ze + xh * ye * zh + xe * yh * zh
 
 

@@ -155,6 +155,8 @@ def _strict_constructors():
         "BinaryForm.degree": lambda x: conic.BinaryForm(x, (1, 0)),
         "ConicMatrix": lambda x: conic.ConicMatrix((0, 0, x), ((form,) * 3,) * 3),
         "diagonal_matrix": lambda x: conic.diagonal_matrix((0, 0, x), (form, form, form)),
+        "intersection_number.c": lambda x: conic.intersection_number(x, (1, 0), (1, 0), (1, 0)),
+        "intersection_number.class": lambda x: conic.intersection_number(1, (1, 0), (x, 0), (1, 0)),
         "surface_class_identities.a": lambda x: conic.surface_class_identities(x, 1),
         "surface_class_identities.c": lambda x: conic.surface_class_identities(0, x),
         "IntLattice.vector": lambda x: lattice.vector((x, -1)),
