@@ -30,31 +30,6 @@ from functools import lru_cache
 
 from .lattice import ClassVector, IntLattice, LatticeMap, enumerate_classes, geiser_bertini
 
-# Catalogue order: descending degree, blow-ups of the plane and the quadric
-# interleaved with the minimal conic bundles.  Also the CLI identifiers.
-SURFACE_NAMES = (
-    "P2",
-    "Q31",
-    "P2_0_2",
-    "Q31_0_2",
-    "P2_0_4",
-    "Q31_0_4",
-    "D4",
-    "P2_0_6",
-    "D4_1_0",
-    "D4_2_0_11",
-    "Q31_0_6",
-    "D4_0_2",
-    "D2",
-    "G2",
-    "P2_0_8",
-    "D4_1_2",
-    "D2_1_0",
-    "G2_1_0",
-    "B1",
-)
-
-
 @dataclass(frozen=True)
 class SurfaceModel:
     name: str
@@ -133,7 +108,6 @@ def _conic_bundle_involution(n_exceptional):
     """
     if n_exceptional % 2 == 0:
         raise ValueError("a minimal conic bundle has an odd number of blown-up points")
-    n = n_exceptional + 1
     half = (n_exceptional + 1) // 2
     cols = []
     cols.append([half, -(half - 1)] + [-1] * (n_exceptional - 1))  # image of H
@@ -142,13 +116,13 @@ def _conic_bundle_involution(n_exceptional):
         col = [1, -1] + [0] * (n_exceptional - 1)
         col[j] = -1  # image of E_j is H - E1 - E_j
         cols.append(col)
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    return tuple(zip(*cols))
 
 
 def _anticanonical_reflection(cx: IntLattice, k: ClassVector):
     """Matrix of D |-> -D + 2 (D.K / K.K) K (requires K.K in {1, 2})."""
     cols = [geiser_bertini(cx.basis_vector(j), k).coeffs for j in range(cx.rank)]
-    return tuple(tuple(cols[j][i] for j in range(cx.rank)) for i in range(cx.rank))
+    return tuple(zip(*cols))
 
 
 def _build_p2():
@@ -199,12 +173,11 @@ def _build_anticanonical_minimal(name, degree, s, r):
     )
 
 
-def _next_exceptional_index(labels):
-    best = 0
-    for lab in labels:
-        if lab.startswith("E") and lab[1:].isdigit():
-            best = max(best, int(lab[1:]))
-    return best + 1
+def _direct_sum(m, block):
+    """The block-diagonal matrix of `m` and `block` (tuples of row tuples,
+    either may be rectangular)."""
+    left, right = len(m[0]), len(block[0]) if block else 0
+    return tuple(row + (0,) * right for row in m) + tuple((0,) * left + row for row in block)
 
 
 def blow_up(base: SurfaceModel, real_points: int = 0, conj_pairs: int = 0) -> SurfaceModel:
@@ -213,10 +186,11 @@ def blow_up(base: SurfaceModel, real_points: int = 0, conj_pairs: int = 0) -> Su
     Real centers lie on distinct sphere components (a real point of a
     projective plane would produce a Klein bottle component, which is
     rejected); each one turns a sphere into a projective plane.  Conjugate
-    pairs leave the topology unchanged.  The conjugation extends by the
-    identity on real exceptional classes and by the swap on each conjugate
-    pair, and the real lattice is rebuilt as the fixed sublattice of the
-    extended involution.
+    pairs leave the topology unchanged.  Each matrix is the direct sum of the
+    base's with a block for the m = a + 2b exceptional classes: -I_m in the
+    pairing; the identity on real classes and the swap on each pair in the
+    conjugation; a unit or pair-sum real basis vector per real class or pair.
+    A real basis vector embedding onto K moves onto the new K.
     """
     a, b = real_points, conj_pairs
     if a not in (0, 1, 2):
@@ -225,73 +199,42 @@ def blow_up(base: SurfaceModel, real_points: int = 0, conj_pairs: int = 0) -> Su
         raise ValueError("conj_pairs must be nonnegative")
     if a > base.s:
         raise ValueError("unsupported topology: a real blow-up center must lie on a sphere")
-    new_degree = base.degree - a - 2 * b
-    if new_degree < 1:
+    m = a + 2 * b
+    if base.degree - m < 1:
         raise ValueError("degree underflow: blow-up would drop the degree below 1")
 
-    cx_old = base.complex_lattice
-    n_old = cx_old.rank
-    n_new = n_old + a + 2 * b
-    first = _next_exceptional_index(cx_old.basis_labels)
-    new_labels = cx_old.basis_labels + tuple(f"E{first + i}" for i in range(a + 2 * b))
-    gram = [[0] * n_new for _ in range(n_new)]
-    for i in range(n_old):
-        for j in range(n_old):
-            gram[i][j] = cx_old.gram[i][j]
-    for i in range(n_old, n_new):
-        gram[i][i] = -1
-    cx = IntLattice(n_new, new_labels, tuple(tuple(row) for row in gram))
+    def unit(*indices):
+        return tuple(int(j in indices) for j in range(m))
 
-    invol = [[0] * n_new for _ in range(n_new)]
-    for i in range(n_old):
-        for j in range(n_old):
-            invol[i][j] = base.involution.matrix[i][j]
-    for i in range(a):  # real exceptional classes are conjugation-fixed
-        idx = n_old + i
-        invol[idx][idx] = 1
-    for p in range(b):  # conjugate pairs are swapped
-        i = n_old + a + 2 * p
-        invol[i][i + 1] = 1
-        invol[i + 1][i] = 1
-
-    k_cx = list(base.complex_canonical.coeffs) + [1] * (a + 2 * b)
-
-    # Real basis: base columns (K-slot updated to the new canonical), then the
-    # real exceptional classes, then the sums over conjugate pairs.
-    old_cols = [list(col) + [0] * (a + 2 * b) for col in zip(*base.embedding.matrix)]
-    k_old = list(base.complex_canonical.coeffs)
-    k_slot = next((i for i, col in enumerate(old_cols) if col[:n_old] == k_old), None)
-    columns = [list(c) for c in old_cols]
-    labels = list(base.real_lattice.basis_labels)
-    if k_slot is not None:
-        columns[k_slot] = list(k_cx)
-    for i in range(a):
-        col = [0] * n_new
-        col[n_old + i] = 1
-        columns.append(col)
-        labels.append(new_labels[n_old + i])
-    for p in range(b):
-        col = [0] * n_new
-        col[n_old + a + 2 * p] = 1
-        col[n_old + a + 2 * p + 1] = 1
-        columns.append(col)
-        labels.append(f"{new_labels[n_old + a + 2 * p]}+{new_labels[n_old + a + 2 * p + 1]}")
-
-    if k_slot is not None:
-        canonical = tuple(int(i == k_slot) for i in range(len(columns)))
-    else:
+    cx_old, k_old = base.complex_lattice, base.complex_canonical.coeffs
+    first = 1 + sum(label.startswith("E") for label in cx_old.basis_labels)
+    new = [f"E{first + i}" for i in range(m)]
+    pairs = [(i, i + 1) for i in range(a, m, 2)]
+    gram = _direct_sum(cx_old.gram, [tuple(-x for x in unit(i)) for i in range(m)])
+    cx = IntLattice(cx_old.rank + m, cx_old.basis_labels + tuple(new), gram)
+    real = [unit(i) for i in range(a)]
+    swap = real + [row for i, j in pairs for row in (unit(j), unit(i))]
+    old_columns = tuple(zip(*base.embedding.matrix))
+    columns = list(_direct_sum(old_columns, real + [unit(*p) for p in pairs]))
+    labels = base.real_lattice.basis_labels + tuple(new[:a] + [f"{new[i]}+{new[j]}" for i, j in pairs])
+    k_cx = k_old + (1,) * m
+    k_slot = next((i for i, col in enumerate(old_columns) if col == k_old), None)
+    if k_slot is None:
         canonical = base.canonical.coeffs + (1,) * (a + b)
+    else:
+        columns[k_slot] = k_cx
+        canonical = tuple(int(i == k_slot) for i in range(len(columns)))
 
     name = f"{base.name}_{a}_{2 * b}" + ("_11" if a == 2 else "")
     return _model(
-        name, new_degree, base.s - a, base.r + a,
-        cx, tuple(k_cx),
-        tuple(tuple(row) for row in invol),
-        tuple(labels), columns, canonical,
+        name, base.degree - m, base.s - a, base.r + a,
+        cx, k_cx,
+        _direct_sum(base.involution.matrix, swap),
+        labels, columns, canonical,
     )
 
 
-def _rebase(model: SurfaceModel, rows, labels, name):
+def _rebase(model: SurfaceModel, rows, labels):
     """Present the real lattice of `model` in a new unimodular basis whose
     first vector is K.
 
@@ -301,7 +244,7 @@ def _rebase(model: SurfaceModel, rows, labels, name):
     """
     new_cols = [model.embedding.apply(model.real_lattice.vector(row)).coeffs for row in rows]
     return _model(
-        name, model.degree, model.s, model.r,
+        model.name, model.degree, model.s, model.r,
         model.complex_lattice, model.complex_canonical.coeffs,
         model.involution.matrix,
         tuple(labels), new_cols,
@@ -313,35 +256,38 @@ def _build_d2_1_0():
     # Declared presentation <K, Ft, E>: K.K = 1, Ft = F - E is a (-1)-curve,
     # and every pairing of two distinct generators of <-K, Ft, E> equals one.
     model = blow_up(builtin("D2"), real_points=1)
-    return _rebase(model, ((0, 1, 0), (1, 0, -1), (0, 0, 1)), ("K", "Ft", "E"), "D2_1_0")
+    return _rebase(model, ((0, 1, 0), (1, 0, -1), (0, 0, 1)), ("K", "Ft", "E"))
 
 
 def _build_g2_1_0():
     model = blow_up(builtin("G2"), real_points=1)
-    return _rebase(model, ((1, 0), (0, 1)), ("K", "E"), "G2_1_0")
+    return _rebase(model, ((1, 0), (0, 1)), ("K", "E"))
 
 
+# Catalogue order: descending degree, blow-ups of the plane and the quadric
+# interleaved with the minimal conic bundles.  The keys are the CLI identifiers.
 _BUILDERS = {
     "P2": _build_p2,
     "Q31": _build_q31,
-    "D4": lambda: _build_minimal_conic(4),
-    "D2": lambda: _build_minimal_conic(2),
-    "G2": lambda: _build_anticanonical_minimal("G2", 2, 4, 0),
-    "B1": lambda: _build_anticanonical_minimal("B1", 1, 4, 1),
     "P2_0_2": lambda: blow_up(builtin("P2"), conj_pairs=1),
-    "P2_0_4": lambda: blow_up(builtin("P2"), conj_pairs=2),
-    "P2_0_6": lambda: blow_up(builtin("P2"), conj_pairs=3),
-    "P2_0_8": lambda: blow_up(builtin("P2"), conj_pairs=4),
     "Q31_0_2": lambda: blow_up(builtin("Q31"), conj_pairs=1),
+    "P2_0_4": lambda: blow_up(builtin("P2"), conj_pairs=2),
     "Q31_0_4": lambda: blow_up(builtin("Q31"), conj_pairs=2),
-    "Q31_0_6": lambda: blow_up(builtin("Q31"), conj_pairs=3),
+    "D4": lambda: _build_minimal_conic(4),
+    "P2_0_6": lambda: blow_up(builtin("P2"), conj_pairs=3),
     "D4_1_0": lambda: blow_up(builtin("D4"), real_points=1),
     "D4_2_0_11": lambda: blow_up(builtin("D4"), real_points=2),
+    "Q31_0_6": lambda: blow_up(builtin("Q31"), conj_pairs=3),
     "D4_0_2": lambda: blow_up(builtin("D4"), conj_pairs=1),
+    "D2": lambda: _build_minimal_conic(2),
+    "G2": lambda: _build_anticanonical_minimal("G2", 2, 4, 0),
+    "P2_0_8": lambda: blow_up(builtin("P2"), conj_pairs=4),
     "D4_1_2": lambda: blow_up(builtin("D4"), real_points=1, conj_pairs=1),
     "D2_1_0": _build_d2_1_0,
     "G2_1_0": _build_g2_1_0,
+    "B1": lambda: _build_anticanonical_minimal("B1", 1, 4, 1),
 }
+SURFACE_NAMES = tuple(_BUILDERS)
 
 
 @lru_cache(maxsize=None)

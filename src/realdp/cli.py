@@ -95,8 +95,13 @@ def _conic_matrix_json(matrix: ConicMatrix):
     }
 
 
+_MAX_HYP_DEGREE = 64  # line sampling slows steeply with the degree
+
+
 def _parse_hypersurface(doc) -> HypersurfaceSpec:
     degree = _integer(doc["degree"])
+    if degree > _MAX_HYP_DEGREE:
+        raise ValueError(f"degree must be at most {_MAX_HYP_DEGREE}, got {degree}")
     terms = tuple(
         (tuple(_integer(e) for e in term["exponents"]), _fraction(term["coeff"]))
         for term in doc["terms"]
@@ -271,6 +276,8 @@ def _cmd_hyp(args):
 
 
 def _cmd_link(args):
+    if args.degree < 1:
+        raise ValueError(f"--degree must be at least 1, got {args.degree}")
     cycles = _document(args.cycles, "cycles", _parse_cycles)
     center, chain = _document(args.center, "subspace", _parse_center)
     numbers = [linking_number(c, center, chain) for c in cycles]

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from math import isqrt
 
 import pytest
@@ -200,12 +201,25 @@ def test_blow_up_rejects_bad_topology():
 
 
 def test_blow_up_composition_gives_same_lattice():
-    once = blow_up(builtin("D4"), real_points=1)
-    twice = blow_up(once, real_points=1)
-    direct = blow_up(builtin("D4"), real_points=2)
-    assert twice.real_lattice.gram == direct.real_lattice.gram
-    assert twice.complex_lattice.gram == direct.complex_lattice.gram
-    assert (twice.degree, twice.s, twice.r) == (direct.degree, direct.s, direct.r)
+    d4, q31, p2 = builtin("D4"), builtin("Q31"), builtin("P2")
+    cases = [
+        (blow_up(blow_up(d4, real_points=1), real_points=1), blow_up(d4, real_points=2)),
+        (blow_up(blow_up(q31, conj_pairs=1), conj_pairs=1), builtin("Q31_0_4")),
+        (blow_up(blow_up(p2, conj_pairs=1), conj_pairs=1), builtin("P2_0_4")),
+    ]
+    for twice, direct in cases:
+        assert twice.real_lattice.basis_labels == direct.real_lattice.basis_labels
+        assert twice.complex_lattice.basis_labels == direct.complex_lattice.basis_labels
+        assert twice.real_lattice.gram == direct.real_lattice.gram
+        assert twice.complex_lattice.gram == direct.complex_lattice.gram
+        assert twice.embedding.matrix == direct.embedding.matrix
+        assert twice.involution.matrix == direct.involution.matrix
+        assert twice.canonical == direct.canonical
+        assert twice.complex_canonical == direct.complex_canonical
+        assert twice.minus_one_classes == direct.minus_one_classes
+        assert (twice.degree, twice.s, twice.r) == (direct.degree, direct.s, direct.r)
+        assert replace(twice, name=direct.name) == direct  # every other field
+    assert builtin("Q31_0_4").complex_lattice.basis_labels == ("l1", "l2", "E1", "E2", "E3", "E4")
 
 
 def test_blow_up_models_satisfy_invariants():

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -236,6 +237,45 @@ def test_link_degenerate_input_exits_2(capsys, tmp_path):
     code, payload = run_json(capsys, ["link", str(path), center, "--degree", "2"])
     assert code == 2
     assert "perturb" in payload["message"]
+
+
+def test_link_degree_below_one_exits_2(capsys, tmp_path):
+    center = write_center_file(tmp_path)
+    oval = write_cycles_file(tmp_path, ["1/4"])
+    for degree in ("-3", "0"):
+        argv = ["link", oval, center, "--degree", degree]
+        code, payload = run_json(capsys, argv)
+        assert code == 2
+        assert payload == {"status": "error", "message": f"--degree must be at least 1, got {degree}"}
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: --degree must be at least 1, got {degree}\n"
+
+
+def write_power_file(tmp_path, degree):
+    path = tmp_path / f"x0_{degree}.json"
+    path.write_text(json.dumps({"degree": degree, "terms": [{"exponents": [degree, 0, 0, 0], "coeff": 1}]}))
+    return str(path)
+
+
+def test_hyp_degree_above_64_exits_2_at_once(capsys, tmp_path):
+    argv = ["hyp", write_power_file(tmp_path, 65), "--point", "1,0,0,0"]
+    start = time.perf_counter()
+    code, payload = run_json(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert payload == {"status": "error", "message": "degree must be at most 64, got 65"}
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: degree must be at most 64, got 65\n"
+
+
+def test_hyp_degree_64_still_answers(capsys, tmp_path):
+    argv = ["hyp", write_power_file(tmp_path, 64), "--point", "1,0,0,0", "--trials", "1"]
+    code, payload = run_json(capsys, argv)
+    assert code in (0, 1) and payload["status"] in ("supported", "refuted")
 
 
 def test_json_payloads_round_trip(capsys, tmp_path):
