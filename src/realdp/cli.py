@@ -95,7 +95,14 @@ def _conic_matrix_json(matrix: ConicMatrix):
     }
 
 
-_MAX_HYP_DEGREE = 64  # line sampling slows steeply with the degree
+# Costs at degree 64 of one `hyp` trial (Python 3.11, 2-vCPU Xeon VM): the
+# dense form (all 47,905 monomials, centre 3,1,-1,2) has 814,385 polar
+# monomials, and computing them and refuting at the first line takes 6 to 9 s
+# and about 180 MB; a line whose whole Sturm chain is built (the product of 32
+# nested spheres, centre inside) takes about 55 s.  100,000 trials on a
+# quadric take about 5 s.
+_MAX_HYP_DEGREE = 64
+_MAX_HYP_TRIALS = 100_000
 
 
 def _parse_hypersurface(doc) -> HypersurfaceSpec:
@@ -256,6 +263,8 @@ def _cmd_conic_construct(args):
 
 
 def _cmd_hyp(args):
+    if args.trials > _MAX_HYP_TRIALS:
+        raise ValueError(f"--trials must be at most {_MAX_HYP_TRIALS}, got {args.trials}")
     surface = _document(args.polyfile, "hypersurface", _parse_hypersurface)
     point = tuple(_fraction(x) for x in args.point.split(","))
     if len(point) != 4:

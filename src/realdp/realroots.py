@@ -7,8 +7,11 @@ question goes through `root_profile`: one Sturm chain per multiplicity level
 gives the real-root count with multiplicity, the distinct count and the
 squarefree flag together.  Sturm chains hold primitive integer polynomials,
 each a positive multiple of the classical chain's element, since the counts
-read only signs.  `rational_roots` isolates the real roots with the same
-chains on the lattice n / lc, lc the leading coefficient.
+read only signs.  The chain is built lazily, so `real_rooted_profile`, the
+test whether every root is real, stops at the first element that breaks the
+full-length pattern (degrees falling by one, leading coefficients of one
+sign) and builds no further remainder.  `rational_roots` isolates the real
+roots with the same chains on the lattice n / lc, lc the leading coefficient.
 
 Tuples on hot paths are built from lists, not generators: CPython 3.11
 builds a tuple from a generator at size ten and shrinks it, which moves
@@ -138,26 +141,35 @@ def squarefree_decomposition(p):
     return out
 
 
-def sturm_sequence(p):
-    """Sturm chain of a nonzero polynomial as a primitive pseudo-remainder
-    sequence (Collins 1967; Brown and Traub 1971).
+def _sturm_chain(p):
+    """The Sturm chain of a nonzero polynomial, one element at a time, as a
+    primitive pseudo-remainder sequence (Collins 1967; Brown and Traub 1971).
 
     Each step pseudo-divides |lc(b)|^(deg a - deg b + 1) a by b, which keeps
-    the division over Z, and keeps the negated primitive part of the
-    remainder: a positive multiple of the element over Q.
+    the division over Z, and yields the negated primitive part of the
+    remainder: a positive multiple of the element over Q.  The last element
+    is gcd(g, g') up to a positive factor.
     """
-    chain = [primitive_vector(normalize(p))]
-    d = derivative(chain[0])
-    if d:
-        chain.append(primitive_vector(d))
-        while degree(chain[-1]) > 0:
-            a, b = chain[-2], chain[-1]
-            scale = abs(b[-1]) ** (degree(a) - degree(b) + 1)
-            rem = divmod_poly([scale * c for c in a], b)[1]
-            if not rem:
-                break
-            chain.append(neg(primitive_vector(rem)))
-    return chain
+    a = primitive_vector(normalize(p))
+    yield a
+    d = derivative(a)
+    if not d:
+        return
+    b = primitive_vector(d)
+    yield b
+    while degree(b) > 0:
+        scale = abs(b[-1]) ** (degree(a) - degree(b) + 1)
+        rem = divmod_poly([scale * c for c in a], b)[1]
+        if not rem:
+            return
+        a, b = b, neg(primitive_vector(rem))
+        yield b
+
+
+def sturm_sequence(p):
+    """Sturm chain of a nonzero polynomial as a list of primitive integer
+    polynomials (see `_sturm_chain`)."""
+    return list(_sturm_chain(p))
 
 
 def _sign_changes(signs):
@@ -198,6 +210,33 @@ def sturm_count(coeffs, with_multiplicity: bool = False) -> int:
     """
     roots = root_profile(coeffs)
     return roots.real if with_multiplicity else roots.distinct
+
+
+def real_rooted_profile(coeffs) -> RootProfile | None:
+    """`root_profile(coeffs)` when every root is real, else None.
+
+    Let g have degree n and gcd(g, g') degree m, so g has n - m distinct
+    roots.  The Sturm chain of g counts its distinct real roots as the sign
+    changes at -infinity minus those at +infinity, and has at most n - m + 1
+    elements, so the count reaches n - m exactly when the chain has full
+    length: each degree one below the one before, down to m, and every
+    leading coefficient of the sign of lc(g).  The chain stops at the first
+    degree gap or sign flip, so a nonreal root is usually found after a few
+    remainders.  The roots of gcd(g, g') are roots of g, so the lower
+    multiplicity levels then hold only real roots, and the counts follow
+    from n and m alone.
+    """
+    g = normalize(coeffs)
+    if not g:
+        raise ValueError("zero polynomial")
+    positive = g[-1] > 0
+    expected = degree(g)
+    for f in _sturm_chain(g):
+        if degree(f) != expected or (f[-1] > 0) != positive:
+            return None
+        expected -= 1
+    common = expected + 1  # the degree of gcd(g, g')
+    return RootProfile(degree(g), degree(g) - common, common == 0)
 
 
 def _variations(chain, n):

@@ -10,6 +10,13 @@ statistical support only.  A positive rescaling changes no root's reality or
 multiplicity, so the form's coefficients, the center and each sampled point
 are primitive integer vectors, and restrictions are computed over Z.
 
+The center is fixed for a whole check, so the restriction comes from the
+polar forms X_k = D_e^k X / k! (Garding 1959), D_e the derivative along e:
+X(x + t e) = sum_k t^k X_k(x).  They are computed once per check, and a
+trial evaluates each X_k at x from one power table per coordinate.  The
+test of a line is `realroots.real_rooted_profile`, which stops at the first
+Sturm remainder that shows a nonreal root.
+
 Linking numbers are computed on the double cover S^n -> RP^n, n in {2, 3}.
 The center E (a point of RP^2, a line of RP^3) is cut out by two independent
 linear equations, and a hyperplane L containing E by one equation lying in
@@ -88,16 +95,42 @@ class HypersurfaceSpec:
             clean = zip([exps for exps, _ in clean], primitive_vector([c for _, c in clean]))
         object.__setattr__(self, "terms", tuple(clean))
 
-    def restrict_to_line(self, x, e):
-        """Coefficients (low to high) of t |-> X(x + t e), X as stored."""
-        total = ()
-        for exps, coeff in self.terms:
-            term = (1,)
-            for xi, ei, k in zip(x, e, exps):
-                for _ in range(k):
-                    term = realroots.mul(term, (xi, ei))
-            total = realroots.add(total, [coeff * c for c in term])
-        return total
+    def polar_forms(self, e):
+        """[X_0, ..., X_d] with X(x + t e) = sum_k t^k X_k(x), for an integer
+        point e, each form stored like `terms`; the terms of X_d sum to X(e).
+
+        X_k = D_e X_(k-1) / k with D_e = sum_i e_i d/dx_i.  The division is
+        exact: X_k has integer coefficients, since they are coefficients of
+        the expansion of X(x + t e) over Z.
+        """
+        e = int_tuple(e)
+        if len(e) != 4:
+            raise ValueError(f"center needs four coordinates, got {len(e)}")
+        along = [(i, ei) for i, ei in enumerate(e) if ei]
+        forms = [self.terms]
+        for k in range(1, self.degree + 1):
+            derived = {}
+            for exps, coeff in forms[-1]:
+                for i, ei in along:
+                    if ki := exps[i]:
+                        lower = exps[:i] + (ki - 1,) + exps[i + 1:]
+                        derived[lower] = derived.get(lower, 0) + coeff * ki * ei
+            forms.append(tuple([(exps, c // k) for exps, c in derived.items() if c]))
+        return tuple(forms)
+
+    def restrict_to_line(self, x, polar):
+        """Coefficients (low to high) of t |-> X(x + t e), X as stored, for
+        an integer point x and the polar forms of X at e."""
+        tables = []
+        for xi in x:
+            powers = [1]
+            for _ in range(self.degree):
+                powers.append(powers[-1] * xi)
+            tables.append(powers)
+        x0, x1, x2, x3 = tables
+        return realroots.normalize(
+            [sum([c * x0[a] * x1[b] * x2[f] * x3[g] for (a, b, f, g), c in form]) for form in polar]
+        )
 
 
 def _point(coords, what):
@@ -110,16 +143,17 @@ def _point(coords, what):
     return primitive_vector(point)
 
 
-def _restriction_profile(x: HypersurfaceSpec, e, p):
-    """Root profile of X on the line through p and e (checked by the caller).
+def _polar_forms(x: HypersurfaceSpec, e):
+    """The polar forms of X at a center e (checked by the caller).
 
-    The top coefficient of t |-> X(p + t e) is X(e), so the degree drops
-    exactly when the center lies on X.
+    The top form is the constant X(e), the top coefficient of every
+    restriction, so a line's degree drops exactly when the center lies on X.
+    Equal monomials may repeat in `terms`, so X(e) is the sum of its terms.
     """
-    q = x.restrict_to_line(p, e)
-    if realroots.degree(q) < x.degree:
+    polar = x.polar_forms(e)
+    if not sum([c for _, c in polar[-1]]):
         raise ValueError("center on hypersurface")
-    return realroots.root_profile(q)
+    return polar
 
 
 def all_real_restriction(x: HypersurfaceSpec, e, p) -> bool:
@@ -131,7 +165,7 @@ def all_real_restriction(x: HypersurfaceSpec, e, p) -> bool:
     e, p = _point(e, "center"), _point(p, "sample point")
     if p in (e, realroots.neg(e)):
         raise ValueError("sample point coincides with the center")
-    return _restriction_profile(x, e, p).real == x.degree
+    return realroots.real_rooted_profile(x.restrict_to_line(p, _polar_forms(x, e))) is not None
 
 
 @dataclass(frozen=True)
@@ -154,6 +188,7 @@ def hyperbolicity_check(x: HypersurfaceSpec, e, trials: int, seed: int) -> Hyper
     if trials < 1:
         raise ValueError("need at least one trial")
     e = _point(e, "center")  # with e = 0 every sample point would be parallel to e
+    polar = _polar_forms(x, e)
     rays_of_e = (e, realroots.neg(e))
     rng = SplitMix64(seed)
     boundary = 0
@@ -162,8 +197,8 @@ def hyperbolicity_check(x: HypersurfaceSpec, e, trials: int, seed: int) -> Hyper
             point = tuple(rng.rational() for _ in range(4))
             if any(point) and (ray := primitive_vector(point)) not in rays_of_e:
                 break
-        roots = _restriction_profile(x, e, ray)
-        if roots.real != x.degree:
+        roots = realroots.real_rooted_profile(x.restrict_to_line(ray, polar))
+        if roots is None:
             return HyperbolicityVerdict(True, point, trial, trials, boundary)
         if roots.distinct < x.degree:
             boundary += 1

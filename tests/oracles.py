@@ -14,6 +14,8 @@ squarefree decomposition with one Sturm count per part checks
 integer chains of `realroots.sturm_sequence`.  The rational root test by
 divisor trial division checks `realroots.rational_roots`, and the
 entry-by-entry smoothness rule for diagonal sections checks `conic.analyze`.
+Expanding each monomial of a hypersurface along a line checks the restriction
+by polar forms of `topology.HypersurfaceSpec.restrict_to_line`.
 The library itself never calls these.
 """
 
@@ -432,6 +434,19 @@ def root_profile_by_decomposition(coeffs):
         distinct += n
         squarefree = squarefree and i == 1
     return realroots.RootProfile(real, distinct, squarefree)
+
+
+def restrict_by_expansion(x, p, e):
+    """Coefficients (low to high) of t |-> X(p + t e), X as stored: each
+    monomial is expanded by repeated products of the factors p_i + t e_i."""
+    total = ()
+    for exps, coeff in x.terms:
+        term = (1,)
+        for pi, ei, k in zip(p, e, exps):
+            for _ in range(k):
+                term = realroots.mul(term, (pi, ei))
+        total = realroots.add(total, [coeff * c for c in term])
+    return total
 
 
 def rational_roots_by_divisors(coeffs):

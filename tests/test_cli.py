@@ -278,6 +278,99 @@ def test_hyp_degree_64_still_answers(capsys, tmp_path):
     assert code in (0, 1) and payload["status"] in ("supported", "refuted")
 
 
+def test_hyp_trials_above_100000_exit_2_at_once(capsys, tmp_path):
+    argv = ["hyp", write_sphere_file(tmp_path), "--point", "1,0,0,0", "--trials", "100001"]
+    start = time.perf_counter()
+    code, payload = run_json(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert payload == {"status": "error", "message": "--trials must be at most 100000, got 100001"}
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --trials must be at most 100000, got 100001\n"
+
+
+def test_hyp_100000_trials_still_answer(capsys, tmp_path):
+    empty = {(2, 0, 0, 0): 1, (0, 2, 0, 0): 1, (0, 0, 2, 0): 1, (0, 0, 0, 2): 1}
+    argv = ["hyp", write_form_file(tmp_path, "empty", empty), "--point", "1,0,0,0", "--trials", "100000"]
+    code, payload = run_json(capsys, argv)
+    assert code == 1 and payload["status"] == "refuted"
+    assert payload["trial"] == 1 and payload["trials"] == 100000
+
+
+def _form_product(p, q):
+    out = {}
+    for ea, ca in p.items():
+        for eb, cb in q.items():
+            key = tuple(a + b for a, b in zip(ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def nested_spheres(*radii):
+    """The product of the spheres x1^2 + x2^2 + x3^2 = r^2 in the x0 = 1 chart."""
+    form = {(0, 0, 0, 0): 1}
+    for r in radii:
+        form = _form_product(form, {(0, 2, 0, 0): 1, (0, 0, 2, 0): 1, (0, 0, 0, 2): 1, (2, 0, 0, 0): -r * r})
+    return form
+
+
+def dense_form(degree):
+    """Every monomial of the given degree, with coefficient 1."""
+    return {
+        (a, b, c, degree - a - b - c): 1
+        for a in range(degree + 1) for b in range(degree + 1 - a) for c in range(degree + 1 - a - b)
+    }
+
+
+def write_form_file(tmp_path, name, form):
+    degree = sum(next(iter(form)))
+    terms = [{"exponents": list(e), "coeff": c} for e, c in sorted(form.items())]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"degree": degree, "terms": terms}))
+    return str(path)
+
+
+INSIDE, FAR = "4,1,-1,1", "1,10,3,-2"
+
+# name: (form, centre, trials, seed, exit code, JSON stdout); the stdout is
+# that of the sampler with restrictions by monomial expansion and full Sturm
+# chains.
+PINNED_HYP = {
+    "quadric_inside": (lambda: nested_spheres(1), INSIDE, 100, 3, 0,
+        '{"boundary_contacts":0,"status":"supported","trial":null,"trials":100,"witness":null}'),
+    "quartic_inside": (lambda: nested_spheres(1, 2), INSIDE, 100, 3, 0,
+        '{"boundary_contacts":0,"status":"supported","trial":null,"trials":100,"witness":null}'),
+    "sextic_inside": (lambda: nested_spheres(1, 2, 3), INSIDE, 100, 3, 0,
+        '{"boundary_contacts":0,"status":"supported","trial":null,"trials":100,"witness":null}'),
+    "quadric_far": (lambda: nested_spheres(1), FAR, 100, 5, 1,
+        '{"boundary_contacts":0,"status":"refuted","trial":1,"trials":100,"witness":["-2981/6345","-187/355","-1555/1479","2099/1516"]}'),
+    "quartic_far": (lambda: nested_spheres(1, 2), FAR, 100, 6, 1,
+        '{"boundary_contacts":0,"status":"refuted","trial":3,"trials":100,"witness":["-73/1867","-2348/1975","-6445/7697","-6953/2127"]}'),
+    "sextic_far": (lambda: nested_spheres(1, 2, 3), FAR, 100, 7, 1,
+        '{"boundary_contacts":0,"status":"refuted","trial":4,"trials":100,"witness":["8941/6906","1463/8240","8447/1166","786/607"]}'),
+    "x1_squared_sphere": (lambda: _form_product({(0, 2, 0, 0): 1}, nested_spheres(1)), INSIDE, 100, 3, 0,
+        '{"boundary_contacts":100,"status":"supported","trial":null,"trials":100,"witness":null}'),
+    "dense32": (lambda: dense_form(32), "3,1,-1,2", 1, 0, 1,
+        '{"boundary_contacts":0,"status":"refuted","trial":1,"trials":1,"witness":["8973/5701","1234/815","-2086/697","-3929/6941"]}'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_HYP))
+def test_hyp_output_is_pinned(capsys, tmp_path, name):
+    form, center, trials, seed, code, expected = PINNED_HYP[name]
+    argv = ["hyp", write_form_file(tmp_path, name, form()), "--point", center,
+            "--trials", str(trials), "--seed", str(seed), "--format", "json"]
+    start = time.perf_counter()
+    assert main(argv) == code
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (expected + "\n", "")
+    if name == "dense32":
+        assert elapsed < 2  # restriction by monomial expansion took 4 to 5 s
+
+
 def test_json_payloads_round_trip(capsys, tmp_path):
     sphere = write_sphere_file(tmp_path)
     commands = [

@@ -74,6 +74,7 @@ INTEGER_CALLS = {
     "squarefree_decomposition": (realroots.mul(R, (1, 2)),),
     "sturm_sequence": (Q,),
     "root_profile": (R,),
+    "real_rooted_profile": (R,),
     "sturm_count": (R,),
     "rational_roots": (realroots.mul(R, (1, 2)),),
 }

@@ -1,7 +1,9 @@
 """`realroots.root_profile` (one Sturm chain per multiplicity level) against
 the squarefree-decomposition reference and against polynomials built from
-known factors, and the integer Sturm chains against the chains over Q.  Needs
-neither sympy nor hypothesis."""
+known factors, the early-exit test `real_rooted_profile` against
+`root_profile`, and the integer Sturm chains against the chains over Q.
+Needs neither sympy nor hypothesis; sympy, where installed, also counts the
+real roots."""
 
 import math
 import random
@@ -46,6 +48,58 @@ def test_root_profile_matches_decomposition_reference():
         scale = math.lcm(*(c.denominator for c in poly))
         integer = tuple(int(c * scale) for c in poly)  # same roots, int coefficients
         assert realroots.root_profile(integer) == expected, integer
+
+
+def test_real_rooted_profile_is_root_profile_when_every_root_is_real():
+    """Products of linear factors to powers 1 to 3 and of nonreal quadratics,
+    so several multiplicity levels occur, with integer coefficients of
+    either leading sign."""
+    try:
+        import sympy
+    except ImportError:
+        sympy = None
+    rng = random.Random(20261)
+    real_rooted = 0
+    for _ in range(400):
+        poly, _, _ = _factored(rng)
+        scale = math.lcm(*(c.denominator for c in poly))
+        g = tuple(int(c * scale) for c in poly)
+        profile = realroots.root_profile(g)
+        if profile.real == realroots.degree(g):
+            assert realroots.real_rooted_profile(g) == profile, g
+            real_rooted += 1
+        else:
+            assert realroots.real_rooted_profile(g) is None, g
+        if sympy is not None:
+            x = sympy.Symbol("x")
+            roots = sympy.real_roots(sympy.Poly(list(reversed(g)), x))
+            assert (len(roots) == realroots.degree(g)) == (realroots.real_rooted_profile(g) is not None)
+    assert 50 < real_rooted < 350
+
+
+def test_real_rooted_profile_stops_at_the_first_sign_flip(monkeypatch):
+    """(t - 1) ... (t - 8) (t^2 + 1): every degree of the Sturm chain occurs,
+    but the third remainder flips the leading sign, so the test divides three
+    times where the whole chain takes nine divisions."""
+    g = (1, 0, 1)
+    for root in range(1, 9):
+        g = realroots.mul(g, (-root, 1))
+    divisions = []
+    divide = realroots.divmod_poly
+    monkeypatch.setattr(realroots, "divmod_poly", lambda p, q: divisions.append(1) or divide(p, q))
+    assert [realroots.degree(f) for f in realroots.sturm_sequence(g)] == list(range(10, -1, -1))
+    assert len(divisions) == 9
+    divisions.clear()
+    assert realroots.real_rooted_profile(g) is None
+    assert len(divisions) == 3
+
+
+def test_real_rooted_profile_of_constants_and_zero():
+    assert realroots.real_rooted_profile((-5,)) == (0, 0, True)
+    assert realroots.real_rooted_profile((0, 0, 1)) == (2, 1, False)
+    assert realroots.real_rooted_profile((1, 0, 1)) is None
+    with pytest.raises(ValueError):
+        realroots.real_rooted_profile((0, 0))
 
 
 def _positive_multiple(p, q):

@@ -13,7 +13,7 @@ from realdp.topology import (
     hyperbolicity_check,
     linking_number,
 )
-from oracles import hyperbolicity_from_linking
+from oracles import hyperbolicity_from_linking, restrict_by_expansion
 from conftest import (
     cayley_rotation,
     chart_axis,
@@ -163,6 +163,45 @@ def test_center_on_hypersurface_is_the_degree_drop():
             check((1, 1, 0, 0))
         with pytest.raises(ValueError, match="center must be a nonzero point"):
             check((0, 0, 0, 0))
+    cancelling = HypersurfaceSpec(0, (((0, 0, 0, 0), -1), ((0, 0, 0, 0), 1)))  # the zero form
+    with pytest.raises(ValueError, match="center on hypersurface"):
+        hyperbolicity_check(cancelling, (1, 0, 0, 0), 5, 0)
+    with pytest.raises(ValueError, match="center on hypersurface"):
+        all_real_restriction(cancelling, (1, 0, 0, 0), (0, 1, 2, 3))
+
+
+def test_restriction_by_polar_forms_matches_expansion():
+    st = pytest.importorskip("hypothesis.strategies")
+    from hypothesis import given, settings
+
+    @st.composite
+    def forms(draw):
+        degree = draw(st.integers(0, 8))
+        terms = []
+        for _ in range(draw(st.integers(0, 12))):
+            a = draw(st.integers(0, degree))
+            b = draw(st.integers(0, degree - a))
+            c = draw(st.integers(0, degree - a - b))
+            terms.append(((a, b, c, degree - a - b - c), draw(st.integers(-50, 50))))
+        return HypersurfaceSpec(degree, tuple(terms))
+
+    centers = st.tuples(*[st.integers(-3, 3)] * 4)
+    points = st.tuples(*[st.integers(-10**6, 10**6)] * 4)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(forms(), centers, points)
+    def check(x, e, p):
+        assert x.restrict_to_line(p, x.polar_forms(e)) == restrict_by_expansion(x, p, e)
+
+    check()
+
+
+def test_polar_forms_of_the_sphere():
+    """x1^2 + x2^2 + x3^2 - x0^2 along e = (1, 1, 0, 0): X_1 = 2 x1 - 2 x0 and
+    X_2 = X(e) = 0, so every line through e meets the sphere once more."""
+    polar = sphere_quadric().polar_forms((1, 1, 0, 0))
+    assert [dict(form) for form in polar] == [
+        dict(sphere_quadric().terms), {(0, 1, 0, 0): 2, (1, 0, 0, 0): -2}, {}]
 
 
 def test_hyperbolicity_interior_center_supported():
