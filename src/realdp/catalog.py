@@ -5,7 +5,9 @@ Each model bundles the Picard lattice of the complexification, the
 complex-conjugation involution on it, the real Picard lattice embedded as the
 fixed sublattice, the canonical class on both sides, the finitely many
 (-1)-classes with their pairings against the real basis, and the topological
-bookkeeping (s spheres, r projective planes).
+bookkeeping (s spheres, r projective planes).  The embedding and the
+conjugation are plain integer matrices (tuples of row tuples), built here and
+never read from input; every pairing goes through `intlinalg.dot`.
 
 Conventions.  Complex lattices are either the blow-up lattice Z^{1,n} with
 basis H, E1, ..., En, pairing diag(1, -1, ..., -1) and canonical class
@@ -28,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .lattice import ClassVector, IntLattice, LatticeMap, enumerate_classes, geiser_bertini
+from .intlinalg import dot, int_tuple, mat_vec
+from .lattice import ClassVector, IntLattice, enumerate_classes, geiser_bertini
 
 @dataclass(frozen=True)
 class SurfaceModel:
@@ -40,8 +43,8 @@ class SurfaceModel:
     canonical: ClassVector
     complex_lattice: IntLattice
     complex_canonical: ClassVector
-    embedding: LatticeMap
-    involution: LatticeMap
+    embedding: tuple  # complex rank x real rank; column j: real basis vector j in complex coordinates
+    involution: tuple  # complex rank x complex rank: the conjugation
     minus_one_classes: tuple
     line_functionals: tuple  # row i: pairings of minus_one_classes[i] with the real basis
 
@@ -53,24 +56,23 @@ def minus_one_curves(l_complex: IntLattice, k: ClassVector) -> tuple:
     return tuple(enumerate_classes(l_complex, k, -1, -1, -1))
 
 
-def _model(name, degree, s, r, cx, k_cx_coeffs, invol_rows, real_labels, real_columns, canonical_coeffs):
+def _model(name, degree, s, r, cx, k_cx_coeffs, involution, real_labels, real_columns, canonical_coeffs):
     """Assemble a SurfaceModel from complex-lattice data and a real basis.
 
-    `real_columns` are the real basis vectors written in complex coordinates.
-    The real pairing matrix is computed from them, so the embedding is an
-    isometry by construction, and so are the line functionals, which make D.L
-    a dot product in real coordinates.
+    `real_columns` are the real basis vectors u written in complex
+    coordinates, and G u is computed once for each.  The real pairing matrix
+    is u.(G v), so the embedding is an isometry by construction, and the line
+    functionals are L.(G u), which make D.L a dot product in real coordinates.
     """
     k_cx = cx.vector(k_cx_coeffs)
     if k_cx.dot(k_cx) != degree:
         raise ValueError(f"{name}: canonical self-intersection does not match the degree")
-    images = [cx.vector(col) for col in real_columns]
-    gram = tuple(tuple(u.dot(v) for v in images) for u in images)
+    gram_images = [mat_vec(cx.gram, u) for u in real_columns]
+    gram = tuple(tuple(dot(u, gv) for gv in gram_images) for u in real_columns)
     real = IntLattice(len(real_labels), tuple(real_labels), gram)
-    embedding = LatticeMap(real, cx, tuple(zip(*real_columns)))
-    involution = LatticeMap(cx, cx, tuple(tuple(row) for row in invol_rows))
+    embedding = tuple(zip(*real_columns))
     canonical = real.vector(canonical_coeffs)
-    if embedding.apply(canonical) != k_cx:
+    if tuple(mat_vec(embedding, canonical.coeffs)) != k_cx.coeffs:
         raise ValueError(f"{name}: real canonical class does not embed onto K")
     lines = minus_one_curves(cx, k_cx)
     return SurfaceModel(
@@ -85,7 +87,7 @@ def _model(name, degree, s, r, cx, k_cx_coeffs, invol_rows, real_labels, real_co
         embedding=embedding,
         involution=involution,
         minus_one_classes=lines,
-        line_functionals=tuple(tuple(u.dot(line) for u in images) for line in lines),
+        line_functionals=tuple(tuple(dot(line.coeffs, gu) for gu in gram_images) for line in lines),
     )
 
 
@@ -192,7 +194,7 @@ def blow_up(base: SurfaceModel, real_points: int = 0, conj_pairs: int = 0) -> Su
     conjugation; a unit or pair-sum real basis vector per real class or pair.
     A real basis vector embedding onto K moves onto the new K.
     """
-    a, b = real_points, conj_pairs
+    a, b = int_tuple((real_points, conj_pairs))
     if a not in (0, 1, 2):
         raise ValueError("real_points must be 0, 1 or 2")
     if b < 0:
@@ -214,7 +216,7 @@ def blow_up(base: SurfaceModel, real_points: int = 0, conj_pairs: int = 0) -> Su
     cx = IntLattice(cx_old.rank + m, cx_old.basis_labels + tuple(new), gram)
     real = [unit(i) for i in range(a)]
     swap = real + [row for i, j in pairs for row in (unit(j), unit(i))]
-    old_columns = tuple(zip(*base.embedding.matrix))
+    old_columns = tuple(zip(*base.embedding))
     columns = list(_direct_sum(old_columns, real + [unit(*p) for p in pairs]))
     labels = base.real_lattice.basis_labels + tuple(new[:a] + [f"{new[i]}+{new[j]}" for i, j in pairs])
     k_cx = k_old + (1,) * m
@@ -229,7 +231,7 @@ def blow_up(base: SurfaceModel, real_points: int = 0, conj_pairs: int = 0) -> Su
     return _model(
         name, base.degree - m, base.s - a, base.r + a,
         cx, k_cx,
-        _direct_sum(base.involution.matrix, swap),
+        _direct_sum(base.involution, swap),
         labels, columns, canonical,
     )
 
@@ -242,11 +244,11 @@ def _rebase(model: SurfaceModel, rows, labels):
     has coordinates (1, 0, ..., 0) in the new basis, and `_model` checks that
     they embed onto the complex canonical class.
     """
-    new_cols = [model.embedding.apply(model.real_lattice.vector(row)).coeffs for row in rows]
+    new_cols = [mat_vec(model.embedding, row) for row in rows]
     return _model(
         model.name, model.degree, model.s, model.r,
         model.complex_lattice, model.complex_canonical.coeffs,
-        model.involution.matrix,
+        model.involution,
         tuple(labels), new_cols,
         (1,) + (0,) * (len(rows) - 1),
     )

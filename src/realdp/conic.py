@@ -161,6 +161,7 @@ class BundleConditionReport:
 def necbundle_conditions(s: int, a: int, b: int) -> BundleConditionReport:
     """The six conditions on D = aF - bK over a minimal conic bundle with s
     sphere components (K.K = 8 - 2s, F.K = -2, F.F = 0)."""
+    s, a, b = int_tuple((s, a, b))
     if s < 1:
         raise ValueError("s must be at least 1")
     return BundleConditionReport(

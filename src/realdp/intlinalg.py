@@ -1,17 +1,20 @@
 """Exact integer linear algebra; no floating point is ever used.
 
-Matrices are lists of lists in row-major order.  These routines back the
+Matrices are sequences of rows in row-major order; the catalogue stores its
+embeddings and conjugations as tuples of row tuples.  These routines back the
 lattice layer: the strict integer and rational checks every library
 constructor applies to its input, the primitive integer representative of a
-rational vector, matrix-vector products, and a Fincke-Pohst enumeration over
-the integers certified by the leading principal minors of a fraction-free
-(Bareiss) elimination.
+rational vector, the one dot product of the library (`dot`, which
+matrix-vector products, lattice pairings and the linking-number signs all
+use), and a Fincke-Pohst enumeration over the integers certified by the
+leading principal minors of a fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 
 
 def int_tuple(values) -> tuple:
@@ -55,8 +58,13 @@ def primitive_vector(values) -> tuple:
     return tuple([c // g for c in ints])
 
 
+def dot(u, v):
+    """sum_i u_i v_i for two vectors of one length."""
+    return sum(map(mul, u, v))
+
+
 def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [dot(row, v) for row in a]
 
 
 def _bareiss(a):
@@ -121,7 +129,7 @@ def _window(rows, weights, v, k, budget):
     """Frame [k, lo, hi, budget, c] of coordinate k: [lo, hi] holds the
     integers m with weights[k] (D_(k+1) m + c)^2 <= budget, where c is
     sum_{j>k} rows[k][j] v_j; the search advances lo."""
-    c = sum([rows[k][j] * v[j] for j in range(k + 1, len(v))])
+    c = dot(rows[k][k + 1:], v[k + 1:])
     r = isqrt(budget // weights[k])
     p = rows[k][k]
     return [k, -((r + c) // p), (r - c) // p, budget, c]

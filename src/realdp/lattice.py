@@ -49,11 +49,7 @@ class IntLattice:
         """Intersection product u.v = u^T * gram * v."""
         if u.lattice != self or v.lattice != self:
             raise ValueError("classes do not belong to this lattice")
-        g = self.gram
-        return sum(
-            ui * sum(gij * vj for gij, vj in zip(gi, v.coeffs))
-            for ui, gi in zip(u.coeffs, g)
-        )
+        return intlinalg.dot(u.coeffs, intlinalg.mat_vec(self.gram, v.coeffs))
 
 
 @dataclass(frozen=True)
@@ -88,29 +84,6 @@ class ClassVector:
     def __rmul__(self, k):
         k = intlinalg.int_tuple((k,))[0]
         return ClassVector(self.lattice, tuple(k * a for a in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-
-@dataclass(frozen=True)
-class LatticeMap:
-    """Homomorphism of lattices, columns of `matrix` = images of basis vectors."""
-
-    source: IntLattice
-    target: IntLattice
-    matrix: tuple
-
-    def __post_init__(self):
-        matrix = tuple(intlinalg.int_tuple(row) for row in self.matrix)
-        if len(matrix) != self.target.rank or any(len(r) != self.source.rank for r in matrix):
-            raise ValueError("matrix shape must be target rank x source rank")
-        object.__setattr__(self, "matrix", matrix)
-
-    def apply(self, v: ClassVector) -> ClassVector:
-        if v.lattice != self.source:
-            raise ValueError("class does not belong to the source lattice")
-        return self.target.vector(intlinalg.mat_vec(self.matrix, v.coeffs))
 
 
 def adjunction_genus(d: ClassVector, k: ClassVector) -> int:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalog import SURFACE_NAMES, SurfaceModel, builtin
+from .intlinalg import dot
 from .lattice import ClassVector, adjunction_genus, enumerate_classes, riemann_roch_dim
 
 
@@ -47,7 +48,7 @@ def _positive_on_lines(model: SurfaceModel, d: ClassVector) -> bool:
     if d.lattice != model.real_lattice:
         raise ValueError("divisor class does not live in the real Picard lattice")
     coeffs = d.coeffs
-    return all(sum(c * w for c, w in zip(coeffs, row)) > 0 for row in model.line_functionals)
+    return all(dot(coeffs, row) > 0 for row in model.line_functionals)
 
 
 def check_conditions(model: SurfaceModel, d: ClassVector) -> ConditionReport:

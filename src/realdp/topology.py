@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import realroots
-from .intlinalg import int_tuple, primitive_vector, rational_tuple
+from .intlinalg import dot, int_tuple, primitive_vector, rational_tuple
 
 # ---------------------------------------------------------------------------
 # Deterministic rational sampling
@@ -185,6 +185,7 @@ def hyperbolicity_check(x: HypersurfaceSpec, e, trials: int, seed: int) -> Hyper
     support, not a proof.  Trials with a multiple real root are tolerated and
     tallied as boundary contacts.
     """
+    trials, seed = int_tuple((trials, seed))
     if trials < 1:
         raise ValueError("need at least one trial")
     e = _point(e, "center")  # with e = 0 every sample point would be parallel to e
@@ -241,10 +242,6 @@ def _rank(vectors):
             rows[i] = [rows[rank][col] * a - rows[i][col] * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
-
-
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
 
 
 @dataclass(frozen=True)
@@ -313,9 +310,9 @@ def _hemisphere_frame(e: GreatSubsphere, chain: GreatSubsphere | None):
     span_rank = _rank(e.normals)
     if _rank(e.normals + (n_l,)) != span_rank:
         raise ValueError("the hyperplane must contain the center")
-    nn = _dot(n_l, n_l)
+    nn = dot(n_l, n_l)
     for candidate in e.normals:
-        b = [nn * c - _dot(candidate, n_l) * l for c, l in zip(candidate, n_l)]
+        b = [nn * c - dot(candidate, n_l) * l for c, l in zip(candidate, n_l)]
         if any(b):
             return n_l, primitive_vector(b)
     raise ValueError("degenerate normals")  # unreachable: normals independent
@@ -335,19 +332,19 @@ def linking_number(cycle: PLCycle, e: GreatSubsphere, chain: GreatSubsphere | No
         raise ValueError("cycle and center live in different ambient spaces")
     n_l, b = _hemisphere_frame(e, chain)
     for idx, p in enumerate(cycle.points):
-        if all(_dot(p, n) == 0 for n in e.normals):
+        if all(dot(p, n) == 0 for n in e.normals):
             raise ValueError(f"cycle vertex {idx} lies on the center's lift")
     total = 0
     for idx, (p, q) in enumerate(cycle.lift_segments()):
-        alpha, beta = _dot(p, n_l), _dot(q, n_l)
+        alpha, beta = dot(p, n_l), dot(q, n_l)
         if alpha == 0:
-            if _dot(p, b) >= 0:
+            if dot(p, b) >= 0:
                 raise ValueError(f"perturb input: vertex of segment {idx} lies on the hemisphere")
-            if beta == 0 and _dot(q, b) >= 0:
+            if beta == 0 and dot(q, b) >= 0:
                 raise ValueError(f"perturb input: segment {idx} lies in the hemisphere wall")
             continue
         if beta == 0:
-            if _dot(q, b) >= 0:
+            if dot(q, b) >= 0:
                 raise ValueError(f"perturb input: vertex of segment {idx} lies on the hemisphere")
             continue
         if (alpha > 0) == (beta > 0):
@@ -355,7 +352,7 @@ def linking_number(cycle: PLCycle, e: GreatSubsphere, chain: GreatSubsphere | No
         crossing = tuple([beta * pi - alpha * qi for pi, qi in zip(p, q)])
         if beta < 0:
             crossing = realroots.neg(crossing)  # keep the positive combination
-        side = _dot(crossing, b)
+        side = dot(crossing, b)
         if side == 0:
             raise ValueError(f"perturb input: segment {idx} crosses the center's lift")
         if side > 0:

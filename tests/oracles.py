@@ -26,7 +26,6 @@ from math import isqrt
 from realdp import realroots
 from realdp.catalog import SurfaceModel
 from realdp.conic import BinaryForm, ConicMatrix
-from realdp.lattice import LatticeMap
 from realdp.search import check_conditions
 from realdp.topology import GreatSubsphere, linking_number
 
@@ -219,22 +218,21 @@ def kernel_basis(m):
     return hnf(kernel)
 
 
-def fixed_sublattice(sigma: LatticeMap):
-    """Primitive basis of the sublattice fixed by an isometric involution.
+def fixed_sublattice(lattice, sigma):
+    """Primitive basis of the sublattice of `lattice` fixed by the isometric
+    involution with integer matrix `sigma`.
 
     Returns ClassVectors forming the HNF basis of ker(sigma - id).  The kernel
     of an integer matrix is saturated, so the result is automatically a
     primitive sublattice (torsion-free quotient).
     """
-    if sigma.source != sigma.target:
-        raise ValueError("fixed sublattice needs an endomorphism")
-    if not is_involution(sigma):
-        raise ValueError("map is not an involution")
-    if not is_isometry(sigma):
+    if not is_involution(sigma) or len(sigma) != lattice.rank:
+        raise ValueError("map is not an involution of the lattice")
+    if not is_isometry(sigma, lattice.gram, lattice.gram):
         raise ValueError("map is not an isometry")
-    n = sigma.source.rank
-    m = [[sigma.matrix[i][j] - int(i == j) for j in range(n)] for i in range(n)]
-    return [sigma.source.vector(row) for row in kernel_basis(m)]
+    n = lattice.rank
+    m = [[sigma[i][j] - int(i == j) for j in range(n)] for i in range(n)]
+    return [lattice.vector(row) for row in kernel_basis(m)]
 
 
 def hyperbolicity_from_linking(components, e: GreatSubsphere, chain: GreatSubsphere | None, claimed_degree: int) -> bool:
@@ -384,18 +382,17 @@ def zero_class(lattice):
     return lattice.vector((0,) * lattice.rank)
 
 
-def is_isometry(lmap: LatticeMap) -> bool:
-    """Pairings are preserved exactly: M^T * gram_target * M = gram_source."""
-    m = [list(r) for r in lmap.matrix]
-    lhs = mat_mul(mat_mul(transpose(m), [list(r) for r in lmap.target.gram]), m)
-    return lhs == [list(r) for r in lmap.source.gram]
+def is_isometry(m, source_gram, target_gram) -> bool:
+    """Pairings are preserved exactly: M^T * target_gram * M = source_gram."""
+    m = [list(r) for r in m]
+    lhs = mat_mul(mat_mul(transpose(m), [list(r) for r in target_gram]), m)
+    return lhs == [list(r) for r in source_gram]
 
 
-def is_involution(lmap: LatticeMap) -> bool:
-    if lmap.source != lmap.target:
-        return False
-    m = [list(r) for r in lmap.matrix]
-    return mat_mul(m, m) == identity(lmap.source.rank)
+def is_involution(m) -> bool:
+    """M is square and M * M = I."""
+    m = [list(r) for r in m]
+    return all(len(r) == len(m) for r in m) and mat_mul(m, m) == identity(len(m))
 
 
 def sturm_sequence_over_q(p):

@@ -16,6 +16,7 @@ from realdp.conic import (
     necbundle_conditions,
     surface_class_identities,
 )
+from realdp.intlinalg import mat_vec
 from realdp.lattice import geiser_bertini
 from realdp.search import check_conditions, search, table1
 from realdp.topology import (
@@ -178,7 +179,7 @@ def test_criterion_06_discriminant_examples():
 
 def test_criterion_07_fixed_sublattice_oracle():
     model = builtin("D2")
-    basis = fixed_sublattice(model.involution)
+    basis = fixed_sublattice(model.complex_lattice, model.involution)
     assert len(basis) == 2
     f = model.complex_lattice.vector((1, -1, 0, 0, 0, 0, 0, 0))
     k = model.complex_canonical
@@ -189,9 +190,10 @@ def test_criterion_07_fixed_sublattice_oracle():
                  "P2_0_6", "D4_1_0", "D4_2_0_11", "Q31_0_6", "D4_0_2", "D2",
                  "G2", "P2_0_8", "D4_1_2", "D2_1_0", "G2_1_0", "B1"):
         m = builtin(name)
+        gram = m.complex_lattice.gram
         assert is_involution(m.involution)
-        assert is_isometry(m.involution)
-        assert m.involution.apply(m.complex_canonical) == m.complex_canonical
+        assert is_isometry(m.involution, gram, gram)
+        assert tuple(mat_vec(m.involution, m.complex_canonical.coeffs)) == m.complex_canonical.coeffs
     report(7, "conjugation fixed lattice is <F, K> with the stated pairing; all involutions check")
 
 

@@ -100,6 +100,18 @@ def test_table1_json_byte_stable(capsys):
     assert canonical_json(payload) == out1.strip()
 
 
+GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
+
+
+def test_catalogue_stdout_matches_golden(capsys):
+    """`table1`, `enumerate` on every surface and two `check`s, in json and
+    text: exit code and stdout byte for byte as recorded in cli_golden.json."""
+    cases = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert {c["argv"][1] for c in cases if c["argv"][0] == "enumerate"} == set(realdp.catalog.SURFACE_NAMES)
+    for case in cases:
+        assert run(capsys, case["argv"]) == (case["exit"], case["stdout"]), case["argv"]
+
+
 def test_enumerate(capsys):
     code, payload = run_json(capsys, ["enumerate", "D2"])
     assert code == 0
@@ -430,12 +442,12 @@ def rational_slots(tmp_path):
         return str(path)
 
     def coefficient(value):
-        doc = json.loads(open(sphere).read())
+        doc = json.loads(pathlib.Path(sphere).read_text())
         doc["terms"][0]["coeff"] = value
         return ["hyp", write(doc), "--point", "1,0,0,0", "--trials", "5"]
 
     def cycle_point(value):
-        doc = json.loads(open(nested).read())
+        doc = json.loads(pathlib.Path(nested).read_text())
         doc["cycles"][0]["points"][0][1] = value
         return ["link", write(doc), center, "--degree", "4"]
 
@@ -537,7 +549,7 @@ def test_bad_rationals_exit_2(capsys, tmp_path):
     assert code == 2 and payload["status"] == "error"
     assert "zero denominator" in payload["message"]
     for coeff in ("1/0", True):
-        doc = json.loads(open(sphere).read())
+        doc = json.loads(pathlib.Path(sphere).read_text())
         doc["terms"][0]["coeff"] = coeff
         path = tmp_path / "bad_coeff.json"
         path.write_text(json.dumps(doc))
@@ -548,9 +560,9 @@ def test_bad_rationals_exit_2(capsys, tmp_path):
 
 
 def test_non_integer_fields_exit_2(capsys, tmp_path):
-    matrix = json.loads(open(write_matrix_file(tmp_path, worked_conic_matrix())).read())
-    sphere = json.loads(open(write_sphere_file(tmp_path)).read())
-    cycles = json.loads(open(write_cycles_file(tmp_path, ["1/2"])).read())
+    matrix = json.loads(pathlib.Path(write_matrix_file(tmp_path, worked_conic_matrix())).read_text())
+    sphere = json.loads(pathlib.Path(write_sphere_file(tmp_path)).read_text())
+    cycles = json.loads(pathlib.Path(write_cycles_file(tmp_path, ["1/2"])).read_text())
     construct = {"splitting": [1, 1, 1], "roots": [[0, 5], [1, -1], [2, -2]]}
     center = write_center_file(tmp_path)
     # (command, document, key path of one integer field, trailing arguments)

@@ -6,7 +6,6 @@ import pytest
 from realdp.catalog import builtin
 from realdp.lattice import (
     IntLattice,
-    LatticeMap,
     adjunction_genus,
     enumerate_classes,
     geiser_bertini,
@@ -86,23 +85,20 @@ def test_odd_intermediate_rejected():
 
 def test_fixed_sublattice_identity_and_negation():
     lat = d2_real()
-    ident = LatticeMap(lat, lat, ((1, 0), (0, 1)))
-    basis = fixed_sublattice(ident)
+    basis = fixed_sublattice(lat, ((1, 0), (0, 1)))
     assert [v.coeffs for v in basis] == [(1, 0), (0, 1)]
-    neg = LatticeMap(lat, lat, ((-1, 0), (0, -1)))
-    assert fixed_sublattice(neg) == []
+    assert fixed_sublattice(lat, ((-1, 0), (0, -1))) == []
 
 
 def test_fixed_sublattice_requires_involutive_isometry():
     lat = d2_real()
-    shear = LatticeMap(lat, lat, ((1, 1), (0, 1)))
     with pytest.raises(ValueError):
-        fixed_sublattice(shear)
+        fixed_sublattice(lat, ((1, 1), (0, 1)))
 
 
 def test_fixed_sublattice_of_conjugation():
     model = builtin("D2")
-    basis = fixed_sublattice(model.involution)
+    basis = fixed_sublattice(model.complex_lattice, model.involution)
     assert len(basis) == 2
     # spanned exactly by F = (1,-1,0,...) and K = (-3,1,...,1)
     f = model.complex_lattice.vector((1, -1, 0, 0, 0, 0, 0, 0))

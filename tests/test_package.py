@@ -53,6 +53,17 @@ def test_true_division_only_in_quotient():
     assert found == []
 
 
+def test_one_dot_product_helper():
+    """`intlinalg.dot` is the one module-level dot product of the library."""
+    found = [
+        f"{path.name}:{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and node.name.lstrip("_").endswith("dot")
+    ]
+    assert found == ["intlinalg.py:dot"]
+
+
 # ---------------------------------------------------------------------------
 # No floating point: integer input to realroots gives int or Fraction output
 
@@ -142,16 +153,17 @@ NOT_INTEGERS = (True, 1.7, Fraction(3, 2), Fraction(2), "3")
 def _strict_constructors():
     from realdp import conic
     from realdp.catalog import builtin
-    from realdp.lattice import ClassVector, IntLattice, LatticeMap
-    from realdp.topology import GreatSubsphere, HypersurfaceSpec, PLCycle
+    from realdp.catalog import blow_up
+    from realdp.lattice import ClassVector, IntLattice
+    from realdp.topology import GreatSubsphere, HypersurfaceSpec, PLCycle, hyperbolicity_check
+    from conftest import sphere_quadric
 
     lattice = builtin("D2").real_lattice
-    line = IntLattice(1, ("H",), ((1,),))
+    sphere = sphere_quadric()
     form = conic.BinaryForm(0, (1,))
     return {
         "IntLattice.rank": lambda x: IntLattice(x, ("H",), ((1,),)),
         "IntLattice.gram": lambda x: IntLattice(1, ("H",), ((x,),)),
-        "LatticeMap": lambda x: LatticeMap(line, line, ((x,),)),
         "BinaryForm": lambda x: conic.BinaryForm(2, (x, 0, 1)),
         "BinaryForm.degree": lambda x: conic.BinaryForm(x, (1, 0)),
         "ConicMatrix": lambda x: conic.ConicMatrix((0, 0, x), ((form,) * 3,) * 3),
@@ -160,6 +172,11 @@ def _strict_constructors():
         "intersection_number.class": lambda x: conic.intersection_number(1, (1, 0), (x, 0), (1, 0)),
         "surface_class_identities.a": lambda x: conic.surface_class_identities(x, 1),
         "surface_class_identities.c": lambda x: conic.surface_class_identities(0, x),
+        "necbundle_conditions.s": lambda x: conic.necbundle_conditions(x, 1, 1),
+        "necbundle_conditions.a": lambda x: conic.necbundle_conditions(3, x, 1),
+        "necbundle_conditions.b": lambda x: conic.necbundle_conditions(3, 1, x),
+        "blow_up.real_points": lambda x: blow_up(builtin("Q31"), real_points=x),
+        "blow_up.conj_pairs": lambda x: blow_up(builtin("Q31"), conj_pairs=x),
         "IntLattice.vector": lambda x: lattice.vector((x, -1)),
         "ClassVector": lambda x: ClassVector(lattice, (x, -1)),
         "ClassVector.__rmul__": lambda x: x * lattice.basis_vector(0),
@@ -167,6 +184,8 @@ def _strict_constructors():
         "HypersurfaceSpec.degree": lambda x: HypersurfaceSpec(x, (((1, 0, 0, 0), 1),)),
         "GreatSubsphere.ambient": lambda x: GreatSubsphere(x, ((0, 0, 1),)),
         "PLCycle.ambient": lambda x: PLCycle(x, "sphere", ((1, 0, 1), (1, 1, 0))),
+        "hyperbolicity_check.trials": lambda x: hyperbolicity_check(sphere, (1, 0, 0, 0), x, 0),
+        "hyperbolicity_check.seed": lambda x: hyperbolicity_check(sphere, (1, 0, 0, 0), 1, x),
     }
 
 
