@@ -248,13 +248,18 @@ def surface_class_identities(a: int, c: int):
 
 def discriminant(matrix: ConicMatrix) -> BinaryForm:
     """Determinant of the section matrix: a binary form of degree 2(a1+a2+a3)
-    whose zero locus on P^1 is the set of singular fibers."""
-    q = matrix.entries
-    return (
-        q[0][0] * (q[1][1] * q[2][2] - q[1][2] * q[2][1])
-        - q[0][1] * (q[1][0] * q[2][2] - q[1][2] * q[2][0])
-        + q[0][2] * (q[1][0] * q[2][1] - q[1][1] * q[2][0])
-    )
+    whose zero locus on P^1 is the set of singular fibers.
+
+    The cofactor expansion along the first row runs on the coefficient
+    tuples, and only the result is built as a form."""
+    mul, add, neg = realroots.mul, realroots.add, realroots.neg
+    q = [[f.coeffs for f in row] for row in matrix.entries]
+
+    def minor(j, k):  # rows 1 and 2, columns j and k
+        return add(mul(q[1][j], q[2][k]), neg(mul(q[1][k], q[2][j])))
+
+    det = add(add(mul(q[0][0], minor(1, 2)), neg(mul(q[0][1], minor(0, 2)))), mul(q[0][2], minor(0, 1)))
+    return _form(2 * sum(matrix.splitting), det)
 
 
 def _roots_on_p1(form: BinaryForm):
@@ -353,15 +358,12 @@ def factor_low_degree(form: BinaryForm):
         factors.append((BinaryForm(1, (1, 0)), inf_mult))  # v
     poly = poly[low:]
     for root in realroots.rational_roots(poly):
-        lin = (-root.numerator, root.denominator)
+        num, den = root.numerator, root.denominator
         mult = 0
-        while True:
-            quot, rem = realroots.divmod_poly(poly, lin)
-            if rem:
-                break
+        while (quot := realroots.deflate(poly, num, den)) is not None:
             poly = quot
             mult += 1
-        factors.append((BinaryForm(1, lin), mult))
+        factors.append((BinaryForm(1, (-num, den)), mult))
     rest_deg = realroots.degree(poly)
     if rest_deg > 2:
         return None

@@ -7,11 +7,14 @@ question goes through `root_profile`: one Sturm chain per multiplicity level
 gives the real-root count with multiplicity, the distinct count and the
 squarefree flag together.  Sturm chains hold primitive integer polynomials,
 each a positive multiple of the classical chain's element, since the counts
-read only signs.  The chain is built lazily, so `real_rooted_profile`, the
-test whether every root is real, stops at the first element that breaks the
-full-length pattern (degrees falling by one, leading coefficients of one
-sign) and builds no further remainder.  `rational_roots` isolates the real
-roots with the same chains on the lattice n / lc, lc the leading coefficient.
+read only signs.  They are division-free: each remainder is an integer
+pseudo-remainder, and one gcd removes its content.  The chain is built
+lazily, so `real_rooted_profile`, the test whether every root is real, stops
+at the first element that breaks the full-length pattern (degrees falling by
+one, leading coefficients of one sign) and builds no further remainder.
+`rational_roots` isolates the real roots with the same chains on the lattice
+n / lc, lc the leading coefficient, and `deflate` divides out a rational root
+by exact integer synthetic division.
 
 Tuples on hot paths are built from lists, not generators: CPython 3.11
 builds a tuple from a generator at size ten and shrinks it, which moves
@@ -22,6 +25,7 @@ thousand calls these hold about 2 MB.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .intlinalg import primitive_vector
@@ -98,6 +102,30 @@ def divmod_poly(p, q):
     return normalize(quot), tuple(rem)
 
 
+def deflate(p, num: int, den: int):
+    """The quotient of a nonzero integer polynomial p by den x - num, den > 0,
+    when it divides p over Z, else None.
+
+    Synthetic division from the top coefficient: each quotient coefficient is
+    an exact integer division by den, and the constant term is checked last.
+    By Gauss's lemma the quotient is integral whenever den x - num is
+    primitive and divides p over Q, so for num / den in lowest terms None
+    means that num / den is not a root.
+    """
+    quot = []
+    carry = 0
+    for c in reversed(p[1:]):
+        h, r = divmod(c + carry, den)
+        if r:
+            return None
+        quot.append(h)
+        carry = num * h
+    if p[0] + carry:
+        return None
+    quot.reverse()
+    return tuple(quot)
+
+
 def gcd_poly(p, q):
     """Monic greatest common divisor."""
     a, b = normalize(p), normalize(q)
@@ -141,14 +169,37 @@ def squarefree_decomposition(p):
     return out
 
 
+def _pseudo_remainder(a, b):
+    """A positive multiple of the remainder of a by b over Q, for integer
+    polynomials with deg a >= deg b >= 0.
+
+    Each step cancels the top coefficient of rem as
+    |lc(b)| rem - sign(lc(b)) lc(rem) x^k b, so nothing is divided and each
+    step scales the remainder by |lc(b)| > 0.
+    """
+    if b[-1] < 0:
+        b = neg(b)
+    lead, db = b[-1], len(b) - 1
+    rem = list(a)
+    while len(rem) > db:
+        top = rem.pop()
+        k = len(rem) - db
+        rem = [lead * c for c in rem]
+        for i in range(db):
+            rem[k + i] -= top * b[i]
+        while rem and not rem[-1]:
+            rem.pop()
+    return rem
+
+
 def _sturm_chain(p):
     """The Sturm chain of a nonzero polynomial, one element at a time, as a
     primitive pseudo-remainder sequence (Collins 1967; Brown and Traub 1971).
 
-    Each step pseudo-divides |lc(b)|^(deg a - deg b + 1) a by b, which keeps
-    the division over Z, and yields the negated primitive part of the
-    remainder: a positive multiple of the element over Q.  The last element
-    is gcd(g, g') up to a positive factor.
+    Each step takes a division-free pseudo-remainder of a by b and yields its
+    negated primitive part, removing the content with one gcd: a positive
+    multiple of the element over Q.  The last element is gcd(g, g') up to a
+    positive factor.
     """
     a = primitive_vector(normalize(p))
     yield a
@@ -158,11 +209,11 @@ def _sturm_chain(p):
     b = primitive_vector(d)
     yield b
     while degree(b) > 0:
-        scale = abs(b[-1]) ** (degree(a) - degree(b) + 1)
-        rem = divmod_poly([scale * c for c in a], b)[1]
+        rem = _pseudo_remainder(a, b)
         if not rem:
             return
-        a, b = b, neg(primitive_vector(rem))
+        g = gcd(*rem)
+        a, b = b, tuple([-c // g for c in rem])
         yield b
 
 

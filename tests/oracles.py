@@ -10,10 +10,14 @@ certificate of the class enumeration; the Fincke-Pohst search on a rational
 LDL^T factorisation checks the fraction-free one of
 `intlinalg.enumerate_quadratic`, and its pivots check the Bareiss minors; a
 squarefree decomposition with one Sturm count per part checks
-`realroots.root_profile`, and the Sturm chain by remainders over Q checks the
-integer chains of `realroots.sturm_sequence`.  The rational root test by
+`realroots.root_profile`; the Sturm chain by remainders over Q checks the
+integer chains of `realroots.sturm_sequence` up to positive factors, and the
+primitive chain by pseudo-division through `divmod_poly` checks them element
+by element.  The rational root test by
 divisor trial division checks `realroots.rational_roots`, and the
-entry-by-entry smoothness rule for diagonal sections checks `conic.analyze`.
+entry-by-entry smoothness rule for diagonal sections checks `conic.analyze`,
+and the cofactor expansion in `BinaryForm` arithmetic checks
+`conic.discriminant`.
 Expanding each monomial of a hypersurface along a line checks the restriction
 by polar forms of `topology.HypersurfaceSpec.restrict_to_line`.
 The library itself never calls these.
@@ -26,6 +30,7 @@ from math import isqrt
 from realdp import realroots
 from realdp.catalog import SurfaceModel
 from realdp.conic import BinaryForm, ConicMatrix
+from realdp.intlinalg import primitive_vector
 from realdp.search import check_conditions
 from realdp.topology import GreatSubsphere, linking_number
 
@@ -408,6 +413,26 @@ def sturm_sequence_over_q(p):
     return chain
 
 
+def sturm_chain_by_division(p):
+    """The primitive pseudo-remainder Sturm chain with each remainder taken
+    by `divmod_poly` of |lc(b)|^(deg a - deg b + 1) a by b."""
+    a = primitive_vector(realroots.normalize(p))
+    chain = [a]
+    d = realroots.derivative(a)
+    if not d:
+        return chain
+    b = primitive_vector(d)
+    chain.append(b)
+    while realroots.degree(b) > 0:
+        scale = abs(b[-1]) ** (realroots.degree(a) - realroots.degree(b) + 1)
+        rem = realroots.divmod_poly([scale * c for c in a], b)[1]
+        if not rem:
+            break
+        a, b = b, realroots.neg(primitive_vector(rem))
+        chain.append(b)
+    return chain
+
+
 def _distinct_real_roots(g) -> int:
     """Real roots of a squarefree g by Sturm's theorem: sign changes of its
     Sturm chain at -infinity minus those at +infinity."""
@@ -467,6 +492,17 @@ def rational_roots_by_divisors(coeffs):
                 if cand not in roots and realroots.evaluate(coeffs, cand) == 0:
                     roots.append(cand)
     return roots
+
+
+def discriminant_by_forms(matrix: ConicMatrix) -> BinaryForm:
+    """The determinant of a section matrix by cofactor expansion along the
+    first row, in `BinaryForm` arithmetic."""
+    q = matrix.entries
+    return (
+        q[0][0] * (q[1][1] * q[2][2] - q[1][2] * q[2][1])
+        - q[0][1] * (q[1][0] * q[2][2] - q[1][2] * q[2][0])
+        + q[0][2] * (q[1][0] * q[2][1] - q[1][1] * q[2][0])
+    )
 
 
 def _squarefree_on_p1(form: BinaryForm) -> bool:

@@ -106,10 +106,27 @@ GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
 def test_catalogue_stdout_matches_golden(capsys):
     """`table1`, `enumerate` on every surface and two `check`s, in json and
     text: exit code and stdout byte for byte as recorded in cli_golden.json."""
-    cases = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    cases = [c for c in json.loads(GOLDEN.read_text(encoding="utf-8")) if "document" not in c]
     assert {c["argv"][1] for c in cases if c["argv"][0] == "enumerate"} == set(realdp.catalog.SURFACE_NAMES)
     for case in cases:
         assert run(capsys, case["argv"]) == (case["exit"], case["stdout"]), case["argv"]
+
+
+def test_conic_stdout_matches_golden(capsys, tmp_path):
+    """`conic discriminant` and `conic analyze`, in json and text, on the
+    worked matrix, a general section with a repeated rational root, a
+    degree-12 constructed section with a 21-bit constant term, a form with
+    u- and v-power factors and one with an irreducible cubic cofactor: exit
+    code and stdout byte for byte as recorded in cli_golden.json.  Each case
+    holds its matrix document, written to a file in place of DOCUMENT."""
+    cases = [c for c in json.loads(GOLDEN.read_text(encoding="utf-8")) if "document" in c]
+    assert len(cases) == 20
+    assert {c["exit"] for c in cases} == {0, 1}
+    for i, case in enumerate(cases):
+        path = tmp_path / f"matrix{i}.json"
+        path.write_text(json.dumps(case["document"]), encoding="utf-8")
+        argv = [str(path) if arg == "DOCUMENT" else arg for arg in case["argv"]]
+        assert run(capsys, argv) == (case["exit"], case["stdout"]), case["argv"]
 
 
 def test_enumerate(capsys):

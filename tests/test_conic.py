@@ -20,7 +20,7 @@ from realdp.conic import (
     zero_form,
 )
 from conftest import degenerate_fiber_matrix, worked_conic_matrix
-from oracles import diagonal_smooth_by_entries
+from oracles import diagonal_smooth_by_entries, discriminant_by_forms
 
 
 def test_binary_form_arithmetic():
@@ -149,6 +149,24 @@ def test_discriminant_of_diagonal_is_product():
         m = diagonal_matrix(tuple(split), tuple(forms))
         expected = forms[0] * forms[1] * forms[2]
         assert discriminant(m).coeffs == expected.coeffs
+
+
+def test_discriminant_matches_the_form_expansion():
+    """General symmetric sections on every splitting with degrees up to 4,
+    (0, 0, 0) included; about a third of the off-diagonal entries are zero."""
+    rng = random.Random(20264)
+    splits = [(a, b, c) for a in range(3) for b in range(a, 3) for c in range(b, 3)]
+    for _ in range(200):
+        split = rng.choice(splits)
+        entries = [[None] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(i, 3):
+                d = split[i] + split[j]
+                zero = i != j and rng.random() < 0.35
+                entries[i][j] = entries[j][i] = BinaryForm(
+                    d, tuple(0 if zero else rng.randint(-9, 9) for _ in range(d + 1)))
+        m = ConicMatrix(split, tuple(tuple(row) for row in entries))
+        assert discriminant(m) == discriminant_by_forms(m), split
 
 
 def test_discriminant_worked_example():

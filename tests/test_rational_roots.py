@@ -1,7 +1,8 @@
 """`realroots.rational_roots` (Sturm isolation on the lattice n / lc) against the
 divisor trial division it replaced, on polynomials built from known factors,
 and the `conic discriminant` cases whose constant terms that trial division
-could not factor."""
+could not factor; and `realroots.deflate`, the exact division by a linear
+factor, against `divmod_poly`."""
 
 import json
 import random
@@ -99,3 +100,25 @@ def test_conic_discriminant_with_large_constant_term(capsys, tmp_path, constant,
     assert time.perf_counter() - start < 1
     assert code == 0
     assert capsys.readouterr().out == rendered + "\n"
+
+
+def test_deflate_matches_divmod_poly():
+    """Divisible and non-divisible integer polynomials, linear factors
+    den x - num with negative num, den > 1, num = 0 and num/den not in
+    lowest terms, and polynomials with a zero constant term."""
+    rng = random.Random(20265)
+    for _ in range(500):
+        num, den = rng.randint(-12, 12), rng.randint(1, 9)
+        poly = tuple(rng.randint(-20, 20) for _ in range(rng.randint(0, 6))) + (rng.choice((-4, 1, 3)),)
+        if rng.random() < 0.3:
+            poly = (0,) + poly
+        if rng.random() < 0.6:
+            poly = realroots.mul(poly, (-num, den))
+        quot, rem = realroots.divmod_poly(poly, (-num, den))
+        integral = not rem and all(type(c) is int for c in quot)
+        assert realroots.deflate(poly, num, den) == (quot if integral else None), (poly, num, den)
+    assert realroots.deflate((-6, 1, 1), -3, 1) == (-2, 1)  # (x + 3)(x - 2)
+    assert realroots.deflate((0, -3, 2), 3, 2) == (0, 1)  # x (2x - 3)
+    assert realroots.deflate((-3, 2), 3, 2) == (1,)
+    assert realroots.deflate((-3, 4), 3, 2) is None  # (4x - 3) / (2x - 3) is not a polynomial
+    assert realroots.deflate((-2, 0, 4), 1, 2) is None  # 4x^2 - 2 = (2x - 1)(2x + 1) - 1

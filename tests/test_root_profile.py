@@ -1,7 +1,8 @@
 """`realroots.root_profile` (one Sturm chain per multiplicity level) against
 the squarefree-decomposition reference and against polynomials built from
 known factors, the early-exit test `real_rooted_profile` against
-`root_profile`, and the integer Sturm chains against the chains over Q.
+`root_profile`, and the integer Sturm chains against the chains over Q and,
+element by element, against the pseudo-division chain through `divmod_poly`.
 Needs neither sympy nor hypothesis; sympy, where installed, also counts the
 real roots."""
 
@@ -13,7 +14,7 @@ import pytest
 
 from realdp import realroots
 
-from oracles import root_profile_by_decomposition, sturm_sequence_over_q
+from oracles import root_profile_by_decomposition, sturm_chain_by_division, sturm_sequence_over_q
 
 # Pairwise coprime quadratics without real roots, low degree first.
 NONREAL_QUADRATICS = ((1, 0, 1), (2, 0, 1), (1, 1, 1), (1, -2, 2), (Fraction(1, 4), 0, 3))
@@ -79,19 +80,19 @@ def test_real_rooted_profile_is_root_profile_when_every_root_is_real():
 
 def test_real_rooted_profile_stops_at_the_first_sign_flip(monkeypatch):
     """(t - 1) ... (t - 8) (t^2 + 1): every degree of the Sturm chain occurs,
-    but the third remainder flips the leading sign, so the test divides three
-    times where the whole chain takes nine divisions."""
+    but the third remainder flips the leading sign, so the test takes three
+    pseudo-remainders where the whole chain takes nine."""
     g = (1, 0, 1)
     for root in range(1, 9):
         g = realroots.mul(g, (-root, 1))
-    divisions = []
-    divide = realroots.divmod_poly
-    monkeypatch.setattr(realroots, "divmod_poly", lambda p, q: divisions.append(1) or divide(p, q))
+    steps = []
+    remainder = realroots._pseudo_remainder
+    monkeypatch.setattr(realroots, "_pseudo_remainder", lambda a, b: steps.append(1) or remainder(a, b))
     assert [realroots.degree(f) for f in realroots.sturm_sequence(g)] == list(range(10, -1, -1))
-    assert len(divisions) == 9
-    divisions.clear()
+    assert len(steps) == 9
+    steps.clear()
     assert realroots.real_rooted_profile(g) is None
-    assert len(divisions) == 3
+    assert len(steps) == 3
 
 
 def test_real_rooted_profile_of_constants_and_zero():
@@ -122,6 +123,30 @@ def test_sturm_sequence_is_a_positive_multiple_of_the_chain_over_q():
                     assert all(type(c) is int for c in element), coeffs
                     assert _positive_multiple(element, reference), coeffs
                 coeffs = over_q[-1]
+
+
+def test_sturm_sequence_is_the_division_chain():
+    """Random int and Fraction polynomials, products with repeated roots,
+    either leading sign, degree gaps and constants, on every multiplicity
+    level."""
+    rng = random.Random(20263)
+    polys = [(1, 0, 0, 0, 1), (-1, 0, 0, 0, 0, 0, 2), (7,), (Fraction(-2, 3),), (0, 0, 0, -5)]
+    for _ in range(300):
+        low = tuple(rng.randint(-30, 30) for _ in range(rng.randint(1, 9)))
+        polys.append(low + (rng.choice((-3, -1, 2, 5)),))
+        low = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(rng.randint(1, 7)))
+        polys.append(low + (Fraction(-1, 2),))
+        poly, _, _ = _factored(rng)
+        polys += [poly, realroots.neg(poly)]
+    for poly in polys:
+        coeffs = realroots.normalize(poly)
+        while True:
+            chain = realroots.sturm_sequence(coeffs)
+            assert chain == sturm_chain_by_division(coeffs), coeffs
+            assert all(type(c) is int for element in chain for c in element), coeffs
+            if realroots.degree(chain[-1]) < 1:
+                break
+            coeffs = chain[-1]
 
 
 def test_root_profile_of_constants_and_zero():
