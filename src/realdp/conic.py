@@ -13,7 +13,11 @@ conic-bundle surface inside the projectivised bundle.  This module covers:
     surface (K_X^2 = 8 - 3a - 2c, the restriction of the tautological class);
   * discriminants of conic-bundle sections: the determinant is a binary form
     of degree 2(a1 + a2 + a3) whose roots on P^1 (infinity included) mark the
-    singular fibers, 2s of them for a smooth surface with s spheres;
+    singular fibers, 2s of them for a smooth surface with s spheres.  A
+    `ConicMatrix` computes its discriminant once and keeps it, and a
+    `BinaryForm` keeps, once asked, its split c u^m v^k h with the Sturm
+    chain of h, so `analyze` (the real-root counts) and `factored_str` (the
+    rational roots) of one discriminant share one determinant and one chain;
   * the diagonal section p1 x1^2 + p2 x2^2 + p3 x3^2 built from prescribed
     simple real roots.
 
@@ -26,6 +30,8 @@ coefficient vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from .intlinalg import int_tuple, rational_tuple
 from .lattice import IntLattice, adjunction_genus, riemann_roch_dim
@@ -71,6 +77,26 @@ class BinaryForm:
         if self.is_zero():
             raise ValueError("zero form")
         return self.degree - self.effective_degree()
+
+    @cached_property
+    def _split_roots(self) -> _SplitRoots:
+        """This nonzero form as c u^m v^k h, built on first use and kept on
+        the instance; not a field, so equality, hash and repr ignore it."""
+        content, poly = realroots.primitive_part(self.coeffs)
+        at_zero = next(i for i, c in enumerate(poly) if c)
+        part = poly[at_zero:]
+        return _SplitRoots(content, at_zero, self.infinity_multiplicity(), part, realroots.sturm_sequence(part))
+
+
+class _SplitRoots(NamedTuple):
+    """A nonzero form c u^m v^k h with h primitive and nonzero at [0:1] and
+    [1:0]: the content c, the multiplicities m of the root [0:1] and k of
+    the root [1:0], the dehomogenised h and its Sturm chain."""
+    content: int
+    at_zero: int
+    at_infinity: int
+    part: tuple
+    chain: list
 
 
 def _form(degree: int, poly) -> BinaryForm:
@@ -124,6 +150,12 @@ class ConicMatrix:
 
     def is_diagonal(self) -> bool:
         return all(self.entries[i][j].is_zero() for i in range(3) for j in range(3) if i != j)
+
+    @cached_property
+    def _discriminant(self) -> BinaryForm:
+        """`discriminant(self)`, computed on first use and kept on the
+        instance; not a field, so equality, hash and repr ignore it."""
+        return _determinant(self)
 
 
 def diagonal_matrix(splitting, forms) -> ConicMatrix:
@@ -248,10 +280,14 @@ def surface_class_identities(a: int, c: int):
 
 def discriminant(matrix: ConicMatrix) -> BinaryForm:
     """Determinant of the section matrix: a binary form of degree 2(a1+a2+a3)
-    whose zero locus on P^1 is the set of singular fibers.
+    whose zero locus on P^1 is the set of singular fibers.  It is computed
+    once per matrix and kept on it, so every call returns the same form."""
+    return matrix._discriminant
 
-    The cofactor expansion along the first row runs on the coefficient
-    tuples, and only the result is built as a form."""
+
+def _determinant(matrix: ConicMatrix) -> BinaryForm:
+    """The cofactor expansion along the first row, run on the coefficient
+    tuples; only the result is built as a form."""
     mul, add, neg = realroots.mul, realroots.add, realroots.neg
     q = [[f.coeffs for f in row] for row in matrix.entries]
 
@@ -265,9 +301,10 @@ def discriminant(matrix: ConicMatrix) -> BinaryForm:
 def _roots_on_p1(form: BinaryForm):
     """(real roots on P^1 counted with multiplicity, squarefree on P^1) for a
     nonzero form; a root at infinity is the point [1:0]."""
-    roots = realroots.root_profile(form.coeffs)
-    inf_mult = form.infinity_multiplicity()
-    return roots.real + inf_mult, roots.squarefree and inf_mult <= 1
+    split = form._split_roots
+    roots = realroots.root_profile(split.part, split.chain)
+    real = roots.real + split.at_zero + split.at_infinity
+    return real, roots.squarefree and split.at_zero <= 1 and split.at_infinity <= 1
 
 
 @dataclass(frozen=True)
@@ -348,16 +385,14 @@ def factor_low_degree(form: BinaryForm):
     """
     if form.is_zero():
         return None
-    content, poly = realroots.primitive_part(form.coeffs)
-    low = next(i for i, c in enumerate(poly) if c)
+    split = form._split_roots
     factors = []
-    if low:
-        factors.append((BinaryForm(1, (0, 1)), low))  # u
-    inf_mult = form.degree - realroots.degree(poly)
-    if inf_mult:
-        factors.append((BinaryForm(1, (1, 0)), inf_mult))  # v
-    poly = poly[low:]
-    for root in realroots.rational_roots(poly):
+    if split.at_zero:
+        factors.append((BinaryForm(1, (0, 1)), split.at_zero))  # u
+    if split.at_infinity:
+        factors.append((BinaryForm(1, (1, 0)), split.at_infinity))  # v
+    poly = split.part
+    for root in realroots.rational_roots(poly, split.chain):
         num, den = root.numerator, root.denominator
         mult = 0
         while (quot := realroots.deflate(poly, num, den)) is not None:
@@ -370,7 +405,7 @@ def factor_low_degree(form: BinaryForm):
     if rest_deg > 0:
         # homogenise the cofactor back to the missing degree
         factors.append((BinaryForm(rest_deg, poly), 1))
-    return content, factors
+    return split.content, factors
 
 
 def form_str(form: BinaryForm) -> str:

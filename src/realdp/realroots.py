@@ -13,8 +13,14 @@ lazily, so `real_rooted_profile`, the test whether every root is real, stops
 at the first element that breaks the full-length pattern (degrees falling by
 one, leading coefficients of one sign) and builds no further remainder.
 `rational_roots` isolates the real roots with the same chains on the lattice
-n / lc, lc the leading coefficient, and `deflate` divides out a rational root
-by exact integer synthetic division.
+n / lc, lc the leading coefficient.  It splits an interval at 0 when it
+straddles 0 and at a power of two when its ends lie far apart on one side,
+so a root of b bits is reached in about log b steps before plain bisection
+takes over.  `deflate` divides out a rational root by exact integer
+synthetic division; `rational_roots` deflates its scaled polynomial by each
+root it finds, so later searches evaluate a lower degree.  `root_profile`
+and `rational_roots` take a chain their caller already holds, so one chain
+serves both questions about one polynomial.
 
 Tuples on hot paths are built from lists, not generators: CPython 3.11
 builds a tuple from a generator at size ten and shrinks it, which moves
@@ -233,24 +239,30 @@ class RootProfile(NamedTuple):
     squarefree: bool  # no repeated root, real or complex
 
 
-def root_profile(coeffs) -> RootProfile:
+def root_profile(coeffs, chain=None) -> RootProfile:
     """Real-root counts and squarefreeness of a nonzero polynomial.
 
     The Sturm chain of g counts the distinct real roots of g (sign changes at
     -infinity minus those at +infinity), and its last element is gcd(g, g'),
     whose roots are those of g with multiplicity one less.  Summing the counts
-    over these levels counts every real root with its multiplicity.
+    over these levels counts every real root with its multiplicity.  A level
+    of degree one holds one real root and needs no chain.  A caller that
+    already holds `sturm_sequence(coeffs)` passes it as `chain`, and the
+    first level reads it instead of building it again.
     """
     g = normalize(coeffs)
     if not g:
         raise ValueError("zero polynomial")
     counts = []
-    while degree(g) > 0:
-        chain = sturm_sequence(g)
+    while degree(g) > 1:
+        if chain is None:
+            chain = sturm_sequence(g)
         at_plus = [f[-1] > 0 for f in chain]
         at_minus = [(f[-1] > 0) == (degree(f) % 2 == 0) for f in chain]
         counts.append(_sign_changes(at_minus) - _sign_changes(at_plus))
-        g = chain[-1]
+        g, chain = chain[-1], None
+    if degree(g) == 1:
+        counts.append(1)
     return RootProfile(sum(counts), counts[0] if counts else 0, len(counts) <= 1)
 
 
@@ -296,12 +308,29 @@ def _variations(chain, n):
     return _sign_changes([v > 0 for v in values if v])
 
 
+def _split(lo, hi):
+    """A grid point strictly inside (lo, hi), for hi - lo > 1.
+
+    0 when the interval straddles 0.  When both ends lie on one side of 0 and
+    the far end is more than four times the near one plus four, a power of
+    two near their geometric mean, so a root of any size is reached in a
+    number of steps logarithmic in its bit size.  The midpoint otherwise.
+    """
+    if lo < 0 < hi:
+        return 0
+    near, far = (lo, hi) if lo >= 0 else (-hi, -lo)
+    if far > 4 * near + 4:
+        power = 1 << ((near.bit_length() + far.bit_length()) // 2)
+        return power if lo >= 0 else -power
+    return (lo + hi) // 2
+
+
 def _isolate(squarefree, lo, hi):
     """The grid point n with the one root of `squarefree` in (lo, hi] lying
-    in (n - 1, n], by bisection on the sign at the right end."""
+    in (n - 1, n], by splitting at `_split` on the sign at the right end."""
     at_hi = evaluate(squarefree, hi)
     while hi - lo > 1 and at_hi:
-        mid = (lo + hi) // 2
+        mid = _split(lo, hi)
         at_mid = evaluate(squarefree, mid)
         if at_mid and (at_mid > 0) != (at_hi > 0):
             lo = mid
@@ -310,7 +339,7 @@ def _isolate(squarefree, lo, hi):
     return hi
 
 
-def rational_roots(coeffs):
+def rational_roots(coeffs, chain=None):
     """Distinct rational roots of a nonzero integer polynomial, sorted by
     (|P|, Q) for the root P/Q in lowest terms, the positive root first.
 
@@ -319,21 +348,30 @@ def rational_roots(coeffs):
     Read at y = lc x, each chain element is an integer polynomial whose sign
     at an integer n is its sign at n / lc, and each rational root is an
     integer n.  So the chain isolates the real roots in unit intervals
-    (n - 1, n], and n / lc is a root exactly when the scaled g vanishes at
-    n.  Every sign test is an integer evaluation, and the cost is polynomial
-    in the degree and the bit size (Basu, Pollack and Roy, Algorithms in Real
-    Algebraic Geometry, ch. 10).
+    (n - 1, n], and n / lc is a root exactly when the scaled g, G, vanishes
+    at n.  An interval is split at 0 when it straddles 0, at a power of two
+    between its ends when they lie on one side of 0 and far apart, and at
+    its midpoint otherwise (`_split`), so large and small roots alike are
+    reached in few steps.  An interval that holds one root is narrowed on
+    the signs of G alone, and G is divided by y - n at each root n found, so
+    later isolations and zero tests evaluate a polynomial of lower degree.
+    Every sign test is an integer evaluation, and the cost is polynomial in
+    the degree and the bit size (Basu, Pollack and Roy, Algorithms in Real
+    Algebraic Geometry, ch. 10).  A caller that already holds
+    `sturm_sequence(coeffs)` passes it as `chain`.
     """
     f = normalize(coeffs)
     if not f:
         raise ValueError("zero polynomial")
     if degree(f) < 1:
         return []
-    chain = sturm_sequence(f)
+    if chain is None:
+        chain = sturm_sequence(f)
     if degree(chain[-1]) > 0:  # divided by gcd(f, f'): the chain of the squarefree part
         chain = [divmod_poly(g, chain[-1])[0] for g in chain]
     lc = abs(chain[0][-1])
     grid = [[c * lc ** (degree(g) - i) for i, c in enumerate(g)] for g in chain]
+    scaled = grid[0]  # G, divided by y - n at each root n found
     top = (lc + max([abs(c) for c in chain[0]])).bit_length()  # 2^top / lc > the Cauchy bound
     stack = [(-1 << top, _variations(grid, -1 << top), 1 << top, _variations(grid, 1 << top))]
     roots = []
@@ -343,12 +381,13 @@ def rational_roots(coeffs):
         if not count:
             continue
         if count > 1 and hi - lo > 1:
-            mid = (lo + hi) // 2
+            mid = _split(lo, hi)
             v_mid = _variations(grid, mid)
             stack += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
             continue
         if count == 1:
-            hi = _isolate(grid[0], lo, hi)
-        if evaluate(grid[0], hi) == 0:
+            hi = _isolate(scaled, lo, hi)
+        if evaluate(scaled, hi) == 0:
             roots.append(Fraction(hi, lc))
+            scaled = deflate(scaled, hi, 1)
     return sorted(roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0))

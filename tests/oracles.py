@@ -14,7 +14,8 @@ squarefree decomposition with one Sturm count per part checks
 integer chains of `realroots.sturm_sequence` up to positive factors, and the
 primitive chain by pseudo-division through `divmod_poly` checks them element
 by element.  The rational root test by
-divisor trial division checks `realroots.rational_roots`, and the
+divisor trial division and the Sturm search that bisects at midpoints check
+`realroots.rational_roots`, and the
 entry-by-entry smoothness rule for diagonal sections checks `conic.analyze`,
 and the cofactor expansion in `BinaryForm` arithmetic checks
 `conic.discriminant`.
@@ -492,6 +493,54 @@ def rational_roots_by_divisors(coeffs):
                 if cand not in roots and realroots.evaluate(coeffs, cand) == 0:
                     roots.append(cand)
     return roots
+
+
+def _variations_at(chain, n):
+    values = [realroots.evaluate(g, n) for g in chain]
+    return realroots._sign_changes([v > 0 for v in values if v])
+
+
+def _isolate_by_bisection(squarefree, lo, hi):
+    at_hi = realroots.evaluate(squarefree, hi)
+    while hi - lo > 1 and at_hi:
+        mid = (lo + hi) // 2
+        at_mid = realroots.evaluate(squarefree, mid)
+        if at_mid and (at_mid > 0) != (at_hi > 0):
+            lo = mid
+        else:
+            hi, at_hi = mid, at_mid
+    return hi
+
+
+def rational_roots_by_bisection(coeffs):
+    """`realroots.rational_roots` by the Sturm search on the lattice n / lc
+    that splits every interval at its midpoint and never deflates."""
+    f = realroots.normalize(coeffs)
+    if realroots.degree(f) < 1:
+        return []
+    chain = realroots.sturm_sequence(f)
+    if realroots.degree(chain[-1]) > 0:
+        chain = [realroots.divmod_poly(g, chain[-1])[0] for g in chain]
+    lc = abs(chain[0][-1])
+    grid = [[c * lc ** (realroots.degree(g) - i) for i, c in enumerate(g)] for g in chain]
+    top = (lc + max(abs(c) for c in chain[0])).bit_length()
+    stack = [(-1 << top, _variations_at(grid, -1 << top), 1 << top, _variations_at(grid, 1 << top))]
+    roots = []
+    while stack:
+        lo, v_lo, hi, v_hi = stack.pop()
+        count = v_lo - v_hi
+        if not count:
+            continue
+        if count > 1 and hi - lo > 1:
+            mid = (lo + hi) // 2
+            v_mid = _variations_at(grid, mid)
+            stack += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
+            continue
+        if count == 1:
+            hi = _isolate_by_bisection(grid[0], lo, hi)
+        if realroots.evaluate(grid[0], hi) == 0:
+            roots.append(Fraction(hi, lc))
+    return sorted(roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0))
 
 
 def discriminant_by_forms(matrix: ConicMatrix) -> BinaryForm:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from realdp import conic, realroots
 from realdp.conic import (
     BinaryForm,
     ConicMatrix,
@@ -348,3 +349,60 @@ def test_factored_str_u_and_v_powers():
     assert factored_str(BinaryForm(3, (1, 0, 0, 0))) == "v^3"
     assert factored_str(BinaryForm(5, (0, 0, 3, 0, 0, 0))) == "3*u^2*v^3"
     assert factored_str(BinaryForm(4, (0, -1, 0, 1, 0))) == "u*v*(u - v)*(u + v)"
+
+
+def _general_section():
+    """A non-diagonal section whose discriminant
+    -u (u - v)^2 (u + v)(u^2 + 3uv + 4v^2) has a simple root at [0:1] and a
+    double root at [1:1]."""
+    rows = (((0, 2, 2), (1, 0, -1), (2, 1, -1)), ((1, 0, -1), (0, 0, 0), (0, -1, 1)), ((2, 1, -1), (0, -1, 1), (0, 0, 1)))
+    return ConicMatrix((1, 1, 1), tuple(tuple(BinaryForm(2, q) for q in row) for row in rows))
+
+
+@pytest.mark.parametrize(
+    "matrix, analysis, rendered",
+    [
+        (
+            construct_section(1, 1, 2, [[2, Fraction(-1, 5)], [Fraction(3, 7), -4], [1, -6, Fraction(9, 5), 7]]),
+            (8, 8, True, 4, True, True),
+            "(u - v)*(5*u + v)*(u - 2*v)*(7*u - 3*v)*(u + 4*v)*(u + 6*v)*(u - 7*v)*(5*u - 9*v)",
+        ),
+        (
+            _general_section(),
+            (6, 4, False, None, False, None),
+            "-1*u*(u - v)^2*(u + v)*(u^2 + 3*u*v + 4*v^2)",
+        ),
+    ],
+    ids=["squarefree diagonal", "general"],
+)
+def test_one_determinant_and_one_chain_per_matrix(monkeypatch, matrix, analysis, rendered):
+    """`discriminant`, `analyze` and `factored_str` on one matrix build its
+    determinant once and the Sturm chain of its discriminant once."""
+    counts = {"determinant": 0, "chain": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(conic, "_determinant", counted("determinant", conic._determinant))
+    monkeypatch.setattr(realroots, "_sturm_chain", counted("chain", realroots._sturm_chain))
+    disc = discriminant(matrix)
+    result = analyze(matrix)
+    assert factored_str(disc) == rendered
+    assert discriminant(matrix) is disc
+    assert (result.total_fibers, result.real_fibers, result.squarefree, result.s,
+            result.smooth_necessary, result.smooth_exact) == analysis
+    assert counts == {"determinant": 1, "chain": 1}
+
+
+def test_stored_discriminant_leaves_equality_hash_and_repr():
+    for build in (_general_section, worked_conic_matrix):
+        fresh, used = build(), build()
+        disc = discriminant(used)
+        factored_str(disc)
+        assert fresh == used and hash(fresh) == hash(used) and repr(fresh) == repr(used)
+        assert disc == BinaryForm(disc.degree, disc.coeffs)
+        assert hash(disc) == hash(BinaryForm(disc.degree, disc.coeffs))
+        assert repr(disc) == repr(BinaryForm(disc.degree, disc.coeffs))

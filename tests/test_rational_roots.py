@@ -1,10 +1,12 @@
 """`realroots.rational_roots` (Sturm isolation on the lattice n / lc) against the
-divisor trial division it replaced, on polynomials built from known factors,
-and the `conic discriminant` cases whose constant terms that trial division
-could not factor; and `realroots.deflate`, the exact division by a linear
-factor, against `divmod_poly`."""
+divisor trial division it replaced and against the search that bisects at
+midpoints without deflating, on polynomials built from known factors, and
+the `conic discriminant` cases whose constant terms that trial division could
+not factor; and `realroots.deflate`, the exact division by a linear factor,
+against `divmod_poly`."""
 
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -13,8 +15,9 @@ import pytest
 
 from realdp import realroots
 from realdp.cli import main
+from realdp.conic import analyze, construct_section, discriminant, factored_str
 
-from oracles import rational_roots_by_divisors
+from oracles import rational_roots_by_bisection, rational_roots_by_divisors
 
 # Irreducible over Q: two without real roots, two with irrational real roots.
 QUADRATICS = ((1, 0, 1), (2, 1, 3), (-2, 0, 1), (-7, 2, 3))
@@ -49,6 +52,66 @@ def test_rational_roots_match_divisor_trial_division():
         poly, roots = _factored(rng)
         assert realroots.rational_roots(poly) == roots, poly
         assert rational_roots_by_divisors(realroots.primitive_part(poly)[1]) == roots, poly
+
+
+def _with_roots(rng, roots, quadratics):
+    """(integer polynomial, its rational roots): the linear factors of the
+    roots, each now and then repeated, times the quadratics and a content."""
+    poly = (rng.choice((1, -1, 3, -10)),)
+    for root in roots:
+        for _ in range(rng.choice((1, 1, 1, 2, 3))):
+            poly = realroots.mul(poly, (-root.numerator, root.denominator))
+    for quadratic in quadratics:
+        poly = realroots.mul(poly, quadratic)
+    return poly, _by_size(roots)
+
+
+def _irreducible_quadratic(rng, monic):
+    while True:
+        c, b, a = rng.randint(-30, 30), rng.randint(-30, 30), 1 if monic else rng.randint(1, 12)
+        if c and math.gcd(a, b, c) == 1 and (b * b - 4 * a * c < 0 or math.isqrt(b * b - 4 * a * c) ** 2 != b * b - 4 * a * c):
+            return (c, b, a)
+
+
+def _clustered(rng):
+    """Roots p/q, q <= 49, near one centre between 1/2500 and 10^4 (log
+    uniform); below 1/49 the denominators carry a further factor 50."""
+    centre = math.exp(rng.uniform(math.log(1 / 2500), math.log(10**4)))
+    scale = 1 if centre >= 1 / 49 else 50
+    sign = rng.choice((-1, 1))
+    roots = set()
+    for _ in range(rng.randint(1, 5)):
+        q = rng.randint(1, 49) * scale
+        p = max(1, round(centre * q) + rng.randint(-2, 2))
+        roots.add(Fraction(sign * p, q) if rng.random() < 0.9 else Fraction(-sign * p, q))
+    quadratics = [_irreducible_quadratic(rng, False) for _ in range(rng.randint(0, 2))]
+    return _with_roots(rng, roots, quadratics)
+
+
+def _on_split_points(rng):
+    """Roots on split points n / lc of the search, n = 0, +-2^k or +-3 2^k.
+    The quadratics are monic and the roots dyadic, so lc is a power of two
+    and every root is on a split point; or one more root 2^k / q with q odd
+    makes lc = q 2^j, and that root is on a split point."""
+    pool = [Fraction(0)]
+    pool += [Fraction(s * m << k) for s in (-1, 1) for m in (1, 3) for k in range(15)]
+    pool += [Fraction(s, 1 << k) for s in (-1, 1) for k in range(1, 7)]
+    roots = set(rng.sample(pool, rng.randint(1, 5)))
+    if rng.random() < 0.5:
+        roots.add(Fraction(rng.choice((-1, 1)) << rng.randint(0, 12), rng.choice((3, 5, 7, 9, 25, 49))))
+    quadratics = [_irreducible_quadratic(rng, True) for _ in range(rng.randint(0, 2))]
+    return _with_roots(rng, roots, quadratics)
+
+
+def test_rational_roots_match_the_midpoint_bisection():
+    """2,400 seeded polynomials: clustered roots of all sizes, roots on split
+    points, repeated roots and irreducible quadratic factors."""
+    rng = random.Random(20214)
+    for _ in range(1200):
+        for build in (_clustered, _on_split_points):
+            poly, roots = build(rng)
+            assert realroots.rational_roots(poly) == roots, poly
+            assert rational_roots_by_bisection(poly) == roots, poly
 
 
 @pytest.mark.parametrize(
@@ -100,6 +163,28 @@ def test_conic_discriminant_with_large_constant_term(capsys, tmp_path, constant,
     assert time.perf_counter() - start < 1
     assert code == 0
     assert capsys.readouterr().out == rendered + "\n"
+
+
+def test_degree_twelve_section_with_an_81_bit_constant_term():
+    """The degree-12 diagonal section on the numerators 33 and the primes
+    97 to 149 over the denominators 1, 5, 7, 25 and 49."""
+    numerators = (33, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149)
+    denominators = (1, 5, 7, 25, 49, 1, 5, 7, 25, 49, 1, 5)
+    signs = (1, -1, 1, 1, -1, -1, 1, -1, 1, -1, 1, 1)
+    roots = [Fraction(s * p, q) for s, p, q in zip(signs, numerators, denominators)]
+    start = time.perf_counter()
+    matrix = construct_section(2, 2, 2, [roots[0:4], roots[4:8], roots[8:12]])
+    disc = discriminant(matrix)
+    rendered = factored_str(disc)
+    result = analyze(matrix)
+    assert time.perf_counter() - start < 1
+    assert abs(disc.coeffs[0]).bit_length() == 81
+    factors = []
+    for root in _by_size(roots):
+        lead = "u" if root.denominator == 1 else f"{root.denominator}*u"
+        factors.append(f"({lead} {'-' if root > 0 else '+'} {abs(root.numerator)}*v)")
+    assert rendered == "*".join(factors)
+    assert (result.total_fibers, result.real_fibers, result.squarefree, result.s) == (12, 12, True, 6)
 
 
 def test_deflate_matches_divmod_poly():
