@@ -438,15 +438,18 @@ def form_str(form: BinaryForm) -> str:
 
 def factored_str(form: BinaryForm) -> str:
     """Factored rendering when a full degree <= 2 factorisation is found,
-    the expanded polynomial otherwise."""
+    the expanded polynomial otherwise.  A content of 1 or -1 in front of
+    factors prints as nothing or a leading minus sign."""
     result = factor_low_degree(form)
     if result is None:
         return form_str(form)
     content, factors = result
-    parts = [] if content == 1 else [str(content)]
+    parts = []
     for factor, mult in factors:
         base = form_str(factor)
         if sum(1 for c in factor.coeffs if c) > 1:
             base = f"({base})"
         parts.append(base if mult == 1 else f"{base}^{mult}")
-    return "*".join(parts) if parts else "1"
+    if not parts:
+        return str(content)
+    return {1: "", -1: "-"}.get(content, f"{content}*") + "*".join(parts)

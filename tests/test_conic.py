@@ -351,6 +351,17 @@ def test_factored_str_u_and_v_powers():
     assert factored_str(BinaryForm(4, (0, -1, 0, 1, 0))) == "u*v*(u - v)*(u + v)"
 
 
+def test_factored_str_sign_and_content():
+    """A content of -1 prints as a leading minus sign; a constant form prints
+    as its value."""
+    assert factored_str(BinaryForm(4, (0, 1, 0, -1, 0))) == "-u*v*(u - v)*(u + v)"
+    assert factored_str(BinaryForm(2, (-1, 0, -1))) == "-(u^2 + v^2)"
+    assert factored_str(BinaryForm(2, (2, 0, -2))) == "-2*(u - v)*(u + v)"
+    assert factored_str(BinaryForm(0, (-1,))) == "-1"
+    assert factored_str(BinaryForm(0, (1,))) == "1"
+    assert factored_str(BinaryForm(0, (-6,))) == "-6"
+
+
 def _general_section():
     """A non-diagonal section whose discriminant
     -u (u - v)^2 (u + v)(u^2 + 3uv + 4v^2) has a simple root at [0:1] and a
@@ -370,7 +381,7 @@ def _general_section():
         (
             _general_section(),
             (6, 4, False, None, False, None),
-            "-1*u*(u - v)^2*(u + v)*(u^2 + 3*u*v + 4*v^2)",
+            "-u*(u - v)^2*(u + v)*(u^2 + 3*u*v + 4*v^2)",
         ),
     ],
     ids=["squarefree diagonal", "general"],
