@@ -349,12 +349,10 @@ def rational_roots(coeffs, chain=None):
     at an integer n is its sign at n / lc, and each rational root is an
     integer n.  So the chain isolates the real roots in unit intervals
     (n - 1, n], and n / lc is a root exactly when the scaled g, G, vanishes
-    at n.  An interval is split at 0 when it straddles 0, at a power of two
-    between its ends when they lie on one side of 0 and far apart, and at
-    its midpoint otherwise (`_split`), so large and small roots alike are
-    reached in few steps.  An interval that holds one root is narrowed on
-    the signs of G alone, and G is divided by y - n at each root n found, so
-    later isolations and zero tests evaluate a polynomial of lower degree.
+    at n.  Intervals are split at 0, at a power of two between far-apart
+    ends on one side of 0, or at the midpoint (`_split`).  An interval with
+    one root is narrowed on the signs of G alone, and G is divided by y - n
+    at each root n found, so later steps evaluate a lower degree.
     Every sign test is an integer evaluation, and the cost is polynomial in
     the degree and the bit size (Basu, Pollack and Roy, Algorithms in Real
     Algebraic Geometry, ch. 10).  A caller that already holds
