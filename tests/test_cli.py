@@ -103,30 +103,61 @@ def test_table1_json_byte_stable(capsys):
 GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
 
 
-def test_catalogue_stdout_matches_golden(capsys):
+def golden_cases(*commands):
+    """The recorded cases whose argv starts with one of `commands`."""
+    return [c for c in json.loads(GOLDEN.read_text(encoding="utf-8")) if c["argv"][0] in commands]
+
+
+def replay(capsys, tmp_path, case):
+    """Exit code and stdout of one golden case, each of its documents
+    written to a file in place of its placeholder argument."""
+    paths = {}
+    for name, doc in case.get("documents", {}).items():
+        paths[name] = tmp_path / f"{name.lower()}.json"
+        paths[name].write_text(json.dumps(doc), encoding="utf-8")
+    return run(capsys, [str(paths[arg]) if arg in paths else arg for arg in case["argv"]])
+
+
+def test_catalogue_stdout_matches_golden(capsys, tmp_path):
     """`table1`, `enumerate` on every surface and two `check`s, in json and
     text: exit code and stdout byte for byte as recorded in cli_golden.json."""
-    cases = [c for c in json.loads(GOLDEN.read_text(encoding="utf-8")) if "document" not in c]
+    cases = golden_cases("table1", "enumerate", "check")
     assert {c["argv"][1] for c in cases if c["argv"][0] == "enumerate"} == set(realdp.catalog.SURFACE_NAMES)
     for case in cases:
-        assert run(capsys, case["argv"]) == (case["exit"], case["stdout"]), case["argv"]
+        assert replay(capsys, tmp_path, case) == (case["exit"], case["stdout"]), case["argv"]
 
 
 def test_conic_stdout_matches_golden(capsys, tmp_path):
-    """`conic discriminant` and `conic analyze`, in json and text, on the
-    worked matrix, a general section with a repeated rational root, a
-    degree-12 constructed section with a 21-bit constant term, a form with
-    u- and v-power factors and one with an irreducible cubic cofactor: exit
-    code and stdout byte for byte as recorded in cli_golden.json.  Each case
-    holds its matrix document, written to a file in place of DOCUMENT."""
-    cases = [c for c in json.loads(GOLDEN.read_text(encoding="utf-8")) if "document" in c]
-    assert len(cases) == 20
+    """Every `conic` subcommand, in json and text: `conditions` passing and
+    failing, `candidate`, `chow`, `construct` on two root sets, and
+    `discriminant` and `analyze` on the worked matrix, a general section
+    with a repeated rational root, a degree-12 constructed section with a
+    21-bit constant term, a form with u- and v-power factors and one with an
+    irreducible cubic cofactor: exit code and stdout byte for byte as
+    recorded in cli_golden.json.  A case with a matrix or construction
+    document holds it, written to a file in place of DOCUMENT."""
+    cases = golden_cases("conic")
+    assert {c["argv"][1] for c in cases} == {
+        "conditions", "candidate", "chow", "construct", "discriminant", "analyze"}
+    assert sum("documents" in c for c in cases) == 24
     assert {c["exit"] for c in cases} == {0, 1}
-    for i, case in enumerate(cases):
-        path = tmp_path / f"matrix{i}.json"
-        path.write_text(json.dumps(case["document"]), encoding="utf-8")
-        argv = [str(path) if arg == "DOCUMENT" else arg for arg in case["argv"]]
-        assert run(capsys, argv) == (case["exit"], case["stdout"]), case["argv"]
+    for case in cases:
+        assert replay(capsys, tmp_path, case) == (case["exit"], case["stdout"]), case["argv"]
+
+
+def test_link_and_hyp_stdout_matches_golden(capsys, tmp_path):
+    """`link` on an oval around the center, an oval beside it, a pseudoline,
+    and a ring and a line in RP^3, each with and without a `chain`
+    hyperplane; `hyp` on the sphere quadric from a center inside (supported)
+    and outside (refuted); json and text: exit code and stdout byte for byte
+    as recorded in cli_golden.json.  The signed linking numbers of the json
+    payload are pinned too."""
+    cases = golden_cases("link", "hyp")
+    links = [c for c in cases if c["argv"][0] == "link"]
+    assert len(links) == 16 and sum("chain" in c["documents"]["CENTER"] for c in links) == 8
+    assert {c["exit"] for c in cases} == {0, 1}
+    for case in cases:
+        assert replay(capsys, tmp_path, case) == (case["exit"], case["stdout"]), case["argv"]
 
 
 def test_enumerate(capsys):
