@@ -54,17 +54,6 @@ class BinaryForm:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def __add__(self, other):
-        if self.degree != other.degree:
-            raise ValueError("cannot add forms of different degrees")
-        return _form(self.degree, realroots.add(self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return BinaryForm(self.degree, realroots.neg(self.coeffs))
-
     def __mul__(self, other):
         return _form(self.degree + other.degree, realroots.mul(self.coeffs, other.coeffs))
 

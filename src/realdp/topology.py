@@ -17,20 +17,20 @@ trial evaluates each X_k at x from one power table per coordinate.  The
 test of a line is `realroots.real_rooted_profile`, which stops at the first
 Sturm remainder that shows a nonreal root.
 
-Linking numbers are computed on the double cover S^n -> RP^n, n in {2, 3}.
-The center E (a point of RP^2, a line of RP^3) is cut out by two independent
-linear equations, and a hyperplane L containing E by one equation lying in
-their span.  The lift of L is a great subsphere, and W = {x in lift(L) :
-x . b >= 0} is the hemisphere bounded by the lift of E, where b spans the
-complement of the normal of L inside the span of E's normals.  The linking
-number of a PL cycle with E is the signed count of crossings of the full lift
-of the cycle through W: a null-homotopic cycle lifts to two antipodal copies,
-a cycle closed via the antipode lifts to a single loop of twice the stored
-length.  Points of cycles are nonzero rational vectors read as rays and stored
-as primitive integer vectors, one per ray, as are the normals of E and L and
-b; the geodesic between consecutive rays is their nonnegative span, so
-crossing points stay integral and all signs are exact.  Non-transversal
-configurations are rejected, never perturbed.
+Linking numbers are degrees of projections.  The center E (a point of RP^2,
+a line of RP^3) is cut out by two independent linear equations, and a
+hyperplane L containing E by one equation n lying in their span; c is the
+first equation of E not parallel to n.  Projection from E sends a point x
+off E to [x . n : x . c] in the pencil RP^1 of hyperplanes through E, and L
+is the point [0 : 1].  The linking number of a PL cycle with E is the degree
+of this map on the cycle: the signed count of the cycle's crossings of L.
+Points of cycles are nonzero rational vectors read as rays on S^n and stored
+as primitive integer vectors, one per ray, as are the normals of E and L;
+the segment between consecutive rays is their nonnegative span, and the
+cycle closes back to its first ray or to that ray's antipode.  A segment
+from p to q crosses L where alpha = p . n and beta = q . n differ in sign, at
+the ray of +-(beta p - alpha q), so every sign is an exact integer sign.
+Non-transversal configurations are rejected, never perturbed.
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ def hyperbolicity_check(x: HypersurfaceSpec, e, trials: int, seed: int) -> Hyper
 
 
 # ---------------------------------------------------------------------------
-# PL cycles on the double cover and linking numbers
+# PL cycles and linking numbers
 
 
 @dataclass(frozen=True)
@@ -246,13 +246,12 @@ def _rank(vectors):
 
 @dataclass(frozen=True)
 class PLCycle:
-    """Closed PL curve on S^n, stored as rays (primitive integer vectors).
+    """Closed PL curve in RP^n, stored as rays (primitive integer vectors).
 
-    closure = "sphere": the stored points already close up on the sphere (the
-    projection to RP^n is null-homotopic, and the full preimage is this loop
-    plus its antipodal copy).  closure = "antipode": the loop continues from
-    the last point to the antipode of the first; the full lift traverses the
-    stored points and then their antipodes once each.
+    closure = "sphere": the last point is joined to the first, so the curve
+    closes up on S^n and is null-homotopic in RP^n.  closure = "antipode":
+    the last point is joined to the antipode of the first, so the curve
+    closes up only in RP^n, where it is not null-homotopic.
     """
 
     ambient: int
@@ -281,80 +280,55 @@ class PLCycle:
             raise ValueError("antipodal closure needs last point distinct from first")
         object.__setattr__(self, "points", pts)
 
-    def lift_segments(self):
-        """Segments (as ray pairs) of the full preimage in S^n."""
-        pts = self.points
-        if self.closure == "sphere":
-            loops = [list(pts), [realroots.neg(p) for p in pts]]
-        else:
-            loops = [list(pts) + [realroots.neg(p) for p in pts]]
-        segments = []
-        for loop in loops:
-            for i, p in enumerate(loop):
-                segments.append((p, loop[(i + 1) % len(loop)]))
-        return segments
 
-
-def _hemisphere_frame(e: GreatSubsphere, chain: GreatSubsphere | None):
-    """Normal n of L and co-orientation b = (n.n) c - (c.n) n, c a normal of
-    the center not parallel to n, as primitive integer vectors."""
+def _projection(e: GreatSubsphere, chain: GreatSubsphere | None):
+    """The normal n of the hyperplane L through the center and the first
+    normal c of the center not parallel to n; together they span the
+    center's normals, so x lies on the center exactly when x.n = x.c = 0."""
     if len(e.normals) != 2:
         raise ValueError("the center must be cut out by two independent equations")
     if chain is None:
-        chain = GreatSubsphere(e.ambient, (e.normals[0],))
+        return e.normals
     if chain.ambient != e.ambient:
         raise ValueError("center and chain live in different ambient spaces")
     if len(chain.normals) != 1:
         raise ValueError("the bounding subspace must be a hyperplane")
     n_l = chain.normals[0]
-    span_rank = _rank(e.normals)
-    if _rank(e.normals + (n_l,)) != span_rank:
+    if _rank(e.normals + (n_l,)) != 2:
         raise ValueError("the hyperplane must contain the center")
-    nn = dot(n_l, n_l)
-    for candidate in e.normals:
-        b = [nn * c - dot(candidate, n_l) * l for c, l in zip(candidate, n_l)]
-        if any(b):
-            return n_l, primitive_vector(b)
-    raise ValueError("degenerate normals")  # unreachable: normals independent
+    first, second = e.normals  # primitive, so parallel means equal up to sign
+    return n_l, second if first in (n_l, realroots.neg(n_l)) else first
 
 
 def linking_number(cycle: PLCycle, e: GreatSubsphere, chain: GreatSubsphere | None = None) -> int:
-    """Signed crossing count of the lifted cycle with the hemisphere W.
+    """Degree of the projection from the center e on the cycle: the signed
+    count of the stored segments' crossings of the hyperplane L.
 
-    `chain` is the hyperplane L containing the center e; when omitted it is
-    derived from e's first normal.  Only |lk| is meaningful downstream: it is
-    independent of the hemisphere and of the choice of L for transversal
-    input.  A vertex on W, a crossing through the boundary of W, or a segment
-    inside the supporting hyperplane touching W is rejected with the
-    offending segment index ("perturb input").
+    `chain` is L, a hyperplane containing e; when omitted it is the zero set
+    of e's first normal.  A segment from p to q with alpha = p.n and beta =
+    q.n of opposite signs adds the sign of c.(beta p - alpha q), the side of
+    the center on which it crosses L.  Only |lk| is meaningful downstream: it
+    does not depend on the choice of L for transversal input.  A vertex on
+    the center, then a vertex on L, then a crossing through the center is
+    rejected with its index in the stored cycle ("perturb input").
     """
     if cycle.ambient != e.ambient:
         raise ValueError("cycle and center live in different ambient spaces")
-    n_l, b = _hemisphere_frame(e, chain)
-    for idx, p in enumerate(cycle.points):
-        if all(dot(p, n) == 0 for n in e.normals):
-            raise ValueError(f"cycle vertex {idx} lies on the center's lift")
-    total = 0
-    for idx, (p, q) in enumerate(cycle.lift_segments()):
-        alpha, beta = dot(p, n_l), dot(q, n_l)
+    n_l, c = _projection(e, chain)
+    images = [(dot(p, n_l), dot(p, c)) for p in cycle.points]
+    for idx, image in enumerate(images):
+        if image == (0, 0):
+            raise ValueError(f"perturb input: cycle vertex {idx} lies on the center")
+    for idx, (alpha, _) in enumerate(images):
         if alpha == 0:
-            if dot(p, b) >= 0:
-                raise ValueError(f"perturb input: vertex of segment {idx} lies on the hemisphere")
-            if beta == 0 and dot(q, b) >= 0:
-                raise ValueError(f"perturb input: segment {idx} lies in the hemisphere wall")
-            continue
-        if beta == 0:
-            if dot(q, b) >= 0:
-                raise ValueError(f"perturb input: vertex of segment {idx} lies on the hemisphere")
-            continue
-        if (alpha > 0) == (beta > 0):
-            continue
-        crossing = tuple([beta * pi - alpha * qi for pi, qi in zip(p, q)])
-        if beta < 0:
-            crossing = realroots.neg(crossing)  # keep the positive combination
-        side = dot(crossing, b)
-        if side == 0:
-            raise ValueError(f"perturb input: segment {idx} crosses the center's lift")
-        if side > 0:
-            total += 1 if alpha < 0 else -1
+            raise ValueError(f"perturb input: cycle vertex {idx} lies on the hyperplane")
+    first = images[0]
+    closing = first if cycle.closure == "sphere" else (-first[0], -first[1])
+    total = 0
+    for idx, ((alpha, a), (beta, b)) in enumerate(zip(images, images[1:] + [closing])):
+        if (alpha > 0) != (beta > 0):
+            side = beta * a - alpha * b
+            if side == 0:
+                raise ValueError(f"perturb input: segment {idx} crosses the center")
+            total += 1 if side > 0 else -1
     return total

@@ -4,7 +4,9 @@ Box enumeration checks the ellipsoid search of `realdp.search`; Hermite
 normal forms, integer kernels and fixed sublattices check that each real
 lattice is the fixed part of its conjugation; the Smith normal form checks
 primitivity and kernel saturation in the lattice tests; the linking criterion
-sums linking numbers over the components of a curve.  Matrix products,
+sums linking numbers over the components of a curve, and the winding number
+of the full preimage of a cycle on S^n, summed in floats, checks the signed
+`topology.linking_number`.  Matrix products,
 inverses and signatures check isometries, involutions and the signature
 certificate of the class enumeration; the Fincke-Pohst search on a rational
 LDL^T factorisation checks the fraction-free one of
@@ -17,7 +19,7 @@ by element.  The rational root test by
 divisor trial division and the Sturm search that bisects at midpoints check
 `realroots.rational_roots`, and the
 entry-by-entry smoothness rule for diagonal sections checks `conic.analyze`,
-and the cofactor expansion in `BinaryForm` arithmetic checks
+and the Leibniz formula on coefficient tuples checks
 `conic.discriminant`.
 Expanding each monomial of a hypersurface along a line checks the restriction
 by polar forms of `topology.HypersurfaceSpec.restrict_to_line`.
@@ -25,6 +27,7 @@ The library itself never calls these.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from math import isqrt
 
@@ -33,7 +36,7 @@ from realdp.catalog import SurfaceModel
 from realdp.conic import BinaryForm, ConicMatrix
 from realdp.intlinalg import primitive_vector
 from realdp.search import check_conditions
-from realdp.topology import GreatSubsphere, linking_number
+from realdp.topology import GreatSubsphere, PLCycle, linking_number
 
 
 def _box_vectors(model, radius):
@@ -244,6 +247,28 @@ def fixed_sublattice(lattice, sigma):
 def hyperbolicity_from_linking(components, e: GreatSubsphere, chain: GreatSubsphere | None, claimed_degree: int) -> bool:
     """Linking criterion: sum of |lk(component, E)| equals the degree."""
     return sum(abs(linking_number(c, e, chain)) for c in components) == claimed_degree
+
+
+def winding_of_lift(cycle: PLCycle, e: GreatSubsphere, chain: GreatSubsphere | None) -> int:
+    """Winding number about the origin of the image of the full preimage of
+    the cycle on S^n under x |-> (x . c, x . n), n the normal of the chain
+    (by default e's first normal) and c the first normal of e not parallel
+    to n.  The preimage is the stored loop and its antipodal copy for
+    "sphere", and one loop through the stored points and then their
+    antipodes for "antipode".  The image of a segment is the straight segment
+    between the images of its ends, so it sweeps the angle between them;
+    the angles are summed with `math.atan2`.  The cycle must avoid e and
+    cross L away from e."""
+    n = e.normals[0] if chain is None else chain.normals[0]
+    c = next(m for m in e.normals if any(a * y != b * x for (a, x), (b, y) in itertools.combinations(zip(m, n), 2)))
+    antipodes = [tuple(-x for x in p) for p in cycle.points]
+    loops = [cycle.points, antipodes] if cycle.closure == "sphere" else [cycle.points + tuple(antipodes)]
+    angle = 0.0
+    for loop in loops:
+        images = [(float(sum(a * b for a, b in zip(p, c))), float(sum(a * b for a, b in zip(p, n)))) for p in loop]
+        for (x0, y0), (x1, y1) in zip(images, images[1:] + images[:1]):
+            angle += math.atan2(x0 * y1 - y0 * x1, x0 * x1 + y0 * y1)
+    return round(angle / (2 * math.pi))
 
 
 def identity(n):
@@ -543,15 +568,17 @@ def rational_roots_by_bisection(coeffs):
     return sorted(roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0))
 
 
-def discriminant_by_forms(matrix: ConicMatrix) -> BinaryForm:
-    """The determinant of a section matrix by cofactor expansion along the
-    first row, in `BinaryForm` arithmetic."""
-    q = matrix.entries
-    return (
-        q[0][0] * (q[1][1] * q[2][2] - q[1][2] * q[2][1])
-        - q[0][1] * (q[1][0] * q[2][2] - q[1][2] * q[2][0])
-        + q[0][2] * (q[1][0] * q[2][1] - q[1][1] * q[2][0])
-    )
+def discriminant_by_leibniz(matrix: ConicMatrix) -> BinaryForm:
+    """The determinant of a section matrix by the Leibniz formula, a signed
+    sum over the six permutations, on coefficient tuples."""
+    q = [[f.coeffs for f in row] for row in matrix.entries]
+    det = ()
+    for perm in itertools.permutations(range(3)):
+        term = realroots.mul(realroots.mul(q[0][perm[0]], q[1][perm[1]]), q[2][perm[2]])
+        odd = sum(perm[i] > perm[j] for i in range(3) for j in range(i + 1, 3)) % 2
+        det = realroots.add(det, realroots.neg(term) if odd else term)
+    degree = 2 * sum(matrix.splitting)
+    return BinaryForm(degree, det + (0,) * (degree + 1 - len(det)))
 
 
 def _squarefree_on_p1(form: BinaryForm) -> bool:

@@ -1,8 +1,10 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from realdp.intlinalg import dot
 from realdp.realroots import squarefree_decomposition, sturm_count
 from realdp.topology import (
     GreatSubsphere,
@@ -13,7 +15,7 @@ from realdp.topology import (
     hyperbolicity_check,
     linking_number,
 )
-from oracles import hyperbolicity_from_linking, restrict_by_expansion
+from oracles import hyperbolicity_from_linking, restrict_by_expansion, winding_of_lift
 from conftest import (
     cayley_rotation,
     chart_axis,
@@ -282,7 +284,7 @@ def test_linking_rotation_invariance():
             got = [abs(linking_number(rotate_cycle(rot, c), rotate_subspace(rot, e), rotate_subspace(rot, l)))
                    for c in cycles]
         except ValueError:
-            continue  # rotation landed a vertex on the hemisphere wall
+            continue  # rotation landed a vertex on L or a crossing on the center
         assert got == expected
         rotations += 1
 
@@ -347,6 +349,88 @@ def test_linking_rejects_degenerate_input():
     touching = PLCycle(2, "sphere", ((1, 0, 0), (1, 1, 1), (1, 1, -1)))
     with pytest.raises(ValueError):
         linking_number(touching, e, l)
+
+
+def random_linking_input(rng, span):
+    """A random cycle, center and chain (or None) in RP^2 or RP^3 with
+    integer coordinates in [-span, span], or None if a constructor rejects
+    the draw."""
+    ambient = rng.choice((2, 3))
+    closure = rng.choice(("sphere", "antipode"))
+
+    def vector():
+        return tuple(rng.randint(-span, span) for _ in range(ambient + 1))
+
+    try:
+        e = GreatSubsphere(ambient, (vector(), vector()))
+        chain = None
+        if rng.random() < 0.5:
+            u, v = rng.randint(-3, 3), rng.randint(-3, 3)
+            chain = GreatSubsphere(ambient, (tuple(u * a + v * b for a, b in zip(*e.normals)),))
+        return PLCycle(ambient, closure, tuple(vector() for _ in range(rng.randint(2, 8)))), e, chain
+    except ValueError:
+        return None
+
+
+def test_linking_number_is_the_winding_of_the_lift():
+    """The signed linking number equals the winding number, summed in
+    floats, of the full preimage on S^n projected to the plane of the
+    center's normals, on 2,000 transversal cycles: 500 for each ambient
+    space and closure."""
+    rng = random.Random(1018)
+    checked = {(a, c): 0 for a in (2, 3) for c in ("sphere", "antipode")}
+    values = set()
+    while min(checked.values()) < 500:
+        drawn = random_linking_input(rng, 3)
+        if drawn is None or checked[drawn[0].ambient, drawn[0].closure] >= 500:
+            continue
+        try:
+            value = linking_number(*drawn)
+        except ValueError:
+            continue
+        assert value == winding_of_lift(*drawn), drawn
+        checked[drawn[0].ambient, drawn[0].closure] += 1
+        values.add(value)
+    assert {-3, -2, -1, 0, 1, 2, 3} <= values
+
+
+def test_rejections_index_the_stored_cycle():
+    """Every rejection names a vertex or a segment of the stored cycle, and
+    the vertex lies on the center or on L, or the segment meets the center."""
+    e, l = chart_origin(), chart_axis()
+    vertex_0_on_l = PLCycle(2, "sphere", ((1, -1, 0), (1, 1, 1), (1, 1, -1)))
+    with pytest.raises(ValueError, match=r"^perturb input: cycle vertex 0 lies on the hyperplane$"):
+        linking_number(vertex_0_on_l, e, l)
+    rng = random.Random(2718)
+    seen = set()
+    for _ in range(3000):
+        drawn = random_linking_input(rng, 1)
+        if drawn is None:
+            continue
+        cycle, e, chain = drawn
+        n = e.normals[0] if chain is None else chain.normals[0]
+        try:
+            linking_number(cycle, e, chain)
+            continue
+        except ValueError as exc:
+            found = re.fullmatch(r"perturb input: (?:cycle vertex|segment) (\d+) (.*)", str(exc))
+        idx, what = int(found[1]), found[2]
+        assert idx < len(cycle.points)
+        seen.add(what)
+        p = cycle.points[idx]
+        if what == "lies on the center":
+            assert all(dot(p, m) == 0 for m in e.normals)
+        elif what == "lies on the hyperplane":
+            assert dot(p, n) == 0
+        else:
+            assert what == "crosses the center"
+            q = cycle.points[(idx + 1) % len(cycle.points)]
+            if cycle.closure == "antipode" and idx + 1 == len(cycle.points):
+                q = tuple(-x for x in q)
+            assert dot(p, n) * dot(q, n) < 0
+            crossing = [dot(q, n) * a - dot(p, n) * b for a, b in zip(p, q)]
+            assert all(dot(crossing, m) == 0 for m in e.normals)
+    assert seen == {"lies on the center", "lies on the hyperplane", "crosses the center"}
 
 
 def test_cycle_validation():
