@@ -13,11 +13,17 @@ conic-bundle surface inside the projectivised bundle.  This module covers:
     surface (K_X^2 = 8 - 3a - 2c, the restriction of the tautological class);
   * discriminants of conic-bundle sections: the determinant is a binary form
     of degree 2(a1 + a2 + a3) whose roots on P^1 (infinity included) mark the
-    singular fibers, 2s of them for a smooth surface with s spheres.  A
-    `ConicMatrix` computes its discriminant once and keeps it, and a
-    `BinaryForm` keeps, once asked, its split c u^m v^k h with the Sturm
-    chain of h, so `analyze` (the real-root counts) and `factored_str` (the
-    rational roots) of one discriminant share one determinant and one chain;
+    singular fibers.  `analyze` reports s, half the number of real singular
+    fibers; s counts the sphere components only for a minimal section, whose
+    real singular fibers are all pairs of conjugate lines meeting in a real
+    point.  A `ConicMatrix` computes its discriminant once and keeps it, and
+    a `BinaryForm` keeps, once asked, its split c u^m v^k h_1 ... h_r with
+    the Sturm chain of each h_i, so `analyze` (the real-root counts) and
+    `factored_str` (the rational roots) of one discriminant share one
+    determinant and one chain per part.  A general form has one part h; the
+    discriminant p1 p2 p3 of a diagonal section keeps one part per
+    nonconstant p_i and is analysed factor by factor, with no chain of the
+    full product;
   * the diagonal section p1 x1^2 + p2 x2^2 + p3 x3^2 built from prescribed
     simple real roots.
 
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import NamedTuple
 
 from .intlinalg import int_tuple, rational_tuple
@@ -69,23 +76,37 @@ class BinaryForm:
 
     @cached_property
     def _split_roots(self) -> _SplitRoots:
-        """This nonzero form as c u^m v^k h, built on first use and kept on
-        the instance; not a field, so equality, hash and repr ignore it."""
-        content, poly = realroots.primitive_part(self.coeffs)
-        at_zero = next(i for i, c in enumerate(poly) if c)
-        part = poly[at_zero:]
-        return _SplitRoots(content, at_zero, self.infinity_multiplicity(), part, realroots.sturm_sequence(part))
+        """This nonzero form as c u^m v^k h with one part h, built on first
+        use and kept on the instance; not a field, so equality, hash and repr
+        ignore it."""
+        return _split_product((self,))
 
 
 class _SplitRoots(NamedTuple):
-    """A nonzero form c u^m v^k h with h primitive and nonzero at [0:1] and
-    [1:0]: the content c, the multiplicities m of the root [0:1] and k of
-    the root [1:0], the dehomogenised h and its Sturm chain."""
+    """A nonzero form c u^m v^k h_1 ... h_r with each h_i primitive,
+    nonconstant and nonzero at [0:1] and [1:0]: the content c, the
+    multiplicities m of the root [0:1] and k of the root [1:0], and one pair
+    (h_i, Sturm chain of h_i) per part, dehomogenised."""
     content: int
     at_zero: int
     at_infinity: int
-    part: tuple
-    chain: list
+    parts: tuple
+
+
+def _split_product(forms) -> _SplitRoots:
+    """The split of the product of nonzero forms with one part per
+    nonconstant h_i: contents multiply and multiplicities add."""
+    content, at_zero, at_infinity, parts = 1, 0, 0, []
+    for form in forms:
+        c, poly = realroots.primitive_part(form.coeffs)
+        low = next(i for i, x in enumerate(poly) if x)
+        content *= c
+        at_zero += low
+        at_infinity += form.infinity_multiplicity()
+        if len(poly) - low > 1:
+            part = poly[low:]
+            parts.append((part, realroots.sturm_sequence(part)))
+    return _SplitRoots(content, at_zero, at_infinity, tuple(parts))
 
 
 def _form(degree: int, poly) -> BinaryForm:
@@ -143,8 +164,14 @@ class ConicMatrix:
     @cached_property
     def _discriminant(self) -> BinaryForm:
         """`discriminant(self)`, computed on first use and kept on the
-        instance; not a field, so equality, hash and repr ignore it."""
-        return _determinant(self)
+        instance; not a field, so equality, hash and repr ignore it.  The
+        discriminant of a diagonal section is p1 p2 p3, and its split is
+        stored with one part per nonconstant p_i, so no Sturm chain of the
+        whole product is built."""
+        det = _determinant(self)
+        if self.is_diagonal() and not det.is_zero():
+            det.__dict__["_split_roots"] = _split_product([self.entries[i][i] for i in range(3)])
+        return det
 
 
 def diagonal_matrix(splitting, forms) -> ConicMatrix:
@@ -289,11 +316,16 @@ def _determinant(matrix: ConicMatrix) -> BinaryForm:
 
 def _roots_on_p1(form: BinaryForm):
     """(real roots on P^1 counted with multiplicity, squarefree on P^1) for a
-    nonzero form; a root at infinity is the point [1:0]."""
+    nonzero form; a root at infinity is the point [1:0].  Real roots add up
+    over the parts, and the form is squarefree when every part is and the
+    parts are pairwise coprime."""
     split = form._split_roots
-    roots = realroots.root_profile(split.part, split.chain)
-    real = roots.real + split.at_zero + split.at_infinity
-    return real, roots.squarefree and split.at_zero <= 1 and split.at_infinity <= 1
+    profiles = [realroots.root_profile(part, chain) for part, chain in split.parts]
+    real = sum(roots.real for roots in profiles) + split.at_zero + split.at_infinity
+    squarefree = (split.at_zero <= 1 and split.at_infinity <= 1
+                  and all(roots.squarefree for roots in profiles)
+                  and all(realroots.coprime(p, q) for (p, _), (q, _) in combinations(split.parts, 2)))
+    return real, squarefree
 
 
 @dataclass(frozen=True)
@@ -310,10 +342,13 @@ def analyze(matrix: ConicMatrix) -> FiberAnalysis:
     """Singular-fiber count of a conic-bundle section.
 
     total_fibers counts discriminant roots on P^1 with multiplicity (the
-    degree of the determinant); real_fibers adds the Sturm count of the
-    dehomogenisation and the multiplicity at infinity.  When the discriminant
-    is squarefree the surface can be smooth and s = real_fibers / 2 is the
-    number of sphere components; otherwise s is undetermined.  For diagonal
+    degree of the determinant); real_fibers adds the Sturm counts of the
+    dehomogenised parts and the multiplicity at infinity.  When the
+    discriminant is squarefree the surface can be smooth and s =
+    real_fibers / 2, half the number of real singular fibers; otherwise s is
+    undetermined.  s is the number of sphere components only for a minimal
+    section, where every real singular fiber is a pair of conjugate lines; a
+    real singular fiber can also be a pair of real lines.  For diagonal
     sections smoothness is decided exactly (each p_i squarefree on P^1 and
     the p_i pairwise coprime); in general squarefreeness is only necessary.
     """
@@ -336,7 +371,10 @@ def construct_section(a1: int, a2: int, a3: int, root_lists) -> ConicMatrix:
     Each root list holds 2 a_i distinct rationals and the three lists are
     pairwise disjoint, so every p_i has only simple real zeros and the p_i
     are pairwise coprime: the section has 2(a1 + a2 + a3) simple real
-    singular fibers and s = a1 + a2 + a3.
+    singular fibers and s = a1 + a2 + a3, half their number.  s counts
+    sphere components only when the section is minimal; the fiber at a root
+    of p_i is a pair of real lines when the other two p_j differ in sign
+    there.
     """
     split = [a1, a2, a3]
     if any(a < 1 for a in split):
@@ -370,7 +408,10 @@ def factor_low_degree(form: BinaryForm):
     Returns (content, [(factor_form, multiplicity), ...]) or None when the
     cofactor left after removing u, v and rational linear factors still has
     degree above two.  Every factor is primitive with integer coefficients
-    (Gauss's lemma), and the u- and v-powers come first.
+    (Gauss's lemma), and the u- and v-powers come first.  The rational roots
+    are found part by part, and a root shared by parts has the sum of its
+    multiplicities; a squarefree part is divided once by each of its roots.
+    The cofactor is the product of the parts' cofactors.
     """
     if form.is_zero():
         return None
@@ -380,20 +421,27 @@ def factor_low_degree(form: BinaryForm):
         factors.append((BinaryForm(1, (0, 1)), split.at_zero))  # u
     if split.at_infinity:
         factors.append((BinaryForm(1, (1, 0)), split.at_infinity))  # v
-    poly = split.part
-    for root in realroots.rational_roots(poly, split.chain):
-        num, den = root.numerator, root.denominator
-        mult = 0
-        while (quot := realroots.deflate(poly, num, den)) is not None:
-            poly = quot
-            mult += 1
-        factors.append((BinaryForm(1, (-num, den)), mult))
-    rest_deg = realroots.degree(poly)
-    if rest_deg > 2:
+    multiplicity = {}
+    rest = (1,)
+    for part, chain in split.parts:
+        squarefree = realroots.degree(chain[-1]) == 0
+        for root in realroots.rational_roots(part, chain):
+            num, den = root.numerator, root.denominator
+            if squarefree:  # every root is simple: one division, which succeeds
+                part, mult = realroots.deflate(part, num, den), 1
+            else:
+                mult = 0
+                while (quot := realroots.deflate(part, num, den)) is not None:
+                    part, mult = quot, mult + 1
+            multiplicity[num, den] = multiplicity.get((num, den), 0) + mult
+        rest = realroots.mul(rest, part)
+    if realroots.degree(rest) > 2:
         return None
-    if rest_deg > 0:
+    for (num, den), mult in sorted(multiplicity.items(), key=lambda item: realroots.root_key(*item[0])):
+        factors.append((BinaryForm(1, (-num, den)), mult))
+    if realroots.degree(rest) > 0:
         # homogenise the cofactor back to the missing degree
-        factors.append((BinaryForm(rest_deg, poly), 1))
+        factors.append((BinaryForm(realroots.degree(rest), rest), 1))
     return split.content, factors
 
 

@@ -8,10 +8,12 @@ gives the real-root count with multiplicity, the distinct count and the
 squarefree flag together.  Sturm chains hold primitive integer polynomials,
 each a positive multiple of the classical chain's element, since the counts
 read only signs.  They are division-free: each remainder is an integer
-pseudo-remainder, and one gcd removes its content.  The chain is built
-lazily, so `real_rooted_profile`, the test whether every root is real, stops
-at the first element that breaks the full-length pattern (degrees falling by
-one, leading coefficients of one sign) and builds no further remainder.
+pseudo-remainder, and one gcd removes its content.  The same primitive
+remainder sequence, run on two polynomials, ends in a constant exactly when
+they are coprime (`coprime`).  The chain is built lazily, so
+`real_rooted_profile`, the test whether every root is real, stops at the
+first element that breaks the full-length pattern (degrees falling by one,
+leading coefficients of one sign) and builds no further remainder.
 `rational_roots` isolates the real roots with the same chains on the lattice
 n / lc, lc the leading coefficient.  It splits an interval at 0 when it
 straddles 0 and at a power of two when its ends lie far apart on one side,
@@ -214,6 +216,14 @@ def _sturm_chain(p):
         return
     b = primitive_vector(d)
     yield b
+    yield from _remainders(a, b)
+
+
+def _remainders(a, b):
+    """The negated primitive parts of the pseudo-remainders of a by b, of b
+    by that, and so on, for integer polynomials with deg a >= deg b >= 0.
+    The sequence stops after a constant or before a zero remainder, so its
+    last element, or b when it is empty, is gcd(a, b) up to a factor."""
     while degree(b) > 0:
         rem = _pseudo_remainder(a, b)
         if not rem:
@@ -221,6 +231,17 @@ def _sturm_chain(p):
         g = gcd(*rem)
         a, b = b, tuple([-c // g for c in rem])
         yield b
+
+
+def coprime(p, q) -> bool:
+    """Whether two nonzero integer polynomials have no common root over C,
+    read off the last element of their primitive remainder sequence."""
+    a, b = normalize(p), normalize(q)
+    if degree(a) < degree(b):
+        a, b = b, a
+    for b in _remainders(a, b):
+        pass
+    return degree(b) == 0
 
 
 def sturm_sequence(p):
@@ -339,6 +360,12 @@ def _isolate(squarefree, lo, hi):
     return hi
 
 
+def root_key(num: int, den: int):
+    """The order of `rational_roots` on the root num / den in lowest terms,
+    den > 0: by (|num|, den), the positive root first."""
+    return abs(num), den, num < 0
+
+
 def rational_roots(coeffs, chain=None):
     """Distinct rational roots of a nonzero integer polynomial, sorted by
     (|P|, Q) for the root P/Q in lowest terms, the positive root first.
@@ -388,4 +415,4 @@ def rational_roots(coeffs, chain=None):
         if evaluate(scaled, hi) == 0:
             roots.append(Fraction(hi, lc))
             scaled = deflate(scaled, hi, 1)
-    return sorted(roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0))
+    return sorted(roots, key=lambda r: root_key(r.numerator, r.denominator))

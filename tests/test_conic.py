@@ -368,41 +368,150 @@ def _general_section():
 
 
 @pytest.mark.parametrize(
-    "matrix, analysis, rendered",
+    "matrix, analysis, rendered, chain_degrees",
     [
         (
             construct_section(1, 1, 2, [[2, Fraction(-1, 5)], [Fraction(3, 7), -4], [1, -6, Fraction(9, 5), 7]]),
             (8, 8, True, 4, True, True),
             "(u - v)*(5*u + v)*(u - 2*v)*(7*u - 3*v)*(u + 4*v)*(u + 6*v)*(u - 7*v)*(5*u - 9*v)",
+            [2, 2, 4],
         ),
         (
             _general_section(),
             (6, 4, False, None, False, None),
             "-u*(u - v)^2*(u + v)*(u^2 + 3*u*v + 4*v^2)",
+            [5],
         ),
     ],
     ids=["squarefree diagonal", "general"],
 )
-def test_one_determinant_and_one_chain_per_matrix(monkeypatch, matrix, analysis, rendered):
+def test_one_determinant_and_one_chain_per_matrix(monkeypatch, matrix, analysis, rendered, chain_degrees):
     """`discriminant`, `analyze` and `factored_str` on one matrix build its
-    determinant once and the Sturm chain of its discriminant once."""
-    counts = {"determinant": 0, "chain": 0}
+    determinant once and one Sturm chain per part of the discriminant: one
+    per nonconstant entry of a diagonal section, whose full discriminant gets
+    no chain, and one for the discriminant of a general section."""
+    determinants, chains = [], []
 
-    def counted(key, fn):
+    def recorded(calls, fn):
         def wrapper(*args):
-            counts[key] += 1
+            calls.append(args)
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(conic, "_determinant", counted("determinant", conic._determinant))
-    monkeypatch.setattr(realroots, "_sturm_chain", counted("chain", realroots._sturm_chain))
+    monkeypatch.setattr(conic, "_determinant", recorded(determinants, conic._determinant))
+    monkeypatch.setattr(realroots, "_sturm_chain", recorded(chains, realroots._sturm_chain))
     disc = discriminant(matrix)
     result = analyze(matrix)
     assert factored_str(disc) == rendered
     assert discriminant(matrix) is disc
     assert (result.total_fibers, result.real_fibers, result.squarefree, result.s,
             result.smooth_necessary, result.smooth_exact) == analysis
-    assert counts == {"determinant": 1, "chain": 1}
+    assert len(determinants) == 1
+    assert [realroots.degree(p) for (p,) in chains] == chain_degrees
+    if matrix.is_diagonal():
+        assert [p for (p,) in chains] == [matrix.entries[i][i].coeffs for i in range(3)]
+
+
+def test_squarefree_parts_deflate_each_root_once(monkeypatch):
+    """On a squarefree diagonal section every root is simple, so each of the
+    8 rational roots is divided out once by `rational_roots` (from its
+    scaled polynomial) and once by `factor_low_degree`, and no division
+    fails."""
+    results, original = [], realroots.deflate
+
+    def deflate(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    monkeypatch.setattr(realroots, "deflate", deflate)
+    matrix = construct_section(1, 1, 2, [[2, Fraction(-1, 5)], [Fraction(3, 7), -4], [1, -6, Fraction(9, 5), 7]])
+    factored_str(discriminant(matrix))
+    assert len(results) == 2 * 8
+    assert None not in results
+
+
+U, V = (0, 1), (1, 0)  # u and v as factors: index i holds the u^i v^(d-i) coefficient
+
+
+def _product(content, *factors):
+    form = BinaryForm(0, (content,))
+    for factor in factors:
+        form = form * BinaryForm(len(factor) - 1, factor)
+    return form
+
+
+def _assert_parts_match_one_form(matrix):
+    """`analyze` and the factored rendering of a diagonal section, read from
+    one part per entry, equal those of a fresh form with the same
+    coefficients, read from one part."""
+    disc = discriminant(matrix)
+    fresh = BinaryForm(disc.degree, disc.coeffs)
+    assert factored_str(disc) == factored_str(fresh)
+    assert conic.factor_low_degree(disc) == conic.factor_low_degree(fresh)
+    if disc.is_zero():
+        assert analyze(matrix).real_fibers is None
+        return
+    entries = [matrix.entries[i][i] for i in range(3)]
+    lowest = [next(i for i, c in enumerate(f.coeffs) if c) for f in entries]
+    assert len(disc._split_roots.parts) == sum(f.effective_degree() > low for f, low in zip(entries, lowest))
+    assert len(fresh._split_roots.parts) <= 1
+    result = analyze(matrix)
+    real, squarefree = conic._roots_on_p1(fresh)
+    assert (result.real_fibers, result.squarefree, result.smooth_exact) == (real, squarefree, squarefree)
+    assert result.s == (real // 2 if squarefree else None)
+
+
+@pytest.mark.parametrize(
+    "splitting, entries",
+    [
+        ((1, 1, 2), (_product(1, (-1, 1), (1, 1)), _product(2, (-1, 1), (-2, 1)), _product(1, (-1, 1), (3, 1), (1, 0, 1)))),
+        ((1, 1, 2), (_product(1, (1, 0, 1)), _product(-1, (1, 0, 1)), _product(3, (1, 1, 1), (-2, 0, 1)))),
+        ((1, 1, 1), (_product(1, U, (1, 1)), _product(1, U, (-1, 1)), _product(1, V, (2, 1)))),
+        ((1, 1, 1), (_product(1, V, V), _product(-1, U, V), _product(1, (-1, 0, 1)))),
+        ((1, 1, 2), (_product(1, U, V), _product(1, (1, 1), (1, 1)), zero_form(4))),
+        ((0, 1, 1), (_product(-3), _product(1, (-1, 0, 1)), _product(1, (-4, 0, 1)))),
+        ((0, 0, 2), (_product(2), _product(-1), _product(1, (-1, 1), (1, 1), (-2, 1), (2, 1)))),
+        ((0, 0, 0), (_product(-1), _product(2), _product(-3))),
+        ((1, 1, 1), (_product(-2, (1, 3), (1, 3)), _product(-1, (-5, 2), V), _product(6, (1, 3), U))),
+        ((1, 2, 2), (_product(1, (1, 0, 1)), _product(1, (-2, 0, 0, 0, 1)), _product(1, (1, 0, 0, 0, 1)))),
+    ],
+    ids=[
+        "shared rational root", "shared irreducible quadratic", "two entries at [0:1]",
+        "two entries at [1:0]", "zero entry", "degree-0 entry", "two degree-0 entries",
+        "constant section", "negative contents and a shared double root",
+        "cofactor of degree above two",
+    ],
+)
+def test_diagonal_parts_match_the_single_form_cases(splitting, entries):
+    _assert_parts_match_one_form(diagonal_matrix(splitting, entries))
+
+
+def test_diagonal_parts_match_the_single_form_seeded():
+    """Seeded diagonal sections whose entries share rational roots, the
+    quadratics u^2 + v^2 and u^2 - 2 v^2 (real irrational roots), [0:1] and
+    [1:0], with contents of either sign, degree-0 and zero entries, and now
+    and then a cubic with one real irrational root."""
+    rng = random.Random(16)
+    seen = set()
+    pool = ((-1, 1), (2, 1), (1, 3), (-2, 5), U, V, (1, 0, 1), (-2, 0, 1), (1, 0, 0, -2))
+    splits = [(a, b, c) for a in range(3) for b in range(a, 3) for c in range(b, 3)]
+    for _ in range(400):
+        split = rng.choice(splits)
+        forms = []
+        for a in split:
+            if rng.random() < 0.03:
+                forms.append(zero_form(2 * a))
+                continue
+            factors = []
+            while sum(len(f) - 1 for f in factors) < 2 * a:
+                factor = rng.choice(pool)
+                if sum(len(f) - 1 for f in factors) + len(factor) - 1 <= 2 * a:
+                    factors.append(factor)
+            forms.append(_product(rng.choice((1, -1, 2, -3, 6)), *factors))
+        matrix = diagonal_matrix(split, tuple(forms))
+        _assert_parts_match_one_form(matrix)
+        seen.add((analyze(matrix).squarefree, conic.factor_low_degree(discriminant(matrix)) is None))
+    assert seen == {(True, False), (False, False), (True, True), (False, True)}
 
 
 def test_stored_discriminant_leaves_equality_hash_and_repr():
