@@ -4,10 +4,14 @@ disjoint union of spheres and real projective planes.
 Each model bundles the Picard lattice of the complexification, the
 complex-conjugation involution on it, the real Picard lattice embedded as the
 fixed sublattice, the canonical class on both sides, the finitely many
-(-1)-classes with their pairings against the real basis, and the topological
-bookkeeping (s spheres, r projective planes).  The embedding and the
-conjugation are plain integer matrices (tuples of row tuples), built here and
-never read from input; every pairing goes through `intlinalg.dot`.
+(-1)-classes with their pairings against the real basis, and the topology
+(s spheres, r projective planes).  `_model` reads the degree from K.K, and s
+and r from the conjugation sigma and the real pairing matrix G_real: Lefschetz
+gives 2s + r = 2 - tr sigma, and Kharlamov-Krasnov gives 2s + 3r = 2 + rank -
+2a with |det G_real| = 2^a (Degtyarev and Kharlamov, Russian Math. Surveys
+55:4, 2000).  The embedding and the conjugation are plain integer matrices
+(tuples of row tuples), built here and never read from input; every pairing
+goes through `intlinalg.dot`.
 
 Conventions.  Complex lattices are either the blow-up lattice Z^{1,n} with
 basis H, E1, ..., En, pairing diag(1, -1, ..., -1) and canonical class
@@ -22,7 +26,8 @@ distinguished basis vector whenever one exists in the basis.
 
 Real points may only be blown up on sphere components: blowing up a point of
 a projective plane would create a Klein bottle, which is outside the
-sphere/projective-plane regime modelled here.
+sphere/projective-plane regime modelled here, and the s read from sigma
+turns negative.
 """
 
 from __future__ import annotations
@@ -30,11 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .intlinalg import dot, int_tuple, mat_vec
+from .intlinalg import determinant, dot, int_tuple, mat_vec
 from .lattice import ClassVector, IntLattice, enumerate_classes, geiser_bertini
 
 @dataclass(frozen=True)
 class SurfaceModel:
+    """A real del Pezzo surface; `_model` reads its degree, s and r from the lattices."""
     name: str
     degree: int
     s: int
@@ -56,17 +62,20 @@ def minus_one_curves(l_complex: IntLattice, k: ClassVector) -> tuple:
     return tuple(enumerate_classes(l_complex, k, -1, -1, -1))
 
 
-def _model(name, degree, s, r, cx, k_cx_coeffs, involution, real_labels, real_columns, canonical_coeffs):
+def _model(name, cx, k_cx_coeffs, involution, real_labels, real_columns, canonical_coeffs):
     """Assemble a SurfaceModel from complex-lattice data and a real basis.
 
     `real_columns` are the real basis vectors u written in complex
     coordinates, and G u is computed once for each.  The real pairing matrix
     is u.(G v), so the embedding is an isometry by construction, and the line
     functionals are L.(G u), which make D.L a dot product in real coordinates.
+
+    The degree is K.K, and s and r follow from the module docstring's two
+    identities.  A real rank other than (rank + tr sigma)/2, a |det G_real|
+    that is not a power of two, or an s or r that is not a nonnegative
+    integer raises ValueError.
     """
     k_cx = cx.vector(k_cx_coeffs)
-    if k_cx.dot(k_cx) != degree:
-        raise ValueError(f"{name}: canonical self-intersection does not match the degree")
     gram_images = [mat_vec(cx.gram, u) for u in real_columns]
     gram = tuple(tuple(dot(u, gv) for gv in gram_images) for u in real_columns)
     real = IntLattice(len(real_labels), tuple(real_labels), gram)
@@ -74,10 +83,16 @@ def _model(name, degree, s, r, cx, k_cx_coeffs, involution, real_labels, real_co
     canonical = real.vector(canonical_coeffs)
     if tuple(mat_vec(embedding, canonical.coeffs)) != k_cx.coeffs:
         raise ValueError(f"{name}: real canonical class does not embed onto K")
+    trace = sum(involution[i][i] for i in range(cx.rank))
+    chi, det = 2 - trace, abs(determinant(gram))
+    r, r_odd = divmod(2 + cx.rank - 2 * (det.bit_length() - 1) - chi, 2)
+    s, s_odd = divmod(chi - r, 2)
+    if 2 * real.rank != cx.rank + trace or not det or det & (det - 1) or r_odd or s_odd or min(s, r) < 0:
+        raise ValueError(f"{name}: conjugation and real lattice give no union of spheres and planes")
     lines = minus_one_curves(cx, k_cx)
     return SurfaceModel(
         name=name,
-        degree=degree,
+        degree=k_cx.dot(k_cx),
         s=s,
         r=r,
         real_lattice=real,
@@ -108,8 +123,6 @@ def _conic_bundle_involution(n_exceptional):
     point in every singular fiber: E_j <-> H - E1 - E_j for j >= 2.  Columns
     follow by solving sigma(F) = F, sigma(K) = K.
     """
-    if n_exceptional % 2 == 0:
-        raise ValueError("a minimal conic bundle has an odd number of blown-up points")
     half = (n_exceptional + 1) // 2
     cols = []
     cols.append([half, -(half - 1)] + [-1] * (n_exceptional - 1))  # image of H
@@ -129,50 +142,29 @@ def _anticanonical_reflection(cx: IntLattice, k: ClassVector):
 
 def _build_p2():
     cx = IntLattice(1, ("H",), ((1,),))
-    return _model(
-        "P2", 9, 0, 1,
-        cx, (-3,),
-        ((1,),),
-        ("H",), [(1,)], (-3,),
-    )
+    return _model("P2", cx, (-3,), ((1,),), ("H",), [(1,)], (-3,))
 
 
 def _build_q31():
     cx = IntLattice(2, ("l1", "l2"), ((0, 1), (1, 0)))
     # Conjugation swaps the two rulings; the fixed lattice is generated by the
     # hyperplane class H = l1 + l2 with H.H = 2 and K = -2H.
-    return _model(
-        "Q31", 8, 1, 0,
-        cx, (-2, -2),
-        ((0, 1), (1, 0)),
-        ("H",), [(1, 1)], (-2,),
-    )
+    return _model("Q31", cx, (-2, -2), ((0, 1), (1, 0)), ("H",), [(1, 1)], (-2,))
 
 
 def _build_minimal_conic(degree):
     n_exc = 9 - degree
-    s = (8 - degree) // 2
     cx = _blowup_lattice(n_exc)
     k = (-3,) + (1,) * n_exc
     f_col = (1, -1) + (0,) * (n_exc - 1)
-    return _model(
-        f"D{degree}", degree, s, 0,
-        cx, k,
-        _conic_bundle_involution(n_exc),
-        ("F", "K"), [f_col, k], (0, 1),
-    )
+    return _model(f"D{degree}", cx, k, _conic_bundle_involution(n_exc), ("F", "K"), [f_col, k], (0, 1))
 
 
-def _build_anticanonical_minimal(name, degree, s, r):
+def _build_anticanonical_minimal(name, degree):
     n_exc = 9 - degree
     cx = _blowup_lattice(n_exc)
     k = (-3,) + (1,) * n_exc
-    return _model(
-        name, degree, s, r,
-        cx, k,
-        _anticanonical_reflection(cx, cx.vector(k)),
-        ("K",), [k], (1,),
-    )
+    return _model(name, cx, k, _anticanonical_reflection(cx, cx.vector(k)), ("K",), [k], (1,))
 
 
 def _direct_sum(m, block):
@@ -185,22 +177,19 @@ def _direct_sum(m, block):
 def blow_up(base: SurfaceModel, real_points: int = 0, conj_pairs: int = 0) -> SurfaceModel:
     """Blow up a model in `real_points` real points and `conj_pairs` pairs.
 
-    Real centers lie on distinct sphere components (a real point of a
-    projective plane would produce a Klein bottle component, which is
-    rejected); each one turns a sphere into a projective plane.  Conjugate
-    pairs leave the topology unchanged.  Each matrix is the direct sum of the
-    base's with a block for the m = a + 2b exceptional classes: -I_m in the
+    Real centers lie on distinct sphere components; each one turns a sphere
+    into a projective plane, and conjugate pairs leave the topology unchanged.
+    `_model` reads the new s and r from the conjugation and G_real, so more
+    real centers than spheres are rejected: a real point of a projective plane
+    would produce a Klein bottle component.  Each matrix is the direct sum of
+    the base's with a block for the m = a + 2b exceptional classes: -I_m in the
     pairing; the identity on real classes and the swap on each pair in the
     conjugation; a unit or pair-sum real basis vector per real class or pair.
     A real basis vector embedding onto K moves onto the new K.
     """
     a, b = int_tuple((real_points, conj_pairs))
-    if a not in (0, 1, 2):
-        raise ValueError("real_points must be 0, 1 or 2")
-    if b < 0:
-        raise ValueError("conj_pairs must be nonnegative")
-    if a > base.s:
-        raise ValueError("unsupported topology: a real blow-up center must lie on a sphere")
+    if a < 0 or b < 0:
+        raise ValueError("real_points and conj_pairs must be nonnegative")
     m = a + 2 * b
     if base.degree - m < 1:
         raise ValueError("degree underflow: blow-up would drop the degree below 1")
@@ -228,12 +217,7 @@ def blow_up(base: SurfaceModel, real_points: int = 0, conj_pairs: int = 0) -> Su
         canonical = tuple(int(i == k_slot) for i in range(len(columns)))
 
     name = f"{base.name}_{a}_{2 * b}" + ("_11" if a == 2 else "")
-    return _model(
-        name, base.degree - m, base.s - a, base.r + a,
-        cx, k_cx,
-        _direct_sum(base.involution, swap),
-        labels, columns, canonical,
-    )
+    return _model(name, cx, k_cx, _direct_sum(base.involution, swap), labels, columns, canonical)
 
 
 def _rebase(model: SurfaceModel, rows, labels):
@@ -246,11 +230,8 @@ def _rebase(model: SurfaceModel, rows, labels):
     """
     new_cols = [mat_vec(model.embedding, row) for row in rows]
     return _model(
-        model.name, model.degree, model.s, model.r,
-        model.complex_lattice, model.complex_canonical.coeffs,
-        model.involution,
-        tuple(labels), new_cols,
-        (1,) + (0,) * (len(rows) - 1),
+        model.name, model.complex_lattice, model.complex_canonical.coeffs, model.involution,
+        tuple(labels), new_cols, (1,) + (0,) * (len(rows) - 1),
     )
 
 
@@ -282,12 +263,12 @@ _BUILDERS = {
     "Q31_0_6": lambda: blow_up(builtin("Q31"), conj_pairs=3),
     "D4_0_2": lambda: blow_up(builtin("D4"), conj_pairs=1),
     "D2": lambda: _build_minimal_conic(2),
-    "G2": lambda: _build_anticanonical_minimal("G2", 2, 4, 0),
+    "G2": lambda: _build_anticanonical_minimal("G2", 2),
     "P2_0_8": lambda: blow_up(builtin("P2"), conj_pairs=4),
     "D4_1_2": lambda: blow_up(builtin("D4"), real_points=1, conj_pairs=1),
     "D2_1_0": _build_d2_1_0,
     "G2_1_0": _build_g2_1_0,
-    "B1": lambda: _build_anticanonical_minimal("B1", 1, 4, 1),
+    "B1": lambda: _build_anticanonical_minimal("B1", 1),
 }
 SURFACE_NAMES = tuple(_BUILDERS)
 

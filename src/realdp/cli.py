@@ -67,6 +67,8 @@ def _document(path, what, parse):
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path} is nested too deeply to read") from exc
     try:
         return parse(doc)
     except (KeyError, TypeError, IndexError) as exc:

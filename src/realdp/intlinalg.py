@@ -6,8 +6,9 @@ lattice layer: the strict integer and rational checks every library
 constructor applies to its input, the primitive integer representative of a
 rational vector, the one dot product of the library (`dot`, which
 matrix-vector products, lattice pairings and the linking-number signs all
-use), and a Fincke-Pohst enumeration over the integers certified by the
-leading principal minors of a fraction-free (Bareiss) elimination.
+use), a determinant for small matrices, and a Fincke-Pohst enumeration over
+the integers certified by the leading principal minors of a fraction-free
+(Bareiss) elimination.
 """
 
 from __future__ import annotations
@@ -65,6 +66,19 @@ def dot(u, v):
 
 def mat_vec(a, v):
     return [dot(row, v) for row in a]
+
+
+def determinant(a):
+    """Determinant of a square integer matrix, by expansion along the first
+    row with zero entries skipped; enough for the real pairing matrices of
+    the catalogue, whose rank is at most 5."""
+    if not a:
+        return 1
+    return sum(
+        (-1) ** j * x * determinant([row[:j] + row[j + 1:] for row in a[1:]])
+        for j, x in enumerate(a[0])
+        if x
+    )
 
 
 def _bareiss(a):

@@ -74,23 +74,15 @@ def check_conditions(model: SurfaceModel, d: ClassVector) -> ConditionReport:
 def very_ample(model: SurfaceModel, d: ClassVector) -> bool:
     """Very-ampleness of a class that already satisfies c1..c5.
 
-    Encoded rule: D must pair >= 1 with every (-1)-class; in degree 2 the
-    anticanonical class itself is excluded (it maps 2:1 onto the plane), and
-    in degree 1 we additionally require D.(-K) >= 3 and D not in {-K, -2K}
-    (the anticanonical and bianticanonical maps are not embeddings).
+    Di Rocco, k-very ample line bundles on del Pezzo surfaces, Math. Nachr.
+    179 (1996), case k = 1: D is very ample iff D.E >= 1 for every (-1)-curve
+    E and D.(-K) >= 3.  Where the code differs: in degrees 3 to 7, D.E >= 1
+    already gives D.(-K) >= 3 (Hodge index and the parity of D.D + D.K), so
+    only degrees 1 and 2 test it, and in degree 2 it excludes just -K; P2 and
+    Q31 have no (-1)-curves, so their line and rulings go unchecked, but
+    c2..c4 leave only the hyperplane class there.
     """
-    if not _positive_on_lines(model, d):
-        return False
-    k = model.canonical
-    minus_k = -k
-    if model.degree == 2 and d == minus_k:
-        return False
-    if model.degree == 1:
-        if d.dot(minus_k) < 3:
-            return False
-        if d == minus_k or d == 2 * minus_k:
-            return False
-    return True
+    return _positive_on_lines(model, d) and (model.degree > 2 or d.dot(model.canonical) <= -3)
 
 
 def search(model: SurfaceModel):

@@ -6,6 +6,7 @@ import pytest
 
 from realdp.catalog import (
     SURFACE_NAMES,
+    _model,
     blow_up,
     builtin,
     minus_one_curves,
@@ -204,6 +205,25 @@ def test_blow_up_rejects_bad_topology():
         blow_up(builtin("P2"), real_points=1)  # no sphere to blow up
     with pytest.raises(ValueError):
         blow_up(builtin("B1"), real_points=1)  # degree underflow
+    # more real centers than spheres: the s read from the conjugation is negative
+    for base, real_points in (("D4_1_0", 2), ("Q31", 2), ("D4", 3)):
+        with pytest.raises(ValueError, match="no union of spheres and planes"):
+            blow_up(builtin(base), real_points=real_points)
+
+
+def test_model_rejects_inconsistent_conjugation_data():
+    q31, d4 = builtin("Q31"), builtin("D4")
+    # sigma = identity fixes all of Pic(Q31), a rank-two lattice, but the
+    # real basis has rank one
+    with pytest.raises(ValueError, match="Q31"):
+        _model("Q31", q31.complex_lattice, (-2, -2), ((1, 0), (0, 1)), ("H",), [(1, 1)], (-2,))
+    # 2F in place of F spans an index-two sublattice of the fixed lattice:
+    # |det G_real| grows from 4 to 16, and the derived r would be -2
+    f, k = zip(*d4.embedding)
+    args = (d4.complex_lattice, k, d4.involution, ("F", "K"))
+    assert _model("D4", *args, [f, k], (0, 1)) == d4
+    with pytest.raises(ValueError, match="D4"):
+        _model("D4", *args, [tuple(2 * x for x in f), k], (0, 1))
 
 
 def test_blow_up_composition_gives_same_lattice():

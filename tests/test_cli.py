@@ -591,6 +591,29 @@ def test_malformed_documents_exit_2(capsys, tmp_path):
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: "), argv
 
 
+def test_deeply_nested_documents_exit_2(capsys, tmp_path):
+    """A document nested past the interpreter's recursion limit is bad input
+    for every command that reads one, not a traceback."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    center, cycles = write_center_file(tmp_path), write_cycles_file(tmp_path, ["1/2"])
+    cases = [
+        ["conic", "discriminant", str(deep)],
+        ["conic", "analyze", str(deep)],
+        ["conic", "construct", str(deep)],
+        ["hyp", str(deep), "--point", "1,0,0,0"],
+        ["link", str(deep), center, "--degree", "2"],
+        ["link", cycles, str(deep), "--degree", "2"],
+    ]
+    for argv in cases:
+        code, payload = run_json(capsys, argv)
+        assert code == 2 and payload == {"status": "error", "message": f"{deep} is nested too deeply to read"}, argv
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err == f"error: {deep} is nested too deeply to read\n", argv
+
+
 def test_bad_rationals_exit_2(capsys, tmp_path):
     sphere = write_sphere_file(tmp_path)
     code, payload = run_json(capsys, ["hyp", sphere, "--point", "1,0,0,1/0"])

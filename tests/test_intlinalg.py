@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -224,6 +225,19 @@ def test_mat_inverse():
     assert mat_mul(m, inv) == [[1, 0], [0, 1]]
     with pytest.raises(ValueError):
         mat_inverse([[1, 2], [2, 4]])
+
+
+def test_determinant_matches_leibniz_formula():
+    rng = random.Random(17)
+    for n in range(6):
+        for _ in range(20):
+            a = tuple(tuple(rng.choice((0, rng.randint(-9, 9))) for _ in range(n)) for _ in range(n))
+            leibniz = sum(
+                (-1) ** sum(p[i] > p[j] for i, j in itertools.combinations(range(n), 2))
+                * math.prod(a[i][p[i]] for i in range(n))
+                for p in itertools.permutations(range(n))
+            )
+            assert intlinalg.determinant(a) == leibniz, a
 
 
 def test_coordinate_window_is_exact():

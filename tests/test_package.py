@@ -294,7 +294,7 @@ UNREFERENCED_BY_DESIGN = {
 # The guard counts references by bare name, so it cannot tell apart two
 # definitions of one name: each such name is listed with where it is used.
 SHARED_BY_DESIGN = {
-    "dot": "intlinalg.dot on integer vectors; ClassVector.dot, the lattice pairing, checks K.K in catalog",
+    "dot": "intlinalg.dot on integer vectors; ClassVector.dot, the lattice pairing, reads the degree K.K in catalog",
     "passed": "the verdict of search.ConditionReport (cli check) and conic.BundleConditionReport (cli conic conditions)",
     "conditions_dict": "the per-condition JSON of the same two reports, read by the same two commands",
 }

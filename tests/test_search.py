@@ -1,6 +1,7 @@
 import pytest
 
 from realdp.catalog import builtin
+from realdp.intlinalg import mat_vec
 from realdp.lattice import geiser_bertini
 from realdp.search import (
     check_conditions,
@@ -190,6 +191,22 @@ def test_render_divisor():
     assert render_divisor(p2, p2.real_lattice.vector((1,))) == "H"
     b1 = builtin("B1")
     assert render_divisor(b1, b1.real_lattice.vector((-3,))) == "-3K"
+
+
+def test_table1_very_ample_flags_follow_di_rocco():
+    """Di Rocco's criterion for k = 1, evaluated in complex coordinates: D is
+    very ample iff D.E >= 1 for every (-1)-curve E (the line of P2 and the
+    rulings of Q31 where there are none) and D.(-K) >= 3."""
+    stand_ins = {"P2": ((1,),), "Q31": ((1, 0), (0, 1))}
+    rows = [row for row in table1() if row.coeffs is not None]
+    for row in rows:
+        model = builtin(row.surface)
+        lattice = model.complex_lattice
+        image = lattice.vector(mat_vec(model.embedding, row.coeffs))
+        curves = model.minus_one_classes or [lattice.vector(c) for c in stand_ins[row.surface]]
+        holds = all(image.dot(e) >= 1 for e in curves) and image.dot(model.complex_canonical) <= -3
+        assert row.very_ample == ("yes" if holds else "no"), row
+    assert [row.surface for row in rows if row.very_ample == "no"] == ["D4_2_0_11"]
 
 
 def test_table1_against_fixture():
