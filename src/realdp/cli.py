@@ -76,7 +76,7 @@ def _document(path, what, parse):
 
 
 def _parse_conic_matrix(doc) -> ConicMatrix:
-    splitting = tuple(_integer(a) for a in doc["splitting"])
+    splitting = _splitting(doc)
     entries = tuple(
         tuple(
             BinaryForm(_integer(cell["degree"]), tuple(_integer(c) for c in cell["coeffs"]))
@@ -105,6 +105,18 @@ def _conic_matrix_json(matrix: ConicMatrix):
 # quadric take about 5 s.
 _MAX_HYP_DEGREE = 64
 _MAX_HYP_TRIALS = 100_000
+# A cold `conic discriminant` (same machine, splitting [0, 0, N], coefficients
+# in [-3, 3]) takes 0.3 s at discriminant degree 128, 3.1 s at 256 and 49 s
+# and 170 MB at 512: the time grows about as d^3.5 to d^4.
+_MAX_CONIC_DEGREE = 256
+
+
+def _splitting(doc) -> list:
+    """The splitting of a conic document, refused above `_MAX_CONIC_DEGREE`."""
+    splitting = [_integer(a) for a in doc["splitting"]]
+    if 2 * sum(splitting) > _MAX_CONIC_DEGREE:
+        raise ValueError(f"discriminant degree must be at most {_MAX_CONIC_DEGREE}, got {2 * sum(splitting)}")
+    return splitting
 
 
 def _parse_hypersurface(doc) -> HypersurfaceSpec:
@@ -144,7 +156,7 @@ def _parse_center(doc):
 
 
 def _parse_construction(doc) -> ConicMatrix:
-    splitting = [_integer(a) for a in doc["splitting"]]
+    splitting = _splitting(doc)
     if len(splitting) != 3:
         raise ValueError(f"splitting must be three integers, got {len(splitting)}")
     return construct_section(*splitting, [[_fraction(r) for r in roots] for roots in doc["roots"]])

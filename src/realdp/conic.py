@@ -387,12 +387,8 @@ def construct_section(a1: int, a2: int, a3: int, root_lists) -> ConicMatrix:
             raise ValueError("root list length must be twice the splitting degree")
         if len(set(roots)) != len(roots):
             raise ValueError("roots within a list must be distinct")
-    seen = set()
-    for roots in lists:
-        for r in roots:
-            if r in seen:
-                raise ValueError("root lists must be pairwise disjoint")
-            seen.add(r)
+    if len(set().union(*lists)) != sum(len(roots) for roots in lists):
+        raise ValueError("root lists must be pairwise disjoint")
     pairs = sorted(zip(split, lists), key=lambda t: t[0])
     forms = [form_from_roots(2 * a, roots) for a, roots in pairs]
     return diagonal_matrix(tuple(a for a, _ in pairs), forms)
@@ -408,10 +404,11 @@ def factor_low_degree(form: BinaryForm):
     Returns (content, [(factor_form, multiplicity), ...]) or None when the
     cofactor left after removing u, v and rational linear factors still has
     degree above two.  Every factor is primitive with integer coefficients
-    (Gauss's lemma), and the u- and v-powers come first.  The rational roots
-    are found part by part, and a root shared by parts has the sum of its
-    multiplicities; a squarefree part is divided once by each of its roots.
-    The cofactor is the product of the parts' cofactors.
+    (Gauss's lemma).  The u- and v-powers come first, then the linear factors
+    by (|num|, den) for the root num / den, the positive root first.  The
+    rational roots are found part by part, each with its multiplicity and the
+    part's cofactor, and a root shared by parts has the sum of its
+    multiplicities.  The cofactor is the product of the parts' cofactors.
     """
     if form.is_zero():
         return None
@@ -424,21 +421,14 @@ def factor_low_degree(form: BinaryForm):
     multiplicity = {}
     rest = (1,)
     for part, chain in split.parts:
-        squarefree = realroots.degree(chain[-1]) == 0
-        for root in realroots.rational_roots(part, chain):
-            num, den = root.numerator, root.denominator
-            if squarefree:  # every root is simple: one division, which succeeds
-                part, mult = realroots.deflate(part, num, den), 1
-            else:
-                mult = 0
-                while (quot := realroots.deflate(part, num, den)) is not None:
-                    part, mult = quot, mult + 1
+        roots, cofactor = realroots.rational_roots(part, chain)
+        for num, den, mult in roots:
             multiplicity[num, den] = multiplicity.get((num, den), 0) + mult
-        rest = realroots.mul(rest, part)
+        rest = realroots.mul(rest, cofactor)
     if realroots.degree(rest) > 2:
         return None
-    for (num, den), mult in sorted(multiplicity.items(), key=lambda item: realroots.root_key(*item[0])):
-        factors.append((BinaryForm(1, (-num, den)), mult))
+    for num, den in sorted(multiplicity, key=lambda root: (abs(root[0]), root[1], root[0] < 0)):
+        factors.append((BinaryForm(1, (-num, den)), multiplicity[num, den]))
     if realroots.degree(rest) > 0:
         # homogenise the cofactor back to the missing degree
         factors.append((BinaryForm(realroots.degree(rest), rest), 1))

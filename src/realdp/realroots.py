@@ -18,11 +18,11 @@ leading coefficients of one sign) and builds no further remainder.
 n / lc, lc the leading coefficient.  It splits an interval at 0 when it
 straddles 0 and at a power of two when its ends lie far apart on one side,
 so a root of b bits is reached in about log b steps before plain bisection
-takes over.  `deflate` divides out a rational root by exact integer
-synthetic division; `rational_roots` deflates its scaled polynomial by each
-root it finds, so later searches evaluate a lower degree.  `root_profile`
-and `rational_roots` take a chain their caller already holds, so one chain
-serves both questions about one polynomial.
+takes over.  `deflate` divides a rational root out by exact integer
+synthetic division, once per root found, so `rational_roots` returns each
+root's multiplicity and the cofactor.  `root_profile` and `rational_roots`
+take a chain their caller already holds, so one chain serves both questions
+about one polynomial.
 
 Tuples on hot paths are built from lists, not generators: CPython 3.11
 builds a tuple from a generator at size ten and shrinks it, which moves
@@ -347,8 +347,8 @@ def _split(lo, hi):
 
 
 def _isolate(squarefree, lo, hi):
-    """The grid point n with the one root of `squarefree` in (lo, hi] lying
-    in (n - 1, n], by splitting at `_split` on the sign at the right end."""
+    """(n, squarefree(n)) for the grid point n, with the one root of
+    `squarefree` in (lo, hi] lying in (n - 1, n]; split at `_split` on signs."""
     at_hi = evaluate(squarefree, hi)
     while hi - lo > 1 and at_hi:
         mid = _split(lo, hi)
@@ -357,46 +357,38 @@ def _isolate(squarefree, lo, hi):
             lo = mid
         else:
             hi, at_hi = mid, at_mid
-    return hi
-
-
-def root_key(num: int, den: int):
-    """The order of `rational_roots` on the root num / den in lowest terms,
-    den > 0: by (|num|, den), the positive root first."""
-    return abs(num), den, num < 0
+    return hi, at_hi
 
 
 def rational_roots(coeffs, chain=None):
-    """Distinct rational roots of a nonzero integer polynomial, sorted by
-    (|P|, Q) for the root P/Q in lowest terms, the positive root first.
+    """(roots, cofactor) of a nonzero integer polynomial f: one
+    (num, den, mult) per distinct rational root num / den in lowest terms,
+    den > 0, in the order the search finds them, and f divided by every
+    (den x - num)^mult, integral by Gauss's lemma.
 
     The chain of the squarefree part g is a chain of primitive integer
     polynomials, and every rational root P/Q of g has Q dividing lc = |lc(g)|.
     Read at y = lc x, each chain element is an integer polynomial whose sign
     at an integer n is its sign at n / lc, and each rational root is an
     integer n.  So the chain isolates the real roots in unit intervals
-    (n - 1, n], and n / lc is a root exactly when the scaled g, G, vanishes
-    at n.  Intervals are split at 0, at a power of two between far-apart
-    ends on one side of 0, or at the midpoint (`_split`).  An interval with
-    one root is narrowed on the signs of G alone, and G is divided by y - n
-    at each root n found, so later steps evaluate a lower degree.
-    Every sign test is an integer evaluation, and the cost is polynomial in
-    the degree and the bit size (Basu, Pollack and Roy, Algorithms in Real
-    Algebraic Geometry, ch. 10).  A caller that already holds
-    `sturm_sequence(coeffs)` passes it as `chain`.
+    (n - 1, n], split at `_split`, and n / lc is a root exactly when the
+    scaled g, G, vanishes at n.  An interval with one root is narrowed on the
+    signs of G alone.  `deflate` divides each root out of f once when f is
+    squarefree, else until it fails.  Every sign test is an integer
+    evaluation, and the cost is polynomial in the degree and the bit size
+    (Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry, ch. 10).
+    A caller that already holds `sturm_sequence(coeffs)` passes it as `chain`.
     """
     f = normalize(coeffs)
     if not f:
         raise ValueError("zero polynomial")
-    if degree(f) < 1:
-        return []
     if chain is None:
         chain = sturm_sequence(f)
-    if degree(chain[-1]) > 0:  # divided by gcd(f, f'): the chain of the squarefree part
+    squarefree = degree(chain[-1]) == 0
+    if not squarefree:  # divided by gcd(f, f'): the chain of the squarefree part
         chain = [divmod_poly(g, chain[-1])[0] for g in chain]
     lc = abs(chain[0][-1])
     grid = [[c * lc ** (degree(g) - i) for i, c in enumerate(g)] for g in chain]
-    scaled = grid[0]  # G, divided by y - n at each root n found
     top = (lc + max([abs(c) for c in chain[0]])).bit_length()  # 2^top / lc > the Cauchy bound
     stack = [(-1 << top, _variations(grid, -1 << top), 1 << top, _variations(grid, 1 << top))]
     roots = []
@@ -410,9 +402,12 @@ def rational_roots(coeffs, chain=None):
             v_mid = _variations(grid, mid)
             stack += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
             continue
-        if count == 1:
-            hi = _isolate(scaled, lo, hi)
-        if evaluate(scaled, hi) == 0:
-            roots.append(Fraction(hi, lc))
-            scaled = deflate(scaled, hi, 1)
-    return sorted(roots, key=lambda r: root_key(r.numerator, r.denominator))
+        n, at_n = _isolate(grid[0], lo, hi)
+        if not at_n:
+            common = gcd(n, lc)
+            num, den = n // common, lc // common
+            f, mult = deflate(f, num, den), 1
+            while not squarefree and (quot := deflate(f, num, den)) is not None:
+                f, mult = quot, mult + 1
+            roots.append((num, den, mult))
+    return roots, f

@@ -8,7 +8,8 @@ class D must satisfy five conditions:
     c2  D.D = r + 2s;
     c3  r <= D.K + 4 <= r + 2s;
     c4  D.K = r (mod 4);
-    c5  D.L > 0 for every (-1)-class L of the complexification.
+    c5  D.L > 0 for every (-1)-class L of the complexification, and D.K < 0
+        (the only test on P2 and Q31, which have no (-1)-classes).
 
 Conditions c2 + c3 confine D to an ellipsoid (Hodge index), so the search is
 finite and complete.  Passing classes carry sectional genus, the
@@ -43,23 +44,21 @@ class ConditionReport:
         return {f"c{i}": getattr(self, f"c{i}") for i in range(1, 6)}
 
 
-def _positive_on_lines(model: SurfaceModel, d: ClassVector) -> bool:
-    """D.L > 0 for every (-1)-class L, read from the model's line functionals."""
-    if d.lattice != model.real_lattice:
-        raise ValueError("divisor class does not live in the real Picard lattice")
-    coeffs = d.coeffs
-    return all(dot(coeffs, row) > 0 for row in model.line_functionals)
+def _positive_on_lines(model: SurfaceModel, d: ClassVector, dk: int) -> bool:
+    """c5 for D with D.K = dk: D.K < 0 and D.L > 0 on every (-1)-class L, read
+    from the line functionals.  -K is a nonnegative sum of (-1)-classes where
+    there are any; on P2 and Q31 D.K < 0 stands in for their line and rulings."""
+    return dk < 0 and all(dot(d.coeffs, row) > 0 for row in model.line_functionals)
 
 
 def check_conditions(model: SurfaceModel, d: ClassVector) -> ConditionReport:
     """Evaluate c1..c5 for D; genus/ell/very-ample only populate on a pass."""
-    c5 = _positive_on_lines(model, d)  # first: it also checks that D is a real class
     k = model.canonical
-    dd = d.dot(d)
-    dk = d.dot(k)
-    c2 = dd == model.r + 2 * model.s
+    dk = d.dot(k)  # first: it also checks that D is a real class
+    c2 = d.dot(d) == model.r + 2 * model.s
     c3 = model.r <= dk + 4 <= model.r + 2 * model.s
     c4 = (dk - model.r) % 4 == 0
+    c5 = _positive_on_lines(model, d, dk)
     report = ConditionReport(c2, c3, c4, c5)
     if report.passed:
         report = ConditionReport(
@@ -79,10 +78,11 @@ def very_ample(model: SurfaceModel, d: ClassVector) -> bool:
     E and D.(-K) >= 3.  Where the code differs: in degrees 3 to 7, D.E >= 1
     already gives D.(-K) >= 3 (Hodge index and the parity of D.D + D.K), so
     only degrees 1 and 2 test it, and in degree 2 it excludes just -K; P2 and
-    Q31 have no (-1)-curves, so their line and rulings go unchecked, but
-    c2..c4 leave only the hyperplane class there.
+    Q31 have no (-1)-curves, and c5 tests D.K < 0 in place of their line and
+    rulings.
     """
-    return _positive_on_lines(model, d) and (model.degree > 2 or d.dot(model.canonical) <= -3)
+    dk = d.dot(model.canonical)
+    return _positive_on_lines(model, d, dk) and (model.degree > 2 or dk <= -3)
 
 
 def search(model: SurfaceModel):

@@ -188,6 +188,8 @@ def hyperbolicity_check(x: HypersurfaceSpec, e, trials: int, seed: int) -> Hyper
     trials, seed = int_tuple((trials, seed))
     if trials < 1:
         raise ValueError("need at least one trial")
+    if not 0 <= seed <= _MASK:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     e = _point(e, "center")  # with e = 0 every sample point would be parallel to e
     polar = _polar_forms(x, e)
     rays_of_e = (e, realroots.neg(e))

@@ -538,8 +538,8 @@ def _isolate_by_bisection(squarefree, lo, hi):
 
 
 def rational_roots_by_bisection(coeffs):
-    """`realroots.rational_roots` by the Sturm search on the lattice n / lc
-    that splits every interval at its midpoint and never deflates."""
+    """The roots of `realroots.rational_roots`, as Fractions, by the Sturm
+    search on the lattice n / lc that splits every interval at its midpoint."""
     f = realroots.normalize(coeffs)
     if realroots.degree(f) < 1:
         return []

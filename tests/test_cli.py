@@ -119,8 +119,9 @@ def replay(capsys, tmp_path, case):
 
 
 def test_catalogue_stdout_matches_golden(capsys, tmp_path):
-    """`table1`, `enumerate` on every surface and two `check`s, in json and
-    text: exit code and stdout byte for byte as recorded in cli_golden.json."""
+    """`table1`, `enumerate` on every surface in json and text, and `check`
+    on D2 (passing and failing) and on -H of P2 and Q31, which fail c5, in
+    json: exit code and stdout byte for byte as recorded in cli_golden.json."""
     cases = golden_cases("table1", "enumerate", "check")
     assert {c["argv"][1] for c in cases if c["argv"][0] == "enumerate"} == set(realdp.catalog.SURFACE_NAMES)
     for case in cases:
@@ -133,14 +134,15 @@ def test_conic_stdout_matches_golden(capsys, tmp_path):
     `discriminant` and `analyze` on the worked matrix, a general section
     with a repeated rational root, a degree-12 constructed section with a
     21-bit constant term, a form with u- and v-power factors and one with an
-    irreducible cubic cofactor: exit code and stdout byte for byte as
-    recorded in cli_golden.json.  A case with a matrix or construction
-    document holds it, written to a file in place of DOCUMENT."""
+    irreducible cubic cofactor, and `discriminant` refusing a section of
+    degree 258: exit code and stdout byte for byte as recorded in
+    cli_golden.json.  A case with a matrix or construction document holds
+    it, written to a file in place of DOCUMENT."""
     cases = golden_cases("conic")
     assert {c["argv"][1] for c in cases} == {
         "conditions", "candidate", "chow", "construct", "discriminant", "analyze"}
-    assert sum("documents" in c for c in cases) == 24
-    assert {c["exit"] for c in cases} == {0, 1}
+    assert sum("documents" in c for c in cases) == 25
+    assert {c["exit"] for c in cases} == {0, 1, 2}
     for case in cases:
         assert replay(capsys, tmp_path, case) == (case["exit"], case["stdout"]), case["argv"]
 
@@ -149,13 +151,13 @@ def test_link_and_hyp_stdout_matches_golden(capsys, tmp_path):
     """`link` on an oval around the center, an oval beside it, a pseudoline,
     and a ring and a line in RP^3, each with and without a `chain`
     hyperplane; `hyp` on the sphere quadric from a center inside (supported)
-    and outside (refuted); json and text: exit code and stdout byte for byte
-    as recorded in cli_golden.json.  The signed linking numbers of the json
-    payload are pinned too."""
+    and outside (refuted), and refusing the seed -1 in json; json and text:
+    exit code and stdout byte for byte as recorded in cli_golden.json.  The
+    signed linking numbers of the json payload are pinned too."""
     cases = golden_cases("link", "hyp")
     links = [c for c in cases if c["argv"][0] == "link"]
     assert len(links) == 16 and sum("chain" in c["documents"]["CENTER"] for c in links) == 8
-    assert {c["exit"] for c in cases} == {0, 1}
+    assert {c["exit"] for c in cases} == {0, 1, 2}
     for case in cases:
         assert replay(capsys, tmp_path, case) == (case["exit"], case["stdout"]), case["argv"]
 
@@ -357,6 +359,60 @@ def test_hyp_100000_trials_still_answer(capsys, tmp_path):
     code, payload = run_json(capsys, argv)
     assert code == 1 and payload["status"] == "refuted"
     assert payload["trial"] == 1 and payload["trials"] == 100000
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+def test_hyp_seed_outside_64_bits_exits_2(capsys, tmp_path, seed):
+    """The generator works modulo 2^64, so -1 and 2^64 would silently act as
+    2^64 - 1 and 0."""
+    argv = ["hyp", write_sphere_file(tmp_path), "--point", "0,0,0,1", "--trials", "5", "--seed", str(seed)]
+    code, payload = run_json(capsys, argv)
+    assert code == 2
+    assert payload == {"status": "error", "message": f"seed must lie in [0, 2^64), got {seed}"}
+
+
+def test_hyp_seed_range_ends_still_answer(capsys, tmp_path):
+    sphere = write_sphere_file(tmp_path)
+    witnesses = set()
+    for seed in (0, 2**64 - 1):
+        code, payload = run_json(capsys, ["hyp", sphere, "--point", "0,0,0,1", "--trials", "5", "--seed", str(seed)])
+        assert code == 1 and payload["status"] == "refuted"
+        witnesses.add(tuple(payload["witness"]))
+    assert len(witnesses) == 2
+
+
+def write_conic_power_file(tmp_path, n):
+    """A symmetric section on splitting [0, 0, n], whose discriminant has
+    degree 2n, with coefficients in [-3, 3]."""
+    splitting = [0, 0, n]
+    entries = [[{"degree": splitting[i] + splitting[j],
+                 "coeffs": [(k * k + i + j + 4 * i * j) % 7 - 3 for k in range(splitting[i] + splitting[j] + 1)]}
+                for j in range(3)] for i in range(3)]
+    path = tmp_path / f"conic_{n}.json"
+    path.write_text(json.dumps({"splitting": splitting, "entries": entries}))
+    return str(path)
+
+
+def test_conic_discriminant_degree_above_256_exits_2_at_once(capsys, tmp_path):
+    """A document whose discriminant degree 2(a1 + a2 + a3) is 258, above
+    `cli._MAX_CONIC_DEGREE`, is refused when its splitting is read."""
+    matrix = write_conic_power_file(tmp_path, 129)
+    construction = tmp_path / "construction.json"
+    construction.write_text(json.dumps({"splitting": [1, 1, 127], "roots": [[1, 2], [3, 4], list(range(5, 259))]}))
+    for argv in (["conic", "discriminant", matrix], ["conic", "analyze", matrix],
+                 ["conic", "construct", str(construction)]):
+        start = time.perf_counter()
+        code, payload = run_json(capsys, argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert payload == {"status": "error", "message": "discriminant degree must be at most 256, got 258"}
+
+
+def test_conic_discriminant_degree_256_still_answers(capsys, tmp_path):
+    construction = tmp_path / "construction.json"
+    construction.write_text(json.dumps({"splitting": [1, 1, 126], "roots": [[1, 2], [3, 4], list(range(5, 257))]}))
+    code, payload = run_json(capsys, ["conic", "construct", str(construction)])
+    assert code == 0 and payload["splitting"] == [1, 1, 126]
 
 
 def _form_product(p, q):

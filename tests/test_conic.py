@@ -414,9 +414,8 @@ def test_one_determinant_and_one_chain_per_matrix(monkeypatch, matrix, analysis,
 
 def test_squarefree_parts_deflate_each_root_once(monkeypatch):
     """On a squarefree diagonal section every root is simple, so each of the
-    8 rational roots is divided out once by `rational_roots` (from its
-    scaled polynomial) and once by `factor_low_degree`, and no division
-    fails."""
+    8 rational roots is divided out once, by `rational_roots` from the
+    unscaled part, and no division fails."""
     results, original = [], realroots.deflate
 
     def deflate(*args):
@@ -426,7 +425,7 @@ def test_squarefree_parts_deflate_each_root_once(monkeypatch):
     monkeypatch.setattr(realroots, "deflate", deflate)
     matrix = construct_section(1, 1, 2, [[2, Fraction(-1, 5)], [Fraction(3, 7), -4], [1, -6, Fraction(9, 5), 7]])
     factored_str(discriminant(matrix))
-    assert len(results) == 2 * 8
+    assert len(results) == 8
     assert None not in results
 
 

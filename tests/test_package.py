@@ -89,7 +89,6 @@ INTEGER_CALLS = {
     "real_rooted_profile": (R,),
     "sturm_count": (R,),
     "rational_roots": (realroots.mul(R, (1, 2)),),
-    "root_key": (-3, 2),
     "coprime": (realroots.mul(P, (1, 2)), realroots.mul(Q, (1, 2))),
 }
 

@@ -1,9 +1,10 @@
 """`realroots.rational_roots` (Sturm isolation on the lattice n / lc) against the
 divisor trial division it replaced and against the search that bisects at
-midpoints without deflating, on polynomials built from known factors, and
-the `conic discriminant` cases whose constant terms that trial division could
-not factor; and `realroots.deflate`, the exact division by a linear factor,
-against `divmod_poly`."""
+midpoints, on polynomials built from known factors: the same root sets, each
+root's multiplicity, and the cofactor that the linear factors multiply back
+to the polynomial; the `conic discriminant` cases whose constant terms that
+trial division could not factor; and `realroots.deflate`, the exact division
+by a linear factor, against `divmod_poly`."""
 
 import json
 import math
@@ -28,42 +29,64 @@ def _by_size(roots):
     return sorted(roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0))
 
 
+def assert_roots_divide_out(poly, expected):
+    """`rational_roots(poly)` gives each root of `expected` once, in lowest
+    terms with a positive denominator and with its multiplicity, and the
+    factors (den x - num)^mult times the cofactor give back the polynomial.
+    Returns the roots found."""
+    roots, cofactor = realroots.rational_roots(poly)
+    assert {Fraction(num, den): mult for num, den, mult in roots} == expected, poly
+    assert len(roots) == len(expected), poly
+    product = cofactor
+    for num, den, mult in roots:
+        assert den > 0 and math.gcd(num, den) == 1, poly
+        for _ in range(mult):
+            product = realroots.mul(product, (-num, den))
+    assert product == realroots.normalize(poly), poly
+    return {Fraction(num, den) for num, den, _ in roots}
+
+
 def _factored(rng):
-    """(integer polynomial, its rational roots) from linear factors Q x - P
-    with repeated roots, +-P/Q pairs and one |P| over several Q, times
-    irreducible quadratics and a content."""
+    """(integer polynomial, {rational root: multiplicity}) from linear
+    factors Q x - P with repeated roots, +-P/Q pairs and one |P| over several
+    Q, times irreducible quadratics and a content."""
     poly = (rng.choice((1, -1, 2, -6)),)
     numerator = rng.choice((1, 2, 3, 4, 6))
     roots = {Fraction(rng.choice((-1, 1)) * numerator, q) for q in rng.sample((1, 2, 3, 5), rng.randint(1, 3))}
     for _ in range(rng.randint(0, 2)):
         root = Fraction(rng.choice((1, 2, 3, 4, 6)), rng.choice((1, 2, 3, 5)))
         roots.update((root, -root) if rng.random() < 0.5 else (root,))
+    multiplicity = {}
     for root in roots:
-        for _ in range(rng.choice((1, 1, 1, 2, 3)) if len(roots) < 4 else 1):
+        multiplicity[root] = rng.choice((1, 1, 1, 2, 3)) if len(roots) < 4 else 1
+        for _ in range(multiplicity[root]):
             poly = realroots.mul(poly, (-root.numerator, root.denominator))
     for quadratic in rng.sample(QUADRATICS, rng.randint(0, 2)):
         poly = realroots.mul(poly, quadratic)
-    return poly, _by_size(roots)
+    return poly, multiplicity
 
 
 def test_rational_roots_match_divisor_trial_division():
     rng = random.Random(6061)
     for _ in range(150):
-        poly, roots = _factored(rng)
-        assert realroots.rational_roots(poly) == roots, poly
-        assert rational_roots_by_divisors(realroots.primitive_part(poly)[1]) == roots, poly
+        poly, multiplicity = _factored(rng)
+        found = assert_roots_divide_out(poly, multiplicity)
+        assert set(rational_roots_by_divisors(realroots.primitive_part(poly)[1])) == found, poly
 
 
 def _with_roots(rng, roots, quadratics):
-    """(integer polynomial, its rational roots): the linear factors of the
-    roots, each now and then repeated, times the quadratics and a content."""
+    """(integer polynomial, {rational root: multiplicity}): the linear
+    factors of the roots, each now and then repeated, times the quadratics
+    and a content."""
     poly = (rng.choice((1, -1, 3, -10)),)
+    multiplicity = {}
     for root in roots:
-        for _ in range(rng.choice((1, 1, 1, 2, 3))):
+        multiplicity[root] = rng.choice((1, 1, 1, 2, 3))
+        for _ in range(multiplicity[root]):
             poly = realroots.mul(poly, (-root.numerator, root.denominator))
     for quadratic in quadratics:
         poly = realroots.mul(poly, quadratic)
-    return poly, _by_size(roots)
+    return poly, multiplicity
 
 
 def _irreducible_quadratic(rng, monic):
@@ -109,34 +132,37 @@ def test_rational_roots_match_the_midpoint_bisection():
     rng = random.Random(20214)
     for _ in range(1200):
         for build in (_clustered, _on_split_points):
-            poly, roots = build(rng)
-            assert realroots.rational_roots(poly) == roots, poly
-            assert rational_roots_by_bisection(poly) == roots, poly
+            poly, multiplicity = build(rng)
+            found = assert_roots_divide_out(poly, multiplicity)
+            assert set(rational_roots_by_bisection(poly)) == found, poly
 
 
 @pytest.mark.parametrize(
     "poly, roots",
     [
         # roots on bisection points of the grid
-        (realroots.mul(realroots.mul((2, 1), (1, 2)), (-2, 1)), ["-1/2", "2", "-2"]),
+        (realroots.mul(realroots.mul((2, 1), (1, 2)), (-2, 1)), {"-1/2": 1, "2": 1, "-2": 1}),
         # sqrt(2) = 1.41421... next to 7/5 and 141/100
-        (realroots.mul(realroots.mul((-2, 0, 1), (-7, 5)), (-141, 100)), ["7/5", "141/100"]),
+        (realroots.mul(realroots.mul((-2, 0, 1), (-7, 5)), (-141, 100)), {"7/5": 1, "141/100": 1}),
         # (x + 1)(2x^2 - 2x - 5): the fraction with denominator <= 2 nearest
         # the root (1 - sqrt(11))/2 = -1.158... is the root -1
-        ((10, 14, 0, -4), ["-1"]),
-        ((3, 2), ["-3/2"]),
+        ((10, 14, 0, -4), {"-1": 1}),
+        ((3, 2), {"-3/2": 1}),
         # a denominator of 61 bits, next to a root of denominator 1
-        (realroots.mul(realroots.mul((-5, 2**61 - 1), (1, 1)), (1, 0, 1)), ["-1", "5/2305843009213693951"]),
-        ((-4, 6), ["2/3"]),
-        ((0, -1, 1), ["0", "1"]),
-        ((0, 0, 0, 5), ["0"]),
-        ((1, 0, 1), []),
-        ((5,), []),
-        ((-3, 0, 0), []),
+        (realroots.mul(realroots.mul((-5, 2**61 - 1), (1, 1)), (1, 0, 1)), {"-1": 1, "5/2305843009213693951": 1}),
+        ((-4, 6), {"2/3": 1}),
+        ((0, -1, 1), {"0": 1, "1": 1}),
+        ((0, 0, 0, 5), {"0": 3}),
+        # (x - 1)^2 (x + 1) and (2x - 3)^3 (x^2 + 1)
+        ((1, -1, -1, 1), {"1": 2, "-1": 1}),
+        (realroots.mul((1, 0, 1), (-27, 54, -36, 8)), {"3/2": 3}),
+        ((1, 0, 1), {}),
+        ((5,), {}),
+        ((-3, 0, 0), {}),
     ],
 )
 def test_rational_roots_edge_cases(poly, roots):
-    assert realroots.rational_roots(poly) == [Fraction(r) for r in roots]
+    assert_roots_divide_out(poly, {Fraction(r): mult for r, mult in roots.items()})
 
 
 def test_rational_roots_of_zero_polynomial_raises():

@@ -1,6 +1,8 @@
+import itertools
+
 import pytest
 
-from realdp.catalog import builtin
+from realdp.catalog import SURFACE_NAMES, builtin
 from realdp.intlinalg import mat_vec
 from realdp.lattice import geiser_bertini
 from realdp.search import (
@@ -61,6 +63,17 @@ def test_check_conditions_d2_failure_modes():
     # F + 3K satisfies c2 but violates the window c3
     report = check_conditions(model, model.real_lattice.vector((1, 3)))
     assert report.c2 and not report.c3
+
+
+def test_class_of_another_lattice_is_rejected():
+    """D.K is taken first, and the pairing rejects a class that does not
+    live in the model's real lattice (D2 and G2_1_0 both have rank 2)."""
+    model, other = builtin("D2"), builtin("G2_1_0")
+    d = other.real_lattice.vector((1, 0))
+    with pytest.raises(ValueError):
+        check_conditions(model, d)
+    with pytest.raises(ValueError):
+        very_ample(model, d)
 
 
 def test_check_conditions_zero_divisor():
@@ -193,20 +206,41 @@ def test_render_divisor():
     assert render_divisor(b1, b1.real_lattice.vector((-3,))) == "-3K"
 
 
+# The line of P2 and the rulings of Q31 stand in for the (-1)-curves these
+# two models lack.
+STAND_INS = {"P2": ((1,),), "Q31": ((1, 0), (0, 1))}
+
+
+def _di_rocco(model, coeffs):
+    """(D.E >= 1 for every (-1)-curve or stand-in E, and with it D.(-K) >= 3)
+    for the real class `coeffs`, evaluated in complex coordinates."""
+    lattice = model.complex_lattice
+    image = lattice.vector(mat_vec(model.embedding, coeffs))
+    curves = model.minus_one_classes or [lattice.vector(c) for c in STAND_INS[model.name]]
+    positive = all(image.dot(e) >= 1 for e in curves)
+    return positive, positive and image.dot(model.complex_canonical) <= -3
+
+
 def test_table1_very_ample_flags_follow_di_rocco():
-    """Di Rocco's criterion for k = 1, evaluated in complex coordinates: D is
-    very ample iff D.E >= 1 for every (-1)-curve E (the line of P2 and the
-    rulings of Q31 where there are none) and D.(-K) >= 3."""
-    stand_ins = {"P2": ((1,),), "Q31": ((1, 0), (0, 1))}
+    """Di Rocco's criterion for k = 1: D is very ample iff D.E >= 1 for every
+    (-1)-curve E and D.(-K) >= 3."""
     rows = [row for row in table1() if row.coeffs is not None]
     for row in rows:
-        model = builtin(row.surface)
-        lattice = model.complex_lattice
-        image = lattice.vector(mat_vec(model.embedding, row.coeffs))
-        curves = model.minus_one_classes or [lattice.vector(c) for c in stand_ins[row.surface]]
-        holds = all(image.dot(e) >= 1 for e in curves) and image.dot(model.complex_canonical) <= -3
-        assert row.very_ample == ("yes" if holds else "no"), row
+        assert row.very_ample == ("yes" if _di_rocco(builtin(row.surface), row.coeffs)[1] else "no"), row
     assert [row.surface for row in rows if row.very_ample == "no"] == ["D4_2_0_11"]
+
+
+@pytest.mark.parametrize("name", SURFACE_NAMES)
+def test_c5_and_very_ample_follow_di_rocco_on_a_box(name):
+    """c5 is D.E >= 1 on every (-1)-curve or stand-in E, and `very_ample`
+    is Di Rocco's criterion, on every class with coefficients in [-3, 3].
+    On P2 and Q31, which have no (-1)-classes, only D.K < 0 keeps -H out."""
+    model = builtin(name)
+    for coeffs in itertools.product(range(-3, 4), repeat=model.real_lattice.rank):
+        d = model.real_lattice.vector(coeffs)
+        positive, ample = _di_rocco(model, coeffs)
+        assert check_conditions(model, d).c5 is positive, (name, coeffs)
+        assert very_ample(model, d) is ample, (name, coeffs)
 
 
 def test_table1_against_fixture():
