@@ -100,11 +100,16 @@ def _conic_matrix_json(matrix: ConicMatrix):
 # Costs at degree 64 of one `hyp` trial (Python 3.11, 2-vCPU Xeon VM): the
 # dense form (all 47,905 monomials, centre 3,1,-1,2) has 814,385 polar
 # monomials, and computing them and refuting at the first line takes 6 to 9 s
-# and about 180 MB; a line whose whole Sturm chain is built (the product of 32
-# nested spheres, centre inside) takes about 55 s.  100,000 trials on a
-# quadric take about 5 s.
+# and about 180 MB.  100,000 trials on a quadric take about 5 s.
 _MAX_HYP_DEGREE = 64
 _MAX_HYP_TRIALS = 100_000
+# A supported trial on the product of d/2 nested spheres (centre 4,1,-1,1,
+# seed 0; same machine), restriction and Sturm test, takes 0.014, 0.12 and
+# 0.61 s at d = 16, 24 and 32 and 34 s at d = 64: about 0.6 s * (d / 32)^6
+# from d = 24 up.  `hyp` refuses a run whose trials would take longer than
+# the budget at that rate; up to degree 10 even 100,000 trials fit in it.
+_HYP_TRIAL_US_AT_32 = 600_000
+_HYP_BUDGET_S = 60
 # A cold `conic discriminant` (same machine, splitting [0, 0, N], coefficients
 # in [-3, 3]) takes 0.3 s at discriminant degree 128, 3.1 s at 256 and 49 s
 # and 170 MB at 512: the time grows about as d^3.5 to d^4.
@@ -283,6 +288,12 @@ def _cmd_hyp(args):
     point = tuple(_fraction(x) for x in args.point.split(","))
     if len(point) != 4:
         raise ValueError("--point needs four comma-separated rationals")
+    trial_us = _HYP_TRIAL_US_AT_32 * surface.degree**6 // 32**6
+    if args.trials * trial_us > _HYP_BUDGET_S * 10**6:
+        raise ValueError(
+            f"{args.trials} trials at degree {surface.degree} would take about "
+            f"{args.trials * trial_us // 10**6} s, over the {_HYP_BUDGET_S} s budget of hyp"
+        )
     verdict = hyperbolicity_check(surface, point, args.trials, args.seed)
     payload = {
         "status": "refuted" if verdict.refuted else "supported",

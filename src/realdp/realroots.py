@@ -297,7 +297,8 @@ def sturm_count(coeffs, with_multiplicity: bool = False) -> int:
 
 
 def real_rooted_profile(coeffs) -> RootProfile | None:
-    """`root_profile(coeffs)` when every root is real, else None.
+    """`root_profile(coeffs)` when every root of a nonzero integer
+    polynomial is real, else None.
 
     Let g have degree n and gcd(g, g') degree m, so g has n - m distinct
     roots.  The Sturm chain of g counts its distinct real roots as the sign
@@ -309,17 +310,27 @@ def real_rooted_profile(coeffs) -> RootProfile | None:
     remainders.  The roots of gcd(g, g') are roots of g, so the lower
     multiplicity levels then hold only real roots, and the counts follow
     from n and m alone.
+
+    Only degrees and signs are read, so the test negates g when lc(g) < 0
+    and runs `_remainders` from g and g' themselves, not from their
+    primitive parts: g' has degree n - 1 and a positive leading coefficient,
+    and each remainder is a positive multiple of the one from the primitive
+    parts, so after its content is removed the sequence is the primitive
+    chain from its third element on.
     """
     g = normalize(coeffs)
     if not g:
         raise ValueError("zero polynomial")
-    positive = g[-1] > 0
-    expected = degree(g)
-    for f in _sturm_chain(g):
-        if degree(f) != expected or (f[-1] > 0) != positive:
+    if degree(g) < 1:
+        return RootProfile(0, 0, True)
+    if g[-1] < 0:
+        g = neg(g)
+    last = derivative(g)
+    for f in _remainders(g, last):
+        if degree(f) != degree(last) - 1 or f[-1] < 0:
             return None
-        expected -= 1
-    common = expected + 1  # the degree of gcd(g, g')
+        last = f
+    common = degree(last)  # the degree of gcd(g, g')
     return RootProfile(degree(g), degree(g) - common, common == 0)
 
 

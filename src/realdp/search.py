@@ -85,8 +85,9 @@ def very_ample(model: SurfaceModel, d: ClassVector) -> bool:
     return _positive_on_lines(model, d, dk) and (model.degree > 2 or dk <= -3)
 
 
-def search(model: SurfaceModel):
-    """All classes satisfying c1..c5, in lexicographic coefficient order.
+def _passing(model: SurfaceModel):
+    """(class, report) for every class satisfying c1..c5, in lexicographic
+    coefficient order, each class checked once.
 
     Candidates are enumerated with D.D = r + 2s and D.K in the window
     [r - 4, r + 2s - 4] given by c3; the ellipsoid enumeration guarantees no
@@ -94,8 +95,15 @@ def search(model: SurfaceModel):
     """
     target = model.r + 2 * model.s
     lo, hi = model.r - 4, model.r + 2 * model.s - 4
-    candidates = enumerate_classes(model.real_lattice, model.canonical, target, lo, hi)
-    return [d for d in candidates if check_conditions(model, d).passed]
+    for d in enumerate_classes(model.real_lattice, model.canonical, target, lo, hi):
+        report = check_conditions(model, d)
+        if report.passed:
+            yield d, report
+
+
+def search(model: SurfaceModel):
+    """All classes satisfying c1..c5, in lexicographic coefficient order."""
+    return [d for d, _ in _passing(model)]
 
 
 @dataclass(frozen=True)
@@ -138,23 +146,15 @@ def render_divisor(model: SurfaceModel, d: ClassVector) -> str:
 
 
 def table_rows(model: SurfaceModel):
-    divisors = search(model)
-    if not divisors:
-        return [
-            TableRow(model.name, model.degree, model.s, model.r,
-                     "---", None, None, None, None, None)
-        ]
-    rows = []
-    for d in divisors:
-        report = check_conditions(model, d)
-        rows.append(
-            TableRow(
-                model.name, model.degree, model.s, model.r,
-                render_divisor(model, d), d.coeffs, model.real_lattice.basis_labels,
-                report.ell, report.genus, "yes" if report.very_ample else "no",
-            )
+    rows = [
+        TableRow(
+            model.name, model.degree, model.s, model.r,
+            render_divisor(model, d), d.coeffs, model.real_lattice.basis_labels,
+            report.ell, report.genus, "yes" if report.very_ample else "no",
         )
-    return rows
+        for d, report in _passing(model)
+    ]
+    return rows or [TableRow(model.name, model.degree, model.s, model.r, "---", None, None, None, None, None)]
 
 
 def table1():

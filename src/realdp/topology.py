@@ -12,10 +12,17 @@ are primitive integer vectors, and restrictions are computed over Z.
 
 The center is fixed for a whole check, so the restriction comes from the
 polar forms X_k = D_e^k X / k! (Garding 1959), D_e the derivative along e:
-X(x + t e) = sum_k t^k X_k(x).  They are computed once per check, and a
-trial evaluates each X_k at x from one power table per coordinate.  The
-test of a line is `realroots.real_rooted_profile`, which stops at the first
-Sturm remainder that shows a nonreal root.
+X(x + t e) = sum_k t^k X_k(x).  They are computed once per check.  A trial
+is integer-only: it draws four (num, den) pairs, clears their denominators
+into the primitive ray x, and moves x along its line to the point
+w = e_j x - x_j e on the hyperplane x_j = 0, j the first coordinate with
+e_j != 0.  Only the polar terms free of x_j are kept, and the trial
+evaluates each at w from one power table per coordinate.  The restriction
+at w is the one at x after the affine change of parameter u = x_j + e_j t
+and a nonzero factor, so every root keeps its reality and multiplicity, and
+the verdict, the witness and the boundary contacts are those of the
+restriction at x.  The test of a line is `realroots.real_rooted_profile`,
+which stops at the first Sturm remainder that shows a nonreal root.
 
 Linking numbers are degrees of projections.  The center E (a point of RP^2,
 a line of RP^3) is cut out by two independent linear equations, and a
@@ -37,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import realroots
 from .intlinalg import dot, int_tuple, primitive_vector, rational_tuple
@@ -60,11 +68,11 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
         return z ^ (z >> 31)
 
-    def rational(self) -> Fraction:
-        """Fraction with numerator in [-10^4, 10^4], denominator in [1, 10^4]."""
+    def rational(self) -> tuple:
+        """(num, den), a rational num / den with num in [-10^4, 10^4] and
+        den in [1, 10^4], not reduced."""
         num = self.next_u64() % 20001 - 10000
-        den = self.next_u64() % 10000 + 1
-        return Fraction(num, den)
+        return num, self.next_u64() % 10000 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +128,8 @@ class HypersurfaceSpec:
 
     def restrict_to_line(self, x, polar):
         """Coefficients (low to high) of t |-> X(x + t e), X as stored, for
-        an integer point x and the polar forms of X at e."""
+        an integer point x and the polar forms of X at e.  At a point with
+        x_j = 0 the forms may keep only their terms free of x_j."""
         tables = []
         for xi in x:
             powers = [1]
@@ -156,6 +165,31 @@ def _polar_forms(x: HypersurfaceSpec, e):
     return polar
 
 
+def _line_test(x: HypersurfaceSpec, e):
+    """The test of the lines through a center e (checked by the caller): a
+    function of a primitive point p off e that returns
+    `realroots.real_rooted_profile` of X on the line through p and e.
+
+    j is the first coordinate with e_j != 0, and the line is restricted at
+    its point w = e_j p - p_j e on the hyperplane x_j = 0, where only the
+    polar terms free of x_j survive.  As w + u e = e_j (p + t e) for
+    u = p_j + e_j t, X(p + t e) = e_j^(-d) X(w + u e): an affine change of
+    parameter, which keeps the real roots, the distinct roots and every
+    multiplicity.
+    """
+    polar = _polar_forms(x, e)
+    j = next(i for i, ei in enumerate(e) if ei)
+    polar = tuple([tuple([term for term in form if not term[0][j]]) for form in polar])
+    ej = e[j]
+
+    def test(p):
+        pj = p[j]
+        w = [ej * pi - pj * ei for pi, ei in zip(p, e)]
+        return realroots.real_rooted_profile(x.restrict_to_line(w, polar))
+
+    return test
+
+
 def all_real_restriction(x: HypersurfaceSpec, e, p) -> bool:
     """Whether the line through p and e meets X only in real points.
 
@@ -165,7 +199,7 @@ def all_real_restriction(x: HypersurfaceSpec, e, p) -> bool:
     e, p = _point(e, "center"), _point(p, "sample point")
     if p in (e, realroots.neg(e)):
         raise ValueError("sample point coincides with the center")
-    return realroots.real_rooted_profile(x.restrict_to_line(p, _polar_forms(x, e))) is not None
+    return _line_test(x, e)(p) is not None
 
 
 @dataclass(frozen=True)
@@ -183,7 +217,12 @@ def hyperbolicity_check(x: HypersurfaceSpec, e, trials: int, seed: int) -> Hyper
     Refutation (some line with a nonreal intersection) is exact and reports
     the first witness by trial index; surviving all trials is statistical
     support, not a proof.  Trials with a multiple real root are tolerated and
-    tallied as boundary contacts.
+    tallied as boundary contacts.  Each trial draws four rationals as
+    integer pairs and takes the primitive ray through them: the lcm of the
+    denominators clears them and one gcd removes the content, which gives
+    the same vector as `primitive_vector` of the reduced Fractions, the
+    unique primitive positive multiple.  Fractions are built only for the
+    witness.
     """
     trials, seed = int_tuple((trials, seed))
     if trials < 1:
@@ -191,18 +230,20 @@ def hyperbolicity_check(x: HypersurfaceSpec, e, trials: int, seed: int) -> Hyper
     if not 0 <= seed <= _MASK:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     e = _point(e, "center")  # with e = 0 every sample point would be parallel to e
-    polar = _polar_forms(x, e)
+    test = _line_test(x, e)
     rays_of_e = (e, realroots.neg(e))
     rng = SplitMix64(seed)
     boundary = 0
     for trial in range(1, trials + 1):
         while True:
-            point = tuple(rng.rational() for _ in range(4))
-            if any(point) and (ray := primitive_vector(point)) not in rays_of_e:
+            draws = [rng.rational() for _ in range(4)]
+            den = lcm(*[d for _, d in draws])
+            ints = [n * (den // d) for n, d in draws]
+            if (g := gcd(*ints)) and (ray := tuple([c // g for c in ints])) not in rays_of_e:
                 break
-        roots = realroots.real_rooted_profile(x.restrict_to_line(ray, polar))
+        roots = test(ray)
         if roots is None:
-            return HyperbolicityVerdict(True, point, trial, trials, boundary)
+            return HyperbolicityVerdict(True, tuple([Fraction(n, d) for n, d in draws]), trial, trials, boundary)
         if roots.distinct < x.degree:
             boundary += 1
     return HyperbolicityVerdict(False, None, None, trials, boundary)

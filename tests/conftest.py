@@ -28,6 +28,24 @@ def empty_quadric():
     )
 
 
+def form_product(p, q):
+    """The product of two forms stored as {exponents: coefficient} dicts."""
+    out = {}
+    for ea, ca in p.items():
+        for eb, cb in q.items():
+            key = tuple(a + b for a, b in zip(ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def nested_spheres(*radii):
+    """The product of the spheres x1^2 + x2^2 + x3^2 = r^2 in the x0 = 1 chart."""
+    form = {(0, 0, 0, 0): 1}
+    for r in radii:
+        form = form_product(form, {(0, 2, 0, 0): 1, (0, 0, 2, 0): 1, (0, 0, 0, 2): 1, (2, 0, 0, 0): -r * r})
+    return form
+
+
 def square_cycle(radius, shift=0):
     """PL oval (a square) of the given radius around (shift, 0) in the x0 = 1
     chart of RP^2; vertices avoid the coordinate walls."""

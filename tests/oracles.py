@@ -22,7 +22,10 @@ entry-by-entry smoothness rule for diagonal sections checks `conic.analyze`,
 and the Leibniz formula on coefficient tuples checks
 `conic.discriminant`.
 Expanding each monomial of a hypersurface along a line checks the restriction
-by polar forms of `topology.HypersurfaceSpec.restrict_to_line`.
+by polar forms of `topology.HypersurfaceSpec.restrict_to_line`, and the
+sampler that draws Fractions, restricts X to each sampled ray with every
+polar term and reads the whole primitive Sturm chain checks the verdicts of
+`topology.hyperbolicity_check`.
 The library itself never calls these.
 """
 
@@ -36,7 +39,7 @@ from realdp.catalog import SurfaceModel
 from realdp.conic import BinaryForm, ConicMatrix
 from realdp.intlinalg import primitive_vector
 from realdp.search import check_conditions
-from realdp.topology import GreatSubsphere, PLCycle, linking_number
+from realdp.topology import GreatSubsphere, HyperbolicityVerdict, PLCycle, SplitMix64, linking_number
 
 
 def _box_vectors(model, radius):
@@ -495,6 +498,40 @@ def restrict_by_expansion(x, p, e):
                 term = realroots.mul(term, (pi, ei))
         total = realroots.add(total, [coeff * c for c in term])
     return total
+
+
+def _real_rooted_by_whole_chain(g):
+    """`realroots.real_rooted_profile` from the whole primitive Sturm chain:
+    every root is real exactly when the chain has full length, each degree
+    one below the one before and every leading sign that of lc(g)."""
+    chain = realroots.sturm_sequence(g)
+    n = realroots.degree(chain[0])
+    if any(realroots.degree(f) != n - i or (f[-1] > 0) != (g[-1] > 0) for i, f in enumerate(chain)):
+        return None
+    common = realroots.degree(chain[-1])
+    return realroots.RootProfile(n, n - common, common == 0)
+
+
+def hyperbolicity_by_fraction_draws(x, e, trials, seed):
+    """`topology.hyperbolicity_check` with each trial's four draws made
+    Fractions, X restricted to their primitive ray with every polar form at
+    e, and the line read off the whole primitive Sturm chain."""
+    e = primitive_vector(e)
+    polar = x.polar_forms(e)
+    rays_of_e = (e, realroots.neg(e))
+    rng = SplitMix64(seed)
+    boundary = 0
+    for trial in range(1, trials + 1):
+        while True:
+            point = tuple(Fraction(*rng.rational()) for _ in range(4))
+            if any(point) and (ray := primitive_vector(point)) not in rays_of_e:
+                break
+        roots = _real_rooted_by_whole_chain(x.restrict_to_line(ray, polar))
+        if roots is None:
+            return HyperbolicityVerdict(True, point, trial, trials, boundary)
+        if roots.distinct < x.degree:
+            boundary += 1
+    return HyperbolicityVerdict(False, None, None, trials, boundary)
 
 
 def rational_roots_by_divisors(coeffs):

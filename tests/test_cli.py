@@ -10,7 +10,7 @@ import pytest
 
 import realdp
 from realdp.cli import canonical_json, main
-from conftest import worked_conic_matrix
+from conftest import form_product, nested_spheres, worked_conic_matrix
 
 
 def run(capsys, argv):
@@ -340,6 +340,32 @@ def test_hyp_degree_64_still_answers(capsys, tmp_path):
     assert code in (0, 1) and payload["status"] in ("supported", "refuted")
 
 
+def test_hyp_work_over_the_budget_exits_2_at_once(capsys, tmp_path):
+    """The product of 32 nested spheres has degree 64, where one supported
+    trial takes about 34 s, so the default 100 trials are refused before
+    the polar forms or any trial."""
+    argv = ["hyp", write_form_file(tmp_path, "spheres64", nested_spheres(*range(1, 33))), "--point", "4,1,-1,1"]
+    start = time.perf_counter()
+    code, payload = run_json(capsys, argv)
+    assert time.perf_counter() - start < 1
+    message = "100 trials at degree 64 would take about 3840 s, over the 60 s budget of hyp"
+    assert (code, payload) == (2, {"status": "error", "message": message})
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_hyp_budget_admits_100_trials_at_degree_32(capsys, tmp_path):
+    """100 trials at degree 32 fit the budget and 101 do not.  Every line
+    meets x0^32 in one real point of multiplicity 32, so the run is quick."""
+    path = write_power_file(tmp_path, 32)
+    code, payload = run_json(capsys, ["hyp", path, "--point", "1,0,0,0", "--trials", "100"])
+    assert code == 0 and payload["boundary_contacts"] == 100
+    code, payload = run_json(capsys, ["hyp", path, "--point", "1,0,0,0", "--trials", "101"])
+    assert code == 2 and payload["message"].startswith("101 trials at degree 32 would take about 60 s")
+
+
 def test_hyp_trials_above_100000_exit_2_at_once(capsys, tmp_path):
     argv = ["hyp", write_sphere_file(tmp_path), "--point", "1,0,0,0", "--trials", "100001"]
     start = time.perf_counter()
@@ -415,23 +441,6 @@ def test_conic_discriminant_degree_256_still_answers(capsys, tmp_path):
     assert code == 0 and payload["splitting"] == [1, 1, 126]
 
 
-def _form_product(p, q):
-    out = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            key = tuple(a + b for a, b in zip(ea, eb))
-            out[key] = out.get(key, 0) + ca * cb
-    return {e: c for e, c in out.items() if c}
-
-
-def nested_spheres(*radii):
-    """The product of the spheres x1^2 + x2^2 + x3^2 = r^2 in the x0 = 1 chart."""
-    form = {(0, 0, 0, 0): 1}
-    for r in radii:
-        form = _form_product(form, {(0, 2, 0, 0): 1, (0, 0, 2, 0): 1, (0, 0, 0, 2): 1, (2, 0, 0, 0): -r * r})
-    return form
-
-
 def dense_form(degree):
     """Every monomial of the given degree, with coefficient 1."""
     return {
@@ -466,7 +475,7 @@ PINNED_HYP = {
         '{"boundary_contacts":0,"status":"refuted","trial":3,"trials":100,"witness":["-73/1867","-2348/1975","-6445/7697","-6953/2127"]}'),
     "sextic_far": (lambda: nested_spheres(1, 2, 3), FAR, 100, 7, 1,
         '{"boundary_contacts":0,"status":"refuted","trial":4,"trials":100,"witness":["8941/6906","1463/8240","8447/1166","786/607"]}'),
-    "x1_squared_sphere": (lambda: _form_product({(0, 2, 0, 0): 1}, nested_spheres(1)), INSIDE, 100, 3, 0,
+    "x1_squared_sphere": (lambda: form_product({(0, 2, 0, 0): 1}, nested_spheres(1)), INSIDE, 100, 3, 0,
         '{"boundary_contacts":100,"status":"supported","trial":null,"trials":100,"witness":null}'),
     "dense32": (lambda: dense_form(32), "3,1,-1,2", 1, 0, 1,
         '{"boundary_contacts":0,"status":"refuted","trial":1,"trials":1,"witness":["8973/5701","1234/815","-2086/697","-3929/6941"]}'),

@@ -78,6 +78,28 @@ def test_real_rooted_profile_is_root_profile_when_every_root_is_real():
     assert 50 < real_rooted < 350
 
 
+def test_real_rooted_profile_of_multiples_with_a_negative_leading_coefficient():
+    """The test runs its remainders from g and g' themselves, not from their
+    primitive parts, so it meets contents of 2 to 60 and a negative leading
+    coefficient: the same profile as `root_profile`, or None exactly when a
+    root is not real."""
+    rng = random.Random(20262)
+    real_rooted = 0
+    for _ in range(400):
+        poly, _, _ = _factored(rng)
+        scale = math.lcm(*(c.denominator for c in poly))
+        factor = rng.randint(2, 60) * (-1 if poly[-1] > 0 else 1)
+        g = tuple(factor * int(c * scale) for c in poly)
+        assert g[-1] < 0 and math.gcd(*g) >= 2
+        profile = realroots.root_profile(g)
+        if profile.real == realroots.degree(g):
+            assert realroots.real_rooted_profile(g) == profile, g
+            real_rooted += 1
+        else:
+            assert realroots.real_rooted_profile(g) is None, g
+    assert 50 < real_rooted < 350
+
+
 def test_real_rooted_profile_stops_at_the_first_sign_flip(monkeypatch):
     """(t - 1) ... (t - 8) (t^2 + 1): every degree of the Sturm chain occurs,
     but the third remainder flips the leading sign, so the test takes three

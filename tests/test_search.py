@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from realdp import search as search_module
 from realdp.catalog import SURFACE_NAMES, builtin
 from realdp.intlinalg import mat_vec
 from realdp.lattice import geiser_bertini
@@ -261,6 +262,17 @@ def test_table1_against_fixture():
     order = [row.surface for row in rows]
     deduped = [name for i, name in enumerate(order) if i == 0 or order[i - 1] != name]
     assert deduped == list(GOLDEN)
+
+
+def test_table1_checks_each_candidate_once(monkeypatch):
+    """`table_rows` reads the reports of the one pass that `search` makes,
+    so the 15 divisor rows are not checked a second time (86 calls)."""
+    calls = []
+    check = search_module.check_conditions
+    monkeypatch.setattr(search_module, "check_conditions", lambda model, d: calls.append(d) or check(model, d))
+    rows = table1()
+    assert len(calls) == 71
+    assert sum(row.coeffs is not None for row in rows) == 15
 
 
 def test_table_text_contains_documented_row():

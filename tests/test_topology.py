@@ -15,12 +15,14 @@ from realdp.topology import (
     hyperbolicity_check,
     linking_number,
 )
-from oracles import hyperbolicity_from_linking, restrict_by_expansion, winding_of_lift
+from oracles import hyperbolicity_by_fraction_draws, hyperbolicity_from_linking, restrict_by_expansion, winding_of_lift
 from conftest import (
     cayley_rotation,
     chart_axis,
     chart_origin,
     empty_quadric,
+    form_product,
+    nested_spheres,
     pseudoline_cycle,
     refine_cycle,
     rotate_cycle,
@@ -224,12 +226,92 @@ def test_hyperbolicity_empty_quadric_refuted_first_trial():
     assert verdict.refuted and verdict.trial == 1
 
 
+def _spec(form):
+    return HypersurfaceSpec(sum(next(iter(form))), tuple(form.items()))
+
+
+def _swap(form, i, j):
+    """The form with coordinates x_i and x_j exchanged."""
+    out = {}
+    for exps, coeff in form.items():
+        exps = list(exps)
+        exps[i], exps[j] = exps[j], exps[i]
+        out[tuple(exps)] = coeff
+    return out
+
+
+# name: (form, center, trials, seed)
+VERDICT_CASES = {
+    "spheres, center inside": (nested_spheres(1, 2), (4, 1, -1, 1), 60, 3),
+    "spheres, center outside": (nested_spheres(1, 2, 3), (1, 10, 3, -2), 60, 7),
+    "sphere times a squared plane": (form_product({(0, 2, 0, 0): 1}, nested_spheres(1)), (4, 1, -1, 1), 60, 3),
+    "refuted after trial 1": (nested_spheres(1, 2), (1, 10, 3, -2), 60, 6),
+    "degree 0": ({(0, 0, 0, 0): -7}, (3, -1, 0, 2), 20, 1),
+    "degree 1": ({(1, 0, 0, 0): 2, (0, 1, 0, 0): -3, (0, 0, 0, 1): 5}, (1, 1, 1, 1), 20, 2),
+    "center (0,0,0,1), outside": (nested_spheres(1), (0, 0, 0, 1), 60, 0),
+    "center (0,0,0,1), inside": (_swap(nested_spheres(1, 2), 0, 3), (0, 0, 0, 1), 60, 4),
+    "center (0,1,0,0), inside": (_swap(nested_spheres(1, 2), 0, 1), (0, 1, 0, 0), 60, 5),
+    "center (0,0,6,1), inside": (_swap(nested_spheres(2, 3), 0, 2), (0, 0, 6, 1), 60, 8),
+    "center (0,1,-2,0), outside": (_swap(nested_spheres(1), 0, 1), (0, 1, -2, 0), 60, 9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERDICT_CASES))
+def test_verdict_matches_the_fraction_sampler(name):
+    """The integer sampler on the hyperplane x_j = 0 gives the verdict of
+    the sampler that draws Fractions, restricts X to the sampled ray itself
+    and reads the whole primitive Sturm chain: refuted or not, the trial,
+    the witness and the boundary contacts."""
+    form, center, trials, seed = VERDICT_CASES[name]
+    x = _spec(form)
+    verdict = hyperbolicity_check(x, center, trials, seed)
+    assert verdict == hyperbolicity_by_fraction_draws(x, center, trials, seed)
+    assert verdict.refuted == ("outside" in name or "refuted" in name)
+
+
+def test_verdict_cases_cover_every_branch():
+    """Each first nonzero center coordinate j, a refutation after trial 1,
+    and a form where every line is a boundary contact."""
+    verdicts = {name: hyperbolicity_check(_spec(form), center, trials, seed)
+                for name, (form, center, trials, seed) in VERDICT_CASES.items()}
+    assert {next(j for j, c in enumerate(case[1]) if c) for case in VERDICT_CASES.values()} == {0, 1, 2, 3}
+    assert verdicts["refuted after trial 1"].trial > 1
+    assert verdicts["sphere times a squared plane"].boundary_contacts == 60
+    assert verdicts["spheres, center inside"].boundary_contacts == 0
+
+
+def test_verdict_matches_the_fraction_sampler_on_random_forms():
+    """Random forms of degree 0 to 4 and random centers with zero
+    coordinates, 300 checks of 6 trials each."""
+    rng = random.Random(19)
+    checked = 0
+    while checked < 300:
+        degree = rng.randint(0, 4)
+        form = {}
+        for _ in range(rng.randint(1, 6)):
+            a = rng.randint(0, degree)
+            b = rng.randint(0, degree - a)
+            c = rng.randint(0, degree - a - b)
+            form[(a, b, c, degree - a - b - c)] = rng.randint(-4, 4) or 1
+        x = _spec(form)
+        center = tuple(rng.choice((0, 0, 1, -1, 2, Fraction(1, 3))) for _ in range(4))
+        seed = rng.getrandbits(64)
+        try:
+            verdict = hyperbolicity_check(x, center, 6, seed)
+        except ValueError:
+            continue  # a zero center or a center on X
+        assert verdict == hyperbolicity_by_fraction_draws(x, center, 6, seed), (form, center, seed)
+        checked += 1
+
+
 def test_splitmix_determinism():
-    a = [SplitMix64(42).rational() for _ in range(5)]
-    b = [SplitMix64(42).rational() for _ in range(5)]
-    assert a == b
-    for value in a:
-        assert abs(value.numerator) <= 10**4 and 1 <= value.denominator <= 10**4
+    a, b = SplitMix64(42), SplitMix64(42)
+    draws = [a.rational() for _ in range(5)]
+    assert draws == [b.rational() for _ in range(5)]
+    assert len(set(draws)) == 5
+    for num, den in draws:
+        assert type(num) is int and type(den) is int
+        assert abs(num) <= 10**4 and 1 <= den <= 10**4
 
 
 # ---------------------------------------------------------------------------
