@@ -30,7 +30,7 @@ from .conic import (
     surface_class_identities,
 )
 from .intlinalg import int_tuple
-from .search import check_conditions, format_table_text, render_divisor, row_to_json, search, table1
+from .search import _passing, check_conditions, format_table_text, render_divisor, row_to_json, table1
 from .topology import GreatSubsphere, HypersurfaceSpec, PLCycle, hyperbolicity_check, linking_number
 
 
@@ -191,7 +191,7 @@ def _divisor_payload(model, d, report):
 
 def _cmd_enumerate(args):
     model = builtin(args.surface)
-    payload = [_divisor_payload(model, d, check_conditions(model, d)) for d in search(model)]
+    payload = [_divisor_payload(model, d, report) for d, report in _passing(model)]
     lines = [f"{p['rendered']}  l={p['ell']}  g={p['genus']}  very_ample={p['very_ample']}" for p in payload]
     text = "\n".join(lines) if lines else f"no divisors satisfy the conditions on {args.surface}"
     return 0, payload, text

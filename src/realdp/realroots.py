@@ -18,11 +18,17 @@ leading coefficients of one sign) and builds no further remainder.
 n / lc, lc the leading coefficient.  It splits an interval at 0 when it
 straddles 0 and at a power of two when its ends lie far apart on one side,
 so a root of b bits is reached in about log b steps before plain bisection
-takes over.  `deflate` divides a rational root out by exact integer
-synthetic division, once per root found, so `rational_roots` returns each
-root's multiplicity and the cofactor.  `root_profile` and `rational_roots`
-take a chain their caller already holds, so one chain serves both questions
-about one polynomial.
+takes over.  The chain is scaled to the lattice once, highest degree first
+with a running power of lc, and every sign on the lattice comes from an
+inline integer Horner loop, so the search makes no call per evaluation;
+its counts at the ends of the first interval are those at -infinity and
++infinity, read off leading coefficients as in `root_profile`.  `deflate`
+divides a rational root out by exact integer synthetic division, once per
+root found, so `rational_roots` returns each root's multiplicity and the
+cofactor, which keeps no rational root.  `root_profile` and
+`rational_roots` take a chain their caller already holds, so one chain
+serves both questions about one polynomial; `conic` keeps the chain and
+the search result of each part of a discriminant on its form.
 
 Tuples on hot paths are built from lists, not generators: CPython 3.11
 builds a tuple from a generator at size ten and shrinks it, which moves
@@ -34,6 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import ne
 from typing import NamedTuple
 
 from .intlinalg import primitive_vector
@@ -57,13 +64,6 @@ def _quotient(a, b):
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
     return a / b
-
-
-def evaluate(p, x):
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def add(p, q):
@@ -251,7 +251,15 @@ def sturm_sequence(p):
 
 
 def _sign_changes(signs):
-    return sum(a != b for a, b in zip(signs, signs[1:]))
+    return sum(map(ne, signs, signs[1:]))
+
+
+def _infinity_variations(chain):
+    """Sign changes of a chain at -infinity and at +infinity, read off the
+    leading coefficients and the degrees."""
+    at_minus = [(f[-1] > 0) == (len(f) % 2 == 1) for f in chain]  # odd length: even degree
+    at_plus = [f[-1] > 0 for f in chain]
+    return _sign_changes(at_minus), _sign_changes(at_plus)
 
 
 class RootProfile(NamedTuple):
@@ -278,9 +286,8 @@ def root_profile(coeffs, chain=None) -> RootProfile:
     while degree(g) > 1:
         if chain is None:
             chain = sturm_sequence(g)
-        at_plus = [f[-1] > 0 for f in chain]
-        at_minus = [(f[-1] > 0) == (degree(f) % 2 == 0) for f in chain]
-        counts.append(_sign_changes(at_minus) - _sign_changes(at_plus))
+        at_minus, at_plus = _infinity_variations(chain)
+        counts.append(at_minus - at_plus)
         g, chain = chain[-1], None
     if degree(g) == 1:
         counts.append(1)
@@ -334,10 +341,20 @@ def real_rooted_profile(coeffs) -> RootProfile | None:
     return RootProfile(degree(g), degree(g) - common, common == 0)
 
 
-def _variations(chain, n):
-    """Sign changes of the chain at n, zeros skipped."""
-    values = [evaluate(g, n) for g in chain]
-    return _sign_changes([v > 0 for v in values if v])
+def _variations(grid, n):
+    """Sign changes of the scaled chain at n, zeros skipped.  Each element
+    holds its coefficients highest degree first and is evaluated by an inline
+    Horner loop."""
+    changes, positive = 0, None
+    for g in grid:
+        acc = 0
+        for c in g:
+            acc = acc * n + c
+        if acc:
+            if positive is not None and (acc > 0) != positive:
+                changes += 1
+            positive = acc > 0
+    return changes
 
 
 def _split(lo, hi):
@@ -359,11 +376,16 @@ def _split(lo, hi):
 
 def _isolate(squarefree, lo, hi):
     """(n, squarefree(n)) for the grid point n, with the one root of
-    `squarefree` in (lo, hi] lying in (n - 1, n]; split at `_split` on signs."""
-    at_hi = evaluate(squarefree, hi)
+    `squarefree` (coefficients highest degree first) in (lo, hi] lying in
+    (n - 1, n]; split at `_split` on signs."""
+    at_hi = 0
+    for c in squarefree:
+        at_hi = at_hi * hi + c
     while hi - lo > 1 and at_hi:
         mid = _split(lo, hi)
-        at_mid = evaluate(squarefree, mid)
+        at_mid = 0
+        for c in squarefree:
+            at_mid = at_mid * mid + c
         if at_mid and (at_mid > 0) != (at_hi > 0):
             lo = mid
         else:
@@ -385,8 +407,8 @@ def rational_roots(coeffs, chain=None):
     (n - 1, n], split at `_split`, and n / lc is a root exactly when the
     scaled g, G, vanishes at n.  An interval with one root is narrowed on the
     signs of G alone.  `deflate` divides each root out of f once when f is
-    squarefree, else until it fails.  Every sign test is an integer
-    evaluation, and the cost is polynomial in the degree and the bit size
+    squarefree, else until it fails.  Every sign test is an inline integer
+    Horner evaluation, and the cost is polynomial in the degree and the bit size
     (Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry, ch. 10).
     A caller that already holds `sturm_sequence(coeffs)` passes it as `chain`.
     """
@@ -399,9 +421,15 @@ def rational_roots(coeffs, chain=None):
     if not squarefree:  # divided by gcd(f, f'): the chain of the squarefree part
         chain = [divmod_poly(g, chain[-1])[0] for g in chain]
     lc = abs(chain[0][-1])
-    grid = [[c * lc ** (degree(g) - i) for i, c in enumerate(g)] for g in chain]
-    top = (lc + max([abs(c) for c in chain[0]])).bit_length()  # 2^top / lc > the Cauchy bound
-    stack = [(-1 << top, _variations(grid, -1 << top), 1 << top, _variations(grid, 1 << top))]
+    powers = [1]
+    for _ in chain[0][1:]:
+        powers.append(powers[-1] * lc)
+    grid = [[c * power for c, power in zip(reversed(g), powers)] for g in chain]
+    # 2^top / lc exceeds the Cauchy bound, so the chain changes sign at
+    # -2^top and 2^top as often as at -infinity and +infinity
+    top = (lc + max([abs(c) for c in chain[0]])).bit_length()
+    at_minus, at_plus = _infinity_variations(chain)
+    stack = [(-1 << top, at_minus, 1 << top, at_plus)]
     roots = []
     while stack:
         lo, v_lo, hi, v_hi = stack.pop()

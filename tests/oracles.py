@@ -534,6 +534,15 @@ def hyperbolicity_by_fraction_draws(x, e, trials, seed):
     return HyperbolicityVerdict(False, None, None, trials, boundary)
 
 
+def evaluate(p, x):
+    """p(x) for a polynomial p with coefficients low degree first, by Horner's
+    rule."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
 def rational_roots_by_divisors(coeffs):
     """Rational roots (as Fractions) of an integer polynomial, constant and
     leading coefficient nonzero, by the rational root test."""
@@ -552,21 +561,21 @@ def rational_roots_by_divisors(coeffs):
     for p in divisors(a0):
         for q in divisors(am):
             for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in roots and realroots.evaluate(coeffs, cand) == 0:
+                if cand not in roots and evaluate(coeffs, cand) == 0:
                     roots.append(cand)
     return roots
 
 
 def _variations_at(chain, n):
-    values = [realroots.evaluate(g, n) for g in chain]
+    values = [evaluate(g, n) for g in chain]
     return realroots._sign_changes([v > 0 for v in values if v])
 
 
 def _isolate_by_bisection(squarefree, lo, hi):
-    at_hi = realroots.evaluate(squarefree, hi)
+    at_hi = evaluate(squarefree, hi)
     while hi - lo > 1 and at_hi:
         mid = (lo + hi) // 2
-        at_mid = realroots.evaluate(squarefree, mid)
+        at_mid = evaluate(squarefree, mid)
         if at_mid and (at_mid > 0) != (at_hi > 0):
             lo = mid
         else:
@@ -600,7 +609,7 @@ def rational_roots_by_bisection(coeffs):
             continue
         if count == 1:
             hi = _isolate_by_bisection(grid[0], lo, hi)
-        if realroots.evaluate(grid[0], hi) == 0:
+        if evaluate(grid[0], hi) == 0:
             roots.append(Fraction(hi, lc))
     return sorted(roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0))
 

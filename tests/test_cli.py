@@ -171,6 +171,30 @@ def test_enumerate(capsys):
     assert code == 0 and payload == []
 
 
+def test_enumerate_checks_each_candidate_once(capsys, monkeypatch):
+    """`enumerate` reads the reports of the one pass that the search makes,
+    so over the 19 surfaces its 15 divisors are not checked a second time
+    (86 calls)."""
+    from realdp import cli, search as search_module
+
+    calls = []
+    check = search_module.check_conditions
+
+    def counted(model, d):
+        calls.append(d)
+        return check(model, d)
+
+    monkeypatch.setattr(search_module, "check_conditions", counted)
+    monkeypatch.setattr(cli, "check_conditions", counted)
+    found = 0
+    for name in realdp.catalog.SURFACE_NAMES:
+        code, payload = run_json(capsys, ["enumerate", name])
+        assert code == 0
+        found += len(payload)
+    assert found == 15
+    assert len(calls) == 71
+
+
 def test_enumerate_unknown_surface_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "XYZ"])

@@ -429,6 +429,72 @@ def test_squarefree_parts_deflate_each_root_once(monkeypatch):
     assert None not in results
 
 
+def test_one_rational_root_search_per_part(monkeypatch):
+    """`discriminant`, `analyze` and `factored_str` on one matrix search each
+    part of the discriminant for rational roots once, and `analyze` alone
+    searches none when a single part, a repeated root in a part or a double
+    root at [0:1] already settles squarefreeness."""
+    searched, original = [], realroots.rational_roots
+    monkeypatch.setattr(realroots, "rational_roots", lambda *args: searched.append(args[0]) or original(*args))
+    squarefree_diagonal = construct_section(1, 1, 2, [[2, Fraction(-1, 5)], [Fraction(3, 7), -4], [1, -6, Fraction(9, 5), 7]])
+    for matrix, count in ((squarefree_diagonal, 3), (_general_section(), 1), (worked_conic_matrix(), 2)):
+        searched.clear()
+        disc = discriminant(matrix)
+        analyze(matrix)
+        factored_str(disc)
+        assert searched == [part for part, _ in disc._split_roots.parts] and len(searched) == count
+    searched.clear()
+    repeated = diagonal_matrix((1, 1, 1), (BinaryForm(2, (1, 2, 1)), BinaryForm(2, (-1, 0, 1)), BinaryForm(2, (-4, 0, 1))))
+    double_at_zero = diagonal_matrix((1, 1, 1), (BinaryForm(2, (0, 1, 0)), BinaryForm(2, (0, 1, 1)), BinaryForm(2, (-4, 0, 1))))
+    results = [analyze(m) for m in (_general_section(), repeated, double_at_zero)]
+    assert searched == []
+    assert [r.squarefree for r in results] == [False, False, False]
+
+
+def test_parts_coprime_matches_the_entry_oracle(monkeypatch):
+    """`analyze` on seeded diagonal sections agrees with the entry-by-entry
+    smoothness rule.  Each entry is a product of distinct factors from a
+    pool, so every part is squarefree and the parts' rational roots and
+    cofactors decide coprimality: entries share a rational root, share an
+    irreducible factor such as u^2 - 2v^2 (seen only by `coprime` on two
+    cofactors), have coprime irreducible cofactors, or have rational roots
+    only."""
+    verdicts, original = [], realroots.coprime
+    monkeypatch.setattr(realroots, "coprime", lambda *args: verdicts.append(original(*args)) or verdicts[-1])
+    rng = random.Random(20)
+    linear = ((-1, 1), (2, 1), (1, 3), (-2, 5), (3, -7))
+    irreducible = ((-2, 0, 1), (1, 0, 1), (-3, 0, 1), (1, 1, 1), (-2, 0, 0, 1))
+    seen = set()
+    for _ in range(300):
+        split = rng.choice(((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2)))
+        rational_only = rng.random() < 0.3
+        pool = linear if rational_only else linear + irreducible
+        forms, chosen = [], []
+        for a in split:
+            factors = []
+            while sum(len(f) - 1 for f in factors) < 2 * a:
+                room = 2 * a - sum(len(f) - 1 for f in factors)
+                factors.append(rng.choice([f for f in pool if f not in factors and len(f) - 1 <= room]))
+            forms.append(_product(rng.choice((1, -1, 2, -3)), *factors))
+            chosen.append(set(factors))
+        matrix = diagonal_matrix(split, tuple(forms))
+        result = analyze(matrix)
+        assert result.smooth_exact == result.squarefree == diagonal_smooth_by_entries(matrix), forms
+        shared = {f for i, j in ((0, 1), (0, 2), (1, 2)) for f in chosen[i] & chosen[j]}
+        if any(len(f) == 2 for f in shared):
+            seen.add("shared rational root")
+        elif shared:
+            seen.add("shared irreducible factor")
+        elif sum(any(len(f) > 2 for f in factors) for factors in chosen) >= 2:
+            seen.add("coprime irreducible cofactors")
+        if rational_only:
+            seen.add("rational roots only")
+        seen.add(result.squarefree)
+    assert seen == {"shared rational root", "shared irreducible factor", "coprime irreducible cofactors",
+                    "rational roots only", True, False}
+    assert set(verdicts) == {True, False}
+
+
 U, V = (0, 1), (1, 0)  # u and v as factors: index i holds the u^i v^(d-i) coefficient
 
 
