@@ -18,18 +18,15 @@ conic-bundle surface inside the projectivised bundle.  This module covers:
     real singular fibers are all pairs of conjugate lines meeting in a real
     point.  A `ConicMatrix` computes its discriminant once and keeps it, and
     a `BinaryForm` keeps, once asked, its split c u^m v^k h_1 ... h_r with
-    the Sturm chain of each h_i, and the rational roots and cofactor of each
-    h_i from one `realroots.rational_roots` search.  So `analyze` (the
-    real-root counts and squarefreeness) and `factored_str` (the rational
-    roots) of one discriminant share one determinant, one chain and one
-    search per part.  A general form has one part h; the discriminant
-    p1 p2 p3 of a diagonal section, built as that product, keeps one part
-    per nonconstant p_i and is analysed factor by factor, with no chain of
-    the full product.  Squarefree parts are coprime unless they share a
-    rational root or their cofactors, which keep no rational root, share a
-    root, so `realroots.coprime` runs only on two cofactors of positive
-    degree, and `analyze` searches for roots only when two or more
-    squarefree parts must be tested;
+    the Sturm chain of each h_i, so `analyze` (the real-root counts) and
+    `factored_str` (the rational roots) of one discriminant share one
+    determinant and one chain per part.  A general form has one part h; the
+    discriminant p1 p2 p3 of a diagonal section, built as that product,
+    keeps one part per nonconstant p_i and is analysed factor by factor,
+    with no chain of the full product.  `analyze` tests squarefree parts for
+    a common root with `realroots.coprime` and runs no rational-root search:
+    the search costs more than the `coprime` calls it would replace, and
+    only `factored_str` needs its roots;
   * the diagonal section p1 x1^2 + p2 x2^2 + p3 x3^2 built from prescribed
     simple real roots.
 
@@ -86,13 +83,6 @@ class BinaryForm:
         use and kept on the instance; not a field, so equality, hash and repr
         ignore it."""
         return _split_product((self,))
-
-    @cached_property
-    def _part_roots(self) -> tuple:
-        """`realroots.rational_roots` of each part of the split, in the order
-        of the parts: one (roots, cofactor) per part, built on first use and
-        kept on the instance like the split."""
-        return tuple([realroots.rational_roots(part, chain) for part, chain in self._split_roots.parts])
 
 
 class _SplitRoots(NamedTuple):
@@ -343,25 +333,8 @@ def _roots_on_p1(form: BinaryForm):
     real = sum(roots.real for roots in profiles) + split.at_zero + split.at_infinity
     squarefree = (split.at_zero <= 1 and split.at_infinity <= 1
                   and all(roots.squarefree for roots in profiles)
-                  and _parts_coprime(form))
+                  and all(realroots.coprime(p, q) for (p, _), (q, _) in combinations(split.parts, 2)))
     return real, squarefree
-
-
-def _parts_coprime(form: BinaryForm) -> bool:
-    """Whether the parts of a form's split are pairwise coprime.
-
-    A cofactor of `realroots.rational_roots` keeps no rational root, so two
-    parts share a complex root exactly when they share a rational root or
-    their cofactors share a root.  The rational roots of the parts, kept on
-    the form, settle the first case, and `coprime` runs only on two
-    cofactors of positive degree.  A form with one part needs no search."""
-    if len(form._split_roots.parts) < 2:
-        return True
-    found = form._part_roots
-    rational = [(num, den) for roots, _ in found for num, den, _ in roots]
-    cofactors = [cofactor for _, cofactor in found if realroots.degree(cofactor) > 0]
-    return (len(set(rational)) == len(rational)
-            and all(realroots.coprime(p, q) for p, q in combinations(cofactors, 2)))
 
 
 @dataclass(frozen=True)
@@ -442,8 +415,8 @@ def factor_low_degree(form: BinaryForm):
     degree above two.  Every factor is primitive with integer coefficients
     (Gauss's lemma).  The u- and v-powers come first, then the linear factors
     by (|num|, den) for the root num / den, the positive root first.  The
-    rational roots are read part by part from the search kept on the form,
-    each with its multiplicity and the part's cofactor, and a root shared by parts has the sum of its
+    rational roots are found part by part, each with its multiplicity and the
+    part's cofactor, and a root shared by parts has the sum of its
     multiplicities.  The cofactor is the product of the parts' cofactors.
     """
     if form.is_zero():
@@ -456,7 +429,8 @@ def factor_low_degree(form: BinaryForm):
         factors.append((BinaryForm(1, (1, 0)), split.at_infinity))  # v
     multiplicity = {}
     rest = (1,)
-    for roots, cofactor in form._part_roots:
+    for part, chain in split.parts:
+        roots, cofactor = realroots.rational_roots(part, chain)
         for num, den, mult in roots:
             multiplicity[num, den] = multiplicity.get((num, den), 0) + mult
         rest = realroots.mul(rest, cofactor)

@@ -27,8 +27,8 @@ divides a rational root out by exact integer synthetic division, once per
 root found, so `rational_roots` returns each root's multiplicity and the
 cofactor, which keeps no rational root.  `root_profile` and
 `rational_roots` take a chain their caller already holds, so one chain
-serves both questions about one polynomial; `conic` keeps the chain and
-the search result of each part of a discriminant on its form.
+serves both questions about one polynomial; `conic` keeps the chain of
+each part of a discriminant on its form.
 
 Tuples on hot paths are built from lists, not generators: CPython 3.11
 builds a tuple from a generator at size ten and shrinks it, which moves

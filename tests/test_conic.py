@@ -432,8 +432,8 @@ def test_squarefree_parts_deflate_each_root_once(monkeypatch):
 def test_one_rational_root_search_per_part(monkeypatch):
     """`discriminant`, `analyze` and `factored_str` on one matrix search each
     part of the discriminant for rational roots once, and `analyze` alone
-    searches none when a single part, a repeated root in a part or a double
-    root at [0:1] already settles squarefreeness."""
+    searches none, whether the form has one part, several squarefree parts,
+    a repeated root in a part or a double root at [0:1]."""
     searched, original = [], realroots.rational_roots
     monkeypatch.setattr(realroots, "rational_roots", lambda *args: searched.append(args[0]) or original(*args))
     squarefree_diagonal = construct_section(1, 1, 2, [[2, Fraction(-1, 5)], [Fraction(3, 7), -4], [1, -6, Fraction(9, 5), 7]])
@@ -446,19 +446,19 @@ def test_one_rational_root_search_per_part(monkeypatch):
     searched.clear()
     repeated = diagonal_matrix((1, 1, 1), (BinaryForm(2, (1, 2, 1)), BinaryForm(2, (-1, 0, 1)), BinaryForm(2, (-4, 0, 1))))
     double_at_zero = diagonal_matrix((1, 1, 1), (BinaryForm(2, (0, 1, 0)), BinaryForm(2, (0, 1, 1)), BinaryForm(2, (-4, 0, 1))))
-    results = [analyze(m) for m in (_general_section(), repeated, double_at_zero)]
+    fresh = construct_section(1, 1, 2, [[2, Fraction(-1, 5)], [Fraction(3, 7), -4], [1, -6, Fraction(9, 5), 7]])
+    results = [analyze(m) for m in (_general_section(), repeated, double_at_zero, fresh)]
     assert searched == []
-    assert [r.squarefree for r in results] == [False, False, False]
+    assert [r.squarefree for r in results] == [False, False, False, True]
 
 
 def test_parts_coprime_matches_the_entry_oracle(monkeypatch):
     """`analyze` on seeded diagonal sections agrees with the entry-by-entry
     smoothness rule.  Each entry is a product of distinct factors from a
-    pool, so every part is squarefree and the parts' rational roots and
-    cofactors decide coprimality: entries share a rational root, share an
-    irreducible factor such as u^2 - 2v^2 (seen only by `coprime` on two
-    cofactors), have coprime irreducible cofactors, or have rational roots
-    only."""
+    pool, so every part is squarefree and `coprime` on the parts decides
+    smoothness: entries share a rational root, share an irreducible factor
+    such as u^2 - 2v^2, have coprime irreducible factors, or have rational
+    roots only."""
     verdicts, original = [], realroots.coprime
     monkeypatch.setattr(realroots, "coprime", lambda *args: verdicts.append(original(*args)) or verdicts[-1])
     rng = random.Random(20)
@@ -486,11 +486,11 @@ def test_parts_coprime_matches_the_entry_oracle(monkeypatch):
         elif shared:
             seen.add("shared irreducible factor")
         elif sum(any(len(f) > 2 for f in factors) for factors in chosen) >= 2:
-            seen.add("coprime irreducible cofactors")
+            seen.add("coprime irreducible factors")
         if rational_only:
             seen.add("rational roots only")
         seen.add(result.squarefree)
-    assert seen == {"shared rational root", "shared irreducible factor", "coprime irreducible cofactors",
+    assert seen == {"shared rational root", "shared irreducible factor", "coprime irreducible factors",
                     "rational roots only", True, False}
     assert set(verdicts) == {True, False}
 
