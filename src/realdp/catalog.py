@@ -32,14 +32,14 @@ turns negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .intlinalg import determinant, dot, int_tuple, mat_vec
 from .lattice import ClassVector, IntLattice, enumerate_classes, geiser_bertini
 
-@dataclass(frozen=True)
-class SurfaceModel:
+
+class SurfaceModel(NamedTuple):
     """A real del Pezzo surface; `_model` reads its degree, s and r from the lattices."""
     name: str
     degree: int

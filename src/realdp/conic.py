@@ -38,18 +38,16 @@ coefficient vanishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
 
-from .intlinalg import int_tuple, rational_tuple
+from .intlinalg import Value, int_tuple, rational_tuple
 from .lattice import IntLattice, adjunction_genus, riemann_roch_dim
 from . import realroots
 
 
-@dataclass(frozen=True)
-class BinaryForm:
+class BinaryForm(Value):
     degree: int
     coeffs: tuple
 
@@ -133,8 +131,7 @@ def form_from_roots(degree: int, roots) -> BinaryForm:
     return form
 
 
-@dataclass(frozen=True)
-class ConicMatrix:
+class ConicMatrix(Value):
     splitting: tuple
     entries: tuple  # 3x3, symmetric, entries[i][j] a BinaryForm of degree a_i + a_j
 
@@ -192,8 +189,7 @@ def diagonal_matrix(splitting, forms) -> ConicMatrix:
 # Necessary conditions and the distinguished divisor
 
 
-@dataclass(frozen=True)
-class BundleConditionReport:
+class BundleConditionReport(NamedTuple):
     s: int
     a: int
     b: int
@@ -337,8 +333,7 @@ def _roots_on_p1(form: BinaryForm):
     return real, squarefree
 
 
-@dataclass(frozen=True)
-class FiberAnalysis:
+class FiberAnalysis(NamedTuple):
     total_fibers: int
     real_fibers: int | None
     squarefree: bool
@@ -410,23 +405,25 @@ def construct_section(a1: int, a2: int, a3: int, root_lists) -> ConicMatrix:
 def factor_low_degree(form: BinaryForm):
     """Factor an integer form into pieces of degree <= 2 when possible.
 
-    Returns (content, [(factor_form, multiplicity), ...]) or None when the
+    Returns (content, [(factor, multiplicity), ...]) or None when the
     cofactor left after removing u, v and rational linear factors still has
-    degree above two.  Every factor is primitive with integer coefficients
-    (Gauss's lemma).  The u- and v-powers come first, then the linear factors
-    by (|num|, den) for the root num / den, the positive root first.  The
-    rational roots are found part by part, each with its multiplicity and the
-    part's cofactor, and a root shared by parts has the sum of its
-    multiplicities.  The cofactor is the product of the parts' cofactors.
+    degree above two.  Each factor is the coefficient tuple of a form of
+    degree len(factor) - 1, primitive with integer coefficients (Gauss's
+    lemma); no `BinaryForm` is built for it.  The u- and v-powers come
+    first, then the linear factors by (|num|, den) for the root num / den,
+    the positive root first.  The rational roots are found part by part,
+    each with its multiplicity and the part's cofactor, and a root shared by
+    parts has the sum of its multiplicities.  The cofactor is the product of
+    the parts' cofactors.
     """
     if form.is_zero():
         return None
     split = form._split_roots
     factors = []
     if split.at_zero:
-        factors.append((BinaryForm(1, (0, 1)), split.at_zero))  # u
+        factors.append(((0, 1), split.at_zero))  # u
     if split.at_infinity:
-        factors.append((BinaryForm(1, (1, 0)), split.at_infinity))  # v
+        factors.append(((1, 0), split.at_infinity))  # v
     multiplicity = {}
     rest = (1,)
     for part, chain in split.parts:
@@ -437,24 +434,30 @@ def factor_low_degree(form: BinaryForm):
     if realroots.degree(rest) > 2:
         return None
     for num, den in sorted(multiplicity, key=lambda root: (abs(root[0]), root[1], root[0] < 0)):
-        factors.append((BinaryForm(1, (-num, den)), multiplicity[num, den]))
+        factors.append(((-num, den), multiplicity[num, den]))
     if realroots.degree(rest) > 0:
-        # homogenise the cofactor back to the missing degree
-        factors.append((BinaryForm(realroots.degree(rest), rest), 1))
+        factors.append((rest, 1))
     return split.content, factors
 
 
 def form_str(form: BinaryForm) -> str:
     """Expanded rendering like 'u^3*v - u*v^3'."""
-    if form.is_zero():
+    return _expanded(form.coeffs)
+
+
+def _expanded(coeffs) -> str:
+    """`form_str` of the form of degree len(coeffs) - 1 with these
+    coefficients."""
+    if not any(coeffs):
         return "0"
+    degree = len(coeffs) - 1
     terms = []
-    for i in range(form.degree, -1, -1):
-        c = form.coeffs[i]
+    for i in range(degree, -1, -1):
+        c = coeffs[i]
         if not c:
             continue
         ju = i
-        jv = form.degree - i
+        jv = degree - i
         monomial = "*".join(
             part
             for part in (
@@ -482,8 +485,8 @@ def factored_str(form: BinaryForm) -> str:
     content, factors = result
     parts = []
     for factor, mult in factors:
-        base = form_str(factor)
-        if sum(1 for c in factor.coeffs if c) > 1:
+        base = _expanded(factor)
+        if sum(1 for c in factor if c) > 1:
             base = f"({base})"
         parts.append(base if mult == 1 else f"{base}^{mult}")
     if not parts:

@@ -1,14 +1,15 @@
 """Exact integer linear algebra; no floating point is ever used.
 
 Matrices are sequences of rows in row-major order; the catalogue stores its
-embeddings and conjugations as tuples of row tuples.  These routines back the
-lattice layer: the strict integer and rational checks every library
-constructor applies to its input, the primitive integer representative of a
-rational vector, the one dot product of the library (`dot`, which
-matrix-vector products, lattice pairings and the linking-number signs all
-use), a determinant for small matrices, and a Fincke-Pohst enumeration over
-the integers certified by the leading principal minors of a fraction-free
-(Bareiss) elimination.
+embeddings and conjugations as tuples of row tuples.  This leaf module holds
+`Value`, the base of the library's immutable value types, and the routines
+that back the lattice layer: the strict integer and rational checks every
+library constructor applies to its input, the primitive integer
+representative of a rational vector, the one dot product of the library
+(`dot`, which matrix-vector products, lattice pairings and the
+linking-number signs all use), a determinant for small matrices, and a
+Fincke-Pohst enumeration over the integers certified by the leading
+principal minors of a fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
@@ -16,6 +17,49 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
+
+
+class Value:
+    """Base of the library's immutable value types.
+
+    A subclass's annotated names are its fields.  Its constructor takes them
+    by position or by name, sets them and runs the subclass's
+    `__post_init__`, which checks them and may normalise them with
+    `object.__setattr__`; afterwards assignment raises AttributeError.
+    Equality, hash and repr read the fields alone (the hash is that of their
+    tuple), so a value a `cached_property` keeps on the instance changes none.
+    """
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        # Compiled once per class: a generic `*args` constructor is a third
+        # slower, and a ClassVector is built per enumerated lattice point.
+        sets = "".join(f"_set(self, {name!r}, {name}); " for name in cls._fields)
+        namespace = {"_set": object.__setattr__}
+        exec(f"def __init__(self, {', '.join(cls._fields)}): {sets}self.__post_init__()", namespace)
+        namespace["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = namespace["__init__"]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 def int_tuple(values) -> tuple:

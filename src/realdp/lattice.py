@@ -14,13 +14,10 @@ leading principal minors (Bareiss elimination, never floating point).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import intlinalg
 
 
-@dataclass(frozen=True)
-class IntLattice:
+class IntLattice(intlinalg.Value):
     rank: int
     basis_labels: tuple
     gram: tuple
@@ -47,13 +44,12 @@ class IntLattice:
 
     def pair(self, u: "ClassVector", v: "ClassVector") -> int:
         """Intersection product u.v = u^T * gram * v."""
-        if u.lattice != self or v.lattice != self:
+        if not (u.lattice is self or u.lattice == self) or not (v.lattice is self or v.lattice == self):
             raise ValueError("classes do not belong to this lattice")
         return intlinalg.dot(u.coeffs, intlinalg.mat_vec(self.gram, v.coeffs))
 
 
-@dataclass(frozen=True)
-class ClassVector:
+class ClassVector(intlinalg.Value):
     lattice: IntLattice
     coeffs: tuple
 

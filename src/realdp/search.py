@@ -18,15 +18,14 @@ Riemann-Roch section count, and a very-ampleness flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .catalog import SURFACE_NAMES, SurfaceModel, builtin
 from .intlinalg import dot
 from .lattice import ClassVector, adjunction_genus, enumerate_classes, riemann_roch_dim
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     c1 = True  # a class constant: every catalogued model has sphere/plane real part
     c2: bool
     c3: bool
@@ -106,8 +105,7 @@ def search(model: SurfaceModel):
     return [d for d, _ in _passing(model)]
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     surface: str
     degree: int
     s: int

@@ -42,12 +42,12 @@ Non-transversal configurations are rejected, never perturbed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from . import realroots
-from .intlinalg import dot, int_tuple, primitive_vector, rational_tuple
+from .intlinalg import Value, dot, int_tuple, primitive_vector, rational_tuple
 
 # ---------------------------------------------------------------------------
 # Deterministic rational sampling
@@ -79,8 +79,7 @@ class SplitMix64:
 # Hypersurfaces in P^3 and the all-real-roots test
 
 
-@dataclass(frozen=True)
-class HypersurfaceSpec:
+class HypersurfaceSpec(Value):
     """Homogeneous form in four variables, stored as sparse monomials."""
 
     degree: int
@@ -202,8 +201,7 @@ def all_real_restriction(x: HypersurfaceSpec, e, p) -> bool:
     return _line_test(x, e)(p) is not None
 
 
-@dataclass(frozen=True)
-class HyperbolicityVerdict:
+class HyperbolicityVerdict(NamedTuple):
     refuted: bool
     witness: tuple | None
     trial: int | None
@@ -253,8 +251,7 @@ def hyperbolicity_check(x: HypersurfaceSpec, e, trials: int, seed: int) -> Hyper
 # PL cycles and linking numbers
 
 
-@dataclass(frozen=True)
-class GreatSubsphere:
+class GreatSubsphere(Value):
     """Linear subspace of RP^n given by independent normal vectors."""
 
     ambient: int
@@ -287,8 +284,7 @@ def _rank(vectors):
     return rank
 
 
-@dataclass(frozen=True)
-class PLCycle:
+class PLCycle(Value):
     """Closed PL curve in RP^n, stored as rays (primitive integer vectors).
 
     closure = "sphere": the last point is joined to the first, so the curve

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from realdp.topology import GreatSubsphere, HypersurfaceSpec, PLCycle
 from realdp.conic import BinaryForm, diagonal_matrix
 
@@ -139,3 +141,32 @@ def degenerate_fiber_matrix():
             BinaryForm(4, (0, -1, 0, 1, 0)),
         ),
     )
+
+
+def assert_value_semantics(build, fields, changed, cached=None):
+    """The contract of an immutable value type.
+
+    Two values from `build()` are equal, with equal hashes and reprs; the
+    hash is that of the tuple of `fields` and the repr is
+    `Name(field=value, ...)`.  `changed`, a value with one field changed,
+    compares unequal.  Assigning or deleting a field raises AttributeError.
+    `cached`, the name of a value a `cached_property` keeps on the
+    instance, once computed leaves equality, hash and repr alone.
+    """
+    a, b = build(), build()
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b) == hash(tuple(getattr(a, name) for name in fields))
+    values = ", ".join(f"{name}={getattr(a, name)!r}" for name in fields)
+    assert repr(a) == repr(b) == f"{type(a).__name__}({values})"
+    assert a != changed and not a == changed
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b and repr(a) == repr(b)
+    if cached is not None:
+        before = repr(a), hash(a)
+        getattr(a, cached)
+        assert cached in vars(a) and cached not in vars(b)
+        assert a == b and (repr(a), hash(a)) == before == (repr(b), hash(b))

@@ -20,7 +20,7 @@ from realdp.conic import (
     surface_class_identities,
     zero_form,
 )
-from conftest import degenerate_fiber_matrix, worked_conic_matrix
+from conftest import assert_value_semantics, degenerate_fiber_matrix, worked_conic_matrix
 from oracles import diagonal_smooth_by_entries, discriminant_by_leibniz
 
 
@@ -216,6 +216,17 @@ def test_analyze_worked_example():
     assert result.real_fibers == 6
     assert result.squarefree and result.smooth_exact
     assert result.s == 3
+
+
+def test_fiber_analysis_repr_is_pinned():
+    """The benchmark's answer digests are built from this repr."""
+    assert repr(analyze(worked_conic_matrix())) == (
+        "FiberAnalysis(total_fibers=6, real_fibers=6, squarefree=True, s=3, "
+        "smooth_necessary=True, smooth_exact=True)")
+    zero = diagonal_matrix((1, 1, 1), (zero_form(2), BinaryForm(2, (1, 0, 1)), BinaryForm(2, (1, 0, 1))))
+    assert repr(analyze(zero)) == (
+        "FiberAnalysis(total_fibers=6, real_fibers=None, squarefree=False, s=None, "
+        "smooth_necessary=False, smooth_exact=False)")
 
 
 def test_analyze_fiber_at_infinity():
@@ -588,3 +599,16 @@ def test_stored_discriminant_leaves_equality_hash_and_repr():
         assert disc == BinaryForm(disc.degree, disc.coeffs)
         assert hash(disc) == hash(BinaryForm(disc.degree, disc.coeffs))
         assert repr(disc) == repr(BinaryForm(disc.degree, disc.coeffs))
+
+
+def test_binary_form_is_an_immutable_value():
+    assert_value_semantics(lambda: BinaryForm(2, (-1, 0, 1)), ("degree", "coeffs"), BinaryForm(2, (-1, 1, 1)),
+                           cached="_split_roots")
+    assert BinaryForm(2, [-1, 0, 1]) == BinaryForm(2, (-1, 0, 1))  # stored as a tuple
+
+
+def test_conic_matrix_is_an_immutable_value():
+    changed = diagonal_matrix((1, 1, 1), (BinaryForm(2, (0, 1, 0)), BinaryForm(2, (-1, 0, 1)), BinaryForm(2, (-9, 0, 1))))
+    assert_value_semantics(worked_conic_matrix, ("splitting", "entries"), changed, cached="_discriminant")
+    m = worked_conic_matrix()
+    assert ConicMatrix(list(m.splitting), [list(row) for row in m.entries]) == m  # stored as tuples

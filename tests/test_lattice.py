@@ -12,6 +12,7 @@ from realdp.lattice import (
     riemann_roch_dim,
 )
 
+from conftest import assert_value_semantics
 from oracles import fixed_sublattice, hnf, signature, zero_class
 
 
@@ -266,3 +267,16 @@ def test_canonical_parity_on_real_lattices():
             d = lat.vector([rng.randint(-7, 7) for _ in range(lat.rank)])
             assert d.dot(d + k) % 2 == 0
             adjunction_genus(d, k)
+
+
+def test_int_lattice_is_an_immutable_value():
+    assert_value_semantics(d2_real, ("rank", "basis_labels", "gram"),
+                           IntLattice(2, ("F", "K"), ((0, -2), (-2, 4))))
+    assert IntLattice(2, ["F", "K"], [[0, -2], [-2, 2]]) == d2_real()  # stored as tuples
+
+
+def test_class_vector_is_an_immutable_value():
+    assert_value_semantics(lambda: d2_real().vector((1, -1)), ("lattice", "coeffs"), d2_real().vector((1, 0)))
+    other = IntLattice(2, ("F", "K"), ((0, -2), (-2, 4)))
+    assert d2_real().vector([1, -1]) != other.vector((1, -1))  # same coefficients, other lattice
+    assert d2_real().vector([1, -1]) == d2_real().vector((1, -1))

@@ -2,7 +2,9 @@
 
 import ast
 import inspect
+import os
 import pathlib
+import subprocess
 import sys
 import types
 from fractions import Fraction
@@ -23,6 +25,17 @@ def test_package_attributes_are_submodules():
     for name in SUBMODULES:
         assert isinstance(getattr(realdp, name), types.ModuleType)
         assert f"realdp.{name}" in sys.modules
+
+
+def test_cold_import_loads_neither_dataclasses_nor_inspect():
+    """A fresh `import realdp`, and `import realdp.cli` that every command
+    runs, leave out `dataclasses` and the `inspect` it pulls in (with `ast`,
+    `dis` and `tokenize`): they cost about half of a cold `import realdp`."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    for module in ("realdp", "realdp.cli"):
+        code = f"import sys, {module}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30, env=env)
+        assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", ""), module
 
 
 def test_no_floating_point_in_library():

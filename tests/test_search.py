@@ -55,6 +55,15 @@ def test_check_conditions_d2_pass():
     assert report.ell == 6 and report.genus == 2 and report.very_ample is True
 
 
+def test_condition_report_repr_is_pinned():
+    """The benchmark's answer digests are built from this repr."""
+    model = builtin("D2")
+    assert repr(check_conditions(model, model.real_lattice.vector((1, -1)))) == (
+        "ConditionReport(c2=True, c3=True, c4=True, c5=True, genus=2, ell=6, very_ample=True)")
+    assert repr(check_conditions(model, model.real_lattice.vector((0, -1)))) == (
+        "ConditionReport(c2=False, c3=True, c4=False, c5=True, genus=None, ell=None, very_ample=None)")
+
+
 def test_check_conditions_d2_failure_modes():
     model = builtin("D2")
     report = check_conditions(model, model.real_lattice.vector((-1, -1)))

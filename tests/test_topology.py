@@ -17,6 +17,7 @@ from realdp.topology import (
 )
 from oracles import hyperbolicity_by_fraction_draws, hyperbolicity_from_linking, restrict_by_expansion, winding_of_lift
 from conftest import (
+    assert_value_semantics,
     cayley_rotation,
     chart_axis,
     chart_origin,
@@ -545,3 +546,20 @@ def test_subspace_validation():
     e = chart_origin()
     with pytest.raises(ValueError):  # hyperplane missing the center
         linking_number(square_cycle(Fraction(1, 4)), e, GreatSubsphere(2, ((1, 0, 0),)))
+
+
+def test_hypersurface_spec_is_an_immutable_value():
+    assert_value_semantics(sphere_quadric, ("degree", "terms"), empty_quadric())
+    halves = HypersurfaceSpec(2, tuple((e, Fraction(c, 2)) for e, c in sphere_quadric().terms))
+    assert halves == sphere_quadric()  # stored as coprime integers
+
+
+def test_great_subsphere_is_an_immutable_value():
+    assert_value_semantics(chart_origin, ("ambient", "normals"), GreatSubsphere(2, ((0, 1, 0), (0, 1, 1))))
+    assert GreatSubsphere(2, ((0, 2, 0), (0, 0, Fraction(1, 3)))) == chart_origin()  # same rays
+
+
+def test_pl_cycle_is_an_immutable_value():
+    assert_value_semantics(lambda: square_cycle(1), ("ambient", "closure", "points"), square_cycle(2))
+    flipped = PLCycle(2, "antipode", square_cycle(1).points)
+    assert flipped != square_cycle(1) and flipped.points == square_cycle(1).points
