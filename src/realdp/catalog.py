@@ -4,7 +4,8 @@ disjoint union of spheres and real projective planes.
 Each model bundles the Picard lattice of the complexification, the
 complex-conjugation involution on it, the real Picard lattice embedded as the
 fixed sublattice, the canonical class on both sides, the finitely many
-(-1)-classes with their pairings against the real basis, and the topology
+(-1)-classes, their distinct pairings against the real basis (the line
+functionals that condition c5 of `search` reads), and the topology
 (s spheres, r projective planes).  `_model` reads the degree from K.K, and s
 and r from the conjugation sigma and the real pairing matrix G_real: Lefschetz
 gives 2s + r = 2 - tr sigma, and Kharlamov-Krasnov gives 2s + 3r = 2 + rank -
@@ -52,7 +53,7 @@ class SurfaceModel(NamedTuple):
     embedding: tuple  # complex rank x real rank; column j: real basis vector j in complex coordinates
     involution: tuple  # complex rank x complex rank: the conjugation
     minus_one_classes: tuple
-    line_functionals: tuple  # row i: pairings of minus_one_classes[i] with the real basis
+    line_functionals: tuple  # sorted distinct rows: pairings of a (-1)-class with the real basis
 
 
 @lru_cache(maxsize=None)
@@ -68,7 +69,10 @@ def _model(name, cx, k_cx_coeffs, involution, real_labels, real_columns, canonic
     `real_columns` are the real basis vectors u written in complex
     coordinates, and G u is computed once for each.  The real pairing matrix
     is u.(G v), so the embedding is an isometry by construction, and the line
-    functionals are L.(G u), which make D.L a dot product in real coordinates.
+    functionals are the rows L.(G u), which make D.L a dot product in real
+    coordinates.  Many (-1)-classes share a row (the 240 of degree 1 give 1
+    to 73), and D.L > 0 on every class is D.L > 0 on every distinct row, so
+    only the sorted distinct rows are kept.
 
     The degree is K.K, and s and r follow from the module docstring's two
     identities.  A real rank other than (rank + tr sigma)/2, a |det G_real|
@@ -102,7 +106,7 @@ def _model(name, cx, k_cx_coeffs, involution, real_labels, real_columns, canonic
         embedding=embedding,
         involution=involution,
         minus_one_classes=lines,
-        line_functionals=tuple(tuple(dot(line.coeffs, gu) for gu in gram_images) for line in lines),
+        line_functionals=tuple(sorted({tuple(dot(line.coeffs, gu) for gu in gram_images) for line in lines})),
     )
 
 

@@ -106,7 +106,7 @@ def _split_product(forms) -> _SplitRoots:
         at_infinity += form.infinity_multiplicity()
         if len(poly) - low > 1:
             part = poly[low:]
-            parts.append((part, realroots.sturm_sequence(part)))
+            parts.append((part, realroots.primitive_sturm_sequence(part)))
     return _SplitRoots(content, at_zero, at_infinity, tuple(parts))
 
 
@@ -242,8 +242,9 @@ def candidate_divisor(s: int):
     lat = conic_bundle_lattice(s)
     d = lat.vector((s - 2, -1))
     k = lat.vector((0, 1))
-    genus = adjunction_genus(d, k)
-    bound = riemann_roch_dim(d, k)
+    dd, dk = d.dot(d), d.dot(k)
+    genus = adjunction_genus(dd, dk)
+    bound = riemann_roch_dim(dd, dk)
     return {"a": s - 2, "b": 1, "genus": genus, "ell_lower_bound": bound}
 
 

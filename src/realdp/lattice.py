@@ -82,25 +82,25 @@ class ClassVector(intlinalg.Value):
         return ClassVector(self.lattice, tuple(k * a for a in self.coeffs))
 
 
-def adjunction_genus(d: ClassVector, k: ClassVector) -> int:
-    """Sectional genus g = D.(D + K)/2 + 1 of a curve section in class D."""
-    num = d.dot(d + k)
-    if num % 2:
+def adjunction_genus(dd: int, dk: int) -> int:
+    """Sectional genus g = (D.D + D.K)/2 + 1 of a curve section in class D,
+    from the integers D.D and D.K."""
+    if (dd + dk) % 2:
         raise ValueError("non-integral genus: D.(D+K) is odd")
-    return num // 2 + 1
+    return (dd + dk) // 2 + 1
 
 
-def riemann_roch_dim(d: ClassVector, k: ClassVector) -> int:
-    """Surface Riemann-Roch value D.(D - K)/2 + 1.
+def riemann_roch_dim(dd: int, dk: int) -> int:
+    """Surface Riemann-Roch value (D.D - D.K)/2 + 1, from the integers D.D
+    and D.K.
 
     Equals the dimension of global sections l(D) whenever the higher
     cohomology of D vanishes (for instance when D - K is ample); this routine
     evaluates the formula unconditionally and callers own that hypothesis.
     """
-    num = d.dot(d - k)
-    if num % 2:
+    if (dd - dk) % 2:
         raise ValueError("non-integral value: D.(D-K) is odd")
-    return num // 2 + 1
+    return (dd - dk) // 2 + 1
 
 
 def enumerate_classes(lattice: IntLattice, k: ClassVector, self_int, k_min, k_max):

@@ -28,7 +28,8 @@ root found, so `rational_roots` returns each root's multiplicity and the
 cofactor, which keeps no rational root.  `root_profile` and
 `rational_roots` take a chain their caller already holds, so one chain
 serves both questions about one polynomial; `conic` keeps the chain of
-each part of a discriminant on its form.
+each part of a discriminant on its form, built from the primitive part by
+`primitive_sturm_sequence` with no second content pass.
 
 Tuples on hot paths are built from lists, not generators: CPython 3.11
 builds a tuple from a generator at size ten and shrinks it, which moves
@@ -200,16 +201,16 @@ def _pseudo_remainder(a, b):
     return rem
 
 
-def _sturm_chain(p):
-    """The Sturm chain of a nonzero polynomial, one element at a time, as a
-    primitive pseudo-remainder sequence (Collins 1967; Brown and Traub 1971).
+def _sturm_chain(a):
+    """The Sturm chain of a primitive integer polynomial a with no trailing
+    zeros, one element at a time, as a primitive pseudo-remainder sequence
+    (Collins 1967; Brown and Traub 1971).
 
     Each step takes a division-free pseudo-remainder of a by b and yields its
     negated primitive part, removing the content with one gcd: a positive
     multiple of the element over Q.  The last element is gcd(g, g') up to a
     positive factor.
     """
-    a = primitive_vector(normalize(p))
     yield a
     d = derivative(a)
     if not d:
@@ -247,7 +248,14 @@ def coprime(p, q) -> bool:
 def sturm_sequence(p):
     """Sturm chain of a nonzero polynomial as a list of primitive integer
     polynomials (see `_sturm_chain`)."""
-    return list(_sturm_chain(p))
+    return list(_sturm_chain(primitive_vector(normalize(p))))
+
+
+def primitive_sturm_sequence(q):
+    """`sturm_sequence(q)` for a primitive integer polynomial q with no
+    trailing zeros, such as a part from `primitive_part`, without taking its
+    primitive part a second time."""
+    return list(_sturm_chain(q))
 
 
 def _sign_changes(signs):

@@ -12,8 +12,11 @@ class D must satisfy five conditions:
         (the only test on P2 and Q31, which have no (-1)-classes).
 
 Conditions c2 + c3 confine D to an ellipsoid (Hodge index), so the search is
-finite and complete.  Passing classes carry sectional genus, the
-Riemann-Roch section count, and a very-ampleness flag.
+finite and complete.  `check_conditions` works on integers alone: one
+Gram product G d gives D.D and D.K, which settle c2 to c4, and c5 runs once
+over the model's distinct line functionals.  Passing classes carry the
+sectional genus and the Riemann-Roch section count, both read from D.D and
+D.K, and a very-ampleness flag, read from the degree and D.K since c5 holds.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .catalog import SURFACE_NAMES, SurfaceModel, builtin
-from .intlinalg import dot
+from .intlinalg import dot, mat_vec
 from .lattice import ClassVector, adjunction_genus, enumerate_classes, riemann_roch_dim
 
 
@@ -43,45 +46,43 @@ class ConditionReport(NamedTuple):
         return {f"c{i}": getattr(self, f"c{i}") for i in range(1, 6)}
 
 
-def _positive_on_lines(model: SurfaceModel, d: ClassVector, dk: int) -> bool:
-    """c5 for D with D.K = dk: D.K < 0 and D.L > 0 on every (-1)-class L, read
-    from the line functionals.  -K is a nonnegative sum of (-1)-classes where
-    there are any; on P2 and Q31 D.K < 0 stands in for their line and rulings."""
-    return dk < 0 and all(dot(d.coeffs, row) > 0 for row in model.line_functionals)
-
-
 def check_conditions(model: SurfaceModel, d: ClassVector) -> ConditionReport:
-    """Evaluate c1..c5 for D; genus/ell/very-ample only populate on a pass."""
-    k = model.canonical
-    dk = d.dot(k)  # first: it also checks that D is a real class
-    c2 = d.dot(d) == model.r + 2 * model.s
-    c3 = model.r <= dk + 4 <= model.r + 2 * model.s
-    c4 = (dk - model.r) % 4 == 0
-    c5 = _positive_on_lines(model, d, dk)
-    report = ConditionReport(c2, c3, c4, c5)
-    if report.passed:
-        report = ConditionReport(
-            c2, c3, c4, c5,
-            genus=adjunction_genus(d, k),
-            ell=riemann_roch_dim(d, k),
-            very_ample=very_ample(model, d),
-        )
-    return report
+    """Evaluate c1..c5 for D; genus/ell/very-ample only populate on a pass.
 
+    One product G d with the real Gram matrix gives D.D = d.(G d) and
+    D.K = K.(G d), and c2 to c4 read these two integers.  c5 asks D.K < 0
+    and D.L > 0 on every (-1)-class L, read from the model's distinct line
+    functionals (-K is a nonnegative sum of (-1)-classes where there are any;
+    on P2 and Q31 D.K < 0 stands in for their line and rulings).
 
-def very_ample(model: SurfaceModel, d: ClassVector) -> bool:
-    """Very-ampleness of a class that already satisfies c1..c5.
-
-    Di Rocco, k-very ample line bundles on del Pezzo surfaces, Math. Nachr.
-    179 (1996), case k = 1: D is very ample iff D.E >= 1 for every (-1)-curve
-    E and D.(-K) >= 3.  Where the code differs: in degrees 3 to 7, D.E >= 1
-    already gives D.(-K) >= 3 (Hodge index and the parity of D.D + D.K), so
-    only degrees 1 and 2 test it, and in degree 2 it excludes just -K; P2 and
-    Q31 have no (-1)-curves, and c5 tests D.K < 0 in place of their line and
-    rulings.
+    On a pass D.D = r + 2s by c2 and D.K = r (mod 4) by c4, so
+    D.D + D.K = 2r + 2s (mod 2) is even, and the genus (D.D + D.K)/2 + 1 and
+    l(D) = (D.D - D.K)/2 + 1 are integers.  Very ampleness is Di Rocco's
+    criterion (Math. Nachr. 179, 1996, case k = 1): D.E >= 1 on every
+    (-1)-curve E, which c5 already gives, and D.(-K) >= 3.  In degrees 3 to
+    7, D.E >= 1 implies D.(-K) >= 3 (Hodge index and the parity of
+    D.D + D.K), so only degrees 1 and 2 test it, and in degree 2 it excludes
+    just -K.
     """
-    dk = d.dot(model.canonical)
-    return _positive_on_lines(model, d, dk) and (model.degree > 2 or dk <= -3)
+    lattice = model.real_lattice
+    if not (d.lattice is lattice or d.lattice == lattice):
+        raise ValueError("classes do not belong to this lattice")
+    x = d.coeffs
+    gd = mat_vec(lattice.gram, x)
+    dd, dk = dot(x, gd), dot(model.canonical.coeffs, gd)
+    r, s = model.r, model.s
+    c2 = dd == r + 2 * s
+    c3 = r <= dk + 4 <= r + 2 * s
+    c4 = (dk - r) % 4 == 0
+    c5 = dk < 0 and all(dot(x, row) > 0 for row in model.line_functionals)
+    if not (c2 and c3 and c4 and c5):
+        return ConditionReport(c2, c3, c4, c5)
+    return ConditionReport(
+        c2, c3, c4, c5,
+        genus=adjunction_genus(dd, dk),
+        ell=riemann_roch_dim(dd, dk),
+        very_ample=model.degree > 2 or dk <= -3,
+    )
 
 
 def _passing(model: SurfaceModel):

@@ -1,6 +1,9 @@
 """Test-only oracles: brute-force counterparts of library routines.
 
-Box enumeration checks the ellipsoid search of `realdp.search`; Hermite
+Box enumeration checks the ellipsoid search of `realdp.search`, and
+ClassVector pairings with every (-1)-class, the genus and l(D) from D + K
+and D - K, and Di Rocco's very-ampleness test check the integer kernel of
+its `check_conditions`; Hermite
 normal forms, integer kernels and fixed sublattices check that each real
 lattice is the fixed part of its conjugation; the Smith normal form checks
 primitivity and kernel saturation in the lattice tests; the linking criterion
@@ -37,8 +40,9 @@ from math import isqrt
 from realdp import realroots
 from realdp.catalog import SurfaceModel
 from realdp.conic import BinaryForm, ConicMatrix
-from realdp.intlinalg import primitive_vector
-from realdp.search import check_conditions
+from realdp.intlinalg import mat_vec, primitive_vector
+from realdp.lattice import ClassVector
+from realdp.search import ConditionReport, check_conditions
 from realdp.topology import GreatSubsphere, HyperbolicityVerdict, PLCycle, SplitMix64, linking_number
 
 
@@ -70,6 +74,60 @@ def brute_force_search(model: SurfaceModel, radius=12):
         for v in _box_vectors(model, radius)
         if v.dot(v) == target and check_conditions(model, v).passed
     ]
+
+
+def _positive_on_lines(model: SurfaceModel, d: ClassVector, dk: int) -> bool:
+    """c5 for D with D.K = dk: D.K < 0 and D.L > 0 on every (-1)-class L of
+    the complexification, each paired with the image of D in complex
+    coordinates (all 240 in degree 1, not the model's distinct rows).  On P2
+    and Q31, which have none, D.K < 0 stands in for their line and rulings."""
+    if dk >= 0:
+        return False
+    image = model.complex_lattice.vector(mat_vec(model.embedding, d.coeffs))
+    return all(image.dot(line) > 0 for line in model.minus_one_classes)
+
+
+def very_ample(model: SurfaceModel, d: ClassVector) -> bool:
+    """Very-ampleness of a class that already satisfies c1..c5.
+
+    Di Rocco, k-very ample line bundles on del Pezzo surfaces, Math. Nachr.
+    179 (1996), case k = 1: D is very ample iff D.E >= 1 for every (-1)-curve
+    E and D.(-K) >= 3.  Where the code differs: in degrees 3 to 7, D.E >= 1
+    already gives D.(-K) >= 3 (Hodge index and the parity of D.D + D.K), so
+    only degrees 1 and 2 test it, and in degree 2 it excludes just -K; P2 and
+    Q31 have no (-1)-curves, and c5 tests D.K < 0 in place of their line and
+    rulings.
+    """
+    dk = d.dot(model.canonical)
+    return _positive_on_lines(model, d, dk) and (model.degree > 2 or dk <= -3)
+
+
+def _half_plus_one(num: int) -> int:
+    if num % 2:
+        raise ValueError("odd intersection number")
+    return num // 2 + 1
+
+
+def check_conditions_by_pairings(model: SurfaceModel, d: ClassVector) -> ConditionReport:
+    """`search.check_conditions` from ClassVector pairings: c2 to c4 from
+    D.D and D.K, c5 over every (-1)-class, the genus D.(D + K)/2 + 1 and
+    l(D) = D.(D - K)/2 + 1 from the classes D + K and D - K, and a second c5
+    pass inside `very_ample`."""
+    k = model.canonical
+    dk = d.dot(k)  # first: it also checks that D is a real class
+    c2 = d.dot(d) == model.r + 2 * model.s
+    c3 = model.r <= dk + 4 <= model.r + 2 * model.s
+    c4 = (dk - model.r) % 4 == 0
+    c5 = _positive_on_lines(model, d, dk)
+    report = ConditionReport(c2, c3, c4, c5)
+    if report.passed:
+        report = ConditionReport(
+            c2, c3, c4, c5,
+            genus=_half_plus_one(d.dot(d + k)),
+            ell=_half_plus_one(d.dot(d - k)),
+            very_ample=very_ample(model, d),
+        )
+    return report
 
 
 def smith_normal_form(m):

@@ -285,10 +285,25 @@ def test_degree_one_models_share_minus_one_classes():
     assert minus_one_curves(lat, k) is shared
 
 
-def test_line_functionals_are_line_pairings():
+# Distinct line functionals per model: rows of pairings with the real basis
+# that the (-1)-classes take, 240 of them in degree 1.
+DISTINCT_LINE_FUNCTIONALS = {
+    "P2": 0, "Q31": 0, "P2_0_2": 2, "Q31_0_2": 2, "P2_0_4": 5, "Q31_0_4": 6, "D4": 2,
+    "P2_0_6": 12, "D4_1_0": 6, "D4_2_0_11": 14, "Q31_0_6": 19, "D4_0_2": 9, "D2": 3,
+    "G2": 1, "P2_0_8": 73, "D4_1_2": 33, "D2_1_0": 13, "G2_1_0": 5, "B1": 1,
+}
+
+
+def test_line_functionals_are_the_distinct_line_pairings():
+    """Condition c5 reads D.L > 0 off these rows, so their set must be the
+    set of pairings of the (-1)-classes with the real basis; each row is
+    kept once, in sorted order."""
+    assert set(DISTINCT_LINE_FUNCTIONALS) == set(SURFACE_NAMES)
     for name in SURFACE_NAMES:
         model = builtin(name)
         images = [model.complex_lattice.vector(col) for col in zip(*model.embedding)]
-        assert len(model.line_functionals) == len(model.minus_one_classes)
-        for row, line in zip(model.line_functionals, model.minus_one_classes):
-            assert row == tuple(image.dot(line) for image in images)
+        pairings = {tuple(image.dot(line) for image in images) for line in model.minus_one_classes}
+        rows = model.line_functionals
+        assert list(rows) == sorted(set(rows)), name
+        assert set(rows) == pairings, name
+        assert len(rows) == DISTINCT_LINE_FUNCTIONALS[name], name

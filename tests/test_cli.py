@@ -121,9 +121,14 @@ def replay(capsys, tmp_path, case):
 def test_catalogue_stdout_matches_golden(capsys, tmp_path):
     """`table1`, `enumerate` on every surface in json and text, and `check`
     on D2 (passing and failing) and on -H of P2 and Q31, which fail c5, in
-    json: exit code and stdout byte for byte as recorded in cli_golden.json."""
+    json, and in json and text on -3K of B1 (passing, degree 1), -K of
+    D4_2_0_11 (passing, the one Table 1 class that is not very ample) and a
+    P2_0_8 class that fails c5 alone: exit code and stdout byte for byte as
+    recorded in cli_golden.json."""
     cases = golden_cases("table1", "enumerate", "check")
     assert {c["argv"][1] for c in cases if c["argv"][0] == "enumerate"} == set(realdp.catalog.SURFACE_NAMES)
+    checked = {c["argv"][1] for c in cases if c["argv"][0] == "check"}
+    assert checked == {"D2", "P2", "Q31", "B1", "D4_2_0_11", "P2_0_8"}
     for case in cases:
         assert replay(capsys, tmp_path, case) == (case["exit"], case["stdout"]), case["argv"]
 

@@ -5,7 +5,7 @@ import pytest
 from realdp import search as search_module
 from realdp.catalog import SURFACE_NAMES, builtin
 from realdp.intlinalg import mat_vec
-from realdp.lattice import geiser_bertini
+from realdp.lattice import ClassVector, IntLattice, geiser_bertini
 from realdp.search import (
     check_conditions,
     format_table_text,
@@ -13,10 +13,16 @@ from realdp.search import (
     row_to_json,
     search,
     table1,
-    very_ample,
+    table_rows,
 )
 
-from oracles import brute_force_search, self_intersection_candidates, zero_class
+from oracles import (
+    brute_force_search,
+    check_conditions_by_pairings,
+    self_intersection_candidates,
+    very_ample,
+    zero_class,
+)
 
 # Classification fixture: surface -> set of (rendered divisor, ell, genus, flag).
 # Empty set marks surfaces admitting no finite real-fibered morphism to the plane.
@@ -282,6 +288,41 @@ def test_table1_checks_each_candidate_once(monkeypatch):
     rows = table1()
     assert len(calls) == 71
     assert sum(row.coeffs is not None for row in rows) == 15
+
+
+@pytest.mark.parametrize("name", SURFACE_NAMES)
+def test_check_conditions_matches_the_pairing_oracle(name):
+    """The integer kernel gives the report of ClassVector pairings with
+    every (-1)-class, D + K and D - K, and a second c5 pass for very
+    ampleness, repr for repr, on every class with coefficients in [-3, 3]
+    and on every Table 1 divisor of the model."""
+    model = builtin(name)
+    rank = model.real_lattice.rank
+    classes = list(itertools.product(range(-3, 4), repeat=rank))
+    classes += [row.coeffs for row in table_rows(model) if row.coeffs is not None]
+    assert len(classes) >= 7 ** rank
+    for coeffs in classes:
+        d = model.real_lattice.vector(coeffs)
+        assert repr(check_conditions(model, d)) == repr(check_conditions_by_pairings(model, d)), (name, coeffs)
+
+
+def test_check_conditions_builds_no_class_and_pairs_nothing(monkeypatch):
+    """`check_conditions` reads D.D and D.K off one Gram product: no
+    ClassVector (not D + K, D - K or a multiple of K) and no
+    `IntLattice.pair` call, on passing and failing classes alike."""
+    cases = [(builtin(row.surface), row.coeffs) for row in table1() if row.coeffs is not None]
+    cases += [(builtin("D2"), (-1, -1)), (builtin("P2_0_8"), (1, 0, 0, 0, 0)), (builtin("B1"), (-1,))]
+    classes = [(model, model.real_lattice.vector(coeffs)) for model, coeffs in cases]
+    built, pairs = [], []
+    post_init, pair = ClassVector.__post_init__, IntLattice.pair
+    monkeypatch.setattr(ClassVector, "__post_init__", lambda self: built.append(1) or post_init(self))
+    monkeypatch.setattr(IntLattice, "pair", lambda self, u, v: pairs.append(1) or pair(self, u, v))
+    reports = [check_conditions(model, d) for model, d in classes]
+    assert (built, pairs) == ([], [])
+    assert sum(report.passed for report in reports) == 15
+    k = builtin("B1").canonical
+    k.dot(-k)  # the counters see a negation and a pairing
+    assert (len(built), len(pairs)) == (1, 1)
 
 
 def test_table_text_contains_documented_row():
