@@ -18,12 +18,14 @@ conic-bundle surface inside the projectivised bundle.  This module covers:
     real singular fibers are all pairs of conjugate lines meeting in a real
     point.  A `ConicMatrix` computes its discriminant once and keeps it, and
     a `BinaryForm` keeps, once asked, its split c u^m v^k h_1 ... h_r with
-    the Sturm chain of each h_i, so `analyze` (the real-root counts) and
-    `factored_str` (the rational roots) of one discriminant share one
-    determinant and one chain per part.  A general form has one part h; the
-    discriminant p1 p2 p3 of a diagonal section, built as that product,
-    keeps one part per nonconstant p_i and is analysed factor by factor,
-    with no chain of the full product.  `analyze` tests squarefree parts for
+    the Sturm chain of each h_i of degree above two, so `analyze` (the
+    real-root counts) and `factored_str` (the rational roots) of one
+    discriminant share one determinant and one chain per such part.  A part
+    of degree at most two gets no chain: `realroots` answers both questions
+    about it from its discriminant b^2 - 4ac.  A general form has one part
+    h; the discriminant p1 p2 p3 of a diagonal section, built as that
+    product, keeps one part per nonconstant p_i and is analysed factor by
+    factor, with no chain of the full product.  `analyze` tests squarefree parts for
     a common root with `realroots.coprime` and runs no rational-root search:
     the search costs more than the `coprime` calls it would replace, and
     only `factored_str` needs its roots;
@@ -87,7 +89,9 @@ class _SplitRoots(NamedTuple):
     """A nonzero form c u^m v^k h_1 ... h_r with each h_i primitive,
     nonconstant and nonzero at [0:1] and [1:0]: the content c, the
     multiplicities m of the root [0:1] and k of the root [1:0], and one pair
-    (h_i, Sturm chain of h_i) per part, dehomogenised."""
+    (h_i, Sturm chain of h_i) per part, dehomogenised.  A part of degree at
+    most two has None for its chain, since `realroots` reads its roots off
+    its discriminant."""
     content: int
     at_zero: int
     at_infinity: int
@@ -106,7 +110,7 @@ def _split_product(forms) -> _SplitRoots:
         at_infinity += form.infinity_multiplicity()
         if len(poly) - low > 1:
             part = poly[low:]
-            parts.append((part, realroots.primitive_sturm_sequence(part)))
+            parts.append((part, realroots.primitive_sturm_sequence(part) if len(part) > 3 else None))
     return _SplitRoots(content, at_zero, at_infinity, tuple(parts))
 
 
@@ -347,11 +351,12 @@ def analyze(matrix: ConicMatrix) -> FiberAnalysis:
     """Singular-fiber count of a conic-bundle section.
 
     total_fibers counts discriminant roots on P^1 with multiplicity (the
-    degree of the determinant); real_fibers adds the Sturm counts of the
-    dehomogenised parts and the multiplicity at infinity.  When the
-    discriminant is squarefree the surface can be smooth and s =
-    real_fibers / 2, half the number of real singular fibers; otherwise s is
-    undetermined.  s is the number of sphere components only for a minimal
+    degree of the determinant); real_fibers adds the real-root counts of the
+    dehomogenised parts (Sturm counts above degree two, the sign of the
+    discriminant below) and the multiplicities at [0:1] and infinity.  When
+    the discriminant is squarefree the surface can be smooth and s =
+    real_fibers / 2, half the number of real singular fibers; otherwise s
+    is undetermined.  s is the number of sphere components only for a minimal
     section, where every real singular fiber is a pair of conjugate lines; a
     real singular fiber can also be a pair of real lines.  For diagonal
     sections smoothness is decided exactly (each p_i squarefree on P^1 and
@@ -446,33 +451,39 @@ def form_str(form: BinaryForm) -> str:
     return _expanded(form.coeffs)
 
 
+_MONOMIALS = {}  # degree -> [(monomial, monomial with a leading "*")] by power of u
+
+
+def _monomials(degree):
+    """The strings of u^i v^(degree - i), i = 0 .. degree, built once per
+    degree: the monomial alone ('' for i = degree = 0) and after a
+    coefficient ('*u^2*v', or '' for the constant)."""
+    monomials = _MONOMIALS.get(degree)
+    if monomials is None:
+        monomials = []
+        for i in range(degree + 1):
+            u = "" if i == 0 else "u" if i == 1 else f"u^{i}"
+            v = "" if i == degree else "v" if i == degree - 1 else f"v^{degree - i}"
+            monomial = f"{u}*{v}" if u and v else u + v
+            monomials.append((monomial, "*" + monomial if monomial else ""))
+        _MONOMIALS[degree] = monomials
+    return monomials
+
+
 def _expanded(coeffs) -> str:
     """`form_str` of the form of degree len(coeffs) - 1 with these
     coefficients."""
     if not any(coeffs):
         return "0"
-    degree = len(coeffs) - 1
+    monomials = _monomials(len(coeffs) - 1)
     terms = []
-    for i in range(degree, -1, -1):
+    for i in range(len(coeffs) - 1, -1, -1):
         c = coeffs[i]
-        if not c:
-            continue
-        ju = i
-        jv = degree - i
-        monomial = "*".join(
-            part
-            for part in (
-                "u" if ju == 1 else f"u^{ju}" if ju else "",
-                "v" if jv == 1 else f"v^{jv}" if jv else "",
-            )
-            if part
-        )
-        mag = abs(c)
-        body = monomial if mag == 1 and monomial else (f"{mag}*{monomial}" if monomial else str(mag))
-        if not terms:
-            terms.append(("-" if c < 0 else "") + body)
-        else:
-            terms.append(("- " if c < 0 else "+ ") + body)
+        if c:
+            monomial, after = monomials[i]
+            body = monomial if (c == 1 or c == -1) and monomial else f"{abs(c)}{after}"
+            sign = ("- " if c < 0 else "+ ") if terms else ("-" if c < 0 else "")
+            terms.append(sign + body)
     return " ".join(terms)
 
 

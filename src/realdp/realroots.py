@@ -2,10 +2,14 @@
 
 The one module with univariate polynomial arithmetic.  Polynomials are tuples
 of int/Fraction coefficients, low degree first, trailing zeros stripped.  Ints
-stay ints: a division gives a Fraction unless it is exact.  Every real-root
-question goes through `root_profile`: one Sturm chain per multiplicity level
-gives the real-root count with multiplicity, the distinct count and the
-squarefree flag together.  Sturm chains hold primitive integer polynomials,
+stay ints: a division gives a Fraction unless it is exact.  A polynomial of
+degree at most two gets every answer in closed form: the sign of its
+discriminant b^2 - 4ac gives its real-root counts (`_low_degree_profile`, for
+`root_profile` and `real_rooted_profile`), and one `math.isqrt` of it its
+rational roots (`_low_degree_roots`).  Above degree two, `root_profile` runs
+one Sturm chain per multiplicity level of degree above two, which gives the
+real-root count with multiplicity, the distinct count and the squarefree
+flag together.  Sturm chains hold primitive integer polynomials,
 each a positive multiple of the classical chain's element, since the counts
 read only signs.  They are division-free: each remainder is an integer
 pseudo-remainder, and one gcd removes its content.  The same primitive
@@ -25,11 +29,12 @@ its counts at the ends of the first interval are those at -infinity and
 +infinity, read off leading coefficients as in `root_profile`.  `deflate`
 divides a rational root out by exact integer synthetic division, once per
 root found, so `rational_roots` returns each root's multiplicity and the
-cofactor, which keeps no rational root.  `root_profile` and
+cofactor, which keeps no rational root; the search stops once that cofactor
+has degree at most two and solves it in closed form.  `root_profile` and
 `rational_roots` take a chain their caller already holds, so one chain
 serves both questions about one polynomial; `conic` keeps the chain of
-each part of a discriminant on its form, built from the primitive part by
-`primitive_sturm_sequence` with no second content pass.
+each part of degree above two of a discriminant on its form, built from the
+primitive part by `primitive_sturm_sequence` with no second content pass.
 
 Tuples on hot paths are built from lists, not generators: CPython 3.11
 builds a tuple from a generator at size ten and shrinks it, which moves
@@ -40,7 +45,7 @@ thousand calls these hold about 2 MB.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from operator import ne
 from typing import NamedTuple
 
@@ -276,6 +281,18 @@ class RootProfile(NamedTuple):
     squarefree: bool  # no repeated root, real or complex
 
 
+def _low_degree_profile(g):
+    """`root_profile` of a nonzero polynomial of degree at most 2, read off
+    the sign of the discriminant b^2 - 4ac of a quadratic c + b x + a x^2."""
+    if len(g) < 3:
+        return RootProfile(len(g) - 1, len(g) - 1, True)
+    c, b, a = g
+    disc = b * b - 4 * a * c
+    if disc > 0:
+        return RootProfile(2, 2, True)
+    return RootProfile(2, 1, False) if disc == 0 else RootProfile(0, 0, True)
+
+
 def root_profile(coeffs, chain=None) -> RootProfile:
     """Real-root counts and squarefreeness of a nonzero polynomial.
 
@@ -283,23 +300,25 @@ def root_profile(coeffs, chain=None) -> RootProfile:
     -infinity minus those at +infinity), and its last element is gcd(g, g'),
     whose roots are those of g with multiplicity one less.  Summing the counts
     over these levels counts every real root with its multiplicity.  A level
-    of degree one holds one real root and needs no chain.  A caller that
-    already holds `sturm_sequence(coeffs)` passes it as `chain`, and the
-    first level reads it instead of building it again.
+    of degree at most two needs no chain: `_low_degree_profile` reads it off
+    the sign of its discriminant.  A caller that already holds
+    `sturm_sequence(coeffs)` passes it as `chain`, and the first level reads
+    it instead of building it again.
     """
     g = normalize(coeffs)
     if not g:
         raise ValueError("zero polynomial")
     counts = []
-    while degree(g) > 1:
+    while degree(g) > 2:
         if chain is None:
             chain = sturm_sequence(g)
         at_minus, at_plus = _infinity_variations(chain)
         counts.append(at_minus - at_plus)
         g, chain = chain[-1], None
-    if degree(g) == 1:
-        counts.append(1)
-    return RootProfile(sum(counts), counts[0] if counts else 0, len(counts) <= 1)
+    last = _low_degree_profile(g)
+    if not counts:
+        return last
+    return RootProfile(sum(counts) + last.real, counts[0], len(counts) == 1 and degree(g) == 0)
 
 
 def sturm_count(coeffs, with_multiplicity: bool = False) -> int:
@@ -331,13 +350,16 @@ def real_rooted_profile(coeffs) -> RootProfile | None:
     primitive parts: g' has degree n - 1 and a positive leading coefficient,
     and each remainder is a positive multiple of the one from the primitive
     parts, so after its content is removed the sequence is the primitive
-    chain from its third element on.
+    chain from its third element on.  A polynomial of degree at most two
+    needs no remainder: its roots are all real exactly when its
+    discriminant is not negative (`_low_degree_profile`).
     """
     g = normalize(coeffs)
     if not g:
         raise ValueError("zero polynomial")
-    if degree(g) < 1:
-        return RootProfile(0, 0, True)
+    if degree(g) < 3:
+        roots = _low_degree_profile(g)
+        return roots if roots.real == degree(g) else None
     if g[-1] < 0:
         g = neg(g)
     last = derivative(g)
@@ -401,28 +423,65 @@ def _isolate(squarefree, lo, hi):
     return hi, at_hi
 
 
+def _low_degree_roots(f, roots):
+    """(roots, cofactor) for a nonzero integer polynomial f of degree at
+    most 2: `roots` extended by the rational roots of f, in lowest terms and
+    each with its multiplicity, and f with them divided out by `deflate`.
+    Both come back unchanged when f has a higher degree.
+
+    A linear c + b x has the root -c / b.  A quadratic c + b x + a x^2 has
+    rational roots exactly when its discriminant b^2 - 4ac is a square r^2,
+    and they are (-b + r) / 2a and (-b - r) / 2a, one double root when
+    r = 0.
+    """
+    if len(f) == 2:
+        found = [(-f[0], f[1], 1)]
+    elif len(f) == 3:
+        c, b, a = f
+        disc = b * b - 4 * a * c
+        if disc < 0 or (r := isqrt(disc)) * r != disc:
+            return roots, f
+        found = [(r - b, 2 * a, 2)] if r == 0 else [(r - b, 2 * a, 1), (-r - b, 2 * a, 1)]
+    else:
+        return roots, f
+    for num, den, mult in found:
+        common = gcd(num, den) if den > 0 else -gcd(num, den)
+        num, den = num // common, den // common
+        for _ in range(mult):
+            f = deflate(f, num, den)
+        roots.append((num, den, mult))
+    return roots, f
+
+
 def rational_roots(coeffs, chain=None):
     """(roots, cofactor) of a nonzero integer polynomial f: one
     (num, den, mult) per distinct rational root num / den in lowest terms,
     den > 0, in the order the search finds them, and f divided by every
     (den x - num)^mult, integral by Gauss's lemma.
 
-    The chain of the squarefree part g is a chain of primitive integer
-    polynomials, and every rational root P/Q of g has Q dividing lc = |lc(g)|.
+    A polynomial of degree at most two is solved in closed form by
+    `_low_degree_roots`, with one `math.isqrt`.  Above that, the chain of
+    the squarefree part g is a chain of primitive integer polynomials, and
+    every rational root P/Q of g has Q dividing lc = |lc(g)|.
     Read at y = lc x, each chain element is an integer polynomial whose sign
     at an integer n is its sign at n / lc, and each rational root is an
     integer n.  So the chain isolates the real roots in unit intervals
     (n - 1, n], split at `_split`, and n / lc is a root exactly when the
     scaled g, G, vanishes at n.  An interval with one root is narrowed on the
     signs of G alone.  `deflate` divides each root out of f once when f is
-    squarefree, else until it fails.  Every sign test is an inline integer
-    Horner evaluation, and the cost is polynomial in the degree and the bit size
-    (Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry, ch. 10).
-    A caller that already holds `sturm_sequence(coeffs)` passes it as `chain`.
+    squarefree, else until it fails.  The search stops as soon as the
+    cofactor left has degree at most two, and `_low_degree_roots` finishes
+    it, so a polynomial with four rational roots isolates only two.  Every
+    sign test is an inline integer Horner evaluation, and the cost is
+    polynomial in the degree and the bit size (Basu, Pollack and Roy,
+    Algorithms in Real Algebraic Geometry, ch. 10).  A caller that already
+    holds `sturm_sequence(coeffs)` passes it as `chain`.
     """
     f = normalize(coeffs)
     if not f:
         raise ValueError("zero polynomial")
+    if degree(f) < 3:
+        return _low_degree_roots(f, [])
     if chain is None:
         chain = sturm_sequence(f)
     squarefree = degree(chain[-1]) == 0
@@ -439,7 +498,7 @@ def rational_roots(coeffs, chain=None):
     at_minus, at_plus = _infinity_variations(chain)
     stack = [(-1 << top, at_minus, 1 << top, at_plus)]
     roots = []
-    while stack:
+    while stack and len(f) > 3:
         lo, v_lo, hi, v_hi = stack.pop()
         count = v_lo - v_hi  # distinct roots in (lo, hi]
         if not count:
@@ -457,4 +516,4 @@ def rational_roots(coeffs, chain=None):
             while not squarefree and (quot := deflate(f, num, den)) is not None:
                 f, mult = quot, mult + 1
             roots.append((num, den, mult))
-    return roots, f
+    return _low_degree_roots(f, roots)

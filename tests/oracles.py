@@ -14,16 +14,18 @@ inverses and signatures check isometries, involutions and the signature
 certificate of the class enumeration; the Fincke-Pohst search on a rational
 LDL^T factorisation checks the fraction-free one of
 `intlinalg.enumerate_quadratic`, and its pivots check the Bareiss minors; a
-squarefree decomposition with one Sturm count per part checks
-`realroots.root_profile`; the Sturm chain by remainders over Q checks the
-integer chains of `realroots.sturm_sequence` up to positive factors, and the
-primitive chain by pseudo-division through `divmod_poly` checks them element
-by element.  The rational root test by
+squarefree decomposition with one Sturm count per part, and a Sturm chain
+at every multiplicity level down to degree two, check
+`realroots.root_profile` and its closed form for quadratics; the Sturm
+chain by remainders over Q checks the integer chains of
+`realroots.sturm_sequence` up to positive factors, and the primitive chain
+by pseudo-division through `divmod_poly` checks them element by element.  The rational root test by
 divisor trial division and the Sturm search that bisects at midpoints check
 `realroots.rational_roots`, and the
 entry-by-entry smoothness rule for diagonal sections checks `conic.analyze`,
-and the Leibniz formula on coefficient tuples checks
-`conic.discriminant`.
+the Leibniz formula on coefficient tuples checks
+`conic.discriminant`, and the term-by-term rendering checks the monomial
+table of `conic._expanded`.
 Expanding each monomial of a hypersurface along a line checks the restriction
 by polar forms of `topology.HypersurfaceSpec.restrict_to_line`, and the
 sampler that draws Fractions, restricts X to each sampled ray with every
@@ -545,6 +547,22 @@ def root_profile_by_decomposition(coeffs):
     return realroots.RootProfile(real, distinct, squarefree)
 
 
+def root_profile_by_chains(coeffs):
+    """`realroots.root_profile` with a Sturm chain at every multiplicity
+    level of degree above one, quadratics included: the counts at -infinity
+    and +infinity of each level's chain, one real root for a linear level."""
+    g = realroots.normalize(coeffs)
+    counts = []
+    while realroots.degree(g) > 1:
+        chain = realroots.sturm_sequence(g)
+        at_minus, at_plus = realroots._infinity_variations(chain)
+        counts.append(at_minus - at_plus)
+        g = chain[-1]
+    if realroots.degree(g) == 1:
+        counts.append(1)
+    return realroots.RootProfile(sum(counts), counts[0] if counts else 0, len(counts) <= 1)
+
+
 def restrict_by_expansion(x, p, e):
     """Coefficients (low to high) of t |-> X(p + t e), X as stored: each
     monomial is expanded by repeated products of the factors p_i + t e_i."""
@@ -670,6 +688,36 @@ def rational_roots_by_bisection(coeffs):
         if evaluate(grid[0], hi) == 0:
             roots.append(Fraction(hi, lc))
     return sorted(roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0))
+
+
+def expanded_by_terms(coeffs) -> str:
+    """`conic._expanded` with each monomial joined from its u- and v-power
+    strings term by term."""
+    if not any(coeffs):
+        return "0"
+    degree = len(coeffs) - 1
+    terms = []
+    for i in range(degree, -1, -1):
+        c = coeffs[i]
+        if not c:
+            continue
+        ju = i
+        jv = degree - i
+        monomial = "*".join(
+            part
+            for part in (
+                "u" if ju == 1 else f"u^{ju}" if ju else "",
+                "v" if jv == 1 else f"v^{jv}" if jv else "",
+            )
+            if part
+        )
+        mag = abs(c)
+        body = monomial if mag == 1 and monomial else (f"{mag}*{monomial}" if monomial else str(mag))
+        if not terms:
+            terms.append(("-" if c < 0 else "") + body)
+        else:
+            terms.append(("- " if c < 0 else "+ ") + body)
+    return " ".join(terms)
 
 
 def discriminant_by_leibniz(matrix: ConicMatrix) -> BinaryForm:

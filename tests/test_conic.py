@@ -21,7 +21,7 @@ from realdp.conic import (
     zero_form,
 )
 from conftest import assert_value_semantics, degenerate_fiber_matrix, worked_conic_matrix
-from oracles import diagonal_smooth_by_entries, discriminant_by_leibniz
+from oracles import diagonal_smooth_by_entries, discriminant_by_leibniz, expanded_by_terms
 
 
 def test_binary_form_arithmetic():
@@ -350,6 +350,24 @@ def test_form_str():
     assert form_str(zero_form(3)) == "0"
 
 
+def test_expanded_matches_the_term_by_term_rendering():
+    """3,200 seeded coefficient tuples of degree 0 to 12, many entries zero
+    or +-1, and every pure u- and v-power with coefficient +-1 or +-7, render
+    as the loop that joins each monomial from its power strings."""
+    rng = random.Random(20232)
+    cases = [(0,) * n for n in range(1, 4)]
+    for degree in range(13):
+        for i in range(degree + 1):
+            for c in (1, -1, 7, -7):
+                cases.append(tuple(c if j == i else 0 for j in range(degree + 1)))
+    for _ in range(3200):
+        pool = rng.choice(((0, 1, -1), (0, 0, 1, -1, 2, -3, 10), (0, 1, -1, 12, -345, 2**40)))
+        cases.append(tuple(rng.choice(pool) for _ in range(rng.randint(1, 13))))
+    for coeffs in cases:
+        assert conic._expanded(coeffs) == expanded_by_terms(coeffs), coeffs
+    assert len(cases) > 3000
+
+
 def test_factored_str_u_and_v_powers():
     # 4 u^2 (3u^2 - 5uv - 5v^2): the u-power is the count of leading zeros
     assert factored_str(BinaryForm(4, (0, 0, -20, -20, 12))) == "4*u^2*(3*u^2 - 5*u*v - 5*v^2)"
@@ -385,7 +403,13 @@ def _general_section():
             construct_section(1, 1, 2, [[2, Fraction(-1, 5)], [Fraction(3, 7), -4], [1, -6, Fraction(9, 5), 7]]),
             (8, 8, True, 4, True, True),
             "(u - v)*(5*u + v)*(u - 2*v)*(7*u - 3*v)*(u + 4*v)*(u + 6*v)*(u - 7*v)*(5*u - 9*v)",
-            [2, 2, 4],
+            [4],
+        ),
+        (
+            worked_conic_matrix(),
+            (6, 6, True, 3, True, True),
+            "u*v*(u - v)*(u + v)*(u - 2*v)*(u + 2*v)",
+            [],
         ),
         (
             _general_section(),
@@ -394,13 +418,17 @@ def _general_section():
             [5],
         ),
     ],
-    ids=["squarefree diagonal", "general"],
+    ids=["squarefree diagonal", "worked diagonal", "general"],
 )
 def test_one_determinant_and_one_chain_per_matrix(monkeypatch, matrix, analysis, rendered, chain_degrees):
     """`discriminant`, `analyze` and `factored_str` on one matrix build its
-    determinant once and one Sturm chain per part of the discriminant: one
-    per nonconstant entry of a diagonal section, whose full discriminant gets
-    no chain, and one for the discriminant of a general section."""
+    determinant once and one Sturm chain per part of the discriminant of
+    degree above two: one per entry of degree above two of a diagonal
+    section, whose full discriminant gets no chain, and one for the
+    discriminant of a general section.  A part of degree at most two is
+    answered from its discriminant, so the worked section diag(uv, u^2 - v^2,
+    u^2 - 4v^2), whose parts are v, u^2 - v^2 and u^2 - 4v^2 dehomogenised,
+    builds no chain."""
     determinants, chains = [], []
 
     def recorded(calls, fn):
@@ -420,7 +448,7 @@ def test_one_determinant_and_one_chain_per_matrix(monkeypatch, matrix, analysis,
     assert len(determinants) == 1
     assert [realroots.degree(p) for (p,) in chains] == chain_degrees
     if matrix.is_diagonal():
-        assert [p for (p,) in chains] == [matrix.entries[i][i].coeffs for i in range(3)]
+        assert [p for (p,) in chains] == [q.coeffs for q in (matrix.entries[i][i] for i in range(3)) if q.degree > 2]
 
 
 def test_squarefree_parts_deflate_each_root_once(monkeypatch):

@@ -38,15 +38,52 @@ def test_cold_import_loads_neither_dataclasses_nor_inspect():
         assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", ""), module
 
 
-def test_no_floating_point_in_library():
+# The integer functions of `math`; every other name there returns a float or
+# acts on floats (sqrt, log, pi, inf, floor, ...).
+INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm"}
+
+
+def _float_uses(source):
+    """Float and complex literals, `float()` calls and names of `math`
+    outside INTEGER_MATH, imported or read as attributes, in one module."""
+    tree = ast.parse(source)
+    math_aliases = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names if alias.name == "math"}
     found = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
-                found.append(f"{path.name}:{node.lineno} literal {node.value!r}")
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
-                found.append(f"{path.name}:{node.lineno} float() call")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"{node.lineno} literal {node.value!r}")
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            found.append(f"{node.lineno} float() call")
+        if isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [f"{node.lineno} math.{a.name}" for a in node.names if a.name not in INTEGER_MATH]
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in math_aliases and node.attr not in INTEGER_MATH):
+            found.append(f"{node.lineno} math.{node.attr}")
+    return found
+
+
+def test_no_floating_point_in_library():
+    found = [f"{path.name}:{use}" for path in sorted(SRC.glob("*.py"))
+             for use in _float_uses(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        ("from math import gcd, isqrt, lcm, comb", []),
+        ("from math import sqrt", ["1 math.sqrt"]),
+        ("from math import gcd, pi as PI", ["1 math.pi"]),
+        ("from math import *", ["1 math.*"]),
+        ("import math\nx = math.isqrt(8) + math.gcd(4, 6)", []),
+        ("import math\nx = math.log(2)", ["2 math.log"]),
+        ("import math as m\nx = m.inf", ["2 math.inf"]),
+        ("x = 1e3 + float(2)", ["1 literal 1000.0", "1 float() call"]),
+    ],
+)
+def test_float_guard_flags_float_names_of_math(source, flagged):
+    assert sorted(_float_uses(source)) == sorted(flagged)
 
 
 def test_true_division_only_in_quotient():

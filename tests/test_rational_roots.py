@@ -2,7 +2,9 @@
 divisor trial division it replaced and against the search that bisects at
 midpoints, on polynomials built from known factors: the same root sets, each
 root's multiplicity, and the cofactor that the linear factors multiply back
-to the polynomial; the `conic discriminant` cases whose constant terms that
+to the polynomial; the closed form below degree three on every quadratic
+of a coefficient box, and the search that stops at a cofactor of degree
+two; the `conic discriminant` cases whose constant terms that
 trial division could not factor; and `realroots.deflate`, the exact division
 by a linear factor, against `divmod_poly`."""
 
@@ -163,6 +165,66 @@ def test_rational_roots_match_the_midpoint_bisection():
 )
 def test_rational_roots_edge_cases(poly, roots):
     assert_roots_divide_out(poly, {Fraction(r): mult for r, mult in roots.items()})
+
+
+def _roots_by_divisors(poly):
+    """`rational_roots_by_divisors`, with the root 0 of a zero constant
+    term."""
+    zeros = next(i for i, c in enumerate(poly) if c)
+    roots = set(rational_roots_by_divisors(poly[zeros:])) if len(poly) - zeros > 1 else set()
+    return roots | {Fraction(0)} if zeros else roots
+
+
+def test_quadratics_and_linear_polynomials_in_closed_form(monkeypatch):
+    """Every c + b x + a x^2 with |a|, |b|, |c| <= 12 and a != 0, and every
+    linear c + b x in the box: the roots of the rational root test, double
+    exactly when b^2 - 4ac = 0, each divided out of the polynomial, and no
+    Sturm chain built."""
+    def no_chain(*args):
+        raise AssertionError("a Sturm chain was built")
+
+    monkeypatch.setattr(realroots, "_sturm_chain", no_chain)
+    kinds = set()
+    for c in range(-12, 13):
+        for b in range(-12, 13):
+            for a in range(-12, 13):
+                poly = realroots.normalize((c, b, a))
+                if realroots.degree(poly) < 1:
+                    continue
+                double = a and b * b - 4 * a * c == 0
+                expected = {root: 2 if double else 1 for root in _roots_by_divisors(poly)}
+                assert_roots_divide_out(poly, expected)
+                kinds.add((realroots.degree(poly), len(expected), bool(double)))
+    assert kinds == {(1, 1, False), (2, 0, False), (2, 1, True), (2, 2, False)}
+
+
+def test_search_stops_at_a_cofactor_of_degree_two(monkeypatch):
+    """Products of 3 to 6 rational linear factors, some repeated, times 1, a
+    constant or an irreducible quadratic: the roots of the midpoint
+    bisection, each with its multiplicity.  The search stops once the
+    cofactor left has degree two, so on four or six distinct simple roots it
+    isolates two or four and the closed form finds the other two."""
+    rng = random.Random(20231)
+    for _ in range(600):
+        roots = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(3, 6))]
+        if rng.random() < 0.4:
+            roots[-1] = roots[0]
+        poly = rng.choice(((1,), (rng.choice((-6, -1, 2, 15)),), rng.choice(QUADRATICS)))
+        multiplicity = {}
+        for root in roots:
+            multiplicity[root] = multiplicity.get(root, 0) + 1
+            poly = realroots.mul(poly, (-root.numerator, root.denominator))
+        found = assert_roots_divide_out(poly, multiplicity)
+        assert set(rational_roots_by_bisection(poly)) == found, poly
+    isolated, isolate = [], realroots._isolate
+    monkeypatch.setattr(realroots, "_isolate", lambda *args: isolated.append(args) or isolate(*args))
+    for roots, searched in (((1, 2, 3, 4), 2), ((-3, Fraction(1, 2), 5, Fraction(-7, 3), 8, 11), 4)):
+        isolated.clear()
+        poly = (1,)
+        for root in map(Fraction, roots):
+            poly = realroots.mul(poly, (-root.numerator, root.denominator))
+        assert_roots_divide_out(poly, {Fraction(root): 1 for root in roots})
+        assert len(isolated) == searched
 
 
 def test_rational_roots_of_zero_polynomial_raises():

@@ -1,8 +1,10 @@
-"""`realroots.root_profile` (one Sturm chain per multiplicity level) against
-the squarefree-decomposition reference and against polynomials built from
-known factors, the early-exit test `real_rooted_profile` against
-`root_profile`, and the integer Sturm chains against the chains over Q and,
-element by element, against the pseudo-division chain through `divmod_poly`.
+"""`realroots.root_profile` (one Sturm chain per multiplicity level of degree
+above two, the sign of the discriminant below) against a Sturm chain at
+every level, against the squarefree-decomposition reference and against
+polynomials built from known factors, the early-exit test
+`real_rooted_profile` against `root_profile`, and the integer Sturm chains
+against the chains over Q and, element by element, against the
+pseudo-division chain through `divmod_poly`.
 Needs neither sympy nor hypothesis; sympy, where installed, also counts the
 real roots."""
 
@@ -14,7 +16,7 @@ import pytest
 
 from realdp import realroots
 
-from oracles import root_profile_by_decomposition, sturm_chain_by_division, sturm_sequence_over_q
+from oracles import root_profile_by_chains, root_profile_by_decomposition, sturm_chain_by_division, sturm_sequence_over_q
 
 # Pairwise coprime quadratics without real roots, low degree first.
 NONREAL_QUADRATICS = ((1, 0, 1), (2, 0, 1), (1, 1, 1), (1, -2, 2), (Fraction(1, 4), 0, 3))
@@ -98,6 +100,48 @@ def test_real_rooted_profile_of_multiples_with_a_negative_leading_coefficient():
         else:
             assert realroots.real_rooted_profile(g) is None, g
     assert 50 < real_rooted < 350
+
+
+def test_quadratics_by_their_discriminant():
+    """Every c + b x + a x^2 with |a|, |b|, |c| <= 12 and a != 0, as ints and
+    with Fraction coefficients: `root_profile` from the sign of b^2 - 4ac is
+    the profile of a Sturm chain at every level, and `real_rooted_profile`
+    is None exactly when b^2 - 4ac < 0, else that profile.  Every linear
+    polynomial in the box has one simple real root."""
+    signs = set()
+    for c in range(-12, 13):
+        for b in range(-12, 13):
+            for a in range(-12, 13):
+                if not a:
+                    if b:
+                        assert realroots.root_profile((c, b)) == (1, 1, True) == realroots.real_rooted_profile((c, b))
+                    continue
+                disc = b * b - 4 * a * c
+                signs.add((disc > 0) - (disc < 0))
+                profile = realroots.root_profile((c, b, a))
+                assert profile == root_profile_by_chains((c, b, a)), (c, b, a)
+                rational = (Fraction(c, 3), Fraction(b, 5), a)
+                assert realroots.root_profile(rational) == root_profile_by_chains(rational), rational
+                if disc < 0:
+                    assert realroots.real_rooted_profile((c, b, a)) is None, (c, b, a)
+                else:
+                    assert realroots.real_rooted_profile((c, b, a)) == profile, (c, b, a)
+    assert signs == {-1, 0, 1}
+
+
+def test_root_profile_levels_of_degree_two():
+    """Lower multiplicity levels of degree one to three, the last level of
+    degree at most two read off its discriminant: x^2 (x^2 + 1)^2,
+    (x - 1)^3 (x^2 + 1), (x^2 - 2)^2 (x^2 + 1) and x^3 (x^2 - 4)^2 (x + 3)^2."""
+    cases = {
+        (0, 0, 1, 0, 2, 0, 1): (2, 1, False),
+        realroots.mul(realroots.mul((-1, 1), realroots.mul((-1, 1), (-1, 1))), (1, 0, 1)): (3, 1, False),
+        realroots.mul(realroots.mul((-2, 0, 1), (-2, 0, 1)), (1, 0, 1)): (4, 2, False),
+        realroots.mul(realroots.mul((0, 0, 0, 1), realroots.mul((-4, 0, 1), (-4, 0, 1))), (9, 6, 1)): (9, 4, False),
+    }
+    for poly, expected in cases.items():
+        assert realroots.root_profile(poly) == expected == root_profile_by_chains(poly), poly
+        assert realroots.root_profile(poly) == root_profile_by_decomposition(poly), poly
 
 
 def test_real_rooted_profile_stops_at_the_first_sign_flip(monkeypatch):
