@@ -100,7 +100,8 @@ def _conic_matrix_json(matrix: ConicMatrix):
 # Costs at degree 64 of one `hyp` trial (Python 3.11, 2-vCPU Xeon VM): the
 # dense form (all 47,905 monomials, centre 3,1,-1,2) has 814,385 polar
 # monomials, and computing them and refuting at the first line takes 6 to 9 s
-# and about 180 MB.  100,000 trials on a quadric take about 5 s.
+# and about 180 MB.  100,000 trials on a quadric take about 5 s unless its
+# line discriminant is positive definite (the sphere from inside): no line then.
 _MAX_HYP_DEGREE = 64
 _MAX_HYP_TRIALS = 100_000
 # A supported trial on the product of d/2 nested spheres (centre 4,1,-1,1,

@@ -6,9 +6,10 @@ defining form to the line x + t e is a degree-d polynomial in t (the leading
 coefficient is the value at e, hence nonzero), and hyperbolicity asks for d
 real roots counted with multiplicity.  A seeded sampler tests random rational
 lines: a failed line is an exact refutation, survival of all trials is
-statistical support only.  A positive rescaling changes no root's reality or
-multiplicity, so the form's coefficients, the center and each sampled point
-are primitive integer vectors, and restrictions are computed over Z.
+statistical support only, save for the quadrics below.  A positive rescaling
+changes no root's reality or multiplicity, so the form's coefficients, the
+center and each sampled point are primitive integer vectors, and
+restrictions are computed over Z.
 
 The center is fixed for a whole check, so the restriction comes from the
 polar forms X_k = D_e^k X / k! (Garding 1959), D_e the derivative along e:
@@ -23,6 +24,11 @@ and a nonzero factor, so every root keeps its reality and multiplicity, and
 the verdict, the witness and the boundary contacts are those of the
 restriction at x.  The test of a line is `realroots.real_rooted_profile`,
 which stops at the first Sturm remainder that shows a nonreal root.
+
+A quadric's verdict on a trial is the sign of the integer ternary form
+D(w) = X_1(w)^2 - 4 X(e) X_0(w) at its w != 0: when D is positive definite
+on x_j = 0 (Sylvester's criterion), every line meets X in two distinct real
+points, and the check returns this proof without drawing a line.
 
 Linking numbers are degrees of projections.  The center E (a point of RP^2,
 a line of RP^3) is cut out by two independent linear equations, and a
@@ -47,7 +53,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from . import realroots
-from .intlinalg import Value, dot, int_tuple, primitive_vector, rational_tuple
+from .intlinalg import Value, _bareiss, dot, int_tuple, primitive_vector, rational_tuple
 
 # ---------------------------------------------------------------------------
 # Deterministic rational sampling
@@ -151,8 +157,9 @@ def _point(coords, what):
     return primitive_vector(point)
 
 
-def _polar_forms(x: HypersurfaceSpec, e):
-    """The polar forms of X at a center e (checked by the caller).
+def _plane_polar_forms(x: HypersurfaceSpec, e):
+    """j, the first coordinate with e_j != 0, and the polar forms of X at a
+    center e (checked by the caller) keeping only their terms free of x_j.
 
     The top form is the constant X(e), the top coefficient of every
     restriction, so a line's degree drops exactly when the center lies on X.
@@ -161,24 +168,21 @@ def _polar_forms(x: HypersurfaceSpec, e):
     polar = x.polar_forms(e)
     if not sum([c for _, c in polar[-1]]):
         raise ValueError("center on hypersurface")
-    return polar
+    j = next(i for i, ei in enumerate(e) if ei)
+    return j, tuple([tuple([term for term in form if not term[0][j]]) for form in polar])
 
 
-def _line_test(x: HypersurfaceSpec, e):
-    """The test of the lines through a center e (checked by the caller): a
-    function of a primitive point p off e that returns
+def _line_test(x: HypersurfaceSpec, e, j, polar):
+    """The test of the lines through a center e, given `_plane_polar_forms`
+    of X at e: a function of a primitive point p off e that returns
     `realroots.real_rooted_profile` of X on the line through p and e.
 
-    j is the first coordinate with e_j != 0, and the line is restricted at
-    its point w = e_j p - p_j e on the hyperplane x_j = 0, where only the
-    polar terms free of x_j survive.  As w + u e = e_j (p + t e) for
-    u = p_j + e_j t, X(p + t e) = e_j^(-d) X(w + u e): an affine change of
-    parameter, which keeps the real roots, the distinct roots and every
-    multiplicity.
+    The line is restricted at its point w = e_j p - p_j e on the hyperplane
+    x_j = 0, where only the polar terms free of x_j survive.  As
+    w + u e = e_j (p + t e) for u = p_j + e_j t, X(p + t e) = e_j^(-d)
+    X(w + u e): an affine change of parameter, which keeps the real roots,
+    the distinct roots and every multiplicity.
     """
-    polar = _polar_forms(x, e)
-    j = next(i for i, ei in enumerate(e) if ei)
-    polar = tuple([tuple([term for term in form if not term[0][j]]) for form in polar])
     ej = e[j]
 
     def test(p):
@@ -187,6 +191,31 @@ def _line_test(x: HypersurfaceSpec, e):
         return realroots.real_rooted_profile(x.restrict_to_line(w, polar))
 
     return test
+
+
+def _definite_line_discriminant(j, polar) -> bool:
+    """Whether D(w) = X_1(w)^2 - 4 X(e) X_0(w), the discriminant of a
+    quadric on the line w + u e, is positive definite on x_j = 0.
+
+    Its matrix is l l^T - 2 X(e) H, l the coefficients of X_1 and H the
+    Hessian of X_0: a term q x_a x_b takes 2 X(e) q from entries (a, b) and
+    (b, a), so 4 X(e) q when a = b.  Row and column j are zero and dropped;
+    `intlinalg._bareiss` raises unless every leading minor is positive.
+    """
+    lin = [0] * 4
+    for exps, c in polar[1]:
+        lin[exps.index(1)] += c
+    h = 2 * sum([c for _, c in polar[2]])
+    m = [[a * b for b in lin] for a in lin]
+    for exps, q in polar[0]:
+        a, b = [i for i, k in enumerate(exps) for _ in range(k)]
+        m[a][b] -= h * q
+        m[b][a] -= h * q
+    try:
+        _bareiss([row[:j] + row[j + 1:] for row in m[:j] + m[j + 1:]])
+    except ValueError:
+        return False
+    return True
 
 
 def all_real_restriction(x: HypersurfaceSpec, e, p) -> bool:
@@ -198,7 +227,7 @@ def all_real_restriction(x: HypersurfaceSpec, e, p) -> bool:
     e, p = _point(e, "center"), _point(p, "sample point")
     if p in (e, realroots.neg(e)):
         raise ValueError("sample point coincides with the center")
-    return _line_test(x, e)(p) is not None
+    return _line_test(x, e, *_plane_polar_forms(x, e))(p) is not None
 
 
 class HyperbolicityVerdict(NamedTuple):
@@ -214,13 +243,15 @@ def hyperbolicity_check(x: HypersurfaceSpec, e, trials: int, seed: int) -> Hyper
 
     Refutation (some line with a nonreal intersection) is exact and reports
     the first witness by trial index; surviving all trials is statistical
-    support, not a proof.  Trials with a multiple real root are tolerated and
-    tallied as boundary contacts.  Each trial draws four rationals as
-    integer pairs and takes the primitive ray through them: the lcm of the
-    denominators clears them and one gcd removes the content, which gives
-    the same vector as `primitive_vector` of the reduced Fractions, the
-    unique primitive positive multiple.  Fractions are built only for the
-    witness.
+    support, not a proof, except for a quadric whose line discriminant is
+    positive definite: then every line meets X in two distinct real points,
+    a proof that covers all `trials` lines requested, and none is drawn.
+    Trials with a multiple real root are tolerated and tallied as boundary
+    contacts.  Each trial draws four rationals as integer pairs and takes
+    the primitive ray through them: the lcm of the denominators clears them
+    and one gcd removes the content, which gives the same vector as
+    `primitive_vector` of the reduced Fractions, the unique primitive
+    positive multiple.  Fractions are built only for the witness.
     """
     trials, seed = int_tuple((trials, seed))
     if trials < 1:
@@ -228,7 +259,10 @@ def hyperbolicity_check(x: HypersurfaceSpec, e, trials: int, seed: int) -> Hyper
     if not 0 <= seed <= _MASK:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     e = _point(e, "center")  # with e = 0 every sample point would be parallel to e
-    test = _line_test(x, e)
+    j, polar = _plane_polar_forms(x, e)
+    if x.degree == 2 and _definite_line_discriminant(j, polar):
+        return HyperbolicityVerdict(False, None, None, trials, 0)
+    test = _line_test(x, e, j, polar)
     rays_of_e = (e, realroots.neg(e))
     rng = SplitMix64(seed)
     boundary = 0

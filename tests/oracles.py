@@ -30,19 +30,20 @@ Expanding each monomial of a hypersurface along a line checks the restriction
 by polar forms of `topology.HypersurfaceSpec.restrict_to_line`, and the
 sampler that draws Fractions, restricts X to each sampled ray with every
 polar term and reads the whole primitive Sturm chain checks the verdicts of
-`topology.hyperbolicity_check`.
+`topology.hyperbolicity_check`; the integer trial loop run on every quadric,
+definite line discriminant or not, checks its certificate for quadrics.
 The library itself never calls these.
 """
 
 import itertools
 import math
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
-from realdp import realroots
+from realdp import realroots, topology
 from realdp.catalog import SurfaceModel
 from realdp.conic import BinaryForm, ConicMatrix
-from realdp.intlinalg import mat_vec, primitive_vector
+from realdp.intlinalg import int_tuple, mat_vec, primitive_vector
 from realdp.lattice import ClassVector
 from realdp.search import ConditionReport, check_conditions
 from realdp.topology import GreatSubsphere, HyperbolicityVerdict, PLCycle, SplitMix64, linking_number
@@ -605,6 +606,35 @@ def hyperbolicity_by_fraction_draws(x, e, trials, seed):
         roots = _real_rooted_by_whole_chain(x.restrict_to_line(ray, polar))
         if roots is None:
             return HyperbolicityVerdict(True, point, trial, trials, boundary)
+        if roots.distinct < x.degree:
+            boundary += 1
+    return HyperbolicityVerdict(False, None, None, trials, boundary)
+
+
+def hyperbolicity_check_by_trials(x, e, trials, seed):
+    """`topology.hyperbolicity_check` with no certificate for definite
+    quadrics: the same validation, then every trial draws its ray and tests
+    its line on the hyperplane x_j = 0."""
+    trials, seed = int_tuple((trials, seed))
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if not 0 <= seed <= topology._MASK:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    e = topology._point(e, "center")  # with e = 0 every sample point would be parallel to e
+    test = topology._line_test(x, e, *topology._plane_polar_forms(x, e))
+    rays_of_e = (e, realroots.neg(e))
+    rng = SplitMix64(seed)
+    boundary = 0
+    for trial in range(1, trials + 1):
+        while True:
+            draws = [rng.rational() for _ in range(4)]
+            den = lcm(*[d for _, d in draws])
+            ints = [n * (den // d) for n, d in draws]
+            if (g := gcd(*ints)) and (ray := tuple([c // g for c in ints])) not in rays_of_e:
+                break
+        roots = test(ray)
+        if roots is None:
+            return HyperbolicityVerdict(True, tuple([Fraction(n, d) for n, d in draws]), trial, trials, boundary)
         if roots.distinct < x.degree:
             boundary += 1
     return HyperbolicityVerdict(False, None, None, trials, boundary)

@@ -155,13 +155,17 @@ def test_conic_stdout_matches_golden(capsys, tmp_path):
 def test_link_and_hyp_stdout_matches_golden(capsys, tmp_path):
     """`link` on an oval around the center, an oval beside it, a pseudoline,
     and a ring and a line in RP^3, each with and without a `chain`
-    hyperplane; `hyp` on the sphere quadric from a center inside (supported)
-    and outside (refuted), and refusing the seed -1 in json; json and text:
-    exit code and stdout byte for byte as recorded in cli_golden.json.  The
-    signed linking numbers of the json payload are pinned too."""
+    hyperplane; `hyp` on the sphere quadric from a center inside (supported,
+    with 200 and with 100,000 trials) and outside (refuted), on the cylinder
+    x1^2 + x2^2 - x0^2 from [1:0:0:0] (supported over all its trials), on the
+    hyperboloid x1^2 + x2^2 - x3^2 - x0^2 from [2:0:0:3] (refuted at trial
+    6), and refusing the seed -1 in json; json and text: exit code and stdout
+    byte for byte as recorded in cli_golden.json.  The signed linking numbers
+    of the json payload are pinned too."""
     cases = golden_cases("link", "hyp")
     links = [c for c in cases if c["argv"][0] == "link"]
     assert len(links) == 16 and sum("chain" in c["documents"]["CENTER"] for c in links) == 8
+    assert len(cases) - len(links) == 11
     assert {c["exit"] for c in cases} == {0, 1, 2}
     for case in cases:
         assert replay(capsys, tmp_path, case) == (case["exit"], case["stdout"]), case["argv"]

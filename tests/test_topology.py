@@ -6,8 +6,10 @@ import pytest
 
 from realdp.intlinalg import dot
 from realdp.realroots import squarefree_decomposition, sturm_count
+from realdp import topology
 from realdp.topology import (
     GreatSubsphere,
+    HyperbolicityVerdict,
     HypersurfaceSpec,
     PLCycle,
     SplitMix64,
@@ -15,7 +17,13 @@ from realdp.topology import (
     hyperbolicity_check,
     linking_number,
 )
-from oracles import hyperbolicity_by_fraction_draws, hyperbolicity_from_linking, restrict_by_expansion, winding_of_lift
+from oracles import (
+    hyperbolicity_by_fraction_draws,
+    hyperbolicity_check_by_trials,
+    hyperbolicity_from_linking,
+    restrict_by_expansion,
+    winding_of_lift,
+)
 from conftest import (
     assert_value_semantics,
     cayley_rotation,
@@ -303,6 +311,173 @@ def test_verdict_matches_the_fraction_sampler_on_random_forms():
             continue  # a zero center or a center on X
         assert verdict == hyperbolicity_by_fraction_draws(x, center, 6, seed), (form, center, seed)
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# Quadrics: the line discriminant certificate
+
+
+_UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def _linear(coeffs):
+    return {u: c for u, c in zip(_UNITS, coeffs) if c}
+
+
+def _combine(*weighted):
+    """sum of weight * form over (weight, form) pairs, forms as dicts."""
+    out = {}
+    for weight, form in weighted:
+        for exps, c in form.items():
+            out[exps] = out.get(exps, 0) + weight * c
+    return out
+
+
+def _random_quadric(rng):
+    """(terms, center) of a random quadric with integer or Fraction
+    coefficients and a center with zero and Fraction coordinates, from one
+    of six families: sum a_i L_i^2 - b L_0^2 with the center inside or
+    outside (L_i random linear forms, so possibly dependent), the same with
+    one weight zero (a cylinder), a product of two planes with the center on
+    the first one half of the time, a form through the center, and a dense
+    random form.  About a third of the terms are split into two terms with
+    the same monomial."""
+    center = tuple(rng.choice((0, 0, 1, -1, 2, -3, Fraction(1, 3), Fraction(-5, 2))) for _ in range(4))
+    rows = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
+    family = rng.choice(("inside", "outside", "cylinder", "planes", "through", "dense"))
+    if family in ("inside", "outside", "cylinder"):
+        weights = [rng.randint(1, 4) for _ in range(3)]
+        if family == "cylinder":
+            weights[2] = 0
+        y = [dot(row, center) for row in rows]
+        spread = sum(a * v * v for a, v in zip(weights, y[1:]))
+        b = rng.randint(1, 4)
+        if family != "outside" and y[0]:
+            b = int(spread / (y[0] * y[0])) + rng.randint(1, 3)
+        squares = [form_product(_linear(row), _linear(row)) for row in rows]
+        form = _combine((-b, squares[0]), *zip(weights, squares[1:]))
+    elif family == "planes":
+        if rng.random() < 0.5 and any(center[:2]):
+            rows[0] = [center[1], -center[0], 0, 0]
+        form = form_product(_linear(rows[0]), _linear(rows[1]))
+    else:
+        dense = {}
+        for _ in range(rng.randint(1, 10)):
+            exps = [0, 0, 0, 0]
+            exps[rng.randrange(4)] += 1
+            exps[rng.randrange(4)] += 1
+            dense[tuple(exps)] = rng.randint(-5, 5)
+        form = dense
+        if family == "through":  # q(e) L^2 - L(e)^2 q vanishes at e
+            value = sum(c * center[0] ** a * center[1] ** b * center[2] ** f * center[3] ** g
+                        for (a, b, f, g), c in dense.items())
+            lin = _linear(rows[0])
+            form = _combine((value, form_product(lin, lin)), (-dot(rows[0], center) ** 2, dense))
+    terms = []
+    for exps, c in form.items():
+        if rng.random() < 1 / 3:
+            r = rng.randint(-4, 4)
+            terms += [(exps, r), (exps, c - r)]
+        else:
+            terms.append((exps, c))
+    rng.shuffle(terms)
+    return tuple(terms), center
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+def test_quadric_verdicts_match_the_trial_loop():
+    """On 1,500 random quadrics (`_random_quadric`) with 8 trials, and now and
+    then a trial count, seed or center out of range, the check gives the
+    verdict or the ValueError message of the trial loop that tests every
+    line.  Definite line discriminants, refutations, quadrics that pass
+    without a certificate and centers on X all occur."""
+    rng = random.Random(24)
+    seen = {"definite": 0, "refuted": 0, "supported": 0}
+    messages = {}
+    for _ in range(1500):
+        terms, center = _random_quadric(rng)
+        x = HypersurfaceSpec(2, terms)
+        trials = rng.choice((8,) * 30 + (0,))
+        seed = rng.choice((rng.getrandbits(64),) * 30 + (-1, 2**64))
+        if rng.random() < 0.01:
+            center = (0, 0, 0, 0)
+        verdict = _outcome(hyperbolicity_check, x, center, trials, seed)
+        assert verdict == _outcome(hyperbolicity_check_by_trials, x, center, trials, seed), (terms, center, seed)
+        if isinstance(verdict, str):
+            messages[verdict] = messages.get(verdict, 0) + 1
+        elif topology._definite_line_discriminant(*topology._plane_polar_forms(x, topology._point(center, "center"))):
+            seen["definite"] += 1
+        else:
+            seen["refuted" if verdict.refuted else "supported"] += 1
+    assert min(seen.values()) >= 150, seen
+    assert messages.get("ValueError: center on hypersurface", 0) >= 50, messages
+    assert {"ValueError: need at least one trial", "ValueError: center must be a nonzero point"} < set(messages)
+    assert sum(m.startswith("ValueError: seed must lie") for m in messages) == 2
+
+
+def test_definite_line_discriminant_matches_sympy():
+    """The certificate decides as sympy's `is_positive_definite` on the
+    Gram matrix of D(w) = c1^2 - 4 c2 c0 on the hyperplane x_j = 0, j the
+    first nonzero coordinate of e, read by polarisation at its unit vectors;
+    c0 + c1 t + c2 t^2 is X on the line w + t e by monomial expansion."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(25)
+    seen = {True: 0, False: 0}
+    while min(seen.values()) < 40:
+        terms, center = _random_quadric(rng)
+        x = HypersurfaceSpec(2, terms)
+        try:
+            j, polar = topology._plane_polar_forms(x, topology._point(center, "center"))
+        except ValueError:
+            continue
+
+        def disc(*units):
+            c0, c1, c2 = restrict_by_expansion(x, [sum(col) for col in zip(*units)], center)
+            return Fraction(c1 * c1 - 4 * c2 * c0)
+
+        plane = [unit for i, unit in enumerate(_UNITS) if i != j]
+        gram = [[(disc(a, b) - disc(a) - disc(b)) / 2 for b in plane] for a in plane]
+        decided = bool(sympy.Matrix([[sympy.Rational(g.numerator, g.denominator) for g in row] for row in gram])
+                       .is_positive_definite)
+        assert topology._definite_line_discriminant(j, polar) == decided, (terms, center)
+        seen[decided] += 1
+
+
+def test_definite_quadric_draws_no_line(monkeypatch):
+    """The sphere from its center [1:0:0:0] and from a Fraction center
+    inside it: 100,000 trials requested, no draw made and no line
+    restricted."""
+    def fail(*args):
+        raise AssertionError("a line was drawn")
+
+    monkeypatch.setattr(SplitMix64, "next_u64", fail)
+    monkeypatch.setattr(HypersurfaceSpec, "restrict_to_line", fail)
+    for center in ((1, 0, 0, 0), (Fraction(3, 2), Fraction(-1, 2), Fraction(1, 3), 1)):
+        assert hyperbolicity_check(sphere_quadric(), center, 100_000, 0) == HyperbolicityVerdict(
+            False, None, None, 100_000, 0)
+
+
+def test_semidefinite_and_indefinite_quadrics_test_their_lines(monkeypatch):
+    """The cylinder x1^2 + x2^2 - x0^2 from [1:0:0:0] has a line discriminant
+    4 (x1^2 + x2^2), semidefinite only, so all its trials restrict a line;
+    the hyperboloid x1^2 + x2^2 - x3^2 - x0^2 from [2:0:0:3] stops at its
+    refuting trial 6."""
+    calls = []
+    restrict = HypersurfaceSpec.restrict_to_line
+    monkeypatch.setattr(HypersurfaceSpec, "restrict_to_line", lambda *args: calls.append(1) or restrict(*args))
+    cylinder = HypersurfaceSpec(2, (((0, 2, 0, 0), 1), ((0, 0, 2, 0), 1), ((2, 0, 0, 0), -1)))
+    verdict = hyperbolicity_check(cylinder, (1, 0, 0, 0), 300, 3)
+    assert verdict == HyperbolicityVerdict(False, None, None, 300, 0) and len(calls) == 300
+    calls.clear()
+    hyperboloid = HypersurfaceSpec(2, (((0, 2, 0, 0), 1), ((0, 0, 2, 0), 1), ((0, 0, 0, 2), -1), ((2, 0, 0, 0), -1)))
+    verdict = hyperbolicity_check(hyperboloid, (2, 0, 0, 3), 50, 0)
+    assert verdict.refuted and verdict.trial == 6 and len(calls) == 6
 
 
 def test_splitmix_determinism():
