@@ -110,7 +110,7 @@ def _split_product(forms) -> _SplitRoots:
         at_infinity += form.infinity_multiplicity()
         if len(poly) - low > 1:
             part = poly[low:]
-            parts.append((part, realroots.primitive_sturm_sequence(part) if len(part) > 3 else None))
+            parts.append((part, realroots.sturm_sequence(part) if len(part) > 3 else None))
     return _SplitRoots(content, at_zero, at_infinity, tuple(parts))
 
 

@@ -1,40 +1,41 @@
-"""Univariate polynomials over Q and exact real-root counting.
+"""Univariate integer polynomials and exact real-root counting.
 
 The one module with univariate polynomial arithmetic.  Polynomials are tuples
-of int/Fraction coefficients, low degree first, trailing zeros stripped.  Ints
-stay ints: a division gives a Fraction unless it is exact.  A polynomial of
-degree at most two gets every answer in closed form: the sign of its
-discriminant b^2 - 4ac gives its real-root counts (`_low_degree_profile`, for
+of int coefficients, low degree first, trailing zeros stripped; every
+division is exact over Z, and the root counts scale a rational input to its
+primitive integer multiple, which keeps every root.  A polynomial of degree
+at most two gets every answer in closed form: the sign of its discriminant
+b^2 - 4ac gives its real-root counts (`_low_degree_profile`, for
 `root_profile` and `real_rooted_profile`), and one `math.isqrt` of it its
 rational roots (`_low_degree_roots`).  Above degree two, `root_profile` runs
 one Sturm chain per multiplicity level of degree above two, which gives the
-real-root count with multiplicity, the distinct count and the squarefree
-flag together.  Sturm chains hold primitive integer polynomials,
-each a positive multiple of the classical chain's element, since the counts
-read only signs.  They are division-free: each remainder is an integer
-pseudo-remainder, and one gcd removes its content.  The same primitive
-remainder sequence, run on two polynomials, ends in a constant exactly when
-they are coprime (`coprime`).  The chain is built lazily, so
-`real_rooted_profile`, the test whether every root is real, stops at the
-first element that breaks the full-length pattern (degrees falling by one,
-leading coefficients of one sign) and builds no further remainder.
+real-root count with multiplicity, the distinct count and the squarefree flag
+together.  Sturm chains hold primitive integer polynomials, each a positive
+multiple of the classical chain's element, since the counts read only signs.
+They are division-free: each remainder is an integer pseudo-remainder, and
+one gcd removes its content.  The same primitive remainder sequence, run on
+two polynomials, ends in their gcd (`gcd_poly`), a constant exactly when they
+are coprime.  By Gauss's lemma an exact quotient of primitive polynomials is
+integral (`_exact_quotient`).  `real_rooted_profile`, the test whether every
+root is real, stops at the first remainder that breaks the full-length
+pattern (degrees falling by one, leading coefficients of one sign).
 `rational_roots` isolates the real roots with the same chains on the lattice
 n / lc, lc the leading coefficient.  It splits an interval at 0 when it
-straddles 0 and at a power of two when its ends lie far apart on one side,
-so a root of b bits is reached in about log b steps before plain bisection
-takes over.  The chain is scaled to the lattice once, highest degree first
-with a running power of lc, and every sign on the lattice comes from an
-inline integer Horner loop, so the search makes no call per evaluation;
-its counts at the ends of the first interval are those at -infinity and
-+infinity, read off leading coefficients as in `root_profile`.  `deflate`
-divides a rational root out by exact integer synthetic division, once per
-root found, so `rational_roots` returns each root's multiplicity and the
-cofactor, which keeps no rational root; the search stops once that cofactor
-has degree at most two and solves it in closed form.  `root_profile` and
-`rational_roots` take a chain their caller already holds, so one chain
-serves both questions about one polynomial; `conic` keeps the chain of
-each part of degree above two of a discriminant on its form, built from the
-primitive part by `primitive_sturm_sequence` with no second content pass.
+straddles 0 and at a power of two when its ends lie far apart on one side, so
+a root of b bits is reached in about log b steps before plain bisection takes
+over.  The chain is scaled to the lattice once, highest degree first with a
+running power of lc, and every sign on the lattice comes from an inline
+integer Horner loop, so the search makes no call per evaluation; its counts
+at the ends of the first interval are those at -infinity and +infinity, read
+off leading coefficients as in `root_profile`.  `deflate` divides a rational
+root out by exact integer synthetic division, once per root found, so
+`rational_roots` returns each root's multiplicity and the cofactor, which
+keeps no rational root; the search stops once that cofactor has degree at
+most two and solves it in closed form.  `root_profile` and `rational_roots`
+take a chain their caller already holds, so one chain serves both questions
+about one polynomial; `conic` keeps the chain of each part of degree above
+two of a discriminant on its form, built by `sturm_sequence` from the
+primitive part with no second content pass.
 
 Tuples on hot paths are built from lists, not generators: CPython 3.11
 builds a tuple from a generator at size ten and shrinks it, which moves
@@ -44,7 +45,6 @@ thousand calls these hold about 2 MB.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt
 from operator import ne
 from typing import NamedTuple
@@ -62,14 +62,6 @@ def normalize(coeffs):
 def degree(p) -> int:
     """Degree of a normalised polynomial; the zero polynomial has degree -1."""
     return len(p) - 1
-
-
-def _quotient(a, b):
-    """Exact a / b: an int when both are ints and b divides a."""
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
-    return a / b
 
 
 def add(p, q):
@@ -97,25 +89,6 @@ def derivative(p):
     return normalize([i * c for i, c in enumerate(p)][1:])
 
 
-def divmod_poly(p, q):
-    q = normalize(q)
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(normalize(p))
-    dq = len(q) - 1
-    quot = [0] * max(len(rem) - dq, 1)
-    while len(rem) - 1 >= dq:
-        shift = len(rem) - 1 - dq
-        factor = _quotient(rem[-1], q[-1])
-        quot[shift] = factor
-        for i in range(dq):
-            rem[shift + i] -= factor * q[i]
-        rem.pop()
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return normalize(quot), tuple(rem)
-
-
 def deflate(p, num: int, den: int):
     """The quotient of a nonzero integer polynomial p by den x - num, den > 0,
     when it divides p over Z, else None.
@@ -140,12 +113,24 @@ def deflate(p, num: int, den: int):
     return tuple(quot)
 
 
-def gcd_poly(p, q):
-    """Monic greatest common divisor."""
-    a, b = normalize(p), normalize(q)
-    while b:
-        a, b = b, divmod_poly(a, b)[1]
-    return tuple(_quotient(c, a[-1]) for c in a)
+def _exact_quotient(p, q):
+    """p / q for nonzero integer polynomials when q divides p over Z, as
+    when both are primitive and q divides p over Q (Gauss's lemma).
+
+    Long division from the top coefficient, each quotient coefficient an
+    exact integer division by lc(q); the remainder, zero, is not kept.
+    """
+    lead, dq = q[-1], len(q) - 1
+    rem = list(p)
+    quot = []
+    while len(rem) > dq:
+        c = rem.pop() // lead
+        quot.append(c)
+        k = len(rem) - dq
+        for i in range(dq):
+            rem[k + i] -= c * q[i]
+    quot.reverse()
+    return tuple(quot)
 
 
 def primitive_part(p):
@@ -158,25 +143,44 @@ def primitive_part(p):
     return p[-1] // q[-1], q
 
 
+def gcd_poly(p, q):
+    """The greatest common divisor of two integer polynomials, not both
+    zero: the last element of their primitive remainder sequence, as a
+    primitive polynomial with a positive leading coefficient."""
+    a, b = normalize(p), normalize(q)
+    if len(a) < len(b):
+        a, b = b, a
+    for b in _remainders(a, b):
+        pass
+    return primitive_part(b or a)[1]
+
+
+def coprime(p, q) -> bool:
+    """Whether two nonzero integer polynomials have no common root over C."""
+    return degree(gcd_poly(p, q)) == 0
+
+
 def squarefree_decomposition(p):
-    """[(g_i, i)] with p = c * prod g_i^i, the g_i squarefree and coprime.
+    """[(g_i, i)] with p = c * prod g_i^i, the g_i primitive, squarefree
+    and coprime.
 
     One gcd with the derivative settles a squarefree p; each further
     multiplicity level costs one more gcd (Musser's algorithm)."""
     p = normalize(p)
     if degree(p) < 1:
         return []
+    p = primitive_vector(p)
     out = []
     t = gcd_poly(p, derivative(p))
-    v = divmod_poly(p, t)[0]
+    v = _exact_quotient(p, t)
     i = 1
     while degree(t) > 0:
         w = gcd_poly(t, v)
-        part = divmod_poly(v, w)[0]
+        part = _exact_quotient(v, w)
         if degree(part) > 0:
             out.append((part, i))
         v = w
-        t = divmod_poly(t, w)[0]
+        t = _exact_quotient(t, w)
         i += 1
     if degree(v) > 0:
         out.append((v, i))
@@ -206,25 +210,6 @@ def _pseudo_remainder(a, b):
     return rem
 
 
-def _sturm_chain(a):
-    """The Sturm chain of a primitive integer polynomial a with no trailing
-    zeros, one element at a time, as a primitive pseudo-remainder sequence
-    (Collins 1967; Brown and Traub 1971).
-
-    Each step takes a division-free pseudo-remainder of a by b and yields its
-    negated primitive part, removing the content with one gcd: a positive
-    multiple of the element over Q.  The last element is gcd(g, g') up to a
-    positive factor.
-    """
-    yield a
-    d = derivative(a)
-    if not d:
-        return
-    b = primitive_vector(d)
-    yield b
-    yield from _remainders(a, b)
-
-
 def _remainders(a, b):
     """The negated primitive parts of the pseudo-remainders of a by b, of b
     by that, and so on, for integer polynomials with deg a >= deg b >= 0.
@@ -239,28 +224,17 @@ def _remainders(a, b):
         yield b
 
 
-def coprime(p, q) -> bool:
-    """Whether two nonzero integer polynomials have no common root over C,
-    read off the last element of their primitive remainder sequence."""
-    a, b = normalize(p), normalize(q)
-    if degree(a) < degree(b):
-        a, b = b, a
-    for b in _remainders(a, b):
-        pass
-    return degree(b) == 0
-
-
-def sturm_sequence(p):
-    """Sturm chain of a nonzero polynomial as a list of primitive integer
-    polynomials (see `_sturm_chain`)."""
-    return list(_sturm_chain(primitive_vector(normalize(p))))
-
-
-def primitive_sturm_sequence(q):
-    """`sturm_sequence(q)` for a primitive integer polynomial q with no
-    trailing zeros, such as a part from `primitive_part`, without taking its
-    primitive part a second time."""
-    return list(_sturm_chain(q))
+def sturm_sequence(q):
+    """The Sturm chain of a primitive integer polynomial q with no trailing
+    zeros, as a primitive pseudo-remainder sequence (Collins 1967; Brown and
+    Traub 1971): q, the primitive part of q', then `_remainders` of the two,
+    each a positive multiple of the element over Q.  The last element is
+    gcd(q, q') up to a positive factor."""
+    d = derivative(q)
+    if not d:
+        return [q]
+    b = primitive_vector(d)
+    return [q, b, *_remainders(q, b)]
 
 
 def _sign_changes(signs):
@@ -301,9 +275,9 @@ def root_profile(coeffs, chain=None) -> RootProfile:
     whose roots are those of g with multiplicity one less.  Summing the counts
     over these levels counts every real root with its multiplicity.  A level
     of degree at most two needs no chain: `_low_degree_profile` reads it off
-    the sign of its discriminant.  A caller that already holds
-    `sturm_sequence(coeffs)` passes it as `chain`, and the first level reads
-    it instead of building it again.
+    the sign of its discriminant.  A caller that already holds the chain of
+    the primitive part of `coeffs` passes it as `chain`, and the first level
+    reads it instead of building it again.
     """
     g = normalize(coeffs)
     if not g:
@@ -311,7 +285,7 @@ def root_profile(coeffs, chain=None) -> RootProfile:
     counts = []
     while degree(g) > 2:
         if chain is None:
-            chain = sturm_sequence(g)
+            chain = sturm_sequence(primitive_vector(g))
         at_minus, at_plus = _infinity_variations(chain)
         counts.append(at_minus - at_plus)
         g, chain = chain[-1], None
@@ -475,7 +449,7 @@ def rational_roots(coeffs, chain=None):
     sign test is an inline integer Horner evaluation, and the cost is
     polynomial in the degree and the bit size (Basu, Pollack and Roy,
     Algorithms in Real Algebraic Geometry, ch. 10).  A caller that already
-    holds `sturm_sequence(coeffs)` passes it as `chain`.
+    holds the chain of the primitive part of f passes it as `chain`.
     """
     f = normalize(coeffs)
     if not f:
@@ -483,10 +457,10 @@ def rational_roots(coeffs, chain=None):
     if degree(f) < 3:
         return _low_degree_roots(f, [])
     if chain is None:
-        chain = sturm_sequence(f)
+        chain = sturm_sequence(primitive_vector(f))
     squarefree = degree(chain[-1]) == 0
     if not squarefree:  # divided by gcd(f, f'): the chain of the squarefree part
-        chain = [divmod_poly(g, chain[-1])[0] for g in chain]
+        chain = [_exact_quotient(g, chain[-1]) for g in chain]
     lc = abs(chain[0][-1])
     powers = [1]
     for _ in chain[0][1:]:

@@ -53,7 +53,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from . import realroots
-from .intlinalg import Value, _bareiss, dot, int_tuple, primitive_vector, rational_tuple
+from .intlinalg import Value, _bareiss, determinant, dot, int_tuple, primitive_vector, rational_tuple
 
 # ---------------------------------------------------------------------------
 # Deterministic rational sampling
@@ -297,25 +297,15 @@ class GreatSubsphere(Value):
         normals = tuple(rational_tuple(n) for n in self.normals)
         if any(len(n) != self.ambient + 1 for n in normals):
             raise ValueError("normals must have ambient + 1 coordinates")
-        if _rank(normals) != len(normals):
+        if not _independent(normals):
             raise ValueError("normals must be linearly independent")
         object.__setattr__(self, "normals", tuple(primitive_vector(n) for n in normals))
 
 
-def _rank(vectors):
-    """Rank by fraction-free elimination (no division, so no Fraction)."""
-    rows = [list(v) for v in vectors]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for i in range(rank + 1, len(rows)):
-            rows[i] = [rows[rank][col] * a - rows[i][col] * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+def _independent(vectors) -> bool:
+    """Whether rational vectors are linearly independent: their Gram
+    determinant det(u . v) is nonzero."""
+    return determinant([[dot(u, v) for v in vectors] for u in vectors]) != 0
 
 
 class PLCycle(Value):
@@ -367,7 +357,7 @@ def _projection(e: GreatSubsphere, chain: GreatSubsphere | None):
     if len(chain.normals) != 1:
         raise ValueError("the bounding subspace must be a hyperplane")
     n_l = chain.normals[0]
-    if _rank(e.normals + (n_l,)) != 2:
+    if _independent(e.normals + (n_l,)):
         raise ValueError("the hyperplane must contain the center")
     first, second = e.normals  # primitive, so parallel means equal up to sign
     return n_l, second if first in (n_l, realroots.neg(n_l)) else first

@@ -16,10 +16,13 @@ LDL^T factorisation checks the fraction-free one of
 `intlinalg.enumerate_quadratic`, and its pivots check the Bareiss minors; a
 squarefree decomposition with one Sturm count per part, and a Sturm chain
 at every multiplicity level down to degree two, check
-`realroots.root_profile` and its closed form for quadratics; the Sturm
-chain by remainders over Q checks the integer chains of
-`realroots.sturm_sequence` up to positive factors, and the primitive chain
-by pseudo-division through `divmod_poly` checks them element by element.  The rational root test by
+`realroots.root_profile` and its closed form for quadratics.  Long
+division over Q (`divmod_poly`) and Euclid's gcd over Q (`gcd_over_q`),
+arithmetic the integer-only `realroots` does not have, check its exact
+quotients over Z and its primitive gcd; the Sturm chain by remainders over
+Q checks the integer chains of `realroots.sturm_sequence` up to positive
+factors, and the primitive chain by pseudo-division through `divmod_poly`
+checks them element by element.  The rational root test by
 divisor trial division and the Sturm search that bisects at midpoints check
 `realroots.rational_roots`, and the
 entry-by-entry smoothness rule for diagonal sections checks `conic.analyze`,
@@ -490,13 +493,52 @@ def is_involution(m) -> bool:
     return all(len(r) == len(m) for r in m) and mat_mul(m, m) == identity(len(m))
 
 
+def _quotient(a, b):
+    """Exact a / b: an int when both are ints and b divides a."""
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
+
+
+def divmod_poly(p, q):
+    """(quotient, remainder) of p by q over Q, by long division: ints stay
+    ints while each step divides exactly, and a step that does not gives a
+    Fraction."""
+    q = realroots.normalize(q)
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(realroots.normalize(p))
+    dq = len(q) - 1
+    quot = [0] * max(len(rem) - dq, 1)
+    while len(rem) - 1 >= dq:
+        shift = len(rem) - 1 - dq
+        factor = _quotient(rem[-1], q[-1])
+        quot[shift] = factor
+        for i in range(dq):
+            rem[shift + i] -= factor * q[i]
+        rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return realroots.normalize(quot), tuple(rem)
+
+
+def gcd_over_q(p, q):
+    """The monic greatest common divisor over Q, by Euclid's algorithm on
+    the remainders of `divmod_poly`."""
+    a, b = realroots.normalize(p), realroots.normalize(q)
+    while b:
+        a, b = b, divmod_poly(a, b)[1]
+    return tuple(_quotient(c, a[-1]) for c in a)
+
+
 def sturm_sequence_over_q(p):
     chain = [realroots.normalize(p)]
     d = realroots.derivative(chain[0])
     if d:
         chain.append(d)
         while realroots.degree(chain[-1]) > 0:
-            rem = realroots.divmod_poly(chain[-2], chain[-1])[1]
+            rem = divmod_poly(chain[-2], chain[-1])[1]
             if not rem:
                 break
             chain.append(realroots.neg(rem))
@@ -515,7 +557,7 @@ def sturm_chain_by_division(p):
     chain.append(b)
     while realroots.degree(b) > 0:
         scale = abs(b[-1]) ** (realroots.degree(a) - realroots.degree(b) + 1)
-        rem = realroots.divmod_poly([scale * c for c in a], b)[1]
+        rem = divmod_poly([scale * c for c in a], b)[1]
         if not rem:
             break
         a, b = b, realroots.neg(primitive_vector(rem))
@@ -555,7 +597,7 @@ def root_profile_by_chains(coeffs):
     g = realroots.normalize(coeffs)
     counts = []
     while realroots.degree(g) > 1:
-        chain = realroots.sturm_sequence(g)
+        chain = realroots.sturm_sequence(primitive_vector(g))
         at_minus, at_plus = realroots._infinity_variations(chain)
         counts.append(at_minus - at_plus)
         g = chain[-1]
@@ -581,7 +623,7 @@ def _real_rooted_by_whole_chain(g):
     """`realroots.real_rooted_profile` from the whole primitive Sturm chain:
     every root is real exactly when the chain has full length, each degree
     one below the one before and every leading sign that of lc(g)."""
-    chain = realroots.sturm_sequence(g)
+    chain = realroots.sturm_sequence(primitive_vector(g))
     n = realroots.degree(chain[0])
     if any(realroots.degree(f) != n - i or (f[-1] > 0) != (g[-1] > 0) for i, f in enumerate(chain)):
         return None
@@ -695,9 +737,9 @@ def rational_roots_by_bisection(coeffs):
     f = realroots.normalize(coeffs)
     if realroots.degree(f) < 1:
         return []
-    chain = realroots.sturm_sequence(f)
+    chain = realroots.sturm_sequence(primitive_vector(f))
     if realroots.degree(chain[-1]) > 0:
-        chain = [realroots.divmod_poly(g, chain[-1])[0] for g in chain]
+        chain = [divmod_poly(g, chain[-1])[0] for g in chain]
     lc = abs(chain[0][-1])
     grid = [[c * lc ** (realroots.degree(g) - i) for i, c in enumerate(g)] for g in chain]
     top = (lc + max(abs(c) for c in chain[0])).bit_length()
@@ -768,7 +810,7 @@ def _squarefree_on_p1(form: BinaryForm) -> bool:
 
 
 def _forms_coprime_on_p1(f: BinaryForm, g: BinaryForm) -> bool:
-    affine = realroots.gcd_poly(f.coeffs, g.coeffs)
+    affine = gcd_over_q(f.coeffs, g.coeffs)
     if realroots.degree(affine) > 0:
         return False
     return f.infinity_multiplicity() == 0 or g.infinity_multiplicity() == 0

@@ -438,7 +438,7 @@ def test_one_determinant_and_one_chain_per_matrix(monkeypatch, matrix, analysis,
         return wrapper
 
     monkeypatch.setattr(conic, "_determinant", recorded(determinants, conic._determinant))
-    monkeypatch.setattr(realroots, "_sturm_chain", recorded(chains, realroots._sturm_chain))
+    monkeypatch.setattr(realroots, "sturm_sequence", recorded(chains, realroots.sturm_sequence))
     disc = discriminant(matrix)
     result = analyze(matrix)
     assert factored_str(disc) == rendered

@@ -6,7 +6,8 @@ to the polynomial; the closed form below degree three on every quadratic
 of a coefficient box, and the search that stops at a cofactor of degree
 two; the `conic discriminant` cases whose constant terms that
 trial division could not factor; and `realroots.deflate`, the exact division
-by a linear factor, against `divmod_poly`."""
+by a linear factor, against the long division over Q of
+`oracles.divmod_poly`."""
 
 import json
 import math
@@ -20,7 +21,7 @@ from realdp import realroots
 from realdp.cli import main
 from realdp.conic import analyze, construct_section, discriminant, factored_str
 
-from oracles import rational_roots_by_bisection, rational_roots_by_divisors
+from oracles import divmod_poly, rational_roots_by_bisection, rational_roots_by_divisors
 
 # Irreducible over Q: two without real roots, two with irrational real roots.
 QUADRATICS = ((1, 0, 1), (2, 1, 3), (-2, 0, 1), (-7, 2, 3))
@@ -183,7 +184,7 @@ def test_quadratics_and_linear_polynomials_in_closed_form(monkeypatch):
     def no_chain(*args):
         raise AssertionError("a Sturm chain was built")
 
-    monkeypatch.setattr(realroots, "_sturm_chain", no_chain)
+    monkeypatch.setattr(realroots, "sturm_sequence", no_chain)
     kinds = set()
     for c in range(-12, 13):
         for b in range(-12, 13):
@@ -287,7 +288,7 @@ def test_deflate_matches_divmod_poly():
             poly = (0,) + poly
         if rng.random() < 0.6:
             poly = realroots.mul(poly, (-num, den))
-        quot, rem = realroots.divmod_poly(poly, (-num, den))
+        quot, rem = divmod_poly(poly, (-num, den))
         integral = not rem and all(type(c) is int for c in quot)
         assert realroots.deflate(poly, num, den) == (quot if integral else None), (poly, num, den)
     assert realroots.deflate((-6, 1, 1), -3, 1) == (-2, 1)  # (x + 3)(x - 2)

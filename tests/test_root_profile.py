@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from realdp import realroots
+from realdp.intlinalg import primitive_vector
 
 from oracles import root_profile_by_chains, root_profile_by_decomposition, sturm_chain_by_division, sturm_sequence_over_q
 
@@ -183,7 +184,8 @@ def test_sturm_sequence_is_a_positive_multiple_of_the_chain_over_q():
         scale = math.lcm(*(c.denominator for c in poly))
         for coeffs in (poly, tuple(int(c * scale) for c in poly)):
             while realroots.degree(coeffs) > 0:
-                chain, over_q = realroots.sturm_sequence(coeffs), sturm_sequence_over_q(coeffs)
+                chain = realroots.sturm_sequence(primitive_vector(coeffs))
+                over_q = sturm_sequence_over_q(coeffs)
                 assert len(chain) == len(over_q), coeffs
                 for element, reference in zip(chain, over_q):
                     assert all(type(c) is int for c in element), coeffs
@@ -207,7 +209,7 @@ def test_sturm_sequence_is_the_division_chain():
     for poly in polys:
         coeffs = realroots.normalize(poly)
         while True:
-            chain = realroots.sturm_sequence(coeffs)
+            chain = realroots.sturm_sequence(primitive_vector(coeffs))
             assert chain == sturm_chain_by_division(coeffs), coeffs
             assert all(type(c) is int for element in chain for c in element), coeffs
             if realroots.degree(chain[-1]) < 1:

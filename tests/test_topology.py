@@ -723,6 +723,34 @@ def test_subspace_validation():
         linking_number(square_cycle(Fraction(1, 4)), e, GreatSubsphere(2, ((1, 0, 0),)))
 
 
+def test_independent_matches_sympy_rank():
+    """One to three small rational vectors in Q^3 and Q^4, with zero vectors,
+    repeats and dependent triples u, v, a u + b v among them: the Gram
+    determinant is nonzero exactly when sympy's exact rank is full."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20254)
+
+    def vector(n):
+        if rng.random() < 0.1:
+            return (0,) * n
+        return tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+
+    seen = set()
+    for _ in range(600):
+        n, k = rng.choice((3, 4)), rng.randint(1, 3)
+        vectors = [vector(n) for _ in range(k)]
+        if k == 3 and rng.random() < 0.3:
+            a, b = Fraction(rng.randint(-3, 3), rng.randint(1, 2)), rng.randint(-2, 2)
+            vectors[2] = tuple(a * x + b * y for x, y in zip(vectors[0], vectors[1]))
+        elif k > 1 and rng.random() < 0.1:
+            vectors[-1] = vectors[0]
+        full = sympy.Matrix(vectors).rank() == k
+        assert topology._independent(vectors) == full, vectors
+        seen.add((k, full, any(not any(v) for v in vectors)))
+    assert {(k, full) for k, full, _ in seen} == {(k, full) for k in (1, 2, 3) for full in (True, False)}
+    assert (3, False, False) in seen and (1, False, True) in seen
+
+
 def test_hypersurface_spec_is_an_immutable_value():
     assert_value_semantics(sphere_quadric, ("degree", "terms"), empty_quadric())
     halves = HypersurfaceSpec(2, tuple((e, Fraction(c, 2)) for e, c in sphere_quadric().terms))
