@@ -37,13 +37,13 @@ first equation of E not parallel to n.  Projection from E sends a point x
 off E to [x . n : x . c] in the pencil RP^1 of hyperplanes through E, and L
 is the point [0 : 1].  The linking number of a PL cycle with E is the degree
 of this map on the cycle: the signed count of the cycle's crossings of L.
-Points of cycles are nonzero rational vectors read as rays on S^n and stored
-as primitive integer vectors, one per ray, as are the normals of E and L;
-the segment between consecutive rays is their nonnegative span, and the
-cycle closes back to its first ray or to that ray's antipode.  A segment
-from p to q crosses L where alpha = p . n and beta = q . n differ in sign, at
-the ray of +-(beta p - alpha q), so every sign is an exact integer sign.
-Non-transversal configurations are rejected, never perturbed.
+Points of cycles are nonzero rational vectors read as rays on S^n, stored as
+primitive integer vectors like the normals of E and L; a segment is the
+nonnegative span of consecutive rays, and the cycle closes back to its first
+ray or its antipode.  A segment from p to q crosses L where alpha = p . n and
+beta = q . n differ in sign, at the ray of +-(beta p - alpha q), on the side
+of beta (p . c) - alpha (q . c): x . n is read at every vertex, x . c only at
+crossing ends and at vertices on L.  Non-transversal input is rejected.
 """
 
 from __future__ import annotations
@@ -303,8 +303,7 @@ class GreatSubsphere(Value):
 
 
 def _independent(vectors) -> bool:
-    """Whether rational vectors are linearly independent: their Gram
-    determinant det(u . v) is nonzero."""
+    """Whether rational vectors are linearly independent: det(u . v) != 0."""
     return determinant([[dot(u, v) for v in vectors] for u in vectors]) != 0
 
 
@@ -367,30 +366,31 @@ def linking_number(cycle: PLCycle, e: GreatSubsphere, chain: GreatSubsphere | No
     """Degree of the projection from the center e on the cycle: the signed
     count of the stored segments' crossings of the hyperplane L.
 
-    `chain` is L, a hyperplane containing e; when omitted it is the zero set
-    of e's first normal.  A segment from p to q with alpha = p.n and beta =
-    q.n of opposite signs adds the sign of c.(beta p - alpha q), the side of
-    the center on which it crosses L.  Only |lk| is meaningful downstream: it
-    does not depend on the choice of L for transversal input.  A vertex on
-    the center, then a vertex on L, then a crossing through the center is
-    rejected with its index in the stored cycle ("perturb input").
+    `chain` is L, a hyperplane containing e; when omitted it is the zero set of
+    e's first normal.  A segment from p to q with alpha = p.n and beta = q.n of
+    opposite signs adds the sign of beta (p.c) - alpha (q.c): x.n is read at
+    every vertex, x.c only at crossing ends and at vertices on L.  Only |lk| is
+    meaningful downstream: it does not depend on L for transversal input.  A
+    vertex on the center, then a vertex on L, then a crossing through the
+    center is rejected with its index in the stored cycle ("perturb input").
     """
     if cycle.ambient != e.ambient:
         raise ValueError("cycle and center live in different ambient spaces")
     n_l, c = _projection(e, chain)
-    images = [(dot(p, n_l), dot(p, c)) for p in cycle.points]
-    for idx, image in enumerate(images):
-        if image == (0, 0):
-            raise ValueError(f"perturb input: cycle vertex {idx} lies on the center")
-    for idx, (alpha, _) in enumerate(images):
-        if alpha == 0:
-            raise ValueError(f"perturb input: cycle vertex {idx} lies on the hyperplane")
-    first = images[0]
-    closing = first if cycle.closure == "sphere" else (-first[0], -first[1])
+    points = cycle.points
+    alphas = [dot(p, n_l) for p in points]
+    if 0 in alphas:  # L contains the center, so only these vertices can lie on it
+        on_l = [idx for idx, alpha in enumerate(alphas) if not alpha]
+        for idx in on_l:
+            if not dot(points[idx], c):
+                raise ValueError(f"perturb input: cycle vertex {idx} lies on the center")
+        raise ValueError(f"perturb input: cycle vertex {on_l[0]} lies on the hyperplane")
+    sphere = cycle.closure == "sphere"
+    ends = points[1:] + (points[0] if sphere else realroots.neg(points[0]),)
     total = 0
-    for idx, ((alpha, a), (beta, b)) in enumerate(zip(images, images[1:] + [closing])):
+    for idx, (alpha, beta) in enumerate(zip(alphas, alphas[1:] + [alphas[0] if sphere else -alphas[0]])):
         if (alpha > 0) != (beta > 0):
-            side = beta * a - alpha * b
+            side = beta * dot(points[idx], c) - alpha * dot(ends[idx], c)
             if side == 0:
                 raise ValueError(f"perturb input: segment {idx} crosses the center")
             total += 1 if side > 0 else -1

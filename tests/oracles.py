@@ -9,10 +9,11 @@ lattice is the fixed part of its conjugation; the Smith normal form checks
 primitivity and kernel saturation in the lattice tests; the linking criterion
 sums linking numbers over the components of a curve, and the winding number
 of the full preimage of a cycle on S^n, summed in floats, checks the signed
-`topology.linking_number`.  Matrix products,
-inverses and signatures check isometries, involutions and the signature
-certificate of the class enumeration; the Fincke-Pohst search on a rational
-LDL^T factorisation checks the fraction-free one of
+`topology.linking_number`, as does the loop that takes both functionals
+x.n and x.c at every vertex, which also checks its rejections.  Matrix
+products, inverses and signatures check isometries, involutions and the
+signature certificate of the class enumeration; the Fincke-Pohst search on
+a rational LDL^T factorisation checks the fraction-free one of
 `intlinalg.enumerate_quadratic`, and its pivots check the Bareiss minors; a
 squarefree decomposition with one Sturm count per part, and a Sturm chain
 at every multiplicity level down to degree two, check
@@ -46,7 +47,7 @@ from math import gcd, isqrt, lcm
 from realdp import realroots, topology
 from realdp.catalog import SurfaceModel
 from realdp.conic import BinaryForm, ConicMatrix
-from realdp.intlinalg import int_tuple, mat_vec, primitive_vector
+from realdp.intlinalg import dot, int_tuple, mat_vec, primitive_vector
 from realdp.lattice import ClassVector
 from realdp.search import ConditionReport, check_conditions
 from realdp.topology import GreatSubsphere, HyperbolicityVerdict, PLCycle, SplitMix64, linking_number
@@ -336,6 +337,33 @@ def winding_of_lift(cycle: PLCycle, e: GreatSubsphere, chain: GreatSubsphere | N
         for (x0, y0), (x1, y1) in zip(images, images[1:] + images[:1]):
             angle += math.atan2(x0 * y1 - y0 * x1, x0 * x1 + y0 * y1)
     return round(angle / (2 * math.pi))
+
+
+def linking_number_by_images(cycle: PLCycle, e: GreatSubsphere, chain: GreatSubsphere | None = None) -> int:
+    """`topology.linking_number` from the image (x.n, x.c) of every vertex:
+    two dot products per vertex, a scan of the images for a vertex on the
+    center, a second scan for a vertex on L, and a closing image built for
+    the last segment."""
+    if cycle.ambient != e.ambient:
+        raise ValueError("cycle and center live in different ambient spaces")
+    n_l, c = topology._projection(e, chain)
+    images = [(dot(p, n_l), dot(p, c)) for p in cycle.points]
+    for idx, image in enumerate(images):
+        if image == (0, 0):
+            raise ValueError(f"perturb input: cycle vertex {idx} lies on the center")
+    for idx, (alpha, _) in enumerate(images):
+        if alpha == 0:
+            raise ValueError(f"perturb input: cycle vertex {idx} lies on the hyperplane")
+    first = images[0]
+    closing = first if cycle.closure == "sphere" else (-first[0], -first[1])
+    total = 0
+    for idx, ((alpha, a), (beta, b)) in enumerate(zip(images, images[1:] + [closing])):
+        if (alpha > 0) != (beta > 0):
+            side = beta * a - alpha * b
+            if side == 0:
+                raise ValueError(f"perturb input: segment {idx} crosses the center")
+            total += 1 if side > 0 else -1
+    return total
 
 
 def identity(n):

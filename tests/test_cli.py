@@ -109,13 +109,21 @@ def golden_cases(*commands):
 
 
 def replay(capsys, tmp_path, case):
-    """Exit code and stdout of one golden case, each of its documents
-    written to a file in place of its placeholder argument."""
+    """Exit code and stdout of one golden case, and its stderr when the case
+    records one, each of its documents written to a file in place of its
+    placeholder argument."""
     paths = {}
     for name, doc in case.get("documents", {}).items():
         paths[name] = tmp_path / f"{name.lower()}.json"
         paths[name].write_text(json.dumps(doc), encoding="utf-8")
-    return run(capsys, [str(paths[arg]) if arg in paths else arg for arg in case["argv"]])
+    code = main([str(paths[arg]) if arg in paths else arg for arg in case["argv"]])
+    captured = capsys.readouterr()
+    return (code, captured.out) + ((captured.err,) if "stderr" in case else ())
+
+
+def recorded(case):
+    """What `replay` must return for a golden case."""
+    return (case["exit"], case["stdout"]) + ((case["stderr"],) if "stderr" in case else ())
 
 
 def test_catalogue_stdout_matches_golden(capsys, tmp_path):
@@ -130,7 +138,7 @@ def test_catalogue_stdout_matches_golden(capsys, tmp_path):
     checked = {c["argv"][1] for c in cases if c["argv"][0] == "check"}
     assert checked == {"D2", "P2", "Q31", "B1", "D4_2_0_11", "P2_0_8"}
     for case in cases:
-        assert replay(capsys, tmp_path, case) == (case["exit"], case["stdout"]), case["argv"]
+        assert replay(capsys, tmp_path, case) == recorded(case), case["argv"]
 
 
 def test_conic_stdout_matches_golden(capsys, tmp_path):
@@ -149,26 +157,30 @@ def test_conic_stdout_matches_golden(capsys, tmp_path):
     assert sum("documents" in c for c in cases) == 25
     assert {c["exit"] for c in cases} == {0, 1, 2}
     for case in cases:
-        assert replay(capsys, tmp_path, case) == (case["exit"], case["stdout"]), case["argv"]
+        assert replay(capsys, tmp_path, case) == recorded(case), case["argv"]
 
 
 def test_link_and_hyp_stdout_matches_golden(capsys, tmp_path):
     """`link` on an oval around the center, an oval beside it, a pseudoline,
     and a ring and a line in RP^3, each with and without a `chain`
-    hyperplane; `hyp` on the sphere quadric from a center inside (supported,
-    with 200 and with 100,000 trials) and outside (refuted), on the cylinder
+    hyperplane, and refusing a cycle with a vertex on the center after one
+    on L, one with a vertex on L and one with a segment through the center;
+    `hyp` on the sphere quadric from a center inside (supported, with 200
+    and with 100,000 trials) and outside (refuted), on the cylinder
     x1^2 + x2^2 - x0^2 from [1:0:0:0] (supported over all its trials), on the
     hyperboloid x1^2 + x2^2 - x3^2 - x0^2 from [2:0:0:3] (refuted at trial
     6), and refusing the seed -1 in json; json and text: exit code and stdout
-    byte for byte as recorded in cli_golden.json.  The signed linking numbers
-    of the json payload are pinned too."""
+    byte for byte as recorded in cli_golden.json, and stderr too for the
+    three `link` refusals, whose text message goes there.  The signed
+    linking numbers of the json payload are pinned too."""
     cases = golden_cases("link", "hyp")
     links = [c for c in cases if c["argv"][0] == "link"]
-    assert len(links) == 16 and sum("chain" in c["documents"]["CENTER"] for c in links) == 8
+    assert len(links) == 22 and sum("chain" in c["documents"]["CENTER"] for c in links) == 8
+    assert sum(c["exit"] == 2 and "stderr" in c for c in links) == 6
     assert len(cases) - len(links) == 11
     assert {c["exit"] for c in cases} == {0, 1, 2}
     for case in cases:
-        assert replay(capsys, tmp_path, case) == (case["exit"], case["stdout"]), case["argv"]
+        assert replay(capsys, tmp_path, case) == recorded(case), case["argv"]
 
 
 def test_enumerate(capsys):

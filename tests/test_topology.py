@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from realdp.intlinalg import dot
-from realdp.realroots import squarefree_decomposition, sturm_count
+from realdp.realroots import neg, squarefree_decomposition, sturm_count
 from realdp import topology
 from realdp.topology import (
     GreatSubsphere,
@@ -21,6 +21,7 @@ from oracles import (
     hyperbolicity_by_fraction_draws,
     hyperbolicity_check_by_trials,
     hyperbolicity_from_linking,
+    linking_number_by_images,
     restrict_by_expansion,
     winding_of_lift,
 )
@@ -689,6 +690,74 @@ def test_rejections_index_the_stored_cycle():
             crossing = [dot(q, n) * a - dot(p, n) * b for a, b in zip(p, q)]
             assert all(dot(crossing, m) == 0 for m in e.normals)
     assert seen == {"lies on the center", "lies on the hyperplane", "crosses the center"}
+
+
+def test_linking_number_matches_the_image_oracle():
+    """The one-functional loop and the oracle that takes both x.n and x.c at
+    every vertex give equal values or equal messages: on 2,000 seeded draws,
+    at least 100 for each ambient space, closure and chain given or omitted,
+    with coordinates in [-1, 1] (many rejections) or [-3, 3], and on planted
+    cycles: a vertex on L, a vertex on the center, a vertex on L before one on
+    the center (the center is reported), and a segment through the center."""
+    rng = random.Random(26)
+    drawn_by_kind = {(a, c, g): 0 for a in (2, 3) for c in ("sphere", "antipode") for g in (False, True)}
+    seen = set()
+    draws = 0
+    while draws < 2000 or min(drawn_by_kind.values()) < 100:
+        drawn = random_linking_input(rng, rng.choice((1, 3)))
+        if drawn is None:
+            continue
+        expected = _outcome(linking_number_by_images, *drawn)
+        assert _outcome(linking_number, *drawn) == expected, drawn
+        drawn_by_kind[drawn[0].ambient, drawn[0].closure, drawn[2] is not None] += 1
+        seen.add("value" if type(expected) is int else re.fullmatch(r"ValueError: perturb input: \D+ \d+ (.*)", expected)[1])
+        draws += 1
+    assert seen == {"value", "lies on the center", "lies on the hyperplane", "crosses the center"}
+    e, l = chart_origin(), chart_axis()  # the center [1:0:0] and L: x2 = 0
+    planted = {
+        ((1, 1, 1), (1, -1, 0), (1, -1, -1)): "perturb input: cycle vertex 1 lies on the hyperplane",
+        ((1, 1, 1), (1, -1, 1), (1, 0, 0)): "perturb input: cycle vertex 2 lies on the center",
+        ((1, 1, 0), (1, 1, 1), (1, 0, 0)): "perturb input: cycle vertex 2 lies on the center",
+        ((1, -1, 1), (1, 1, 1), (1, 0, 1), (1, 0, -1)): "perturb input: segment 2 crosses the center",
+    }
+    for points, message in planted.items():
+        for closure in ("sphere", "antipode"):
+            cycle = PLCycle(2, closure, points)
+            for chain in (l, None):
+                assert _outcome(linking_number, cycle, e, chain) == _outcome(linking_number_by_images, cycle, e, chain)
+            assert _outcome(linking_number, cycle, e, l) == f"ValueError: {message}"
+
+
+def test_linking_number_reads_the_side_only_at_crossings(monkeypatch):
+    """On an oval around the center, an oval beside it and a pseudoline, each
+    refined to 256 vertices and turned by a rational rotation, the dot
+    products taken with a cycle vertex (or the antipode closing it) number
+    one per vertex and two per crossing of L."""
+    rng = random.Random(256)
+    e, l = chart_origin(), chart_axis()
+    calls = []
+
+    def counted(u, v):
+        calls.append(u)
+        return dot(u, v)
+
+    monkeypatch.setattr(topology, "dot", counted)
+    shapes = ((square_cycle(Fraction(1, 4)), 6, 2), (square_cycle(Fraction(1, 4), shift=2), 6, 0),
+              (pseudoline_cycle(), 7, 1))
+    for cycle, refinements, expected in shapes:
+        for _ in range(refinements):
+            cycle = refine_cycle(cycle)
+        rot = cayley_rotation(rng, 3)
+        cycle, center, chain = rotate_cycle(rot, cycle), rotate_subspace(rot, e), rotate_subspace(rot, l)
+        points = cycle.points
+        alphas = [dot(p, chain.normals[0]) for p in points]
+        closing = alphas[0] if cycle.closure == "sphere" else -alphas[0]
+        crossings = sum((a > 0) != (b > 0) for a, b in zip(alphas, alphas[1:] + [closing]))
+        vertices = set(points) | {neg(p) for p in points}
+        calls.clear()
+        assert abs(linking_number(cycle, center, chain)) == expected
+        assert len(points) == 256 and crossings >= 1
+        assert sum(u in vertices for u in calls) == len(points) + 2 * crossings
 
 
 def test_cycle_validation():
