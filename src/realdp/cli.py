@@ -16,6 +16,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import isqrt
 
 from .catalog import SURFACE_NAMES, builtin
 from .conic import (
@@ -110,11 +111,30 @@ _MAX_HYP_TRIALS = 100_000
 # from d = 24 up.  `hyp` refuses a run whose trials would take longer than
 # the budget at that rate; up to degree 10 even 100,000 trials fit in it.
 _HYP_TRIAL_US_AT_32 = 600_000
-_HYP_BUDGET_S = 60
+_BUDGET_S = 60
 # A cold `conic discriminant` (same machine, splitting [0, 0, N], coefficients
 # in [-3, 3]) takes 0.3 s at discriminant degree 128, 3.1 s at 256 and 49 s
 # and 170 MB at 512: the time grows about as d^3.5 to d^4.
 _MAX_CONIC_DEGREE = 256
+# Cold `conic discriminant` / `conic analyze` runs (same machine, Python
+# 3.11) on a general section of splitting [0, 0, d/2] with random entries
+# of b bits took, in seconds (one figure where the two are within 10%):
+#
+#   d = 256:  6.6 at b = 4,  39 / 42 at 16
+#   d = 128:  0.5 at b = 4,  3.3 / 2.5 at 16,  8.9 at 32,  32 / 29 at 64
+#   d = 64:   0.1 at b = 4,  0.3 at 16,  2.5 at 64,  7.6 / 7.1 at 128,  29 / 25 at 256
+#   d = 32:   0.3 at b = 64,  2.5 / 2.0 at 256,  17 / 6.2 at 512
+#   d = 16:   18 / 1.3 at b = 1024,  41 / 4.5 at 2048
+#   d = 8:    61 / 0.7 at b = 4096
+#
+# Every `analyze` time is at most 3.4 s * (d / 64)^3.5 * ((b + 4) / 64)^2,
+# the cost of the Sturm chains, which the (256, 16) run reaches; every
+# `discriminant` time is at most that plus 13 s * (d / 16) * (b / 1024)^1.5
+# for its rational-root search, which the (8, 4096) run reaches.  The VM
+# runs at two speeds about 2x apart, and these are times at the faster one,
+# so the constants below are twice them: the bounds at the slower speed.
+_CONIC_STURM_US_AT_64_60 = 6_800_000
+_CONIC_ROOT_SEARCH_US_AT_16_1024 = 26_000_000
 
 
 def _splitting(doc) -> list:
@@ -253,15 +273,33 @@ def _cmd_conic_chow(args):
     return 0, data, text
 
 
+def _conic_matrix_within_budget(path, command) -> ConicMatrix:
+    """The conic matrix at `path`, refused before its determinant when the
+    time predicted for `command` from its discriminant degree d and its
+    largest entry bit size b is over the budget."""
+    matrix = _document(path, "conic matrix", _parse_conic_matrix)
+    d = 2 * sum(matrix.splitting)
+    b = max(abs(c).bit_length() for row in matrix.entries for q in row for c in q.coeffs)
+    us = _CONIC_STURM_US_AT_64_60 * isqrt(d**7) * (b + 4) ** 2 // (2**21 * 64**2)
+    if command == "discriminant":
+        us += _CONIC_ROOT_SEARCH_US_AT_16_1024 * d * isqrt(b**3) // (16 * 2**15)
+    if us > _BUDGET_S * 10**6:
+        raise ValueError(
+            f"conic {command} at discriminant degree {d} with {b}-bit entries would take about "
+            f"{us // 10**6} s, over the {_BUDGET_S} s budget"
+        )
+    return matrix
+
+
 def _cmd_conic_discriminant(args):
-    disc = discriminant(_document(args.file, "conic matrix", _parse_conic_matrix))
+    disc = discriminant(_conic_matrix_within_budget(args.file, "discriminant"))
     rendered = factored_str(disc)
     payload = {"degree": disc.degree, "coeffs": list(disc.coeffs), "rendered": rendered}
     return 0, payload, rendered
 
 
 def _cmd_conic_analyze(args):
-    result = analyze(_document(args.file, "conic matrix", _parse_conic_matrix))
+    result = analyze(_conic_matrix_within_budget(args.file, "analyze"))
     payload = {
         "total": result.total_fibers,
         "real": result.real_fibers,
@@ -290,10 +328,10 @@ def _cmd_hyp(args):
     if len(point) != 4:
         raise ValueError("--point needs four comma-separated rationals")
     trial_us = _HYP_TRIAL_US_AT_32 * surface.degree**6 // 32**6
-    if args.trials * trial_us > _HYP_BUDGET_S * 10**6:
+    if args.trials * trial_us > _BUDGET_S * 10**6:
         raise ValueError(
             f"{args.trials} trials at degree {surface.degree} would take about "
-            f"{args.trials * trial_us // 10**6} s, over the {_HYP_BUDGET_S} s budget of hyp"
+            f"{args.trials * trial_us // 10**6} s, over the {_BUDGET_S} s budget of hyp"
         )
     verdict = hyperbolicity_check(surface, point, args.trials, args.seed)
     payload = {

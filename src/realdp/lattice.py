@@ -39,9 +39,6 @@ class IntLattice(intlinalg.Value):
     def vector(self, coeffs) -> "ClassVector":
         return ClassVector(self, coeffs)
 
-    def basis_vector(self, i) -> "ClassVector":
-        return self.vector(tuple(int(j == i) for j in range(self.rank)))
-
     def pair(self, u: "ClassVector", v: "ClassVector") -> int:
         """Intersection product u.v = u^T * gram * v."""
         if not (u.lattice is self or u.lattice == self) or not (v.lattice is self or v.lattice == self):
@@ -141,18 +138,3 @@ def enumerate_classes(lattice: IntLattice, k: ClassVector, self_int, k_min, k_ma
             out.append(v)
     out.sort(key=lambda v: v.coeffs)
     return out
-
-
-def geiser_bertini(d: ClassVector, k: ClassVector) -> ClassVector:
-    """Reflection fixing K and acting by -1 on its orthogonal complement.
-
-    D |-> -D + 2 (D.K / K.K) K.  On a lattice with K.K = 2 this is the Geiser
-    involution, with K.K = 1 the Bertini involution; both are integral because
-    2 D.K is divisible by K.K in these two cases.
-    """
-    kk = k.dot(k)
-    if kk not in (1, 2):
-        raise ValueError("unsupported degree: K.K must be 1 or 2")
-    twice = 2 * d.dot(k)
-    assert twice % kk == 0
-    return -d + (twice // kk) * k

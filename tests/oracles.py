@@ -3,9 +3,12 @@
 Box enumeration checks the ellipsoid search of `realdp.search`, and
 ClassVector pairings with every (-1)-class, the genus and l(D) from D + K
 and D - K, and Di Rocco's very-ampleness test check the integer kernel of
-its `check_conditions`; Hermite
+its `check_conditions`; the conjugation of each surface built from its
+geometry (`declared_conjugation`: the conic-bundle swap, the Geiser and
+Bertini reflections, the ruling swap and the blow-up direct sums) checks
+the one that `catalog._model` derives from the real lattice; Hermite
 normal forms, integer kernels and fixed sublattices check that each real
-lattice is the fixed part of its conjugation; the Smith normal form checks
+lattice is the fixed part of that conjugation; the Smith normal form checks
 primitivity and kernel saturation in the lattice tests; the linking criterion
 sums linking numbers over the components of a curve, and the winding number
 of the full preimage of a cycle on S^n, summed in floats, checks the signed
@@ -48,7 +51,7 @@ from realdp import realroots, topology
 from realdp.catalog import SurfaceModel
 from realdp.conic import BinaryForm, ConicMatrix
 from realdp.intlinalg import dot, int_tuple, mat_vec, primitive_vector
-from realdp.lattice import ClassVector
+from realdp.lattice import ClassVector, IntLattice
 from realdp.search import ConditionReport, check_conditions
 from realdp.topology import GreatSubsphere, HyperbolicityVerdict, PLCycle, SplitMix64, linking_number
 
@@ -310,6 +313,88 @@ def fixed_sublattice(lattice, sigma):
     n = lattice.rank
     m = [[sigma[i][j] - int(i == j) for j in range(n)] for i in range(n)]
     return [lattice.vector(row) for row in kernel_basis(m)]
+
+
+def basis_vector(lattice, i) -> ClassVector:
+    """The i-th basis vector of `lattice`."""
+    return lattice.vector(tuple(int(j == i) for j in range(lattice.rank)))
+
+
+def geiser_bertini(d: ClassVector, k: ClassVector) -> ClassVector:
+    """Reflection fixing K and acting by -1 on its orthogonal complement.
+
+    D |-> -D + 2 (D.K / K.K) K.  On a lattice with K.K = 2 this is the Geiser
+    involution, with K.K = 1 the Bertini involution; both are integral because
+    2 D.K is divisible by K.K in these two cases.
+    """
+    kk = k.dot(k)
+    if kk not in (1, 2):
+        raise ValueError("unsupported degree: K.K must be 1 or 2")
+    twice = 2 * d.dot(k)
+    assert twice % kk == 0
+    return -d + (twice // kk) * k
+
+
+def _conic_bundle_involution(n_exceptional):
+    """Conjugation of a minimal conic bundle on Z^{1,n}, n odd.
+
+    Fixes F = H - E1 and K, and swaps the two lines through the first blown-up
+    point in every singular fiber: E_j <-> H - E1 - E_j for j >= 2.  Columns
+    follow by solving sigma(F) = F, sigma(K) = K.
+    """
+    half = (n_exceptional + 1) // 2
+    cols = []
+    cols.append([half, -(half - 1)] + [-1] * (n_exceptional - 1))  # image of H
+    cols.append([half - 1, -(half - 2)] + [-1] * (n_exceptional - 1))  # image of E1
+    for j in range(2, n_exceptional + 1):
+        col = [1, -1] + [0] * (n_exceptional - 1)
+        col[j] = -1  # image of E_j is H - E1 - E_j
+        cols.append(col)
+    return tuple(zip(*cols))
+
+
+def _anticanonical_reflection(n_exceptional):
+    """Matrix of D |-> -D + 2 (D.K / K.K) K on Z^{1,n} (n in {7, 8}, so that
+    K.K is 2 or 1): the Geiser or Bertini involution."""
+    gram = tuple(tuple((1 if i == 0 else -1) * int(i == j) for j in range(n_exceptional + 1))
+                 for i in range(n_exceptional + 1))
+    cx = IntLattice(n_exceptional + 1, ("H",) + tuple(f"E{i}" for i in range(1, n_exceptional + 1)), gram)
+    k = cx.vector((-3,) + (1,) * n_exceptional)
+    cols = [geiser_bertini(basis_vector(cx, j), k).coeffs for j in range(cx.rank)]
+    return tuple(zip(*cols))
+
+
+_MINIMAL_CONJUGATIONS = {
+    "P2": lambda: ((1,),),
+    "Q31": lambda: ((0, 1), (1, 0)),  # swaps the two rulings
+    "D4": lambda: _conic_bundle_involution(5),
+    "D2": lambda: _conic_bundle_involution(7),
+    "G2": lambda: _anticanonical_reflection(7),
+    "B1": lambda: _anticanonical_reflection(8),
+}
+
+
+def declared_conjugation(name):
+    """The conjugation of a catalogued surface, built from its geometry and
+    not from its real lattice.
+
+    A minimal surface has the identity (P2), the swap of the two rulings
+    (Q31), the conic-bundle swap E_j <-> H - E1 - E_j (D4, D2) or the Geiser
+    or Bertini involution (G2, B1).  A blow-up `<base>_<a>_<2b>` (an optional
+    `_11` suffix names where its a real points lie) has the direct sum of the
+    base's conjugation with the identity on its a real exceptional classes and
+    the swap on each of its b conjugate pairs.
+    """
+    base, *counts = name.split("_")
+    sigma = _MINIMAL_CONJUGATIONS[base]()
+    if counts:
+        a, m = int(counts[0]), int(counts[0]) + int(counts[1])
+        left = len(sigma)
+        block = [tuple(int(k == i) for k in range(m)) for i in range(a)]
+        block += [row for i in range(a, m, 2) for row in (tuple(int(k == i + 1) for k in range(m)),
+                                                          tuple(int(k == i) for k in range(m)))]
+        sigma = tuple(row + (0,) * m for row in sigma) + tuple((0,) * left + row for row in block)
+    return sigma
 
 
 def hyperbolicity_from_linking(components, e: GreatSubsphere, chain: GreatSubsphere | None, claimed_degree: int) -> bool:

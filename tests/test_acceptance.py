@@ -17,7 +17,6 @@ from realdp.conic import (
     surface_class_identities,
 )
 from realdp.intlinalg import mat_vec
-from realdp.lattice import geiser_bertini
 from realdp.search import check_conditions, search, table1
 from realdp.topology import (
     GreatSubsphere,
@@ -26,7 +25,10 @@ from realdp.topology import (
 )
 
 from oracles import (
+    basis_vector,
+    declared_conjugation,
     fixed_sublattice,
+    geiser_bertini,
     hnf,
     hyperbolicity_from_linking,
     is_involution,
@@ -194,7 +196,11 @@ def test_criterion_07_fixed_sublattice_oracle():
         assert is_involution(m.involution)
         assert is_isometry(m.involution, gram, gram)
         assert tuple(mat_vec(m.involution, m.complex_canonical.coeffs)) == m.complex_canonical.coeffs
-    report(7, "conjugation fixed lattice is <F, K> with the stated pairing; all involutions check")
+        # the real lattice is the fixed lattice of the geometric conjugation
+        fixed = fixed_sublattice(m.complex_lattice, declared_conjugation(name))
+        assert hnf([v.coeffs for v in fixed]) == hnf([tuple(col) for col in zip(*m.embedding)]), name
+    report(7, "conjugation fixed lattice is <F, K> with the stated pairing; all involutions check; "
+              "every real lattice is the fixed lattice of the declared conjugation")
 
 
 def test_criterion_08_line_counts_two_strategies():
@@ -214,7 +220,7 @@ def test_criterion_08_line_counts_two_strategies():
 
 def test_criterion_09_geiser_bertini_action():
     d2 = builtin("D2")
-    f, k = d2.real_lattice.basis_vector(0), d2.real_lattice.basis_vector(1)
+    f, k = basis_vector(d2.real_lattice, 0), basis_vector(d2.real_lattice, 1)
     assert geiser_bertini(f - k, k) == -1 * f - 3 * k
     assert geiser_bertini(-1 * f - 3 * k, k) == f - k
     lat = builtin("D2_1_0").real_lattice

@@ -12,7 +12,15 @@ from realdp.catalog import (
 )
 from realdp.intlinalg import mat_vec
 
-from oracles import fixed_sublattice, hnf, is_involution, is_isometry, smith_normal_form
+from oracles import (
+    basis_vector,
+    declared_conjugation,
+    fixed_sublattice,
+    hnf,
+    is_involution,
+    is_isometry,
+    smith_normal_form,
+)
 
 # (degree, s, r) per surface, in catalogue order
 TOPOLOGY = {
@@ -62,6 +70,13 @@ def test_involutions_are_conjugations():
         assert is_involution(sigma)
         assert is_isometry(sigma, gram, gram)
         assert tuple(mat_vec(sigma, model.complex_canonical.coeffs)) == model.complex_canonical.coeffs
+
+
+def test_involution_is_the_declared_conjugation():
+    """`_model` derives the conjugation from the real lattice; the oracle
+    builds it from the geometry of each surface."""
+    for name in SURFACE_NAMES:
+        assert builtin(name).involution == declared_conjugation(name), name
 
 
 def test_embedding_is_isometry_onto_fixed_sublattice():
@@ -212,17 +227,26 @@ def test_blow_up_rejects_bad_topology():
 
 def test_model_rejects_inconsistent_conjugation_data():
     q31, d4 = builtin("Q31"), builtin("D4")
-    # sigma = identity fixes all of Pic(Q31), a rank-two lattice, but the
-    # real basis has rank one
-    with pytest.raises(ValueError, match="Q31"):
-        _model("Q31", q31.complex_lattice, (-2, -2), ((1, 0), (0, 1)), ("H",), [(1, 1)], (-2,))
-    # 2F in place of F spans an index-two sublattice of the fixed lattice:
-    # |det G_real| grows from 4 to 16, and the derived r would be -2
     f, k = zip(*d4.embedding)
-    args = (d4.complex_lattice, k, d4.involution, ("F", "K"))
-    assert _model("D4", *args, [f, k], (0, 1)) == d4
-    with pytest.raises(ValueError, match="D4"):
-        _model("D4", *args, [tuple(2 * x for x in f), k], (0, 1))
+    assert _model("D4", d4.complex_lattice, k, ("F", "K"), [f, k]) == d4
+    h, e2 = (1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)
+    cases = [
+        # 2F in place of F spans an index-two sublattice of the fixed lattice:
+        # |det G_real| grows from 4 to 16, and the derived r would be -2
+        ("D4", d4, ("F", "K"), [tuple(2 * x for x in f), k], "no union of spheres and planes"),
+        # the reflection in <F + E2, K> is not an integral matrix
+        ("D4", d4, ("F+E2", "K"), [tuple(x + y for x, y in zip(f, e2)), k], "not integral"),
+        # all of Pic(Q31) as the real lattice: sigma is the identity, and the
+        # derived s would be -1
+        ("Q31", q31, ("l1", "l2"), [(1, 0), (0, 1)], "no union of spheres and planes"),
+        # K = -3H + E1 + ... + E5 is not a multiple of H
+        ("D4", d4, ("H",), [h], "K is not a class of the real lattice"),
+        # F.F = 0: the real pairing matrix is singular, and nothing divides by it
+        ("D4", d4, ("F",), [f], "singular"),
+    ]
+    for name, model, labels, columns, reason in cases:
+        with pytest.raises(ValueError, match=f"^{name}: .*{reason}"):
+            _model(name, model.complex_lattice, model.complex_canonical.coeffs, labels, columns)
 
 
 def test_blow_up_composition_gives_same_lattice():
@@ -260,7 +284,7 @@ def test_blow_up_models_satisfy_invariants():
 
 def test_real_to_complex():
     d2 = builtin("D2")
-    f = d2.real_lattice.basis_vector(0)
+    f = basis_vector(d2.real_lattice, 0)
     assert mat_vec(d2.embedding, f.coeffs) == [1, -1, 0, 0, 0, 0, 0, 0]
     for name in ("D2", "D4", "G2", "B1", "D4_1_0", "D2_1_0", "G2_1_0", "P2_0_6"):
         model = builtin(name)

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -148,13 +149,14 @@ def test_conic_stdout_matches_golden(capsys, tmp_path):
     with a repeated rational root, a degree-12 constructed section with a
     21-bit constant term, a form with u- and v-power factors and one with an
     irreducible cubic cofactor, and `discriminant` refusing a section of
-    degree 258: exit code and stdout byte for byte as recorded in
+    degree 258 and a degree-64 section with a 256-bit entry, whose predicted
+    time is over the budget: exit code and stdout byte for byte as recorded in
     cli_golden.json.  A case with a matrix or construction document holds
     it, written to a file in place of DOCUMENT."""
     cases = golden_cases("conic")
     assert {c["argv"][1] for c in cases} == {
         "conditions", "candidate", "chow", "construct", "discriminant", "analyze"}
-    assert sum("documents" in c for c in cases) == 25
+    assert sum("documents" in c for c in cases) == 26
     assert {c["exit"] for c in cases} == {0, 1, 2}
     for case in cases:
         assert replay(capsys, tmp_path, case) == recorded(case), case["argv"]
@@ -477,6 +479,42 @@ def test_conic_discriminant_degree_above_256_exits_2_at_once(capsys, tmp_path):
         assert time.perf_counter() - start < 1
         assert code == 2
         assert payload == {"status": "error", "message": "discriminant degree must be at most 256, got 258"}
+
+
+def write_general_section(tmp_path, n, bits):
+    """A general section on splitting [0, 0, n], whose discriminant has
+    degree 2n, with seeded entries of up to `bits` bits."""
+    rng = random.Random(f"{n}:{bits}")
+    splitting = [0, 0, n]
+    entries = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            degree = splitting[i] + splitting[j]
+            coeffs = [rng.randint(1 - 2**bits, 2**bits - 1) for _ in range(degree + 1)]
+            entries[i][j] = entries[j][i] = {"degree": degree, "coeffs": coeffs}
+    path = tmp_path / f"general_{n}_{bits}.json"
+    path.write_text(json.dumps({"splitting": splitting, "entries": entries}))
+    return str(path)
+
+
+@pytest.mark.parametrize("n, bits", [(64, 64), (32, 256)])
+def test_conic_work_over_the_budget_exits_2_at_once(capsys, tmp_path, n, bits):
+    """General sections of degree 128 with 64-bit entries and of degree 64
+    with 256-bit entries, which took about 30 s each on a 2-vCPU VM at the
+    faster of its two speeds, are over the 60 s budget at the slower one:
+    both commands refuse them from the degree and the entry size alone, in
+    json and in text, before any determinant."""
+    path = write_general_section(tmp_path, n, bits)
+    for command in ("discriminant", "analyze"):
+        for fmt in ("json", "text"):
+            start = time.perf_counter()
+            code = main(["conic", command, path, "--format", fmt])
+            assert time.perf_counter() - start < 1
+            out, err = capsys.readouterr()
+            assert code == 2
+            message = json.loads(out)["message"] if fmt == "json" else err.removeprefix("error: ")
+            assert message.rstrip("\n").count("\n") == 0 and "budget" in message
+            assert f"degree {2 * n}" in message and f"{bits}-bit" in message
 
 
 def test_conic_discriminant_degree_256_still_answers(capsys, tmp_path):

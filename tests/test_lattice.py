@@ -3,17 +3,24 @@ import random
 
 import pytest
 
-from realdp.catalog import builtin
+from realdp.catalog import SURFACE_NAMES, builtin
 from realdp.lattice import (
     IntLattice,
     adjunction_genus,
     enumerate_classes,
-    geiser_bertini,
     riemann_roch_dim,
 )
 
 from conftest import assert_value_semantics
-from oracles import fixed_sublattice, hnf, signature, zero_class
+from oracles import (
+    basis_vector,
+    declared_conjugation,
+    fixed_sublattice,
+    geiser_bertini,
+    hnf,
+    signature,
+    zero_class,
+)
 
 
 def d2_real():
@@ -26,7 +33,7 @@ def d2_1_0_real():
 
 def test_pair_worked_values():
     lat = d2_real()
-    f, k = lat.basis_vector(0), lat.basis_vector(1)
+    f, k = basis_vector(lat, 0), basis_vector(lat, 1)
     assert lat.pair(f, k) == -2
     assert lat.pair(f, f) == 0
     assert lat.pair(k, k) == 2
@@ -63,17 +70,17 @@ def _pairings(d, k):
 
 def test_adjunction_genus_values():
     b1 = IntLattice(1, ("K",), ((1,),))
-    k = b1.basis_vector(0)
+    k = basis_vector(b1, 0)
     assert adjunction_genus(*_pairings(-3 * k, k)) == 4
     assert adjunction_genus(*_pairings(zero_class(b1), k)) == 1
     lat = d2_real()
-    f, kk = lat.basis_vector(0), lat.basis_vector(1)
+    f, kk = basis_vector(lat, 0), basis_vector(lat, 1)
     assert adjunction_genus(*_pairings(f - kk, kk)) == 2
 
 
 def test_riemann_roch_values():
     b1 = IntLattice(1, ("K",), ((1,),))
-    k = b1.basis_vector(0)
+    k = basis_vector(b1, 0)
     assert riemann_roch_dim(*_pairings(-3 * k, k)) == 7
     assert riemann_roch_dim(*_pairings(zero_class(b1), k)) == 1
     g210 = builtin("G2_1_0").real_lattice
@@ -112,13 +119,19 @@ def test_fixed_sublattice_of_conjugation():
     assert hnf([v.coeffs for v in basis]) == hnf([f.coeffs, k.coeffs])
     gram = [[u.dot(v) for v in (f, k)] for u in (f, k)]
     assert gram == [[0, -2], [-2, 2]]
+    # every catalogued real lattice is the fixed lattice of the conjugation
+    # declared from the geometry, which the catalogue does not read
+    for name in SURFACE_NAMES:
+        model = builtin(name)
+        fixed = fixed_sublattice(model.complex_lattice, declared_conjugation(name))
+        assert hnf([v.coeffs for v in fixed]) == hnf([tuple(col) for col in zip(*model.embedding)]), name
 
 
 def test_enumerate_classes_worked_window():
     # Self-intersection 6 forces |v.K| = 4 here, so the window [-4, 4] sees
     # all four classes and [-4, 2] only the two with v.K = -4.
     lat = d2_real()
-    k = lat.basis_vector(1)
+    k = basis_vector(lat, 1)
     four = enumerate_classes(lat, k, 6, -4, 4)
     assert [v.coeffs for v in four] == [(-1, -3), (-1, 1), (1, -1), (1, 3)]
     two = enumerate_classes(lat, k, 6, -4, 2)
@@ -127,7 +140,7 @@ def test_enumerate_classes_worked_window():
 
 def test_enumerate_classes_zero():
     lat = d2_real()
-    k = lat.basis_vector(1)
+    k = basis_vector(lat, 1)
     zero_hits = enumerate_classes(lat, k, 0, 0, 0)
     assert zero_class(lat) in zero_hits
 
@@ -179,7 +192,7 @@ def test_enumerate_classes_box_oracle_high_rank():
 def test_enumerate_classes_requires_picard_type():
     negdef = IntLattice(2, ("a", "b"), ((-1, 0), (0, -1)))
     with pytest.raises(ValueError):
-        enumerate_classes(negdef, negdef.basis_vector(0), 0, 0, 0)
+        enumerate_classes(negdef, basis_vector(negdef, 0), 0, 0, 0)
     # Signature (2, 1) with K.K = 1 > 0 passes the canonical check, so only
     # the LDL^T factorisation of Q sees it; a normal window, an empty window
     # and a negative bound all reach it.
@@ -187,7 +200,7 @@ def test_enumerate_classes_requires_picard_type():
     assert signature(lat.gram) == (2, 1, 0)
     for self_int, k_min, k_max in ((-1, -1, -1), (0, 2, 1), (5, 0, 0)):
         with pytest.raises(ValueError, match=r"signature \(1, rank-1\)"):
-            enumerate_classes(lat, lat.basis_vector(0), self_int, k_min, k_max)
+            enumerate_classes(lat, basis_vector(lat, 0), self_int, k_min, k_max)
 
 
 def test_enumerate_classes_on_random_lattice_presentations():
@@ -232,7 +245,7 @@ def test_enumerate_classes_on_random_lattice_presentations():
 
 def test_geiser_bertini_worked():
     lat = d2_real()
-    f, k = lat.basis_vector(0), lat.basis_vector(1)
+    f, k = basis_vector(lat, 0), basis_vector(lat, 1)
     assert geiser_bertini(f - k, k) == -1 * f - 3 * k
     assert geiser_bertini(k, k) == k
     lat3 = d2_1_0_real()

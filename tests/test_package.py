@@ -204,6 +204,7 @@ def _strict_constructors():
     from realdp.lattice import ClassVector, IntLattice
     from realdp.topology import GreatSubsphere, HypersurfaceSpec, PLCycle, hyperbolicity_check
     from conftest import sphere_quadric
+    from oracles import basis_vector
 
     lattice = builtin("D2").real_lattice
     sphere = sphere_quadric()
@@ -226,7 +227,7 @@ def _strict_constructors():
         "blow_up.conj_pairs": lambda x: blow_up(builtin("Q31"), conj_pairs=x),
         "IntLattice.vector": lambda x: lattice.vector((x, -1)),
         "ClassVector": lambda x: ClassVector(lattice, (x, -1)),
-        "ClassVector.__rmul__": lambda x: x * lattice.basis_vector(0),
+        "ClassVector.__rmul__": lambda x: x * basis_vector(lattice, 0),
         "HypersurfaceSpec": lambda x: HypersurfaceSpec(2, (((x, 1, 0, 0), 1), ((0, 0, 2, 0), 1))),
         "HypersurfaceSpec.degree": lambda x: HypersurfaceSpec(x, (((1, 0, 0, 0), 1),)),
         "GreatSubsphere.ambient": lambda x: GreatSubsphere(x, ((0, 0, 1),)),

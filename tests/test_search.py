@@ -5,7 +5,7 @@ import pytest
 from realdp import search as search_module
 from realdp.catalog import SURFACE_NAMES, builtin
 from realdp.intlinalg import mat_vec
-from realdp.lattice import ClassVector, IntLattice, geiser_bertini
+from realdp.lattice import ClassVector, IntLattice
 from realdp.search import (
     check_conditions,
     format_table_text,
@@ -19,6 +19,7 @@ from realdp.search import (
 from oracles import (
     brute_force_search,
     check_conditions_by_pairings,
+    geiser_bertini,
     self_intersection_candidates,
     very_ample,
     zero_class,
