@@ -98,18 +98,17 @@ def _conic_matrix_json(matrix: ConicMatrix):
     }
 
 
-# Costs at degree 64 of one `hyp` trial (Python 3.11, 2-vCPU Xeon VM): the
-# dense form (all 47,905 monomials, centre 3,1,-1,2) has 814,385 polar
-# monomials, and computing them and refuting at the first line takes 6 to 9 s
-# and about 180 MB.  100,000 trials on a quadric take about 5 s unless its
-# line discriminant is positive definite (the sphere from inside): no line then.
+# At degree 64 (Python 3.11, 2-vCPU Xeon VM) the dense form (47,905 monomials,
+# centre 3,1,-1,2) has 47,905 polar terms on x_j = 0, computed in 0.5 s; one
+# refuting `hyp` trial takes 1.1 s and 44 MB.  100,000 quadric trials take
+# about 2 s, and none is drawn when the line discriminant is positive definite.
 _MAX_HYP_DEGREE = 64
 _MAX_HYP_TRIALS = 100_000
 # A supported trial on the product of d/2 nested spheres (centre 4,1,-1,1,
-# seed 0; same machine), restriction and Sturm test, takes 0.014, 0.12 and
-# 0.61 s at d = 16, 24 and 32 and 34 s at d = 64: about 0.6 s * (d / 32)^6
-# from d = 24 up.  `hyp` refuses a run whose trials would take longer than
-# the budget at that rate; up to degree 10 even 100,000 trials fit in it.
+# seed 0; same machine), restriction and Sturm test, takes 0.011, 0.11 and
+# 0.45 s at d = 16, 24 and 32 and about 34 s at d = 64, at most 0.6 s *
+# (d / 32)^6 from d = 24 up.  `hyp` refuses a run whose trials would take
+# longer at that rate than the budget; up to degree 10 even 100,000 fit.
 _HYP_TRIAL_US_AT_32 = 600_000
 _BUDGET_S = 60
 # A cold `conic discriminant` (same machine, splitting [0, 0, N], coefficients
@@ -117,23 +116,27 @@ _BUDGET_S = 60
 # and 170 MB at 512: the time grows about as d^3.5 to d^4.
 _MAX_CONIC_DEGREE = 256
 # Cold `conic discriminant` / `conic analyze` runs (same machine, Python
-# 3.11) on a general section of splitting [0, 0, d/2] with random entries
-# of b bits took, in seconds (one figure where the two are within 10%):
+# 3.11) on a general section of splitting [0, 0, d/2] with random b-bit
+# entries took, in seconds (one figure where the two are within 10%, or in
+# rows * (sections of tests/test_cli.py) from b = 4096 up, `analyze` alone):
 #
 #   d = 256:  6.6 at b = 4,  39 / 42 at 16
 #   d = 128:  0.5 at b = 4,  3.3 / 2.5 at 16,  8.9 at 32,  32 / 29 at 64
 #   d = 64:   0.1 at b = 4,  0.3 at 16,  2.5 at 64,  7.6 / 7.1 at 128,  29 / 25 at 256
 #   d = 32:   0.3 at b = 64,  2.5 / 2.0 at 256,  17 / 6.2 at 512
 #   d = 16:   18 / 1.3 at b = 1024,  41 / 4.5 at 2048
+#   d = 16*:  12 / 1.1 at b = 1024,  69 to 94 / 4.5 at 2048,  15 at 4096,  63 at 8192,  236 at 16384
 #   d = 8:    61 / 0.7 at b = 4096
+#   d = 8*:   0.2 at b = 1024,  0.3 at 2048,  0.7 at 4096,  3.3 at 8192,  9.2 at 16384
 #
-# Every `analyze` time is at most 3.4 s * (d / 64)^3.5 * ((b + 4) / 64)^2,
-# the cost of the Sturm chains, which the (256, 16) run reaches; every
-# `discriminant` time is at most that plus 13 s * (d / 16) * (b / 1024)^1.5
-# for its rational-root search, which the (8, 4096) run reaches.  The VM
-# runs at two speeds about 2x apart, and these are times at the faster one,
-# so the constants below are twice them: the bounds at the slower speed.
-_CONIC_STURM_US_AT_64_60 = 6_800_000
+# Every `analyze` time is at most 0.2 s (cold start) + 2.04 s * (d / 64)^4 *
+# ((b + 4) / 64)^2 (Sturm chains), reached at (64, 64); each unstarred
+# `discriminant` time is at most that + 13 s * (d / 16) * (b / 1024)^1.5
+# (rational-root search), reached at (8, 4096); that search varies more:
+# (16*, 2048) took 69 to 94 s, and is refused.  These are times at the faster
+# of the VM's two speeds, about 2x apart; the constants below are twice them.
+_CONIC_START_US = 400_000
+_CONIC_STURM_US_AT_64_60 = 4_080_000
 _CONIC_ROOT_SEARCH_US_AT_16_1024 = 26_000_000
 
 
@@ -280,7 +283,7 @@ def _conic_matrix_within_budget(path, command) -> ConicMatrix:
     matrix = _document(path, "conic matrix", _parse_conic_matrix)
     d = 2 * sum(matrix.splitting)
     b = max(abs(c).bit_length() for row in matrix.entries for q in row for c in q.coeffs)
-    us = _CONIC_STURM_US_AT_64_60 * isqrt(d**7) * (b + 4) ** 2 // (2**21 * 64**2)
+    us = _CONIC_START_US + _CONIC_STURM_US_AT_64_60 * d**4 * (b + 4) ** 2 // 64**6
     if command == "discriminant":
         us += _CONIC_ROOT_SEARCH_US_AT_16_1024 * d * isqrt(b**3) // (16 * 2**15)
     if us > _BUDGET_S * 10**6:

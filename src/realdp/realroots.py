@@ -18,7 +18,8 @@ two polynomials, ends in their gcd (`gcd_poly`), a constant exactly when they
 are coprime.  By Gauss's lemma an exact quotient of primitive polynomials is
 integral (`_exact_quotient`).  `real_rooted_profile`, the test whether every
 root is real, stops at the first remainder that breaks the full-length
-pattern (degrees falling by one, leading coefficients of one sign).
+pattern (degrees falling by one, leading coefficients of one sign), the
+last, constant one read in closed form.
 `rational_roots` isolates the real roots with the same chains on the lattice
 n / lc, lc the leading coefficient.  It splits an interval at 0 when it
 straddles 0 and at a power of two when its ends lie far apart on one side, so
@@ -189,7 +190,7 @@ def squarefree_decomposition(p):
 
 def _pseudo_remainder(a, b):
     """A positive multiple of the remainder of a by b over Q, for integer
-    polynomials with deg a >= deg b >= 0.
+    polynomials with deg b >= 0; a itself when deg a < deg b.
 
     Each step cancels the top coefficient of rem as
     |lc(b)| rem - sign(lc(b)) lc(rem) x^k b, so nothing is divided and each
@@ -212,15 +213,15 @@ def _pseudo_remainder(a, b):
 
 def _remainders(a, b):
     """The negated primitive parts of the pseudo-remainders of a by b, of b
-    by that, and so on, for integer polynomials with deg a >= deg b >= 0.
+    by that, and so on, for integer polynomials a and b with deg b >= 0.
     The sequence stops after a constant or before a zero remainder, so its
     last element, or b when it is empty, is gcd(a, b) up to a factor."""
     while degree(b) > 0:
         rem = _pseudo_remainder(a, b)
         if not rem:
             return
-        g = gcd(*rem)
-        a, b = b, tuple([-c // g for c in rem])
+        g = -gcd(*rem)
+        a, b = b, tuple([c // g for c in rem])
         yield b
 
 
@@ -320,13 +321,13 @@ def real_rooted_profile(coeffs) -> RootProfile | None:
     from n and m alone.
 
     Only degrees and signs are read, so the test negates g when lc(g) < 0
-    and runs `_remainders` from g and g' themselves, not from their
-    primitive parts: g' has degree n - 1 and a positive leading coefficient,
-    and each remainder is a positive multiple of the one from the primitive
-    parts, so after its content is removed the sequence is the primitive
-    chain from its third element on.  A polynomial of degree at most two
-    needs no remainder: its roots are all real exactly when its
-    discriminant is not negative (`_low_degree_profile`).
+    and runs `_remainders` from n g - x g' (degree below n) and g': each
+    remainder is a positive multiple of the one from g and g' or their
+    primitive parts, so after its content is removed the sequence is the
+    primitive chain from its third element on, up to a linear b; the
+    constant after b has the sign of -(a0 b1^2 - a1 b0 b1 + a2 b0^2), a the
+    quadratic before b.  Below degree three, all roots are real exactly when
+    the discriminant is not negative (`_low_degree_profile`).
     """
     g = normalize(coeffs)
     if not g:
@@ -336,13 +337,20 @@ def real_rooted_profile(coeffs) -> RootProfile | None:
         return roots if roots.real == degree(g) else None
     if g[-1] < 0:
         g = neg(g)
-    last = derivative(g)
-    for f in _remainders(g, last):
-        if degree(f) != degree(last) - 1 or f[-1] < 0:
+    n, last = degree(g), derivative(g)
+    for f in _remainders(normalize([(n - i) * c for i, c in enumerate(g[:-1])]), last):
+        if len(f) != len(last) - 1 or f[-1] < 0:
             return None
-        last = f
-    common = degree(last)  # the degree of gcd(g, g')
-    return RootProfile(degree(g), degree(g) - common, common == 0)
+        prev, last = last, f
+        if len(f) == 2:
+            break
+    common = degree(last)  # the degree of gcd(g, g'), unless last is linear
+    if common == 1:
+        (a0, a1, a2), (b0, b1) = prev, last
+        if (top := a0 * b1 * b1 - a1 * b0 * b1 + a2 * b0 * b0) > 0:
+            return None
+        common = int(top == 0)
+    return RootProfile(n, n - common, common == 0)
 
 
 def _variations(grid, n):

@@ -13,17 +13,20 @@ restrictions are computed over Z.
 
 The center is fixed for a whole check, so the restriction comes from the
 polar forms X_k = D_e^k X / k! (Garding 1959), D_e the derivative along e:
-X(x + t e) = sum_k t^k X_k(x).  They are computed once per check.  A trial
-is integer-only: it draws four (num, den) pairs, clears their denominators
-into the primitive ray x, and moves x along its line to the point
-w = e_j x - x_j e on the hyperplane x_j = 0, j the first coordinate with
-e_j != 0.  Only the polar terms free of x_j are kept, and the trial
-evaluates each at w from one power table per coordinate.  The restriction
-at w is the one at x after the affine change of parameter u = x_j + e_j t
-and a nonzero factor, so every root keeps its reality and multiplicity, and
-the verdict, the witness and the boundary contacts are those of the
-restriction at x.  The test of a line is `realroots.real_rooted_profile`,
-which stops at the first Sturm remainder that shows a nonreal root.
+X(x + t e) = sum_k t^k X_k(x).  A trial is integer-only: it draws four
+(num, den) pairs, clears their denominators into an integer point x on their
+ray, and moves x along its line to its primitive point w on the hyperplane
+x_j = 0, j the first coordinate with e_j != 0.  The polar forms are needed
+on x_j = 0 alone; they are computed once per check, one x_j-slice of X at a
+time, as coefficient lists in a triangular monomial layout, which is the
+plan of every restriction: each monomial value at w is one product of a
+value one degree lower and one coordinate, and each X_k(w) one sum of
+coefficient times value.  The restriction at w is the one at x after an
+affine change of parameter, so every root keeps its reality and
+multiplicity, and the verdict, the witness and the boundary contacts are
+those of the restriction at x.  The test of a line is
+`realroots.real_rooted_profile`, which stops at the first Sturm remainder
+that shows a nonreal root.
 
 A quadric's verdict on a trial is the sign of the integer ternary form
 D(w) = X_1(w)^2 - 4 X(e) X_0(w) at its w != 0: when D is positive definite
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 from . import realroots
@@ -67,18 +71,17 @@ class SplitMix64:
     def __init__(self, seed: int):
         self.state = seed & _MASK
 
-    def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
-
     def rational(self) -> tuple:
-        """(num, den), a rational num / den with num in [-10^4, 10^4] and
-        den in [1, 10^4], not reduced."""
-        num = self.next_u64() % 20001 - 10000
-        return num, self.next_u64() % 10000 + 1
+        """(num, den), not reduced, with num in [-10^4, 10^4] from the next
+        64-bit word and den in [1, 10^4] from the one after it."""
+        state = (self.state + 0x9E3779B97F4A7C15) & _MASK
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        num = (z ^ (z >> 31)) % 20001 - 10000
+        self.state = state = (state + 0x9E3779B97F4A7C15) & _MASK
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        return num, (z ^ (z >> 31)) % 10000 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -108,43 +111,22 @@ class HypersurfaceSpec(Value):
             clean = zip([exps for exps, _ in clean], primitive_vector([c for _, c in clean]))
         object.__setattr__(self, "terms", tuple(clean))
 
-    def polar_forms(self, e):
-        """[X_0, ..., X_d] with X(x + t e) = sum_k t^k X_k(x), for an integer
-        point e, each form stored like `terms`; the terms of X_d sum to X(e).
-
-        X_k = D_e X_(k-1) / k with D_e = sum_i e_i d/dx_i.  The division is
-        exact: X_k has integer coefficients, since they are coefficients of
-        the expansion of X(x + t e) over Z.
-        """
-        e = int_tuple(e)
-        if len(e) != 4:
-            raise ValueError(f"center needs four coordinates, got {len(e)}")
-        along = [(i, ei) for i, ei in enumerate(e) if ei]
-        forms = [self.terms]
-        for k in range(1, self.degree + 1):
-            derived = {}
-            for exps, coeff in forms[-1]:
-                for i, ei in along:
-                    if ki := exps[i]:
-                        lower = exps[:i] + (ki - 1,) + exps[i + 1:]
-                        derived[lower] = derived.get(lower, 0) + coeff * ki * ei
-            forms.append(tuple([(exps, c // k) for exps, c in derived.items() if c]))
-        return tuple(forms)
-
-    def restrict_to_line(self, x, polar):
+    def restrict_to_line(self, x, plan):
         """Coefficients (low to high) of t |-> X(x + t e), X as stored, for
-        an integer point x and the polar forms of X at e.  At a point with
-        x_j = 0 the forms may keep only their terms free of x_j."""
-        tables = []
-        for xi in x:
-            powers = [1]
-            for _ in range(self.degree):
-                powers.append(powers[-1] * xi)
-            tables.append(powers)
-        x0, x1, x2, x3 = tables
-        return realroots.normalize(
-            [sum([c * x0[a] * x1[b] * x2[f] * x3[g] for (a, b, f, g), c in form]) for form in polar]
-        )
+        an integer point x on x_j = 0 and the plan (j, polar) of
+        `_plane_polar_forms` of X at e.  In their layout the values of
+        degree n are those of degree n - 1 times y0, the last n of them
+        times y1 and the last one times y2, y the coordinates other than
+        x_j, and each coefficient is one sum of coefficient times value."""
+        j, polar = plan
+        y0, y1, y2 = x[:j] + x[j + 1:]
+        out, values = [], [1]
+        for n, coeffs in enumerate(reversed(polar)):
+            if n:
+                last = values[-n:]
+                values = [*[v * y0 for v in values], *[v * y1 for v in last], last[-1] * y2]
+            out.append(sum(map(mul, coeffs, values)))
+        return tuple(out[::-1])
 
 
 def _point(coords, what):
@@ -158,61 +140,71 @@ def _point(coords, what):
 
 
 def _plane_polar_forms(x: HypersurfaceSpec, e):
-    """j, the first coordinate with e_j != 0, and the polar forms of X at a
-    center e (checked by the caller) keeping only their terms free of x_j.
-
-    The top form is the constant X(e), the top coefficient of every
-    restriction, so a line's degree drops exactly when the center lies on X.
-    Equal monomials may repeat in `terms`, so X(e) is the sum of its terms.
-    """
-    polar = x.polar_forms(e)
-    if not sum([c for _, c in polar[-1]]):
-        raise ValueError("center on hypersurface")
+    """j, the first coordinate with e_j != 0, and the polar forms X_0, ...,
+    X_d of X at a center e (checked by the caller) on x_j = 0, in the other
+    coordinates y: X_k as the list of its coefficients, y0^a y1^b y2^c at
+    s (s + 1) / 2 + c for s = b + c.  With S_m the slice of X of x_j-degree
+    m and e' the rest of e, X(w + t e) = sum_m (e_j t)^m S_m(w + t e') on
+    x_j = 0, so X_k sums e_j^m D_e'^(k-m) S_m / (k-m)!, each derivative
+    divided exactly by its order, one slice at a time: only C(d + 3, 3)
+    coefficients are held.  The top form is the constant X(e), the top
+    coefficient of every restriction, so a line's degree drops exactly when
+    the center lies on X."""
+    d = x.degree
     j = next(i for i, ei in enumerate(e) if ei)
-    return j, tuple([tuple([term for term in form if not term[0][j]]) for form in polar])
+    f0, f1, f2 = e[:j] + e[j + 1:]
+    forms = [[0] * ((d - k + 1) * (d - k + 2) // 2) for k in range(d + 1)]
+    slices = {}
+    for exps, c in x.terms:
+        m, (_, b, c2) = exps[j], exps[:j] + exps[j + 1:]
+        if m not in slices:
+            slices[m] = [0] * len(forms[m])
+        slices[m][(b + c2) * (b + c2 + 1) // 2 + c2] += c
+    for m, part in slices.items():
+        scale = e[j] ** m
+        for k in range(m, d + 1):
+            n = d - k  # part is the (k - m)-th polar form, of degree n
+            forms[k] = [f + scale * c for f, c in zip(forms[k], part)]
+            if k == d:
+                break
+            derived, i = [], k - m + 1
+            for s in range(n):  # derived block s from block s + 1 of part
+                lo, hi = s * (s + 1) // 2, (s + 1) * (s + 2) // 2
+                derived += [(f0 * (n - s) * part[lo + c] + f1 * (s + 1 - c) * part[hi + c]
+                             + f2 * (c + 1) * part[hi + c + 1]) // i for c in range(s + 1)]
+            part = derived
+    if not forms[d][0]:
+        raise ValueError("center on hypersurface")
+    return j, tuple(forms)
 
 
-def _line_test(x: HypersurfaceSpec, e, j, polar):
-    """The test of the lines through a center e, given `_plane_polar_forms`
-    of X at e: a function of a primitive point p off e that returns
-    `realroots.real_rooted_profile` of X on the line through p and e.
-
-    The line is restricted at its point w = e_j p - p_j e on the hyperplane
-    x_j = 0, where only the polar terms free of x_j survive.  As
-    w + u e = e_j (p + t e) for u = p_j + e_j t, X(p + t e) = e_j^(-d)
-    X(w + u e): an affine change of parameter, which keeps the real roots,
-    the distinct roots and every multiplicity.
-    """
-    ej = e[j]
-
-    def test(p):
-        pj = p[j]
-        w = [ej * pi - pj * ei for pi, ei in zip(p, e)]
-        return realroots.real_rooted_profile(x.restrict_to_line(w, polar))
-
-    return test
+def _plane_point(e, j, p):
+    """The primitive point w of the line through e and an integer point p
+    on x_j = 0: e_j p - p_j e over its content, zero when p is a multiple of
+    e.  X(p + t e) = e_j^(-d) X(e_j p - p_j e + u e) for u = p_j + e_j t, and
+    dividing by the content rescales u, so every root keeps its reality and
+    multiplicity."""
+    ej, pj = e[j], p[j]
+    w = [ej * pi - pj * ei for pi, ei in zip(p, e)]
+    g = gcd(*w) or 1
+    return [c // g for c in w]
 
 
-def _definite_line_discriminant(j, polar) -> bool:
+def _definite_line_discriminant(polar) -> bool:
     """Whether D(w) = X_1(w)^2 - 4 X(e) X_0(w), the discriminant of a
-    quadric on the line w + u e, is positive definite on x_j = 0.
+    quadric on the line w + u e, is positive definite on x_j = 0, from the
+    forms of `_plane_polar_forms`.
 
     Its matrix is l l^T - 2 X(e) H, l the coefficients of X_1 and H the
-    Hessian of X_0: a term q x_a x_b takes 2 X(e) q from entries (a, b) and
-    (b, a), so 4 X(e) q when a = b.  Row and column j are zero and dropped;
-    `intlinalg._bareiss` raises unless every leading minor is positive.
+    Hessian of X_0: a term q y_a y_b takes 2 X(e) q from entries (a, b) and
+    (b, a), so 4 X(e) q when a = b.  `intlinalg._bareiss` raises unless
+    every leading minor is positive.
     """
-    lin = [0] * 4
-    for exps, c in polar[1]:
-        lin[exps.index(1)] += c
-    h = 2 * sum([c for _, c in polar[2]])
-    m = [[a * b for b in lin] for a in lin]
-    for exps, q in polar[0]:
-        a, b = [i for i, k in enumerate(exps) for _ in range(k)]
-        m[a][b] -= h * q
-        m[b][a] -= h * q
+    lin, (q00, q01, q02, q11, q12, q22), (top,) = polar[1], polar[0], polar[2]
+    h = 2 * top
+    quad = [[2 * q00, q01, q02], [q01, 2 * q11, q12], [q02, q12, 2 * q22]]
     try:
-        _bareiss([row[:j] + row[j + 1:] for row in m[:j] + m[j + 1:]])
+        _bareiss([[a * b - h * q for b, q in zip(lin, row)] for a, row in zip(lin, quad)])
     except ValueError:
         return False
     return True
@@ -227,7 +219,8 @@ def all_real_restriction(x: HypersurfaceSpec, e, p) -> bool:
     e, p = _point(e, "center"), _point(p, "sample point")
     if p in (e, realroots.neg(e)):
         raise ValueError("sample point coincides with the center")
-    return _line_test(x, e, *_plane_polar_forms(x, e))(p) is not None
+    plan = _plane_polar_forms(x, e)
+    return realroots.real_rooted_profile(x.restrict_to_line(_plane_point(e, plan[0], p), plan)) is not None
 
 
 class HyperbolicityVerdict(NamedTuple):
@@ -247,11 +240,10 @@ def hyperbolicity_check(x: HypersurfaceSpec, e, trials: int, seed: int) -> Hyper
     positive definite: then every line meets X in two distinct real points,
     a proof that covers all `trials` lines requested, and none is drawn.
     Trials with a multiple real root are tolerated and tallied as boundary
-    contacts.  Each trial draws four rationals as integer pairs and takes
-    the primitive ray through them: the lcm of the denominators clears them
-    and one gcd removes the content, which gives the same vector as
-    `primitive_vector` of the reduced Fractions, the unique primitive
-    positive multiple.  Fractions are built only for the witness.
+    contacts.  Each trial draws four rationals as integer pairs, clears
+    their denominators with one lcm, and draws again when they are zero or
+    a multiple of e; its line is restricted at `_plane_point`.  Fractions
+    are built only for the witness.
     """
     trials, seed = int_tuple((trials, seed))
     if trials < 1:
@@ -259,21 +251,18 @@ def hyperbolicity_check(x: HypersurfaceSpec, e, trials: int, seed: int) -> Hyper
     if not 0 <= seed <= _MASK:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     e = _point(e, "center")  # with e = 0 every sample point would be parallel to e
-    j, polar = _plane_polar_forms(x, e)
-    if x.degree == 2 and _definite_line_discriminant(j, polar):
+    plan = j, polar = _plane_polar_forms(x, e)
+    if x.degree == 2 and _definite_line_discriminant(polar):
         return HyperbolicityVerdict(False, None, None, trials, 0)
-    test = _line_test(x, e, j, polar)
-    rays_of_e = (e, realroots.neg(e))
     rng = SplitMix64(seed)
     boundary = 0
     for trial in range(1, trials + 1):
         while True:
             draws = [rng.rational() for _ in range(4)]
             den = lcm(*[d for _, d in draws])
-            ints = [n * (den // d) for n, d in draws]
-            if (g := gcd(*ints)) and (ray := tuple([c // g for c in ints])) not in rays_of_e:
+            if any(w := _plane_point(e, j, [n * (den // d) for n, d in draws])):
                 break
-        roots = test(ray)
+        roots = realroots.real_rooted_profile(x.restrict_to_line(w, plan))
         if roots is None:
             return HyperbolicityVerdict(True, tuple([Fraction(n, d) for n, d in draws]), trial, trials, boundary)
         if roots.distinct < x.degree:

@@ -35,10 +35,14 @@ the Leibniz formula on coefficient tuples checks
 table of `conic._expanded`.
 Expanding each monomial of a hypersurface along a line checks the restriction
 by polar forms of `topology.HypersurfaceSpec.restrict_to_line`, and the
-sampler that draws Fractions, restricts X to each sampled ray with every
-polar term and reads the whole primitive Sturm chain checks the verdicts of
-`topology.hyperbolicity_check`; the integer trial loop run on every quadric,
-definite line discriminant or not, checks its certificate for quadrics.
+four-variable polar forms, filtered to the terms free of x_j, check the
+plane forms of `topology._plane_polar_forms`.  The sampler that draws
+Fractions from the splitmix64 words, restricts X to each sampled ray with
+every four-variable polar term and reads the whole primitive Sturm chain
+checks the verdicts of `topology.hyperbolicity_check`, as does the integer
+trial loop on the hyperplane x_j = 0 with the same terms, run on every
+quadric, definite line discriminant or not, which checks the certificate for
+quadrics; neither calls the code it checks.
 The library itself never calls these.
 """
 
@@ -53,7 +57,7 @@ from realdp.conic import BinaryForm, ConicMatrix
 from realdp.intlinalg import dot, int_tuple, mat_vec, primitive_vector
 from realdp.lattice import ClassVector, IntLattice
 from realdp.search import ConditionReport, check_conditions
-from realdp.topology import GreatSubsphere, HyperbolicityVerdict, PLCycle, SplitMix64, linking_number
+from realdp.topology import GreatSubsphere, HyperbolicityVerdict, PLCycle, linking_number
 
 
 def _box_vectors(model, radius):
@@ -732,6 +736,51 @@ def restrict_by_expansion(x, p, e):
     return total
 
 
+def polar_forms(x, e):
+    """[X_0, ..., X_d] with X(p + t e) = sum_k t^k X_k(p), for an integer
+    point e, each form as (exponents, coefficient) pairs over all four
+    variables: X_k = D_e X_(k-1) / k with D_e = sum_i e_i d/dx_i, an exact
+    division.  `topology` builds only the terms free of x_j instead."""
+    e = int_tuple(e)
+    along = [(i, ei) for i, ei in enumerate(e) if ei]
+    forms = [x.terms]
+    for k in range(1, x.degree + 1):
+        derived = {}
+        for exps, coeff in forms[-1]:
+            for i, ei in along:
+                if ki := exps[i]:
+                    lower = exps[:i] + (ki - 1,) + exps[i + 1:]
+                    derived[lower] = derived.get(lower, 0) + coeff * ki * ei
+        forms.append(tuple([(exps, c // k) for exps, c in derived.items() if c]))
+    return tuple(forms)
+
+
+def restrict_to_line(x, p, polar):
+    """Coefficients (low to high) of t |-> X(p + t e) from `polar_forms` of
+    X at e, each term evaluated from one power table per coordinate."""
+    tables = []
+    for pi in p:
+        powers = [1]
+        for _ in range(x.degree):
+            powers.append(powers[-1] * pi)
+        tables.append(powers)
+    p0, p1, p2, p3 = tables
+    return realroots.normalize(
+        [sum([c * p0[a] * p1[b] * p2[f] * p3[g] for (a, b, f, g), c in form]) for form in polar]
+    )
+
+
+def plane_polar_forms(x, e):
+    """j, the first coordinate with e_j != 0, and `polar_forms` of X at e
+    with only their terms free of x_j; "center on hypersurface" when the
+    top form, the constant X(e), is zero."""
+    polar = polar_forms(x, e)
+    if not sum([c for _, c in polar[-1]]):
+        raise ValueError("center on hypersurface")
+    j = next(i for i, ei in enumerate(e) if ei)
+    return j, tuple([tuple([term for term in form if not term[0][j]]) for form in polar])
+
+
 def _real_rooted_by_whole_chain(g):
     """`realroots.real_rooted_profile` from the whole primitive Sturm chain:
     every root is real exactly when the chain has full length, each degree
@@ -744,21 +793,38 @@ def _real_rooted_by_whole_chain(g):
     return realroots.RootProfile(n, n - common, common == 0)
 
 
+def splitmix_rationals(seed):
+    """The draws of `topology.SplitMix64(seed).rational()`, from the
+    splitmix64 generator (Steele, Lea and Flood 2014) one 64-bit word at a
+    time: num from one word and den from the next."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+    words = []
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        words.append(z ^ (z >> 31))
+        if len(words) == 2:
+            yield words[0] % 20001 - 10000, words[1] % 10000 + 1
+            words = []
+
+
 def hyperbolicity_by_fraction_draws(x, e, trials, seed):
     """`topology.hyperbolicity_check` with each trial's four draws made
     Fractions, X restricted to their primitive ray with every polar form at
     e, and the line read off the whole primitive Sturm chain."""
     e = primitive_vector(e)
-    polar = x.polar_forms(e)
+    polar = polar_forms(x, e)
     rays_of_e = (e, realroots.neg(e))
-    rng = SplitMix64(seed)
+    draws = splitmix_rationals(seed)
     boundary = 0
     for trial in range(1, trials + 1):
         while True:
-            point = tuple(Fraction(*rng.rational()) for _ in range(4))
+            point = tuple(Fraction(*next(draws)) for _ in range(4))
             if any(point) and (ray := primitive_vector(point)) not in rays_of_e:
                 break
-        roots = _real_rooted_by_whole_chain(x.restrict_to_line(ray, polar))
+        roots = _real_rooted_by_whole_chain(restrict_to_line(x, ray, polar))
         if roots is None:
             return HyperbolicityVerdict(True, point, trial, trials, boundary)
         if roots.distinct < x.degree:
@@ -768,26 +834,29 @@ def hyperbolicity_by_fraction_draws(x, e, trials, seed):
 
 def hyperbolicity_check_by_trials(x, e, trials, seed):
     """`topology.hyperbolicity_check` with no certificate for definite
-    quadrics: the same validation, then every trial draws its ray and tests
-    its line on the hyperplane x_j = 0."""
+    quadrics: the same validation, then every trial draws its ray, moves it
+    to w = e_j p - p_j e on the hyperplane x_j = 0, restricts X there with
+    the four-variable polar terms free of x_j and reads the whole primitive
+    Sturm chain."""
     trials, seed = int_tuple((trials, seed))
     if trials < 1:
         raise ValueError("need at least one trial")
     if not 0 <= seed <= topology._MASK:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     e = topology._point(e, "center")  # with e = 0 every sample point would be parallel to e
-    test = topology._line_test(x, e, *topology._plane_polar_forms(x, e))
+    j, polar = plane_polar_forms(x, e)
     rays_of_e = (e, realroots.neg(e))
-    rng = SplitMix64(seed)
+    stream = splitmix_rationals(seed)
     boundary = 0
     for trial in range(1, trials + 1):
         while True:
-            draws = [rng.rational() for _ in range(4)]
+            draws = [next(stream) for _ in range(4)]
             den = lcm(*[d for _, d in draws])
             ints = [n * (den // d) for n, d in draws]
             if (g := gcd(*ints)) and (ray := tuple([c // g for c in ints])) not in rays_of_e:
                 break
-        roots = test(ray)
+        w = [e[j] * pi - ray[j] * ei for pi, ei in zip(ray, e)]
+        roots = _real_rooted_by_whole_chain(restrict_to_line(x, w, polar))
         if roots is None:
             return HyperbolicityVerdict(True, tuple([Fraction(n, d) for n, d in draws]), trial, trials, boundary)
         if roots.distinct < x.degree:

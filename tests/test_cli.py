@@ -10,6 +10,7 @@ import time
 import pytest
 
 import realdp
+from realdp import cli
 from realdp.cli import canonical_json, main
 from conftest import form_product, nested_spheres, worked_conic_matrix
 
@@ -515,6 +516,19 @@ def test_conic_work_over_the_budget_exits_2_at_once(capsys, tmp_path, n, bits):
             message = json.loads(out)["message"] if fmt == "json" else err.removeprefix("error: ")
             assert message.rstrip("\n").count("\n") == 0 and "budget" in message
             assert f"degree {2 * n}" in message and f"{bits}-bit" in message
+
+
+def test_conic_work_bound_predictions(tmp_path):
+    """The bound alone, without the commands: `analyze` at discriminant
+    degree 8 with 8192-bit entries (about 3 s on a 2-vCPU VM) is admitted,
+    while degree 128 with 64-bit entries and degree 64 with 256-bit entries
+    (about 30 s each) are still refused for both commands."""
+    matrix = cli._conic_matrix_within_budget(write_general_section(tmp_path, 4, 8192), "analyze")
+    assert 2 * sum(matrix.splitting) == 8
+    for n, bits in ((64, 64), (32, 256)):
+        for command in ("analyze", "discriminant"):
+            with pytest.raises(ValueError, match="over the 60 s budget"):
+                cli._conic_matrix_within_budget(write_general_section(tmp_path, n, bits), command)
 
 
 def test_conic_discriminant_degree_256_still_answers(capsys, tmp_path):

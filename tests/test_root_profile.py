@@ -17,7 +17,13 @@ import pytest
 from realdp import realroots
 from realdp.intlinalg import primitive_vector
 
-from oracles import root_profile_by_chains, root_profile_by_decomposition, sturm_chain_by_division, sturm_sequence_over_q
+from oracles import (
+    _real_rooted_by_whole_chain,
+    root_profile_by_chains,
+    root_profile_by_decomposition,
+    sturm_chain_by_division,
+    sturm_sequence_over_q,
+)
 
 # Pairwise coprime quadratics without real roots, low degree first.
 NONREAL_QUADRATICS = ((1, 0, 1), (2, 0, 1), (1, 1, 1), (1, -2, 2), (Fraction(1, 4), 0, 3))
@@ -148,7 +154,9 @@ def test_root_profile_levels_of_degree_two():
 def test_real_rooted_profile_stops_at_the_first_sign_flip(monkeypatch):
     """(t - 1) ... (t - 8) (t^2 + 1): every degree of the Sturm chain occurs,
     but the third remainder flips the leading sign, so the test takes three
-    pseudo-remainders where the whole chain takes nine."""
+    pseudo-remainders where the whole chain takes nine.  On (t - 1) ...
+    (t - 10), which passes, it takes eight: the sign of the last, constant
+    element is read off the quadratic and linear ones."""
     g = (1, 0, 1)
     for root in range(1, 9):
         g = realroots.mul(g, (-root, 1))
@@ -160,6 +168,66 @@ def test_real_rooted_profile_stops_at_the_first_sign_flip(monkeypatch):
     steps.clear()
     assert realroots.real_rooted_profile(g) is None
     assert len(steps) == 3
+    steps.clear()
+    g = (1,)
+    for root in range(1, 11):
+        g = realroots.mul(g, (-root, 1))
+    assert realroots.real_rooted_profile(g) == (10, 10, True)
+    assert len(steps) == 8
+
+
+def _random_polynomial(rng):
+    """A random integer polynomial of degree 3 to 12 from one of five
+    families: a product of real linear factors with random multiplicities,
+    the same times an irreducible quadratic, a product of one squared
+    quadratic and linear factors, a sparse c0 + c1 x^k + x^n with its
+    degree gaps, and a dense random one; multiplied by -1 or a random
+    factor half of the time."""
+    family = rng.choice(("real", "complex", "square", "sparse", "dense"))
+    n = rng.randint(3, 12)
+    if family == "sparse":
+        k = rng.randint(0, n - 2)
+        g = [0] * (n + 1)
+        g[0], g[k], g[n] = rng.randint(-9, 9), rng.randint(-9, 9), 1
+        g = tuple(g) if any(g[:n]) else (1,) + tuple(g[1:])
+    elif family == "dense":
+        g = tuple([rng.randint(-20, 20) for _ in range(n)] + [rng.choice((-3, -1, 1, 2))])
+    else:
+        g = (1,)
+        if family == "complex":
+            g = (rng.randint(1, 9), rng.randint(-1, 1), 1)
+        elif family == "square":
+            quad = (rng.randint(-9, -1), rng.randint(-3, 3), 1)  # two real roots
+            g = realroots.mul(quad, quad)
+        while realroots.degree(g) < n:
+            root = (rng.randint(-6, 6), rng.randint(1, 3))
+            for _ in range(rng.choice((1, 1, 1, 2, 3))):
+                g = realroots.mul(g, (-root[0], root[1]))
+    if rng.random() < 0.5:
+        factor = rng.choice((-1, -2, 3, -7))
+        g = tuple([factor * c for c in g])
+    return g
+
+
+def test_real_rooted_profile_matches_the_whole_chain():
+    """3,000 random polynomials of degree 3 to 12 (`_random_polynomial`):
+    the test agrees with the whole primitive Sturm chain, and the cases
+    cover chains that end at degree 0, 1 and 2, negative leading
+    coefficients, refutations and degree gaps in the chain."""
+    rng = random.Random(28)
+    seen = {"end 0": 0, "end 1": 0, "end 2": 0, "negative": 0, "refuted": 0, "gap": 0}
+    for _ in range(3000):
+        g = _random_polynomial(rng)
+        expected = _real_rooted_by_whole_chain(g)
+        assert realroots.real_rooted_profile(g) == expected, g
+        degrees = [realroots.degree(f) for f in realroots.sturm_sequence(primitive_vector(g))]
+        if expected is None:
+            seen["refuted"] += 1
+        else:
+            seen[f"end {min(degrees[-1], 3)}"] = seen.get(f"end {min(degrees[-1], 3)}", 0) + 1
+        seen["negative"] += g[-1] < 0
+        seen["gap"] += any(a - b > 1 for a, b in zip(degrees, degrees[1:]))
+    assert min(seen.values()) >= 40, seen
 
 
 def test_real_rooted_profile_of_constants_and_zero():

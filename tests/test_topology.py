@@ -1,10 +1,11 @@
+import math
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from realdp.intlinalg import dot
+from realdp.intlinalg import dot, primitive_vector
 from realdp.realroots import neg, squarefree_decomposition, sturm_count
 from realdp import topology
 from realdp.topology import (
@@ -17,6 +18,7 @@ from realdp.topology import (
     hyperbolicity_check,
     linking_number,
 )
+import oracles
 from oracles import (
     hyperbolicity_by_fraction_draws,
     hyperbolicity_check_by_trials,
@@ -184,9 +186,29 @@ def test_center_on_hypersurface_is_the_degree_drop():
         all_real_restriction(cancelling, (1, 0, 0, 0), (0, 1, 2, 3))
 
 
+def _plane_terms(polar):
+    """The forms of `topology._plane_polar_forms` as dicts from exponents
+    in the three plane coordinates to nonzero coefficients, read off the
+    triangular layout: y0^a y1^b y2^c of degree n at s (s + 1) / 2 + c,
+    s = b + c."""
+    d = len(polar) - 1
+    out = []
+    for k, form in enumerate(polar):
+        n = d - k
+        layout = [(n - s, s - c, c) for s in range(n + 1) for c in range(s + 1)]
+        assert len(form) == len(layout)
+        out.append({exps: c for exps, c in zip(layout, form) if c})
+    return out
+
+
 def test_restriction_by_polar_forms_matches_expansion():
+    """The plane polar forms are the terms free of x_j of the four-variable
+    polar forms of `oracles.polar_forms`, and the restriction by the
+    monomial plan at a point w on x_j = 0 is the one by monomial expansion,
+    for random forms of degree 0 to 8, centers with zero coordinates and
+    points up to 10^6."""
     st = pytest.importorskip("hypothesis.strategies")
-    from hypothesis import given, settings
+    from hypothesis import assume, given, settings
 
     @st.composite
     def forms(draw):
@@ -205,17 +227,36 @@ def test_restriction_by_polar_forms_matches_expansion():
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(forms(), centers, points)
     def check(x, e, p):
-        assert x.restrict_to_line(p, x.polar_forms(e)) == restrict_by_expansion(x, p, e)
+        assume(any(e))
+        e = primitive_vector(e)
+        try:
+            j, polar = topology._plane_polar_forms(x, e)
+        except ValueError:
+            assert sum([c for _, c in oracles.polar_forms(x, e)[-1]]) == 0
+            return
+        assert j == next(i for i, ei in enumerate(e) if ei)
+        expected = []
+        for form in oracles.plane_polar_forms(x, e)[1]:  # X_0 = X may repeat a monomial
+            summed = {}
+            for exps, c in form:
+                summed[exps[:j] + exps[j + 1:]] = summed.get(exps[:j] + exps[j + 1:], 0) + c
+            expected.append({exps: c for exps, c in summed.items() if c})
+        assert _plane_terms(polar) == expected
+        w = [e[j] * pi - p[j] * ei for pi, ei in zip(p, e)]
+        assert x.restrict_to_line(w, (j, polar)) == restrict_by_expansion(x, w, e)
 
     check()
 
 
 def test_polar_forms_of_the_sphere():
-    """x1^2 + x2^2 + x3^2 - x0^2 along e = (1, 1, 0, 0): X_1 = 2 x1 - 2 x0 and
-    X_2 = X(e) = 0, so every line through e meets the sphere once more."""
-    polar = sphere_quadric().polar_forms((1, 1, 0, 0))
-    assert [dict(form) for form in polar] == [
-        dict(sphere_quadric().terms), {(0, 1, 0, 0): 2, (1, 0, 0, 0): -2}, {}]
+    """x1^2 + x2^2 + x3^2 - x0^2 along e = (2, 1, 0, 0), on x0 = 0:
+    X_0 = x1^2 + x2^2 + x3^2, X_1 = 2 x1 (the x0 term -4 x0 is dropped) and
+    X_2 = X(e) = 1 - 4; along (1, 1, 0, 0), on the sphere, X(e) = 0."""
+    j, polar = topology._plane_polar_forms(sphere_quadric(), (2, 1, 0, 0))
+    assert j == 0 and _plane_terms(polar) == [
+        {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}, {(1, 0, 0): 2}, {(0, 0, 0): -3}]
+    with pytest.raises(ValueError, match="center on hypersurface"):
+        topology._plane_polar_forms(sphere_quadric(), (1, 1, 0, 0))
 
 
 def test_hyperbolicity_interior_center_supported():
@@ -312,6 +353,93 @@ def test_verdict_matches_the_fraction_sampler_on_random_forms():
             continue  # a zero center or a center on X
         assert verdict == hyperbolicity_by_fraction_draws(x, center, 6, seed), (form, center, seed)
         checked += 1
+
+
+def _kernel_case(rng):
+    """(form, center, family) for the kernel comparison: a form of degree 3
+    to 8 and an integer center whose first nonzero coordinate j is 0 to 3,
+    all nonzero center coordinates of size 2 or more save when only one is
+    left.  Families: nested spheres, times a plane for odd degrees, with
+    the center inside (supported) or outside (refuted, often after trial 1);
+    a squared sphere, times a plane half of the time, with every line a
+    boundary contact; a product of planes, some repeated, which every line
+    meets in real points; and a sparse random form.  The coordinates are
+    then permuted so that the center's zeros come first."""
+    family = rng.choice(("inside", "outside", "squared", "planes", "random"))
+    zeros = rng.randrange(4)
+    while True:
+        if family in ("inside", "squared"):
+            center = [rng.choice((3, 4, 5))] + [rng.choice((2, -2, 3, -3)) for _ in range(3)]
+            for i in rng.sample((1, 2, 3), zeros):
+                center[i] = 0
+        else:
+            center = [rng.choice((2, -2, 3, 5, -7)) for _ in range(4)]
+            for i in rng.sample(range(4), zeros):
+                center[i] = 0
+        if math.gcd(*center) == 1 or zeros == 3:
+            break
+    plane = _linear([rng.randint(-3, 3) for _ in range(4)]) or {(1, 0, 0, 0): 1}
+    if family in ("inside", "outside"):
+        first = 2 if family == "inside" else 1
+        radii = [first + i + rng.randint(0, 1) for i in range(rng.randint(1, 4))]
+        form = nested_spheres(*radii)
+        if len(radii) == 1 or (len(radii) < 4 and rng.random() < 0.5):
+            form = form_product(form, plane)
+    elif family == "squared":
+        form = form_product(nested_spheres(2), nested_spheres(2))
+        if rng.random() < 0.5:
+            form = form_product(form, plane)
+    elif family == "planes":
+        planes = [_linear([rng.randint(-3, 3) for _ in range(4)]) or {(0, 1, 0, 0): 1} for _ in range(rng.randint(2, 6))]
+        planes += rng.sample(planes, rng.randint(1, 2))
+        form = {(0, 0, 0, 0): 1}
+        for factor in planes:
+            form = form_product(form, factor)
+    else:
+        degree = rng.randint(3, 6)
+        form = {}
+        for _ in range(rng.randint(2, 8)):
+            a = rng.randint(0, degree)
+            b = rng.randint(0, degree - a)
+            c = rng.randint(0, degree - a - b)
+            form[(a, b, c, degree - a - b - c)] = rng.randint(-9, 9) or 1
+    order = sorted(range(4), key=lambda i: (center[i] != 0, rng.random()))  # new position k holds old order[k]
+    permuted = {tuple([exps[i] for i in order]): c for exps, c in form.items()}
+    return permuted, tuple([center[i] for i in order]), family
+
+
+def test_hyperbolicity_check_matches_both_oracles():
+    """1,200 seeded checks of 6 trials on forms of degree 3 to 8
+    (`_kernel_case`): the verdict, the trial, the witness and the boundary
+    contacts equal those of the Fraction sampler on the whole ray and of
+    the trial loop on the hyperplane with four-variable polar terms, and
+    the cases cover every j, support, refutation at and after trial 1, and
+    boundary contacts."""
+    rng = random.Random(28)
+    seen = {"supported": 0, "refuted at 1": 0, "refuted later": 0, "contacts": 0}
+    seen.update({f"j = {j}": 0 for j in range(4)})
+    checked = 0
+    while checked < 1200:
+        form, center, family = _kernel_case(rng)
+        x = _spec(form)
+        seed = rng.getrandbits(64)
+        try:
+            verdict = hyperbolicity_check(x, center, 6, seed)
+        except ValueError as err:
+            assert str(err) == "center on hypersurface", (form, center)  # e on a plane factor
+            continue
+        assert 3 <= x.degree <= 8
+        assert verdict == hyperbolicity_by_fraction_draws(x, center, 6, seed), (form, center, seed)
+        assert verdict == hyperbolicity_check_by_trials(x, center, 6, seed), (form, center, seed)
+        if family == "squared":
+            assert verdict == HyperbolicityVerdict(False, None, None, 6, 6)
+        if family in ("inside", "planes"):
+            assert not verdict.refuted
+        seen["refuted at 1" if verdict.trial == 1 else "refuted later" if verdict.refuted else "supported"] += 1
+        seen["contacts"] += verdict.boundary_contacts > 0
+        seen[f"j = {next(j for j, c in enumerate(center) if c)}"] += 1
+        checked += 1
+    assert min(seen.values()) >= 60, seen
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +540,7 @@ def test_quadric_verdicts_match_the_trial_loop():
         assert verdict == _outcome(hyperbolicity_check_by_trials, x, center, trials, seed), (terms, center, seed)
         if isinstance(verdict, str):
             messages[verdict] = messages.get(verdict, 0) + 1
-        elif topology._definite_line_discriminant(*topology._plane_polar_forms(x, topology._point(center, "center"))):
+        elif topology._definite_line_discriminant(topology._plane_polar_forms(x, topology._point(center, "center"))[1]):
             seen["definite"] += 1
         else:
             seen["refuted" if verdict.refuted else "supported"] += 1
@@ -446,7 +574,7 @@ def test_definite_line_discriminant_matches_sympy():
         gram = [[(disc(a, b) - disc(a) - disc(b)) / 2 for b in plane] for a in plane]
         decided = bool(sympy.Matrix([[sympy.Rational(g.numerator, g.denominator) for g in row] for row in gram])
                        .is_positive_definite)
-        assert topology._definite_line_discriminant(j, polar) == decided, (terms, center)
+        assert topology._definite_line_discriminant(polar) == decided, (terms, center)
         seen[decided] += 1
 
 
@@ -457,7 +585,7 @@ def test_definite_quadric_draws_no_line(monkeypatch):
     def fail(*args):
         raise AssertionError("a line was drawn")
 
-    monkeypatch.setattr(SplitMix64, "next_u64", fail)
+    monkeypatch.setattr(SplitMix64, "rational", fail)
     monkeypatch.setattr(HypersurfaceSpec, "restrict_to_line", fail)
     for center in ((1, 0, 0, 0), (Fraction(3, 2), Fraction(-1, 2), Fraction(1, 3), 1)):
         assert hyperbolicity_check(sphere_quadric(), center, 100_000, 0) == HyperbolicityVerdict(
@@ -489,6 +617,15 @@ def test_splitmix_determinism():
     for num, den in draws:
         assert type(num) is int and type(den) is int
         assert abs(num) <= 10**4 and 1 <= den <= 10**4
+
+
+def test_splitmix_stream_is_the_word_at_a_time_generator():
+    """The draws read the splitmix64 words of the oracle, whose first word
+    from seed 0 is the published 0xE220A8397B1DCDAF."""
+    assert next(oracles.splitmix_rationals(0))[0] == 0xE220A8397B1DCDAF % 20001 - 10000
+    for seed in (0, 1, 42, 2**64 - 1):
+        rng, stream = SplitMix64(seed), oracles.splitmix_rationals(seed)
+        assert [rng.rational() for _ in range(50)] == [next(stream) for _ in range(50)]
 
 
 # ---------------------------------------------------------------------------
