@@ -40,6 +40,21 @@ def canonical_json(payload) -> str:
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_MAX_DIGITS = 4300  # Python's default limit for converting a string to an int
+
+
+def _check_digits(digits: int):
+    """Refuse an integer of more than 4,300 digits in the input with one
+    message on every Python version: since 3.10.7 int() raises an error
+    that names an interpreter setting, and older versions convert it."""
+    if digits > _MAX_DIGITS:
+        raise ValueError(f"an integer of {digits} digits exceeds the limit of {_MAX_DIGITS:,} digits")
+
+
+def _json_int(text: str) -> int:
+    """A JSON integer literal, an optional minus and digits."""
+    _check_digits(len(text) - text.startswith("-"))
+    return int(text)
 
 
 def _fraction(value) -> Fraction:
@@ -48,6 +63,8 @@ def _fraction(value) -> Fraction:
     refused, so a short string cannot stand for a huge integer."""
     if not (type(value) is int or type(value) is str and _RATIONAL.fullmatch(value)):
         raise ValueError(f"expected an integer or 'p/q' string, got {value!r}")
+    if type(value) is str:
+        _check_digits(max(len(part.lstrip("+-")) for part in value.split("/")))
     try:
         return Fraction(value)
     except ZeroDivisionError:
@@ -63,7 +80,7 @@ def _document(path, what, parse):
     value of the wrong shape anywhere in it makes a malformed `what` document."""
     try:
         with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
+            doc = json.load(handle, parse_int=_json_int)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -115,8 +115,8 @@ def mat_vec(a, v):
 def determinant(a):
     """Determinant of a square matrix of ints or Fractions, by expansion
     along the first row with zero entries skipped; enough for the real
-    pairing matrices of the catalogue, whose rank is at most 5, and the Gram
-    matrices of at most three normals in `topology`."""
+    pairing matrices of the catalogue, whose rank is at most 5, and the
+    maximal minors of the normals of a subspace in `topology`."""
     if not a:
         return 1
     return sum(

@@ -45,15 +45,22 @@ primitive integer vectors like the normals of E and L; a segment is the
 nonnegative span of consecutive rays, and the cycle closes back to its first
 ray or its antipode.  A segment from p to q crosses L where alpha = p . n and
 beta = q . n differ in sign, at the ray of +-(beta p - alpha q), on the side
-of beta (p . c) - alpha (q . c): x . n is read at every vertex, x . c only at
-crossing ends and at vertices on L.  Non-transversal input is rejected.
+of beta (p . c) - alpha (q . c).  No Python function runs per vertex: x . n
+is one comprehension over the vertices, written out term by term, and the
+crossings are where a C-level comparison of consecutive signs differs;
+x . c is read only at crossing ends and at vertices on L.  The hyperplane
+contains the center when the three normals are dependent, all 3 x 3 minors
+of their matrix zero: one determinant in RP^2, four in RP^3; the normals
+of a subspace are independent when one of their maximal minors is nonzero.
+Non-transversal input is rejected.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, compress
 from math import gcd, lcm
-from operator import mul
+from operator import mul, ne
 from typing import NamedTuple
 
 from . import realroots
@@ -292,8 +299,18 @@ class GreatSubsphere(Value):
 
 
 def _independent(vectors) -> bool:
-    """Whether rational vectors are linearly independent: det(u . v) != 0."""
-    return determinant([[dot(u, v) for v in vectors] for u in vectors]) != 0
+    """Whether k rational vectors are linearly independent: whether one of
+    the k x k minors of their matrix, one per k of their coordinates, is
+    nonzero.  Three vectors, the hyperplane's normal and the center's two of
+    every `linking_number` call, take the closed-form determinant."""
+    det = _det3 if len(vectors) == 3 else determinant
+    return any(det(columns) for columns in combinations(zip(*vectors), len(vectors)))
+
+
+def _det3(rows):
+    """The determinant of a 3 x 3 matrix."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+    return a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
 
 
 class PLCycle(Value):
@@ -358,7 +375,9 @@ def linking_number(cycle: PLCycle, e: GreatSubsphere, chain: GreatSubsphere | No
     `chain` is L, a hyperplane containing e; when omitted it is the zero set of
     e's first normal.  A segment from p to q with alpha = p.n and beta = q.n of
     opposite signs adds the sign of beta (p.c) - alpha (q.c): x.n is read at
-    every vertex, x.c only at crossing ends and at vertices on L.  Only |lk| is
+    every vertex in one comprehension, with no call per vertex, the crossings
+    are found by comparing consecutive signs with `compress`, and x.c (`dot`)
+    is read only at crossing ends and at vertices on L.  Only |lk| is
     meaningful downstream: it does not depend on L for transversal input.  A
     vertex on the center, then a vertex on L, then a crossing through the
     center is rejected with its index in the stored cycle ("perturb input").
@@ -367,7 +386,12 @@ def linking_number(cycle: PLCycle, e: GreatSubsphere, chain: GreatSubsphere | No
         raise ValueError("cycle and center live in different ambient spaces")
     n_l, c = _projection(e, chain)
     points = cycle.points
-    alphas = [dot(p, n_l) for p in points]
+    if len(n_l) == 3:
+        n0, n1, n2 = n_l
+        alphas = [x0 * n0 + x1 * n1 + x2 * n2 for x0, x1, x2 in points]
+    else:
+        n0, n1, n2, n3 = n_l
+        alphas = [x0 * n0 + x1 * n1 + x2 * n2 + x3 * n3 for x0, x1, x2, x3 in points]
     if 0 in alphas:  # L contains the center, so only these vertices can lie on it
         on_l = [idx for idx, alpha in enumerate(alphas) if not alpha]
         for idx in on_l:
@@ -375,12 +399,13 @@ def linking_number(cycle: PLCycle, e: GreatSubsphere, chain: GreatSubsphere | No
                 raise ValueError(f"perturb input: cycle vertex {idx} lies on the center")
         raise ValueError(f"perturb input: cycle vertex {on_l[0]} lies on the hyperplane")
     sphere = cycle.closure == "sphere"
+    alphas.append(alphas[0] if sphere else -alphas[0])  # at the end closing the cycle
     ends = points[1:] + (points[0] if sphere else realroots.neg(points[0]),)
+    positive = [alpha > 0 for alpha in alphas]
     total = 0
-    for idx, (alpha, beta) in enumerate(zip(alphas, alphas[1:] + [alphas[0] if sphere else -alphas[0]])):
-        if (alpha > 0) != (beta > 0):
-            side = beta * dot(points[idx], c) - alpha * dot(ends[idx], c)
-            if side == 0:
-                raise ValueError(f"perturb input: segment {idx} crosses the center")
-            total += 1 if side > 0 else -1
+    for idx in compress(range(len(points)), map(ne, positive, positive[1:])):
+        side = alphas[idx + 1] * dot(points[idx], c) - alphas[idx] * dot(ends[idx], c)
+        if side == 0:
+            raise ValueError(f"perturb input: segment {idx} crosses the center")
+        total += 1 if side > 0 else -1
     return total

@@ -13,9 +13,10 @@ primitivity and kernel saturation in the lattice tests; the linking criterion
 sums linking numbers over the components of a curve, and the winding number
 of the full preimage of a cycle on S^n, summed in floats, checks the signed
 `topology.linking_number`, as does the loop that takes both functionals
-x.n and x.c at every vertex, which also checks its rejections.  Matrix
-products, inverses and signatures check isometries, involutions and the
-signature certificate of the class enumeration; the Fincke-Pohst search on
+x.n and x.c at every vertex, which also checks its rejections; that loop
+finds c by a 2 x 2 minor and the chain's containment of the center by a
+Hermite normal form, not by the library.  Matrix products, inverses and
+signatures check isometries, involutions and the signature certificate of the class enumeration; the Fincke-Pohst search on
 a rational LDL^T factorisation checks the fraction-free one of
 `intlinalg.enumerate_quadratic`, and its pivots check the Bareiss minors; a
 squarefree decomposition with one Sturm count per part, and a Sturm chain
@@ -406,6 +407,15 @@ def hyperbolicity_from_linking(components, e: GreatSubsphere, chain: GreatSubsph
     return sum(abs(linking_number(c, e, chain)) for c in components) == claimed_degree
 
 
+def _functionals(e: GreatSubsphere, chain: GreatSubsphere | None):
+    """n, the normal of the chain (by default e's first normal), and c, the
+    first normal of e with a nonzero 2 x 2 minor beside n, so not parallel
+    to it."""
+    n = e.normals[0] if chain is None else chain.normals[0]
+    c = next(m for m in e.normals if any(a * y != b * x for (a, x), (b, y) in itertools.combinations(zip(m, n), 2)))
+    return n, c
+
+
 def winding_of_lift(cycle: PLCycle, e: GreatSubsphere, chain: GreatSubsphere | None) -> int:
     """Winding number about the origin of the image of the full preimage of
     the cycle on S^n under x |-> (x . c, x . n), n the normal of the chain
@@ -416,8 +426,7 @@ def winding_of_lift(cycle: PLCycle, e: GreatSubsphere, chain: GreatSubsphere | N
     between the images of its ends, so it sweeps the angle between them;
     the angles are summed with `math.atan2`.  The cycle must avoid e and
     cross L away from e."""
-    n = e.normals[0] if chain is None else chain.normals[0]
-    c = next(m for m in e.normals if any(a * y != b * x for (a, x), (b, y) in itertools.combinations(zip(m, n), 2)))
+    n, c = _functionals(e, chain)
     antipodes = [tuple(-x for x in p) for p in cycle.points]
     loops = [cycle.points, antipodes] if cycle.closure == "sphere" else [cycle.points + tuple(antipodes)]
     angle = 0.0
@@ -432,10 +441,22 @@ def linking_number_by_images(cycle: PLCycle, e: GreatSubsphere, chain: GreatSubs
     """`topology.linking_number` from the image (x.n, x.c) of every vertex:
     two dot products per vertex, a scan of the images for a vertex on the
     center, a second scan for a vertex on L, and a closing image built for
-    the last segment."""
+    the last segment.  The center and the chain are checked in the library's
+    order and with its messages, the chain's containment of the center by
+    the rank of the integer Hermite normal form of the three normals, and n
+    and c come from `_functionals`."""
     if cycle.ambient != e.ambient:
         raise ValueError("cycle and center live in different ambient spaces")
-    n_l, c = topology._projection(e, chain)
+    if len(e.normals) != 2:
+        raise ValueError("the center must be cut out by two independent equations")
+    if chain is not None:
+        if chain.ambient != e.ambient:
+            raise ValueError("center and chain live in different ambient spaces")
+        if len(chain.normals) != 1:
+            raise ValueError("the bounding subspace must be a hyperplane")
+        if len(hnf(e.normals + chain.normals)) == 3:
+            raise ValueError("the hyperplane must contain the center")
+    n_l, c = _functionals(e, chain)
     images = [(dot(p, n_l), dot(p, c)) for p in cycle.points]
     for idx, image in enumerate(images):
         if image == (0, 0):

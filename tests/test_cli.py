@@ -695,6 +695,38 @@ def test_huge_exponent_rational_exits_2_at_once(tmp_path):
     assert result.stderr == "error: expected an integer or 'p/q' string, got '1e1000000'\n"
 
 
+def test_integers_past_4300_digits_exit_2_with_one_message(capsys, tmp_path):
+    """An integer of more than 4,300 digits, as a JSON literal or in a "p/q"
+    string, in a document or on the command line, is refused with the CLI's
+    own one-line message, not Python's, whatever the Python version; one of
+    4,300 digits is read."""
+
+    def sphere_with(coeff):
+        doc = {"degree": 2, "terms": [{"exponents": [0, 2, 0, 0], "coeff": "COEFF"},
+                                      {"exponents": [2, 0, 0, 0], "coeff": -1}]}
+        path = tmp_path / f"sphere{len(list(tmp_path.iterdir()))}.json"
+        path.write_text(json.dumps(doc).replace('"COEFF"', coeff))
+        return str(path)
+
+    long, longer = "7" * 4300, "7" * 4301
+    refused = [
+        ["hyp", sphere_with(longer), "--point", "1,0,0,0"],
+        ["hyp", sphere_with("-" + longer), "--point", "1,0,0,0"],
+        ["hyp", sphere_with(f'"{longer}"'), "--point", "1,0,0,0"],
+        ["hyp", sphere_with(f'"-1/{longer}"'), "--point", "1,0,0,0"],
+        ["hyp", sphere_with(f'"+{longer}/3"'), "--point", "1,0,0,0"],
+        ["hyp", sphere_with("1"), "--point", f"1,{longer},0,0"],
+    ]
+    for argv in refused:
+        code = main(argv + ["--trials", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), argv[1:]
+        assert captured.err == "error: an integer of 4301 digits exceeds the limit of 4,300 digits\n"
+    for coeff in (long, "-" + long, f'"{long}/{long}"', f'"-{long}"'):
+        code, payload = run_json(capsys, ["hyp", sphere_with(coeff), "--point", "1,0,0,0", "--trials", "1"])
+        assert code in (0, 1) and payload["status"] != "error", coeff[:5]
+
+
 def test_malformed_documents_exit_2(capsys, tmp_path):
     junk = tmp_path / "junk.json"
     junk.write_text('"just a string"')

@@ -39,6 +39,7 @@ from conftest import (
     refine_cycle,
     rotate_cycle,
     rotate_subspace,
+    rotate_vector,
     square_cycle,
     sphere_quadric,
 )
@@ -835,7 +836,9 @@ def test_linking_number_matches_the_image_oracle():
     at least 100 for each ambient space, closure and chain given or omitted,
     with coordinates in [-1, 1] (many rejections) or [-3, 3], and on planted
     cycles: a vertex on L, a vertex on the center, a vertex on L before one on
-    the center (the center is reported), and a segment through the center."""
+    the center (the center is reported), and a segment through the center.
+    Chains drawn in and off the center's pencil, a center of one equation, a
+    chain of two and ambient spaces that differ give the same outcome too."""
     rng = random.Random(26)
     drawn_by_kind = {(a, c, g): 0 for a in (2, 3) for c in ("sphere", "antipode") for g in (False, True)}
     seen = set()
@@ -863,13 +866,37 @@ def test_linking_number_matches_the_image_oracle():
             for chain in (l, None):
                 assert _outcome(linking_number, cycle, e, chain) == _outcome(linking_number_by_images, cycle, e, chain)
             assert _outcome(linking_number, cycle, e, l) == f"ValueError: {message}"
+    # Chains off the center's pencil: the 3 x 3 minors against the oracle's Hermite normal form.
+    messages = set()
+    for _ in range(400):
+        drawn = random_linking_input(rng, 3)
+        if drawn is None:
+            continue
+        cycle, e, _ = drawn
+        a, b = e.normals
+        u, v, w = rng.randint(-3, 3), rng.randint(-3, 3), rng.choice((0, 1))
+        normal = tuple(u * x + v * y + w * rng.randint(-3, 3) for x, y in zip(a, b))
+        if not any(normal):
+            continue
+        chain = GreatSubsphere(cycle.ambient, (normal,))
+        expected = _outcome(linking_number_by_images, cycle, e, chain)
+        assert _outcome(linking_number, cycle, e, chain) == expected, (cycle, e, chain)
+        messages.add(expected if type(expected) is str else "value")
+    assert {"value", "ValueError: the hyperplane must contain the center"} <= messages
+    wrong = [(square_cycle(Fraction(1, 4)), GreatSubsphere(2, ((0, 1, 0),)), l),
+             (square_cycle(Fraction(1, 4)), e, GreatSubsphere(2, ((0, 0, 1), (0, 1, 0)))),
+             (square_cycle(Fraction(1, 4)), e, GreatSubsphere(3, ((0, 0, 1, 0),))),
+             (square_cycle(Fraction(1, 4)), GreatSubsphere(3, ((0, 0, 1, 0), (0, 0, 0, 1))), l)]
+    for args in wrong:
+        assert _outcome(linking_number, *args) == _outcome(linking_number_by_images, *args)
+        assert _outcome(linking_number, *args).startswith("ValueError: ")
 
 
 def test_linking_number_reads_the_side_only_at_crossings(monkeypatch):
     """On an oval around the center, an oval beside it and a pseudoline, each
-    refined to 256 vertices and turned by a rational rotation, the dot
-    products taken with a cycle vertex (or the antipode closing it) number
-    one per vertex and two per crossing of L."""
+    refined to 256 vertices and turned by a rational rotation, `dot` is
+    called exactly twice per crossing of L, each time with a cycle vertex
+    (or the antipode closing it), and never once per vertex."""
     rng = random.Random(256)
     e, l = chart_origin(), chart_axis()
     calls = []
@@ -894,7 +921,68 @@ def test_linking_number_reads_the_side_only_at_crossings(monkeypatch):
         calls.clear()
         assert abs(linking_number(cycle, center, chain)) == expected
         assert len(points) == 256 and crossings >= 1
-        assert sum(u in vertices for u in calls) == len(points) + 2 * crossings
+        assert len(calls) == 2 * crossings and all(u in vertices for u in calls)
+
+
+def test_linking_number_matches_the_oracle_on_workload_shaped_cycles():
+    """Cycles shaped like the benchmark's: in RP^2 ovals around and beside
+    the center [1:0:0] and a pseudoline, in RP^3 a ring around the center
+    line and a projective line, each refined to 256 vertices, turned by
+    Cayley rotations and closed both to its first vertex and to its
+    antipode.  The value equals the image oracle's and, on the cycle's own
+    closure, the expected |lk|.  Planted at the first, a middle and the
+    last index, a vertex on L, a vertex on the center, a vertex on L before
+    one on the center, and a segment through the center (for the last
+    index, the closing segment) give the same message, with that index,
+    from both."""
+    rng = random.Random(29)
+    q = Fraction(1, 4)
+    plane = (chart_origin(), chart_axis(), (1, 0, 0), (1, 1, 0))  # center, L, on the center, on L only
+    space = (GreatSubsphere(3, ((0, 0, 1, 0), (0, 0, 0, 1))), GreatSubsphere(3, ((0, 0, 1, 2),)),
+             (1, 1, 0, 0), (0, 1, 2, -1))
+    shapes = (
+        (square_cycle(q), plane, 2),
+        (square_cycle(q, shift=2), plane, 0),
+        (pseudoline_cycle(), plane, 1),
+        (PLCycle(3, "sphere", ((1, 0, q, q), (1, 0, -q, q), (1, 0, -q, -q), (1, 0, q, -q))), space, 2),
+        (PLCycle(3, "antipode", ((0, 0, 1, 1), (0, 0, -1, 1))), space, 1),
+    )
+    values = {}
+    for base, (center, chain, on_center, on_l), expected in shapes:
+        checked = 0
+        while checked < 4:
+            cycle = base
+            while len(cycle.points) < 256:
+                cycle = refine_cycle(cycle, weight=rng.randint(2, 3))
+            rot = cayley_rotation(rng, base.ambient + 1)
+            cycle, e, l = rotate_cycle(rot, cycle), rotate_subspace(rot, center), rotate_subspace(rot, chain)
+            outcome = _outcome(linking_number, cycle, e, l)
+            assert outcome == _outcome(linking_number_by_images, cycle, e, l)
+            if type(outcome) is not int:
+                continue  # a refined vertex landed on L
+            assert abs(outcome) == expected
+            checked += 1
+            z, w = rotate_vector(rot, on_center), rotate_vector(rot, on_l)
+            points, last = list(cycle.points), len(cycle.points) - 1
+            for closure in ("sphere", "antipode"):
+                values.setdefault((base.ambient, closure), set()).add(
+                    _outcome(linking_number, PLCycle(base.ambient, closure, points), e, l))
+                for k in (0, rng.randrange(1, last), last):
+                    m = rng.randint(1, 3)
+                    through = [m * a - b for a, b in zip(z, points[k])]  # with points[k], sums to m z
+                    plants = [
+                        ({k: w}, f"cycle vertex {k} lies on the hyperplane"),
+                        ({k: neg(z)}, f"cycle vertex {k} lies on the center"),
+                        ({k: z, rng.randrange(k) if k else last: w}, f"cycle vertex {k} lies on the center"),
+                        ({k + 1: through} if k < last else {0: through if closure == "sphere" else neg(through)},
+                         f"segment {k} crosses the center"),
+                    ]
+                    for changes, message in plants:
+                        planted = PLCycle(base.ambient, closure, [changes.get(i, p) for i, p in enumerate(points)])
+                        got = _outcome(linking_number, planted, e, l)
+                        assert got == _outcome(linking_number_by_images, planted, e, l) == f"ValueError: perturb input: {message}"
+    assert all(all(type(v) is int for v in found) for found in values.values())
+    assert set(values) == {(a, c) for a in (2, 3) for c in ("sphere", "antipode")}
 
 
 def test_cycle_validation():
@@ -931,8 +1019,8 @@ def test_subspace_validation():
 
 def test_independent_matches_sympy_rank():
     """One to three small rational vectors in Q^3 and Q^4, with zero vectors,
-    repeats and dependent triples u, v, a u + b v among them: the Gram
-    determinant is nonzero exactly when sympy's exact rank is full."""
+    repeats and dependent triples u, v, a u + b v among them: some k x k
+    minor of k vectors is nonzero exactly when sympy's exact rank is full."""
     sympy = pytest.importorskip("sympy")
     rng = random.Random(20254)
 
