@@ -1,31 +1,32 @@
 """Lattice models of the real del Pezzo surfaces whose real part is a
 disjoint union of spheres and real projective planes.
 
-Each model bundles the Picard lattice of the complexification, the real
-Picard lattice embedded in it, the complex-conjugation involution sigma, the
-canonical class on both sides, the finitely many (-1)-classes, their distinct
-pairings against the real basis (the line functionals that condition c5 of
-`search` reads), and the topology (s spheres, r projective planes).  A
-builder gives only the real basis.  sigma is an isometric involution whose
-fixed lattice is the real lattice, so `_model` derives it as the reflection
-in the real lattice, together with the real coordinates of K.  It reads the
-degree from K.K, and s and r from sigma and the real pairing matrix G_real:
-Lefschetz gives 2s + r = 2 - tr sigma, and Kharlamov-Krasnov gives 2s + 3r =
-2 + rank - 2a with |det G_real| = 2^a (Degtyarev and Kharlamov, Russian Math.
-Surveys 55:4, 2000).  The embedding and the conjugation are plain integer
-matrices (tuples of row tuples), built here and never read from input; every
-pairing goes through `intlinalg.dot`.
+Each model bundles the Picard lattice of the complexification (rank n), the
+real Picard lattice embedded in it (rank rho), the canonical class on both
+sides, the finitely many (-1)-classes, their distinct pairings against the
+real basis (the line functionals that condition c5 of `search` reads), and
+the topology (s spheres, r projective planes).  A builder gives only the
+real basis, and `_model` reads everything else from it.  The degree is K.K.
+Complex conjugation is an isometric involution whose fixed lattice is the
+real lattice, so its trace is 2 rho - n, and with |det G_real| = 2^a for the
+real pairing matrix G_real, Lefschetz (2s + r = 2 + n - 2 rho) and
+Kharlamov-Krasnov (2s + 3r = 2 + n - 2a) give r = rho - a and
+s = (2 + n - 2 rho - r) / 2 (Degtyarev and Kharlamov, Russian Math. Surveys
+55:4, 2000).  The embedding is a plain integer matrix (a tuple of row
+tuples), built here and never read from input; every pairing goes through
+`intlinalg.dot`.
 
 Conventions.  Complex lattices are either the blow-up lattice Z^{1,n} with
 basis H, E1, ..., En, pairing diag(1, -1, ..., -1) and canonical class
 -3H + E1 + ... + En, or - for the quadric sphere Q31 and its blow-ups - the
 hyperbolic plane spanned by the two rulings l1, l2 (l1.l2 = 1, l1^2 = l2^2
 = 0, canonical -2 l1 - 2 l2) extended by exceptional classes.  Minimal conic
-bundles have the real basis F = H - E1, K, so sigma swaps the two components
-of every singular fiber; the degree 2 and degree 1 minimal surfaces with real
-Picard rank one have the real basis K, so sigma is the anticanonical (Geiser
-or Bertini) reflection D |-> -D + 2 (D.K / K.K) K.  Real lattices keep the
-honest canonical class K as a basis vector whenever one exists in the basis.
+bundles have the real basis F = H - E1, K, as conjugation swaps the two
+components of every singular fiber; the degree 2 and degree 1 minimal
+surfaces with real Picard rank one have the real basis K, as conjugation is
+the anticanonical (Geiser or Bertini) reflection D |-> -D + 2 (D.K / K.K) K.
+Real lattices keep the honest canonical class K as a basis vector whenever
+one exists in the basis.
 
 Real points may only be blown up on sphere components: blowing up a point of
 a projective plane would create a Klein bottle, which is outside the
@@ -53,7 +54,6 @@ class SurfaceModel(NamedTuple):
     complex_lattice: IntLattice
     complex_canonical: ClassVector
     embedding: tuple  # complex rank x real rank; column j: real basis vector j in complex coordinates
-    involution: tuple  # complex rank x complex rank: the conjugation, the reflection in the real lattice
     minus_one_classes: tuple
     line_functionals: tuple  # sorted distinct rows: pairings of a (-1)-class with the real basis
 
@@ -76,15 +76,12 @@ def _model(name, cx, k_cx_coeffs, real_labels, real_columns):
     to 73), and D.L > 0 on every class is D.L > 0 on every distinct row, so
     only the sorted distinct rows are kept.
 
-    The conjugation is an isometric involution fixing the real lattice, so
-    it is the reflection in it: with U the embedding, d = det G_real and adj
-    its adjugate, P = U adj U^T G is d times the orthogonal projection onto
-    the real lattice, sigma = (2P - dI)/d, and K has real coordinates
-    adj U^T G K / d.  The degree is K.K, and s and r follow from the module
-    docstring's two identities.  A singular G_real, a division that is not
-    exact, real coordinates that do not embed onto K, a |det G_real| that is
-    not a power of two, or an s or r that is not a nonnegative integer raises
-    ValueError naming the model.
+    With U the embedding, d = det G_real and adj its adjugate, K has real
+    coordinates adj U^T G K / d.  The degree is K.K, and s and r follow from
+    rho, n and a as in the module docstring.  A singular G_real, real
+    coordinates that are not integers or do not embed onto K, a
+    |det G_real| that is not a power of two, or an s that is odd or
+    negative or an r that is negative raises ValueError naming the model.
     """
     k_cx = cx.vector(k_cx_coeffs)
     gram_images = [mat_vec(cx.gram, u) for u in real_columns]
@@ -96,23 +93,15 @@ def _model(name, cx, k_cx_coeffs, real_labels, real_columns):
         raise ValueError(f"{name}: the real pairing matrix is singular")
     adj = [[(-1) ** (a + b) * determinant([row[:a] + row[a + 1:] for i, row in enumerate(gram) if i != b])
             for b in range(real.rank)] for a in range(real.rank)]
-    to_real = [[dot(row, col) for col in zip(*gram_images)] for row in adj]  # adj U^T G
-    not_real = f"{name}: K is not a class of the real lattice"
-    canonical = real.vector(_exact_quotients(mat_vec(to_real, k_cx.coeffs), det, not_real))
-    if tuple(mat_vec(embedding, canonical.coeffs)) != k_cx.coeffs:
-        raise ValueError(not_real)
-    columns = tuple(zip(*to_real))
-    not_integral = f"{name}: the reflection in the real lattice is not integral"
-    involution = tuple(
-        _exact_quotients([2 * p - det * (i == j) for j, p in enumerate(mat_vec(columns, row))], det, not_integral)
-        for i, row in enumerate(embedding)
-    )
-    trace = sum(involution[i][i] for i in range(cx.rank))
-    chi, det = 2 - trace, abs(det)
-    r, r_odd = divmod(2 + cx.rank - 2 * (det.bit_length() - 1) - chi, 2)
-    s, s_odd = divmod(chi - r, 2)
-    if det & (det - 1) or r_odd or s_odd or min(s, r) < 0:
-        raise ValueError(f"{name}: conjugation and real lattice give no union of spheres and planes")
+    coords = mat_vec(adj, [dot(gv, k_cx.coeffs) for gv in gram_images])  # adj U^T G K
+    canonical = tuple(c // det for c in coords)
+    if any(c % det for c in coords) or tuple(mat_vec(embedding, canonical)) != k_cx.coeffs:
+        raise ValueError(f"{name}: K is not a class of the real lattice")
+    det = abs(det)
+    r = real.rank - (det.bit_length() - 1)
+    s, s_odd = divmod(2 + cx.rank - 2 * real.rank - r, 2)
+    if det & (det - 1) or s_odd or min(s, r) < 0:
+        raise ValueError(f"{name}: the real lattice gives no union of spheres and planes")
     lines = minus_one_curves(cx, k_cx)
     return SurfaceModel(
         name=name,
@@ -120,21 +109,13 @@ def _model(name, cx, k_cx_coeffs, real_labels, real_columns):
         s=s,
         r=r,
         real_lattice=real,
-        canonical=canonical,
+        canonical=real.vector(canonical),
         complex_lattice=cx,
         complex_canonical=k_cx,
         embedding=embedding,
-        involution=involution,
         minus_one_classes=lines,
         line_functionals=tuple(sorted({tuple(dot(line.coeffs, gu) for gu in gram_images) for line in lines})),
     )
-
-
-def _exact_quotients(values, divisor, message):
-    """The integers v / divisor; a nonzero remainder raises ValueError(message)."""
-    if any(v % divisor for v in values):
-        raise ValueError(message)
-    return tuple(v // divisor for v in values)
 
 
 def _blowup_lattice(n_exceptional):
@@ -147,9 +128,13 @@ def _blowup_lattice(n_exceptional):
     return IntLattice(n_exceptional + 1, labels, gram)
 
 
-def _build_p2():
-    cx = IntLattice(1, ("H",), ((1,),))
-    return _model("P2", cx, (-3,), ("H",), [(1,)])
+def _build_plane_blowup(name, degree, real_labels):
+    """A minimal surface on Z^{1,n}, n = 9 - degree, whose real basis is
+    named by `real_labels` among H, F = H - E1 and K = -3H + E1 + ... + En."""
+    n = 9 - degree
+    k = (-3,) + (1,) * n
+    columns = {"H": (1,) + (0,) * n, "F": (1, -1) + (0,) * (n - 1), "K": k}
+    return _model(name, _blowup_lattice(n), k, real_labels, [columns[label] for label in real_labels])
 
 
 def _build_q31():
@@ -157,21 +142,6 @@ def _build_q31():
     # Conjugation swaps the two rulings; the real lattice is generated by the
     # hyperplane class H = l1 + l2 with H.H = 2 and K = -2H.
     return _model("Q31", cx, (-2, -2), ("H",), [(1, 1)])
-
-
-def _build_minimal_conic(degree):
-    n_exc = 9 - degree
-    cx = _blowup_lattice(n_exc)
-    k = (-3,) + (1,) * n_exc
-    f_col = (1, -1) + (0,) * (n_exc - 1)
-    return _model(f"D{degree}", cx, k, ("F", "K"), [f_col, k])
-
-
-def _build_anticanonical_minimal(name, degree):
-    n_exc = 9 - degree
-    cx = _blowup_lattice(n_exc)
-    k = (-3,) + (1,) * n_exc
-    return _model(name, cx, k, ("K",), [k])
 
 
 def _direct_sum(m, block):
@@ -186,14 +156,13 @@ def blow_up(base: SurfaceModel, real_points: int = 0, conj_pairs: int = 0) -> Su
 
     Real centers lie on distinct sphere components; each one turns a sphere
     into a projective plane, and conjugate pairs leave the topology unchanged.
-    `_model` reads the new s and r from the conjugation and G_real, so more
-    real centers than spheres are rejected: a real point of a projective plane
+    `_model` reads the new s and r from the real lattice, so more real
+    centers than spheres are rejected: a real point of a projective plane
     would produce a Klein bottle component.  The pairing and the real basis
     are the direct sums of the base's with a block for the m = a + 2b
     exceptional classes: -I_m, and a unit or pair-sum real basis vector per
-    real class or pair, so the derived conjugation fixes each real class and
-    swaps each pair.  A real basis vector embedding onto K moves onto the new
-    K.
+    real class or pair, as conjugation fixes each real class and swaps each
+    pair.  A real basis vector embedding onto K moves onto the new K.
     """
     a, b = int_tuple((real_points, conj_pairs))
     if a < 0 or b < 0:
@@ -244,25 +213,25 @@ def _build_g2_1_0():
 # Catalogue order: descending degree, blow-ups of the plane and the quadric
 # interleaved with the minimal conic bundles.  The keys are the CLI identifiers.
 _BUILDERS = {
-    "P2": _build_p2,
+    "P2": lambda: _build_plane_blowup("P2", 9, ("H",)),
     "Q31": _build_q31,
     "P2_0_2": lambda: blow_up(builtin("P2"), conj_pairs=1),
     "Q31_0_2": lambda: blow_up(builtin("Q31"), conj_pairs=1),
     "P2_0_4": lambda: blow_up(builtin("P2"), conj_pairs=2),
     "Q31_0_4": lambda: blow_up(builtin("Q31"), conj_pairs=2),
-    "D4": lambda: _build_minimal_conic(4),
+    "D4": lambda: _build_plane_blowup("D4", 4, ("F", "K")),
     "P2_0_6": lambda: blow_up(builtin("P2"), conj_pairs=3),
     "D4_1_0": lambda: blow_up(builtin("D4"), real_points=1),
     "D4_2_0_11": lambda: blow_up(builtin("D4"), real_points=2),
     "Q31_0_6": lambda: blow_up(builtin("Q31"), conj_pairs=3),
     "D4_0_2": lambda: blow_up(builtin("D4"), conj_pairs=1),
-    "D2": lambda: _build_minimal_conic(2),
-    "G2": lambda: _build_anticanonical_minimal("G2", 2),
+    "D2": lambda: _build_plane_blowup("D2", 2, ("F", "K")),
+    "G2": lambda: _build_plane_blowup("G2", 2, ("K",)),
     "P2_0_8": lambda: blow_up(builtin("P2"), conj_pairs=4),
     "D4_1_2": lambda: blow_up(builtin("D4"), real_points=1, conj_pairs=1),
     "D2_1_0": _build_d2_1_0,
     "G2_1_0": _build_g2_1_0,
-    "B1": lambda: _build_anticanonical_minimal("B1", 1),
+    "B1": lambda: _build_plane_blowup("B1", 1, ("K",)),
 }
 SURFACE_NAMES = tuple(_BUILDERS)
 

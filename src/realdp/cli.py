@@ -16,7 +16,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-from math import isqrt
 
 from .catalog import SURFACE_NAMES, builtin
 from .conic import (
@@ -41,14 +40,34 @@ def canonical_json(payload) -> str:
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _MAX_DIGITS = 4300  # Python's default limit for converting a string to an int
+_TOO_LONG = 10**_MAX_DIGITS  # the least integer of more than 4,300 digits
 
 
 def _check_digits(digits: int):
-    """Refuse an integer of more than 4,300 digits in the input with one
-    message on every Python version: since 3.10.7 int() raises an error
-    that names an interpreter setting, and older versions convert it."""
+    """Refuse an integer of more than 4,300 digits, in the input or in an
+    answer, with one message on every Python version: since 3.10.7 int()
+    and str() raise an error that names an interpreter setting, and older
+    versions convert it."""
     if digits > _MAX_DIGITS:
         raise ValueError(f"an integer of {digits} digits exceeds the limit of {_MAX_DIGITS:,} digits")
+
+
+def _answer(value):
+    """`value`, refused by `_check_digits` when it holds an integer of more
+    than 4,300 digits in nested lists, tuples and dicts: 3.10.7 and later
+    cannot print one and older versions can, so every answer is checked
+    before any of it is printed."""
+    if type(value) is dict:
+        _answer(tuple(value.values()))
+    elif type(value) in (list, tuple):
+        for item in value:
+            _answer(item)
+    elif type(value) is int and abs(value) >= _TOO_LONG:
+        digits = abs(value).bit_length() * 1233 >> 12  # at most the count: 1233 / 4096 < log10(2)
+        while abs(value) >= 10**digits:
+            digits += 1
+        _check_digits(digits)
+    return value
 
 
 def _json_int(text: str) -> int:
@@ -141,20 +160,27 @@ _MAX_CONIC_DEGREE = 256
 #   d = 128:  0.5 at b = 4,  3.3 / 2.5 at 16,  8.9 at 32,  32 / 29 at 64
 #   d = 64:   0.1 at b = 4,  0.3 at 16,  2.5 at 64,  7.6 / 7.1 at 128,  29 / 25 at 256
 #   d = 32:   0.3 at b = 64,  2.5 / 2.0 at 256,  17 / 6.2 at 512
+#   d = 32*:  27 at b = 768 (discriminant)
 #   d = 16:   18 / 1.3 at b = 1024,  41 / 4.5 at 2048
-#   d = 16*:  12 / 1.1 at b = 1024,  69 to 94 / 4.5 at 2048,  15 at 4096,  63 at 8192,  236 at 16384
+#   d = 16*:  12 / 1.1 at b = 1024,  16 at 1536 (discriminant),  69 to 94 / 4.5 at 2048,  15 at 4096,
+#             63 at 8192,  236 at 16384
 #   d = 8:    61 / 0.7 at b = 4096
 #   d = 8*:   0.2 at b = 1024,  0.3 at 2048,  0.7 at 4096,  3.3 at 8192,  9.2 at 16384
 #
 # Every `analyze` time is at most 0.2 s (cold start) + 2.04 s * (d / 64)^4 *
-# ((b + 4) / 64)^2 (Sturm chains), reached at (64, 64); each unstarred
-# `discriminant` time is at most that + 13 s * (d / 16) * (b / 1024)^1.5
-# (rational-root search), reached at (8, 4096); that search varies more:
-# (16*, 2048) took 69 to 94 s, and is refused.  These are times at the faster
-# of the VM's two speeds, about 2x apart; the constants below are twice them.
+# ((b + 4) / 64)^2 (Sturm chains), reached at (64, 64); each `discriminant`
+# time is at most that + 26 s * (d / 16)^2 * (b / 1024)^3 (rational-root
+# search), nearest at (32, 512).  The search varies much between sections of
+# one size (61 s at (8, 4096), 0.7 s on the 8* section); d^2 b^3 follows the
+# slowest: (16, 1024) and (64, 256), of one d b, read 17 and 4 s beyond
+# `analyze`, and (16*, 2048) up to 90 s.  A discriminant of degree at most
+# two has its rational roots in closed form, so no search.  These are times
+# at the faster of the VM's two speeds, about 2x apart (the figures 16 s at
+# (16*, 1536) and 27 s at (32*, 768) are halves of runs at the slower one,
+# which read 23.5 s at (16*, 1024)); the constants below are twice them.
 _CONIC_START_US = 400_000
 _CONIC_STURM_US_AT_64_60 = 4_080_000
-_CONIC_ROOT_SEARCH_US_AT_16_1024 = 26_000_000
+_CONIC_ROOT_SEARCH_US_AT_16_1024 = 52_000_000
 
 
 def _splitting(doc) -> list:
@@ -277,7 +303,7 @@ def _cmd_conic_conditions(args):
 
 
 def _cmd_conic_candidate(args):
-    data = candidate_divisor(args.s)
+    data = _answer(candidate_divisor(args.s))
     text = (
         f"D = {data['a']}F - {data['b']}K: genus {data['genus']}, "
         f"at least {data['ell_lower_bound']} sections"
@@ -286,7 +312,7 @@ def _cmd_conic_candidate(args):
 
 
 def _cmd_conic_chow(args):
-    data = surface_class_identities(args.a, args.c)
+    data = _answer(surface_class_identities(args.a, args.c))
     if data["s"] < 0:
         raise ValueError(f"s = 3(a/2) + c = {data['s']} is a negative number of spheres")
     text = f"K_X^2 = {data['KX2']}, s = {data['s']}, O(1)|_X = {data['x']}F - K"
@@ -301,8 +327,8 @@ def _conic_matrix_within_budget(path, command) -> ConicMatrix:
     d = 2 * sum(matrix.splitting)
     b = max(abs(c).bit_length() for row in matrix.entries for q in row for c in q.coeffs)
     us = _CONIC_START_US + _CONIC_STURM_US_AT_64_60 * d**4 * (b + 4) ** 2 // 64**6
-    if command == "discriminant":
-        us += _CONIC_ROOT_SEARCH_US_AT_16_1024 * d * isqrt(b**3) // (16 * 2**15)
+    if command == "discriminant" and d > 2:
+        us += _CONIC_ROOT_SEARCH_US_AT_16_1024 * d**2 * b**3 // (16**2 * 1024**3)
     if us > _BUDGET_S * 10**6:
         raise ValueError(
             f"conic {command} at discriminant degree {d} with {b}-bit entries would take about "
@@ -313,6 +339,7 @@ def _conic_matrix_within_budget(path, command) -> ConicMatrix:
 
 def _cmd_conic_discriminant(args):
     disc = discriminant(_conic_matrix_within_budget(args.file, "discriminant"))
+    _answer(disc.coeffs)
     rendered = factored_str(disc)
     payload = {"degree": disc.degree, "coeffs": list(disc.coeffs), "rendered": rendered}
     return 0, payload, rendered
@@ -336,7 +363,7 @@ def _cmd_conic_analyze(args):
 
 
 def _cmd_conic_construct(args):
-    payload = _conic_matrix_json(_document(args.file, "construction", _parse_construction))
+    payload = _answer(_conic_matrix_json(_document(args.file, "construction", _parse_construction)))
     return 0, payload, canonical_json(payload)
 
 
@@ -466,6 +493,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, payload, text = args.handler(args)
+        _answer(payload)
     except ValueError as exc:
         message = {"status": "error", "message": str(exc)}
         if getattr(args, "format", "text") == "json":

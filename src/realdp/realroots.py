@@ -29,7 +29,7 @@ running power of lc, and every sign on the lattice comes from an inline
 integer Horner loop, so the search makes no call per evaluation; its counts
 at the ends of the first interval are those at -infinity and +infinity, read
 off leading coefficients as in `root_profile`.  `deflate` divides a rational
-root out by exact integer synthetic division, once per root found, so
+root out by exact integer long division, once per root found, so
 `rational_roots` returns each root's multiplicity and the cofactor, which
 keeps no rational root; the search stops once that cofactor has degree at
 most two and solves it in closed form.  `root_profile` and `rational_roots`
@@ -92,44 +92,33 @@ def derivative(p):
 
 def deflate(p, num: int, den: int):
     """The quotient of a nonzero integer polynomial p by den x - num, den > 0,
-    when it divides p over Z, else None.
-
-    Synthetic division from the top coefficient: each quotient coefficient is
-    an exact integer division by den, and the constant term is checked last.
-    By Gauss's lemma the quotient is integral whenever den x - num is
-    primitive and divides p over Q, so for num / den in lowest terms None
-    means that num / den is not a root.
-    """
-    quot = []
-    carry = 0
-    for c in reversed(p[1:]):
-        h, r = divmod(c + carry, den)
-        if r:
-            return None
-        quot.append(h)
-        carry = num * h
-    if p[0] + carry:
-        return None
-    quot.reverse()
-    return tuple(quot)
+    when it divides p over Z, else None.  For num / den in lowest terms
+    den x - num is primitive, so None means that num / den is not a root."""
+    return _exact_quotient(p, (-num, den))
 
 
 def _exact_quotient(p, q):
-    """p / q for nonzero integer polynomials when q divides p over Z, as
-    when both are primitive and q divides p over Q (Gauss's lemma).
+    """p / q for nonzero integer polynomials when q divides p over Z, else
+    None.  By Gauss's lemma a primitive q that divides p over Q divides it
+    over Z.
 
     Long division from the top coefficient, each quotient coefficient an
-    exact integer division by lc(q); the remainder, zero, is not kept.
+    integer division by lc(q): a remainder there, or a nonzero coefficient
+    left below deg q at the end, means that q does not divide p over Z.
     """
     lead, dq = q[-1], len(q) - 1
     rem = list(p)
     quot = []
     while len(rem) > dq:
-        c = rem.pop() // lead
+        c, r = divmod(rem.pop(), lead)
+        if r:
+            return None
         quot.append(c)
         k = len(rem) - dq
         for i in range(dq):
             rem[k + i] -= c * q[i]
+    if any(rem):
+        return None
     quot.reverse()
     return tuple(quot)
 

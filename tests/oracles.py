@@ -388,12 +388,14 @@ def declared_conjugation(name):
     or Bertini involution (G2, B1).  A blow-up `<base>_<a>_<2b>` (an optional
     `_11` suffix names where its a real points lie) has the direct sum of the
     base's conjugation with the identity on its a real exceptional classes and
-    the swap on each of its b conjugate pairs.
+    the swap on each of its b conjugate pairs; a blow-up of a blow-up repeats
+    the suffix.
     """
     base, *counts = name.split("_")
     sigma = _MINIMAL_CONJUGATIONS[base]()
-    if counts:
-        a, m = int(counts[0]), int(counts[0]) + int(counts[1])
+    counts = [int(c) for c in counts if c != "11"]
+    for a, two_b in zip(counts[::2], counts[1::2]):
+        m = a + two_b
         left = len(sigma)
         block = [tuple(int(k == i) for k in range(m)) for i in range(a)]
         block += [row for i in range(a, m, 2) for row in (tuple(int(k == i + 1) for k in range(m)),

@@ -181,7 +181,7 @@ def test_criterion_06_discriminant_examples():
 
 def test_criterion_07_fixed_sublattice_oracle():
     model = builtin("D2")
-    basis = fixed_sublattice(model.complex_lattice, model.involution)
+    basis = fixed_sublattice(model.complex_lattice, declared_conjugation("D2"))
     assert len(basis) == 2
     f = model.complex_lattice.vector((1, -1, 0, 0, 0, 0, 0, 0))
     k = model.complex_canonical
@@ -191,13 +191,13 @@ def test_criterion_07_fixed_sublattice_oracle():
     for name in ("P2", "Q31", "P2_0_2", "Q31_0_2", "P2_0_4", "Q31_0_4", "D4",
                  "P2_0_6", "D4_1_0", "D4_2_0_11", "Q31_0_6", "D4_0_2", "D2",
                  "G2", "P2_0_8", "D4_1_2", "D2_1_0", "G2_1_0", "B1"):
-        m = builtin(name)
+        m, sigma = builtin(name), declared_conjugation(name)
         gram = m.complex_lattice.gram
-        assert is_involution(m.involution)
-        assert is_isometry(m.involution, gram, gram)
-        assert tuple(mat_vec(m.involution, m.complex_canonical.coeffs)) == m.complex_canonical.coeffs
+        assert is_involution(sigma)
+        assert is_isometry(sigma, gram, gram)
+        assert tuple(mat_vec(sigma, m.complex_canonical.coeffs)) == m.complex_canonical.coeffs
         # the real lattice is the fixed lattice of the geometric conjugation
-        fixed = fixed_sublattice(m.complex_lattice, declared_conjugation(name))
+        fixed = fixed_sublattice(m.complex_lattice, sigma)
         assert hnf([v.coeffs for v in fixed]) == hnf([tuple(col) for col in zip(*m.embedding)]), name
     report(7, "conjugation fixed lattice is <F, K> with the stated pairing; all involutions check; "
               "every real lattice is the fixed lattice of the declared conjugation")

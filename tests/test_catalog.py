@@ -63,34 +63,48 @@ def test_unknown_surface():
         builtin("XYZ")
 
 
+def assert_declared_conjugation_fixes_the_real_lattice(model):
+    """The conjugation that the oracle builds from the geometry of the
+    surface, not from its real lattice, is an integral isometric involution
+    that fixes K, and its fixed lattice is the image of the embedding."""
+    sigma, gram = declared_conjugation(model.name), model.complex_lattice.gram
+    n = model.complex_lattice.rank
+    assert len(sigma) == n and all(len(row) == n for row in sigma)
+    assert all(type(c) is int for row in sigma for c in row)
+    assert is_involution(sigma)
+    assert is_isometry(sigma, gram, gram)
+    assert tuple(mat_vec(sigma, model.complex_canonical.coeffs)) == model.complex_canonical.coeffs
+    fixed = [v.coeffs for v in fixed_sublattice(model.complex_lattice, sigma)]
+    assert hnf(fixed) == hnf([tuple(col) for col in zip(*model.embedding)]), model.name
+
+
 def test_involutions_are_conjugations():
     for name in SURFACE_NAMES:
-        model = builtin(name)
-        sigma, gram = model.involution, model.complex_lattice.gram
-        assert is_involution(sigma)
-        assert is_isometry(sigma, gram, gram)
-        assert tuple(mat_vec(sigma, model.complex_canonical.coeffs)) == model.complex_canonical.coeffs
+        assert_declared_conjugation_fixes_the_real_lattice(builtin(name))
 
 
 def test_involution_is_the_declared_conjugation():
-    """`_model` derives the conjugation from the real lattice; the oracle
-    builds it from the geometry of each surface."""
+    """`_model` reads s and r from the real rank rho alone, taking tr sigma
+    = 2 rho - n; the conjugation declared from the geometry has that trace,
+    and Lefschetz (2s + r = 2 - tr sigma) gives the catalogue's s and r."""
     for name in SURFACE_NAMES:
-        assert builtin(name).involution == declared_conjugation(name), name
+        model, sigma = builtin(name), declared_conjugation(name)
+        trace = sum(sigma[i][i] for i in range(len(sigma)))
+        assert trace == 2 * model.real_lattice.rank - model.complex_lattice.rank, name
+        assert 2 * model.s + model.r == 2 - trace, name
 
 
 def test_embedding_is_isometry_onto_fixed_sublattice():
     for name in SURFACE_NAMES:
         model = builtin(name)
         n, rank = model.complex_lattice.rank, model.real_lattice.rank
-        # Integer matrices of the documented shapes: the catalogue builds them,
-        # so nothing checks them at run time.
+        # An integer matrix of the documented shape: the catalogue builds it,
+        # so nothing checks it at run time.
         assert len(model.embedding) == n and all(len(row) == rank for row in model.embedding)
-        assert len(model.involution) == n and all(len(row) == n for row in model.involution)
-        assert all(type(c) is int for row in model.embedding + model.involution for c in row)
+        assert all(type(c) is int for row in model.embedding for c in row)
         assert is_isometry(model.embedding, model.real_lattice.gram, model.complex_lattice.gram)
         image = [tuple(col) for col in zip(*model.embedding)]
-        fixed = [v.coeffs for v in fixed_sublattice(model.complex_lattice, model.involution)]
+        fixed = [v.coeffs for v in fixed_sublattice(model.complex_lattice, declared_conjugation(name))]
         assert hnf(image) == hnf(fixed)
         # primitivity: elementary divisors of the inclusion are all one
         assert smith_normal_form(image) == [1] * model.real_lattice.rank
@@ -107,7 +121,7 @@ def test_d2_involution_is_the_printed_matrix():
         (-1, -1, 0, 0, 0, 0, -1, 0),
         (-1, -1, 0, 0, 0, 0, 0, -1),
     )
-    assert builtin("D2").involution == printed
+    assert declared_conjugation("D2") == printed
 
 
 def test_declared_real_pairings():
@@ -212,6 +226,8 @@ def test_blow_up_examples():
     two_diff = blow_up(d4, real_points=2)
     assert (two_diff.degree, two_diff.s, two_diff.r) == (2, 0, 2)
     assert two_diff.name == "D4_2_0_11"
+    for model in (one_real, three_pairs, two_diff):
+        assert_declared_conjugation_fixes_the_real_lattice(model)
 
 
 def test_blow_up_rejects_bad_topology():
@@ -219,7 +235,7 @@ def test_blow_up_rejects_bad_topology():
         blow_up(builtin("P2"), real_points=1)  # no sphere to blow up
     with pytest.raises(ValueError):
         blow_up(builtin("B1"), real_points=1)  # degree underflow
-    # more real centers than spheres: the s read from the conjugation is negative
+    # more real centers than spheres: the s read from the real lattice is negative
     for base, real_points in (("D4_1_0", 2), ("Q31", 2), ("D4", 3)):
         with pytest.raises(ValueError, match="no union of spheres and planes"):
             blow_up(builtin(base), real_points=real_points)
@@ -234,9 +250,9 @@ def test_model_rejects_inconsistent_conjugation_data():
         # 2F in place of F spans an index-two sublattice of the fixed lattice:
         # |det G_real| grows from 4 to 16, and the derived r would be -2
         ("D4", d4, ("F", "K"), [tuple(2 * x for x in f), k], "no union of spheres and planes"),
-        # the reflection in <F + E2, K> is not an integral matrix
-        ("D4", d4, ("F+E2", "K"), [tuple(x + y for x, y in zip(f, e2)), k], "not integral"),
-        # all of Pic(Q31) as the real lattice: sigma is the identity, and the
+        # <F + E2, K> has |det G_real| = 13, not a power of two
+        ("D4", d4, ("F+E2", "K"), [tuple(x + y for x, y in zip(f, e2)), k], "no union of spheres and planes"),
+        # all of Pic(Q31) as the real lattice: rho = n = 2 and a = 0, so the
         # derived s would be -1
         ("Q31", q31, ("l1", "l2"), [(1, 0), (0, 1)], "no union of spheres and planes"),
         # K = -3H + E1 + ... + E5 is not a multiple of H
@@ -262,23 +278,19 @@ def test_blow_up_composition_gives_same_lattice():
         assert twice.real_lattice.gram == direct.real_lattice.gram
         assert twice.complex_lattice.gram == direct.complex_lattice.gram
         assert twice.embedding == direct.embedding
-        assert twice.involution == direct.involution
         assert twice.canonical == direct.canonical
         assert twice.complex_canonical == direct.complex_canonical
         assert twice.minus_one_classes == direct.minus_one_classes
         assert (twice.degree, twice.s, twice.r) == (direct.degree, direct.s, direct.r)
         assert twice._replace(name=direct.name) == direct  # every other field
+        assert_declared_conjugation_fixes_the_real_lattice(twice)
     assert builtin("Q31_0_4").complex_lattice.basis_labels == ("l1", "l2", "E1", "E2", "E3", "E4")
 
 
 def test_blow_up_models_satisfy_invariants():
     model = blow_up(builtin("Q31"), real_points=1, conj_pairs=1)
-    gram = model.complex_lattice.gram
-    assert is_isometry(model.embedding, model.real_lattice.gram, gram)
-    assert is_involution(model.involution) and is_isometry(model.involution, gram, gram)
-    image = [tuple(col) for col in zip(*model.embedding)]
-    fixed = [v.coeffs for v in fixed_sublattice(model.complex_lattice, model.involution)]
-    assert hnf(image) == hnf(fixed)
+    assert is_isometry(model.embedding, model.real_lattice.gram, model.complex_lattice.gram)
+    assert_declared_conjugation_fixes_the_real_lattice(model)
     assert (model.degree, model.s, model.r) == (5, 0, 1)
 
 

@@ -152,12 +152,17 @@ def test_conic_stdout_matches_golden(capsys, tmp_path):
     irreducible cubic cofactor, and `discriminant` refusing a section of
     degree 258 and a degree-64 section with a 256-bit entry, whose predicted
     time is over the budget: exit code and stdout byte for byte as recorded in
-    cli_golden.json.  A case with a matrix or construction document holds
-    it, written to a file in place of DOCUMENT."""
+    cli_golden.json.  `discriminant` on a section with 1,500-digit diagonal
+    entries and `construct` on roots with 3,000-digit denominators admit
+    their input but refuse their answer, whose integers pass 4,300 digits,
+    with one message; stderr is compared too for these four.  A case with a
+    matrix or construction document holds it, written to a file in place of
+    DOCUMENT."""
     cases = golden_cases("conic")
     assert {c["argv"][1] for c in cases} == {
         "conditions", "candidate", "chow", "construct", "discriminant", "analyze"}
-    assert sum("documents" in c for c in cases) == 26
+    assert sum("documents" in c for c in cases) == 30
+    assert sum(c["exit"] == 2 and "stderr" in c for c in cases) == 4
     assert {c["exit"] for c in cases} == {0, 1, 2}
     for case in cases:
         assert replay(capsys, tmp_path, case) == recorded(case), case["argv"]
@@ -531,6 +536,21 @@ def test_conic_work_bound_predictions(tmp_path):
                 cli._conic_matrix_within_budget(write_general_section(tmp_path, n, bits), command)
 
 
+def test_conic_discriminant_degree_16_with_1536_bit_entries_exits_2_at_once(capsys, tmp_path):
+    """A degree-16 general section with 1,536-bit entries, whose rational-root
+    search took 31 s cold at the slower of a 2-vCPU VM's two speeds (its
+    2,048-bit sibling took up to 94 s at the faster one), is refused by
+    `discriminant` at once; `analyze`, which runs no root search, admits it."""
+    path = write_general_section(tmp_path, 8, 1536)
+    start = time.perf_counter()
+    code, payload = run_json(capsys, ["conic", "discriminant", path])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and "degree 16 with 1536-bit entries" in payload["message"]
+    assert "over the 60 s budget" in payload["message"]
+    matrix = cli._conic_matrix_within_budget(path, "analyze")
+    assert 2 * sum(matrix.splitting) == 16
+
+
 def test_conic_discriminant_degree_256_still_answers(capsys, tmp_path):
     construction = tmp_path / "construction.json"
     construction.write_text(json.dumps({"splitting": [1, 1, 126], "roots": [[1, 2], [3, 4], list(range(5, 257))]}))
@@ -725,6 +745,26 @@ def test_integers_past_4300_digits_exit_2_with_one_message(capsys, tmp_path):
     for coeff in (long, "-" + long, f'"{long}/{long}"', f'"-{long}"'):
         code, payload = run_json(capsys, ["hyp", sphere_with(coeff), "--point", "1,0,0,0", "--trials", "1"])
         assert code in (0, 1) and payload["status"] != "error", coeff[:5]
+
+
+def test_answers_past_4300_digits_exit_2_with_one_message(capsys):
+    """An admitted input whose answer holds an integer of more than 4,300
+    digits is refused before anything is printed, in json and in text, with
+    the message of the input refusal; the digit count is exact at the
+    powers of ten around the limit."""
+    nines = "9" * 4300  # s + 3 and s + 4 of the answers pass 4,300 digits
+    for argv in (["conic", "candidate", nines], ["conic", "chow", "0", nines]):
+        code, payload = run_json(capsys, argv)
+        assert (code, payload["status"]) == (2, "error"), argv[1]
+        assert payload["message"] == "an integer of 4301 digits exceeds the limit of 4,300 digits"
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: an integer of 4301 digits exceeds the limit of 4,300 digits\n"
+    for value, digits in ((10**4300, 4301), (1 - 10**4301, 4301), (10**4301, 4302), ([{"x": (3, -10**9000)}], 9001)):
+        with pytest.raises(ValueError, match=f"^an integer of {digits} digits exceeds"):
+            cli._answer(value)
+    assert cli._answer([10**4300 - 1, {"x": (1 - 10**4300,)}])[0] == 10**4300 - 1
 
 
 def test_malformed_documents_exit_2(capsys, tmp_path):

@@ -72,6 +72,35 @@ def test_exact_quotient_matches_divmod_poly():
         assert (quot, ()) == divmod_poly(p, q) and quot == realroots.normalize(r), (p, q)
 
 
+def test_exact_quotient_is_none_exactly_on_a_remainder():
+    """A primitive q against p = q r + e, e zero or a seeded perturbation
+    of degree below, at or above deg q, and p shorter than q: None comes
+    back exactly when the division over Q leaves a nonzero remainder, and
+    otherwise the quotient over Q, integral by Gauss's lemma."""
+    rng = random.Random(20254)
+    outcomes = set()
+    for _ in range(600):
+        q = primitive_vector(_product(rng, [_factor(rng) for _ in range(rng.randint(1, 3))]))
+        if q[-1] < 0 and rng.random() < 0.5:
+            q = realroots.neg(q)
+        p = realroots.mul(q, _product(rng, [_factor(rng) for _ in range(rng.randint(0, 2))]))
+        if rng.random() < 0.6:
+            e = [rng.randint(-3, 3) for _ in range(rng.randint(1, len(p) + 1))]
+            p = realroots.add(p, e)
+        if rng.random() < 0.1:
+            p = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, len(q) - 1)))
+        if not realroots.normalize(p):
+            continue
+        p = realroots.normalize(p)
+        quot, rem = divmod_poly(p, q)
+        got = realroots._exact_quotient(p, q)
+        assert (got is None) == bool(rem), (p, q)
+        if got is not None:
+            assert _is_int_poly(got) and got == quot, (p, q)
+        outcomes.add((got is None, len(p) < len(q)))
+    assert outcomes == {(False, False), (True, False), (True, True)}
+
+
 def test_squarefree_parts_are_primitive_integer_tuples():
     """Products with repeated factors, as integers and scaled by a Fraction:
     every part is a primitive integer tuple, squarefree and coprime to the

@@ -111,7 +111,7 @@ def test_fixed_sublattice_requires_involutive_isometry():
 
 def test_fixed_sublattice_of_conjugation():
     model = builtin("D2")
-    basis = fixed_sublattice(model.complex_lattice, model.involution)
+    basis = fixed_sublattice(model.complex_lattice, declared_conjugation("D2"))
     assert len(basis) == 2
     # spanned exactly by F = (1,-1,0,...) and K = (-3,1,...,1)
     f = model.complex_lattice.vector((1, -1, 0, 0, 0, 0, 0, 0))
