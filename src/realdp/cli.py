@@ -39,6 +39,7 @@ def canonical_json(payload) -> str:
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 _MAX_DIGITS = 4300  # Python's default limit for converting a string to an int
 _TOO_LONG = 10**_MAX_DIGITS  # the least integer of more than 4,300 digits
 
@@ -70,9 +71,20 @@ def _answer(value):
     return value
 
 
-def _json_int(text: str) -> int:
-    """A JSON integer literal, an optional minus and digits."""
-    _check_digits(len(text) - text.startswith("-"))
+def _int_literal(text: str, name: str | None = None) -> int:
+    """An integer written as an optional sign and digits: a JSON literal, or
+    the integer argument `name` on the command line, read here and not by
+    argparse so that one of more than 4,300 digits gets the same refusal,
+    with the argument named as argparse names it."""
+    try:
+        if not _INTEGER.fullmatch(text):
+            shown = text if len(text) <= 20 else text[:20] + "..."
+            raise ValueError(f"expected an integer, got {shown!r}")
+        _check_digits(len(text.lstrip("+-")))
+    except ValueError as exc:
+        if name is None:
+            raise
+        raise ValueError(f"argument {name}: {exc}") from None
     return int(text)
 
 
@@ -99,7 +111,7 @@ def _document(path, what, parse):
     value of the wrong shape anywhere in it makes a malformed `what` document."""
     try:
         with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle, parse_int=_json_int)
+            doc = json.load(handle, parse_int=_int_literal)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -265,13 +277,14 @@ def _cmd_enumerate(args):
 
 
 def _cmd_check(args):
+    coeffs = [_int_literal(c, "coeffs") for c in args.coeffs]
     model = builtin(args.surface)
-    if len(args.coeffs) != model.real_lattice.rank:
+    if len(coeffs) != model.real_lattice.rank:
         raise ValueError(
             f"{args.surface} has real Picard rank {model.real_lattice.rank}, "
-            f"got {len(args.coeffs)} coefficients"
+            f"got {len(coeffs)} coefficients"
         )
-    d = model.real_lattice.vector(args.coeffs)
+    d = model.real_lattice.vector(coeffs)
     report = check_conditions(model, d)
     payload = {
         "status": "pass" if report.passed else "fail",
@@ -287,15 +300,16 @@ def _cmd_check(args):
 
 
 def _cmd_conic_conditions(args):
-    report = necbundle_conditions(args.s, args.a, args.b)
+    s, a, b = (_int_literal(args.s, "s"), _int_literal(args.a, "a"), _int_literal(args.b, "b"))
+    report = necbundle_conditions(s, a, b)
     payload = {
-        "s": args.s,
-        "a": args.a,
-        "b": args.b,
+        "s": s,
+        "a": a,
+        "b": b,
         "conditions": report.conditions_dict(),
         "status": "pass" if report.passed else "fail",
     }
-    text = f"D = {args.a}F - {args.b}K with s={args.s}: " + (
+    text = f"D = {a}F - {b}K with s={s}: " + (
         "all six conditions hold" if report.passed
         else "fails " + ", ".join(k for k, v in report.conditions_dict().items() if not v)
     )
@@ -303,7 +317,7 @@ def _cmd_conic_conditions(args):
 
 
 def _cmd_conic_candidate(args):
-    data = _answer(candidate_divisor(args.s))
+    data = _answer(candidate_divisor(_int_literal(args.s, "s")))
     text = (
         f"D = {data['a']}F - {data['b']}K: genus {data['genus']}, "
         f"at least {data['ell_lower_bound']} sections"
@@ -312,7 +326,7 @@ def _cmd_conic_candidate(args):
 
 
 def _cmd_conic_chow(args):
-    data = _answer(surface_class_identities(args.a, args.c))
+    data = _answer(surface_class_identities(_int_literal(args.a, "a"), _int_literal(args.c, "c")))
     if data["s"] < 0:
         raise ValueError(f"s = 3(a/2) + c = {data['s']} is a negative number of spheres")
     text = f"K_X^2 = {data['KX2']}, s = {data['s']}, O(1)|_X = {data['x']}F - K"
@@ -368,19 +382,20 @@ def _cmd_conic_construct(args):
 
 
 def _cmd_hyp(args):
-    if args.trials > _MAX_HYP_TRIALS:
-        raise ValueError(f"--trials must be at most {_MAX_HYP_TRIALS}, got {args.trials}")
+    trials, seed = _int_literal(args.trials, "--trials"), _int_literal(args.seed, "--seed")
+    if trials > _MAX_HYP_TRIALS:
+        raise ValueError(f"--trials must be at most {_MAX_HYP_TRIALS}, got {trials}")
     surface = _document(args.polyfile, "hypersurface", _parse_hypersurface)
     point = tuple(_fraction(x) for x in args.point.split(","))
     if len(point) != 4:
         raise ValueError("--point needs four comma-separated rationals")
     trial_us = _HYP_TRIAL_US_AT_32 * surface.degree**6 // 32**6
-    if args.trials * trial_us > _BUDGET_S * 10**6:
+    if trials * trial_us > _BUDGET_S * 10**6:
         raise ValueError(
-            f"{args.trials} trials at degree {surface.degree} would take about "
-            f"{args.trials * trial_us // 10**6} s, over the {_BUDGET_S} s budget of hyp"
+            f"{trials} trials at degree {surface.degree} would take about "
+            f"{trials * trial_us // 10**6} s, over the {_BUDGET_S} s budget of hyp"
         )
-    verdict = hyperbolicity_check(surface, point, args.trials, args.seed)
+    verdict = hyperbolicity_check(surface, point, trials, seed)
     payload = {
         "status": "refuted" if verdict.refuted else "supported",
         "trials": verdict.trials,
@@ -396,21 +411,22 @@ def _cmd_hyp(args):
 
 
 def _cmd_link(args):
-    if args.degree < 1:
-        raise ValueError(f"--degree must be at least 1, got {args.degree}")
+    degree = _int_literal(args.degree, "--degree")
+    if degree < 1:
+        raise ValueError(f"--degree must be at least 1, got {degree}")
     cycles = _document(args.cycles, "cycles", _parse_cycles)
     center, chain = _document(args.center, "subspace", _parse_center)
     numbers = [linking_number(c, center, chain) for c in cycles]
     total = sum(abs(n) for n in numbers)
-    ok = total == args.degree
+    ok = total == degree
     payload = {
         "linking_numbers": numbers,
         "sum_abs": total,
-        "claimed_degree": args.degree,
+        "claimed_degree": degree,
         "hyperbolic": ok,
         "status": "ok" if ok else "fail",
     }
-    text = f"sum |lk| = {total}, degree {args.degree}: criterion {'holds' if ok else 'fails'}"
+    text = f"sum |lk| = {total}, degree {degree}: criterion {'holds' if ok else 'fails'}"
     return (0 if ok else 1), payload, text
 
 
@@ -436,25 +452,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="condition report for an explicit divisor class")
     p.add_argument("surface", choices=SURFACE_NAMES)
-    p.add_argument("coeffs", nargs="+", type=int, help="coefficients in the documented basis order")
+    p.add_argument("coeffs", nargs="+", help="coefficients in the documented basis order")
     add_format(p)
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("conic", help="minimal conic bundle computations")
     conic_sub = p.add_subparsers(dest="subcommand", required=True)
     q = conic_sub.add_parser("conditions", help="the six conditions for D = aF - bK")
-    q.add_argument("s", type=int)
-    q.add_argument("a", type=int)
-    q.add_argument("b", type=int)
+    q.add_argument("s")
+    q.add_argument("a")
+    q.add_argument("b")
     add_format(q)
     q.set_defaults(handler=_cmd_conic_conditions)
     q = conic_sub.add_parser("candidate", help="the distinguished divisor (s-2)F - K")
-    q.add_argument("s", type=int)
+    q.add_argument("s")
     add_format(q)
     q.set_defaults(handler=_cmd_conic_candidate)
     q = conic_sub.add_parser("chow", help="Chow-ring identities for the class 2H + aE")
-    q.add_argument("a", type=int)
-    q.add_argument("c", type=int)
+    q.add_argument("a")
+    q.add_argument("c")
     add_format(q)
     q.set_defaults(handler=_cmd_conic_chow)
     q = conic_sub.add_parser("discriminant", help="determinant of a section matrix")
@@ -473,15 +489,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hyp", help="randomized hyperbolicity check for a hypersurface in P^3")
     p.add_argument("polyfile")
     p.add_argument("--point", required=True, help="center, four comma-separated rationals")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", default="100")
+    p.add_argument("--seed", default="0")
     add_format(p)
     p.set_defaults(handler=_cmd_hyp)
 
     p = sub.add_parser("link", help="linking-number criterion for PL cycles")
     p.add_argument("cycles")
     p.add_argument("center")
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", required=True)
     add_format(p)
     p.set_defaults(handler=_cmd_link)
 

@@ -13,13 +13,15 @@ real-root count with multiplicity, the distinct count and the squarefree flag
 together.  Sturm chains hold primitive integer polynomials, each a positive
 multiple of the classical chain's element, since the counts read only signs.
 They are division-free: each remainder is an integer pseudo-remainder, and
-one gcd removes its content.  The same primitive remainder sequence, run on
-two polynomials, ends in their gcd (`gcd_poly`), a constant exactly when they
-are coprime.  By Gauss's lemma an exact quotient of primitive polynomials is
-integral (`_exact_quotient`).  `real_rooted_profile`, the test whether every
-root is real, stops at the first remainder that breaks the full-length
-pattern (degrees falling by one, leading coefficients of one sign), the
-last, constant one read in closed form.
+one gcd removes its content, except that every sequence ends in closed form:
+the constant after a linear element is the sign of the element before it at
+the linear one's root (`_remainders`).  The same primitive remainder
+sequence, run on two polynomials, ends in their gcd (`gcd_poly`), a constant
+exactly when they are coprime.  By Gauss's lemma an exact quotient of
+primitive polynomials is integral (`_exact_quotient`).
+`real_rooted_profile`, the test whether every root is real, stops at the
+first remainder that breaks the full-length pattern (degrees falling by one,
+leading coefficients of one sign).
 `rational_roots` isolates the real roots with the same chains on the lattice
 n / lc, lc the leading coefficient.  It splits an interval at 0 when it
 straddles 0 and at a power of two when its ends lie far apart on one side, so
@@ -32,11 +34,12 @@ off leading coefficients as in `root_profile`.  `deflate` divides a rational
 root out by exact integer long division, once per root found, so
 `rational_roots` returns each root's multiplicity and the cofactor, which
 keeps no rational root; the search stops once that cofactor has degree at
-most two and solves it in closed form.  `root_profile` and `rational_roots`
-take a chain their caller already holds, so one chain serves both questions
-about one polynomial; `conic` keeps the chain of each part of degree above
-two of a discriminant on its form, built by `sturm_sequence` from the
-primitive part with no second content pass.
+most two and reads its roots off in closed form, and with them its constant
+cofactor, the leading coefficient over a product of denominators.
+`root_profile` and `rational_roots` take a chain their caller already holds,
+so one chain serves both questions about one polynomial; `conic` keeps the
+chain of each part of degree above two of a discriminant on its form, built
+by `sturm_sequence` from the primitive part with no second content pass.
 
 Tuples on hot paths are built from lists, not generators: CPython 3.11
 builds a tuple from a generator at size ten and shrinks it, which moves
@@ -204,14 +207,32 @@ def _remainders(a, b):
     """The negated primitive parts of the pseudo-remainders of a by b, of b
     by that, and so on, for integer polynomials a and b with deg b >= 0.
     The sequence stops after a constant or before a zero remainder, so its
-    last element, or b when it is empty, is gcd(a, b) up to a factor."""
-    while degree(b) > 0:
+    last element, or b when it is empty, is gcd(a, b) up to a factor.
+
+    The constant after a linear b = b0 + b1 x is read in closed form, with
+    no pseudo-division and no gcd: the remainder of a by b over Q is
+    a(-b0 / b1), and b1^n a(-b0 / b1) = sum a_i (-b0)^i b1^(n - i), n =
+    deg a, is an integer of that sign times sign(b1)^n.  A primitive
+    constant is -1 or 1; when the value is 0, b divides a and ends the
+    sequence.
+    """
+    while degree(b) > 1:
         rem = _pseudo_remainder(a, b)
         if not rem:
             return
         g = -gcd(*rem)
         a, b = b, tuple([c // g for c in rem])
         yield b
+    if len(b) == 2:
+        b0, b1 = b
+        value, power = 0, 1
+        for c in reversed(a):
+            value = value * -b0 + c * power
+            power *= b1
+        if b1 < 0 and len(a) % 2 == 0:  # b1^n < 0 for an odd n
+            value = -value
+        if value:
+            yield (-1,) if value > 0 else (1,)
 
 
 def sturm_sequence(q):
@@ -313,10 +334,9 @@ def real_rooted_profile(coeffs) -> RootProfile | None:
     and runs `_remainders` from n g - x g' (degree below n) and g': each
     remainder is a positive multiple of the one from g and g' or their
     primitive parts, so after its content is removed the sequence is the
-    primitive chain from its third element on, up to a linear b; the
-    constant after b has the sign of -(a0 b1^2 - a1 b0 b1 + a2 b0^2), a the
-    quadratic before b.  Below degree three, all roots are real exactly when
-    the discriminant is not negative (`_low_degree_profile`).
+    primitive chain from its third element on, its last constant read in
+    closed form.  Below degree three, all roots are real exactly when the
+    discriminant is not negative (`_low_degree_profile`).
     """
     g = normalize(coeffs)
     if not g:
@@ -330,15 +350,8 @@ def real_rooted_profile(coeffs) -> RootProfile | None:
     for f in _remainders(normalize([(n - i) * c for i, c in enumerate(g[:-1])]), last):
         if len(f) != len(last) - 1 or f[-1] < 0:
             return None
-        prev, last = last, f
-        if len(f) == 2:
-            break
-    common = degree(last)  # the degree of gcd(g, g'), unless last is linear
-    if common == 1:
-        (a0, a1, a2), (b0, b1) = prev, last
-        if (top := a0 * b1 * b1 - a1 * b0 * b1 + a2 * b0 * b0) > 0:
-            return None
-        common = int(top == 0)
+        last = f
+    common = degree(last)  # the degree of gcd(g, g')
     return RootProfile(n, n - common, common == 0)
 
 
@@ -397,13 +410,15 @@ def _isolate(squarefree, lo, hi):
 def _low_degree_roots(f, roots):
     """(roots, cofactor) for a nonzero integer polynomial f of degree at
     most 2: `roots` extended by the rational roots of f, in lowest terms and
-    each with its multiplicity, and f with them divided out by `deflate`.
-    Both come back unchanged when f has a higher degree.
+    each with its multiplicity, and f with them divided out.  Both come back
+    unchanged when f has a higher degree.
 
     A linear c + b x has the root -c / b.  A quadratic c + b x + a x^2 has
     rational roots exactly when its discriminant b^2 - 4ac is a square r^2,
     and they are (-b + r) / 2a and (-b - r) / 2a, one double root when
-    r = 0.
+    r = 0.  With every root found, f is lc(f) times the product of the
+    (x - num / den)^mult, so its cofactor is the constant
+    lc(f) / prod den^mult, integral by Gauss's lemma.
     """
     if len(f) == 2:
         found = [(-f[0], f[1], 1)]
@@ -415,13 +430,13 @@ def _low_degree_roots(f, roots):
         found = [(r - b, 2 * a, 2)] if r == 0 else [(r - b, 2 * a, 1), (-r - b, 2 * a, 1)]
     else:
         return roots, f
+    lead = f[-1]
     for num, den, mult in found:
         common = gcd(num, den) if den > 0 else -gcd(num, den)
         num, den = num // common, den // common
-        for _ in range(mult):
-            f = deflate(f, num, den)
+        lead //= den**mult
         roots.append((num, den, mult))
-    return roots, f
+    return roots, (lead,)
 
 
 def rational_roots(coeffs, chain=None):

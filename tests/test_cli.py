@@ -133,8 +133,11 @@ def test_catalogue_stdout_matches_golden(capsys, tmp_path):
     on D2 (passing and failing) and on -H of P2 and Q31, which fail c5, in
     json, and in json and text on -3K of B1 (passing, degree 1), -K of
     D4_2_0_11 (passing, the one Table 1 class that is not very ample) and a
-    P2_0_8 class that fails c5 alone: exit code and stdout byte for byte as
-    recorded in cli_golden.json."""
+    P2_0_8 class that fails c5 alone, and in json and text refusing a
+    coefficient of 4,301 digits with the message of a JSON literal that long,
+    after the argument's name:
+    exit code and stdout byte for byte as recorded in cli_golden.json, and
+    stderr too for the two refusals."""
     cases = golden_cases("table1", "enumerate", "check")
     assert {c["argv"][1] for c in cases if c["argv"][0] == "enumerate"} == set(realdp.catalog.SURFACE_NAMES)
     checked = {c["argv"][1] for c in cases if c["argv"][0] == "check"}
@@ -177,15 +180,18 @@ def test_link_and_hyp_stdout_matches_golden(capsys, tmp_path):
     and with 100,000 trials) and outside (refuted), on the cylinder
     x1^2 + x2^2 - x0^2 from [1:0:0:0] (supported over all its trials), on the
     hyperboloid x1^2 + x2^2 - x3^2 - x0^2 from [2:0:0:3] (refuted at trial
-    6), and refusing the seed -1 in json; json and text: exit code and stdout
-    byte for byte as recorded in cli_golden.json, and stderr too for the
-    three `link` refusals, whose text message goes there.  The signed
-    linking numbers of the json payload are pinned too."""
+    6), refusing the seed -1 in json, and refusing a --trials of 4,301
+    digits with the message of a JSON literal that long, after the
+    argument's name; json and text: exit
+    code and stdout byte for byte as recorded in cli_golden.json, and stderr
+    too for the three `link` refusals and the --trials one, whose text
+    message goes there.  The signed linking numbers of the json payload are
+    pinned too."""
     cases = golden_cases("link", "hyp")
     links = [c for c in cases if c["argv"][0] == "link"]
     assert len(links) == 22 and sum("chain" in c["documents"]["CENTER"] for c in links) == 8
     assert sum(c["exit"] == 2 and "stderr" in c for c in links) == 6
-    assert len(cases) - len(links) == 11
+    assert len(cases) - len(links) == 13
     assert {c["exit"] for c in cases} == {0, 1, 2}
     for case in cases:
         assert replay(capsys, tmp_path, case) == recorded(case), case["argv"]
@@ -745,6 +751,45 @@ def test_integers_past_4300_digits_exit_2_with_one_message(capsys, tmp_path):
     for coeff in (long, "-" + long, f'"{long}/{long}"', f'"-{long}"'):
         code, payload = run_json(capsys, ["hyp", sphere_with(coeff), "--point", "1,0,0,0", "--trials", "1"])
         assert code in (0, 1) and payload["status"] != "error", coeff[:5]
+
+
+def test_integer_arguments_past_4300_digits_exit_2_with_one_message(capsys, tmp_path):
+    """Every integer on the command line, a `check` coefficient, the
+    integers of `conic conditions`, `candidate` and `chow`, and --trials,
+    --seed and --degree, goes through the reader of JSON literals: past
+    4,300 digits it gets that refusal in json and text, after the name of
+    the argument as argparse gives it, not argparse's usage text, while a
+    sign and 4,300 digits are read as the number; text that is not an
+    optional sign and digits is refused with exit 2 too, and shown cut to
+    its first 20 characters."""
+    sphere, center = write_sphere_file(tmp_path), write_center_file(tmp_path)
+    cycles = write_cycles_file(tmp_path, ["1/4", "1/2"], name="nested.json")
+    slots = (
+        ("coeffs", lambda n: ["check", "D2", "1", n]),
+        ("s", lambda n: ["conic", "conditions", n, "1", "1"]),
+        ("a", lambda n: ["conic", "conditions", "3", n, "1"]),
+        ("b", lambda n: ["conic", "conditions", "3", "1", n]),
+        ("s", lambda n: ["conic", "candidate", n]),
+        ("a", lambda n: ["conic", "chow", n, "0"]),
+        ("c", lambda n: ["conic", "chow", "0", n]),
+        ("--trials", lambda n: ["hyp", sphere, "--point", "1,0,0,0", "--trials", n]),
+        ("--seed", lambda n: ["hyp", sphere, "--point", "1,0,0,0", "--trials", "1", "--seed", n]),
+        ("--degree", lambda n: ["link", cycles, center, "--degree", n]),
+    )
+    for name, build in slots:
+        message = f"argument {name}: an integer of 4301 digits exceeds the limit of 4,300 digits"
+        for value in ("7" * 4301, "-" + "7" * 4301, "+" + "7" * 4301):
+            argv = build(value)
+            assert run_json(capsys, argv) == (2, {"status": "error", "message": message}), argv[:2]
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+        for value in ("1_0", "1e3", " 2", "0x1", "\u0663"):  # int() reads the first and the last
+            assert run_json(capsys, build(value)) == (
+                2, {"status": "error", "message": f"argument {name}: expected an integer, got {value!r}"}
+            ), value
+        code, payload = run_json(capsys, build("x" * 4301))
+        assert payload["message"] == f"argument {name}: expected an integer, got {'x' * 20 + '...'!r}"
+    assert run_json(capsys, ["conic", "candidate", "+" + "0" * 4299 + "5"]) == run_json(capsys, ["conic", "candidate", "5"])
 
 
 def test_answers_past_4300_digits_exit_2_with_one_message(capsys):

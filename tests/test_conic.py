@@ -452,20 +452,33 @@ def test_one_determinant_and_one_chain_per_matrix(monkeypatch, matrix, analysis,
 
 
 def test_squarefree_parts_deflate_each_root_once(monkeypatch):
-    """On a squarefree diagonal section every root is simple, so each of the
-    8 rational roots is divided out once, by `rational_roots` from the
-    unscaled part, and no division fails."""
+    """On a squarefree diagonal section every root is simple.  Of its 8
+    rational roots, `rational_roots` divides the 2 it isolates in the
+    quartic part out once each, from the unscaled part, and no division
+    fails; the other 6, those of the quartic's quadratic cofactor and of
+    the two quadratic parts, are read off in closed form with their
+    cofactors, and the rendering is that of dividing each one out."""
     results, original = [], realroots.deflate
+    closed, low_degree_roots = [], realroots._low_degree_roots
 
     def deflate(*args):
         results.append(original(*args))
         return results[-1]
 
+    def read_off(f, roots):
+        before = len(roots)
+        roots, cofactor = low_degree_roots(f, roots)
+        closed.extend(roots[before:])
+        return roots, cofactor
+
     monkeypatch.setattr(realroots, "deflate", deflate)
+    monkeypatch.setattr(realroots, "_low_degree_roots", read_off)
     matrix = construct_section(1, 1, 2, [[2, Fraction(-1, 5)], [Fraction(3, 7), -4], [1, -6, Fraction(9, 5), 7]])
-    factored_str(discriminant(matrix))
-    assert len(results) == 8
+    rendered = factored_str(discriminant(matrix))
+    assert len(results) == 2
     assert None not in results
+    assert len(closed) == 6 and all(mult == 1 for _, _, mult in closed)
+    assert rendered == "(u - v)*(5*u + v)*(u - 2*v)*(7*u - 3*v)*(u + 4*v)*(u + 6*v)*(u - 7*v)*(5*u - 9*v)"
 
 
 def test_one_rational_root_search_per_part(monkeypatch):

@@ -134,3 +134,50 @@ def test_exact_division_keeps_ints():
     assert all(type(c) is int for c in quot)
     quot, rem = divmod_poly((1, 0, 1), (1, 2))
     assert quot == (Fraction(-1, 4), Fraction(1, 2)) and rem == (Fraction(5, 4),)
+
+
+def test_remainders_end_after_a_linear_element_in_closed_form():
+    """Seeded pairs (a, b), b = b0 + b1 x with b1 of either sign and a of
+    degree 1 to 8, with degree gaps, a multiple of b a third of the time:
+    after b, `_remainders` yields the negated primitive part of the
+    pseudo-remainder of a by b, -1 or 1, read in closed form, and when
+    that remainder is zero it yields nothing, so the sequence ends at b."""
+    rng = random.Random(3101)
+    seen = set()
+    for _ in range(800):
+        b = (rng.randint(-9, 9), rng.choice((-7, -4, -2, -1, 1, 2, 3, 5)))
+        n = rng.randint(1, 8)
+        if rng.random() < 1 / 3:
+            a = realroots.mul(b, tuple([rng.randint(-6, 6) for _ in range(n - 1)] + [rng.choice((-2, 1, 3))]))
+        else:
+            a = tuple([rng.choice((0, rng.randint(-20, 20))) for _ in range(n)] + [rng.choice((-3, -1, 1, 2, 5))])
+        rem = realroots._pseudo_remainder(a, b)
+        expected = [tuple([-c // math.gcd(*rem) for c in rem])] if rem else []
+        assert list(realroots._remainders(a, b)) == expected, (a, b)
+        seen.add((n % 2, b[1] < 0, expected[0][0] if rem else 0))
+    assert seen == {(parity, negative, last) for parity in (0, 1) for negative in (False, True) for last in (-1, 0, 1)}
+
+
+def test_gcd_poly_returns_a_shared_rational_linear_factor():
+    """p and q are multiples of den x - num (num / den in lowest terms), of
+    either sign and not primitive, by products of factors, kept when their
+    gcd over Q is linear: `gcd_poly` returns den x - num, and the remainder
+    sequence of p and q ends at a linear element, the tail's value 0."""
+    rng = random.Random(3102)
+    kept = 0
+    for _ in range(300):
+        num, den = rng.randint(-12, 12), rng.randint(1, 9)
+        common = math.gcd(num, den)
+        factor = (-num // common, den // common)
+        p = realroots.mul(factor, _product(rng, [_factor(rng) for _ in range(rng.randint(0, 3))]))
+        q = realroots.mul(factor, _product(rng, [_factor(rng) for _ in range(rng.randint(0, 3))]))
+        if realroots.degree(gcd_over_q(p, q)) != 1:
+            continue
+        assert realroots.gcd_poly(p, q) == factor, (p, q)
+        a, b = (p, q) if len(p) >= len(q) else (q, p)
+        last = b
+        for last in realroots._remainders(a, b):
+            pass
+        assert len(last) == 2, (p, q)
+        kept += 1
+    assert kept > 250

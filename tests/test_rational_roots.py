@@ -199,6 +199,35 @@ def test_quadratics_and_linear_polynomials_in_closed_form(monkeypatch):
     assert kinds == {(1, 1, False), (2, 0, False), (2, 1, True), (2, 2, False)}
 
 
+def test_low_degree_cofactor_is_read_off_as_deflation_leaves_it():
+    """Seeded linears and quadratics with rational roots, a third of the
+    quadratics with a double root, each times a constant of either sign, so
+    not primitive when the constant or a root's unreduced fraction has a
+    factor: `_low_degree_roots` finds every root with its multiplicity, and
+    the cofactor it reads off the leading coefficient is the one that
+    dividing each root out by `deflate` leaves."""
+    rng = random.Random(3103)
+    kinds = set()
+    for _ in range(600):
+        pairs = [(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(rng.randint(1, 2))]
+        if len(pairs) == 2 and rng.random() < 1 / 3:
+            pairs[1] = pairs[0]
+        poly = (rng.choice((-6, -2, -1, 1, 3, 4)),)
+        for num, den in pairs:
+            poly = realroots.mul(poly, (-num, den))
+        roots, cofactor = realroots._low_degree_roots(poly, [])
+        assert sorted(Fraction(num, den) for num, den, mult in roots for _ in range(mult)) == sorted(
+            Fraction(num, den) for num, den in pairs), poly
+        deflated = poly
+        for num, den, mult in roots:
+            for _ in range(mult):
+                deflated = realroots.deflate(deflated, num, den)
+        assert cofactor == deflated and len(cofactor) == 1, poly
+        kinds.add((len(pairs), len(roots), poly[-1] < 0, math.gcd(*poly) > 1))
+    assert kinds == {(degree, count, negative, wide) for degree, count in ((1, 1), (2, 1), (2, 2))
+                     for negative in (False, True) for wide in (False, True)}
+
+
 def test_search_stops_at_a_cofactor_of_degree_two(monkeypatch):
     """Products of 3 to 6 rational linear factors, some repeated, times 1, a
     constant or an irreducible quadratic: the roots of the midpoint

@@ -154,7 +154,8 @@ def test_root_profile_levels_of_degree_two():
 def test_real_rooted_profile_stops_at_the_first_sign_flip(monkeypatch):
     """(t - 1) ... (t - 8) (t^2 + 1): every degree of the Sturm chain occurs,
     but the third remainder flips the leading sign, so the test takes three
-    pseudo-remainders where the whole chain takes nine.  On (t - 1) ...
+    pseudo-remainders where the whole chain takes eight, its last, constant
+    element read in closed form.  On (t - 1) ...
     (t - 10), which passes, it takes eight: the sign of the last, constant
     element is read off the quadratic and linear ones."""
     g = (1, 0, 1)
@@ -164,7 +165,7 @@ def test_real_rooted_profile_stops_at_the_first_sign_flip(monkeypatch):
     remainder = realroots._pseudo_remainder
     monkeypatch.setattr(realroots, "_pseudo_remainder", lambda a, b: steps.append(1) or remainder(a, b))
     assert [realroots.degree(f) for f in realroots.sturm_sequence(g)] == list(range(10, -1, -1))
-    assert len(steps) == 9
+    assert len(steps) == 8
     steps.clear()
     assert realroots.real_rooted_profile(g) is None
     assert len(steps) == 3
