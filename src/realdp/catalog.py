@@ -76,8 +76,9 @@ def _model(name, cx, k_cx_coeffs, real_labels, real_columns):
     to 73), and D.L > 0 on every class is D.L > 0 on every distinct row, so
     only the sorted distinct rows are kept.
 
-    With U the embedding, d = det G_real and adj its adjugate, K has real
-    coordinates adj U^T G K / d.  The degree is K.K, and s and r follow from
+    With U the embedding and d = det G_real, K has real coordinates
+    G_real^-1 U^T G K by Cramer's rule: the i-th is det G_real with column i
+    replaced by U^T G K, over d.  The degree is K.K, and s and r follow from
     rho, n and a as in the module docstring.  A singular G_real, real
     coordinates that are not integers or do not embed onto K, a
     |det G_real| that is not a power of two, or an s that is odd or
@@ -91,9 +92,8 @@ def _model(name, cx, k_cx_coeffs, real_labels, real_columns):
     det = determinant(gram)
     if not det:
         raise ValueError(f"{name}: the real pairing matrix is singular")
-    adj = [[(-1) ** (a + b) * determinant([row[:a] + row[a + 1:] for i, row in enumerate(gram) if i != b])
-            for b in range(real.rank)] for a in range(real.rank)]
-    coords = mat_vec(adj, [dot(gv, k_cx.coeffs) for gv in gram_images])  # adj U^T G K
+    rhs = [dot(gv, k_cx.coeffs) for gv in gram_images]  # U^T G K
+    coords = [determinant([row[:i] + (b,) + row[i + 1:] for row, b in zip(gram, rhs)]) for i in range(real.rank)]
     canonical = tuple(c // det for c in coords)
     if any(c % det for c in coords) or tuple(mat_vec(embedding, canonical)) != k_cx.coeffs:
         raise ValueError(f"{name}: K is not a class of the real lattice")

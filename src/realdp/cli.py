@@ -29,7 +29,7 @@ from .conic import (
     necbundle_conditions,
     surface_class_identities,
 )
-from .intlinalg import int_tuple
+from .intlinalg import int_tuple, primitive_vector
 from .search import _passing, check_conditions, format_table_text, render_divisor, row_to_json, table1
 from .topology import GreatSubsphere, HypersurfaceSpec, PLCycle, hyperbolicity_check, linking_number
 
@@ -155,9 +155,23 @@ _MAX_HYP_TRIALS = 100_000
 # A supported trial on the product of d/2 nested spheres (centre 4,1,-1,1,
 # seed 0; same machine), restriction and Sturm test, takes 0.011, 0.11 and
 # 0.45 s at d = 16, 24 and 32 and about 34 s at d = 64, at most 0.6 s *
-# (d / 32)^6 from d = 24 up.  `hyp` refuses a run whose trials would take
-# longer at that rate than the budget; up to degree 10 even 100,000 fit.
+# (d / 32)^6 from d = 24 up, at small entries.  The restriction's
+# coefficients have about B = b + d c bits, b and c the bit sizes of the
+# largest stored coefficient and of the centre's largest primitive
+# coordinate.  A supported trial on the spheres of radii 1, 2 / 1, 2, 3 /
+# 1 to 5 from the centre (10^k, 1, 0, 0) takes (same machine, thread time):
+#
+#   d = 4:   1.9 ms at B = 3,991,  14 ms at 13,291,  99 ms at 39,867
+#   d = 6:   29 ms at B = 5,988,  250 ms at 19,938
+#   d = 10:  0.89 s at B = 9,985,  7.4 s at 33,235
+#
+# at most 0.117 us * d^5 B^2, and 0.09 us at d = 10.  A large b costs like a
+# large d c on a dense form; one large sphere among small ones runs about
+# 25 times under the bound.  The size term is twice the d = 10 rate, for the
+# VM's two speeds: 1.8 s * (d / 10)^5 * (B / 10^4)^2 a trial.  `hyp` takes
+# the larger term and refuses trials that would take longer than the budget.
 _HYP_TRIAL_US_AT_32 = 600_000
+_HYP_TRIAL_US_AT_10_10K = 1_800_000
 _BUDGET_S = 60
 # A cold `conic discriminant` (same machine, splitting [0, 0, N], coefficients
 # in [-3, 3]) takes 0.3 s at discriminant degree 128, 3.1 s at 256 and 49 s
@@ -389,10 +403,13 @@ def _cmd_hyp(args):
     point = tuple(_fraction(x) for x in args.point.split(","))
     if len(point) != 4:
         raise ValueError("--point needs four comma-separated rationals")
-    trial_us = _HYP_TRIAL_US_AT_32 * surface.degree**6 // 32**6
+    d = surface.degree
+    b = max((abs(coeff).bit_length() for _, coeff in surface.terms), default=0)
+    c = max(abs(x).bit_length() for x in primitive_vector(point)) if any(point) else 0
+    trial_us = max(_HYP_TRIAL_US_AT_32 * d**6 // 32**6, _HYP_TRIAL_US_AT_10_10K * d**5 * (b + d * c) ** 2 // 10**13)
     if trials * trial_us > _BUDGET_S * 10**6:
         raise ValueError(
-            f"{trials} trials at degree {surface.degree} would take about "
+            f"{trials} trials at degree {d} would take about "
             f"{trials * trial_us // 10**6} s, over the {_BUDGET_S} s budget of hyp"
         )
     verdict = hyperbolicity_check(surface, point, trials, seed)

@@ -7,7 +7,7 @@ that back the lattice layer: the strict integer and rational checks every
 library constructor applies to its input, the primitive integer
 representative of a rational vector, the one dot product of the library
 (`dot`, which matrix-vector products, lattice pairings and the
-linking-number signs all use), a determinant for small matrices, and a
+linking-number signs all use), the one determinant, for small matrices, and a
 Fincke-Pohst enumeration over the integers certified by the leading
 principal minors of a fraction-free (Bareiss) elimination.
 """
@@ -113,10 +113,14 @@ def mat_vec(a, v):
 
 
 def determinant(a):
-    """Determinant of a square matrix of ints or Fractions, by expansion
-    along the first row with zero entries skipped; enough for the real
-    pairing matrices of the catalogue, whose rank is at most 5, and the
-    maximal minors of the normals of a subspace in `topology`."""
+    """Determinant of a square matrix of ints or Fractions, the one of the
+    library: closed form at 3 x 3, else expansion along the first row with
+    zero entries skipped, down to 3 x 3 minors; enough for the real pairing
+    matrices of the catalogue, of rank at most 5, and the maximal minors of
+    the normals of a subspace in `topology`."""
+    if len(a) == 3:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a
+        return a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
     if not a:
         return 1
     return sum(

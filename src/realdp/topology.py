@@ -302,15 +302,8 @@ def _independent(vectors) -> bool:
     """Whether k rational vectors are linearly independent: whether one of
     the k x k minors of their matrix, one per k of their coordinates, is
     nonzero.  Three vectors, the hyperplane's normal and the center's two of
-    every `linking_number` call, take the closed-form determinant."""
-    det = _det3 if len(vectors) == 3 else determinant
-    return any(det(columns) for columns in combinations(zip(*vectors), len(vectors)))
-
-
-def _det3(rows):
-    """The determinant of a 3 x 3 matrix."""
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
-    return a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+    every `linking_number` call, take `determinant` in closed form."""
+    return any(map(determinant, combinations(zip(*vectors), len(vectors))))
 
 
 class PLCycle(Value):

@@ -180,18 +180,19 @@ def test_link_and_hyp_stdout_matches_golden(capsys, tmp_path):
     and with 100,000 trials) and outside (refuted), on the cylinder
     x1^2 + x2^2 - x0^2 from [1:0:0:0] (supported over all its trials), on the
     hyperboloid x1^2 + x2^2 - x3^2 - x0^2 from [2:0:0:3] (refuted at trial
-    6), refusing the seed -1 in json, and refusing a --trials of 4,301
+    6), refusing the seed -1 in json, refusing a --trials of 4,301
     digits with the message of a JSON literal that long, after the
-    argument's name; json and text: exit
-    code and stdout byte for byte as recorded in cli_golden.json, and stderr
-    too for the three `link` refusals and the --trials one, whose text
-    message goes there.  The signed linking numbers of the json payload are
-    pinned too."""
+    argument's name, and refusing 100,000 trials on two degree-10 forms
+    whose coefficient or centre sizes put them over the budget; json and
+    text: exit code and stdout byte for byte as recorded in cli_golden.json,
+    and stderr too for the three `link` refusals and the --trials and budget
+    ones, whose text message goes there.  The signed linking numbers of the
+    json payload are pinned too."""
     cases = golden_cases("link", "hyp")
     links = [c for c in cases if c["argv"][0] == "link"]
     assert len(links) == 22 and sum("chain" in c["documents"]["CENTER"] for c in links) == 8
     assert sum(c["exit"] == 2 and "stderr" in c for c in links) == 6
-    assert len(cases) - len(links) == 13
+    assert len(cases) - len(links) == 17
     assert {c["exit"] for c in cases} == {0, 1, 2}
     for case in cases:
         assert replay(capsys, tmp_path, case) == recorded(case), case["argv"]
@@ -423,6 +424,26 @@ def test_hyp_budget_admits_100_trials_at_degree_32(capsys, tmp_path):
     assert code == 0 and payload["boundary_contacts"] == 100
     code, payload = run_json(capsys, ["hyp", path, "--point", "1,0,0,0", "--trials", "101"])
     assert code == 2 and payload["message"].startswith("101 trials at degree 32 would take about 60 s")
+
+
+def test_hyp_sizes_over_the_budget_exit_2_before_any_trial(capsys, tmp_path, monkeypatch):
+    """The golden refusals of 100,000 trials on the degree-10 product of the
+    spheres of radii 1 to 5 from the centre (1, 10^-1000, 0, 0), about 7 s
+    a trial, and on the same product with its outer radius^2 times 10^4000
+    from [1:0:0:0], about 0.1 s a trial: in json and text, each exits 2 in
+    under 1 s, refused from the sizes of the coefficients and the centre
+    before `hyperbolicity_check` is called."""
+
+    def never(*args):
+        raise AssertionError("hyperbolicity_check was called")
+
+    monkeypatch.setattr(cli, "hyperbolicity_check", never)
+    cases = [c for c in golden_cases("hyp") if "budget of hyp" in c["stdout"] + c.get("stderr", "")]
+    assert sorted(c["argv"][-1] for c in cases) == ["json", "json", "text", "text"]
+    for case in cases:
+        start = time.perf_counter()
+        assert replay(capsys, tmp_path, case) == recorded(case)
+        assert time.perf_counter() - start < 1
 
 
 def test_hyp_trials_above_100000_exit_2_at_once(capsys, tmp_path):

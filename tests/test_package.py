@@ -119,6 +119,29 @@ def test_one_dot_product_helper():
     assert found == ["intlinalg.py:dot"]
 
 
+def test_one_determinant():
+    """`intlinalg.determinant` is the one module-level determinant of a
+    matrix of numbers: no other function is named for one or writes a
+    cofactor sign (-1) ** k, as a hand-built adjugate or expansion would.
+    `conic._determinant` is exempt: its entries are binary forms, and its
+    determinant is the discriminant of a section.  So is
+    `intlinalg._bareiss`, which neither test reaches: the pivots of its
+    elimination are the leading principal minors that certify a form
+    positive definite."""
+
+    def cofactor_sign(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and ast.unparse(node.left) == "-1"
+
+    found = [
+        f"{path.name}:{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef)
+        and (node.name.lstrip("_").startswith("det") or any(map(cofactor_sign, ast.walk(node))))
+    ]
+    assert found == ["conic.py:_determinant", "intlinalg.py:determinant"]
+
+
 # ---------------------------------------------------------------------------
 # No floating point and no Fraction: integer input to realroots gives int output
 
