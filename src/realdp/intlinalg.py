@@ -9,7 +9,9 @@ representative of a rational vector, the one dot product of the library
 (`dot`, which matrix-vector products, lattice pairings and the
 linking-number signs all use), the one determinant, for small matrices, and a
 Fincke-Pohst enumeration over the integers certified by the leading
-principal minors of a fraction-free (Bareiss) elimination.
+principal minors of a fraction-free (Bareiss) elimination.  The enumeration
+recurses once per coordinate, so its depth is the rank, through the
+module-level `_descend`, which no call leaves in a reference cycle.
 """
 
 from __future__ import annotations
@@ -156,8 +158,10 @@ def enumerate_quadratic(a, bound):
 
     Fincke-Pohst search on the Bareiss rows r and minors D_k (D_0 = 1):
     v^T a v = sum_k (sum_{j>=k} r[k][j] v_j)^2 / (D_k D_(k+1)).  All terms are
-    scaled by one integer lcm, so each window needs only isqrt and floor
-    division, and the open windows sit on an explicit stack.  The output
+    scaled by one integer lcm, so each coordinate's range needs only isqrt and
+    floor division.  `_descend` fixes one coordinate per call, so the
+    recursion is as deep as the rank; it is a module-level function, not a
+    closure over itself, so no call leaves a reference cycle.  The output
     includes the zero vector and both members of each +-v pair; order is
     unspecified (callers sort).  The elimination runs even for a negative
     bound, so a form that is not positive definite always raises ValueError.
@@ -170,29 +174,21 @@ def enumerate_quadratic(a, bound):
     scale = lcm(*[d * e for d, e in zip(minors, minors[1:])])
     weights = [scale // (d * e) for d, e in zip(minors, minors[1:])]
     results = []
-    v = [0] * n
-    stack = [_window(rows, weights, v, n - 1, scale * bound)]
-    while stack:
-        frame = stack[-1]
-        k, m, hi, budget, c = frame
-        if m > hi:
-            stack.pop()
-            continue
-        frame[1] = m + 1
-        v[k] = m
-        if k:
-            s = rows[k][k] * m + c
-            stack.append(_window(rows, weights, v, k - 1, budget - weights[k] * s * s))
-        else:
-            results.append(tuple(v))
+    _descend(rows, weights, [0] * n, n - 1, scale * bound, results)
     return results
 
 
-def _window(rows, weights, v, k, budget):
-    """Frame [k, lo, hi, budget, c] of coordinate k: [lo, hi] holds the
-    integers m with weights[k] (D_(k+1) m + c)^2 <= budget, where c is
-    sum_{j>k} rows[k][j] v_j; the search advances lo."""
+def _descend(rows, weights, v, k, budget, results):
+    """Set v_k to each integer m with weights[k] (D_(k+1) m + c)^2 <= budget,
+    where c is sum_{j>k} rows[k][j] v_j, and search coordinates k - 1 down to
+    0 with what is left of the budget; each complete v goes to `results`."""
+    p = rows[k][k]
     c = dot(rows[k][k + 1:], v[k + 1:])
     r = isqrt(budget // weights[k])
-    p = rows[k][k]
-    return [k, -((r + c) // p), (r - c) // p, budget, c]
+    for m in range(-((r + c) // p), (r - c) // p + 1):
+        v[k] = m
+        if k:
+            s = p * m + c
+            _descend(rows, weights, v, k - 1, budget - weights[k] * s * s, results)
+        else:
+            results.append(tuple(v))

@@ -156,6 +156,20 @@ def seeded_positive_definite_forms(seed, count):
         yield a, rng.randint(-1, 40)
 
 
+def deep_positive_definite_forms(seed, count):
+    """B^T B + diag(1..3) for an n x n matrix B with entries in -1..1, n
+    cycling through 7..10, deeper than the catalogue's rank of at most 9;
+    each form comes with a bound in 6..12."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = 7 + i % 4
+        b = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+        a = mat_mul([list(r) for r in zip(*b)], b)
+        for j in range(n):
+            a[j][j] += rng.randint(1, 3)
+        yield a, rng.randint(6, 12)
+
+
 def catalogue_forms(monkeypatch):
     """Q and bound of every `enumerate_classes` call that building the 19
     models and searching each of them makes."""
@@ -181,7 +195,8 @@ def test_enumerate_quadratic_matches_rational_oracle(monkeypatch):
     forms = list(seeded_positive_definite_forms(29, 300))
     catalogue = catalogue_forms(monkeypatch)
     assert len(catalogue) == 2 * 19
-    for a, bound in forms + catalogue:
+    deep = list(deep_positive_definite_forms(43, 10))
+    for a, bound in forms + catalogue + deep:
         assert sorted(enumerate_quadratic(a, bound)) == sorted(enumerate_quadratic_over_q(a, bound)), (a, bound)
 
 
