@@ -347,6 +347,12 @@ def _cmd_conic_chow(args):
     return 0, data, text
 
 
+def _within_budget(us, work, of=""):
+    """Refuse `work`, predicted to take `us` microseconds, over the budget."""
+    if us > _BUDGET_S * 10**6:
+        raise ValueError(f"{work} would take about {us // 10**6} s, over the {_BUDGET_S} s budget{of}")
+
+
 def _conic_matrix_within_budget(path, command) -> ConicMatrix:
     """The conic matrix at `path`, refused before its determinant when the
     time predicted for `command` from its discriminant degree d and its
@@ -357,11 +363,7 @@ def _conic_matrix_within_budget(path, command) -> ConicMatrix:
     us = _CONIC_START_US + _CONIC_STURM_US_AT_64_60 * d**4 * (b + 4) ** 2 // 64**6
     if command == "discriminant" and d > 2:
         us += _CONIC_ROOT_SEARCH_US_AT_16_1024 * d**2 * b**3 // (16**2 * 1024**3)
-    if us > _BUDGET_S * 10**6:
-        raise ValueError(
-            f"conic {command} at discriminant degree {d} with {b}-bit entries would take about "
-            f"{us // 10**6} s, over the {_BUDGET_S} s budget"
-        )
+    _within_budget(us, f"conic {command} at discriminant degree {d} with {b}-bit entries")
     return matrix
 
 
@@ -407,11 +409,7 @@ def _cmd_hyp(args):
     b = max((abs(coeff).bit_length() for _, coeff in surface.terms), default=0)
     c = max(abs(x).bit_length() for x in primitive_vector(point)) if any(point) else 0
     trial_us = max(_HYP_TRIAL_US_AT_32 * d**6 // 32**6, _HYP_TRIAL_US_AT_10_10K * d**5 * (b + d * c) ** 2 // 10**13)
-    if trials * trial_us > _BUDGET_S * 10**6:
-        raise ValueError(
-            f"{trials} trials at degree {d} would take about "
-            f"{trials * trial_us // 10**6} s, over the {_BUDGET_S} s budget of hyp"
-        )
+    _within_budget(trials * trial_us, f"{trials} trials at degree {d}", " of hyp")
     verdict = hyperbolicity_check(surface, point, trials, seed)
     payload = {
         "status": "refuted" if verdict.refuted else "supported",
@@ -454,70 +452,43 @@ def build_parser() -> argparse.ArgumentParser:
         "for real del Pezzo surfaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = []
 
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
+    def command(parent, name, handler, help, *positionals):
+        """The parser of one leaf command, with its plain positionals; every
+        leaf gets --format after its own arguments, below."""
+        p = parent.add_parser(name, help=help)
+        for positional in positionals:
+            p.add_argument(positional)
+        p.set_defaults(handler=handler)
+        commands.append(p)
+        return p
 
-    p = sub.add_parser("table1", help="classification table over all built-in surfaces")
-    add_format(p)
-    p.set_defaults(handler=_cmd_table1)
-
-    p = sub.add_parser("enumerate", help="divisor search on one surface")
+    command(sub, "table1", _cmd_table1, "classification table over all built-in surfaces")
+    p = command(sub, "enumerate", _cmd_enumerate, "divisor search on one surface")
     p.add_argument("surface", choices=SURFACE_NAMES)
-    add_format(p)
-    p.set_defaults(handler=_cmd_enumerate)
-
-    p = sub.add_parser("check", help="condition report for an explicit divisor class")
+    p = command(sub, "check", _cmd_check, "condition report for an explicit divisor class")
     p.add_argument("surface", choices=SURFACE_NAMES)
     p.add_argument("coeffs", nargs="+", help="coefficients in the documented basis order")
-    add_format(p)
-    p.set_defaults(handler=_cmd_check)
 
-    p = sub.add_parser("conic", help="minimal conic bundle computations")
-    conic_sub = p.add_subparsers(dest="subcommand", required=True)
-    q = conic_sub.add_parser("conditions", help="the six conditions for D = aF - bK")
-    q.add_argument("s")
-    q.add_argument("a")
-    q.add_argument("b")
-    add_format(q)
-    q.set_defaults(handler=_cmd_conic_conditions)
-    q = conic_sub.add_parser("candidate", help="the distinguished divisor (s-2)F - K")
-    q.add_argument("s")
-    add_format(q)
-    q.set_defaults(handler=_cmd_conic_candidate)
-    q = conic_sub.add_parser("chow", help="Chow-ring identities for the class 2H + aE")
-    q.add_argument("a")
-    q.add_argument("c")
-    add_format(q)
-    q.set_defaults(handler=_cmd_conic_chow)
-    q = conic_sub.add_parser("discriminant", help="determinant of a section matrix")
-    q.add_argument("file")
-    add_format(q)
-    q.set_defaults(handler=_cmd_conic_discriminant)
-    q = conic_sub.add_parser("analyze", help="singular fiber analysis of a section matrix")
-    q.add_argument("file")
-    add_format(q)
-    q.set_defaults(handler=_cmd_conic_analyze)
-    q = conic_sub.add_parser("construct", help="diagonal section from prescribed roots")
-    q.add_argument("file")
-    add_format(q)
-    q.set_defaults(handler=_cmd_conic_construct)
+    conic = sub.add_parser("conic", help="minimal conic bundle computations")
+    conic_sub = conic.add_subparsers(dest="subcommand", required=True)
+    command(conic_sub, "conditions", _cmd_conic_conditions, "the six conditions for D = aF - bK", "s", "a", "b")
+    command(conic_sub, "candidate", _cmd_conic_candidate, "the distinguished divisor (s-2)F - K", "s")
+    command(conic_sub, "chow", _cmd_conic_chow, "Chow-ring identities for the class 2H + aE", "a", "c")
+    command(conic_sub, "discriminant", _cmd_conic_discriminant, "determinant of a section matrix", "file")
+    command(conic_sub, "analyze", _cmd_conic_analyze, "singular fiber analysis of a section matrix", "file")
+    command(conic_sub, "construct", _cmd_conic_construct, "diagonal section from prescribed roots", "file")
 
-    p = sub.add_parser("hyp", help="randomized hyperbolicity check for a hypersurface in P^3")
-    p.add_argument("polyfile")
+    p = command(sub, "hyp", _cmd_hyp, "randomized hyperbolicity check for a hypersurface in P^3", "polyfile")
     p.add_argument("--point", required=True, help="center, four comma-separated rationals")
     p.add_argument("--trials", default="100")
     p.add_argument("--seed", default="0")
-    add_format(p)
-    p.set_defaults(handler=_cmd_hyp)
-
-    p = sub.add_parser("link", help="linking-number criterion for PL cycles")
-    p.add_argument("cycles")
-    p.add_argument("center")
+    p = command(sub, "link", _cmd_link, "linking-number criterion for PL cycles", "cycles", "center")
     p.add_argument("--degree", required=True)
-    add_format(p)
-    p.set_defaults(handler=_cmd_link)
 
+    for p in commands:
+        p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 

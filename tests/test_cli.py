@@ -677,11 +677,36 @@ def test_malformed_flag_exits_2():
     assert exc.value.code == 2
 
 
+# Every leaf command, its minimal arguments, and its handler.
+LEAF_COMMANDS = [
+    (["table1"], [], cli._cmd_table1),
+    (["enumerate"], ["B1"], cli._cmd_enumerate),
+    (["check"], ["B1", "-3"], cli._cmd_check),
+    (["conic", "conditions"], ["5", "3", "1"], cli._cmd_conic_conditions),
+    (["conic", "candidate"], ["5"], cli._cmd_conic_candidate),
+    (["conic", "chow"], ["2", "1"], cli._cmd_conic_chow),
+    (["conic", "discriminant"], ["m.json"], cli._cmd_conic_discriminant),
+    (["conic", "analyze"], ["m.json"], cli._cmd_conic_analyze),
+    (["conic", "construct"], ["c.json"], cli._cmd_conic_construct),
+    (["hyp"], ["f.json", "--point", "1,0,0,0"], cli._cmd_hyp),
+    (["link"], ["c.json", "e.json", "--degree", "2"], cli._cmd_link),
+]
+
+
 def test_help_available_per_subcommand():
-    for argv in (["--help"], ["table1", "--help"], ["conic", "--help"], ["conic", "analyze", "--help"]):
+    """Every parser has --help, and every leaf command --format and its
+    handler, which a leaf declared outside `command()` in `build_parser`
+    would lack."""
+    for argv in ([], ["conic"]):
         with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 0
+            main(argv + ["--help"])
+        assert exc.value.code == 0, argv
+    for leaf, arguments, handler in LEAF_COMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            main(leaf + ["--help"])
+        assert exc.value.code == 0, leaf
+        args = cli.build_parser().parse_args(leaf + arguments + ["--format", "json"])
+        assert args.format == "json" and args.handler is handler, leaf
 
 
 def rational_slots(tmp_path):
@@ -912,6 +937,29 @@ def test_deeply_nested_documents_exit_2(capsys, tmp_path):
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "", argv
         assert captured.err == f"error: {deep} is nested too deeply to read\n", argv
+
+
+@pytest.mark.parametrize("slot", ["conic discriminant", "conic analyze", "conic construct", "hyp", "link cycles", "link center"])
+def test_documents_that_are_not_json_exit_2(capsys, tmp_path, slot):
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"degree": 2,')
+    doc = str(truncated)
+    center, cycles = write_center_file(tmp_path), write_cycles_file(tmp_path, ["1/2"])
+    argv = {
+        "conic discriminant": ["conic", "discriminant", doc],
+        "conic analyze": ["conic", "analyze", doc],
+        "conic construct": ["conic", "construct", doc],
+        "hyp": ["hyp", doc, "--point", "1,0,0,0"],
+        "link cycles": ["link", doc, center, "--degree", "2"],
+        "link center": ["link", cycles, doc, "--degree", "2"],
+    }[slot]
+    prefix = f"{doc} is not valid JSON: "
+    code, payload = run_json(capsys, argv)
+    assert code == 2 and payload["status"] == "error" and payload["message"].startswith(prefix), payload
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {prefix}") and captured.err.count("\n") == 1, captured.err
 
 
 def test_bad_rationals_exit_2(capsys, tmp_path):

@@ -294,6 +294,43 @@ def test_truncation_examples_are_refused():
         conic.BinaryForm(2.0, (1, 0, 1))  # f * f would raise TypeError
 
 
+def _input_checks():
+    from realdp import conic
+    from realdp.catalog import blow_up, builtin
+    from realdp.lattice import ClassVector, IntLattice, enumerate_classes
+    from realdp.topology import HypersurfaceSpec
+
+    lattice, other = builtin("D2").real_lattice, builtin("B1").real_lattice
+    form = conic.BinaryForm(0, (1,))
+    return {
+        "IntLattice.rank": (lambda: IntLattice(0, (), ()), "rank must be positive"),
+        "IntLattice.labels": (lambda: IntLattice(2, ("H", "H"), ((1, 0), (0, -1))), "labels must be distinct"),
+        "IntLattice.gram size": (lambda: IntLattice(2, ("H", "E"), ((1, 0),)), "size must match the rank"),
+        "IntLattice.gram symmetry": (lambda: IntLattice(2, ("H", "E"), ((1, 1), (0, -1))), "must be symmetric"),
+        "ClassVector": (lambda: ClassVector(lattice, (1,)), "length must equal the lattice rank"),
+        "ClassVector.__add__": (lambda: lattice.vector((1, 0)) + other.vector((1,)), "different lattices"),
+        "enumerate_classes": (lambda: enumerate_classes(lattice, other.vector((1,)), -1, 1, 1), "K does not belong"),
+        "form_from_roots": (lambda: conic.form_from_roots(2, (1,)), "number of roots must equal the degree"),
+        "ConicMatrix.splitting": (lambda: conic.ConicMatrix((-1, 0, 0), ((form,) * 3,) * 3), "a_i \\+ a_j must all be nonnegative"),
+        "ConicMatrix.entries": (lambda: conic.ConicMatrix((0, 0, 0), ((form, form, 1),) * 3), "must be binary forms"),
+        "blow_up": (lambda: blow_up(builtin("Q31"), real_points=-1), "conj_pairs must be nonnegative"),
+        "HypersurfaceSpec": (lambda: HypersurfaceSpec(2, (((1, 0, 0, 0), 1),)), "declared total degree"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_input_checks()))
+def test_library_input_checks(name):
+    call, fragment = _input_checks()[name]
+    with pytest.raises(ValueError, match=fragment):
+        call()
+
+
+def test_value_is_not_equal_to_its_fields():
+    from realdp.conic import BinaryForm
+
+    assert BinaryForm(0, (1,)) != (0, (1,))
+
+
 # ---------------------------------------------------------------------------
 # Strict rationals: library entry points take int and Fraction only; "p/q"
 # strings are a CLI format
