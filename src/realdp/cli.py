@@ -30,7 +30,7 @@ from .conic import (
     surface_class_identities,
 )
 from .intlinalg import int_tuple, primitive_vector
-from .search import _passing, check_conditions, format_table_text, render_divisor, row_to_json, table1
+from .search import _passing, check_conditions, divisor_json, format_table_text, table1
 from .topology import GreatSubsphere, HypersurfaceSpec, PLCycle, hyperbolicity_check, linking_number
 
 
@@ -100,6 +100,15 @@ def _fraction(value) -> Fraction:
         return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
+
+
+def _rationals(values) -> tuple:
+    """The rationals of a JSON array.  Anything else is refused, as a
+    malformed document: the characters of a string or the keys of an
+    object would otherwise read as rationals."""
+    if type(values) is not list:
+        raise TypeError(f"expected an array of rationals, got {type(values).__name__}")
+    return tuple(_fraction(x) for x in values)
 
 
 def _integer(value) -> int:
@@ -233,14 +242,14 @@ def _parse_cycles(doc) -> list:
         PLCycle(
             _integer(cycle["ambient"]),
             cycle["closure"],
-            tuple(tuple(_fraction(x) for x in p) for p in cycle["points"]),
+            tuple(_rationals(p) for p in cycle["points"]),
         )
         for cycle in doc["cycles"]
     ]
 
 
 def _parse_subspace(doc, ambient=None) -> GreatSubsphere:
-    normals = tuple(tuple(_fraction(x) for x in n) for n in doc["normals"])
+    normals = tuple(_rationals(n) for n in doc["normals"])
     if ambient is None:
         ambient = len(normals[0]) - 1
     return GreatSubsphere(ambient, normals)
@@ -257,7 +266,18 @@ def _parse_construction(doc) -> ConicMatrix:
     splitting = _splitting(doc)
     if len(splitting) != 3:
         raise ValueError(f"splitting must be three integers, got {len(splitting)}")
-    return construct_section(*splitting, [[_fraction(r) for r in roots] for roots in doc["roots"]])
+    root_lists = [_rationals(roots) for roots in doc["roots"]]
+    # Each p_i is primitive: its constant term is the product of the -p and
+    # its leading coefficient the product of the q over its roots p/q.  One
+    # that cannot be printed is refused before the p_i are multiplied out,
+    # which takes minutes at degree 256 with roots of 4,300 digits.
+    for _, roots in sorted(zip(splitting, root_lists), key=lambda t: t[0]):
+        constant = leading = 1
+        for root in roots:
+            constant *= -root.numerator
+            leading *= root.denominator
+        _answer((constant, leading))
+    return construct_section(*splitting, root_lists)
 
 
 # ---------------------------------------------------------------------------
@@ -266,25 +286,14 @@ def _parse_construction(doc) -> ConicMatrix:
 
 def _cmd_table1(args):
     rows = table1()
-    payload = [row_to_json(row) for row in rows]
-    return 0, payload, format_table_text(rows)
-
-
-def _divisor_payload(model, d, report):
-    """The JSON fields `enumerate` and `check` share for one class."""
-    return {
-        "divisor": {"basis": list(model.real_lattice.basis_labels), "coeffs": list(d.coeffs)},
-        "rendered": render_divisor(model, d),
-        "conditions": report.conditions_dict(),
-        "ell": report.ell,
-        "genus": report.genus,
-        "very_ample": None if report.very_ample is None else ("yes" if report.very_ample else "no"),
-    }
+    return 0, rows, format_table_text(rows)
 
 
 def _cmd_enumerate(args):
     model = builtin(args.surface)
-    payload = [_divisor_payload(model, d, report) for d, report in _passing(model)]
+    payload = [
+        {**divisor_json(model, d, report), "conditions": report.conditions_dict()} for d, report in _passing(model)
+    ]
     lines = [f"{p['rendered']}  l={p['ell']}  g={p['genus']}  very_ample={p['very_ample']}" for p in payload]
     text = "\n".join(lines) if lines else f"no divisors satisfy the conditions on {args.surface}"
     return 0, payload, text
@@ -303,11 +312,12 @@ def _cmd_check(args):
     payload = {
         "status": "pass" if report.passed else "fail",
         "surface": args.surface,
-        **_divisor_payload(model, d, report),
+        **divisor_json(model, d, report),
+        "conditions": report.conditions_dict(),
     }
     failed = [name for name, ok in report.conditions_dict().items() if not ok]
     text = (
-        f"{render_divisor(model, d)} on {args.surface}: "
+        f"{payload['rendered']} on {args.surface}: "
         + ("passes all conditions" if report.passed else f"fails {', '.join(failed)}")
     )
     return (0 if report.passed else 1), payload, text

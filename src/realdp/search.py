@@ -106,19 +106,6 @@ def search(model: SurfaceModel):
     return [d for d, _ in _passing(model)]
 
 
-class TableRow(NamedTuple):
-    surface: str
-    degree: int
-    s: int
-    r: int
-    divisor: str
-    coeffs: tuple | None
-    basis: tuple | None
-    ell: int | None
-    genus: int | None
-    very_ample: str | None
-
-
 def _canonical_multiple(d: ClassVector, k: ClassVector):
     pivot = next((i for i, c in enumerate(k.coeffs) if c), None)
     if pivot is None or d.coeffs[pivot] % k.coeffs[pivot]:
@@ -144,20 +131,30 @@ def render_divisor(model: SurfaceModel, d: ClassVector) -> str:
     return "".join(parts) if parts else "0"
 
 
+def divisor_json(model: SurfaceModel, d: ClassVector, report: ConditionReport):
+    """The JSON fields of one class that `table1`, `enumerate` and `check`
+    print: its coefficients in the basis, its rendered form, l(D), the
+    genus and very ampleness as yes/no (null until the class passes)."""
+    return {
+        "divisor": {"basis": list(model.real_lattice.basis_labels), "coeffs": list(d.coeffs)},
+        "rendered": render_divisor(model, d),
+        "ell": report.ell,
+        "genus": report.genus,
+        "very_ample": None if report.very_ample is None else ("yes" if report.very_ample else "no"),
+    }
+
+
 def table_rows(model: SurfaceModel):
-    rows = [
-        TableRow(
-            model.name, model.degree, model.s, model.r,
-            render_divisor(model, d), d.coeffs, model.real_lattice.basis_labels,
-            report.ell, report.genus, "yes" if report.very_ample else "no",
-        )
-        for d, report in _passing(model)
-    ]
-    return rows or [TableRow(model.name, model.degree, model.s, model.r, "---", None, None, None, None, None)]
+    """The JSON rows of one surface: one per passing class, or one "---"
+    row when no class passes."""
+    surface = {"surface": model.name, "degree": model.degree, "s": model.s, "r": model.r}
+    rows = [{**surface, **divisor_json(model, d, report)} for d, report in _passing(model)]
+    return rows or [{**surface, "divisor": None, "rendered": "---", "ell": None, "genus": None, "very_ample": None}]
 
 
 def table1():
-    """The full classification table over the built-in surfaces.
+    """The JSON rows of the full classification table over the built-in
+    surfaces, as `table1 --format json` prints them.
 
     Surfaces appear in the catalogue order; surfaces with several divisors
     contribute one row per class, lexicographically by coefficients."""
@@ -171,10 +168,10 @@ def format_table_text(rows) -> str:
     header = ("X", "deg", "s", "r", "D", "l(D)", "g", "very ample?")
     body = [
         (
-            row.surface, str(row.degree), str(row.s), str(row.r), row.divisor,
-            "-" if row.ell is None else str(row.ell),
-            "-" if row.genus is None else str(row.genus),
-            "-" if row.very_ample is None else row.very_ample,
+            row["surface"], str(row["degree"]), str(row["s"]), str(row["r"]), row["rendered"],
+            "-" if row["ell"] is None else str(row["ell"]),
+            "-" if row["genus"] is None else str(row["genus"]),
+            "-" if row["very_ample"] is None else row["very_ample"],
         )
         for row in rows
     ]
@@ -184,17 +181,3 @@ def format_table_text(rows) -> str:
         for line in [header] + body
     ]
     return "\n".join(lines)
-
-
-def row_to_json(row: TableRow):
-    return {
-        "surface": row.surface,
-        "degree": row.degree,
-        "s": row.s,
-        "r": row.r,
-        "divisor": None if row.coeffs is None else {"basis": list(row.basis), "coeffs": list(row.coeffs)},
-        "rendered": row.divisor,
-        "ell": row.ell,
-        "genus": row.genus,
-        "very_ample": row.very_ample,
-    }

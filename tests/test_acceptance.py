@@ -94,23 +94,23 @@ def test_criterion_01_table_golden():
     assert len(rows) == 24
     index = 0
     for surface, degree, s, r, divisors in TABLE:
-        block = [row for row in rows if row.surface == surface]
-        assert rows[index].surface == surface  # row order follows the catalogue
+        block = [row for row in rows if row["surface"] == surface]
+        assert rows[index]["surface"] == surface  # row order follows the catalogue
         index += len(block)
         for row in block:
-            assert (row.degree, row.s, row.r) == (degree, s, r)
+            assert (row["degree"], row["s"], row["r"]) == (degree, s, r)
         if divisors is None:
             assert len(block) == 1
             row = block[0]
-            assert row.divisor == "---"
-            assert row.ell is None and row.genus is None and row.very_ample is None
+            assert row["rendered"] == "---"
+            assert row["ell"] is None and row["genus"] is None and row["very_ample"] is None
         else:
-            got = {(row.divisor, row.ell, row.genus, row.very_ample) for row in block}
+            got = {(row["rendered"], row["ell"], row["genus"], row["very_ample"]) for row in block}
             assert got == divisors
-    dash_rows = [row for row in rows if row.divisor == "---"]
+    dash_rows = [row for row in rows if row["rendered"] == "---"]
     assert len(dash_rows) == 9
-    no_rows = [row for row in rows if row.very_ample == "no"]
-    assert [(row.surface, row.divisor) for row in no_rows] == [("D4_2_0_11", "-K")]
+    no_rows = [row for row in rows if row["very_ample"] == "no"]
+    assert [(row["surface"], row["rendered"]) for row in no_rows] == [("D4_2_0_11", "-K")]
     assert elapsed < 60
     report(1, f"all 24 table rows reproduced exactly in {elapsed:.2f}s")
 
@@ -128,10 +128,10 @@ def test_criterion_02_worked_degree_two_example():
 def test_criterion_03_genus_and_sections_formulas():
     checked = 0
     for row in table1():
-        if row.divisor == "---":
+        if row["rendered"] == "---":
             continue
-        assert row.genus == row.s + row.r - 1
-        assert row.ell == row.s + 3
+        assert row["genus"] == row["s"] + row["r"] - 1
+        assert row["ell"] == row["s"] + 3
         checked += 1
     assert checked == 15
     report(3, f"genus = s+r-1 and l(D) = s+3 on all {checked} divisor rows")

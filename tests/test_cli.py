@@ -158,14 +158,15 @@ def test_conic_stdout_matches_golden(capsys, tmp_path):
     cli_golden.json.  `discriminant` on a section with 1,500-digit diagonal
     entries and `construct` on roots with 3,000-digit denominators admit
     their input but refuse their answer, whose integers pass 4,300 digits,
-    with one message; stderr is compared too for these four.  A case with a
-    matrix or construction document holds it, written to a file in place of
-    DOCUMENT."""
+    with one message, and `construct` refuses root lists written as
+    strings as a malformed document; stderr is compared too for these six.
+    A case with a matrix or construction document holds it, written to a
+    file in place of DOCUMENT."""
     cases = golden_cases("conic")
     assert {c["argv"][1] for c in cases} == {
         "conditions", "candidate", "chow", "construct", "discriminant", "analyze"}
-    assert sum("documents" in c for c in cases) == 30
-    assert sum(c["exit"] == 2 and "stderr" in c for c in cases) == 4
+    assert sum("documents" in c for c in cases) == 32
+    assert sum(c["exit"] == 2 and "stderr" in c for c in cases) == 6
     assert {c["exit"] for c in cases} == {0, 1, 2}
     for case in cases:
         assert replay(capsys, tmp_path, case) == recorded(case), case["argv"]
@@ -175,7 +176,8 @@ def test_link_and_hyp_stdout_matches_golden(capsys, tmp_path):
     """`link` on an oval around the center, an oval beside it, a pseudoline,
     and a ring and a line in RP^3, each with and without a `chain`
     hyperplane, and refusing a cycle with a vertex on the center after one
-    on L, one with a vertex on L and one with a segment through the center;
+    on L, one with a vertex on L and one with a segment through the center,
+    and refusing points written as strings as a malformed document;
     `hyp` on the sphere quadric from a center inside (supported, with 200
     and with 100,000 trials) and outside (refuted), on the cylinder
     x1^2 + x2^2 - x0^2 from [1:0:0:0] (supported over all its trials), on the
@@ -185,13 +187,13 @@ def test_link_and_hyp_stdout_matches_golden(capsys, tmp_path):
     argument's name, and refusing 100,000 trials on two degree-10 forms
     whose coefficient or centre sizes put them over the budget; json and
     text: exit code and stdout byte for byte as recorded in cli_golden.json,
-    and stderr too for the three `link` refusals and the --trials and budget
+    and stderr too for the four `link` refusals and the --trials and budget
     ones, whose text message goes there.  The signed linking numbers of the
     json payload are pinned too."""
     cases = golden_cases("link", "hyp")
     links = [c for c in cases if c["argv"][0] == "link"]
-    assert len(links) == 22 and sum("chain" in c["documents"]["CENTER"] for c in links) == 8
-    assert sum(c["exit"] == 2 and "stderr" in c for c in links) == 6
+    assert len(links) == 24 and sum("chain" in c["documents"]["CENTER"] for c in links) == 8
+    assert sum(c["exit"] == 2 and "stderr" in c for c in links) == 8
     assert len(cases) - len(links) == 17
     assert {c["exit"] for c in cases} == {0, 1, 2}
     for case in cases:
@@ -229,6 +231,35 @@ def test_enumerate_checks_each_candidate_once(capsys, monkeypatch):
         found += len(payload)
     assert found == 15
     assert len(calls) == 71
+
+
+def test_table1_enumerate_and_check_print_one_row_per_divisor(capsys):
+    """The `table1` rows of a surface are its `enumerate` rows with the
+    surface's name, degree, s and r in place of the conditions, or one "---"
+    row where `enumerate` finds nothing; `check` on each of the 15 divisors
+    passes and prints its `enumerate` row with the status and surface."""
+
+    def without(row, *keys):
+        return {k: v for k, v in row.items() if k not in keys}
+
+    code, table = run_json(capsys, ["table1"])
+    assert code == 0
+    checked = 0
+    for name in realdp.catalog.SURFACE_NAMES:
+        rows = [row for row in table if row["surface"] == name]
+        code, found = run_json(capsys, ["enumerate", name])
+        assert code == 0
+        if not found:
+            assert [row["rendered"] for row in rows] == ["---"], name
+            continue
+        assert [without(row, "surface", "degree", "s", "r") for row in rows] == [
+            without(row, "conditions") for row in found], name
+        for row in found:
+            code, payload = run_json(capsys, ["check", name, *map(str, row["divisor"]["coeffs"])])
+            assert (code, payload["status"], payload["surface"]) == (0, "pass", name)
+            assert without(payload, "status", "surface") == row
+            checked += 1
+    assert checked == 15
 
 
 def test_enumerate_unknown_surface_exits_2(capsys):
@@ -310,6 +341,21 @@ def test_conic_construct(capsys, tmp_path):
     assert diag[0] == [0, -5, 1]  # u(u - 5v)
     code, payload = run_json(capsys, ["conic", "analyze", str(path)])
     assert code == 2  # a construction document is not a matrix document
+
+
+def test_conic_construct_unprintable_answer_exits_2_at_once(capsys, tmp_path):
+    """Splitting [42, 43, 43] (discriminant degree 256) with roots of 4,300
+    digits: the constant term of p1, the product of its 84 numerators, has
+    361,117 digits, so `construct` refuses before it multiplies the linear
+    forms out, which takes 39 s (2-vCPU VM) and ends in the same line."""
+    roots = [[str(10**4299 + 1000 * j + i) for i in range(2 * a)] for j, a in enumerate((42, 43, 43))]
+    path = tmp_path / "construct.json"
+    path.write_text(json.dumps({"splitting": [42, 43, 43], "roots": roots}))
+    start = time.perf_counter()
+    code, payload = run_json(capsys, ["conic", "construct", str(path)])
+    assert time.perf_counter() - start < 5
+    assert (code, payload) == (2, {
+        "status": "error", "message": "an integer of 361117 digits exceeds the limit of 4,300 digits"})
 
 
 def test_conic_matrix_schema_violation_exits_2(capsys, tmp_path):
@@ -883,6 +929,24 @@ def test_malformed_documents_exit_2(capsys, tmp_path):
     long_splitting.write_text(json.dumps({"splitting": [1, 1, 1, 1], "roots": [[1, 2], [3, 4], [5, 6], [7, 8]]}))
     negative_degree = tmp_path / "negative_degree.json"
     negative_degree.write_text(json.dumps({"degree": -1, "terms": []}))
+
+    def document(name, doc):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    # lists of rationals written as strings or objects, whose characters or keys would read as rationals
+    arrays = [
+        ["conic", "construct", document("string_roots", {"splitting": [1, 1, 1], "roots": ["12", "34", "56"]})],
+        ["conic", "construct", document("object_roots", {
+            "splitting": [1, 1, 1], "roots": [{"1": 0, "2": 0}, {"3": 0, "4": 0}, {"5": 0, "6": 0}]})],
+        ["conic", "construct", document("keyed_roots", {"splitting": [1, 1, 1], "roots": {"12": 0, "34": 0, "56": 0}})],
+        ["link", document("string_points", {
+            "cycles": [{"ambient": 2, "closure": "sphere", "points": ["102", "012", "111"]}]}), center, "--degree", "2"],
+        ["link", nested, document("string_normals", {"normals": ["100", "010"]}), "--degree", "4"],
+        ["link", nested, document("string_chain", {
+            "normals": [["0", "1", "0"], ["0", "0", "1"]], "chain": {"normals": ["001"]}}), "--degree", "4"],
+    ]
     cases = [
         ["conic", "analyze", str(junk)],
         ["conic", "construct", str(junk)],
@@ -898,6 +962,7 @@ def test_malformed_documents_exit_2(capsys, tmp_path):
         ["conic", "construct", str(short_splitting)],
         ["conic", "construct", str(long_splitting)],
         ["hyp", str(negative_degree), "--point", "1,0,0,0"],
+        *arrays,
     ]
     slots = rational_slots(tmp_path)
     for value in ("1e5", "0.5", "1_000", " 3/4"):  # outside the documented grammar
@@ -910,6 +975,8 @@ def test_malformed_documents_exit_2(capsys, tmp_path):
             assert "splitting" in payload["message"], payload
         if str(negative_degree) in argv:
             assert payload["message"] == "degree must be nonnegative", payload
+        if argv in arrays:
+            assert payload["message"].startswith("malformed ") and "expected an array" in payload["message"], payload
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "", argv

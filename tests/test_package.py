@@ -404,7 +404,7 @@ SHARED_BY_DESIGN = {
     "dot": "intlinalg.dot on integer vectors; ClassVector.dot, the lattice pairing, reads the degree K.K in catalog",
     "passed": "the verdict of search.ConditionReport (cli check) and conic.BundleConditionReport (cli conic conditions)",
     "conditions_dict": "the per-condition JSON of the same two reports, read by the same two commands",
-    "degree": "realroots.degree of a coefficient tuple, called in conic; also a field of SurfaceModel, TableRow, "
+    "degree": "realroots.degree of a coefficient tuple, called in conic; also a field of SurfaceModel, "
               "BinaryForm and HypersurfaceSpec",
 }
 

@@ -10,7 +10,6 @@ from realdp.search import (
     check_conditions,
     format_table_text,
     render_divisor,
-    row_to_json,
     search,
     table1,
     table_rows,
@@ -241,10 +240,10 @@ def _di_rocco(model, coeffs):
 def test_table1_very_ample_flags_follow_di_rocco():
     """Di Rocco's criterion for k = 1: D is very ample iff D.E >= 1 for every
     (-1)-curve E and D.(-K) >= 3."""
-    rows = [row for row in table1() if row.coeffs is not None]
+    rows = [row for row in table1() if row["divisor"] is not None]
     for row in rows:
-        assert row.very_ample == ("yes" if _di_rocco(builtin(row.surface), row.coeffs)[1] else "no"), row
-    assert [row.surface for row in rows if row.very_ample == "no"] == ["D4_2_0_11"]
+        assert row["very_ample"] == ("yes" if _di_rocco(builtin(row["surface"]), row["divisor"]["coeffs"])[1] else "no"), row
+    assert [row["surface"] for row in rows if row["very_ample"] == "no"] == ["D4_2_0_11"]
 
 
 @pytest.mark.parametrize("name", SURFACE_NAMES)
@@ -265,17 +264,17 @@ def test_table1_against_fixture():
     assert len(rows) == 24
     by_surface = {}
     for row in rows:
-        degree, s, r = row.degree, row.s, row.r
-        by_surface.setdefault(row.surface, set())
-        if row.divisor != "---":
-            by_surface[row.surface].add((row.divisor, row.ell, row.genus, row.very_ample))
+        degree, s, r = row["degree"], row["s"], row["r"]
+        by_surface.setdefault(row["surface"], set())
+        if row["rendered"] != "---":
+            by_surface[row["surface"]].add((row["rendered"], row["ell"], row["genus"], row["very_ample"]))
         expected_d, expected_s, expected_r = {
             name: (builtin(name).degree, builtin(name).s, builtin(name).r) for name in GOLDEN
-        }[row.surface]
+        }[row["surface"]]
         assert (degree, s, r) == (expected_d, expected_s, expected_r)
     assert by_surface == GOLDEN
     # surfaces appear in catalogue order
-    order = [row.surface for row in rows]
+    order = [row["surface"] for row in rows]
     deduped = [name for i, name in enumerate(order) if i == 0 or order[i - 1] != name]
     assert deduped == list(GOLDEN)
 
@@ -288,7 +287,7 @@ def test_table1_checks_each_candidate_once(monkeypatch):
     monkeypatch.setattr(search_module, "check_conditions", lambda model, d: calls.append(d) or check(model, d))
     rows = table1()
     assert len(calls) == 71
-    assert sum(row.coeffs is not None for row in rows) == 15
+    assert sum(row["divisor"] is not None for row in rows) == 15
 
 
 @pytest.mark.parametrize("name", SURFACE_NAMES)
@@ -300,7 +299,7 @@ def test_check_conditions_matches_the_pairing_oracle(name):
     model = builtin(name)
     rank = model.real_lattice.rank
     classes = list(itertools.product(range(-3, 4), repeat=rank))
-    classes += [row.coeffs for row in table_rows(model) if row.coeffs is not None]
+    classes += [row["divisor"]["coeffs"] for row in table_rows(model) if row["divisor"] is not None]
     assert len(classes) >= 7 ** rank
     for coeffs in classes:
         d = model.real_lattice.vector(coeffs)
@@ -311,7 +310,7 @@ def test_check_conditions_builds_no_class_and_pairs_nothing(monkeypatch):
     """`check_conditions` reads D.D and D.K off one Gram product: no
     ClassVector (not D + K, D - K or a multiple of K) and no
     `IntLattice.pair` call, on passing and failing classes alike."""
-    cases = [(builtin(row.surface), row.coeffs) for row in table1() if row.coeffs is not None]
+    cases = [(builtin(row["surface"]), row["divisor"]["coeffs"]) for row in table1() if row["divisor"] is not None]
     cases += [(builtin("D2"), (-1, -1)), (builtin("P2_0_8"), (1, 0, 0, 0, 0)), (builtin("B1"), (-1,))]
     classes = [(model, model.real_lattice.vector(coeffs)) for model, coeffs in cases]
     built, pairs = [], []
@@ -335,8 +334,7 @@ def test_table_text_contains_documented_row():
 
 
 def test_row_to_json_shape():
-    rows = table1()
-    payload = [row_to_json(r) for r in rows]
+    payload = table1()
     empty = [p for p in payload if p["divisor"] is None]
     assert len(empty) == 9
     d2 = [p for p in payload if p["surface"] == "D2" and p["rendered"] == "F-K"][0]
