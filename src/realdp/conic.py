@@ -40,7 +40,7 @@ coefficient vanishes.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -67,15 +67,11 @@ class BinaryForm(Value):
     def __mul__(self, other):
         return _form(self.degree + other.degree, realroots.mul(self.coeffs, other.coeffs))
 
-    def effective_degree(self) -> int:
-        """Largest i with a nonzero u^i coefficient (-1 for the zero form)."""
-        return realroots.degree(realroots.normalize(self.coeffs))
-
     def infinity_multiplicity(self) -> int:
         """Multiplicity of the root at [1:0], i.e. the v-adic valuation gap."""
         if self.is_zero():
             raise ValueError("zero form")
-        return self.degree - self.effective_degree()
+        return self.degree + 1 - len(realroots.normalize(self.coeffs))
 
     @cached_property
     def _split_roots(self) -> _SplitRoots:
@@ -171,14 +167,8 @@ class ConicMatrix(Value):
     @cached_property
     def _discriminant(self) -> BinaryForm:
         """`discriminant(self)`, computed on first use and kept on the
-        instance; not a field, so equality, hash and repr ignore it.  The
-        discriminant of a diagonal section is p1 p2 p3, and its split is
-        stored with one part per nonconstant p_i, so no Sturm chain of the
-        whole product is built."""
-        det = _determinant(self)
-        if self.is_diagonal() and not det.is_zero():
-            det.__dict__["_split_roots"] = _split_product([self.entries[i][i] for i in range(3)])
-        return det
+        instance; not a field, so equality, hash and repr ignore it."""
+        return _determinant(self)
 
 
 def diagonal_matrix(splitting, forms) -> ConicMatrix:
@@ -311,11 +301,16 @@ def discriminant(matrix: ConicMatrix) -> BinaryForm:
 def _determinant(matrix: ConicMatrix) -> BinaryForm:
     """The product p1 p2 p3 of a diagonal section, else the cofactor
     expansion along the first row, run on the coefficient tuples; only the
-    result is built as a form."""
+    result is built as a form.  A nonzero product keeps its split with one
+    part per nonconstant p_i, so no Sturm chain of the whole product is
+    built."""
     mul, add, neg = realroots.mul, realroots.add, realroots.neg
     q = [[f.coeffs for f in row] for row in matrix.entries]
     if matrix.is_diagonal():
-        return _form(2 * sum(matrix.splitting), mul(mul(q[0][0], q[1][1]), q[2][2]))
+        det = _form(2 * sum(matrix.splitting), mul(mul(q[0][0], q[1][1]), q[2][2]))
+        if not det.is_zero():
+            det.__dict__["_split_roots"] = _split_product([matrix.entries[i][i] for i in range(3)])
+        return det
 
     def minor(j, k):  # rows 1 and 2, columns j and k
         return add(mul(q[1][j], q[2][k]), neg(mul(q[1][k], q[2][j])))
@@ -370,7 +365,7 @@ def analyze(matrix: ConicMatrix) -> FiberAnalysis:
     real, squarefree = _roots_on_p1(disc)
     if squarefree and real % 2:
         raise RuntimeError("odd real root count for a squarefree real form")
-    s = real // 2 if squarefree and real % 2 == 0 else None
+    s = real // 2 if squarefree else None
     smooth_exact = squarefree if matrix.is_diagonal() else None
     return FiberAnalysis(total, real, squarefree, s, squarefree, smooth_exact)
 
@@ -451,22 +446,17 @@ def form_str(form: BinaryForm) -> str:
     return _expanded(form.coeffs)
 
 
-_MONOMIALS = {}  # degree -> [(monomial, monomial with a leading "*")] by power of u
-
-
+@lru_cache(maxsize=None)
 def _monomials(degree):
     """The strings of u^i v^(degree - i), i = 0 .. degree, built once per
     degree: the monomial alone ('' for i = degree = 0) and after a
     coefficient ('*u^2*v', or '' for the constant)."""
-    monomials = _MONOMIALS.get(degree)
-    if monomials is None:
-        monomials = []
-        for i in range(degree + 1):
-            u = "" if i == 0 else "u" if i == 1 else f"u^{i}"
-            v = "" if i == degree else "v" if i == degree - 1 else f"v^{degree - i}"
-            monomial = f"{u}*{v}" if u and v else u + v
-            monomials.append((monomial, "*" + monomial if monomial else ""))
-        _MONOMIALS[degree] = monomials
+    monomials = []
+    for i in range(degree + 1):
+        u = "" if i == 0 else "u" if i == 1 else f"u^{i}"
+        v = "" if i == degree else "v" if i == degree - 1 else f"v^{degree - i}"
+        monomial = f"{u}*{v}" if u and v else u + v
+        monomials.append((monomial, "*" + monomial if monomial else ""))
     return monomials
 
 

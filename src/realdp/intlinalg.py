@@ -99,10 +99,9 @@ def primitive_vector(values) -> tuple:
     only signs matter: Sturm counts, root multiplicities and the sides of a
     hyperplane.  A zero vector raises ZeroDivisionError; callers check first.
     """
+    g = gcd(*[c.numerator for c in values])
     den = lcm(*[c.denominator for c in values])
-    ints = [c.numerator * (den // c.denominator) for c in values]
-    g = gcd(*ints)
-    return tuple([c // g for c in ints])
+    return tuple([c.numerator // g * (den // c.denominator) for c in values])
 
 
 def dot(u, v):

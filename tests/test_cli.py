@@ -184,17 +184,19 @@ def test_link_and_hyp_stdout_matches_golden(capsys, tmp_path):
     hyperboloid x1^2 + x2^2 - x3^2 - x0^2 from [2:0:0:3] (refuted at trial
     6), refusing the seed -1 in json, refusing a --trials of 4,301
     digits with the message of a JSON literal that long, after the
-    argument's name, and refusing 100,000 trials on two degree-10 forms
-    whose coefficient or centre sizes put them over the budget; json and
-    text: exit code and stdout byte for byte as recorded in cli_golden.json,
-    and stderr too for the four `link` refusals and the --trials and budget
+    argument's name, refusing 100,000 trials on two degree-10 forms
+    whose coefficient or centre sizes put them over the budget, and refusing
+    a quadric whose six coefficients have distinct 1,000-digit denominators,
+    whose common denominator passes 4,300 digits; json and text: exit code
+    and stdout byte for byte as recorded in cli_golden.json, and stderr too
+    for the four `link` refusals and the --trials, budget and denominator
     ones, whose text message goes there.  The signed linking numbers of the
     json payload are pinned too."""
     cases = golden_cases("link", "hyp")
     links = [c for c in cases if c["argv"][0] == "link"]
     assert len(links) == 24 and sum("chain" in c["documents"]["CENTER"] for c in links) == 8
     assert sum(c["exit"] == 2 and "stderr" in c for c in links) == 8
-    assert len(cases) - len(links) == 17
+    assert len(cases) - len(links) == 19
     assert {c["exit"] for c in cases} == {0, 1, 2}
     for case in cases:
         assert replay(capsys, tmp_path, case) == recorded(case), case["argv"]
@@ -449,17 +451,32 @@ def test_hyp_degree_64_still_answers(capsys, tmp_path):
 def test_hyp_work_over_the_budget_exits_2_at_once(capsys, tmp_path):
     """The product of 32 nested spheres has degree 64, where one supported
     trial takes about 34 s, so the default 100 trials are refused before
-    the polar forms or any trial."""
-    argv = ["hyp", write_form_file(tmp_path, "spheres64", nested_spheres(*range(1, 33))), "--point", "4,1,-1,1"]
-    start = time.perf_counter()
-    code, payload = run_json(capsys, argv)
-    assert time.perf_counter() - start < 1
-    message = "100 trials at degree 64 would take about 3840 s, over the 60 s budget of hyp"
-    assert (code, payload) == (2, {"status": "error", "message": message})
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err == f"error: {message}\n"
+    the polar forms or any trial.  A degree-2 document of 400 terms with
+    distinct 1,000-digit denominators (about 420 KB), which took minutes
+    to clear, is refused while it is read, once the common denominator of
+    its coefficients passes 4,300 digits."""
+    rng = random.Random(0)
+    squares = [e for e in itertools.product(range(3), repeat=4) if sum(e) == 2]
+    terms = [{"exponents": list(squares[i % 10]), "coeff": f"1/{rng.randrange(10**999, 10**1000)}"} for i in range(400)]
+    denominators = tmp_path / "denominators.json"
+    denominators.write_text(json.dumps({"degree": 2, "terms": terms}))
+    spheres64 = write_form_file(tmp_path, "spheres64", nested_spheres(*range(1, 33)))
+    for argv, message in [
+        (["hyp", spheres64, "--point", "4,1,-1,1"],
+         "100 trials at degree 64 would take about 3840 s, over the 60 s budget of hyp"),
+        (["hyp", str(denominators), "--point", "1,0,0,0"],
+         "the common denominator of the coefficients exceeds the limit of 4,300 digits"),
+    ]:
+        start = time.perf_counter()
+        code, payload = run_json(capsys, argv)
+        assert time.perf_counter() - start < 1
+        assert (code, payload) == (2, {"status": "error", "message": message})
+        start = time.perf_counter()
+        code = main(argv)
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 def test_hyp_budget_admits_100_trials_at_degree_32(capsys, tmp_path):

@@ -570,7 +570,7 @@ def _assert_parts_match_one_form(matrix):
         return
     entries = [matrix.entries[i][i] for i in range(3)]
     lowest = [next(i for i, c in enumerate(f.coeffs) if c) for f in entries]
-    assert len(disc._split_roots.parts) == sum(f.effective_degree() > low for f, low in zip(entries, lowest))
+    assert len(disc._split_roots.parts) == sum(f.degree - f.infinity_multiplicity() > low for f, low in zip(entries, lowest))
     assert len(fresh._split_roots.parts) <= 1
     result = analyze(matrix)
     real, squarefree = conic._roots_on_p1(fresh)

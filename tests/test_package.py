@@ -397,6 +397,23 @@ UNREFERENCED_BY_DESIGN = {
     "all_real_restriction": "the public single-line certificate",
 }
 
+# The guard skips dunder names: Python calls them, never the code by name.
+# Those of the value protocol (`intlinalg.Value` and the `__post_init__`
+# checks of its subclasses) serve every value; every other one is an
+# operator, listed with what calls it, so an operator nothing uses shows up.
+VALUE_PROTOCOL = {"__init__", "__init_subclass__", "__post_init__", "__setattr__", "__delattr__",
+                  "__eq__", "__hash__", "__repr__"}
+OPERATORS_BY_DESIGN = {
+    "BinaryForm.__mul__": "conic.form_from_roots multiplies a form by each linear factor",
+    "ClassVector.__rmul__": "search._canonical_multiple compares m * K with a class",
+    "ClassVector.__add__": "tests: the pairing oracle of check_conditions, bilinearity, conjugations and "
+                           "the Geiser and Bertini actions (test_search, test_lattice, test_catalog, test_acceptance)",
+    "ClassVector.__sub__": "tests: the pairing oracle of check_conditions, adjunction and the Geiser action "
+                           "(test_search, test_lattice, test_acceptance)",
+    "ClassVector.__neg__": "tests: conjugations, fixed sublattices and the anticanonical reflection "
+                           "(test_catalog, test_lattice, test_search, test_acceptance)",
+}
+
 # The guard counts references by bare name, so it cannot tell apart two
 # definitions of one name, nor a call of a function from a read of a field
 # of that name: each such name is listed with where it is used.
@@ -443,6 +460,14 @@ def test_every_library_function_is_called_in_the_library():
                 unused.append(name)
     assert unused == []
     assert all(counts.get(name, 0) == 0 for name in UNREFERENCED_BY_DESIGN)
+    operators = {
+        f"{cls.name}.{node.name}"
+        for tree in trees
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, ast.FunctionDef)
+        if node.name.startswith("__") and node.name.endswith("__") and node.name not in VALUE_PROTOCOL
+    }
+    assert operators == set(OPERATORS_BY_DESIGN)
 
 
 def test_tracer_spans_resolve(monkeypatch):
