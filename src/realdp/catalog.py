@@ -4,9 +4,10 @@ disjoint union of spheres and real projective planes.
 Each model bundles the Picard lattice of the complexification (rank n), the
 real Picard lattice embedded in it (rank rho), the canonical class on both
 sides, the finitely many (-1)-classes, their distinct pairings against the
-real basis (the line functionals that condition c5 of `search` reads), and
-the topology (s spheres, r projective planes).  A builder gives only the
-real basis, and `_model` reads everything else from it.  The degree is K.K.
+real basis (the line functionals that condition c5 of `search` reads), the
+topology (s spheres, r projective planes), and the window of classes that
+`search` enumerates, with its form, bound and signature certificate.  A
+builder gives only the real basis, and `_model` reads everything else from it.  The degree is K.K.
 Complex conjugation is an isometric involution whose fixed lattice is the
 real lattice, so its trace is 2 rho - n, and with |det G_real| = 2^a for the
 real pairing matrix G_real, Lefschetz (2s + r = 2 + n - 2 rho) and
@@ -40,11 +41,13 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .intlinalg import determinant, dot, int_tuple, mat_vec
-from .lattice import ClassVector, IntLattice, enumerate_classes
+from .lattice import ClassVector, ClassWindow, IntLattice, class_window, enumerate_classes
 
 
 class SurfaceModel(NamedTuple):
-    """A real del Pezzo surface; `_model` reads its degree, s and r from the lattices."""
+    """A real del Pezzo surface; `_model` reads its degree, s and r from the
+    lattices and stores the window that `search` enumerates, with its form,
+    bound and signature certificate, so no search recomputes them."""
     name: str
     degree: int
     s: int
@@ -56,13 +59,15 @@ class SurfaceModel(NamedTuple):
     embedding: tuple  # complex rank x real rank; column j: real basis vector j in complex coordinates
     minus_one_classes: tuple
     line_functionals: tuple  # sorted distinct rows: pairings of a (-1)-class with the real basis
+    window: ClassWindow  # classes with D.D = r + 2s and r - 4 <= D.K <= r + 2s - 4 (c2 and c3)
 
 
 @lru_cache(maxsize=None)
 def minus_one_curves(l_complex: IntLattice, k: ClassVector) -> tuple:
     """All classes c with c.c = -1 and c.K = -1, in lexicographic order;
-    enumerated once per (lattice, K) and shared by the models built on it."""
-    return tuple(enumerate_classes(l_complex, k, -1, -1, -1))
+    enumerated once per (lattice, K), from a window built here, and shared
+    by the models built on it."""
+    return tuple(enumerate_classes(class_window(l_complex, k, -1, -1, -1)))
 
 
 def _model(name, cx, k_cx_coeffs, real_labels, real_columns):
@@ -79,7 +84,8 @@ def _model(name, cx, k_cx_coeffs, real_labels, real_columns):
     With U the embedding and d = det G_real, K has real coordinates
     G_real^-1 U^T G K by Cramer's rule: the i-th is det G_real with column i
     replaced by U^T G K, over d.  The degree is K.K, and s and r follow from
-    rho, n and a as in the module docstring.  A singular G_real, real
+    rho, n and a as in the module docstring.  The search window of c2 and
+    c3 is built here, once per model.  A singular G_real, real
     coordinates that are not integers or do not embed onto K, a
     |det G_real| that is not a power of two, or an s that is odd or
     negative or an r that is negative raises ValueError naming the model.
@@ -103,18 +109,20 @@ def _model(name, cx, k_cx_coeffs, real_labels, real_columns):
     if det & (det - 1) or s_odd or min(s, r) < 0:
         raise ValueError(f"{name}: the real lattice gives no union of spheres and planes")
     lines = minus_one_curves(cx, k_cx)
+    k_real = real.vector(canonical)
     return SurfaceModel(
         name=name,
         degree=k_cx.dot(k_cx),
         s=s,
         r=r,
         real_lattice=real,
-        canonical=real.vector(canonical),
+        canonical=k_real,
         complex_lattice=cx,
         complex_canonical=k_cx,
         embedding=embedding,
         minus_one_classes=lines,
         line_functionals=tuple(sorted({tuple(dot(line.coeffs, gu) for gu in gram_images) for line in lines})),
+        window=class_window(real, k_real, r + 2 * s, r - 4, r + 2 * s - 4),
     )
 
 

@@ -9,9 +9,11 @@ representative of a rational vector, the one dot product of the library
 (`dot`, which matrix-vector products, lattice pairings and the
 linking-number signs all use), the one determinant, for small matrices, and a
 Fincke-Pohst enumeration over the integers certified by the leading
-principal minors of a fraction-free (Bareiss) elimination.  The enumeration
-recurses once per coordinate, so its depth is the rank, through the
-module-level `_descend`, which no call leaves in a reference cycle.
+principal minors of a fraction-free (Bareiss) elimination.  `fincke_pohst`
+runs the elimination once per form and keeps its rows, minors and weights
+in a `FinckePohst` record, which every enumeration of that form walks.  The
+enumeration recurses once per coordinate, so its depth is the rank, through
+the module-level `_descend`, which no call leaves in a reference cycle.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
+from typing import NamedTuple
 
 
 class Value:
@@ -151,29 +154,52 @@ def _bareiss(a):
     return rows
 
 
-def enumerate_quadratic(a, bound):
-    """All integer vectors v with v^T a v <= bound, for a positive definite
-    integer matrix a.
+class FinckePohst(NamedTuple):
+    """A positive definite integer form a, prepared once for any number of
+    `enumerate_quadratic` calls by `fincke_pohst`.
 
-    Fincke-Pohst search on the Bareiss rows r and minors D_k (D_0 = 1):
-    v^T a v = sum_k (sum_{j>=k} r[k][j] v_j)^2 / (D_k D_(k+1)).  All terms are
-    scaled by one integer lcm, so each coordinate's range needs only isqrt and
-    floor division.  `_descend` fixes one coordinate per call, so the
+    `rows` are the Bareiss rows r of a and `minors` their pivots, the leading
+    principal minors D_1, ..., D_n: all positive, they certify that a is
+    positive definite.  With D_0 = 1,
+    v^T a v = sum_k (sum_{j>=k} r[k][j] v_j)^2 / (D_k D_(k+1)); `scale` is
+    the lcm of the denominators D_k D_(k+1) and `weights[k]` is
+    scale / (D_k D_(k+1)), so scale v^T a v is an integer sum of weighted
+    squares.
+    """
+    rows: tuple
+    minors: tuple
+    weights: tuple
+    scale: int
+
+
+def fincke_pohst(a) -> FinckePohst:
+    """The Fincke-Pohst set-up of a symmetric integer matrix `a`.  The
+    elimination raises ValueError unless `a` is positive definite, whatever
+    bound it is later searched with."""
+    rows = _bareiss(a)
+    minors = tuple([rows[k][k] for k in range(len(a))])
+    products = [d * e for d, e in zip((1,) + minors, minors)]
+    scale = lcm(*products)
+    return FinckePohst(tuple(map(tuple, rows)), minors, tuple([scale // p for p in products]), scale)
+
+
+def enumerate_quadratic(form: FinckePohst, bound):
+    """All integer vectors v with v^T a v <= bound, for the positive definite
+    form a that `form` prepares.
+
+    The search walks the stored set-up and computes no elimination, minor or
+    lcm: scaled by `form.scale`, each coordinate's range needs only isqrt
+    and floor division.  `_descend` fixes one coordinate per call, so the
     recursion is as deep as the rank; it is a module-level function, not a
     closure over itself, so no call leaves a reference cycle.  The output
     includes the zero vector and both members of each +-v pair; order is
-    unspecified (callers sort).  The elimination runs even for a negative
-    bound, so a form that is not positive definite always raises ValueError.
+    unspecified (callers sort).  A negative bound gives no vector.
     """
-    n = len(a)
-    rows = _bareiss(a)
     if bound < 0:
         return []
-    minors = [1] + [rows[k][k] for k in range(n)]
-    scale = lcm(*[d * e for d, e in zip(minors, minors[1:])])
-    weights = [scale // (d * e) for d, e in zip(minors, minors[1:])]
+    n = len(form.rows)
     results = []
-    _descend(rows, weights, [0] * n, n - 1, scale * bound, results)
+    _descend(form.rows, form.weights, [0] * n, n - 1, form.scale * bound, results)
     return results
 
 

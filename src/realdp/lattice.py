@@ -9,10 +9,14 @@ All arithmetic is exact.  The bounded class enumeration decomposes a class v
 as v = lambda*K + v_perp; the form is negative definite on the orthogonal
 complement of K, so classes with prescribed self-intersection and bounded
 pairing against K live in an ellipsoid whose radius is certified by integer
-leading principal minors (Bareiss elimination, never floating point).
+leading principal minors (Bareiss elimination, never floating point).  A
+`ClassWindow` holds that ellipsoid's form, bound and certificate, computed
+once by `class_window`; `enumerate_classes` only walks its lattice points.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from . import intlinalg
 
@@ -100,8 +104,23 @@ def riemann_roch_dim(dd: int, dk: int) -> int:
     return (dd - dk) // 2 + 1
 
 
-def enumerate_classes(lattice: IntLattice, k: ClassVector, self_int, k_min, k_max):
-    """All classes v with v.v = self_int and k_min <= v.K <= k_max.
+class ClassWindow(NamedTuple):
+    """The classes v with v.v = self_int and k_min <= v.K <= k_max, ready for
+    `enumerate_classes`: `class_window` checks the lattice and K once, and
+    stores the form Q, the bound on Q over the window and the Fincke-Pohst
+    set-up of Q, whose minors certify the signature of the lattice."""
+    lattice: IntLattice
+    k: ClassVector
+    self_int: int
+    k_min: int
+    k_max: int
+    quad: tuple
+    bound: int
+    form: intlinalg.FinckePohst
+
+
+def class_window(lattice: IntLattice, k: ClassVector, self_int, k_min, k_max) -> ClassWindow:
+    """The window of classes v with v.v = self_int and k_min <= v.K <= k_max.
 
     Requires a lattice of signature (1, rank - 1) and K.K > 0.  Writing
     v = (v.K / K.K) K + v_perp,
@@ -111,10 +130,11 @@ def enumerate_classes(lattice: IntLattice, k: ClassVector, self_int, k_min, k_ma
     is positive definite exactly when the form is negative definite on the
     orthogonal complement of K, that is, of signature (1, rank - 1) (Hodge
     index).  The leading principal minors of Q (Sylvester), from the Bareiss
-    elimination in `intlinalg`, are therefore the signature certificate, and
-    they are computed even for an empty window.  Q is bounded on the
-    search set, so its lattice points are enumerated completely.  Output is
-    sorted lexicographically on coefficients.
+    elimination of `intlinalg.fincke_pohst`, are therefore the signature
+    certificate; they are computed here, once, even for an empty window, so
+    a lattice of another signature raises ValueError.  Q is at most
+    2 max(k_min^2, k_max^2) - (K.K) self_int on the window (-1 when the
+    window is empty), so its lattice points are enumerated completely.
     """
     if k.lattice != lattice:
         raise ValueError("K does not belong to the lattice")
@@ -124,12 +144,24 @@ def enumerate_classes(lattice: IntLattice, k: ClassVector, self_int, k_min, k_ma
     g = lattice.gram
     gk = intlinalg.mat_vec(g, k.coeffs)
     n = lattice.rank
-    quad = [[2 * gk[i] * gk[j] - kk * g[i][j] for j in range(n)] for i in range(n)]
+    quad = tuple(tuple(2 * gk[i] * gk[j] - kk * g[i][j] for j in range(n)) for i in range(n))
     bound = 2 * max(k_min * k_min, k_max * k_max) - kk * self_int if k_min <= k_max else -1
     try:
-        points = intlinalg.enumerate_quadratic(quad, bound)
+        form = intlinalg.fincke_pohst(quad)
     except ValueError as exc:
         raise ValueError("lattice does not have signature (1, rank-1)") from exc
+    return ClassWindow(lattice, k, self_int, k_min, k_max, quad, bound, form)
+
+
+def enumerate_classes(window: ClassWindow):
+    """All classes of `window`, sorted lexicographically on coefficients.
+
+    It walks the window's stored Fincke-Pohst set-up, so no elimination,
+    K.K, G K or lcm runs here; each enumerated point v is kept when v.K lies
+    in the window and v.v = self_int.
+    """
+    lattice, k, self_int, k_min, k_max = window.lattice, window.k, window.self_int, window.k_min, window.k_max
+    points = intlinalg.enumerate_quadratic(window.form, window.bound)
     out = []
     for coeffs in points:
         v = lattice.vector(coeffs)

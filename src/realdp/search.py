@@ -89,13 +89,13 @@ def _passing(model: SurfaceModel):
     """(class, report) for every class satisfying c1..c5, in lexicographic
     coefficient order, each class checked once.
 
-    Candidates are enumerated with D.D = r + 2s and D.K in the window
-    [r - 4, r + 2s - 4] given by c3; the ellipsoid enumeration guarantees no
-    passing class is missed.
+    Candidates are the classes of `model.window`: D.D = r + 2s and D.K in
+    the window [r - 4, r + 2s - 4] given by c3.  `_model` built that window,
+    with its form, bound and signature certificate, when it built the model,
+    so this runs no elimination, no K.K and no lcm; the ellipsoid
+    enumeration guarantees no passing class is missed.
     """
-    target = model.r + 2 * model.s
-    lo, hi = model.r - 4, model.r + 2 * model.s - 4
-    for d in enumerate_classes(model.real_lattice, model.canonical, target, lo, hi):
+    for d in enumerate_classes(model.window):
         report = check_conditions(model, d)
         if report.passed:
             yield d, report

@@ -1,4 +1,5 @@
 import itertools
+import operator
 from math import isqrt
 
 import pytest
@@ -11,6 +12,7 @@ from realdp.catalog import (
     minus_one_curves,
 )
 from realdp.intlinalg import mat_vec
+from realdp.lattice import class_window, enumerate_classes
 
 from oracles import (
     basis_vector,
@@ -19,6 +21,7 @@ from oracles import (
     hnf,
     is_involution,
     is_isometry,
+    ldl,
     smith_normal_form,
 )
 
@@ -343,3 +346,19 @@ def test_line_functionals_are_the_distinct_line_pairings():
         assert list(rows) == sorted(set(rows)), name
         assert set(rows) == pairings, name
         assert len(rows) == DISTINCT_LINE_FUNCTIONALS[name], name
+
+
+@pytest.mark.parametrize("name", SURFACE_NAMES)
+def test_stored_search_window_is_the_c2_c3_window(name):
+    """Each model stores the window of c2 and c3: a window built fresh from
+    its real lattice, K, r + 2s and [r - 4, r + 2s - 4] is equal to it and
+    gives the same classes.  Its minors, the signature certificate, are the
+    leading principal minors of Q: the products of the oracle's LDL^T
+    pivots."""
+    model = builtin(name)
+    r, s = model.r, model.s
+    fresh = class_window(model.real_lattice, model.canonical, r + 2 * s, r - 4, r + 2 * s - 4)
+    assert model.window == fresh
+    assert enumerate_classes(model.window) == enumerate_classes(fresh)
+    diag, _ = ldl(model.window.quad)
+    assert list(model.window.form.minors) == list(itertools.accumulate(diag, operator.mul))

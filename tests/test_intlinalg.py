@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from realdp import intlinalg
-from realdp.intlinalg import _bareiss, enumerate_quadratic
+from realdp.intlinalg import _bareiss, enumerate_quadratic, fincke_pohst
 
 from oracles import (
     enumerate_quadratic_over_q,
@@ -132,15 +132,16 @@ def test_enumerate_quadratic_matches_brute_force():
         for i in range(n):
             a[i][i] += 1
         bound = rng.randint(0, 12)
-        got = sorted(enumerate_quadratic(a, bound))
+        got = sorted(enumerate_quadratic(fincke_pohst(a), bound))
         assert got == brute_quadratic(a, bound, bound + 2)
 
 
 def test_enumerate_quadratic_includes_boundary():
-    assert sorted(enumerate_quadratic([[1]], 4)) == [(-2,), (-1,), (0,), (1,), (2,)]
-    assert enumerate_quadratic([[1]], -1) == []
-    with pytest.raises(ValueError):  # factorised even when the bound is negative
-        enumerate_quadratic([[1, 0], [0, -1]], -1)
+    form = fincke_pohst([[1]])
+    assert sorted(enumerate_quadratic(form, 4)) == [(-2,), (-1,), (0,), (1,), (2,)]
+    assert enumerate_quadratic(form, -1) == []
+    with pytest.raises(ValueError):  # the set-up takes no bound: it always factorises
+        fincke_pohst([[1, 0], [0, -1]])
 
 
 def seeded_positive_definite_forms(seed, count):
@@ -172,19 +173,23 @@ def deep_positive_definite_forms(seed, count):
 
 
 def catalogue_forms(monkeypatch):
-    """Q and bound of every `enumerate_classes` call that building the 19
-    models and searching each of them makes."""
+    """Q and bound of the window of every `enumerate_classes` call that
+    building the 19 models and searching each of them makes: its (-1)-class
+    window, built by `catalog.minus_one_curves`, and its stored search
+    window, which `search` reads."""
+    from realdp import catalog, lattice, search as search_module
     from realdp.catalog import SURFACE_NAMES, builtin, minus_one_curves
     from realdp.search import search
 
     calls = []
 
-    def record(a, bound, enumerate_quadratic=intlinalg.enumerate_quadratic):
-        calls.append((a, bound))
-        return enumerate_quadratic(a, bound)
+    def record(window, enumerate_classes=lattice.enumerate_classes):
+        calls.append((window.quad, window.bound))
+        return enumerate_classes(window)
 
     models = [builtin(name) for name in SURFACE_NAMES]
-    monkeypatch.setattr(intlinalg, "enumerate_quadratic", record)
+    monkeypatch.setattr(catalog, "enumerate_classes", record)
+    monkeypatch.setattr(search_module, "enumerate_classes", record)
     for model in models:
         minus_one_curves.__wrapped__(model.complex_lattice, model.complex_canonical)
         search(model)
@@ -198,10 +203,13 @@ def test_enumerate_quadratic_matches_rational_oracle(monkeypatch):
     assert len(catalogue) == 2 * 19
     deep = list(deep_positive_definite_forms(43, 10))
     for a, bound in forms + catalogue + deep:
-        assert sorted(enumerate_quadratic(a, bound)) == sorted(enumerate_quadratic_over_q(a, bound)), (a, bound)
+        assert sorted(enumerate_quadratic(fincke_pohst(a), bound)) == sorted(enumerate_quadratic_over_q(a, bound)), (a, bound)
 
 
 def test_bareiss_minors_are_products_of_ldl_pivots():
+    """The pivots of `_bareiss`, and the minors `fincke_pohst` stores, are the
+    leading principal minors: the products of the LDL^T pivots of the oracle.
+    Each stored weight times its two minors is the stored scale."""
     rng = random.Random(37)
     symmetric = []  # mostly indefinite: both certificates must refuse them
     for _ in range(200):
@@ -217,9 +225,16 @@ def test_bareiss_minors_are_products_of_ldl_pivots():
         except ValueError:
             with pytest.raises(ValueError, match="not positive definite"):
                 _bareiss(a)
+            with pytest.raises(ValueError, match="not positive definite"):
+                fincke_pohst(a)
             continue
         rows = _bareiss(a)
-        assert [rows[k][k] for k in range(len(a))] == list(itertools.accumulate(diag, operator.mul))
+        minors = list(itertools.accumulate(diag, operator.mul))
+        assert [rows[k][k] for k in range(len(a))] == minors
+        form = fincke_pohst(a)
+        assert form.rows == tuple(map(tuple, rows)) and list(form.minors) == minors
+        assert [w * d * e for w, d, e in zip(form.weights, [1] + minors, minors)] == [form.scale] * len(a)
+        assert math.gcd(*form.weights) == 1  # the scale is the least common multiple
 
 
 def test_enumerate_quadratic_leaves_no_garbage():
@@ -229,7 +244,7 @@ def test_enumerate_quadratic_leaves_no_garbage():
     gc.disable()
     try:
         for a, bound in seeded_positive_definite_forms(41, 20):
-            enumerate_quadratic(a, bound)
+            enumerate_quadratic(fincke_pohst(a), bound)
         assert gc.collect() == 0
     finally:
         gc.enable()

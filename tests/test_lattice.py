@@ -7,6 +7,7 @@ from realdp.catalog import SURFACE_NAMES, builtin
 from realdp.lattice import (
     IntLattice,
     adjunction_genus,
+    class_window,
     enumerate_classes,
     riemann_roch_dim,
 )
@@ -132,22 +133,22 @@ def test_enumerate_classes_worked_window():
     # all four classes and [-4, 2] only the two with v.K = -4.
     lat = d2_real()
     k = basis_vector(lat, 1)
-    four = enumerate_classes(lat, k, 6, -4, 4)
+    four = enumerate_classes(class_window(lat, k, 6, -4, 4))
     assert [v.coeffs for v in four] == [(-1, -3), (-1, 1), (1, -1), (1, 3)]
-    two = enumerate_classes(lat, k, 6, -4, 2)
+    two = enumerate_classes(class_window(lat, k, 6, -4, 2))
     assert [v.coeffs for v in two] == [(-1, -3), (1, -1)]
 
 
 def test_enumerate_classes_zero():
     lat = d2_real()
     k = basis_vector(lat, 1)
-    zero_hits = enumerate_classes(lat, k, 0, 0, 0)
+    zero_hits = enumerate_classes(class_window(lat, k, 0, 0, 0))
     assert zero_class(lat) in zero_hits
 
 
 def test_enumerate_classes_degree_two_lines():
     model = builtin("D2")
-    lines = enumerate_classes(model.complex_lattice, model.complex_canonical, -1, -1, -1)
+    lines = enumerate_classes(class_window(model.complex_lattice, model.complex_canonical, -1, -1, -1))
     assert len(lines) == 56
 
 
@@ -167,7 +168,7 @@ def test_enumerate_classes_box_oracle():
                 v = lat.vector(coeffs)
                 if v.dot(v) == self_int and lo <= v.dot(k) <= hi:
                     expected.append(coeffs)
-            got = [v.coeffs for v in enumerate_classes(lat, k, self_int, lo, hi)
+            got = [v.coeffs for v in enumerate_classes(class_window(lat, k, self_int, lo, hi))
                    if all(abs(c) <= radius for c in v.coeffs)]
             assert got == sorted(expected)
 
@@ -183,24 +184,31 @@ def test_enumerate_classes_box_oracle_high_rank():
             v = lat.vector(coeffs)
             if v.dot(v) == -1 and v.dot(k) == -1:
                 expected.append(coeffs)
-        got = [v.coeffs for v in enumerate_classes(lat, k, -1, -1, -1)
+        got = [v.coeffs for v in enumerate_classes(class_window(lat, k, -1, -1, -1))
                if all(abs(c) <= radius for c in v.coeffs)]
         assert got == sorted(expected)
         assert expected  # the box is large enough to be a meaningful check
 
 
 def test_enumerate_classes_requires_picard_type():
+    """`class_window` refuses, with the messages `enumerate_classes` gave,
+    when the window is built: K of another lattice, K.K <= 0, and a lattice
+    whose signature is not (1, rank - 1)."""
     negdef = IntLattice(2, ("a", "b"), ((-1, 0), (0, -1)))
-    with pytest.raises(ValueError):
-        enumerate_classes(negdef, basis_vector(negdef, 0), 0, 0, 0)
+    with pytest.raises(ValueError, match=r"^K\.K must be positive$"):
+        class_window(negdef, basis_vector(negdef, 0), 0, 0, 0)
+    with pytest.raises(ValueError, match=r"^K\.K must be positive$"):
+        class_window(d2_real(), basis_vector(d2_real(), 0), 0, 0, 0)  # F.F = 0
+    with pytest.raises(ValueError, match="^K does not belong to the lattice$"):
+        class_window(d2_real(), basis_vector(negdef, 0), 0, 0, 0)
     # Signature (2, 1) with K.K = 1 > 0 passes the canonical check, so only
-    # the LDL^T factorisation of Q sees it; a normal window, an empty window
-    # and a negative bound all reach it.
+    # the elimination of Q sees it; a normal window, an empty window and a
+    # negative bound all reach it.
     lat = IntLattice(3, ("x", "y", "z"), ((1, 0, 0), (0, 1, 0), (0, 0, -1)))
     assert signature(lat.gram) == (2, 1, 0)
     for self_int, k_min, k_max in ((-1, -1, -1), (0, 2, 1), (5, 0, 0)):
-        with pytest.raises(ValueError, match=r"signature \(1, rank-1\)"):
-            enumerate_classes(lat, basis_vector(lat, 0), self_int, k_min, k_max)
+        with pytest.raises(ValueError, match=r"^lattice does not have signature \(1, rank-1\)$"):
+            class_window(lat, basis_vector(lat, 0), self_int, k_min, k_max)
 
 
 def test_enumerate_classes_on_random_lattice_presentations():
@@ -238,7 +246,7 @@ def test_enumerate_classes_on_random_lattice_presentations():
                 for coeffs in itertools.product(range(-radius, radius + 1), repeat=3)
                 if (lambda v: v.dot(v) == self_int and lo <= v.dot(k) <= hi)(lat.vector(coeffs))
             )
-            got = [v.coeffs for v in enumerate_classes(lat, k, self_int, lo, hi)
+            got = [v.coeffs for v in enumerate_classes(class_window(lat, k, self_int, lo, hi))
                    if all(abs(c) <= radius for c in v.coeffs)]
             assert got == expected
 

@@ -297,7 +297,7 @@ def test_truncation_examples_are_refused():
 def _input_checks():
     from realdp import conic
     from realdp.catalog import blow_up, builtin
-    from realdp.lattice import ClassVector, IntLattice, enumerate_classes
+    from realdp.lattice import ClassVector, IntLattice, class_window
     from realdp.topology import HypersurfaceSpec
 
     lattice, other = builtin("D2").real_lattice, builtin("B1").real_lattice
@@ -309,7 +309,7 @@ def _input_checks():
         "IntLattice.gram symmetry": (lambda: IntLattice(2, ("H", "E"), ((1, 1), (0, -1))), "must be symmetric"),
         "ClassVector": (lambda: ClassVector(lattice, (1,)), "length must equal the lattice rank"),
         "ClassVector.__add__": (lambda: lattice.vector((1, 0)) + other.vector((1,)), "different lattices"),
-        "enumerate_classes": (lambda: enumerate_classes(lattice, other.vector((1,)), -1, 1, 1), "K does not belong"),
+        "class_window": (lambda: class_window(lattice, other.vector((1,)), -1, 1, 1), "K does not belong"),
         "form_from_roots": (lambda: conic.form_from_roots(2, (1,)), "number of roots must equal the degree"),
         "ConicMatrix.splitting": (lambda: conic.ConicMatrix((-1, 0, 0), ((form,) * 3,) * 3), "a_i \\+ a_j must all be nonnegative"),
         "ConicMatrix.entries": (lambda: conic.ConicMatrix((0, 0, 0), ((form, form, 1),) * 3), "must be binary forms"),

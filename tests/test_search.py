@@ -156,13 +156,13 @@ def test_search_results_have_expected_invariants():
 
 def test_window_and_parity_conditions_give_multiples_of_four():
     # on any candidate, c3 and c4 together force D.K + 4 - r into {0, 4, 8, ...}
-    from realdp.lattice import enumerate_classes
+    from realdp.lattice import class_window, enumerate_classes
 
     for name in GOLDEN:
         model = builtin(name)
         target = model.r + 2 * model.s
         candidates = enumerate_classes(
-            model.real_lattice, model.canonical, target, model.r - 4, target + model.r - 4
+            class_window(model.real_lattice, model.canonical, target, model.r - 4, target + model.r - 4)
         )
         for d in candidates:
             report = check_conditions(model, d)
@@ -339,3 +339,35 @@ def test_row_to_json_shape():
     assert len(empty) == 9
     d2 = [p for p in payload if p["surface"] == "D2" and p["rendered"] == "F-K"][0]
     assert d2["divisor"] == {"basis": ["F", "K"], "coeffs": [1, -1]}
+
+
+def test_search_walks_the_stored_window(monkeypatch):
+    """Once the models are built, `search` runs no Bareiss elimination: it
+    calls `enumerate_classes` once, on the model's stored window, and that
+    calls `enumerate_quadratic` once, on the window's stored set-up.  Each
+    function is counted under every realdp module name bound to it, as
+    bench/tracer.py wraps them."""
+    import sys
+
+    from realdp import intlinalg, lattice
+
+    models = [builtin(name) for name in SURFACE_NAMES]
+    modules = [m for n, m in list(sys.modules.items()) if n == "realdp" or n.startswith("realdp.")]
+    calls = {}
+    for owner, name in ((intlinalg, "_bareiss"), (lattice, "enumerate_classes"), (intlinalg, "enumerate_quadratic")):
+        original, calls[name] = getattr(owner, name), []
+
+        def counter(*args, found=calls[name], original=original):
+            found.append(args)
+            return original(*args)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counter)
+    for model in models:
+        for found in calls.values():
+            found.clear()
+        search(model)
+        assert calls["_bareiss"] == [], model.name
+        assert calls["enumerate_classes"] == [(model.window,)], model.name
+        assert calls["enumerate_quadratic"] == [(model.window.form, model.window.bound)], model.name
