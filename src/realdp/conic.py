@@ -64,9 +64,6 @@ class BinaryForm(Value):
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def __mul__(self, other):
-        return _form(self.degree + other.degree, realroots.mul(self.coeffs, other.coeffs))
-
     def infinity_multiplicity(self) -> int:
         """Multiplicity of the root at [1:0], i.e. the v-adic valuation gap."""
         if self.is_zero():
@@ -120,15 +117,15 @@ def zero_form(degree: int) -> BinaryForm:
 
 
 def form_from_roots(degree: int, roots) -> BinaryForm:
-    """Primitive integer form of the given degree with the given rational
-    roots (as points [p : q] of P^1 with t = u/v = p/q) and no root at
-    infinity; requires len(roots) == degree."""
+    """The form of the given degree with the given rational roots t = u/v,
+    one per degree, and no root at infinity: the product of q u - p v over
+    the roots p/q, primitive by Gauss's lemma."""
     if len(roots) != degree:
         raise ValueError("number of roots must equal the degree")
-    form = BinaryForm(0, (1,))
+    poly = (1,)
     for rho in rational_tuple(roots):
-        form = form * BinaryForm(1, (-rho.numerator, rho.denominator))
-    return form
+        poly = realroots.mul(poly, (-rho.numerator, rho.denominator))
+    return _form(degree, poly)
 
 
 class ConicMatrix(Value):
@@ -343,31 +340,26 @@ class FiberAnalysis(NamedTuple):
 
 
 def analyze(matrix: ConicMatrix) -> FiberAnalysis:
-    """Singular-fiber count of a conic-bundle section.
+    """Singular fibers of a conic-bundle section.
 
-    total_fibers counts discriminant roots on P^1 with multiplicity (the
-    degree of the determinant); real_fibers adds the real-root counts of the
-    dehomogenised parts (Sturm counts above degree two, the sign of the
-    discriminant below) and the multiplicities at [0:1] and infinity.  When
-    the discriminant is squarefree the surface can be smooth and s =
-    real_fibers / 2, half the number of real singular fibers; otherwise s
-    is undetermined.  s is the number of sphere components only for a minimal
-    section, where every real singular fiber is a pair of conjugate lines; a
-    real singular fiber can also be a pair of real lines.  For diagonal
-    sections smoothness is decided exactly (each p_i squarefree on P^1 and
-    the p_i pairwise coprime); in general squarefreeness is only necessary.
+    total_fibers is the degree of the discriminant, its roots on P^1 with
+    multiplicity, and real_fibers the real ones (`_roots_on_p1`).  A zero
+    discriminant has no root count (real_fibers None) and is not
+    squarefree.  When the discriminant is squarefree the surface can be
+    smooth and s = real_fibers / 2, half the number of real singular fibers;
+    otherwise s is None.  s is the number of sphere components only for a
+    minimal section, where every real singular fiber is a pair of conjugate
+    lines; a real singular fiber can also be a pair of real lines.  For a
+    diagonal section squarefreeness decides smoothness (smooth_exact); in
+    general it is only necessary (smooth_necessary, smooth_exact None).
     """
     disc = discriminant(matrix)
-    if disc.is_zero():
-        return FiberAnalysis(disc.degree, None, False, None, False,
-                             False if matrix.is_diagonal() else None)
-    total = disc.degree
-    real, squarefree = _roots_on_p1(disc)
+    real, squarefree = (None, False) if disc.is_zero() else _roots_on_p1(disc)
     if squarefree and real % 2:
         raise RuntimeError("odd real root count for a squarefree real form")
     s = real // 2 if squarefree else None
     smooth_exact = squarefree if matrix.is_diagonal() else None
-    return FiberAnalysis(total, real, squarefree, s, squarefree, smooth_exact)
+    return FiberAnalysis(disc.degree, real, squarefree, s, squarefree, smooth_exact)
 
 
 def construct_section(a1: int, a2: int, a3: int, root_lists) -> ConicMatrix:

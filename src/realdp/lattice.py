@@ -43,12 +43,6 @@ class IntLattice(intlinalg.Value):
     def vector(self, coeffs) -> "ClassVector":
         return ClassVector(self, coeffs)
 
-    def pair(self, u: "ClassVector", v: "ClassVector") -> int:
-        """Intersection product u.v = u^T * gram * v."""
-        if not (u.lattice is self or u.lattice == self) or not (v.lattice is self or v.lattice == self):
-            raise ValueError("classes do not belong to this lattice")
-        return intlinalg.dot(u.coeffs, intlinalg.mat_vec(self.gram, v.coeffs))
-
 
 class ClassVector(intlinalg.Value):
     lattice: IntLattice
@@ -61,7 +55,12 @@ class ClassVector(intlinalg.Value):
         object.__setattr__(self, "coeffs", coeffs)
 
     def dot(self, other: "ClassVector") -> int:
-        return self.lattice.pair(self, other)
+        """The intersection product D.E = d^T G e, G the pairing matrix of
+        the lattice that both classes belong to."""
+        lattice = self.lattice
+        if not (other.lattice is lattice or other.lattice == lattice):
+            raise ValueError("classes do not belong to this lattice")
+        return intlinalg.dot(self.coeffs, intlinalg.mat_vec(lattice.gram, other.coeffs))
 
     def _check_same(self, other):
         if not isinstance(other, ClassVector) or other.lattice != self.lattice:

@@ -11,12 +11,9 @@ class D must satisfy five conditions:
     c5  D.L > 0 for every (-1)-class L of the complexification, and D.K < 0
         (the only test on P2 and Q31, which have no (-1)-classes).
 
-Conditions c2 + c3 confine D to an ellipsoid (Hodge index), so the search is
-finite and complete.  `check_conditions` works on integers alone: one
-Gram product G d gives D.D and D.K, which settle c2 to c4, and c5 runs once
-over the model's distinct line functionals.  Passing classes carry the
-sectional genus and the Riemann-Roch section count, both read from D.D and
-D.K, and a very-ampleness flag, read from the degree and D.K since c5 holds.
+Conditions c2 and c3 are the class window that `catalog` stores on each
+model: an ellipsoid (Hodge index), so the search is finite and complete.
+`search` enumerates that window and `check_conditions` tests against it.
 """
 
 from __future__ import annotations
@@ -47,17 +44,16 @@ class ConditionReport(NamedTuple):
 
 
 def check_conditions(model: SurfaceModel, d: ClassVector) -> ConditionReport:
-    """Evaluate c1..c5 for D; genus/ell/very-ample only populate on a pass.
+    """Evaluate c1..c5 for D; genus, ell and very_ample are set only on a pass.
 
-    One product G d with the real Gram matrix gives D.D = d.(G d) and
-    D.K = K.(G d), and c2 to c4 read these two integers.  c5 asks D.K < 0
-    and D.L > 0 on every (-1)-class L, read from the model's distinct line
-    functionals (-K is a nonnegative sum of (-1)-classes where there are any;
-    on P2 and Q31 D.K < 0 stands in for their line and rulings).
+    One product G d with the real Gram matrix gives the integers D.D and
+    D.K.  c2 and c3 compare them with `model.window`, the window `search`
+    enumerates, and c4 compares D.K with r.  c5 reads the model's distinct
+    line functionals (-K is a nonnegative sum of (-1)-classes where there
+    are any; on P2 and Q31 D.K < 0 stands in for their line and rulings).
 
-    On a pass D.D = r + 2s by c2 and D.K = r (mod 4) by c4, so
-    D.D + D.K = 2r + 2s (mod 2) is even, and the genus (D.D + D.K)/2 + 1 and
-    l(D) = (D.D - D.K)/2 + 1 are integers.  Very ampleness is Di Rocco's
+    On a pass D.D + D.K is even (c2 and c4), so the genus (D.D + D.K)/2 + 1
+    and l(D) = (D.D - D.K)/2 + 1 are integers.  Very ampleness is Di Rocco's
     criterion (Math. Nachr. 179, 1996, case k = 1): D.E >= 1 on every
     (-1)-curve E, which c5 already gives, and D.(-K) >= 3.  In degrees 3 to
     7, D.E >= 1 implies D.(-K) >= 3 (Hodge index and the parity of
@@ -67,13 +63,12 @@ def check_conditions(model: SurfaceModel, d: ClassVector) -> ConditionReport:
     lattice = model.real_lattice
     if not (d.lattice is lattice or d.lattice == lattice):
         raise ValueError("classes do not belong to this lattice")
-    x = d.coeffs
+    x, w = d.coeffs, model.window
     gd = mat_vec(lattice.gram, x)
     dd, dk = dot(x, gd), dot(model.canonical.coeffs, gd)
-    r, s = model.r, model.s
-    c2 = dd == r + 2 * s
-    c3 = r <= dk + 4 <= r + 2 * s
-    c4 = (dk - r) % 4 == 0
+    c2 = dd == w.self_int
+    c3 = w.k_min <= dk <= w.k_max
+    c4 = (dk - model.r) % 4 == 0
     c5 = dk < 0 and all(dot(x, row) > 0 for row in model.line_functionals)
     if not (c2 and c3 and c4 and c5):
         return ConditionReport(c2, c3, c4, c5)
@@ -89,11 +84,10 @@ def _passing(model: SurfaceModel):
     """(class, report) for every class satisfying c1..c5, in lexicographic
     coefficient order, each class checked once.
 
-    Candidates are the classes of `model.window`: D.D = r + 2s and D.K in
-    the window [r - 4, r + 2s - 4] given by c3.  `_model` built that window,
-    with its form, bound and signature certificate, when it built the model,
-    so this runs no elimination, no K.K and no lcm; the ellipsoid
-    enumeration guarantees no passing class is missed.
+    Candidates are the classes of `model.window`, which `_model` built
+    with its form, bound and signature certificate, so this runs no
+    elimination, no K.K and no lcm; the ellipsoid enumeration guarantees no
+    passing class is missed.
     """
     for d in enumerate_classes(model.window):
         report = check_conditions(model, d)

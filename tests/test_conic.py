@@ -25,11 +25,6 @@ from oracles import diagonal_smooth_by_entries, discriminant_by_leibniz, expande
 
 
 def test_binary_form_arithmetic():
-    uv = BinaryForm(2, (0, 1, 0))
-    u2_minus_v2 = BinaryForm(2, (-1, 0, 1))
-    prod = uv * u2_minus_v2
-    assert prod.degree == 4
-    assert prod.coeffs == (0, -1, 0, 1, 0)
     assert zero_form(2).is_zero()
     assert BinaryForm(4, (0, -1, 0, 1, 0)).infinity_multiplicity() == 1
 
@@ -145,7 +140,7 @@ def test_discriminant_of_diagonal_is_product():
             for a in split
         ]
         m = diagonal_matrix(tuple(split), tuple(forms))
-        expected = forms[0] * forms[1] * forms[2]
+        expected = _product(1, *(form.coeffs for form in forms))
         assert discriminant(m).coeffs == expected.coeffs
 
 
@@ -227,6 +222,15 @@ def test_fiber_analysis_repr_is_pinned():
     assert repr(analyze(zero)) == (
         "FiberAnalysis(total_fibers=6, real_fibers=None, squarefree=False, s=None, "
         "smooth_necessary=False, smooth_exact=False)")
+    entries = [
+        [BinaryForm(2, (0, 0, 1)), BinaryForm(2, (0, 1, 0)), zero_form(2)],
+        [BinaryForm(2, (0, 1, 0)), BinaryForm(2, (1, 0, 0)), zero_form(2)],
+        [zero_form(2), zero_form(2), BinaryForm(2, (1, 0, 1))],
+    ]
+    off_diagonal_zero = ConicMatrix((1, 1, 1), tuple(tuple(r) for r in entries))
+    assert repr(analyze(off_diagonal_zero)) == (
+        "FiberAnalysis(total_fibers=6, real_fibers=None, squarefree=False, s=None, "
+        "smooth_necessary=False, smooth_exact=None)")
 
 
 def test_analyze_fiber_at_infinity():
@@ -266,13 +270,14 @@ def _diagonal_entry(rng, degree):
     roots and roots shared between entries are common; now and then zero."""
     if rng.random() < 0.05:
         return zero_form(degree)
-    form = BinaryForm(0, (rng.choice((1, -2, 3)),))
-    while form.degree < degree:
+    content, factors, left = rng.choice((1, -2, 3)), [], degree
+    while left:
         factor = rng.choice(((-1, 1), (2, 1), (1, 3), (1, 0), (1, 0, 1)))
-        if form.degree + len(factor) - 1 > degree:
+        if len(factor) - 1 > left:
             factor = factor[1:]
-        form = form * BinaryForm(len(factor) - 1, factor)
-    return form
+        factors.append(factor)
+        left -= len(factor) - 1
+    return _product(content, *factors)
 
 
 def test_diagonal_smoothness_is_squarefreeness():
@@ -551,10 +556,12 @@ U, V = (0, 1), (1, 0)  # u and v as factors: index i holds the u^i v^(d-i) coeff
 
 
 def _product(content, *factors):
-    form = BinaryForm(0, (content,))
+    """The form content * f_1 * ... * f_r, each factor a coefficient tuple
+    of a form of degree len(factor) - 1."""
+    degree, poly = sum(len(factor) - 1 for factor in factors), (content,)
     for factor in factors:
-        form = form * BinaryForm(len(factor) - 1, factor)
-    return form
+        poly = realroots.mul(poly, factor)
+    return BinaryForm(degree, poly + (0,) * (degree + 1 - len(poly)))
 
 
 def _assert_parts_match_one_form(matrix):

@@ -298,7 +298,7 @@ def _input_checks():
     from realdp import conic
     from realdp.catalog import blow_up, builtin
     from realdp.lattice import ClassVector, IntLattice, class_window
-    from realdp.topology import HypersurfaceSpec
+    from realdp.topology import GreatSubsphere, HypersurfaceSpec, PLCycle
 
     lattice, other = builtin("D2").real_lattice, builtin("B1").real_lattice
     form = conic.BinaryForm(0, (1,))
@@ -315,6 +315,11 @@ def _input_checks():
         "ConicMatrix.entries": (lambda: conic.ConicMatrix((0, 0, 0), ((form, form, 1),) * 3), "must be binary forms"),
         "blow_up": (lambda: blow_up(builtin("Q31"), real_points=-1), "conj_pairs must be nonnegative"),
         "HypersurfaceSpec": (lambda: HypersurfaceSpec(2, (((1, 0, 0, 0), 1),)), "declared total degree"),
+        "GreatSubsphere.ambient": (lambda: GreatSubsphere(4, ((0, 0, 0, 0, 1),)),
+                                   "ambient projective space must be RP\\^2 or RP\\^3"),
+        "GreatSubsphere.normals": (lambda: GreatSubsphere(2, ((0, 0, 1, 0),)), "normals must have ambient \\+ 1 coordinates"),
+        "PLCycle.points": (lambda: PLCycle(2, "sphere", ((1, 0, 1),)), "a cycle needs at least two points"),
+        "BinaryForm.infinity_multiplicity": (lambda: conic.BinaryForm(2, (0, 0, 0)).infinity_multiplicity(), "zero form"),
     }
 
 
@@ -404,7 +409,6 @@ UNREFERENCED_BY_DESIGN = {
 VALUE_PROTOCOL = {"__init__", "__init_subclass__", "__post_init__", "__setattr__", "__delattr__",
                   "__eq__", "__hash__", "__repr__"}
 OPERATORS_BY_DESIGN = {
-    "BinaryForm.__mul__": "conic.form_from_roots multiplies a form by each linear factor",
     "ClassVector.__rmul__": "search._canonical_multiple compares m * K with a class",
     "ClassVector.__add__": "tests: the pairing oracle of check_conditions, bilinearity, conjugations and "
                            "the Geiser and Bertini actions (test_search, test_lattice, test_catalog, test_acceptance)",

@@ -5,7 +5,7 @@ import pytest
 from realdp import search as search_module
 from realdp.catalog import SURFACE_NAMES, builtin
 from realdp.intlinalg import mat_vec
-from realdp.lattice import ClassVector, IntLattice
+from realdp.lattice import ClassVector, class_window
 from realdp.search import (
     check_conditions,
     format_table_text,
@@ -309,20 +309,43 @@ def test_check_conditions_matches_the_pairing_oracle(name):
 def test_check_conditions_builds_no_class_and_pairs_nothing(monkeypatch):
     """`check_conditions` reads D.D and D.K off one Gram product: no
     ClassVector (not D + K, D - K or a multiple of K) and no
-    `IntLattice.pair` call, on passing and failing classes alike."""
+    `ClassVector.dot` call, on passing and failing classes alike."""
     cases = [(builtin(row["surface"]), row["divisor"]["coeffs"]) for row in table1() if row["divisor"] is not None]
     cases += [(builtin("D2"), (-1, -1)), (builtin("P2_0_8"), (1, 0, 0, 0, 0)), (builtin("B1"), (-1,))]
     classes = [(model, model.real_lattice.vector(coeffs)) for model, coeffs in cases]
     built, pairs = [], []
-    post_init, pair = ClassVector.__post_init__, IntLattice.pair
+    post_init, pair = ClassVector.__post_init__, ClassVector.dot
     monkeypatch.setattr(ClassVector, "__post_init__", lambda self: built.append(1) or post_init(self))
-    monkeypatch.setattr(IntLattice, "pair", lambda self, u, v: pairs.append(1) or pair(self, u, v))
+    monkeypatch.setattr(ClassVector, "dot", lambda self, other: pairs.append(1) or pair(self, other))
     reports = [check_conditions(model, d) for model, d in classes]
     assert (built, pairs) == ([], [])
     assert sum(report.passed for report in reports) == 15
     k = builtin("B1").canonical
     k.dot(-k)  # the counters see a negation and a pairing
     assert (len(built), len(pairs)) == (1, 1)
+
+
+@pytest.mark.parametrize("name", SURFACE_NAMES)
+def test_c2_and_c3_read_the_stored_window(name):
+    """c2 and c3 are the verdicts of `model.window`, not a second copy of
+    r + 2s and [r - 4, r + 2s - 4]: on a Table 1 divisor of the model (or
+    -K where the table has none), a window at its own D.D and D.K passes
+    both, moving the self-intersection by one fails c2 alone, and moving
+    the D.K range off its D.K fails c3 alone; c4 and c5 do not change."""
+    model = builtin(name)
+    lattice, k = model.real_lattice, model.canonical
+    rows = [row for row in table_rows(model) if row["divisor"] is not None]
+    d = lattice.vector(rows[0]["divisor"]["coeffs"]) if rows else -k
+    dd, dk = d.dot(d), d.dot(k)
+    stored = check_conditions(model, d)
+    assert stored.passed or not rows
+
+    def report(self_int, k_min, k_max):
+        return check_conditions(model._replace(window=class_window(lattice, k, self_int, k_min, k_max)), d)
+
+    reports = [report(dd, dk, dk), report(dd + 1, dk, dk), report(dd, dk + 1, dk + 4)]
+    assert [(r.c2, r.c3) for r in reports] == [(True, True), (False, True), (True, False)]
+    assert {(r.c4, r.c5) for r in reports} == {(stored.c4, stored.c5)}
 
 
 def test_table_text_contains_documented_row():
