@@ -137,11 +137,17 @@ def _blowup_lattice(n_exceptional):
 
 
 def _build_plane_blowup(name, degree, real_labels):
-    """A minimal surface on Z^{1,n}, n = 9 - degree, whose real basis is
-    named by `real_labels` among H, F = H - E1 and K = -3H + E1 + ... + En."""
+    """A surface on Z^{1,n}, n = 9 - degree, whose real basis is named by
+    `real_labels` among H, F = H - E1, K = -3H + E1 + ... + En, E = En and
+    Ft = F - E.  The minimal surfaces use the first three; D2_1_0 and G2_1_0,
+    the blow-ups of D2 and G2 at one real point with exceptional class E,
+    are declared as <K, Ft, E> and <K, E>: in <-K, Ft, E>, K.K = 1, Ft is a
+    (-1)-curve and any two distinct generators pair to one."""
     n = 9 - degree
     k = (-3,) + (1,) * n
-    columns = {"H": (1,) + (0,) * n, "F": (1, -1) + (0,) * (n - 1), "K": k}
+    e = (0,) * n + (1,)
+    f = (1, -1) + (0,) * (n - 1)
+    columns = {"H": (1,) + (0,) * n, "F": f, "K": k, "E": e, "Ft": tuple(a - b for a, b in zip(f, e))}
     return _model(name, _blowup_lattice(n), k, real_labels, [columns[label] for label in real_labels])
 
 
@@ -199,25 +205,6 @@ def blow_up(base: SurfaceModel, real_points: int = 0, conj_pairs: int = 0) -> Su
     return _model(name, cx, k_cx, labels, columns)
 
 
-def _rebase(model: SurfaceModel, rows, labels):
-    """Present the real lattice of `model` in a new unimodular basis, given
-    by `rows` in the current real coordinates; its first vector is K."""
-    new_cols = [mat_vec(model.embedding, row) for row in rows]
-    return _model(model.name, model.complex_lattice, model.complex_canonical.coeffs, tuple(labels), new_cols)
-
-
-def _build_d2_1_0():
-    # Declared presentation <K, Ft, E>: K.K = 1, Ft = F - E is a (-1)-curve,
-    # and every pairing of two distinct generators of <-K, Ft, E> equals one.
-    model = blow_up(builtin("D2"), real_points=1)
-    return _rebase(model, ((0, 1, 0), (1, 0, -1), (0, 0, 1)), ("K", "Ft", "E"))
-
-
-def _build_g2_1_0():
-    model = blow_up(builtin("G2"), real_points=1)
-    return _rebase(model, ((1, 0), (0, 1)), ("K", "E"))
-
-
 # Catalogue order: descending degree, blow-ups of the plane and the quadric
 # interleaved with the minimal conic bundles.  The keys are the CLI identifiers.
 _BUILDERS = {
@@ -237,8 +224,8 @@ _BUILDERS = {
     "G2": lambda: _build_plane_blowup("G2", 2, ("K",)),
     "P2_0_8": lambda: blow_up(builtin("P2"), conj_pairs=4),
     "D4_1_2": lambda: blow_up(builtin("D4"), real_points=1, conj_pairs=1),
-    "D2_1_0": _build_d2_1_0,
-    "G2_1_0": _build_g2_1_0,
+    "D2_1_0": lambda: _build_plane_blowup("D2_1_0", 1, ("K", "Ft", "E")),
+    "G2_1_0": lambda: _build_plane_blowup("G2_1_0", 1, ("K", "E")),
     "B1": lambda: _build_plane_blowup("B1", 1, ("K",)),
 }
 SURFACE_NAMES = tuple(_BUILDERS)

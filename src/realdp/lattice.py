@@ -1,9 +1,10 @@
-"""Integer lattices with symmetric pairings and divisor-class arithmetic.
+"""Integer lattices with symmetric pairings, and divisor classes paired in them.
 
 The central structure is a free finitely generated abelian group with an
 integer-valued symmetric bilinear form, typically of signature (1, rank - 1):
 the intersection pairing on the Picard group of a smooth projective surface.
-Divisor classes are integer coefficient vectors in a declared basis.
+Divisor classes are integer coefficient vectors in a declared basis, and
+the pairing is their one operation.
 
 All arithmetic is exact.  The bounded class enumeration decomposes a class v
 as v = lambda*K + v_perp; the form is negative definite on the orthogonal
@@ -58,28 +59,16 @@ class ClassVector(intlinalg.Value):
         """The intersection product D.E = d^T G e, G the pairing matrix of
         the lattice that both classes belong to."""
         lattice = self.lattice
-        if not (other.lattice is lattice or other.lattice == lattice):
-            raise ValueError("classes do not belong to this lattice")
+        if other.lattice is not lattice:
+            check_member(other, lattice)
         return intlinalg.dot(self.coeffs, intlinalg.mat_vec(lattice.gram, other.coeffs))
 
-    def _check_same(self, other):
-        if not isinstance(other, ClassVector) or other.lattice != self.lattice:
-            raise ValueError("classes live in different lattices")
 
-    def __add__(self, other):
-        self._check_same(other)
-        return ClassVector(self.lattice, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._check_same(other)
-        return ClassVector(self.lattice, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return ClassVector(self.lattice, tuple(-a for a in self.coeffs))
-
-    def __rmul__(self, k):
-        k = intlinalg.int_tuple((k,))[0]
-        return ClassVector(self.lattice, tuple(k * a for a in self.coeffs))
+def check_member(v: ClassVector, lattice: IntLattice) -> None:
+    """Raise ValueError unless v is a class of `lattice`, or of an equal one;
+    hot callers test `v.lattice is lattice` first and call this otherwise."""
+    if v.lattice != lattice:
+        raise ValueError("classes do not belong to this lattice")
 
 
 def adjunction_genus(dd: int, dk: int) -> int:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .catalog import SURFACE_NAMES, SurfaceModel, builtin
 from .intlinalg import dot, mat_vec
-from .lattice import ClassVector, adjunction_genus, enumerate_classes, riemann_roch_dim
+from .lattice import ClassVector, adjunction_genus, check_member, enumerate_classes, riemann_roch_dim
 
 
 class ConditionReport(NamedTuple):
@@ -61,8 +61,8 @@ def check_conditions(model: SurfaceModel, d: ClassVector) -> ConditionReport:
     just -K.
     """
     lattice = model.real_lattice
-    if not (d.lattice is lattice or d.lattice == lattice):
-        raise ValueError("classes do not belong to this lattice")
+    if d.lattice is not lattice:
+        check_member(d, lattice)
     x, w = d.coeffs, model.window
     gd = mat_vec(lattice.gram, x)
     dd, dk = dot(x, gd), dot(model.canonical.coeffs, gd)
@@ -105,7 +105,7 @@ def _canonical_multiple(d: ClassVector, k: ClassVector):
     if pivot is None or d.coeffs[pivot] % k.coeffs[pivot]:
         return None
     m = d.coeffs[pivot] // k.coeffs[pivot]
-    return m if m * k == d else None
+    return m if tuple(m * c for c in k.coeffs) == d.coeffs else None
 
 
 def render_divisor(model: SurfaceModel, d: ClassVector) -> str:

@@ -6,7 +6,10 @@ and D - K, and Di Rocco's very-ampleness test check the integer kernel of
 its `check_conditions`; the conjugation of each surface built from its
 geometry (`declared_conjugation`: the conic-bundle swap, the Geiser and
 Bertini reflections, the ruling swap and the blow-up direct sums) checks
-the one that `catalog._model` derives from the real lattice; Hermite
+the one that `catalog._model` derives from the real lattice, and the
+blow-ups of D2 and G2 at a real point, re-presented by `rebase`, check the
+bases declared for D2_1_0 and G2_1_0; `combination` forms the class sums
+and multiples that the library, which only pairs classes, lacks; Hermite
 normal forms, integer kernels and fixed sublattices check that each real
 lattice is the fixed part of that conjugation; the Smith normal form checks
 primitivity and kernel saturation in the lattice tests; the linking criterion
@@ -53,7 +56,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from realdp import realroots, topology
-from realdp.catalog import SurfaceModel
+from realdp.catalog import SurfaceModel, _model
 from realdp.conic import BinaryForm, ConicMatrix
 from realdp.intlinalg import dot, int_tuple, mat_vec, primitive_vector
 from realdp.lattice import ClassVector, IntLattice
@@ -138,8 +141,8 @@ def check_conditions_by_pairings(model: SurfaceModel, d: ClassVector) -> Conditi
     if report.passed:
         report = ConditionReport(
             c2, c3, c4, c5,
-            genus=_half_plus_one(d.dot(d + k)),
-            ell=_half_plus_one(d.dot(d - k)),
+            genus=_half_plus_one(d.dot(combination((1, d), (1, k)))),
+            ell=_half_plus_one(d.dot(combination((1, d), (-1, k)))),
             very_ample=very_ample(model, d),
         )
     return report
@@ -325,6 +328,22 @@ def basis_vector(lattice, i) -> ClassVector:
     return lattice.vector(tuple(int(j == i) for j in range(lattice.rank)))
 
 
+def combination(*terms) -> ClassVector:
+    """The class a1 v1 + a2 v2 + ... of (integer, class) pairs (a, v) on one
+    lattice: the library pairs classes and never adds them."""
+    lattice = terms[0][1].lattice
+    return lattice.vector(tuple(sum(a * v.coeffs[i] for a, v in terms) for i in range(lattice.rank)))
+
+
+def rebase(model: SurfaceModel, rows, labels) -> SurfaceModel:
+    """`model` with its real lattice presented in a new unimodular basis,
+    given by `rows` in the current real coordinates, rebuilt by
+    `catalog._model`; on the blow-ups of D2 and G2 at one real point it
+    checks the bases that the catalogue declares for D2_1_0 and G2_1_0."""
+    columns = [mat_vec(model.embedding, row) for row in rows]
+    return _model(model.name, model.complex_lattice, model.complex_canonical.coeffs, tuple(labels), columns)
+
+
 def geiser_bertini(d: ClassVector, k: ClassVector) -> ClassVector:
     """Reflection fixing K and acting by -1 on its orthogonal complement.
 
@@ -337,7 +356,7 @@ def geiser_bertini(d: ClassVector, k: ClassVector) -> ClassVector:
         raise ValueError("unsupported degree: K.K must be 1 or 2")
     twice = 2 * d.dot(k)
     assert twice % kk == 0
-    return -d + (twice // kk) * k
+    return combination((-1, d), (twice // kk, k))
 
 
 def _conic_bundle_involution(n_exceptional):

@@ -26,6 +26,7 @@ from realdp.topology import (
 
 from oracles import (
     basis_vector,
+    combination,
     declared_conjugation,
     fixed_sublattice,
     geiser_bertini,
@@ -221,8 +222,9 @@ def test_criterion_08_line_counts_two_strategies():
 def test_criterion_09_geiser_bertini_action():
     d2 = builtin("D2")
     f, k = basis_vector(d2.real_lattice, 0), basis_vector(d2.real_lattice, 1)
-    assert geiser_bertini(f - k, k) == -1 * f - 3 * k
-    assert geiser_bertini(-1 * f - 3 * k, k) == f - k
+    f_minus_k, image = combination((1, f), (-1, k)), combination((-1, f), (-3, k))
+    assert geiser_bertini(f_minus_k, k) == image
+    assert geiser_bertini(image, k) == f_minus_k
     lat = builtin("D2_1_0").real_lattice
     kk = lat.vector((1, 0, 0))
     d1, d2_ = lat.vector((-3, -1, 1)), lat.vector((-3, 1, -1))

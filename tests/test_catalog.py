@@ -1,9 +1,11 @@
+import functools
 import itertools
 import operator
 from math import isqrt
 
 import pytest
 
+from realdp import catalog
 from realdp.catalog import (
     SURFACE_NAMES,
     _model,
@@ -22,6 +24,7 @@ from oracles import (
     is_involution,
     is_isometry,
     ldl,
+    rebase,
     smith_normal_form,
 )
 
@@ -266,6 +269,34 @@ def test_model_rejects_inconsistent_conjugation_data():
     for name, model, labels, columns, reason in cases:
         with pytest.raises(ValueError, match=f"^{name}: .*{reason}"):
             _model(name, model.complex_lattice, model.complex_canonical.coeffs, labels, columns)
+
+
+def test_each_surface_is_built_by_one_model_call(monkeypatch):
+    """A fresh build of the catalogue assembles each of the 19 surfaces
+    with one `_model` call and builds no intermediate model."""
+    calls = []
+    model = catalog._model
+    monkeypatch.setattr(catalog, "_model", lambda name, *args: calls.append(name) or model(name, *args))
+    fresh = functools.lru_cache(maxsize=None)(builtin.__wrapped__)
+    monkeypatch.setattr(catalog, "builtin", fresh)
+    assert [fresh(name) for name in SURFACE_NAMES] == [builtin(name) for name in SURFACE_NAMES]
+    assert calls == list(SURFACE_NAMES)
+    assert len(calls) == 19
+
+
+@pytest.mark.parametrize("name, base, rows, labels", [
+    ("D2_1_0", "D2", ((0, 1, 0), (1, 0, -1), (0, 0, 1)), ("K", "Ft", "E")),
+    ("G2_1_0", "G2", ((1, 0), (0, 1)), ("K", "E")),
+], ids=["D2_1_0", "G2_1_0"])
+def test_declared_bases_present_the_real_blow_ups(name, base, rows, labels):
+    """D2_1_0 and G2_1_0 are declared on Z^{1,8} by their real basis; each
+    equals, field for field, the blow-up of its base at one real point,
+    whose real basis (F, K, E8 or K, E8) `rows` re-presents as `labels`."""
+    declared = builtin(name)
+    rebased = rebase(blow_up(builtin(base), real_points=1), rows, labels)
+    for field in declared._fields:
+        assert getattr(rebased, field) == getattr(declared, field), field
+    assert repr(rebased) == repr(declared)
 
 
 def test_blow_up_composition_gives_same_lattice():

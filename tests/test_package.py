@@ -227,7 +227,6 @@ def _strict_constructors():
     from realdp.lattice import ClassVector, IntLattice
     from realdp.topology import GreatSubsphere, HypersurfaceSpec, PLCycle, hyperbolicity_check
     from conftest import sphere_quadric
-    from oracles import basis_vector
 
     lattice = builtin("D2").real_lattice
     sphere = sphere_quadric()
@@ -250,7 +249,6 @@ def _strict_constructors():
         "blow_up.conj_pairs": lambda x: blow_up(builtin("Q31"), conj_pairs=x),
         "IntLattice.vector": lambda x: lattice.vector((x, -1)),
         "ClassVector": lambda x: ClassVector(lattice, (x, -1)),
-        "ClassVector.__rmul__": lambda x: x * basis_vector(lattice, 0),
         "HypersurfaceSpec": lambda x: HypersurfaceSpec(2, (((x, 1, 0, 0), 1), ((0, 0, 2, 0), 1))),
         "HypersurfaceSpec.degree": lambda x: HypersurfaceSpec(x, (((1, 0, 0, 0), 1),)),
         "GreatSubsphere.ambient": lambda x: GreatSubsphere(x, ((0, 0, 1),)),
@@ -298,9 +296,11 @@ def _input_checks():
     from realdp import conic
     from realdp.catalog import blow_up, builtin
     from realdp.lattice import ClassVector, IntLattice, class_window
+    from realdp.search import check_conditions
     from realdp.topology import GreatSubsphere, HypersurfaceSpec, PLCycle
 
     lattice, other = builtin("D2").real_lattice, builtin("B1").real_lattice
+    not_a_member = "^classes do not belong to this lattice$"
     form = conic.BinaryForm(0, (1,))
     return {
         "IntLattice.rank": (lambda: IntLattice(0, (), ()), "rank must be positive"),
@@ -308,7 +308,8 @@ def _input_checks():
         "IntLattice.gram size": (lambda: IntLattice(2, ("H", "E"), ((1, 0),)), "size must match the rank"),
         "IntLattice.gram symmetry": (lambda: IntLattice(2, ("H", "E"), ((1, 1), (0, -1))), "must be symmetric"),
         "ClassVector": (lambda: ClassVector(lattice, (1,)), "length must equal the lattice rank"),
-        "ClassVector.__add__": (lambda: lattice.vector((1, 0)) + other.vector((1,)), "different lattices"),
+        "ClassVector.dot": (lambda: lattice.vector((1, 0)).dot(other.vector((1,))), not_a_member),
+        "check_conditions": (lambda: check_conditions(builtin("D2"), other.vector((1,))), not_a_member),
         "class_window": (lambda: class_window(lattice, other.vector((1,)), -1, 1, 1), "K does not belong"),
         "form_from_roots": (lambda: conic.form_from_roots(2, (1,)), "number of roots must equal the degree"),
         "ConicMatrix.splitting": (lambda: conic.ConicMatrix((-1, 0, 0), ((form,) * 3,) * 3), "a_i \\+ a_j must all be nonnegative"),
@@ -403,20 +404,12 @@ UNREFERENCED_BY_DESIGN = {
 }
 
 # The guard skips dunder names: Python calls them, never the code by name.
-# Those of the value protocol (`intlinalg.Value` and the `__post_init__`
-# checks of its subclasses) serve every value; every other one is an
-# operator, listed with what calls it, so an operator nothing uses shows up.
+# The library defines only those of the value protocol (`intlinalg.Value`
+# and the `__post_init__` checks of its subclasses), which serve every
+# value; it has no operators, so a class is paired and never added (the
+# tests form sums with `oracles.combination`).
 VALUE_PROTOCOL = {"__init__", "__init_subclass__", "__post_init__", "__setattr__", "__delattr__",
                   "__eq__", "__hash__", "__repr__"}
-OPERATORS_BY_DESIGN = {
-    "ClassVector.__rmul__": "search._canonical_multiple compares m * K with a class",
-    "ClassVector.__add__": "tests: the pairing oracle of check_conditions, bilinearity, conjugations and "
-                           "the Geiser and Bertini actions (test_search, test_lattice, test_catalog, test_acceptance)",
-    "ClassVector.__sub__": "tests: the pairing oracle of check_conditions, adjunction and the Geiser action "
-                           "(test_search, test_lattice, test_acceptance)",
-    "ClassVector.__neg__": "tests: conjugations, fixed sublattices and the anticanonical reflection "
-                           "(test_catalog, test_lattice, test_search, test_acceptance)",
-}
 
 # The guard counts references by bare name, so it cannot tell apart two
 # definitions of one name, nor a call of a function from a read of a field
@@ -464,14 +457,14 @@ def test_every_library_function_is_called_in_the_library():
                 unused.append(name)
     assert unused == []
     assert all(counts.get(name, 0) == 0 for name in UNREFERENCED_BY_DESIGN)
-    operators = {
+    dunders = {
         f"{cls.name}.{node.name}"
         for tree in trees
         for cls in tree.body if isinstance(cls, ast.ClassDef)
         for node in cls.body if isinstance(node, ast.FunctionDef)
         if node.name.startswith("__") and node.name.endswith("__") and node.name not in VALUE_PROTOCOL
     }
-    assert operators == set(OPERATORS_BY_DESIGN)
+    assert dunders == set()
 
 
 def test_tracer_spans_resolve(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from realdp import search as search_module
 from realdp.catalog import SURFACE_NAMES, builtin
 from realdp.intlinalg import mat_vec
-from realdp.lattice import ClassVector, class_window
+from realdp.lattice import ClassVector, IntLattice, class_window, enumerate_classes
 from realdp.search import (
     check_conditions,
     format_table_text,
@@ -18,6 +18,7 @@ from realdp.search import (
 from oracles import (
     brute_force_search,
     check_conditions_by_pairings,
+    combination,
     geiser_bertini,
     self_intersection_candidates,
     very_ample,
@@ -102,6 +103,23 @@ def test_check_conditions_zero_divisor():
 def test_check_conditions_lattice_mismatch():
     with pytest.raises(ValueError):
         check_conditions(builtin("D2"), zero_class(builtin("D4").real_lattice))
+
+
+def test_a_class_of_an_equal_lattice_is_a_member():
+    """Membership is equality of lattices: a class built on an equal copy
+    of the real lattice, not the lattice object itself, is paired by
+    `ClassVector.dot` and checked by `check_conditions` like the model's
+    own class with the same coefficients."""
+    for name in ("D2", "G2_1_0", "D4_1_2"):
+        model = builtin(name)
+        lattice, k = model.real_lattice, model.canonical
+        copy = IntLattice(lattice.rank, lattice.basis_labels, lattice.gram)
+        assert copy is not lattice and copy == lattice
+        for d in enumerate_classes(model.window) + [k]:
+            twin = copy.vector(d.coeffs)
+            assert twin.dot(d) == d.dot(twin) == d.dot(d)
+            assert twin.dot(k) == k.dot(twin) == d.dot(k)
+            assert check_conditions(model, twin) == check_conditions(model, d)
 
 
 def test_search_d2():
@@ -203,11 +221,11 @@ def test_bertini_pairs_exchange_as_documented():
 
 def test_very_ample_flags():
     m = builtin("D4_2_0_11")
-    assert very_ample(m, -1 * m.canonical) is False
+    assert very_ample(m, combination((-1, m.canonical))) is False
     g2 = builtin("G2")
-    assert very_ample(g2, -2 * g2.canonical) is True
+    assert very_ample(g2, combination((-2, g2.canonical))) is True
     b1 = builtin("B1")
-    assert very_ample(b1, -3 * b1.canonical) is True
+    assert very_ample(b1, combination((-3, b1.canonical))) is True
 
 
 def test_render_divisor():
@@ -321,7 +339,7 @@ def test_check_conditions_builds_no_class_and_pairs_nothing(monkeypatch):
     assert (built, pairs) == ([], [])
     assert sum(report.passed for report in reports) == 15
     k = builtin("B1").canonical
-    k.dot(-k)  # the counters see a negation and a pairing
+    k.dot(combination((-1, k)))  # the counters see a new class and a pairing
     assert (len(built), len(pairs)) == (1, 1)
 
 
@@ -335,7 +353,7 @@ def test_c2_and_c3_read_the_stored_window(name):
     model = builtin(name)
     lattice, k = model.real_lattice, model.canonical
     rows = [row for row in table_rows(model) if row["divisor"] is not None]
-    d = lattice.vector(rows[0]["divisor"]["coeffs"]) if rows else -k
+    d = lattice.vector(rows[0]["divisor"]["coeffs"]) if rows else combination((-1, k))
     dd, dk = d.dot(d), d.dot(k)
     stored = check_conditions(model, d)
     assert stored.passed or not rows
