@@ -5,15 +5,16 @@ embeddings and conjugations as tuples of row tuples.  This leaf module holds
 `Value`, the base of the library's immutable value types, and the routines
 that back the lattice layer: the strict integer and rational checks every
 library constructor applies to its input, the primitive integer
-representative of a rational vector, the one dot product of the library
-(`dot`, which matrix-vector products, lattice pairings and the
-linking-number signs all use), the one determinant, for small matrices, and a
-Fincke-Pohst enumeration over the integers certified by the leading
-principal minors of a fraction-free (Bareiss) elimination.  `fincke_pohst`
-runs the elimination once per form and keeps its rows, minors and weights
-in a `FinckePohst` record, which every enumeration of that form walks.  The
-enumeration recurses once per coordinate, so its depth is the rank, through
-the module-level `_descend`, which no call leaves in a reference cycle.
+representative of a rational vector, the one named dot product of the
+library (`dot`; `mat_vec` and `ClassVector.dot`, which serve every class
+query, write the row product inline instead of calling it per row), the one
+determinant, for small matrices, and a Fincke-Pohst enumeration over the
+integers certified by the leading principal minors of a fraction-free
+(Bareiss) elimination.  `fincke_pohst` runs the elimination once per form
+and keeps its rows, minors and weights in a `FinckePohst` record, which
+every enumeration of that form walks.  The enumeration recurses once per
+coordinate, so its depth is the rank, through the module-level `_descend`,
+which no call leaves in a reference cycle.
 """
 
 from __future__ import annotations
@@ -113,7 +114,8 @@ def dot(u, v):
 
 
 def mat_vec(a, v):
-    return [dot(row, v) for row in a]
+    """The product a v; each row is paired with v inline, with no call."""
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def determinant(a):

@@ -17,6 +17,7 @@ once by `class_window`; `enumerate_classes` only walks its lattice points.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import NamedTuple
 
 from . import intlinalg
@@ -57,11 +58,12 @@ class ClassVector(intlinalg.Value):
 
     def dot(self, other: "ClassVector") -> int:
         """The intersection product D.E = d^T G e, G the pairing matrix of
-        the lattice that both classes belong to."""
+        the lattice that both classes belong to, with no call per row."""
         lattice = self.lattice
         if other.lattice is not lattice:
             check_member(other, lattice)
-        return intlinalg.dot(self.coeffs, intlinalg.mat_vec(lattice.gram, other.coeffs))
+        y = other.coeffs
+        return sum(map(mul, self.coeffs, [sum(map(mul, row, y)) for row in lattice.gram]))
 
 
 def check_member(v: ClassVector, lattice: IntLattice) -> None:

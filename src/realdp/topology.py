@@ -281,6 +281,12 @@ def hyperbolicity_check(x: HypersurfaceSpec, e, trials: int, seed: int) -> Hyper
 # PL cycles and linking numbers
 
 
+def _check_ambient(ambient) -> None:
+    """Raise ValueError unless cycles and centers may live in RP^ambient."""
+    if int_tuple((ambient,))[0] not in (2, 3):
+        raise ValueError("ambient projective space must be RP^2 or RP^3")
+
+
 class GreatSubsphere(Value):
     """Linear subspace of RP^n given by independent normal vectors."""
 
@@ -288,8 +294,7 @@ class GreatSubsphere(Value):
     normals: tuple
 
     def __post_init__(self):
-        if int_tuple((self.ambient,))[0] not in (2, 3):
-            raise ValueError("ambient projective space must be RP^2 or RP^3")
+        _check_ambient(self.ambient)
         normals = tuple(rational_tuple(n) for n in self.normals)
         if any(len(n) != self.ambient + 1 for n in normals):
             raise ValueError("normals must have ambient + 1 coordinates")
@@ -320,8 +325,7 @@ class PLCycle(Value):
     points: tuple
 
     def __post_init__(self):
-        if int_tuple((self.ambient,))[0] not in (2, 3):
-            raise ValueError("ambient projective space must be RP^2 or RP^3")
+        _check_ambient(self.ambient)
         if self.closure not in ("sphere", "antipode"):
             raise ValueError("closure must be 'sphere' or 'antipode'")
         pts = tuple(rational_tuple(p) for p in self.points)

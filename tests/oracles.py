@@ -18,9 +18,12 @@ of the full preimage of a cycle on S^n, summed in floats, checks the signed
 `topology.linking_number`, as does the loop that takes both functionals
 x.n and x.c at every vertex, which also checks its rejections; that loop
 finds c by a 2 x 2 minor and the chain's containment of the center by a
-Hermite normal form, not by the library.  Matrix products, inverses and
-signatures check isometries, involutions and the signature certificate of the class enumeration; the Fincke-Pohst search on
-a rational LDL^T factorisation checks the fraction-free one of
+Hermite normal form, not by the library.  Matrix-vector products and
+pairings by double loops check `intlinalg.mat_vec` and `ClassVector.dot`,
+and the oracles that need such a product take these.  Matrix products,
+inverses and signatures check isometries, involutions and the signature
+certificate of the class enumeration; the Fincke-Pohst search on a
+rational LDL^T factorisation checks the fraction-free one of
 `intlinalg.enumerate_quadratic`, and its pivots check the Bareiss minors; a
 squarefree decomposition with one Sturm count per part, and a Sturm chain
 at every multiplicity level down to degree two, check
@@ -58,7 +61,7 @@ from math import gcd, isqrt, lcm
 from realdp import realroots, topology
 from realdp.catalog import SurfaceModel, _model
 from realdp.conic import BinaryForm, ConicMatrix
-from realdp.intlinalg import dot, int_tuple, mat_vec, primitive_vector
+from realdp.intlinalg import dot, int_tuple, primitive_vector
 from realdp.lattice import ClassVector, IntLattice
 from realdp.search import ConditionReport, check_conditions
 from realdp.topology import GreatSubsphere, HyperbolicityVerdict, PLCycle, linking_number
@@ -508,6 +511,23 @@ def transpose(m):
 def mat_mul(a, b):
     bt = transpose(b)
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def mat_vec(a, v):
+    """a v by a double loop over row and column indices: the definition that
+    `intlinalg.mat_vec` is checked against, so no oracle runs that kernel."""
+    out = []
+    for i in range(len(a)):
+        total = 0
+        for j in range(len(v)):
+            total += a[i][j] * v[j]
+        out.append(total)
+    return out
+
+
+def pairing(gram, x, y):
+    """sum_ij x_i g_ij y_j, the definition of `ClassVector.dot`."""
+    return sum(x[i] * gram[i][j] * y[j] for i in range(len(x)) for j in range(len(y)))
 
 
 def signature(gram):

@@ -18,6 +18,7 @@ from oracles import (
     ldl,
     mat_inverse,
     mat_mul,
+    mat_vec,
     signature,
     smith_normal_form,
     xgcd,
@@ -248,6 +249,30 @@ def test_enumerate_quadratic_leaves_no_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_mat_vec_matches_double_loop():
+    """`intlinalg.mat_vec` equals the double loop of its definition on
+    rectangular matrices up to 9 x 9 of small ints, 300-bit ints and
+    Fractions, and on every catalogue embedding with random real classes."""
+    from realdp.catalog import SURFACE_NAMES, builtin
+
+    rng = random.Random(40)
+    draws = [
+        lambda: rng.randint(-9, 9),
+        lambda: rng.randint(-(2**300), 2**300),
+        lambda: Fraction(rng.randint(-50, 50), rng.randint(1, 50)),
+    ]
+    for draw in draws:
+        for rows, cols in itertools.product(range(1, 10), repeat=2):
+            a = tuple(tuple(draw() for _ in range(cols)) for _ in range(rows))
+            v = tuple(draw() for _ in range(cols))
+            assert intlinalg.mat_vec(a, v) == mat_vec(a, v)
+    for name in SURFACE_NAMES:
+        embedding = builtin(name).embedding
+        for _ in range(20):
+            v = tuple(rng.randint(-30, 30) for _ in embedding[0])
+            assert intlinalg.mat_vec(embedding, v) == mat_vec(embedding, v)
 
 
 def test_mat_inverse():

@@ -20,6 +20,7 @@ from oracles import (
     fixed_sublattice,
     geiser_bertini,
     hnf,
+    pairing,
     signature,
     zero_class,
 )
@@ -63,6 +64,29 @@ def test_pair_bilinear_symmetric():
         w = lat.vector([rng.randint(-9, 9) for _ in range(3)])
         assert u.dot(v) == v.dot(u)
         assert combination((1, u), (1, w)).dot(v) == u.dot(v) + w.dot(v)
+
+
+def test_pair_matches_definition():
+    """D.E equals sum_ij d_i g_ij e_j on random classes of the 19 real and
+    11 distinct complex catalogue lattices, and of random symmetric Gram
+    matrices with 300-bit entries."""
+    rng = random.Random(40)
+    models = [builtin(name) for name in SURFACE_NAMES]
+    complexes = list(dict.fromkeys(m.complex_lattice for m in models))
+    assert len(complexes) == 11
+    lattices = [m.real_lattice for m in models] + complexes
+    for rank in range(1, 10):
+        gram = [[0] * rank for _ in range(rank)]
+        for i in range(rank):
+            for j in range(i, rank):
+                gram[i][j] = gram[j][i] = rng.randint(-(2**300), 2**300)
+        lattices.append(IntLattice(rank, tuple(f"e{i}" for i in range(rank)), tuple(map(tuple, gram))))
+    for lat in lattices:
+        for _ in range(20):
+            d = lat.vector([rng.randint(-40, 40) for _ in range(lat.rank)])
+            e = lat.vector([rng.randint(-40, 40) for _ in range(lat.rank)])
+            assert d.dot(e) == pairing(lat.gram, d.coeffs, e.coeffs)
+            assert d.dot(d) == pairing(lat.gram, d.coeffs, d.coeffs)
 
 
 def _pairings(d, k):

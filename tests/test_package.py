@@ -319,6 +319,8 @@ def _input_checks():
         "GreatSubsphere.ambient": (lambda: GreatSubsphere(4, ((0, 0, 0, 0, 1),)),
                                    "ambient projective space must be RP\\^2 or RP\\^3"),
         "GreatSubsphere.normals": (lambda: GreatSubsphere(2, ((0, 0, 1, 0),)), "normals must have ambient \\+ 1 coordinates"),
+        "PLCycle.ambient": (lambda: PLCycle(1, "sphere", ((1, 0), (0, 1))),
+                            "ambient projective space must be RP\\^2 or RP\\^3"),
         "PLCycle.points": (lambda: PLCycle(2, "sphere", ((1, 0, 1),)), "a cycle needs at least two points"),
         "BinaryForm.infinity_multiplicity": (lambda: conic.BinaryForm(2, (0, 0, 0)).infinity_multiplicity(), "zero form"),
     }
