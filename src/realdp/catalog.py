@@ -6,8 +6,9 @@ real Picard lattice embedded in it (rank rho), the canonical class on both
 sides, the finitely many (-1)-classes, their distinct pairings against the
 real basis (the line functionals that condition c5 of `search` reads), the
 topology (s spheres, r projective planes), and the window of classes that
-`search` enumerates, with its form, bound and signature certificate.  A
-builder gives only the real basis, and `_model` reads everything else from it.  The degree is K.K.
+`search` enumerates, with its form, bound and signature certificate.  The
+catalogue table gives only the degree and the real basis, and `_model` reads
+everything else from them.  The degree is K.K.
 Complex conjugation is an isometric involution whose fixed lattice is the
 real lattice, so its trace is 2 rho - n, and with |det G_real| = 2^a for the
 real pairing matrix G_real, Lefschetz (2s + r = 2 + n - 2 rho) and
@@ -17,22 +18,22 @@ s = (2 + n - 2 rho - r) / 2 (Degtyarev and Kharlamov, Russian Math. Surveys
 tuples), built here and never read from input; every pairing goes through
 `intlinalg.dot`.
 
-Conventions.  Complex lattices are either the blow-up lattice Z^{1,n} with
-basis H, E1, ..., En, pairing diag(1, -1, ..., -1) and canonical class
--3H + E1 + ... + En, or - for the quadric sphere Q31 and its blow-ups - the
-hyperbolic plane spanned by the two rulings l1, l2 (l1.l2 = 1, l1^2 = l2^2
-= 0, canonical -2 l1 - 2 l2) extended by exceptional classes.  Minimal conic
-bundles have the real basis F = H - E1, K, as conjugation swaps the two
-components of every singular fiber; the degree 2 and degree 1 minimal
-surfaces with real Picard rank one have the real basis K, as conjugation is
-the anticanonical (Geiser or Bertini) reflection D |-> -D + 2 (D.K / K.K) K.
-Real lattices keep the honest canonical class K as a basis vector whenever
-one exists in the basis.
-
-Real points may only be blown up on sphere components: blowing up a point of
-a projective plane would create a Klein bottle, which is outside the
-sphere/projective-plane regime modelled here, and the two identities give a
-negative s.
+Conventions.  Every model but Q31 lives on the blow-up lattice Z^{1,n},
+n = 9 - degree, with basis H, E1, ..., En, pairing diag(1, -1, ..., -1) and
+canonical class -3H + E1 + ... + En.  The quadric sphere Q31 is P^1 x P^1,
+which is not a blow-up of P^2, so it lives on the hyperbolic plane U spanned
+by the two rulings l1, l2 (l1.l2 = 1, l1^2 = l2^2 = 0, canonical
+-2 l1 - 2 l2).  Its blow-ups Q31_0_2k live on Z^{1,2k+1} through
+Bl_1(P^1 x P^1) = Bl_2(P^2): the rulings become H - E1 and H - E2, and the
+exceptional classes E1, E2, E3, ... of the blown-up quadric become
+H - E1 - E2, E3, E4, ....  Their real basis keeps the quadric's labels:
+"H" = l1 + l2 = 2H - E1 - E2, "E1+E2" = H - E1 - E2 + E3, "E3+E4" = E4 + E5,
+and so on.  Minimal conic bundles have the real basis F = H - E1, K, as
+conjugation swaps the two components of every singular fiber; the degree 2
+and degree 1 minimal surfaces with real Picard rank one have the real basis
+K, as conjugation is the anticanonical (Geiser or Bertini) reflection
+D |-> -D + 2 (D.K / K.K) K.  Real lattices keep the honest canonical class K
+as a basis vector whenever one exists in the basis.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .intlinalg import determinant, dot, int_tuple, mat_vec
+from .intlinalg import determinant, dot, mat_vec
 from .lattice import ClassVector, ClassWindow, IntLattice, class_window, enumerate_classes
 
 
@@ -136,104 +137,52 @@ def _blowup_lattice(n_exceptional):
     return IntLattice(n_exceptional + 1, labels, gram)
 
 
-def _build_plane_blowup(name, degree, real_labels):
-    """A surface on Z^{1,n}, n = 9 - degree, whose real basis is named by
-    `real_labels` among H, F = H - E1, K = -3H + E1 + ... + En, E = En and
-    Ft = F - E.  The minimal surfaces use the first three; D2_1_0 and G2_1_0,
-    the blow-ups of D2 and G2 at one real point with exceptional class E,
-    are declared as <K, Ft, E> and <K, E>: in <-K, Ft, E>, K.K = 1, Ft is a
-    (-1)-curve and any two distinct generators pair to one."""
-    n = 9 - degree
-    k = (-3,) + (1,) * n
-    e = (0,) * n + (1,)
-    f = (1, -1) + (0,) * (n - 1)
-    columns = {"H": (1,) + (0,) * n, "F": f, "K": k, "E": e, "Ft": tuple(a - b for a, b in zip(f, e))}
-    return _model(name, _blowup_lattice(n), k, real_labels, [columns[label] for label in real_labels])
-
-
-def _build_q31():
-    cx = IntLattice(2, ("l1", "l2"), ((0, 1), (1, 0)))
-    # Conjugation swaps the two rulings; the real lattice is generated by the
-    # hyperplane class H = l1 + l2 with H.H = 2 and K = -2H.
-    return _model("Q31", cx, (-2, -2), ("H",), [(1, 1)])
-
-
-def _direct_sum(m, block):
-    """The block-diagonal matrix of `m` and `block` (tuples of row tuples,
-    either may be rectangular)."""
-    left, right = len(m[0]), len(block[0]) if block else 0
-    return tuple(row + (0,) * right for row in m) + tuple((0,) * left + row for row in block)
-
-
-def blow_up(base: SurfaceModel, real_points: int = 0, conj_pairs: int = 0) -> SurfaceModel:
-    """Blow up a model in `real_points` real points and `conj_pairs` pairs.
-
-    Real centers lie on distinct sphere components; each one turns a sphere
-    into a projective plane, and conjugate pairs leave the topology unchanged.
-    `_model` reads the new s and r from the real lattice, so more real
-    centers than spheres are rejected: a real point of a projective plane
-    would produce a Klein bottle component.  The pairing and the real basis
-    are the direct sums of the base's with a block for the m = a + 2b
-    exceptional classes: -I_m, and a unit or pair-sum real basis vector per
-    real class or pair, as conjugation fixes each real class and swaps each
-    pair.  A real basis vector embedding onto K moves onto the new K.
-    """
-    a, b = int_tuple((real_points, conj_pairs))
-    if a < 0 or b < 0:
-        raise ValueError("real_points and conj_pairs must be nonnegative")
-    m = a + 2 * b
-    if base.degree - m < 1:
-        raise ValueError("degree underflow: blow-up would drop the degree below 1")
-
-    def unit(*indices):
-        return tuple(int(j in indices) for j in range(m))
-
-    cx_old, k_old = base.complex_lattice, base.complex_canonical.coeffs
-    first = 1 + sum(label.startswith("E") for label in cx_old.basis_labels)
-    new = [f"E{first + i}" for i in range(m)]
-    pairs = [(i, i + 1) for i in range(a, m, 2)]
-    gram = _direct_sum(cx_old.gram, [tuple(-x for x in unit(i)) for i in range(m)])
-    cx = IntLattice(cx_old.rank + m, cx_old.basis_labels + tuple(new), gram)
-    old_columns = tuple(zip(*base.embedding))
-    columns = list(_direct_sum(old_columns, [unit(i) for i in range(a)] + [unit(*p) for p in pairs]))
-    labels = base.real_lattice.basis_labels + tuple(new[:a] + [f"{new[i]}+{new[j]}" for i, j in pairs])
-    k_cx = k_old + (1,) * m
-    if k_old in old_columns:
-        columns[old_columns.index(k_old)] = k_cx
-
-    name = f"{base.name}_{a}_{2 * b}" + ("_11" if a == 2 else "")
-    return _model(name, cx, k_cx, labels, columns)
-
-
-# Catalogue order: descending degree, blow-ups of the plane and the quadric
-# interleaved with the minimal conic bundles.  The keys are the CLI identifiers.
-_BUILDERS = {
-    "P2": lambda: _build_plane_blowup("P2", 9, ("H",)),
-    "Q31": _build_q31,
-    "P2_0_2": lambda: blow_up(builtin("P2"), conj_pairs=1),
-    "Q31_0_2": lambda: blow_up(builtin("Q31"), conj_pairs=1),
-    "P2_0_4": lambda: blow_up(builtin("P2"), conj_pairs=2),
-    "Q31_0_4": lambda: blow_up(builtin("Q31"), conj_pairs=2),
-    "D4": lambda: _build_plane_blowup("D4", 4, ("F", "K")),
-    "P2_0_6": lambda: blow_up(builtin("P2"), conj_pairs=3),
-    "D4_1_0": lambda: blow_up(builtin("D4"), real_points=1),
-    "D4_2_0_11": lambda: blow_up(builtin("D4"), real_points=2),
-    "Q31_0_6": lambda: blow_up(builtin("Q31"), conj_pairs=3),
-    "D4_0_2": lambda: blow_up(builtin("D4"), conj_pairs=1),
-    "D2": lambda: _build_plane_blowup("D2", 2, ("F", "K")),
-    "G2": lambda: _build_plane_blowup("G2", 2, ("K",)),
-    "P2_0_8": lambda: blow_up(builtin("P2"), conj_pairs=4),
-    "D4_1_2": lambda: blow_up(builtin("D4"), real_points=1, conj_pairs=1),
-    "D2_1_0": lambda: _build_plane_blowup("D2_1_0", 1, ("K", "Ft", "E")),
-    "G2_1_0": lambda: _build_plane_blowup("G2_1_0", 1, ("K", "E")),
-    "B1": lambda: _build_plane_blowup("B1", 1, ("K",)),
+# One row per surface, in catalogue order: descending degree, blow-ups of the
+# plane and the quadric interleaved with the minimal conic bundles.  The keys
+# are the CLI identifiers.  A row gives the degree and the labelled real basis,
+# each vector in the coordinates H, E1, ..., En of Z^{1,n}, n = 9 - degree,
+# with its trailing zeros left out; Q31 alone is written in l1, l2 on U.  A
+# blow-up at a real point adds its exceptional class to the real basis, and one
+# at a conjugate pair adds the pair's sum.  D2_1_0 and G2_1_0, the blow-ups of
+# D2 and G2 at a real point with exceptional class E = E8, are declared as
+# <K, Ft = F - E, E> and <K, E>: in <-K, Ft, E>, K.K = 1, Ft is a (-1)-curve
+# and any two distinct generators pair to one.
+_CATALOGUE = {
+    "P2": (9, {"H": (1,)}),
+    "Q31": (8, {"H": (1, 1)}),
+    "P2_0_2": (7, {"H": (1,), "E1+E2": (0, 1, 1)}),
+    "Q31_0_2": (6, {"H": (2, -1, -1), "E1+E2": (1, -1, -1, 1)}),
+    "P2_0_4": (5, {"H": (1,), "E1+E2": (0, 1, 1), "E3+E4": (0, 0, 0, 1, 1)}),
+    "Q31_0_4": (4, {"H": (2, -1, -1), "E1+E2": (1, -1, -1, 1), "E3+E4": (0, 0, 0, 0, 1, 1)}),
+    "D4": (4, {"F": (1, -1), "K": (-3,) + (1,) * 5}),
+    "P2_0_6": (3, {"H": (1,), "E1+E2": (0, 1, 1), "E3+E4": (0, 0, 0, 1, 1), "E5+E6": (0,) * 5 + (1, 1)}),
+    "D4_1_0": (3, {"F": (1, -1), "K": (-3,) + (1,) * 6, "E6": (0,) * 6 + (1,)}),
+    "D4_2_0_11": (2, {"F": (1, -1), "K": (-3,) + (1,) * 7, "E6": (0,) * 6 + (1,), "E7": (0,) * 7 + (1,)}),
+    "Q31_0_6": (2, {"H": (2, -1, -1), "E1+E2": (1, -1, -1, 1), "E3+E4": (0, 0, 0, 0, 1, 1),
+                    "E5+E6": (0,) * 6 + (1, 1)}),
+    "D4_0_2": (2, {"F": (1, -1), "K": (-3,) + (1,) * 7, "E6+E7": (0,) * 6 + (1, 1)}),
+    "D2": (2, {"F": (1, -1), "K": (-3,) + (1,) * 7}),
+    "G2": (2, {"K": (-3,) + (1,) * 7}),
+    "P2_0_8": (1, {"H": (1,), "E1+E2": (0, 1, 1), "E3+E4": (0, 0, 0, 1, 1), "E5+E6": (0,) * 5 + (1, 1),
+                   "E7+E8": (0,) * 7 + (1, 1)}),
+    "D4_1_2": (1, {"F": (1, -1), "K": (-3,) + (1,) * 8, "E6": (0,) * 6 + (1,), "E7+E8": (0,) * 7 + (1, 1)}),
+    "D2_1_0": (1, {"K": (-3,) + (1,) * 8, "Ft": (1, -1) + (0,) * 6 + (-1,), "E": (0,) * 8 + (1,)}),
+    "G2_1_0": (1, {"K": (-3,) + (1,) * 8, "E": (0,) * 8 + (1,)}),
+    "B1": (1, {"K": (-3,) + (1,) * 8}),
 }
-SURFACE_NAMES = tuple(_BUILDERS)
+SURFACE_NAMES = tuple(_CATALOGUE)
 
 
 @lru_cache(maxsize=None)
 def builtin(name: str) -> SurfaceModel:
     """Return the built-in model for one of the catalogued surface names."""
-    if name not in _BUILDERS:
+    if name not in _CATALOGUE:
         raise ValueError(f"unknown surface {name!r}; known: {', '.join(SURFACE_NAMES)}")
-    return _BUILDERS[name]()
+    degree, basis = _CATALOGUE[name]
+    n = 9 - degree
+    if name == "Q31":  # conjugation swaps the rulings and fixes H = l1 + l2, with K = -2H
+        cx, k = IntLattice(2, ("l1", "l2"), ((0, 1), (1, 0))), (-2, -2)
+    else:
+        cx, k = _blowup_lattice(n), (-3,) + (1,) * n
+    columns = [column + (0,) * (cx.rank - len(column)) for column in basis.values()]
+    return _model(name, cx, k, tuple(basis), columns)

@@ -3,15 +3,23 @@
 Box enumeration checks the ellipsoid search of `realdp.search`, and
 ClassVector pairings with every (-1)-class, the genus and l(D) from D + K
 and D - K, and Di Rocco's very-ampleness test check the integer kernel of
-its `check_conditions`; the conjugation of each surface built from its
-geometry (`declared_conjugation`: the conic-bundle swap, the Geiser and
-Bertini reflections, the ruling swap and the blow-up direct sums) checks
-the one that `catalog._model` derives from the real lattice, and the
-blow-ups of D2 and G2 at a real point, re-presented by `rebase`, check the
-bases declared for D2_1_0 and G2_1_0; `combination` forms the class sums
-and multiples that the library, which only pairs classes, lacks; Hermite
-normal forms, integer kernels and fixed sublattices check that each real
-lattice is the fixed part of that conjugation; the Smith normal form checks
+its `check_conditions`.  The blow-up constructor `blow_up` builds a
+blown-up model from its base by direct sums of lattices and real bases, and
+checks the real basis that the catalogue table declares for each of the 13
+blown-up surfaces: field for field, once `rebase` re-presents the blow-ups
+of D2 and G2 at a real point in the bases declared for D2_1_0 and G2_1_0,
+and on the real side for the blow-ups of Q31, which it builds on
+U + <-1>^2k and the catalogue on Z^{1,2k+1}; `quadric_to_plane`, the
+change of basis of Bl_1(P^1 x P^1) = Bl_2(P^2), carries the one onto the
+other.  The conjugation of each surface built from its geometry
+(`direct_sum_conjugation`: the conic-bundle swap, the Geiser and Bertini
+reflections, the ruling swap and the blow-up direct sums, which
+`declared_conjugation` moves to Z^{1,2k+1} for the blow-ups of Q31) checks
+the one that `catalog._model` derives from the real lattice.
+`combination` forms the class sums and multiples that the library, which
+only pairs classes, lacks; Hermite normal forms, integer kernels and fixed
+sublattices check that each real lattice is the fixed part of that
+conjugation; the Smith normal form checks
 primitivity and kernel saturation in the lattice tests; the linking criterion
 sums linking numbers over the components of a curve, and the winding number
 of the full preimage of a cycle on S^n, summed in floats, checks the signed
@@ -347,6 +355,66 @@ def rebase(model: SurfaceModel, rows, labels) -> SurfaceModel:
     return _model(model.name, model.complex_lattice, model.complex_canonical.coeffs, tuple(labels), columns)
 
 
+def _direct_sum(m, block):
+    """The block-diagonal matrix of `m` and `block` (tuples of row tuples,
+    either may be rectangular)."""
+    left, right = len(m[0]), len(block[0]) if block else 0
+    return tuple(row + (0,) * right for row in m) + tuple((0,) * left + row for row in block)
+
+
+def blow_up(base: SurfaceModel, real_points: int = 0, conj_pairs: int = 0) -> SurfaceModel:
+    """Blow up a model in `real_points` real points and `conj_pairs` pairs.
+
+    Real centers lie on distinct sphere components; each one turns a sphere
+    into a projective plane, and conjugate pairs leave the topology unchanged.
+    `_model` reads the new s and r from the real lattice, so more real
+    centers than spheres are rejected: a real point of a projective plane
+    would produce a Klein bottle component, which is outside the
+    sphere/projective-plane regime of the catalogue, and the two identities
+    give a negative s.  The pairing and the real basis are the direct sums of
+    the base's with a block for the m = a + 2b exceptional classes: -I_m, and
+    a unit or pair-sum real basis vector per real class or pair, as
+    conjugation fixes each real class and swaps each pair.  A real basis
+    vector embedding onto K moves onto the new K.  On Q31 the result lives on
+    U + <-1>^m, not on the Z^{1,m+1} of the catalogue.
+    """
+    a, b = int_tuple((real_points, conj_pairs))
+    if a < 0 or b < 0:
+        raise ValueError("real_points and conj_pairs must be nonnegative")
+    m = a + 2 * b
+    if base.degree - m < 1:
+        raise ValueError("degree underflow: blow-up would drop the degree below 1")
+
+    def unit(*indices):
+        return tuple(int(j in indices) for j in range(m))
+
+    cx_old, k_old = base.complex_lattice, base.complex_canonical.coeffs
+    first = 1 + sum(label.startswith("E") for label in cx_old.basis_labels)
+    new = [f"E{first + i}" for i in range(m)]
+    pairs = [(i, i + 1) for i in range(a, m, 2)]
+    gram = _direct_sum(cx_old.gram, [tuple(-x for x in unit(i)) for i in range(m)])
+    cx = IntLattice(cx_old.rank + m, cx_old.basis_labels + tuple(new), gram)
+    old_columns = tuple(zip(*base.embedding))
+    columns = list(_direct_sum(old_columns, [unit(i) for i in range(a)] + [unit(*p) for p in pairs]))
+    labels = base.real_lattice.basis_labels + tuple(new[:a] + [f"{new[i]}+{new[j]}" for i, j in pairs])
+    k_cx = k_old + (1,) * m
+    if k_old in old_columns:
+        columns[old_columns.index(k_old)] = k_cx
+
+    name = f"{base.name}_{a}_{2 * b}" + ("_11" if a == 2 else "")
+    return _model(name, cx, k_cx, labels, columns)
+
+
+def quadric_to_plane(n):
+    """Bl_1(P^1 x P^1) = Bl_2(P^2) on lattices: the matrix whose columns are
+    the images in Z^{1,n} of l1, l2, E1, E2, ..., E(n-1), the basis of
+    U + <-1>^(n-1) that `blow_up` gives the quadric's blow-ups, namely
+    H - E1, H - E2, H - E1 - E2, E3, ..., En."""
+    rulings_and_first = [c + (0,) * (n - 2) for c in ((1, -1, 0), (1, 0, -1), (1, -1, -1))]
+    units = [tuple(int(i == j) for i in range(n + 1)) for j in range(3, n + 1)]
+    return tuple(zip(*(rulings_and_first + units)))
+
+
 def geiser_bertini(d: ClassVector, k: ClassVector) -> ClassVector:
     """Reflection fixing K and acting by -1 on its orthogonal complement.
 
@@ -401,9 +469,9 @@ _MINIMAL_CONJUGATIONS = {
 }
 
 
-def declared_conjugation(name):
-    """The conjugation of a catalogued surface, built from its geometry and
-    not from its real lattice.
+def direct_sum_conjugation(name):
+    """The conjugation of the model that `blow_up` builds under `name`,
+    built from its geometry and not from its real lattice.
 
     A minimal surface has the identity (P2), the swap of the two rulings
     (Q31), the conic-bundle swap E_j <-> H - E1 - E_j (D4, D2) or the Geiser
@@ -418,12 +486,25 @@ def declared_conjugation(name):
     counts = [int(c) for c in counts if c != "11"]
     for a, two_b in zip(counts[::2], counts[1::2]):
         m = a + two_b
-        left = len(sigma)
         block = [tuple(int(k == i) for k in range(m)) for i in range(a)]
         block += [row for i in range(a, m, 2) for row in (tuple(int(k == i + 1) for k in range(m)),
                                                           tuple(int(k == i) for k in range(m)))]
-        sigma = tuple(row + (0,) * m for row in sigma) + tuple((0,) * left + row for row in block)
+        sigma = _direct_sum(sigma, block)
     return sigma
+
+
+def declared_conjugation(name):
+    """The conjugation of a catalogued surface on its catalogue lattice,
+    built from its geometry and not from its real lattice: the
+    `direct_sum_conjugation`, which a blow-up of Q31 has on U + <-1>^2k,
+    moved to Z^{1,2k+1} as M sigma M^-1 with M = `quadric_to_plane`."""
+    sigma = direct_sum_conjugation(name)
+    if not name.startswith("Q31_"):
+        return sigma
+    m = quadric_to_plane(len(sigma) - 1)
+    moved = mat_mul(mat_mul(m, sigma), mat_inverse(m))
+    assert all(x.denominator == 1 for row in moved for x in row)
+    return tuple(tuple(int(x) for x in row) for row in moved)
 
 
 def hyperbolicity_from_linking(components, e: GreatSubsphere, chain: GreatSubsphere | None, claimed_degree: int) -> bool:

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import operator
+from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -9,7 +10,6 @@ from realdp import catalog
 from realdp.catalog import (
     SURFACE_NAMES,
     _model,
-    blow_up,
     builtin,
     minus_one_curves,
 )
@@ -18,12 +18,16 @@ from realdp.lattice import class_window, enumerate_classes
 
 from oracles import (
     basis_vector,
+    blow_up,
     declared_conjugation,
+    direct_sum_conjugation,
     fixed_sublattice,
     hnf,
     is_involution,
     is_isometry,
     ldl,
+    mat_mul,
+    quadric_to_plane,
     rebase,
     smith_normal_form,
 )
@@ -69,11 +73,13 @@ def test_unknown_surface():
         builtin("XYZ")
 
 
-def assert_declared_conjugation_fixes_the_real_lattice(model):
+def assert_declared_conjugation_fixes_the_real_lattice(model, sigma=None):
     """The conjugation that the oracle builds from the geometry of the
-    surface, not from its real lattice, is an integral isometric involution
-    that fixes K, and its fixed lattice is the image of the embedding."""
-    sigma, gram = declared_conjugation(model.name), model.complex_lattice.gram
+    surface, not from its real lattice (by default `declared_conjugation`
+    of its name), is an integral isometric involution that fixes K, and its
+    fixed lattice is the image of the embedding."""
+    sigma = declared_conjugation(model.name) if sigma is None else sigma
+    gram = model.complex_lattice.gram
     n = model.complex_lattice.rank
     assert len(sigma) == n and all(len(row) == n for row in sigma)
     assert all(type(c) is int for row in sigma for c in row)
@@ -233,7 +239,7 @@ def test_blow_up_examples():
     assert (two_diff.degree, two_diff.s, two_diff.r) == (2, 0, 2)
     assert two_diff.name == "D4_2_0_11"
     for model in (one_real, three_pairs, two_diff):
-        assert_declared_conjugation_fixes_the_real_lattice(model)
+        assert_declared_conjugation_fixes_the_real_lattice(model, direct_sum_conjugation(model.name))
 
 
 def test_blow_up_rejects_bad_topology():
@@ -245,6 +251,13 @@ def test_blow_up_rejects_bad_topology():
     for base, real_points in (("D4_1_0", 2), ("Q31", 2), ("D4", 3)):
         with pytest.raises(ValueError, match="no union of spheres and planes"):
             blow_up(builtin(base), real_points=real_points)
+    for counts in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="conj_pairs must be nonnegative"):
+            blow_up(builtin("Q31"), *counts)
+    for value in (True, 1.7, Fraction(3, 2), Fraction(2), "3"):
+        for counts in ((value, 0), (0, value)):
+            with pytest.raises(ValueError, match="expected an integer"):
+                blow_up(builtin("Q31"), *counts)
 
 
 def test_model_rejects_inconsistent_conjugation_data():
@@ -284,26 +297,65 @@ def test_each_surface_is_built_by_one_model_call(monkeypatch):
     assert len(calls) == 19
 
 
-@pytest.mark.parametrize("name, base, rows, labels", [
-    ("D2_1_0", "D2", ((0, 1, 0), (1, 0, -1), (0, 0, 1)), ("K", "Ft", "E")),
-    ("G2_1_0", "G2", ((1, 0), (0, 1)), ("K", "E")),
-], ids=["D2_1_0", "G2_1_0"])
-def test_declared_bases_present_the_real_blow_ups(name, base, rows, labels):
-    """D2_1_0 and G2_1_0 are declared on Z^{1,8} by their real basis; each
-    equals, field for field, the blow-up of its base at one real point,
-    whose real basis (F, K, E8 or K, E8) `rows` re-presents as `labels`."""
+# Each blown-up surface of the catalogue: its base, the real points and the
+# conjugate pairs blown up, and for D2_1_0 and G2_1_0 the rows that
+# re-present the blow-up's real basis (F, K, E8 or K, E8) as the declared one.
+BLOW_UPS = {
+    "P2_0_2": ("P2", 0, 1, None),
+    "Q31_0_2": ("Q31", 0, 1, None),
+    "P2_0_4": ("P2", 0, 2, None),
+    "Q31_0_4": ("Q31", 0, 2, None),
+    "P2_0_6": ("P2", 0, 3, None),
+    "D4_1_0": ("D4", 1, 0, None),
+    "D4_2_0_11": ("D4", 2, 0, None),
+    "Q31_0_6": ("Q31", 0, 3, None),
+    "D4_0_2": ("D4", 0, 1, None),
+    "P2_0_8": ("P2", 0, 4, None),
+    "D4_1_2": ("D4", 1, 1, None),
+    "D2_1_0": ("D2", 1, 0, ((0, 1, 0), (1, 0, -1), (0, 0, 1))),
+    "G2_1_0": ("G2", 1, 0, ((1, 0), (0, 1))),
+}
+
+# The fields of a model that do not depend on its complex basis.
+REAL_FIELDS = ("name", "degree", "s", "r", "real_lattice", "canonical", "line_functionals", "window")
+
+
+@pytest.mark.parametrize("name", BLOW_UPS)
+def test_declared_bases_present_the_real_blow_ups(name):
+    """Each blown-up surface is declared by its real basis on Z^{1,n}, and
+    the oracle `blow_up` builds it from its base by direct sums.  Off Q31
+    the two are equal field for field, once `rebase` re-presents the real
+    basis of D2_1_0 and G2_1_0.  The oracle builds the blow-ups of Q31 on
+    U + <-1>^2k, so there they are equal on the fields that do not depend
+    on the complex basis and in the number of (-1)-classes, and
+    `quadric_to_plane`, an isometry, carries the oracle's K, real basis and
+    (-1)-classes onto the declared ones: Bl_1(P^1 x P^1) = Bl_2(P^2)."""
+    base, real_points, conj_pairs, rows = BLOW_UPS[name]
     declared = builtin(name)
-    rebased = rebase(blow_up(builtin(base), real_points=1), rows, labels)
-    for field in declared._fields:
-        assert getattr(rebased, field) == getattr(declared, field), field
-    assert repr(rebased) == repr(declared)
+    built = blow_up(builtin(base), real_points, conj_pairs)
+    if rows:
+        built = rebase(built, rows, declared.real_lattice.basis_labels)
+    if base != "Q31":
+        for field in declared._fields:
+            assert getattr(built, field) == getattr(declared, field), field
+        assert repr(built) == repr(declared)
+        return
+    for field in REAL_FIELDS:
+        assert getattr(built, field) == getattr(declared, field), field
+    assert len(built.minus_one_classes) == len(declared.minus_one_classes)
+    m = quadric_to_plane(declared.complex_lattice.rank - 1)
+    assert is_isometry(m, built.complex_lattice.gram, declared.complex_lattice.gram)
+    assert tuple(mat_vec(m, built.complex_canonical.coeffs)) == declared.complex_canonical.coeffs
+    assert mat_mul(m, built.embedding) == [list(row) for row in declared.embedding]
+    lines = sorted(tuple(mat_vec(m, line.coeffs)) for line in built.minus_one_classes)
+    assert lines == [line.coeffs for line in declared.minus_one_classes]
 
 
 def test_blow_up_composition_gives_same_lattice():
     d4, q31, p2 = builtin("D4"), builtin("Q31"), builtin("P2")
     cases = [
         (blow_up(blow_up(d4, real_points=1), real_points=1), blow_up(d4, real_points=2)),
-        (blow_up(blow_up(q31, conj_pairs=1), conj_pairs=1), builtin("Q31_0_4")),
+        (blow_up(blow_up(q31, conj_pairs=1), conj_pairs=1), blow_up(q31, conj_pairs=2)),
         (blow_up(blow_up(p2, conj_pairs=1), conj_pairs=1), builtin("P2_0_4")),
     ]
     for twice, direct in cases:
@@ -317,14 +369,14 @@ def test_blow_up_composition_gives_same_lattice():
         assert twice.minus_one_classes == direct.minus_one_classes
         assert (twice.degree, twice.s, twice.r) == (direct.degree, direct.s, direct.r)
         assert twice._replace(name=direct.name) == direct  # every other field
-        assert_declared_conjugation_fixes_the_real_lattice(twice)
-    assert builtin("Q31_0_4").complex_lattice.basis_labels == ("l1", "l2", "E1", "E2", "E3", "E4")
+        assert_declared_conjugation_fixes_the_real_lattice(twice, direct_sum_conjugation(twice.name))
+    assert builtin("Q31_0_4").complex_lattice.basis_labels == ("H", "E1", "E2", "E3", "E4", "E5")
 
 
 def test_blow_up_models_satisfy_invariants():
     model = blow_up(builtin("Q31"), real_points=1, conj_pairs=1)
     assert is_isometry(model.embedding, model.real_lattice.gram, model.complex_lattice.gram)
-    assert_declared_conjugation_fixes_the_real_lattice(model)
+    assert_declared_conjugation_fixes_the_real_lattice(model, direct_sum_conjugation(model.name))
     assert (model.degree, model.s, model.r) == (5, 0, 1)
 
 
@@ -346,13 +398,21 @@ def test_minus_one_curves_function():
     assert tuple(lines) == d4.minus_one_classes
 
 
-def test_degree_one_models_share_minus_one_classes():
-    models = [builtin(name) for name in ("P2_0_8", "D4_1_2", "D2_1_0", "G2_1_0", "B1")]
-    shared = models[0].minus_one_classes
-    assert len(shared) == 240
-    assert all(model.minus_one_classes is shared for model in models)
-    lat, k = models[0].complex_lattice, models[0].complex_canonical
-    assert minus_one_curves(lat, k) is shared
+def test_models_of_one_degree_share_minus_one_classes():
+    """Every model of one degree lives on the same lattice, Z^{1,9-degree}
+    or U for Q31, so the catalogue enumerates the (-1)-classes once per
+    degree and its models hold that one tuple: 9 enumerations for 19
+    models."""
+    by_degree = {}
+    for model in map(builtin, SURFACE_NAMES):
+        by_degree.setdefault(model.degree, []).append(model)
+    assert len(by_degree) == 9
+    for degree, models in by_degree.items():
+        shared = models[0].minus_one_classes
+        assert len(shared) == LINE_COUNTS[degree]
+        assert all(model.minus_one_classes is shared for model in models), degree
+        lat, k = models[0].complex_lattice, models[0].complex_canonical
+        assert minus_one_curves(lat, k) is shared
 
 
 # Distinct line functionals per model: rows of pairings with the real basis

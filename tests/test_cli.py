@@ -182,7 +182,14 @@ def test_link_and_hyp_stdout_matches_golden(capsys, tmp_path):
     and with 100,000 trials) and outside (refuted), on the cylinder
     x1^2 + x2^2 - x0^2 from [1:0:0:0] (supported over all its trials), on the
     hyperboloid x1^2 + x2^2 - x3^2 - x0^2 from [2:0:0:3] (refuted at trial
-    6), refusing the seed -1 in json, refusing a --trials of 4,301
+    6), on the smooth cubic 100 (x1^2 + x2^2 + x3^2 - x0^2)(x3 - 2 x0) +
+    x0^3 + x1^3 + x2^3 + x3^3, whose real part is a sphere and a projective
+    plane as on D4_1_0 (over 2,000 trials supported from [1:0:0:0] and
+    [1:0:0:1/2], inside the sphere, and refuted at trial 1 from [1:3:0:0],
+    [1:0:0:5] and [1:0:0:2], outside it), on
+    the Fermat cubic x0^3 + x1^3 + x2^3 + x3^3, whose real part is a
+    projective plane as on P2_0_6 (refuted at trial 1 from [1:0:0:0] and
+    [1:1:1:1]), refusing the seed -1 in json, refusing a --trials of 4,301
     digits with the message of a JSON literal that long, after the
     argument's name, refusing 100,000 trials on two degree-10 forms
     whose coefficient or centre sizes put them over the budget, and refusing
@@ -196,7 +203,7 @@ def test_link_and_hyp_stdout_matches_golden(capsys, tmp_path):
     links = [c for c in cases if c["argv"][0] == "link"]
     assert len(links) == 24 and sum("chain" in c["documents"]["CENTER"] for c in links) == 8
     assert sum(c["exit"] == 2 and "stderr" in c for c in links) == 8
-    assert len(cases) - len(links) == 19
+    assert len(cases) - len(links) == 28
     assert {c["exit"] for c in cases} == {0, 1, 2}
     for case in cases:
         assert replay(capsys, tmp_path, case) == recorded(case), case["argv"]

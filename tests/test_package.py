@@ -223,7 +223,6 @@ NOT_INTEGERS = (True, 1.7, Fraction(3, 2), Fraction(2), "3")
 def _strict_constructors():
     from realdp import conic
     from realdp.catalog import builtin
-    from realdp.catalog import blow_up
     from realdp.lattice import ClassVector, IntLattice
     from realdp.topology import GreatSubsphere, HypersurfaceSpec, PLCycle, hyperbolicity_check
     from conftest import sphere_quadric
@@ -245,8 +244,6 @@ def _strict_constructors():
         "necbundle_conditions.s": lambda x: conic.necbundle_conditions(x, 1, 1),
         "necbundle_conditions.a": lambda x: conic.necbundle_conditions(3, x, 1),
         "necbundle_conditions.b": lambda x: conic.necbundle_conditions(3, 1, x),
-        "blow_up.real_points": lambda x: blow_up(builtin("Q31"), real_points=x),
-        "blow_up.conj_pairs": lambda x: blow_up(builtin("Q31"), conj_pairs=x),
         "IntLattice.vector": lambda x: lattice.vector((x, -1)),
         "ClassVector": lambda x: ClassVector(lattice, (x, -1)),
         "HypersurfaceSpec": lambda x: HypersurfaceSpec(2, (((x, 1, 0, 0), 1), ((0, 0, 2, 0), 1))),
@@ -294,7 +291,7 @@ def test_truncation_examples_are_refused():
 
 def _input_checks():
     from realdp import conic
-    from realdp.catalog import blow_up, builtin
+    from realdp.catalog import builtin
     from realdp.lattice import ClassVector, IntLattice, class_window
     from realdp.search import check_conditions
     from realdp.topology import GreatSubsphere, HypersurfaceSpec, PLCycle
@@ -314,7 +311,6 @@ def _input_checks():
         "form_from_roots": (lambda: conic.form_from_roots(2, (1,)), "number of roots must equal the degree"),
         "ConicMatrix.splitting": (lambda: conic.ConicMatrix((-1, 0, 0), ((form,) * 3,) * 3), "a_i \\+ a_j must all be nonnegative"),
         "ConicMatrix.entries": (lambda: conic.ConicMatrix((0, 0, 0), ((form, form, 1),) * 3), "must be binary forms"),
-        "blow_up": (lambda: blow_up(builtin("Q31"), real_points=-1), "conj_pairs must be nonnegative"),
         "HypersurfaceSpec": (lambda: HypersurfaceSpec(2, (((1, 0, 0, 0), 1),)), "declared total degree"),
         "GreatSubsphere.ambient": (lambda: GreatSubsphere(4, ((0, 0, 0, 0, 1),)),
                                    "ambient projective space must be RP\\^2 or RP\\^3"),

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -276,6 +277,73 @@ def test_hyperbolicity_exterior_center_refuted():
 def test_hyperbolicity_empty_quadric_refuted_first_trial():
     verdict = hyperbolicity_check(empty_quadric(), (1, 0, 0, 0), 5, 0)
     assert verdict.refuted and verdict.trial == 1
+
+
+# ---------------------------------------------------------------------------
+# Smooth cubic surfaces for the degree-3 rows of Table 1
+
+
+def _with_cubes(form):
+    """form + x0^3 + x1^3 + x2^3 + x3^3."""
+    out = dict(form)
+    for i in range(4):
+        cube = tuple(3 * int(j == i) for j in range(4))
+        out[cube] = out.get(cube, 0) + 1
+    return {e: c for e, c in out.items() if c}
+
+
+def _sphere_times_plane(scale):
+    """scale (x1^2 + x2^2 + x3^2 - x0^2)(x3 - 2 x0): the plane x3 = 2 x0 does
+    not meet the unit sphere in RP^3, so every real line through [1:0:0:0]
+    meets the product in three distinct real points."""
+    product = form_product(nested_spheres(1), {(0, 0, 0, 1): 1, (1, 0, 0, 0): -2})
+    return {e: scale * c for e, c in product.items()}
+
+
+# A small perturbation of that product stays strictly hyperbolic from
+# [1:0:0:0] (Nuij, Math. Scand. 23, 1968), so its real part is an ovaloid
+# around the centre and a pseudo-plane, the topology of D4_1_0 (s = r = 1).
+# The Fermat cubic's real part is one projective plane, as on P2_0_6.
+CUBIC_WITNESS = _with_cubes(_sphere_times_plane(100))
+FERMAT_CUBIC = _with_cubes({})
+
+
+def test_degree_three_witnesses_are_smooth():
+    """In every affine chart x_i = 1 the Groebner basis of the four partial
+    derivatives of the witness and of the Fermat cubic is {1}: no singular
+    point.  The same check finds the unperturbed product of the sphere and
+    the plane, which meet in a complex conic, and Cayley's four-nodal cubic
+    singular."""
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols("x0:4")
+
+    def smooth(form):
+        poly = sum(c * sympy.prod([x**k for x, k in zip(xs, e)]) for e, c in form.items())
+        partials = [sympy.diff(poly, x) for x in xs]
+        for i in range(4):
+            chart = [d.subs(xs[i], 1) for d in partials]
+            rest = [x for j, x in enumerate(xs) if j != i]
+            if list(sympy.groebner(chart, *rest, order="grevlex").exprs) != [1]:
+                return False
+        return True
+
+    cayley = {e: 1 for e in ((1, 1, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 1))}
+    assert smooth(CUBIC_WITNESS) and smooth(FERMAT_CUBIC)
+    assert not smooth(_sphere_times_plane(1)) and not smooth(cayley)
+
+
+def test_hyperbolicity_of_the_degree_three_witnesses():
+    """The witness is supported from centres inside the sphere and refuted
+    from one outside it; the Fermat cubic, with no oval, is refuted from
+    every centre off it on the grid {-1, 0, 1, 2}^4."""
+    witness, fermat = _spec(CUBIC_WITNESS), _spec(FERMAT_CUBIC)
+    for centre in ((1, 0, 0, 0), (1, 0, 0, Fraction(1, 2)), (2, 1, 0, -1)):
+        assert not hyperbolicity_check(witness, centre, 200, 0).refuted, centre
+    assert hyperbolicity_check(witness, (1, 3, 0, 0), 200, 0).trial == 1
+    centres = [e for e in itertools.product((-1, 0, 1, 2), repeat=4) if sum(c**3 for c in e)]
+    assert len(centres) == 237
+    for centre in centres:
+        assert hyperbolicity_check(fermat, centre, 200, 0).refuted, centre
 
 
 def _spec(form):

@@ -1,6 +1,8 @@
 """Print the physical lines and the code lines of each module of src/realdp,
-and their totals.  Code lines are the non-blank lines that are neither
-comments nor docstrings.
+and their totals, and under them those of tests/oracles.py, the test-only
+counterparts of library routines, so that code moved from the library into
+the oracles shows as a move and not as a deletion.  Code lines are the
+non-blank lines that are neither comments nor docstrings.
 
 Usage: python3 tools/src_lines.py
 """
@@ -8,7 +10,9 @@ Usage: python3 tools/src_lines.py
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "realdp"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "realdp"
+ORACLES = ROOT / "tests" / "oracles.py"
 SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -30,3 +34,5 @@ for path in sorted(SRC.glob("*.py")):
     total_physical, total_code = total_physical + physical, total_code + code
     print(f"{path.name:16} {physical:6,} {code:6,}")
 print(f"{'total':16} {total_physical:6,} {total_code:6,}")
+physical, code = counts(ORACLES)
+print(f"{'tests/oracles.py':16} {physical:6,} {code:6,}")
