@@ -466,8 +466,16 @@ def _cmd_link(args):
     return (0 if ok else 1), payload, text
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose refusals raise ValueError, so that `main` prints
+    argparse's message as one line, not after its usage block."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="realdp",
         description="Exact lattice, conic-bundle and linking computations "
         "for real del Pezzo surfaces.",
@@ -514,9 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = None  # a refusal by the parser, before --format is read, goes to stderr
     try:
+        args = build_parser().parse_args(argv)
         code, payload, text = args.handler(args)
         _answer(payload)
     except ValueError as exc:

@@ -45,7 +45,6 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .intlinalg import Value, int_tuple, rational_tuple
-from .lattice import IntLattice, adjunction_genus, riemann_roch_dim
 from . import realroots
 
 
@@ -113,14 +112,14 @@ def _form(degree: int, poly) -> BinaryForm:
 
 
 def zero_form(degree: int) -> BinaryForm:
-    return _form(degree, ())
+    return _form(int_tuple((degree,))[0], ())
 
 
 def form_from_roots(degree: int, roots) -> BinaryForm:
     """The form of the given degree with the given rational roots t = u/v,
     one per degree, and no root at infinity: the product of q u - p v over
     the roots p/q, primitive by Gauss's lemma."""
-    if len(roots) != degree:
+    if len(roots) != int_tuple((degree,))[0]:
         raise ValueError("number of roots must equal the degree")
     poly = (1,)
     for rho in rational_tuple(roots):
@@ -216,27 +215,18 @@ def necbundle_conditions(s: int, a: int, b: int) -> BundleConditionReport:
     )
 
 
-def conic_bundle_lattice(s: int) -> IntLattice:
-    """Real Picard lattice <F, K> of a minimal conic bundle with s spheres."""
-    return IntLattice(2, ("F", "K"), ((0, -2), (-2, 8 - 2 * s)))
-
-
 def candidate_divisor(s: int):
-    """The distinguished solution (a, b) = (s - 2, 1) with its invariants.
+    """The distinguished solution D = (s - 2)F - K, (a, b) = (s - 2, 1), with
+    its invariants.
 
-    Returns a dict with the coefficients, the sectional genus s - 1 computed
-    by adjunction in <F, K>, and the Riemann-Roch lower bound s + 3 for the
-    dimension of global sections.
+    On <F, K> (F.F = 0, F.K = -2, K.K = 8 - 2s), D.D = 4(s - 2) + 8 - 2s = 2s
+    and D.K = -2(s - 2) - (8 - 2s) = -4.  So adjunction gives the sectional
+    genus (D.D + D.K)/2 + 1 = s - 1, and Riemann-Roch the lower bound
+    (D.D - D.K)/2 + 1 = s + 3 for the dimension of global sections.
     """
-    if s < 2:
+    if int_tuple((s,))[0] < 2:
         raise ValueError("need at least two sphere components")
-    lat = conic_bundle_lattice(s)
-    d = lat.vector((s - 2, -1))
-    k = lat.vector((0, 1))
-    dd, dk = d.dot(d), d.dot(k)
-    genus = adjunction_genus(dd, dk)
-    bound = riemann_roch_dim(dd, dk)
-    return {"a": s - 2, "b": 1, "genus": genus, "ell_lower_bound": bound}
+    return {"a": s - 2, "b": 1, "genus": s - 1, "ell_lower_bound": s + 3}
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +363,7 @@ def construct_section(a1: int, a2: int, a3: int, root_lists) -> ConicMatrix:
     of p_i is a pair of real lines when the other two p_j differ in sign
     there.
     """
-    split = [a1, a2, a3]
+    split = int_tuple((a1, a2, a3))
     if any(a < 1 for a in split):
         raise ValueError("splitting degrees must be positive")
     if len(root_lists) != 3:

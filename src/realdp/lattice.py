@@ -73,27 +73,6 @@ def check_member(v: ClassVector, lattice: IntLattice) -> None:
         raise ValueError("classes do not belong to this lattice")
 
 
-def adjunction_genus(dd: int, dk: int) -> int:
-    """Sectional genus g = (D.D + D.K)/2 + 1 of a curve section in class D,
-    from the integers D.D and D.K."""
-    if (dd + dk) % 2:
-        raise ValueError("non-integral genus: D.(D+K) is odd")
-    return (dd + dk) // 2 + 1
-
-
-def riemann_roch_dim(dd: int, dk: int) -> int:
-    """Surface Riemann-Roch value (D.D - D.K)/2 + 1, from the integers D.D
-    and D.K.
-
-    Equals the dimension of global sections l(D) whenever the higher
-    cohomology of D vanishes (for instance when D - K is ample); this routine
-    evaluates the formula unconditionally and callers own that hypothesis.
-    """
-    if (dd - dk) % 2:
-        raise ValueError("non-integral value: D.(D-K) is odd")
-    return (dd - dk) // 2 + 1
-
-
 class ClassWindow(NamedTuple):
     """The classes v with v.v = self_int and k_min <= v.K <= k_max, ready for
     `enumerate_classes`: `class_window` checks the lattice and K once, and
@@ -126,6 +105,7 @@ def class_window(lattice: IntLattice, k: ClassVector, self_int, k_min, k_max) ->
     2 max(k_min^2, k_max^2) - (K.K) self_int on the window (-1 when the
     window is empty), so its lattice points are enumerated completely.
     """
+    self_int, k_min, k_max = intlinalg.int_tuple((self_int, k_min, k_max))
     if k.lattice != lattice:
         raise ValueError("K does not belong to the lattice")
     kk = k.dot(k)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .catalog import SURFACE_NAMES, SurfaceModel, builtin
 from .intlinalg import dot, mat_vec
-from .lattice import ClassVector, adjunction_genus, check_member, enumerate_classes, riemann_roch_dim
+from .lattice import ClassVector, check_member, enumerate_classes
 
 
 class ConditionReport(NamedTuple):
@@ -74,8 +74,8 @@ def check_conditions(model: SurfaceModel, d: ClassVector) -> ConditionReport:
         return ConditionReport(c2, c3, c4, c5)
     return ConditionReport(
         c2, c3, c4, c5,
-        genus=adjunction_genus(dd, dk),
-        ell=riemann_roch_dim(dd, dk),
+        genus=(dd + dk) // 2 + 1,
+        ell=(dd - dk) // 2 + 1,
         very_ample=model.degree > 2 or dk <= -3,
     )
 

@@ -47,7 +47,9 @@ divisor trial division and the Sturm search that bisects at midpoints check
 entry-by-entry smoothness rule for diagonal sections checks `conic.analyze`,
 the Leibniz formula on coefficient tuples checks
 `conic.discriminant`, and the term-by-term rendering checks the monomial
-table of `conic._expanded`.
+table of `conic._expanded`.  The real Picard lattice <F, K> of a minimal
+conic bundle (`conic_bundle_lattice`) checks by pairings the genus and l(D)
+that `conic.candidate_divisor` gives in closed form.
 Expanding each monomial of a hypersurface along a line checks the restriction
 by polar forms of `topology.HypersurfaceSpec.restrict_to_line`, and the
 four-variable polar forms, filtered to the terms free of x_j, check the
@@ -344,6 +346,12 @@ def combination(*terms) -> ClassVector:
     lattice: the library pairs classes and never adds them."""
     lattice = terms[0][1].lattice
     return lattice.vector(tuple(sum(a * v.coeffs[i] for a, v in terms) for i in range(lattice.rank)))
+
+
+def conic_bundle_lattice(s: int) -> IntLattice:
+    """The real Picard lattice <F, K> of a minimal conic bundle with s sphere
+    components: F.F = 0, F.K = -2 and K.K = 8 - 2s."""
+    return IntLattice(2, ("F", "K"), ((0, -2), (-2, 8 - 2 * s)))
 
 
 def rebase(model: SurfaceModel, rows, labels) -> SurfaceModel:

@@ -272,9 +272,8 @@ def test_table1_enumerate_and_check_print_one_row_per_divisor(capsys):
 
 
 def test_enumerate_unknown_surface_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["enumerate", "XYZ"])
-    assert exc.value.code == 2
+    assert main(["enumerate", "XYZ"]) == 2
+    assert capsys.readouterr().err.startswith("error: argument surface: invalid choice: 'XYZ' (choose from 'P2', ")
 
 
 def test_check(capsys):
@@ -741,10 +740,32 @@ def test_link_with_explicit_chain(capsys, tmp_path):
     assert code == 0 and payload["sum_abs"] == 4
 
 
-def test_malformed_flag_exits_2():
+def test_malformed_flag_exits_2(capsys):
+    assert main(["table1", "--format", "yaml"]) == 2
+    assert capsys.readouterr() == ("", "error: argument --format: invalid choice: 'yaml' (choose from 'text', 'json')\n")
+
+
+def test_parser_refusals_are_one_line_on_stderr(capsys):
+    """argparse's own refusals exit 2 with one `error:` line on stderr and no
+    usage block, in both formats: the parser refuses before --format is
+    read.  -h still prints the help and exits 0."""
+    as_json = ["--format", "json"]
+    cases = (
+        ([], "the following arguments are required: command"),
+        (["conic"], "the following arguments are required: subcommand"),
+        (["enumerate", "XYZ", *as_json], "argument surface: invalid choice: 'XYZ' (choose from "),
+        (["check", "D2", *as_json], "the following arguments are required: coeffs"),
+        (["hyp", "f.json"], "the following arguments are required: --point"),
+        (["hyp", "f.json", *as_json], "the following arguments are required: --point"),
+        (["table1", "extra", *as_json], "unrecognized arguments: extra"),
+    )
+    for argv, message in cases:
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert (out, err.startswith(f"error: {message}"), err.count("\n")) == ("", True, 1), argv
     with pytest.raises(SystemExit) as exc:
-        main(["table1", "--format", "yaml"])
-    assert exc.value.code == 2
+        main(["enumerate", "-h"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: realdp enumerate")
 
 
 # Every leaf command, its minimal arguments, and its handler.

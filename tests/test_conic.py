@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from realdp import conic, realroots
+from realdp.catalog import builtin
 from realdp.conic import (
     BinaryForm,
     ConicMatrix,
@@ -21,7 +22,14 @@ from realdp.conic import (
     zero_form,
 )
 from conftest import assert_value_semantics, degenerate_fiber_matrix, worked_conic_matrix
-from oracles import diagonal_smooth_by_entries, discriminant_by_leibniz, expanded_by_terms
+from oracles import (
+    basis_vector,
+    combination,
+    conic_bundle_lattice,
+    diagonal_smooth_by_entries,
+    discriminant_by_leibniz,
+    expanded_by_terms,
+)
 
 
 def test_binary_form_arithmetic():
@@ -81,6 +89,23 @@ def test_candidate_matches_spheres_only_genus_count():
         data = candidate_divisor(s)
         assert data["genus"] == s - 1  # r = 0, so genus = r + s - 1
         assert data["ell_lower_bound"] == s + 3
+
+
+def test_candidate_divisor_matches_pairings_on_the_conic_bundle_lattice():
+    """The closed form of `candidate_divisor` against pairings of
+    D = (s - 2)F - K on <F, K>: the genus D.(D + K)/2 + 1 and
+    l(D) = D.(D - K)/2 + 1, from even pairings.  <F, K> is the real lattice
+    of the catalogue's D4 at s = 2 and of its D2 at s = 3."""
+    for s in range(2, 41):
+        lattice = conic_bundle_lattice(s)
+        f, k = basis_vector(lattice, 0), basis_vector(lattice, 1)
+        d = combination((s - 2, f), (-1, k))
+        plus, minus = d.dot(combination((1, d), (1, k))), d.dot(combination((1, d), (-1, k)))
+        assert plus % 2 == minus % 2 == 0, s
+        expected = {"a": s - 2, "b": 1, "genus": plus // 2 + 1, "ell_lower_bound": minus // 2 + 1}
+        assert candidate_divisor(s) == expected
+    assert builtin("D4").real_lattice == conic_bundle_lattice(2)
+    assert builtin("D2").real_lattice == conic_bundle_lattice(3)
 
 
 def test_chow_relations():

@@ -4,13 +4,7 @@ import random
 import pytest
 
 from realdp.catalog import SURFACE_NAMES, builtin
-from realdp.lattice import (
-    IntLattice,
-    adjunction_genus,
-    class_window,
-    enumerate_classes,
-    riemann_roch_dim,
-)
+from realdp.lattice import IntLattice, class_window, enumerate_classes
 
 from conftest import assert_value_semantics
 from oracles import (
@@ -87,39 +81,6 @@ def test_pair_matches_definition():
             e = lat.vector([rng.randint(-40, 40) for _ in range(lat.rank)])
             assert d.dot(e) == pairing(lat.gram, d.coeffs, e.coeffs)
             assert d.dot(d) == pairing(lat.gram, d.coeffs, d.coeffs)
-
-
-def _pairings(d, k):
-    """(D.D, D.K), the two integers the genus and l(D) formulas read."""
-    return d.dot(d), d.dot(k)
-
-
-def test_adjunction_genus_values():
-    b1 = IntLattice(1, ("K",), ((1,),))
-    k = basis_vector(b1, 0)
-    assert adjunction_genus(*_pairings(combination((-3, k)), k)) == 4
-    assert adjunction_genus(*_pairings(zero_class(b1), k)) == 1
-    lat = d2_real()
-    f, kk = basis_vector(lat, 0), basis_vector(lat, 1)
-    assert adjunction_genus(*_pairings(combination((1, f), (-1, kk)), kk)) == 2
-
-
-def test_riemann_roch_values():
-    b1 = IntLattice(1, ("K",), ((1,),))
-    k = basis_vector(b1, 0)
-    assert riemann_roch_dim(*_pairings(combination((-3, k)), k)) == 7
-    assert riemann_roch_dim(*_pairings(zero_class(b1), k)) == 1
-    g210 = builtin("G2_1_0").real_lattice
-    d = g210.vector((-2, 1))
-    assert riemann_roch_dim(*_pairings(d, g210.vector((1, 0)))) == 6
-
-
-def test_odd_intermediate_rejected():
-    lat = IntLattice(1, ("H",), ((1,),))
-    with pytest.raises(ValueError):
-        adjunction_genus(*_pairings(lat.vector((1,)), zero_class(lat)))
-    with pytest.raises(ValueError):
-        riemann_roch_dim(*_pairings(lat.vector((1,)), zero_class(lat)))
 
 
 def test_fixed_sublattice_identity_and_negation():
@@ -317,7 +278,6 @@ def test_canonical_parity_on_real_lattices():
         for _ in range(30):
             d = lat.vector([rng.randint(-7, 7) for _ in range(lat.rank)])
             assert d.dot(combination((1, d), (1, k))) % 2 == 0
-            adjunction_genus(*_pairings(d, k))
 
 
 def test_int_lattice_is_an_immutable_value():

@@ -108,6 +108,24 @@ def test_realroots_imports_nothing_from_fractions():
     assert found == []
 
 
+def test_conic_half_imports_nothing_of_the_lattice_half():
+    """The library is two halves over `intlinalg`: `conic`, `realroots` and
+    `topology` import nothing from `lattice`, `catalog` or `search`, so a
+    command of the one half need not load the other."""
+    lattice_half = {"lattice", "catalog", "search"}
+    found = []
+    for name in ("conic", "realroots", "topology"):
+        for node in ast.walk(ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                modules = {(node.module or "").rsplit(".", 1)[-1]} | {a.name for a in node.names}
+            elif isinstance(node, ast.Import):
+                modules = {a.name.rsplit(".", 1)[-1] for a in node.names}
+            else:
+                continue
+            found += [f"{name}.py:{node.lineno} {module}" for module in sorted(modules & lattice_half)]
+    assert found == []
+
+
 def test_one_dot_product_helper():
     """`intlinalg.dot` is the one module-level dot product of the library."""
     found = [
@@ -223,11 +241,11 @@ NOT_INTEGERS = (True, 1.7, Fraction(3, 2), Fraction(2), "3")
 def _strict_constructors():
     from realdp import conic
     from realdp.catalog import builtin
-    from realdp.lattice import ClassVector, IntLattice
+    from realdp.lattice import ClassVector, IntLattice, class_window
     from realdp.topology import GreatSubsphere, HypersurfaceSpec, PLCycle, hyperbolicity_check
     from conftest import sphere_quadric
 
-    lattice = builtin("D2").real_lattice
+    lattice, k = builtin("D2").real_lattice, builtin("D2").canonical
     sphere = sphere_quadric()
     form = conic.BinaryForm(0, (1,))
     return {
@@ -235,6 +253,9 @@ def _strict_constructors():
         "IntLattice.gram": lambda x: IntLattice(1, ("H",), ((x,),)),
         "BinaryForm": lambda x: conic.BinaryForm(2, (x, 0, 1)),
         "BinaryForm.degree": lambda x: conic.BinaryForm(x, (1, 0)),
+        "zero_form": conic.zero_form,
+        "form_from_roots.degree": lambda x: conic.form_from_roots(x, (1,)),
+        "construct_section": lambda x: conic.construct_section(x, 1, 1, ((1, 2), (3, 4), (5, 6))),
         "ConicMatrix": lambda x: conic.ConicMatrix((0, 0, x), ((form,) * 3,) * 3),
         "diagonal_matrix": lambda x: conic.diagonal_matrix((0, 0, x), (form, form, form)),
         "intersection_number.c": lambda x: conic.intersection_number(x, (1, 0), (1, 0), (1, 0)),
@@ -244,8 +265,12 @@ def _strict_constructors():
         "necbundle_conditions.s": lambda x: conic.necbundle_conditions(x, 1, 1),
         "necbundle_conditions.a": lambda x: conic.necbundle_conditions(3, x, 1),
         "necbundle_conditions.b": lambda x: conic.necbundle_conditions(3, 1, x),
+        "candidate_divisor": conic.candidate_divisor,
         "IntLattice.vector": lambda x: lattice.vector((x, -1)),
         "ClassVector": lambda x: ClassVector(lattice, (x, -1)),
+        "class_window.self_int": lambda x: class_window(lattice, k, x, -1, 1),
+        "class_window.k_min": lambda x: class_window(lattice, k, 1, x, 1),
+        "class_window.k_max": lambda x: class_window(lattice, k, 1, -1, x),
         "HypersurfaceSpec": lambda x: HypersurfaceSpec(2, (((x, 1, 0, 0), 1), ((0, 0, 2, 0), 1))),
         "HypersurfaceSpec.degree": lambda x: HypersurfaceSpec(x, (((1, 0, 0, 0), 1),)),
         "GreatSubsphere.ambient": lambda x: GreatSubsphere(x, ((0, 0, 1),)),
@@ -267,6 +292,7 @@ def test_library_constructors_keep_integers():
         "ConicMatrix": 0,
         "diagonal_matrix": 0,
         "surface_class_identities.a": 2,
+        "candidate_divisor": 2,
         "GreatSubsphere.ambient": 2,
         "PLCycle.ambient": 2,
     }
@@ -399,6 +425,7 @@ UNREFERENCED_BY_DESIGN = {
     "squarefree_decomposition": "wrapped by bench/tracer.py",
     "search": "wrapped by bench/tracer.py; `enumerate` and `table1` read the reports of search._passing",
     "all_real_restriction": "the public single-line certificate",
+    "error": "cli._Parser.error, the hook argparse calls with each of its refusals",
 }
 
 # The guard skips dunder names: Python calls them, never the code by name.
