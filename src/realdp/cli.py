@@ -136,13 +136,7 @@ def _document(path, what, parse):
 
 def _parse_conic_matrix(doc) -> ConicMatrix:
     splitting = _splitting(doc)
-    entries = tuple(
-        tuple(
-            BinaryForm(_integer(cell["degree"]), tuple(_integer(c) for c in cell["coeffs"]))
-            for cell in row
-        )
-        for row in doc["entries"]
-    )
+    entries = tuple(tuple(BinaryForm(cell["degree"], cell["coeffs"]) for cell in row) for row in doc["entries"])
     return ConicMatrix(splitting, entries)
 
 
@@ -238,7 +232,7 @@ def _parse_hypersurface(doc) -> HypersurfaceSpec:
     # refused as soon as it passes 4,300 digits.
     terms, den = [], 1
     for term in doc["terms"]:
-        terms.append((tuple(_integer(e) for e in term["exponents"]), _fraction(term["coeff"])))
+        terms.append((term["exponents"], _fraction(term["coeff"])))
         den = lcm(den, terms[-1][1].denominator)
         if den >= _TOO_LONG:
             raise ValueError(f"the common denominator of the coefficients exceeds the limit of {_MAX_DIGITS:,} digits")
@@ -247,11 +241,7 @@ def _parse_hypersurface(doc) -> HypersurfaceSpec:
 
 def _parse_cycles(doc) -> list:
     return [
-        PLCycle(
-            _integer(cycle["ambient"]),
-            cycle["closure"],
-            tuple(_rationals(p) for p in cycle["points"]),
-        )
+        PLCycle(cycle["ambient"], cycle["closure"], tuple(_rationals(p) for p in cycle["points"]))
         for cycle in doc["cycles"]
     ]
 

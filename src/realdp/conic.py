@@ -8,9 +8,10 @@ conic-bundle surface inside the projectivised bundle.  This module covers:
     bundle with s sphere components must satisfy to come from a finite
     real-fibered morphism to the plane, and the distinguished solution
     (a, b) = (s - 2, 1);
-  * intersection numbers of divisor classes on the projectivised bundle
-    (H^3 = c, H^2 E = 1, E^2 = 0) and the identities they yield for the
-    surface (K_X^2 = 8 - 3a - 2c, the restriction of the tautological class);
+  * the identities that intersection numbers on the projectivised bundle
+    (H^3 = c, H^2 E = 1, E^2 = 0) yield for the surface of class 2H + aE,
+    in closed form: K_X^2 = 8 - 3a - 2c, s = 3(a/2) + c, and the
+    restriction (s - 2)F - K of the tautological class;
   * discriminants of conic-bundle sections: the determinant is a binary form
     of degree 2(a1 + a2 + a3) whose roots on P^1 (infinity included) mark the
     singular fibers.  `analyze` reports s, half the number of real singular
@@ -53,10 +54,10 @@ class BinaryForm(Value):
     coeffs: tuple
 
     def __post_init__(self):
-        coeffs = int_tuple(self.coeffs)
-        if int_tuple((self.degree,))[0] < 0:
+        (degree,), coeffs = int_tuple((self.degree,)), int_tuple(self.coeffs)
+        if degree < 0:
             raise ValueError("degree must be nonnegative")
-        if len(coeffs) != self.degree + 1:
+        if len(coeffs) != degree + 1:
             raise ValueError("need degree + 1 coefficients")
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -233,45 +234,24 @@ def candidate_divisor(s: int):
 # Intersection numbers on the projectivised bundle
 
 
-def intersection_number(c: int, x, y, z) -> int:
-    """Degree of x.y.z on the plane bundle P(E) over P^1 with deg E = c.
-
-    Each divisor class is its pair of coefficients on H (the tautological
-    class) and E (a fiber).  The degree is the trilinear form fixed by
-    H^3 = c, H^2 E = 1 and E^2 = 0 (Fulton, Intersection Theory, ch. 3).
-    """
-    (c,), (xh, xe), (yh, ye), (zh, ze) = (int_tuple(v) for v in ((c,), x, y, z))
-    return c * xh * yh * zh + xh * yh * ze + xh * ye * zh + xe * yh * zh
-
-
 def surface_class_identities(a: int, c: int):
-    """Invariants of the surface X of class 2H + aE (a even), from
-    intersection numbers on the plane bundle.
+    """Invariants of the surface X of class 2H + aE (a even) in the plane
+    bundle P(E) over P^1 with deg E = c, in closed form.
 
-    Each number is asserted against its closed form: K_X^2 = 8 - 3a - 2c,
-    s = 3(a/2) + c, and the restriction of the tautological class of the
-    normalised bundle (the twist by a/2) to X equals (s - 2) F - K.
+    On P(E), with H the tautological class and E a fiber, H^3 = c,
+    H^2 E = 1 and E^2 = 0 (Fulton, Intersection Theory, ch. 3), and
+    K_P = -3H + (c - 2)E.  Adjunction gives K_X = (K_P + X)|_X with
+    K_P + X = -H + (c - 2 + a)E, so K_X^2 = (K_P + X)^2 X = 8 - 3a - 2c,
+    which is 8 - 2s for s = 3(a/2) + c.  The tautological class H + (a/2)E
+    of the normalised bundle restricts to X as xF + yK, F = E|_X a fiber:
+    its degree 2 on F is -2y, so y = -1, and its degree -4 on K_X is
+    -2x + y(8 - 2s), so x = s - 2 and the restriction is (s - 2)F - K.
     """
     a, c = int_tuple((a, c))
     if a % 2:
         raise ValueError("the surface class must be 2H + aE with a even")
-    b = a // 2
-    x_class = (2, a)
-    kx = (-1, c - 2 + a)  # K_P + X with K_P = -3H + (c - 2)E
-    kx2 = intersection_number(c, kx, kx, x_class)
-    assert kx2 == 8 - 3 * a - 2 * c
-    s = 3 * b + c
-    h_tw = (1, b)  # tautological class of the normalised bundle
-    fiber_deg = intersection_number(c, h_tw, (0, 1), x_class)  # equals (xF + yK).F = -2y
-    assert fiber_deg % 2 == 0
-    y = -fiber_deg // 2
-    assert y == -1
-    k_deg = intersection_number(c, h_tw, kx, x_class)  # equals (xF + yK).K = -2x + y(8 - 2s)
-    num = y * (8 - 2 * s) - k_deg
-    assert num % 2 == 0
-    x = num // 2
-    assert x == s - 2
-    return {"KX2": kx2, "s": s, "x": x, "y": y}
+    s = 3 * (a // 2) + c
+    return {"KX2": 8 - 3 * a - 2 * c, "s": s, "x": s - 2, "y": -1}
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,10 @@ the Leibniz formula on coefficient tuples checks
 `conic.discriminant`, and the term-by-term rendering checks the monomial
 table of `conic._expanded`.  The real Picard lattice <F, K> of a minimal
 conic bundle (`conic_bundle_lattice`) checks by pairings the genus and l(D)
-that `conic.candidate_divisor` gives in closed form.
+that `conic.candidate_divisor` gives in closed form, and the trilinear
+intersection form of the plane bundle (`intersection_number`) derives the
+K_X^2, s and restricted tautological class that
+`conic.surface_class_identities` gives in closed form.
 Expanding each monomial of a hypersurface along a line checks the restriction
 by polar forms of `topology.HypersurfaceSpec.restrict_to_line`, and the
 four-variable polar forms, filtered to the terms free of x_j, check the
@@ -352,6 +355,33 @@ def conic_bundle_lattice(s: int) -> IntLattice:
     """The real Picard lattice <F, K> of a minimal conic bundle with s sphere
     components: F.F = 0, F.K = -2 and K.K = 8 - 2s."""
     return IntLattice(2, ("F", "K"), ((0, -2), (-2, 8 - 2 * s)))
+
+
+def intersection_number(c: int, x, y, z) -> int:
+    """Degree of x.y.z on the plane bundle P(E) over P^1 with deg E = c.
+
+    Each divisor class is its pair of coefficients on H (the tautological
+    class) and E (a fiber).  The degree is the trilinear form fixed by
+    H^3 = c, H^2 E = 1 and E^2 = 0 (Fulton, Intersection Theory, ch. 3).
+    """
+    (xh, xe), (yh, ye), (zh, ze) = x, y, z
+    return c * xh * yh * zh + xh * yh * ze + xh * ye * zh + xe * yh * zh
+
+
+def surface_class_identities_by_intersections(a: int, c: int):
+    """K_X^2, s and the restriction xF + yK of the normalised tautological
+    class H + (a/2)E for the surface X of class 2H + aE (a even), each from
+    intersection numbers with K_P = -3H + (c - 2)E: K_X^2 = (K_P + X)^2 X,
+    s from K_X^2 = 8 - 2s, y from the degree -2y on the fiber F = E|_X, and
+    x from the degree -2x + y(8 - 2s) on K_X = (K_P + X)|_X."""
+    surface, kx, h_tw = (2, a), (-1, c - 2 + a), (1, a // 2)
+    kx2 = intersection_number(c, kx, kx, surface)
+    fiber_deg = intersection_number(c, h_tw, (0, 1), surface)
+    assert kx2 % 2 == fiber_deg % 2 == 0
+    s, y = (8 - kx2) // 2, -fiber_deg // 2
+    num = y * (8 - 2 * s) - intersection_number(c, h_tw, kx, surface)
+    assert num % 2 == 0
+    return {"KX2": kx2, "s": s, "x": num // 2, "y": y}
 
 
 def rebase(model: SurfaceModel, rows, labels) -> SurfaceModel:

@@ -148,8 +148,8 @@ def test_catalogue_stdout_matches_golden(capsys, tmp_path):
 
 def test_conic_stdout_matches_golden(capsys, tmp_path):
     """Every `conic` subcommand, in json and text: `conditions` passing and
-    failing, `candidate`, `chow`, `construct` on two root sets, and
-    `discriminant` and `analyze` on the worked matrix, a general section
+    failing, `candidate`, `chow` on a = 0, 2 and -2, `construct` on two
+    root sets, and `discriminant` and `analyze` on the worked matrix, a general section
     with a repeated rational root, a degree-12 constructed section with a
     21-bit constant term, a form with u- and v-power factors and one with an
     irreducible cubic cofactor, and `discriminant` refusing a section of
@@ -1123,6 +1123,48 @@ def test_non_integer_fields_exit_2(capsys, tmp_path):
             captured = capsys.readouterr()
             assert code == 2 and captured.out == ""
             assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("value", [1.7, True, "3"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize("field", ["conic degree", "conic coeffs", "hyp exponents", "link ambient"])
+def test_fields_checked_by_their_constructor_name_the_value(capsys, tmp_path, field, value):
+    """The parsers hand these fields to `BinaryForm`, `HypersurfaceSpec` and
+    `PLCycle` unchecked; the constructor's refusal is the whole message, in
+    both formats, and names the offending value."""
+    if field.startswith("conic"):
+        doc = json.loads(pathlib.Path(write_matrix_file(tmp_path, worked_conic_matrix())).read_text())
+        cell = doc["entries"][0][0]
+        if field == "conic degree":
+            cell["degree"] = value
+        else:
+            cell["coeffs"][-1] = value
+        argv, tail = ["conic", "discriminant"], []
+    elif field == "hyp exponents":
+        doc = json.loads(pathlib.Path(write_sphere_file(tmp_path)).read_text())
+        doc["terms"][0]["exponents"][1] = value
+        argv, tail = ["hyp"], ["--point", "1,0,0,0"]
+    else:
+        doc = json.loads(pathlib.Path(write_cycles_file(tmp_path, ["1/2"])).read_text())
+        doc["cycles"][0]["ambient"] = value
+        argv, tail = ["link"], [write_center_file(tmp_path), "--degree", "2"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    argv = argv + [str(path)] + tail
+    message = f"expected an integer, got {value!r}"
+    code, payload = run_json(capsys, argv)
+    assert (code, payload) == (2, {"status": "error", "message": message})
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+def test_conic_cell_with_bad_degree_and_coeffs_names_the_degree(capsys, tmp_path):
+    doc = json.loads(pathlib.Path(write_matrix_file(tmp_path, worked_conic_matrix())).read_text())
+    doc["entries"][1][2] = {"degree": "2", "coeffs": [0.5, 1, 1]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, payload = run_json(capsys, ["conic", "analyze", str(path)])
+    assert (code, payload) == (2, {"status": "error", "message": "expected an integer, got '2'"})
 
 
 def test_conic_chow_negative_sphere_count_exits_2(capsys):
