@@ -8,7 +8,12 @@ real basis (the line functionals that condition c5 of `search` reads), the
 topology (s spheres, r projective planes), and the window of classes that
 `search` enumerates, with its form, bound and signature certificate.  The
 catalogue table gives only the degree and the real basis, and `_model` reads
-everything else from them.  The degree is K.K.
+everything else from them and from the (-1)-classes it is handed.  The
+degree is K.K.  On Z^{1,n}, n <= 8, the (-1)-classes are written down, not
+enumerated: they are the exceptional curves of the plane blown up in n
+points in general position, E_i and six types dH - sum m_i E_i with
+d = 1 to 6 (Manin, Cubic Forms, Thm 26.2; Dolgachev, Classical Algebraic
+Geometry, 8.2), which `minus_one_curves` places on the E_i.
 Complex conjugation is an isometric involution whose fixed lattice is the
 real lattice, so its trace is 2 rho - n, and with |det G_real| = 2^a for the
 real pairing matrix G_real, Lefschetz (2s + r = 2 + n - 2 rho) and
@@ -39,16 +44,19 @@ as a basis vector whenever one exists in the basis.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from typing import NamedTuple
 
 from .intlinalg import determinant, dot, mat_vec
-from .lattice import ClassVector, ClassWindow, IntLattice, class_window, enumerate_classes
+from .lattice import ClassVector, ClassWindow, IntLattice, class_window
 
 
 class SurfaceModel(NamedTuple):
     """A real del Pezzo surface; `_model` reads its degree, s and r from the
     lattices and stores the window that `search` enumerates, with its form,
-    bound and signature certificate, so no search recomputes them."""
+    bound and signature certificate, so no search recomputes them.  Its
+    (-1)-classes are those of Manin's list that `minus_one_curves` writes
+    down on Z^{1,n}, or none on the U of Q31."""
     name: str
     degree: int
     s: int
@@ -63,23 +71,16 @@ class SurfaceModel(NamedTuple):
     window: ClassWindow  # classes with D.D = r + 2s and r - 4 <= D.K <= r + 2s - 4 (c2 and c3)
 
 
-@lru_cache(maxsize=None)
-def minus_one_curves(l_complex: IntLattice, k: ClassVector) -> tuple:
-    """All classes c with c.c = -1 and c.K = -1, in lexicographic order;
-    enumerated once per (lattice, K), from a window built here, and shared
-    by the models built on it."""
-    return tuple(enumerate_classes(class_window(l_complex, k, -1, -1, -1)))
-
-
-def _model(name, cx, k_cx_coeffs, real_labels, real_columns):
+def _model(name, cx, k_cx_coeffs, real_labels, real_columns, lines):
     """Assemble a SurfaceModel from complex-lattice data and a real basis.
 
     `real_columns` are the real basis vectors u written in complex
     coordinates, and G u is computed once for each.  The real pairing matrix
     is u.(G v), so the embedding is an isometry by construction, and the line
     functionals are the rows L.(G u), which make D.L a dot product in real
-    coordinates.  Many (-1)-classes share a row (the 240 of degree 1 give 1
-    to 73), and D.L > 0 on every class is D.L > 0 on every distinct row, so
+    coordinates.  `lines` are the (-1)-classes of `cx`, kept as the model's
+    `minus_one_classes`.  Many share a row (the 240 of degree 1 give 1 to
+    73), and D.L > 0 on every class is D.L > 0 on every distinct row, so
     only the sorted distinct rows are kept.
 
     With U the embedding and d = det G_real, K has real coordinates
@@ -109,7 +110,6 @@ def _model(name, cx, k_cx_coeffs, real_labels, real_columns):
     s, s_odd = divmod(2 + cx.rank - 2 * real.rank - r, 2)
     if det & (det - 1) or s_odd or min(s, r) < 0:
         raise ValueError(f"{name}: the real lattice gives no union of spheres and planes")
-    lines = minus_one_curves(cx, k_cx)
     k_real = real.vector(canonical)
     return SurfaceModel(
         name=name,
@@ -127,6 +127,7 @@ def _model(name, cx, k_cx_coeffs, real_labels, real_columns):
     )
 
 
+@lru_cache(maxsize=None)
 def _blowup_lattice(n_exceptional):
     """Z^{1,n}: basis H, E1, ..., En with pairing diag(1, -1, ..., -1)."""
     labels = ("H",) + tuple(f"E{i}" for i in range(1, n_exceptional + 1))
@@ -135,6 +136,40 @@ def _blowup_lattice(n_exceptional):
         for i in range(n_exceptional + 1)
     )
     return IntLattice(n_exceptional + 1, labels, gram)
+
+
+# The (-1)-classes dH - m_1 E1 - ... - m_n En of Z^{1,n}, n <= 8, other than
+# the E_i: one row (d, number of m_i = 3, of m_i = 2, of m_i = 1) per type,
+# every other m_i zero (Manin, Cubic Forms, Thm 26.2).
+_MINUS_ONE_TYPES = ((1, 0, 0, 2), (2, 0, 0, 5), (3, 0, 1, 6), (4, 0, 3, 5), (5, 0, 6, 2), (6, 1, 7, 0))
+
+
+@lru_cache(maxsize=None)
+def minus_one_curves(n_exceptional: int) -> tuple:
+    """All classes c of Z^{1,n} with c.c = -1 and c.K = -1, n <= 8, in
+    lexicographic order, on the one lattice object `_blowup_lattice(n)`.
+
+    They are the exceptional curves of the plane blown up in n points in
+    general position, from Manin's list (Cubic Forms, Thm 26.2): the E_i and
+    the six types of `_MINUS_ONE_TYPES`, each placed on the E_i in every
+    way, which gives 0, 1, 3, 6, 10, 16, 27, 56 and 240 classes for n = 0
+    to 8.  Written down once per n and shared by the models built on
+    Z^{1,n}.  Any other n raises ValueError: for n >= 9 there are infinitely
+    many (-1)-classes.
+    """
+    n = n_exceptional
+    if not 0 <= n <= 8:
+        raise ValueError("Z^{1,n} has finitely many (-1)-classes only for 0 <= n <= 8")
+    rows = [(0,) * (i + 1) + (1,) + (0,) * (n - 1 - i) for i in range(n)]  # the E_i
+    for d, threes, twos, ones in _MINUS_ONE_TYPES:
+        for heavy in combinations(range(n), threes + twos):  # the m_i >= 2
+            light = [i for i in range(n) if i not in heavy]
+            for tripled in combinations(heavy, threes):
+                for single in combinations(light, ones):
+                    rows.append((d,) + tuple(-3 if i in tripled else -2 if i in heavy else -1 if i in single else 0
+                                             for i in range(n)))
+    lattice = _blowup_lattice(n)
+    return tuple(lattice.vector(row) for row in sorted(rows))
 
 
 # One row per surface, in catalogue order: descending degree, blow-ups of the
@@ -173,16 +208,24 @@ _CATALOGUE = {
 SURFACE_NAMES = tuple(_CATALOGUE)
 
 
-@lru_cache(maxsize=None)
 def builtin(name: str) -> SurfaceModel:
-    """Return the built-in model for one of the catalogued surface names."""
-    if name not in _CATALOGUE:
+    """Return the built-in model for one of the catalogued surface names;
+    any other name, an unhashable one too, raises ValueError before the
+    cache of `_build` hashes it."""
+    if name not in SURFACE_NAMES:
         raise ValueError(f"unknown surface {name!r}; known: {', '.join(SURFACE_NAMES)}")
+    return _build(name)
+
+
+@lru_cache(maxsize=None)
+def _build(name):
+    """The model of a catalogued surface, built once per name."""
     degree, basis = _CATALOGUE[name]
     n = 9 - degree
     if name == "Q31":  # conjugation swaps the rulings and fixes H = l1 + l2, with K = -2H
-        cx, k = IntLattice(2, ("l1", "l2"), ((0, 1), (1, 0))), (-2, -2)
+        # c = a l1 + b l2 has c.c = 2ab, never -1, so U has no (-1)-class
+        cx, k, lines = IntLattice(2, ("l1", "l2"), ((0, 1), (1, 0))), (-2, -2), ()
     else:
-        cx, k = _blowup_lattice(n), (-3,) + (1,) * n
+        cx, k, lines = _blowup_lattice(n), (-3,) + (1,) * n, minus_one_curves(n)
     columns = [column + (0,) * (cx.rank - len(column)) for column in basis.values()]
-    return _model(name, cx, k, tuple(basis), columns)
+    return _model(name, cx, k, tuple(basis), columns, lines)

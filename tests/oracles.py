@@ -11,7 +11,10 @@ of D2 and G2 at a real point in the bases declared for D2_1_0 and G2_1_0,
 and on the real side for the blow-ups of Q31, which it builds on
 U + <-1>^2k and the catalogue on Z^{1,2k+1}; `quadric_to_plane`, the
 change of basis of Bl_1(P^1 x P^1) = Bl_2(P^2), carries the one onto the
-other.  The conjugation of each surface built from its geometry
+other.  The Fincke-Pohst enumeration of the window {c.c = -1, c.K = -1}
+checks the (-1)-classes that `catalog.minus_one_curves` writes down from
+the classical list, and gives `blow_up` those of U + <-1>^m.  The
+conjugation of each surface built from its geometry
 (`direct_sum_conjugation`: the conic-bundle swap, the Geiser and Bertini
 reflections, the ruling swap and the blow-up direct sums, which
 `declared_conjugation` moves to Z^{1,2k+1} for the blow-ups of Q31) checks
@@ -75,7 +78,7 @@ from realdp import realroots, topology
 from realdp.catalog import SurfaceModel, _model
 from realdp.conic import BinaryForm, ConicMatrix
 from realdp.intlinalg import dot, int_tuple, primitive_vector
-from realdp.lattice import ClassVector, IntLattice
+from realdp.lattice import ClassVector, IntLattice, class_window, enumerate_classes
 from realdp.search import ConditionReport, check_conditions
 from realdp.topology import GreatSubsphere, HyperbolicityVerdict, PLCycle, linking_number
 
@@ -384,13 +387,23 @@ def surface_class_identities_by_intersections(a: int, c: int):
     return {"KX2": kx2, "s": s, "x": num // 2, "y": y}
 
 
+def minus_one_classes_by_enumeration(lattice: IntLattice, k: ClassVector) -> tuple:
+    """All classes c with c.c = -1 and c.K = -1, in lexicographic order, by
+    the Fincke-Pohst enumeration of the window {c.c = -1, c.K = -1}: it
+    checks the closed form `catalog.minus_one_curves` on Z^{1,n}, and gives
+    `blow_up` the (-1)-classes of its lattices U + <-1>^m."""
+    return tuple(enumerate_classes(class_window(lattice, k, -1, -1, -1)))
+
+
 def rebase(model: SurfaceModel, rows, labels) -> SurfaceModel:
     """`model` with its real lattice presented in a new unimodular basis,
     given by `rows` in the current real coordinates, rebuilt by
-    `catalog._model`; on the blow-ups of D2 and G2 at one real point it
-    checks the bases that the catalogue declares for D2_1_0 and G2_1_0."""
+    `catalog._model` on the same complex lattice, K and (-1)-classes; on the
+    blow-ups of D2 and G2 at one real point it checks the bases that the
+    catalogue declares for D2_1_0 and G2_1_0."""
     columns = [mat_vec(model.embedding, row) for row in rows]
-    return _model(model.name, model.complex_lattice, model.complex_canonical.coeffs, tuple(labels), columns)
+    return _model(model.name, model.complex_lattice, model.complex_canonical.coeffs, tuple(labels), columns,
+                  model.minus_one_classes)
 
 
 def _direct_sum(m, block):
@@ -414,7 +427,9 @@ def blow_up(base: SurfaceModel, real_points: int = 0, conj_pairs: int = 0) -> Su
     a unit or pair-sum real basis vector per real class or pair, as
     conjugation fixes each real class and swaps each pair.  A real basis
     vector embedding onto K moves onto the new K.  On Q31 the result lives on
-    U + <-1>^m, not on the Z^{1,m+1} of the catalogue.
+    U + <-1>^m, not on the Z^{1,m+1} of the catalogue.  The (-1)-classes come
+    from `minus_one_classes_by_enumeration` on every base, so a blow-up that
+    equals a catalogue model checks its closed-form (-1)-classes too.
     """
     a, b = int_tuple((real_points, conj_pairs))
     if a < 0 or b < 0:
@@ -440,7 +455,7 @@ def blow_up(base: SurfaceModel, real_points: int = 0, conj_pairs: int = 0) -> Su
         columns[old_columns.index(k_old)] = k_cx
 
     name = f"{base.name}_{a}_{2 * b}" + ("_11" if a == 2 else "")
-    return _model(name, cx, k_cx, labels, columns)
+    return _model(name, cx, k_cx, labels, columns, minus_one_classes_by_enumeration(cx, cx.vector(k_cx)))
 
 
 def quadric_to_plane(n):

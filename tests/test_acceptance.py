@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from realdp.catalog import builtin
+from realdp.catalog import _blowup_lattice, builtin, minus_one_curves
 from realdp.conic import (
     analyze,
     candidate_divisor,
@@ -34,6 +34,7 @@ from oracles import (
     hyperbolicity_from_linking,
     is_involution,
     is_isometry,
+    minus_one_classes_by_enumeration,
     self_intersection_candidates,
     smith_normal_form,
     surface_class_identities_by_intersections,
@@ -204,18 +205,23 @@ def test_criterion_07_fixed_sublattice_oracle():
 
 
 def test_criterion_08_line_counts_two_strategies():
+    """The (-1)-classes that the catalogue writes down from the classical
+    list equal two independent enumerations on every Z^{1,n}, n <= 8."""
     start = time.monotonic()
     expected = {4: 16, 3: 27, 2: 56, 1: 240}
     models = {4: "D4", 3: "D4_1_0", 2: "D2", 1: "B1"}
     for degree, count in expected.items():
         model = builtin(models[degree])
-        ellipsoid = [c.coeffs for c in model.minus_one_classes]
-        backtracking = diophantine_lines(9 - degree)
-        assert ellipsoid == backtracking
-        assert len(ellipsoid) == count
+        assert len(model.minus_one_classes) == count
+    for n in range(9):
+        lattice = _blowup_lattice(n)
+        closed = [c.coeffs for c in minus_one_curves(n)]
+        ellipsoid = minus_one_classes_by_enumeration(lattice, lattice.vector((-3,) + (1,) * n))
+        assert closed == [c.coeffs for c in ellipsoid]
+        assert closed == diophantine_lines(n)
     elapsed = time.monotonic() - start
     assert elapsed < 10
-    report(8, f"line counts 16/27/56/240 agree across both enumerations in {elapsed:.2f}s")
+    report(8, f"line counts 16/27/56/240 in closed form agree with both enumerations in {elapsed:.2f}s")
 
 
 def test_criterion_09_geiser_bertini_action():

@@ -9,6 +9,7 @@ import pytest
 from realdp import catalog
 from realdp.catalog import (
     SURFACE_NAMES,
+    _blowup_lattice,
     _model,
     builtin,
     minus_one_curves,
@@ -27,6 +28,7 @@ from oracles import (
     is_isometry,
     ldl,
     mat_mul,
+    minus_one_classes_by_enumeration,
     quadric_to_plane,
     rebase,
     smith_normal_form,
@@ -56,6 +58,9 @@ TOPOLOGY = {
 }
 
 LINE_COUNTS = {9: 0, 8: 0, 7: 3, 6: 6, 5: 10, 4: 16, 3: 27, 2: 56, 1: 240}
+# (-1)-classes of Z^{1,n} for n = 0 to 8: Z^{1,1} (the plane blown up once,
+# degree 8) has E1, where the degree-8 surface of the catalogue, Q31, has none
+BLOWUP_LINE_COUNTS = (0, 1, 3, 6, 10, 16, 27, 56, 240)
 
 
 def test_catalogue_topology_and_degree():
@@ -208,12 +213,32 @@ def diophantine_lines(n_exceptional):
     return sorted(set(sols))
 
 
-@pytest.mark.parametrize("degree", [4, 3, 2, 1])
+@pytest.mark.parametrize("degree", range(9, 0, -1))
 def test_two_line_enumeration_strategies_agree(degree):
-    model = builtin({4: "D4", 3: "D4_1_0", 2: "D2", 1: "B1"}[degree])
-    fincke_pohst = [c.coeffs for c in model.minus_one_classes]
-    assert fincke_pohst == diophantine_lines(9 - degree)
-    assert len(fincke_pohst) == LINE_COUNTS[degree]
+    """The closed form on Z^{1,n}, n = 9 - degree, equals the Fincke-Pohst
+    enumeration and the backtracking one: same classes in the same order."""
+    n = 9 - degree
+    lattice = _blowup_lattice(n)
+    closed = minus_one_curves(n)
+    assert all(c.lattice is lattice for c in closed)
+    fincke_pohst = minus_one_classes_by_enumeration(lattice, lattice.vector((-3,) + (1,) * n))
+    assert closed == fincke_pohst
+    assert [c.coeffs for c in closed] == diophantine_lines(n)
+    assert len(closed) == BLOWUP_LINE_COUNTS[n]
+
+
+def test_quadric_lattice_has_no_minus_one_class():
+    """On U, c = a l1 + b l2 has c.c = 2ab, never -1, so Q31 declares no
+    (-1)-class; the enumeration of U finds none either."""
+    q31 = builtin("Q31")
+    assert minus_one_classes_by_enumeration(q31.complex_lattice, q31.complex_canonical) == ()
+    assert q31.minus_one_classes == ()
+
+
+@pytest.mark.parametrize("n", [-1, 9, 10])
+def test_minus_one_curves_refuses_infinite_lists(n):
+    with pytest.raises(ValueError, match="finitely many"):
+        minus_one_curves(n)
 
 
 def test_naive_box_matches_on_degree_four():
@@ -263,7 +288,7 @@ def test_blow_up_rejects_bad_topology():
 def test_model_rejects_inconsistent_conjugation_data():
     q31, d4 = builtin("Q31"), builtin("D4")
     f, k = zip(*d4.embedding)
-    assert _model("D4", d4.complex_lattice, k, ("F", "K"), [f, k]) == d4
+    assert _model("D4", d4.complex_lattice, k, ("F", "K"), [f, k], d4.minus_one_classes) == d4
     h, e2 = (1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)
     cases = [
         # 2F in place of F spans an index-two sublattice of the fixed lattice:
@@ -281,18 +306,20 @@ def test_model_rejects_inconsistent_conjugation_data():
     ]
     for name, model, labels, columns, reason in cases:
         with pytest.raises(ValueError, match=f"^{name}: .*{reason}"):
-            _model(name, model.complex_lattice, model.complex_canonical.coeffs, labels, columns)
+            _model(name, model.complex_lattice, model.complex_canonical.coeffs, labels, columns,
+                   model.minus_one_classes)
 
 
 def test_each_surface_is_built_by_one_model_call(monkeypatch):
-    """A fresh build of the catalogue assembles each of the 19 surfaces
-    with one `_model` call and builds no intermediate model."""
+    """A fresh build of the catalogue through `builtin` assembles each of
+    the 19 surfaces with one `_model` call, builds no intermediate model
+    and builds no surface twice."""
+    built = [builtin(name) for name in SURFACE_NAMES]
     calls = []
     model = catalog._model
     monkeypatch.setattr(catalog, "_model", lambda name, *args: calls.append(name) or model(name, *args))
-    fresh = functools.lru_cache(maxsize=None)(builtin.__wrapped__)
-    monkeypatch.setattr(catalog, "builtin", fresh)
-    assert [fresh(name) for name in SURFACE_NAMES] == [builtin(name) for name in SURFACE_NAMES]
+    monkeypatch.setattr(catalog, "_build", functools.lru_cache(maxsize=None)(catalog._build.__wrapped__))
+    assert [builtin(name) for name in SURFACE_NAMES * 2] == built * 2
     assert calls == list(SURFACE_NAMES)
     assert len(calls) == 19
 
@@ -393,16 +420,15 @@ def test_real_to_complex():
 
 def test_minus_one_curves_function():
     d4 = builtin("D4")
-    lines = minus_one_curves(d4.complex_lattice, d4.complex_canonical)
+    lines = minus_one_curves(5)
     assert len(lines) == 16
-    assert tuple(lines) == d4.minus_one_classes
+    assert lines is d4.minus_one_classes
 
 
 def test_models_of_one_degree_share_minus_one_classes():
-    """Every model of one degree lives on the same lattice, Z^{1,9-degree}
-    or U for Q31, so the catalogue enumerates the (-1)-classes once per
-    degree and its models hold that one tuple: 9 enumerations for 19
-    models."""
+    """Every model of one degree lives on the same lattice object,
+    Z^{1,9-degree} or U for Q31, so the catalogue writes the (-1)-classes
+    down once per degree and its models hold that one tuple; U has none."""
     by_degree = {}
     for model in map(builtin, SURFACE_NAMES):
         by_degree.setdefault(model.degree, []).append(model)
@@ -411,8 +437,11 @@ def test_models_of_one_degree_share_minus_one_classes():
         shared = models[0].minus_one_classes
         assert len(shared) == LINE_COUNTS[degree]
         assert all(model.minus_one_classes is shared for model in models), degree
-        lat, k = models[0].complex_lattice, models[0].complex_canonical
-        assert minus_one_curves(lat, k) is shared
+        lattice = models[0].complex_lattice
+        assert all(model.complex_lattice is lattice for model in models), degree
+        if degree != 8:
+            assert lattice is _blowup_lattice(9 - degree)
+            assert minus_one_curves(9 - degree) is shared
 
 
 # Distinct line functionals per model: rows of pairings with the real basis

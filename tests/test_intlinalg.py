@@ -174,12 +174,14 @@ def deep_positive_definite_forms(seed, count):
 
 
 def catalogue_forms(monkeypatch):
-    """Q and bound of the window of every `enumerate_classes` call that
-    building the 19 models and searching each of them makes: its (-1)-class
-    window, built by `catalog.minus_one_curves`, and its stored search
-    window, which `search` reads."""
-    from realdp import catalog, lattice, search as search_module
-    from realdp.catalog import SURFACE_NAMES, builtin, minus_one_curves
+    """Q and bound of the (-1)-class window {c.c = -1, c.K = -1} of the
+    complex lattice of each of the 19 models, which the oracle
+    `minus_one_classes_by_enumeration` walks, and of every
+    `enumerate_classes` call that searching each model makes: its stored
+    search window."""
+    from realdp import lattice, search as search_module
+    from realdp.catalog import SURFACE_NAMES, builtin
+    from realdp.lattice import class_window
     from realdp.search import search
 
     calls = []
@@ -189,10 +191,10 @@ def catalogue_forms(monkeypatch):
         return enumerate_classes(window)
 
     models = [builtin(name) for name in SURFACE_NAMES]
-    monkeypatch.setattr(catalog, "enumerate_classes", record)
     monkeypatch.setattr(search_module, "enumerate_classes", record)
     for model in models:
-        minus_one_curves.__wrapped__(model.complex_lattice, model.complex_canonical)
+        window = class_window(model.complex_lattice, model.complex_canonical, -1, -1, -1)
+        calls.append((window.quad, window.bound))
         search(model)
     monkeypatch.undo()
     return calls

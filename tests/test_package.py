@@ -328,6 +328,8 @@ def _input_checks():
         "IntLattice.labels": (lambda: IntLattice(2, ("H", "H"), ((1, 0), (0, -1))), "labels must be distinct"),
         "IntLattice.gram size": (lambda: IntLattice(2, ("H", "E"), ((1, 0),)), "size must match the rank"),
         "IntLattice.gram symmetry": (lambda: IntLattice(2, ("H", "E"), ((1, 1), (0, -1))), "must be symmetric"),
+        "builtin.unhashable": (lambda: builtin(["P2"]), "^unknown surface \\['P2'\\]; known: P2, Q31,"),
+        "builtin.not_a_name": (lambda: builtin(3), "^unknown surface 3; known: P2, Q31,"),
         "ClassVector": (lambda: ClassVector(lattice, (1,)), "length must equal the lattice rank"),
         "ClassVector.dot": (lambda: lattice.vector((1, 0)).dot(other.vector((1,))), not_a_member),
         "check_conditions": (lambda: check_conditions(builtin("D2"), other.vector((1,))), not_a_member),
