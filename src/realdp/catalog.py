@@ -20,8 +20,9 @@ real pairing matrix G_real, Lefschetz (2s + r = 2 + n - 2 rho) and
 Kharlamov-Krasnov (2s + 3r = 2 + n - 2a) give r = rho - a and
 s = (2 + n - 2 rho - r) / 2 (Degtyarev and Kharlamov, Russian Math. Surveys
 55:4, 2000).  The embedding is a plain integer matrix (a tuple of row
-tuples), built here and never read from input; every pairing goes through
-`intlinalg.dot`.
+tuples), built here and never read from input.  Pairings take
+`intlinalg.dot` against the images G u that `intlinalg.mat_vec` computes,
+and K.K is `ClassVector.dot`; those two write the row product inline.
 
 Conventions.  Every model but Q31 lives on the blow-up lattice Z^{1,n},
 n = 9 - degree, with basis H, E1, ..., En, pairing diag(1, -1, ..., -1) and

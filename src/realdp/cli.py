@@ -248,7 +248,9 @@ def _parse_cycles(doc) -> list:
 
 def _parse_subspace(doc, ambient=None) -> GreatSubsphere:
     normals = tuple(_rationals(n) for n in doc["normals"])
-    if ambient is None:
+    if ambient is None:  # the center, whose normals give the ambient dimension
+        if not normals:
+            raise ValueError("the center must be cut out by two independent equations")
         ambient = len(normals[0]) - 1
     return GreatSubsphere(ambient, normals)
 
